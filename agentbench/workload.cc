@@ -36,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/cluster.hh"
@@ -601,6 +602,53 @@ timedCall(const Options &o, int requests, std::uint64_t seed,
     return call;
 }
 
+/** What the speed probe takes on the reference host, seconds. */
+constexpr double kProbeReferenceSeconds = 0.1;
+
+/** Keeps the probe's work observable so it cannot be optimised away. */
+volatile std::uint64_t probeSink = 0;
+
+/**
+ * A fixed host-speed probe that runs none of the program's code: hash
+ * table, tree and vector churn over a few MB, the operation mix of the
+ * simulator's hot path. On a shared host, speed drifts 10-25% over
+ * minutes, and the simulator's call times follow this probe closely.
+ * Scaling each call by the probe taken just before it gives host
+ * seconds at the reference speed.
+ */
+double
+probeSeconds()
+{
+    const auto t0 = Clock::now();
+    std::unordered_map<std::uint64_t, int> table;
+    std::map<std::uint64_t, int> tree;
+    std::vector<std::uint64_t> keys;
+    std::uint64_t x = 88172645463325252ull; // xorshift64 state
+    std::uint64_t acc = 0;
+    for (int i = 0; i < 300000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        keys.push_back(x);
+        table[x % 200000] = i;
+        if (i % 4 == 0)
+            tree[x % 50000] = i;
+        acc += table.count((x >> 3) % 200000);
+        if (i % 7 == 0)
+            table.erase((x >> 5) % 200000);
+    }
+    for (std::uint64_t k : keys)
+        acc += k & 1;
+    probeSink = acc + tree.size();
+    return secondsSince(t0);
+}
+
+double
+atReferenceSpeed(double seconds, double probe)
+{
+    return seconds * kProbeReferenceSeconds / probe;
+}
+
 double
 peakRssMb()
 {
@@ -653,8 +701,14 @@ main(int argc, char **argv)
     if (warmup > 0)
         timedCall(o, warmup, kWarmupSeed, observers.get());
     const double setup_seconds = secondsSince(kProcessStart);
+    // Only timed runs probe: the gprof process and the bare twin run
+    // --calls, and a probe would pollute the profile.
+    const bool probing = o.calls == 0;
+    const double setup_ref =
+        probing ? atReferenceSpeed(setup_seconds, probeSeconds()) : 0.0;
     if (o.setupOnly) {
-        std::printf("{\"setup_s\": %.9g}\n", setup_seconds);
+        std::printf("{\"setup_s\": %.9g, \"setup_ref_s\": %.9g}\n",
+                    setup_seconds, setup_ref);
         return 0;
     }
 
@@ -662,14 +716,18 @@ main(int argc, char **argv)
                                        : shape.subInputs;
     std::vector<Tally> firsts;
     std::vector<std::vector<double>> walls(first_pass);
+    std::vector<std::vector<double>> walls_ref(first_pass);
     std::vector<double> exports;
     bool repeats_identical = true;
     const auto t0 = Clock::now();
     for (int n = 0;; ++n) {
         const int k = n % first_pass;
+        const double probe = probing ? probeSeconds() : 0.0;
         Call call = timedCall(o, shape.requests, subSeed(o.seed, k),
                               observers.get());
         walls[k].push_back(call.wallSeconds);
+        if (probing)
+            walls_ref[k].push_back(atReferenceSpeed(call.wallSeconds, probe));
         if (observed)
             exports.push_back(call.exportSeconds);
         if (n < first_pass)
@@ -690,8 +748,11 @@ main(int argc, char **argv)
     if (o.calls == 0)
         total.check("repetitions_identical", repeats_identical);
     std::vector<double> per_input;
-    for (const auto &w : walls)
-        per_input.push_back(median(w));
+    std::vector<double> per_input_ref;
+    for (int k = 0; k < first_pass; ++k) {
+        per_input.push_back(median(walls[k]));
+        per_input_ref.push_back(median(walls_ref[k]));
+    }
 
     std::printf("{\"workload\": \"%s\", \"seed\": %llu, "
                 "\"requests_per_call\": %d, \"calls\": %d, "
@@ -701,9 +762,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(o.seed), shape.requests,
                 first_pass, total.get("offered"), total.get("completed"),
                 total.get("failed"));
-    std::printf(", \"setup_s\": %.9g, \"peak_rss_mb\": %.6g, "
-                "\"host_wall_s\": %.9g",
-                setup_seconds, peakRssMb(), median(per_input));
+    std::printf(", \"setup_s\": %.9g, \"setup_ref_s\": %.9g, "
+                "\"peak_rss_mb\": %.6g, \"host_wall_s\": %.9g, "
+                "\"host_wall_ref_s\": %.9g",
+                setup_seconds, setup_ref, peakRssMb(), median(per_input),
+                median(per_input_ref));
     std::printf(", \"wall_by_input\": ");
     printList(per_input, 9);
     std::printf(", \"export_s\": %.9g", median(exports));
