@@ -15,6 +15,9 @@
  * Every repeat must reproduce its first outcome exactly. --calls M
  * instead makes one call on each of the first M sub-inputs and stops.
  *
+ * Timed runs also report each host time scaled by a fixed speed probe
+ * taken just before it (see probeSeconds()).
+ *
  * It prints one JSON object on stdout: host timings, the simulated
  * outputs summed over the sub-inputs (read from the result structs),
  * one digest of simulated outputs per sub-input for comparison across
