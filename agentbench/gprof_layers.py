@@ -210,14 +210,16 @@ def attribute(self_s, entries):
 
 def inclusive(entries, prefixes):
     """Seconds in a set of functions and their callees, counting calls
-    between members of the set once."""
+    between members of the set once. A member that was never called
+    counts for nothing: its samples are ticks that gprof charged to the
+    nearest symbol, such as a split-off cold block of a neighbour."""
     def member(name):
         q = qualified(name)
         return any(q == p or (p.endswith("::") and q.startswith(p))
                    or (not p.endswith("::") and q.startswith(p + "::"))
                    for p in prefixes)
 
-    names = [n for n in entries if member(n)]
+    names = [n for n in entries if member(n) and entries[n]["called"] > 0]
     total = sum(entries[n]["incl"] for n in names)
     inner = sum(t for n in names for child, _, t in entries[n]["children"]
                 if member(child))

@@ -2,7 +2,7 @@
 """The agentsim benchmark: one workload, one seed, one JSON line.
 
     python3 agentbench/run.py --workload agent_react --seed 2026 \\
-        --seconds 12 --trace 0
+        --seconds 22 --trace 0
     python3 agentbench/run.py --selftest
 
 It builds the simulator from ../src (once per checkout, under
@@ -32,6 +32,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(ROOT, ".bench_build", "agentbench")
 EXE = "agentbench_workload"
+PROBE = "agentbench_probe"
 
 WORKLOADS = ("agent_react", "chat_short", "kv_pressure", "cluster_observed")
 DEFAULT_SEED = 2026
@@ -43,10 +44,12 @@ SETUPS = 5
 # Sub-inputs run by the gprof process and by the bare twin: fixed, so
 # call counts repeat exactly.
 TRACED_CALLS = 2
-# The build the end-to-end numbers come from, and its gprof twin.
+# The build the end-to-end numbers come from, and its gprof twin:
+# cmake flags and targets.
 VARIANTS = {
-    "release": [],
-    "gprof": ["-DCMAKE_CXX_FLAGS=-pg", "-DCMAKE_EXE_LINKER_FLAGS=-pg -static"],
+    "release": ([], [EXE, PROBE]),
+    "gprof": (["-DCMAKE_CXX_FLAGS=-pg", "-DCMAKE_EXE_LINKER_FLAGS=-pg -static"],
+              [EXE]),
 }
 
 SIM_UNITS = {"sim_p50_s": "s", "sim_p95_s": "s", "sim_throughput_qps": "1/s",
@@ -67,9 +70,10 @@ def build():
     jobs = str(min(4, os.cpu_count() or 1))
     with open(os.path.join(BUILD, ".lock"), "w") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
-        for variant, flags in VARIANTS.items():
+        for variant, (flags, targets) in VARIANTS.items():
             out = os.path.join(BUILD, variant)
-            steps = [["cmake", "--build", out, "--target", EXE, "-j", jobs]]
+            steps = [["cmake", "--build", out, "--target", *targets,
+                      "-j", jobs]]
             if not os.path.isfile(os.path.join(out, "CMakeCache.txt")):
                 steps.insert(0, ["cmake", "-S", HERE, "-B", out, *generator,
                                  "-DCMAKE_BUILD_TYPE=Release", *flags])
@@ -118,18 +122,19 @@ def metric(value, unit):
     return {"value": value, "unit": unit}
 
 
-def base_args(args, run_dir):
+def base_args(args, run_dir, requests):
     base = ["--workload", args.workload, "--seed", str(args.seed),
             "--incident-dir", os.path.join(run_dir, "incidents")]
-    if args.requests:
-        base += ["--requests", str(args.requests)]
+    if requests:
+        base += ["--requests", str(requests)]
     return base
 
 
-def end_to_end(args, run_dir, checks):
+def end_to_end(args, run_dir, checks, requests):
     """The 9 end-to-end metrics from one measuring process plus extra
-    set-up-only processes."""
-    base = base_args(args, run_dir)
+    set-up-only processes. Host times are scaled by the speed probe."""
+    base = base_args(args, run_dir, requests) + [
+        "--probe", os.path.join(BUILD, "release", PROBE)]
     setups = [workload_process("release", base + ["--setup-only"],
                                run_dir)["setup_ref_s"]
               for _ in range(SETUPS - 1)]
@@ -170,11 +175,11 @@ BLAME = [f"blame.{stat}.{cat}_share" for stat in ("mean", "p95")
          for cat in ("queue", "prefill", "decode", "tool")]
 
 
-def per_layer(args, run_dir, checks):
+def per_layer(args, run_dir, checks, requests):
     """Per-layer metrics: the untraced process for spans and simulated
     counts, the bare twin of cluster_observed, and the gprof process
     for the host split."""
-    base = base_args(args, run_dir)
+    base = base_args(args, run_dir, requests)
     out = workload_process("release", base + ["--seconds",
                                               str(args.seconds)], run_dir)
     checks.process(out, "run")
@@ -231,7 +236,9 @@ def per_layer(args, run_dir, checks):
     return out, m
 
 
-def run(args):
+def run(args, requests=0):
+    """One run; requests > 0 overrides the workload's request count
+    (the self-test's short runs)."""
     build()
     runs = os.path.join(BUILD, "runs")
     os.makedirs(runs, exist_ok=True)
@@ -239,7 +246,7 @@ def run(args):
     checks = Checks()
     try:
         measure = per_layer if args.trace else end_to_end
-        out, metrics = measure(args, run_dir, checks)
+        out, metrics = measure(args, run_dir, checks, requests)
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
     correct = not checks.failed
@@ -280,9 +287,8 @@ def selftest():
     for workload in WORKLOADS:
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
             args = argparse.Namespace(workload=workload, seed=DEFAULT_SEED,
-                                      seconds=0.5, trace=trace,
-                                      requests=small[workload])
-            result = run(args)
+                                      seconds=0.5, trace=trace)
+            result = run(args, small[workload])
             where = f"{workload} --trace {trace}"
             if not result["correct"]:
                 problems.append(f"{where}: a correctness check failed")
@@ -319,10 +325,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=12.0)
+    parser.add_argument("--seconds", type=float, default=22.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--requests", type=int, default=0,
-                        help="override the workload's request count")
     parser.add_argument("--selftest", action="store_true")
     args = parser.parse_args()
     try:
