@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "common.hh"
+#include "sim/strfmt.hh"
 
 namespace
 {
@@ -43,6 +44,11 @@ main(int argc, char **argv)
         std::string name;
         double wh;
     };
+    auto dollars = [](double wh, double queries) {
+        return sim::strfmt(
+            "$%s",
+            core::fmtEng(energy::dailyCostUsd(wh, queries)).c_str());
+    };
     for (bool use70b : {false, true}) {
         std::vector<Row> rows;
         rows.push_back({"Chatbot",
@@ -54,15 +60,13 @@ main(int argc, char **argv)
         for (const auto &row : rows) {
             t.row({row.name, use70b ? "70B" : "8B",
                    core::fmtDouble(row.wh, 2),
-                   "$" + core::fmtEng(energy::dailyCostUsd(
-                             row.wh, energy::chatGptDailyQueries)),
+                   dollars(row.wh, energy::chatGptDailyQueries),
                    core::fmtDouble(
                        energy::dailyCo2Kg(
                            row.wh, energy::chatGptDailyQueries) /
                            1000.0,
                        1),
-                   "$" + core::fmtEng(energy::dailyCostUsd(
-                             row.wh, energy::googleDailyQueries)),
+                   dollars(row.wh, energy::googleDailyQueries),
                    core::fmtDouble(
                        energy::dailyCo2Kg(
                            row.wh, energy::googleDailyQueries) /

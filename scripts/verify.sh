@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification matrix: configure, build and test every CMake
-# preset (default, asan, ubsan, tsan), then gate the perf report
-# against the committed baseline with perf_report_diff.
+# preset (default, asan, ubsan, release; all with warnings as errors),
+# then gate the perf report against the committed baseline with
+# perf_report_diff.
 #
 #   scripts/verify.sh                 # everything
 #   AGENTSIM_PRESETS="default" scripts/verify.sh   # subset
@@ -10,24 +11,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-read -ra presets <<< "${AGENTSIM_PRESETS:-default asan ubsan tsan}"
+read -ra presets <<< "${AGENTSIM_PRESETS:-default asan ubsan release}"
 jobs="${JOBS:-$(nproc)}"
 
 for preset in "${presets[@]}"; do
     echo "==> preset: ${preset}"
     cmake --preset "${preset}" > /dev/null
-    if [[ "${preset}" == "tsan" ]]; then
-        # TSan exists to race-check the parallel engine; building and
-        # running the whole single-threaded matrix under it would
-        # triple verify time for no extra signal.
-        cmake --build --preset tsan -j "${jobs}" \
-            --target parallel_sim_test sim_throughput
-        ctest --preset tsan -j "${jobs}" -R 'BucketQueue|FramePool|Sharded'
-        build-tsan/bench/sim_throughput --smoke > /dev/null
-    else
-        cmake --build --preset "${preset}" -j "${jobs}"
-        ctest --preset "${preset}" -j "${jobs}"
-    fi
+    cmake --build --preset "${preset}" -j "${jobs}"
+    ctest --preset "${preset}" -j "${jobs}"
 done
 
 # Perf regression gate: regenerate the baseline bench's report with
@@ -47,17 +38,6 @@ build/bench/fig14_qps_sweep --report "${report}" > /dev/null
 build/bench/perf_report_diff BENCH_agentsim.json "${report}" \
     --threshold "${AGENTSIM_PERF_THRESHOLD:-0.05}" \
     --floor "sim_events_per_second=${AGENTSIM_EVENTS_FLOOR:-50000}"
-
-# Parallel-engine gate: determinism (parallel == sequential,
-# run-to-run) is asserted inside the bench at every shard count; the
-# same events/s floor applies to its sharded throughput headline.
-echo "==> parallel engine gate (sim_throughput --smoke)"
-sim_report="$(mktemp)"
-trap 'rm -f "${report}" "${trace}" "${prom}" "${sim_report}"' EXIT
-build/bench/sim_throughput --smoke --report "${sim_report}" > /dev/null
-build/bench/perf_report_diff "${sim_report}" "${sim_report}" \
-    --floor "sim_events_per_second=${AGENTSIM_EVENTS_FLOOR:-50000}" \
-    > /dev/null
 
 # Trace-validity gate: a smoke serving run must emit a parseable
 # Chrome trace with balanced span exemplars and a non-empty blame

@@ -71,7 +71,7 @@ exportBlameMetrics(const telemetry::SpanCollector &spans,
 
     for (const auto &agg : spans.aggregates()) {
         const std::string label =
-            "_" + sanitizeMetricLabel(agg.workflow);
+            sim::strfmt("_%s", sanitizeMetricLabel(agg.workflow).c_str());
         registry
             .counter("agentsim_blame_requests" + label,
                      "Requests in this workflow's blame aggregate")

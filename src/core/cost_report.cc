@@ -166,7 +166,8 @@ CostReport::exportMetrics(telemetry::MetricsRegistry &registry,
     };
     emit("", total());
     for (const Row &row : rows_)
-        emit("_" + sanitizeMetricLabel(row.label), row.ledger);
+        emit(sim::strfmt("_%s", sanitizeMetricLabel(row.label).c_str()),
+             row.ledger);
     for (const auto &[cause, seconds] : recovered_) {
         registry
             .counter(sim::strfmt(

@@ -11,11 +11,6 @@
  * this removes the dominant allocation traffic from the simulator hot
  * path — see DESIGN.md §3k.
  *
- * Thread safety: pools are `thread_local`, so shards of the parallel
- * engine (sim/parallel.hh) never contend. A block freed on a different
- * thread than it was allocated on simply joins the freeing thread's
- * pool — blocks are plain malloc storage, not thread-owned.
- *
  * Determinism: allocation pooling is invisible to simulation results
  * by construction (it changes *where* frames live, never what they
  * compute). Under AddressSanitizer / ThreadSanitizer / MemorySanitizer

@@ -10,13 +10,11 @@
  * The generator is xoshiro256**, seeded via SplitMix64 from an FNV-1a
  * hash of (global seed, stream name, stream index).
  *
- * Thread confinement (docs/DETERMINISM.md): an Rng is a plain value
- * with no shared or global state, so the parallel engine needs no RNG
- * locking — each shard's streams live in that shard's processes and
- * are only ever touched by its worker thread inside a window. The
- * draw *order within one stream* is part of the determinism contract;
- * keep a stream owned by exactly one coroutine/process and give new
- * consumers their own named stream instead of sharing one.
+ * An Rng is a plain value with no shared or global state. The draw
+ * *order within one stream* is part of the determinism contract
+ * (docs/DETERMINISM.md); keep a stream owned by exactly one
+ * coroutine/process and give new consumers their own named stream
+ * instead of sharing one.
  */
 
 #ifndef AGENTSIM_SIM_RNG_HH
@@ -61,8 +59,8 @@ hashCombine(std::uint64_t a, std::uint64_t b)
 /**
  * A deterministic pseudo-random stream (xoshiro256**).
  *
- * Cheap to construct; copyable. Not thread safe — confine each
- * instance to one shard/process (see the file comment).
+ * Cheap to construct; copyable. Confine each instance to one process
+ * (see the file comment).
  */
 class Rng
 {

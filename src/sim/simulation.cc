@@ -59,22 +59,6 @@ Simulation::runUntil(Tick until)
     return now_;
 }
 
-std::uint64_t
-Simulation::runWindow(Tick end)
-{
-    if (events_.empty() || events_.nextTime() >= end)
-        return 0;
-    const std::uint64_t before = processed_;
-    const auto start = std::chrono::steady_clock::now();
-    while (!events_.empty() && events_.nextTime() < end)
-        step();
-    wallSeconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    return processed_ - before;
-}
-
 bool
 Simulation::step()
 {

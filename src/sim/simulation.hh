@@ -61,27 +61,8 @@ class Simulation
      */
     Tick runUntil(Tick until);
 
-    /**
-     * Run all events with time strictly below @p end, leaving the
-     * clock at the last processed event (idle shards keep their old
-     * clock — nothing drags time forward). This is the per-window
-     * primitive of the parallel engine (sim/parallel.hh): a shard may
-     * safely process [now, end) when every cross-shard message that
-     * could still arrive is timestamped >= end.
-     * @return events processed in this window.
-     */
-    std::uint64_t runWindow(Tick end);
-
     /** Process a single event. @return false if the queue was empty. */
     bool step();
-
-    /** Number of pending events. */
-    std::size_t pendingEvents() const { return events_.size(); }
-
-    /** Tick of the earliest pending event; undefined if none pending
-     *  (the parallel engine's window scheduler guards on
-     *  pendingEvents() first). */
-    Tick nextEventTime() const { return events_.nextTime(); }
 
     /** Event-queue pooling counters (sim_metrics export). */
     std::uint64_t

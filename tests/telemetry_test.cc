@@ -676,8 +676,9 @@ TEST(Spans, NestingAndLinksStayValid)
         ASSERT_NE(s.parent, telemetry::kNoSpan);
         EXPECT_LT(s.parent, i);
         EXPECT_GE(s.start, tree.spans[s.parent].start);
-        if (s.followsFrom != telemetry::kNoSpan)
+        if (s.followsFrom != telemetry::kNoSpan) {
             EXPECT_LT(s.followsFrom, i);
+        }
     }
     // A child of a finished tree is refused.
     EXPECT_FALSE(
