@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/awaitable.hh"
@@ -102,6 +104,131 @@ TEST(Simulation, ProcessedEventCount)
         s.schedule(i, [] {});
     s.run();
     EXPECT_EQ(s.processedEvents(), 7u);
+}
+
+TEST(Simulation, ZeroDelayRunsAfterQueuedSameTickEvents)
+{
+    // schedule(0, ...) from inside an event lands at the current tick,
+    // behind everything already queued there, and does not move the
+    // clock.
+    Simulation s;
+    std::vector<std::string> order;
+    std::vector<Tick> at;
+    s.schedule(10, [&] {
+        order.push_back("a");
+        s.schedule(0, [&] {
+            order.push_back("a0");
+            at.push_back(s.now());
+        });
+    });
+    s.schedule(10, [&] { order.push_back("b"); });
+    s.schedule(11, [&] { order.push_back("c"); });
+    s.run();
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"a", "b", "a0", "c"}));
+    EXPECT_EQ(at, (std::vector<Tick>{10}));
+    EXPECT_EQ(s.processedEvents(), 4u);
+}
+
+/** Ring of @p nodes passing messages with per-hop latencies; returns
+ *  each node's receive log as (tick, sender) pairs. */
+std::vector<std::vector<std::pair<Tick, int>>>
+runRing(int nodes)
+{
+    Simulation s;
+    std::vector<std::vector<std::pair<Tick, int>>> log(
+        static_cast<std::size_t>(nodes));
+    std::function<void(int, int, int)> send =
+        [&](int from, int to, int ttl) {
+            s.schedule(10 * (1 + (from + to) % 3), [&, from, to, ttl] {
+                log[static_cast<std::size_t>(to)].emplace_back(s.now(),
+                                                               from);
+                if (ttl > 0) {
+                    send(to, (to + 1) % nodes, ttl - 1);
+                    send(to, (to + 2) % nodes, ttl - 1);
+                }
+            });
+        };
+    for (int n = 0; n < nodes; ++n)
+        send(n, (n + 1) % nodes, 4);
+    s.run();
+    return log;
+}
+
+TEST(Simulation, RingIsRunToRunDeterministic)
+{
+    // Heavy same-tick traffic across many senders: two fresh runs
+    // must deliver every message at the same tick and in the same
+    // per-node order.
+    const auto a = runRing(5);
+    const auto b = runRing(5);
+    EXPECT_EQ(a, b);
+    std::size_t delivered = 0;
+    for (const auto &node : a)
+        delivered += node.size();
+    // 5 roots, each fanning out 2-way for 4 more levels: 5 * 31.
+    EXPECT_EQ(delivered, 155u);
+}
+
+TEST(Simulation, SelfReschedulingChainRecyclesOneBucket)
+{
+    // The bucket is retired before the action runs, so a chain that
+    // reschedules itself from each event reuses that one bucket.
+    Simulation s;
+    int hops = 0;
+    std::function<void()> hop = [&] {
+        if (++hops < 100)
+            s.schedule(7, hop);
+    };
+    s.schedule(0, hop);
+    s.run();
+    EXPECT_EQ(hops, 100);
+    EXPECT_EQ(s.now(), 99 * 7);
+    EXPECT_EQ(s.queueBucketsAllocated(), 1u);
+    EXPECT_EQ(s.queueBucketsRecycled(), 99u);
+}
+
+TEST(Simulation, StepIsNotWallTimed)
+{
+    // Only run()/runUntil() read the host clock; a step()-driven loop
+    // reports no wall time and so no events/s.
+    Simulation s;
+    for (int i = 0; i < 5; ++i)
+        s.schedule(i, [] {});
+    while (s.step()) {
+    }
+    EXPECT_EQ(s.processedEvents(), 5u);
+    EXPECT_EQ(s.wallSeconds(), 0.0);
+    EXPECT_EQ(s.eventsPerSecond(), 0.0);
+    EXPECT_FALSE(s.step());
+}
+
+TEST(SimulationDeathTest, SchedulingInThePastPanics)
+{
+    EXPECT_DEATH(
+        {
+            Simulation s;
+            s.schedule(-1, [] {});
+        },
+        "in the past");
+    EXPECT_DEATH(
+        {
+            Simulation s;
+            s.schedule(20, [&s] { s.scheduleAt(10, [] {}); });
+            s.run();
+        },
+        "before now");
+}
+
+TEST(SimulationDeathTest, RunUntilIntoThePastPanics)
+{
+    EXPECT_DEATH(
+        {
+            Simulation s;
+            s.runUntil(50);
+            s.runUntil(40);
+        },
+        "runUntil into the past");
 }
 
 Task<void>
@@ -500,6 +627,52 @@ TEST(BucketQueue, RecyclesBuckets)
     EXPECT_LT(q.bucketsAllocated(), 80u);
 }
 
+TEST(BucketQueue, TracksSizeAndScheduledCount)
+{
+    sim::EventQueue q;
+    for (int i = 0; i < 6; ++i)
+        q.push(i % 2, [] {});
+    EXPECT_EQ(q.size(), 6u);
+    EXPECT_EQ(q.nextTime(), 0);
+    // Two distinct ticks, so two buckets.
+    EXPECT_EQ(q.bucketsAllocated(), 2u);
+    const sim::Event first = q.pop();
+    EXPECT_EQ(first.when, 0);
+    EXPECT_EQ(first.seq, 0u);
+    EXPECT_EQ(q.size(), 5u);
+    while (!q.empty())
+        q.pop();
+    EXPECT_EQ(q.size(), 0u);
+    // scheduledCount() is cumulative; popping does not lower it.
+    EXPECT_EQ(q.scheduledCount(), 6u);
+}
+
+TEST(BucketQueue, FreeListIsCapped)
+{
+    // At most 256 retired buckets stay parked; the rest are freed, so
+    // a second wave of 300 distinct ticks recycles 256 and allocates
+    // the other 44.
+    sim::EventQueue q;
+    for (int wave = 0; wave < 2; ++wave) {
+        for (int i = 0; i < 300; ++i)
+            q.push(wave * 1000 + i, [] {});
+        while (!q.empty())
+            q.pop();
+    }
+    EXPECT_EQ(q.bucketsRecycled(), 256u);
+    EXPECT_EQ(q.bucketsAllocated(), 300u + 44u);
+}
+
+TEST(EventQueueDeathTest, NullActionPanics)
+{
+    EXPECT_DEATH(
+        {
+            sim::EventQueue q;
+            q.push(1, std::function<void()>{});
+        },
+        "null event action");
+}
+
 // ---------------------------------------------------------------------
 // Coroutine frame pool.
 
@@ -523,6 +696,34 @@ TEST(FramePool, ReusesCoroutineFrames)
         // Sanitizer build: the pool is a passthrough by design, so
         // asan/tsan keep seeing raw frame lifetimes.
         EXPECT_EQ(after.poolHits, before.poolHits);
+    }
+}
+
+TEST(FramePool, OversizeRequestsBypassTheBins)
+{
+    // Requests above the largest size class go straight to the global
+    // allocator and are never parked; an in-class free is handed back
+    // to the next same-class allocation.
+    const auto before = sim::framePoolStats();
+    void *big = sim::framePoolAllocate(64 * 1024);
+    sim::framePoolDeallocate(big, 64 * 1024);
+    const auto mid = sim::framePoolStats();
+    void *small = sim::framePoolAllocate(100);
+    sim::framePoolDeallocate(small, 100);
+    const auto freed = sim::framePoolStats();
+    void *again = sim::framePoolAllocate(100);
+    sim::framePoolDeallocate(again, 100);
+    const auto after = sim::framePoolStats();
+    if (sim::framePoolEnabled()) {
+        EXPECT_EQ(mid.oversize - before.oversize, 1u);
+        EXPECT_EQ(mid.bytesHeld, before.bytesHeld);
+        EXPECT_EQ(mid.poolHits, before.poolHits);
+        EXPECT_EQ(after.oversize, mid.oversize);
+        EXPECT_EQ(after.allocations - before.allocations, 3u);
+        EXPECT_EQ(after.poolHits - freed.poolHits, 1u);
+    } else {
+        EXPECT_EQ(after.oversize, 0u);
+        EXPECT_EQ(after.allocations, 0u);
     }
 }
 
