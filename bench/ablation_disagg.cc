@@ -27,17 +27,20 @@ struct RunStats
     double makespan = 0.0;
 };
 
-/** Build a prefill-heavy chat request (long prompt, short output). */
+/** Build a prefill-heavy chat request (long prompt, short output),
+ *  hashed in the block size of the engine preset every server uses. */
 serving::GenRequest
 makeRequest(std::uint64_t index)
 {
     const workload::ShareGptSampler sampler(kSeed);
     const auto chat = sampler.sample(index);
     serving::GenRequest req;
-    req.prompt = workload::makeTokens(
-        workload::substream(workload::streamId(kSeed, "disagg"),
-                            index),
-        std::max<std::int64_t>(64, chat.promptTokens * 4));
+    req.prompt = kv::TokenChain(
+        core::enginePreset8b().blockSize,
+        workload::makeTokens(
+            workload::substream(workload::streamId(kSeed, "disagg"),
+                                index),
+            std::max<std::int64_t>(64, chat.promptTokens * 4)));
     req.maxNewTokens = std::max<std::int64_t>(16, chat.outputTokens / 2);
     return req;
 }

@@ -65,8 +65,9 @@ BM_KvAllocateRelease(benchmark::State &state)
     cfg.blockSize = 16;
     cfg.enablePrefixCaching = true;
     kv::BlockManager mgr(cfg);
-    const auto prompt =
-        workload::makeTokens(workload::streamId(1, "bm"), 1024);
+    const kv::TokenChain prompt(
+        cfg.blockSize,
+        workload::makeTokens(workload::streamId(1, "bm"), 1024));
     kv::SeqId next = 1;
     for (auto _ : state) {
         const kv::SeqId id = next++;
@@ -88,8 +89,10 @@ BM_KvPrefixMissThenHit(benchmark::State &state)
     kv::BlockManager mgr(cfg);
     std::uint64_t salt = 0;
     for (auto _ : state) {
-        const auto prompt = workload::makeTokens(
-            workload::streamId(salt++ % 64, "bm2"), 512);
+        const kv::TokenChain prompt(
+            cfg.blockSize,
+            workload::makeTokens(workload::streamId(salt++ % 64, "bm2"),
+                                 512));
         const kv::SeqId id = salt + 1000000;
         auto alloc = mgr.allocatePrompt(id, prompt);
         benchmark::DoNotOptimize(alloc->cachedTokens);

@@ -49,8 +49,10 @@ submit(serving::LlmEngine &engine, std::uint64_t stream,
        std::int64_t prompt_tokens, std::int64_t out_tokens)
 {
     serving::GenRequest req;
-    req.prompt = workload::makeTokens(
-        workload::streamId(9, "slo_demo") + stream, prompt_tokens);
+    req.prompt = kv::TokenChain(
+        engine.config().blockSize,
+        workload::makeTokens(workload::streamId(9, "slo_demo") + stream,
+                             prompt_tokens));
     req.maxNewTokens = out_tokens;
     co_return co_await engine.generate(std::move(req));
 }

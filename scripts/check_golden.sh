@@ -30,6 +30,7 @@ if [[ -z "${build}" ]]; then
     cmake --preset release > /dev/null
     cmake --build --preset release -j "${JOBS:-$(nproc)}" > /dev/null
 fi
+build="$(cd "${build}" && pwd)"
 
 # Not table benches: google-benchmark host timings and the report
 # differ (which needs two report files as arguments).

@@ -2,7 +2,7 @@
 # Full verification matrix: configure, build and test every CMake
 # preset (default, asan, ubsan, release; all with warnings as errors),
 # then gate the perf report against the committed baseline with
-# perf_report_diff.
+# perf_report_diff and every bench table against bench/golden/.
 #
 #   scripts/verify.sh                 # everything
 #   AGENTSIM_PRESETS="default" scripts/verify.sh   # subset
@@ -38,6 +38,12 @@ build/bench/fig14_qps_sweep --report "${report}" > /dev/null
 build/bench/perf_report_diff BENCH_agentsim.json "${report}" \
     --threshold "${AGENTSIM_PERF_THRESHOLD:-0.05}" \
     --floor "sim_events_per_second=${AGENTSIM_EVENTS_FLOOR:-50000}"
+
+# Golden table gate: every bench table must match the committed
+# corpus byte for byte (builds the release preset if the loop above
+# skipped it).
+echo "==> golden table gate (scripts/check_golden.sh)"
+scripts/check_golden.sh
 
 # Trace-validity gate: a smoke serving run must emit a parseable
 # Chrome trace with balanced span exemplars and a non-empty blame

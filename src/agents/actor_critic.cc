@@ -31,6 +31,8 @@ ActorCriticAgent::run(AgentContext ctx)
     bool solved = false;
     int iterations_total = 0;
     int rounds_used = 0;
+    const PromptBuilder prefix = ctx.promptPrefix();
+    const PromptBuilder review_prefix = ctx.evaluatorPrefix();
 
     for (int round = 0; round <= ctx.config.maxReflections; ++round) {
         ++rounds_used;
@@ -38,16 +40,13 @@ ActorCriticAgent::run(AgentContext ctx)
         // carrying the critic's accumulated feedback.
         TrajectoryMemory memory;
         TrialOutcome draft = co_await runToolLoopTrial(
-            ctx, trace, rng, memory, critiques, round,
+            ctx, trace, rng, prefix, memory, critiques, round,
             (static_cast<std::uint64_t>(round) << 32) | 0xac0000ULL);
         iterations_total += draft.iterations;
 
         // Critic: review the trajectory (separate role, own call).
-        PromptBuilder review;
-        review.add(SegmentKind::Instruction, ctx.instructionTokens());
-        review.add(SegmentKind::User, ctx.userTokens());
-        critiques.appendTo(review);
-        memory.appendTo(review);
+        PromptBuilder review =
+            trialPrompt(review_prefix, critiques, memory);
         serving::GenResult verdict = co_await callLlm(
             ctx, trace, rng, review.build(), prof.valueOutputMean,
             "critic.review");
@@ -65,15 +64,10 @@ ActorCriticAgent::run(AgentContext ctx)
         }
 
         // Rejected: the critic writes actionable feedback the actor
-        // carries into the next round.
-        PromptBuilder feedback;
-        feedback.add(SegmentKind::Instruction, ctx.instructionTokens());
-        feedback.add(SegmentKind::User, ctx.userTokens());
-        critiques.appendTo(feedback);
-        memory.appendTo(feedback);
-        feedback.add(SegmentKind::LlmHistory, verdict.tokens);
+        // carries into the next round, extending its review prompt.
+        review.add(SegmentKind::LlmHistory, verdict.tokens);
         serving::GenResult critique = co_await callLlm(
-            ctx, trace, rng, feedback.build(),
+            ctx, trace, rng, review.build(),
             prof.reflectionOutputMean, "critic.feedback");
         critiques.addReflection(critique.tokens);
     }

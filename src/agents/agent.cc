@@ -93,46 +93,73 @@ AgentContext::makeRng(std::string_view purpose) const
     return sim::Rng(seed, "agent", sim::hashCombine(stream, task.taskId));
 }
 
+namespace
+{
+
+/** Fixed instruction tokens for (agent, benchmark). */
 std::vector<kv::TokenId>
-AgentContext::instructionTokens() const
+instructionTokens(const AgentContext &ctx)
 {
     // Shared across every task of (agent, benchmark): the serving-level
     // cross-request prefix hits of Fig 15 come from here.
     const auto stream = workload::streamId(
-        seed, sim::strfmt("instr.%s.%s",
-                          std::string(agentName(kind)).c_str(),
-                          std::string(workload::benchmarkName(
-                                          task.benchmark))
-                              .c_str()));
-    return workload::makeTokens(stream, profile().instructionTokens);
+        ctx.seed, sim::strfmt("instr.%s.%s",
+                              std::string(agentName(ctx.kind)).c_str(),
+                              std::string(workload::benchmarkName(
+                                              ctx.task.benchmark))
+                                  .c_str()));
+    return workload::makeTokens(stream, ctx.profile().instructionTokens);
 }
 
+/** Fixed few-shot tokens (resolved example count). */
 std::vector<kv::TokenId>
-AgentContext::fewShotTokens() const
+fewShotTokens(const AgentContext &ctx)
 {
     const auto stream = workload::streamId(
-        seed, sim::strfmt("fewshot.%s.%s",
-                          std::string(agentName(kind)).c_str(),
-                          std::string(workload::benchmarkName(
-                                          task.benchmark))
-                              .c_str()));
-    const int examples = config.resolveFewShot(profile());
+        ctx.seed, sim::strfmt("fewshot.%s.%s",
+                              std::string(agentName(ctx.kind)).c_str(),
+                              std::string(workload::benchmarkName(
+                                              ctx.task.benchmark))
+                                  .c_str()));
+    const int examples = ctx.config.resolveFewShot(ctx.profile());
     return workload::makeTokens(stream,
                                 examples *
-                                    profile().fewShotTokensPerExample);
+                                    ctx.profile().fewShotTokensPerExample);
 }
 
+/** Per-task user-query tokens. */
 std::vector<kv::TokenId>
-AgentContext::userTokens() const
+userTokens(const AgentContext &ctx)
 {
     const auto stream = workload::substream(
         workload::streamId(
-            seed, sim::strfmt("user.%s",
-                              std::string(workload::benchmarkName(
-                                              task.benchmark))
-                                  .c_str())),
-        task.taskId);
-    return workload::makeTokens(stream, task.userTokens);
+            ctx.seed, sim::strfmt("user.%s",
+                                  std::string(workload::benchmarkName(
+                                                  ctx.task.benchmark))
+                                      .c_str())),
+        ctx.task.taskId);
+    return workload::makeTokens(stream, ctx.task.userTokens);
+}
+
+} // namespace
+
+PromptBuilder
+AgentContext::promptPrefix() const
+{
+    PromptBuilder builder(engine->config().blockSize);
+    builder.add(SegmentKind::Instruction, instructionTokens(*this));
+    builder.add(SegmentKind::FewShot, fewShotTokens(*this));
+    builder.add(SegmentKind::User, userTokens(*this));
+    return builder;
+}
+
+PromptBuilder
+AgentContext::evaluatorPrefix() const
+{
+    PromptBuilder builder(engine->config().blockSize);
+    builder.add(SegmentKind::Instruction, instructionTokens(*this));
+    builder.add(SegmentKind::User, userTokens(*this));
+    return builder;
 }
 
 std::vector<kv::TokenId>
@@ -163,7 +190,7 @@ callLlm(AgentContext &ctx, Trace &trace, sim::Rng &rng, Prompt prompt,
         double expected_park_seconds)
 {
     serving::GenRequest req;
-    req.prompt = std::move(prompt.tokens);
+    req.prompt = std::move(prompt.chain);
     req.maxNewTokens =
         ctx.profile().sampleOutputTokens(rng, output_mean);
     req.deadlineSeconds = ctx.config.llmDeadlineSeconds;

@@ -177,14 +177,20 @@ struct AgentContext
     /** Request-level RNG stream (behavioural randomness). */
     sim::Rng makeRng(std::string_view purpose) const;
 
-    /** Fixed instruction tokens for (agent, benchmark). */
-    std::vector<kv::TokenId> instructionTokens() const;
+    /**
+     * The fixed head of the workflow's prompts — the instruction
+     * shared by every task of (agent, benchmark), the few-shot
+     * examples (resolved count), the per-task user query — hashed in
+     * the engine's KV block size. Build it once per episode and copy
+     * it per call.
+     */
+    PromptBuilder promptPrefix() const;
 
-    /** Fixed few-shot tokens (resolved example count). */
-    std::vector<kv::TokenId> fewShotTokens() const;
-
-    /** Per-task user-query tokens. */
-    std::vector<kv::TokenId> userTokens() const;
+    /**
+     * The head of evaluator-role prompts (self-evaluation, critics,
+     * verifiers): instruction and user query, no few-shot examples.
+     */
+    PromptBuilder evaluatorPrefix() const;
 
     /** Deterministic observation tokens for tool call @p index. */
     std::vector<kv::TokenId> toolObservationTokens(

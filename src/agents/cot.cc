@@ -16,12 +16,7 @@ CotAgent::run(AgentContext ctx)
     Trace trace(ctx.sim->now());
     sim::Rng rng = ctx.makeRng("run");
 
-    PromptBuilder builder;
-    builder.add(SegmentKind::Instruction, ctx.instructionTokens());
-    builder.add(SegmentKind::FewShot, ctx.fewShotTokens());
-    builder.add(SegmentKind::User, ctx.userTokens());
-
-    co_await callLlm(ctx, trace, rng, builder.build(),
+    co_await callLlm(ctx, trace, rng, ctx.promptPrefix().build(),
                      ctx.profile().cotOutputMean, "cot.reason");
 
     // One holistic attempt from parametric knowledge: no tool access

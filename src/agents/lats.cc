@@ -10,12 +10,15 @@
  * calls; values backpropagate up the tree. Prompts carry only the
  * root-to-node path, so contexts stay shorter than full-history
  * agents (Fig 8) while the shared path prefix makes the parallel
- * siblings prime prefix-cache beneficiaries (Fig 12).
+ * siblings prime prefix-cache beneficiaries (Fig 12). Each node
+ * caches its prompt as its parent's prompt plus its own action and
+ * observation, so a path token is hashed once per reflection.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "agents/accuracy.hh"
 #include "agents/workflows.hh"
@@ -43,29 +46,32 @@ struct Node
     /** Observation returned by this node's tool call. */
     std::vector<kv::TokenId> obsTokens;
     std::vector<std::unique_ptr<Node>> children;
+    /** Cached pathPrompt(), built over a head of @ref promptHead
+     *  tokens. */
+    std::optional<PromptBuilder> prompt;
+    std::int64_t promptHead = 0;
 };
 
-/** Build the prompt for a node: fixed blocks + root-to-node path. */
-Prompt
-pathPrompt(const AgentContext &ctx, const EpisodicMemory &episodic,
-           const Node *node)
+/**
+ * The prompt for a node: @p head (fixed blocks, then every reflection
+ * so far) plus the root-to-node path. Built from the parent's cached
+ * prompt, so only this node's own segments are hashed. The head only
+ * grows, so its length identifies its content: a reflection
+ * invalidates every cached prompt.
+ */
+const PromptBuilder &
+pathPrompt(const PromptBuilder &head, Node *node)
 {
-    PromptBuilder builder;
-    builder.add(SegmentKind::Instruction, ctx.instructionTokens());
-    builder.add(SegmentKind::FewShot, ctx.fewShotTokens());
-    builder.add(SegmentKind::User, ctx.userTokens());
-    episodic.appendTo(builder);
-
-    std::vector<const Node *> path;
-    for (const Node *n = node; n != nullptr && n->parent != nullptr;
-         n = n->parent) {
-        path.push_back(n);
+    if (node->parent == nullptr)
+        return head;
+    if (!node->prompt || node->promptHead != head.size()) {
+        PromptBuilder builder = pathPrompt(head, node->parent);
+        builder.add(SegmentKind::LlmHistory, node->llmTokens);
+        builder.add(SegmentKind::ToolHistory, node->obsTokens);
+        node->prompt = std::move(builder);
+        node->promptHead = head.size();
     }
-    for (auto it = path.rbegin(); it != path.rend(); ++it) {
-        builder.add(SegmentKind::LlmHistory, (*it)->llmTokens);
-        builder.add(SegmentKind::ToolHistory, (*it)->obsTokens);
-    }
-    return builder.build();
+    return *node->prompt;
 }
 
 /** UCT descent from the root to an unexpanded leaf. */
@@ -95,11 +101,11 @@ selectLeaf(Node *root)
 
 /** Phase-1 helper: one child's action-sampling LLM call. */
 sim::Task<serving::GenResult>
-sampleAction(AgentContext &ctx, Trace &trace,
-             const EpisodicMemory &episodic, Node *parent, sim::Rng rng)
+sampleAction(AgentContext &ctx, Trace &trace, const PromptBuilder &head,
+             Node *parent, sim::Rng rng)
 {
     co_return co_await callLlm(ctx, trace, rng,
-                               pathPrompt(ctx, episodic, parent),
+                               pathPrompt(head, parent).build(),
                                ctx.profile().stepOutputMean,
                                "lats.expand");
 }
@@ -114,17 +120,17 @@ actChild(AgentContext &ctx, Trace &trace, sim::Rng rng)
 
 /** Phase-3 helper: one child's LLM value call. */
 sim::Task<serving::GenResult>
-valueChild(AgentContext &ctx, Trace &trace,
-           const EpisodicMemory &episodic, const Node *child,
-           sim::Rng rng)
+valueChild(AgentContext &ctx, Trace &trace, const PromptBuilder &head,
+           Node *child, sim::Rng rng)
 {
     co_return co_await callLlm(ctx, trace, rng,
-                               pathPrompt(ctx, episodic, child),
+                               pathPrompt(head, child).build(),
                                ctx.profile().valueOutputMean,
                                "lats.value");
 }
 
-/** Deep copy of a search (sub)tree with parent pointers rebuilt. */
+/** Deep copy of a search (sub)tree with parent pointers rebuilt
+ *  (prompt caches are not copied; they rebuild on demand). */
 std::unique_ptr<Node>
 cloneTree(const Node &src, Node *parent)
 {
@@ -242,6 +248,11 @@ LatsAgent::run(AgentContext ctx)
                         "LATS resume lost its best node");
     }
 
+    // The prompt head every node's prompt extends: fixed blocks, then
+    // the reflections, which only ever append.
+    PromptBuilder head = ctx.promptPrefix();
+    episodic.appendTo(head);
+
     for (int round = first_round; round < ctx.config.maxIterations;
          ++round) {
         SpanScope iteration(ctx, telemetry::SpanKind::Iteration,
@@ -269,7 +280,7 @@ LatsAgent::run(AgentContext ctx)
         std::vector<sim::Task<serving::GenResult>> action_tasks;
         for (int c = 0; c < width; ++c) {
             action_tasks.push_back(sampleAction(
-                ctx, trace, episodic, leaf, child_rngs
+                ctx, trace, head, leaf, child_rngs
                 [static_cast<std::size_t>(c)]));
         }
         std::vector<serving::GenResult> actions =
@@ -321,7 +332,7 @@ LatsAgent::run(AgentContext ctx)
         std::vector<sim::Task<serving::GenResult>> value_tasks;
         for (int c = 0; c < width; ++c) {
             value_tasks.push_back(valueChild(
-                ctx, trace, episodic,
+                ctx, trace, head,
                 children[static_cast<std::size_t>(c)].get(),
                 child_rngs[static_cast<std::size_t>(c)]));
         }
@@ -372,7 +383,7 @@ LatsAgent::run(AgentContext ctx)
         int roll_step = 0;
         while (roll_budget-- > 0 && roll->hops < required) {
             serving::GenResult step = co_await callLlm(
-                ctx, trace, rng, pathPrompt(ctx, episodic, roll),
+                ctx, trace, rng, pathPrompt(head, roll).build(),
                 prof.stepOutputMean, "lats.rollout",
                 ctx.tools->meanLatencySeconds());
             tools::Tool &tool = ctx.tools->pick(rng);
@@ -418,8 +429,9 @@ LatsAgent::run(AgentContext ctx)
         if (best->hops == prev_best_hops &&
             reflections < ctx.config.maxReflections) {
             serving::GenResult reflection = co_await callLlm(
-                ctx, trace, rng, pathPrompt(ctx, episodic, best),
+                ctx, trace, rng, pathPrompt(head, best).build(),
                 prof.reflectionOutputMean, "lats.reflect");
+            head.add(SegmentKind::LlmHistory, reflection.tokens);
             episodic.addReflection(reflection.tokens);
             ++reflections;
         }
@@ -443,8 +455,7 @@ LatsAgent::run(AgentContext ctx)
             ckpt.kindTag = static_cast<int>(AgentKind::Lats);
             ckpt.iteration = rounds_used;
             ckpt.takenTick = ctx.sim->now();
-            ckpt.chainTokens =
-                pathPrompt(ctx, episodic, best).tokens;
+            ckpt.chain = pathPrompt(head, best).chain();
             ckpt.gpuSeconds = trace.cost().gpuSeconds();
             ckpt.state = std::move(state);
             ctx.checkpoints->put(ctx.episodeKey, std::move(ckpt),
@@ -455,7 +466,7 @@ LatsAgent::run(AgentContext ctx)
     // Final answer from the terminal (or best) trajectory.
     Node *answer_node = terminal != nullptr ? terminal : best;
     co_await callLlm(ctx, trace, rng,
-                     pathPrompt(ctx, episodic, answer_node),
+                     pathPrompt(head, answer_node).build(),
                      prof.finalOutputMean, "lats.answer");
     const bool solved = sampleAnswer(rng, answer_node->hops, required);
 

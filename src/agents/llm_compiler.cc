@@ -68,7 +68,9 @@ LlmCompilerAgent::run(AgentContext ctx)
     const int required = ctx.task.requiredHops;
     const int few_shot = ctx.config.resolveFewShot(prof);
 
-    TrajectoryMemory memory;
+    // The running prompt: the fixed head, then every plan fragment,
+    // observation and join output in order.
+    PromptBuilder prompt = ctx.promptPrefix();
     int hops = 0;
     bool solved = false;
     int rounds_used = 0;
@@ -111,13 +113,6 @@ LlmCompilerAgent::run(AgentContext ctx)
         const double fragment_mean =
             prof.plannerOutputMean / plan_size;
         for (int i = 0; i < plan_size; ++i) {
-            PromptBuilder builder;
-            builder.add(SegmentKind::Instruction,
-                        ctx.instructionTokens());
-            builder.add(SegmentKind::FewShot, ctx.fewShotTokens());
-            builder.add(SegmentKind::User, ctx.userTokens());
-            memory.appendTo(builder);
-
             // Earlier fragments overlap with already-launched tool
             // tasks (the GPU stays busy planning); only after the
             // *last* fragment does the agent block on the DAG's
@@ -126,9 +121,9 @@ LlmCompilerAgent::run(AgentContext ctx)
                                     ? ctx.tools->meanLatencySeconds()
                                     : 0.0;
             serving::GenResult fragment = co_await callLlm(
-                ctx, trace, rng, builder.build(), fragment_mean,
+                ctx, trace, rng, prompt.build(), fragment_mean,
                 "compiler.plan", park);
-            memory.append(SegmentKind::LlmHistory, fragment.tokens);
+            prompt.add(SegmentKind::LlmHistory, fragment.tokens);
 
             const auto obs_index =
                 (static_cast<std::uint64_t>(round) << 16) |
@@ -146,7 +141,7 @@ LlmCompilerAgent::run(AgentContext ctx)
             co_await sim::allOf(std::move(node_tasks));
 
         for (const auto &outcome : outcomes) {
-            memory.append(
+            prompt.add(
                 SegmentKind::ToolHistory,
                 ctx.toolObservationTokens(
                     outcome.observationTokens,
@@ -157,16 +152,10 @@ LlmCompilerAgent::run(AgentContext ctx)
         }
 
         // Joiner: fuse observations; answer or decide to replan.
-        PromptBuilder join_builder;
-        join_builder.add(SegmentKind::Instruction,
-                         ctx.instructionTokens());
-        join_builder.add(SegmentKind::FewShot, ctx.fewShotTokens());
-        join_builder.add(SegmentKind::User, ctx.userTokens());
-        memory.appendTo(join_builder);
         serving::GenResult join = co_await callLlm(
-            ctx, trace, rng, join_builder.build(),
-            prof.finalOutputMean, "compiler.join");
-        memory.append(SegmentKind::LlmHistory, join.tokens);
+            ctx, trace, rng, prompt.build(), prof.finalOutputMean,
+            "compiler.join");
+        prompt.add(SegmentKind::LlmHistory, join.tokens);
 
         if (hops >= required) {
             solved = sampleAnswer(rng, hops, required);

@@ -8,34 +8,29 @@ namespace agentsim::agents
 PromptBuilder &
 PromptBuilder::add(SegmentKind kind, std::span<const kv::TokenId> tokens)
 {
-    tokens_.insert(tokens_.end(), tokens.begin(), tokens.end());
+    prompt_.chain.append(tokens);
+    CallTokens &breakdown = prompt_.breakdown;
     const auto n = static_cast<std::int64_t>(tokens.size());
     switch (kind) {
       case SegmentKind::Instruction:
-        breakdown_.instruction += n;
+        breakdown.instruction += n;
         break;
       case SegmentKind::FewShot:
-        breakdown_.fewShot += n;
+        breakdown.fewShot += n;
         break;
       case SegmentKind::User:
-        breakdown_.user += n;
+        breakdown.user += n;
         break;
       case SegmentKind::LlmHistory:
-        breakdown_.llmHistory += n;
+        breakdown.llmHistory += n;
         break;
       case SegmentKind::ToolHistory:
-        breakdown_.toolHistory += n;
+        breakdown.toolHistory += n;
         break;
       case SegmentKind::Output:
         AGENTSIM_PANIC("Output is not an input segment");
     }
     return *this;
-}
-
-Prompt
-PromptBuilder::build() const
-{
-    return Prompt{tokens_, breakdown_};
 }
 
 void

@@ -8,6 +8,11 @@
  * prefix cache sees the same sharing structure real agents produce:
  * fixed instruction/few-shot blocks shared across requests, and
  * per-request histories shared across a request's successive calls.
+ *
+ * A prompt is a kv::TokenChain that only grows at its end: workflows
+ * keep a running builder per episode (or per tree node) and extend it
+ * with each new segment, so every prompt token is hashed once per
+ * episode rather than once per LLM call.
  */
 
 #ifndef AGENTSIM_AGENTS_PROMPT_HH
@@ -23,35 +28,42 @@
 namespace agentsim::agents
 {
 
-/** A fully assembled prompt: token ids plus the per-kind breakdown. */
+/** A fully assembled prompt: its chain plus the per-kind breakdown. */
 struct Prompt
 {
-    std::vector<kv::TokenId> tokens;
+    kv::TokenChain chain;
     CallTokens breakdown;
 };
 
 /**
- * Ordered accumulation of prompt segments.
+ * Ordered accumulation of prompt segments into a running chain. Copy
+ * a builder to fork a prompt (a tree branch, a one-off evaluator
+ * call); the copy costs one hash per full block.
  */
 class PromptBuilder
 {
   public:
-    /** Append a segment of @p kind. */
+    /** An empty prompt hashed in blocks of @p block_size tokens. */
+    explicit PromptBuilder(int block_size)
+        : prompt_{kv::TokenChain(block_size), {}}
+    {
+    }
+
+    /** Append a segment of @p kind (hashes only its tokens). */
     PromptBuilder &add(SegmentKind kind,
                        std::span<const kv::TokenId> tokens);
 
     /** Current total token count. */
-    std::int64_t size() const
-    {
-        return static_cast<std::int64_t>(tokens_.size());
-    }
+    std::int64_t size() const { return prompt_.chain.size(); }
 
-    /** Finalize (the builder may be reused afterwards). */
-    Prompt build() const;
+    /** The running chain. */
+    const kv::TokenChain &chain() const { return prompt_.chain; }
+
+    /** Snapshot the prompt so far; the builder keeps growing. */
+    Prompt build() const { return prompt_; }
 
   private:
-    std::vector<kv::TokenId> tokens_;
-    CallTokens breakdown_;
+    Prompt prompt_;
 };
 
 /**
@@ -81,7 +93,7 @@ class TrajectoryMemory
     /** Total token count. */
     std::int64_t totalTokens() const;
 
-    /** Append every segment to a prompt builder, in order. */
+    /** Extend a running prompt with every segment, in order. */
     void appendTo(PromptBuilder &builder) const;
 
   private:
@@ -100,6 +112,7 @@ class EpisodicMemory
     std::size_t reflectionCount() const { return reflections_.size(); }
     std::int64_t totalTokens() const;
 
+    /** Extend a running prompt with every reflection, in order. */
     void appendTo(PromptBuilder &builder) const;
 
   private:

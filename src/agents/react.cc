@@ -11,18 +11,13 @@
 namespace agentsim::agents
 {
 
-std::vector<kv::TokenId>
-trialChainTokens(const AgentContext &ctx,
-                 const EpisodicMemory &episodic,
-                 const TrajectoryMemory &memory)
+PromptBuilder
+trialPrompt(PromptBuilder prefix, const EpisodicMemory &episodic,
+            const TrajectoryMemory &memory)
 {
-    PromptBuilder builder;
-    builder.add(SegmentKind::Instruction, ctx.instructionTokens());
-    builder.add(SegmentKind::FewShot, ctx.fewShotTokens());
-    builder.add(SegmentKind::User, ctx.userTokens());
-    episodic.appendTo(builder);
-    memory.appendTo(builder);
-    return builder.build().tokens;
+    episodic.appendTo(prefix);
+    memory.appendTo(prefix);
+    return prefix;
 }
 
 double
@@ -34,7 +29,7 @@ kvBytesPerToken(const serving::LlmEngine &engine)
 
 sim::Task<TrialOutcome>
 runToolLoopTrial(AgentContext &ctx, Trace &trace, sim::Rng &rng,
-                 TrajectoryMemory &memory,
+                 const PromptBuilder &prefix, TrajectoryMemory &memory,
                  const EpisodicMemory &episodic, int reflections,
                  std::uint64_t call_base,
                  const ReactEpisodeState *resume,
@@ -62,16 +57,20 @@ runToolLoopTrial(AgentContext &ctx, Trace &trace, sim::Rng &rng,
     TrialOutcome outcome;
     if (resume != nullptr)
         outcome = resume->outcome;
+
+    // The running prompt: every step re-sends it and appends to it,
+    // so only the new segments are hashed.
+    PromptBuilder prompt = trialPrompt(prefix, episodic, memory);
+    auto remember = [&](SegmentKind kind,
+                        std::vector<kv::TokenId> tokens) {
+        prompt.add(kind, tokens);
+        memory.append(kind, std::move(tokens));
+    };
+
     for (int iter = outcome.iterations;
          iter < ctx.config.maxIterations; ++iter) {
         SpanScope iteration(ctx, telemetry::SpanKind::Iteration,
                             "react.iter");
-        PromptBuilder builder;
-        builder.add(SegmentKind::Instruction, ctx.instructionTokens());
-        builder.add(SegmentKind::FewShot, ctx.fewShotTokens());
-        builder.add(SegmentKind::User, ctx.userTokens());
-        episodic.appendTo(builder);
-        memory.appendTo(builder);
 
         // Speculative tool invocation (keytakeaway #1): predict the
         // next action and launch its tool call concurrently with the
@@ -92,9 +91,9 @@ runToolLoopTrial(AgentContext &ctx, Trace &trace, sim::Rng &rng,
                 ? ctx.tools->meanLatencySeconds()
                 : 0.0;
         serving::GenResult gen = co_await callLlm(
-            ctx, trace, rng, builder.build(), prof.stepOutputMean,
+            ctx, trace, rng, prompt.build(), prof.stepOutputMean,
             "react.step", park);
-        memory.append(SegmentKind::LlmHistory, gen.tokens);
+        remember(SegmentKind::LlmHistory, gen.tokens);
         ++outcome.iterations;
 
         if (outcome.hopsFound >= required) {
@@ -117,10 +116,10 @@ runToolLoopTrial(AgentContext &ctx, Trace &trace, sim::Rng &rng,
             tools::Tool &tool = ctx.tools->pick(rng);
             obs = co_await callTool(ctx, trace, rng, tool);
         }
-        memory.append(SegmentKind::ToolHistory,
-                      ctx.toolObservationTokens(
-                          obs.observationTokens,
-                          call_base + static_cast<std::uint64_t>(iter)));
+        remember(SegmentKind::ToolHistory,
+                 ctx.toolObservationTokens(
+                     obs.observationTokens,
+                     call_base + static_cast<std::uint64_t>(iter)));
 
         const bool found =
             attemptHop(rng, capability, ctx.task.solveThreshold);
@@ -139,7 +138,7 @@ runToolLoopTrial(AgentContext &ctx, Trace &trace, sim::Rng &rng,
         // Iteration complete (every draw included): journal. Episodes
         // that return above finished — nothing left to recover.
         if (checkpoint)
-            checkpoint(outcome, memory, capability, rng);
+            checkpoint(outcome, memory, prompt.chain(), capability, rng);
     }
 
     // Budget exhausted: forced answer from partial evidence.
@@ -176,10 +175,11 @@ ReActAgent::run(AgentContext ctx)
 
     TrialCheckpointFn checkpoint;
     if (ctx.checkpoints != nullptr && ctx.checkpoints->policy().enabled) {
-        checkpoint = [&ctx, &trace, &episodic](
-                         const TrialOutcome &outcome,
-                         const TrajectoryMemory &memory_now,
-                         double capability, const sim::Rng &rng_now) {
+        checkpoint = [&ctx, &trace](const TrialOutcome &outcome,
+                                    const TrajectoryMemory &memory_now,
+                                    const kv::TokenChain &chain,
+                                    double capability,
+                                    const sim::Rng &rng_now) {
             if (!ctx.checkpoints->shouldCheckpoint(ctx.episodeKey,
                                                    outcome.iterations))
                 return;
@@ -193,8 +193,7 @@ ReActAgent::run(AgentContext ctx)
             ckpt.kindTag = static_cast<int>(AgentKind::ReAct);
             ckpt.iteration = outcome.iterations;
             ckpt.takenTick = ctx.sim->now();
-            ckpt.chainTokens =
-                trialChainTokens(ctx, episodic, memory_now);
+            ckpt.chain = chain;
             ckpt.gpuSeconds = trace.cost().gpuSeconds();
             ckpt.state = std::move(state);
             ctx.checkpoints->put(ctx.episodeKey, std::move(ckpt),
@@ -202,8 +201,10 @@ ReActAgent::run(AgentContext ctx)
         };
     }
 
+    const PromptBuilder prefix = ctx.promptPrefix();
     TrialOutcome outcome = co_await runToolLoopTrial(
-        ctx, trace, rng, memory, episodic, 0, 0, resume, checkpoint);
+        ctx, trace, rng, prefix, memory, episodic, 0, 0, resume,
+        checkpoint);
 
     trace.setIterations(outcome.iterations);
     co_return trace.finish(outcome.answeredCorrectly, ctx.sim->now());

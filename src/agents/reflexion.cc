@@ -74,16 +74,21 @@ ReflexionAgent::run(AgentContext ctx)
         first_trial = resume->trial;
     }
 
+    // Fixed prompt heads, hashed once per episode: the trial prefix
+    // and the (few-shot-free) self-evaluation prefix.
+    const PromptBuilder prefix = ctx.promptPrefix();
+    const PromptBuilder review_prefix = ctx.evaluatorPrefix();
+
     const bool journaling = ctx.checkpoints != nullptr &&
                             ctx.checkpoints->policy().enabled;
     auto journal = [&](std::shared_ptr<ReflexionEpisodeState> state,
                        int completed_iterations,
-                       const TrajectoryMemory &memory_now) {
+                       const kv::TokenChain &chain) {
         serving::EpisodeCheckpoint ckpt;
         ckpt.kindTag = static_cast<int>(AgentKind::Reflexion);
         ckpt.iteration = completed_iterations;
         ckpt.takenTick = ctx.sim->now();
-        ckpt.chainTokens = trialChainTokens(ctx, episodic, memory_now);
+        ckpt.chain = chain;
         ckpt.gpuSeconds = trace.cost().gpuSeconds();
         ckpt.state = std::move(state);
         ctx.checkpoints->put(ctx.episodeKey, std::move(ckpt),
@@ -105,6 +110,7 @@ ReflexionAgent::run(AgentContext ctx)
             checkpoint = [&, trial, iterations_before](
                              const TrialOutcome &outcome,
                              const TrajectoryMemory &memory_now,
+                             const kv::TokenChain &chain,
                              double capability,
                              const sim::Rng &rng_now) {
                 const int completed =
@@ -122,12 +128,12 @@ ReflexionAgent::run(AgentContext ctx)
                 state->trial = trial;
                 state->iterationsBefore = iterations_before;
                 state->reflectionsUsed = reflections_used;
-                journal(std::move(state), completed, memory_now);
+                journal(std::move(state), completed, chain);
             };
         }
 
         TrialOutcome outcome = co_await runToolLoopTrial(
-            ctx, trace, rng, memory, episodic, reflections_used,
+            ctx, trace, rng, prefix, memory, episodic, reflections_used,
             static_cast<std::uint64_t>(trial) << 32, inner_resume,
             checkpoint);
         iterations_total += outcome.iterations;
@@ -139,28 +145,19 @@ ReflexionAgent::run(AgentContext ctx)
         if (trial == ctx.config.maxReflections)
             break; // no retries left
 
-        // Self-evaluation over the failed trajectory.
-        PromptBuilder eval_builder;
-        eval_builder.add(SegmentKind::Instruction,
-                         ctx.instructionTokens());
-        eval_builder.add(SegmentKind::User, ctx.userTokens());
-        episodic.appendTo(eval_builder);
-        memory.appendTo(eval_builder);
-        co_await callLlm(ctx, trace, rng, eval_builder.build(),
-                         prof.valueOutputMean, "reflexion.evaluate");
+        // Self-evaluation over the failed trajectory. The reflection
+        // call re-sends the same prompt.
+        const Prompt review =
+            trialPrompt(review_prefix, episodic, memory).build();
+        co_await callLlm(ctx, trace, rng, review, prof.valueOutputMean,
+                         "reflexion.evaluate");
 
         // Verbal reflection, appended to long-term memory. The
         // reflection text is the LLM's own output tokens, so later
         // prompts that embed it share its token ids.
-        PromptBuilder refl_builder;
-        refl_builder.add(SegmentKind::Instruction,
-                         ctx.instructionTokens());
-        refl_builder.add(SegmentKind::User, ctx.userTokens());
-        episodic.appendTo(refl_builder);
-        memory.appendTo(refl_builder);
         serving::GenResult reflection = co_await callLlm(
-            ctx, trace, rng, refl_builder.build(),
-            prof.reflectionOutputMean, "reflexion.reflect");
+            ctx, trace, rng, review, prof.reflectionOutputMean,
+            "reflexion.reflect");
         episodic.addReflection(reflection.tokens);
         ++reflections_used;
 
@@ -178,8 +175,10 @@ ReflexionAgent::run(AgentContext ctx)
             state->trial = trial + 1;
             state->iterationsBefore = iterations_total;
             state->reflectionsUsed = reflections_used;
+            // The next trial restarts from the prefix chain.
             journal(std::move(state), iterations_total,
-                    TrajectoryMemory{});
+                    trialPrompt(prefix, episodic, TrajectoryMemory{})
+                        .chain());
         }
     }
 

@@ -50,11 +50,7 @@ SelfConsistencyAgent::run(AgentContext ctx)
     Trace trace(ctx.sim->now());
     const int samples = std::max(1, ctx.config.scSamples);
 
-    PromptBuilder builder;
-    builder.add(SegmentKind::Instruction, ctx.instructionTokens());
-    builder.add(SegmentKind::FewShot, ctx.fewShotTokens());
-    builder.add(SegmentKind::User, ctx.userTokens());
-    const Prompt prompt = builder.build();
+    const Prompt prompt = ctx.promptPrefix().build();
 
     // One iteration span scopes the sample fan-out: the N sc.sample
     // LlmCall children overlap, and critical-path blame lands on the

@@ -49,15 +49,12 @@ toollessBase(const AgentContext &ctx)
 
 /** One candidate thought expansion: an LLM call on the path. */
 sim::Task<serving::GenResult>
-proposeThought(AgentContext &ctx, Trace &trace, const Prompt &base,
-               const Thought &parent, sim::Rng rng)
+proposeThought(AgentContext &ctx, Trace &trace,
+               const PromptBuilder &prefix, const Thought &parent,
+               sim::Rng rng)
 {
-    PromptBuilder builder;
-    builder.add(SegmentKind::Instruction, ctx.instructionTokens());
-    builder.add(SegmentKind::FewShot, ctx.fewShotTokens());
-    builder.add(SegmentKind::User, ctx.userTokens());
+    PromptBuilder builder = prefix;
     builder.add(SegmentKind::LlmHistory, parent.pathTokens);
-    (void)base;
     co_return co_await callLlm(ctx, trace, rng, builder.build(),
                                ctx.profile().stepOutputMean,
                                "tot.think");
@@ -66,12 +63,11 @@ proposeThought(AgentContext &ctx, Trace &trace, const Prompt &base,
 /** One verifier call over a sampled rationale / thought path. */
 sim::Task<serving::GenResult>
 scoreState(AgentContext &ctx, Trace &trace,
+           const PromptBuilder &verifier_prefix,
            const std::vector<kv::TokenId> &path, sim::Rng rng,
            const char *label)
 {
-    PromptBuilder builder;
-    builder.add(SegmentKind::Instruction, ctx.instructionTokens());
-    builder.add(SegmentKind::User, ctx.userTokens());
+    PromptBuilder builder = verifier_prefix;
     builder.add(SegmentKind::LlmHistory, path);
     co_return co_await callLlm(ctx, trace, rng, builder.build(),
                                ctx.profile().valueOutputMean, label);
@@ -89,11 +85,8 @@ TreeOfThoughtsAgent::run(AgentContext ctx)
     const int keep = 2; // frontier width after pruning
     const double base = toollessBase(ctx);
 
-    PromptBuilder fixed;
-    fixed.add(SegmentKind::Instruction, ctx.instructionTokens());
-    fixed.add(SegmentKind::FewShot, ctx.fewShotTokens());
-    fixed.add(SegmentKind::User, ctx.userTokens());
-    const Prompt fixed_prompt = fixed.build();
+    const PromptBuilder prefix = ctx.promptPrefix();
+    const PromptBuilder verifier_prefix = ctx.evaluatorPrefix();
 
     std::vector<Thought> frontier{Thought{}};
     Thought best;
@@ -115,8 +108,7 @@ TreeOfThoughtsAgent::run(AgentContext ctx)
                                   sim::hashCombine(ctx.task.taskId,
                                                    disc));
                 proposals.push_back(proposeThought(
-                    ctx, trace, fixed_prompt, frontier[f],
-                    rngs.back()));
+                    ctx, trace, prefix, frontier[f], rngs.back()));
                 parents.push_back(frontier[f]);
             }
         }
@@ -140,8 +132,9 @@ TreeOfThoughtsAgent::run(AgentContext ctx)
                            ctx.task.solveThreshold)) {
                 ++child.hops;
             }
-            scores.push_back(scoreState(ctx, trace, child.pathTokens,
-                                        rngs[i], "tot.evaluate"));
+            scores.push_back(scoreState(ctx, trace, verifier_prefix,
+                                        child.pathTokens, rngs[i],
+                                        "tot.evaluate"));
             candidates.push_back(std::move(child));
         }
         co_await sim::allOf(std::move(scores));
@@ -162,8 +155,8 @@ TreeOfThoughtsAgent::run(AgentContext ctx)
 
     // Final answer from the best path.
     sim::Rng rng = ctx.makeRng("answer");
-    co_await scoreState(ctx, trace, best.pathTokens, rng,
-                        "tot.answer");
+    co_await scoreState(ctx, trace, verifier_prefix, best.pathTokens,
+                        rng, "tot.answer");
     const bool solved =
         sampleAnswer(rng, best.hops, ctx.task.requiredHops);
 
@@ -180,11 +173,8 @@ BestOfNAgent::run(AgentContext ctx)
     const double base = toollessBase(ctx);
 
     // Phase 1: N parallel full rationales.
-    PromptBuilder builder;
-    builder.add(SegmentKind::Instruction, ctx.instructionTokens());
-    builder.add(SegmentKind::FewShot, ctx.fewShotTokens());
-    builder.add(SegmentKind::User, ctx.userTokens());
-    const Prompt prompt = builder.build();
+    const Prompt prompt = ctx.promptPrefix().build();
+    const PromptBuilder verifier_prefix = ctx.evaluatorPrefix();
 
     struct Sampled
     {
@@ -198,10 +188,8 @@ BestOfNAgent::run(AgentContext ctx)
                           sim::hashCombine(ctx.task.taskId,
                                            static_cast<std::uint64_t>(
                                                s)));
-        Prompt copy = prompt;
-        gens.push_back(callLlm(ctx, trace, rngs.back(),
-                               std::move(copy), prof.cotOutputMean,
-                               "bon.sample"));
+        gens.push_back(callLlm(ctx, trace, rngs.back(), prompt,
+                               prof.cotOutputMean, "bon.sample"));
     }
     std::vector<serving::GenResult> outputs =
         co_await sim::allOf(std::move(gens));
@@ -223,7 +211,8 @@ BestOfNAgent::run(AgentContext ctx)
     std::vector<sim::Task<serving::GenResult>> verifications;
     for (int s = 0; s < samples; ++s) {
         verifications.push_back(scoreState(
-            ctx, trace, sampled[static_cast<std::size_t>(s)].tokens,
+            ctx, trace, verifier_prefix,
+            sampled[static_cast<std::size_t>(s)].tokens,
             rngs[static_cast<std::size_t>(s)], "bon.verify"));
     }
     co_await sim::allOf(std::move(verifications));

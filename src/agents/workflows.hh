@@ -154,17 +154,23 @@ struct ReactEpisodeState
 /**
  * Checkpoint hook runToolLoopTrial invokes after each completed
  * iteration (all of the iteration's RNG draws included), with the
- * live loop state. The workflow decides whether/what to journal.
+ * live loop state — including the running prompt chain the next
+ * iteration would prefill with. The workflow decides whether/what to
+ * journal.
  */
 using TrialCheckpointFn = std::function<void(
     const TrialOutcome &outcome, const TrajectoryMemory &memory,
-    double capability, const sim::Rng &rng)>;
+    const kv::TokenChain &chain, double capability,
+    const sim::Rng &rng)>;
 
 /**
  * One ReAct-style trial: up to config.maxIterations iterations of
  * (LLM step, tool call, progress). Used directly by ReActAgent and as
- * the inner loop of ReflexionAgent.
+ * the inner loop of ReflexionAgent. The trial's prompt is one running
+ * chain, built once from @p prefix and extended by every step.
  *
+ * @param prefix the episode's fixed prompt head
+ *        (AgentContext::promptPrefix()).
  * @param reflections reflections accumulated so far (boosts the hop
  *        success probability).
  * @param call_base discriminator for observation token streams.
@@ -175,20 +181,20 @@ using TrialCheckpointFn = std::function<void(
  */
 sim::Task<TrialOutcome>
 runToolLoopTrial(AgentContext &ctx, Trace &trace, sim::Rng &rng,
-                 TrajectoryMemory &memory,
+                 const PromptBuilder &prefix, TrajectoryMemory &memory,
                  const EpisodicMemory &episodic, int reflections,
                  std::uint64_t call_base,
                  const ReactEpisodeState *resume = nullptr,
                  const TrialCheckpointFn &checkpoint = {});
 
 /**
- * Conversation-prefix token chain the next trial iteration would
- * prefill with — what an episode checkpoint records for KV restore on
- * the surviving node.
+ * A trial's running prompt: @p prefix, then the episodic reflections,
+ * then the trajectory so far. Its chain is also what an episode
+ * checkpoint records for KV restore on the surviving node.
  */
-std::vector<kv::TokenId>
-trialChainTokens(const AgentContext &ctx, const EpisodicMemory &episodic,
-                 const TrajectoryMemory &memory);
+PromptBuilder trialPrompt(PromptBuilder prefix,
+                          const EpisodicMemory &episodic,
+                          const TrajectoryMemory &memory);
 
 /** KV bytes per token on @p engine (prices checkpoint snapshots). */
 double kvBytesPerToken(const serving::LlmEngine &engine);

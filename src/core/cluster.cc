@@ -488,7 +488,7 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
             // or recompute it cold during the first prefill,
             // whichever the priced estimate says is cheaper
             // (migration-style wire vs PerfModel prefill).
-            const auto &chain = ctx.resumeFrom->chainTokens;
+            const kv::TokenChain &chain = ctx.resumeFrom->chain;
             bool restored = false;
             if (!chain.empty()) {
                 serving::LlmEngine &eng = *node.engine;
@@ -497,8 +497,7 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
                     agents::kvBytesPerToken(eng) /
                     config.migrationBandwidth;
                 const double recompute_seconds =
-                    eng.perfModel().prefillSeconds(
-                        static_cast<std::int64_t>(chain.size()));
+                    eng.perfModel().prefillSeconds(chain.size());
                 if (wire_seconds < recompute_seconds) {
                     const std::int64_t blocks =
                         eng.preloadPrefix(chain);
@@ -644,14 +643,16 @@ clusterChatWorker(const ClusterConfig &config, sim::Simulation &sim,
     const workload::ShareGptSampler sampler(config.seed);
     const workload::ChatRequest chat = sampler.sample(index);
     constexpr std::int64_t system_tokens = 40;
-    std::vector<kv::TokenId> prompt = workload::makeTokens(
-        workload::streamId(config.seed, "chat.system"), system_tokens);
-    const auto convo = workload::makeTokens(
+    kv::TokenChain prompt(
+        config.engineConfig.blockSize,
+        workload::makeTokens(
+            workload::streamId(config.seed, "chat.system"),
+            system_tokens));
+    prompt.append(workload::makeTokens(
         workload::substream(workload::streamId(config.seed,
                                                "chat.convo"),
                             index),
-        std::max<std::int64_t>(1, chat.promptTokens - system_tokens));
-    prompt.insert(prompt.end(), convo.begin(), convo.end());
+        std::max<std::int64_t>(1, chat.promptTokens - system_tokens)));
 
     sim::Rng backoff(config.seed, "cluster.retry", index);
     const sim::Tick submit = sim.now();

@@ -99,14 +99,16 @@ chatWorker(const ServeConfig &config, sim::Simulation &sim,
     // caching only buys ~1.03x there).
     constexpr std::int64_t system_tokens = 40;
     serving::GenRequest req;
-    req.prompt = workload::makeTokens(
-        workload::streamId(config.seed, "chat.system"), system_tokens);
-    const auto convo = workload::makeTokens(
+    req.prompt = kv::TokenChain(
+        engine.config().blockSize,
+        workload::makeTokens(
+            workload::streamId(config.seed, "chat.system"),
+            system_tokens));
+    req.prompt.append(workload::makeTokens(
         workload::substream(workload::streamId(config.seed,
                                                "chat.convo"),
                             index),
-        std::max<std::int64_t>(1, chat.promptTokens - system_tokens));
-    req.prompt.insert(req.prompt.end(), convo.begin(), convo.end());
+        std::max<std::int64_t>(1, chat.promptTokens - system_tokens)));
     req.maxNewTokens = chat.outputTokens;
     req.sessionId = sim::hashCombine(config.seed, index);
 
@@ -138,8 +140,11 @@ sessionWorker(const ServeConfig &config, sim::Simulation &sim,
     // The conversation context: system preamble, then alternating
     // user messages and assistant replies.
     constexpr std::int64_t system_tokens = 40;
-    std::vector<kv::TokenId> history = workload::makeTokens(
-        workload::streamId(config.seed, "chat.system"), system_tokens);
+    kv::TokenChain history(
+        engine.config().blockSize,
+        workload::makeTokens(
+            workload::streamId(config.seed, "chat.system"),
+            system_tokens));
 
     const sim::Tick session_start = sim.now();
     telemetry::SpanRef root;
@@ -153,14 +158,13 @@ sessionWorker(const ServeConfig &config, sim::Simulation &sim,
                                    sessions.thinkTimeSeconds(rng));
         }
         const workload::ChatTurn turn = sessions.turn(index, t);
-        const auto user = workload::makeTokens(
+        history.append(workload::makeTokens(
             workload::substream(
                 workload::substream(workload::streamId(
                                         config.seed, "chat.user"),
                                     index),
                 static_cast<std::uint64_t>(t)),
-            turn.userTokens);
-        history.insert(history.end(), user.begin(), user.end());
+            turn.userTokens));
 
         serving::GenRequest req;
         req.prompt = history;
@@ -182,8 +186,7 @@ sessionWorker(const ServeConfig &config, sim::Simulation &sim,
             sim::toSeconds(sim.now() - turn_start));
         state.result.ttftSeconds.add(r.ttftSeconds);
         state.result.totalCost += r.ledger;
-        history.insert(history.end(), r.tokens.begin(),
-                       r.tokens.end());
+        history.append(r.tokens);
     }
     if (state.spans != nullptr)
         state.spans->finishRequest(root, sim.now());

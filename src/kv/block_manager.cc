@@ -48,32 +48,12 @@ BlockManager::BlockManager(const BlockManagerConfig &config)
         tierRng_.emplace(config_.seed, "kv.tier");
 }
 
-std::uint64_t
-BlockManager::chunkHash(std::uint64_t prev_hash,
-                        std::span<const TokenId> chunk) const
+void
+BlockManager::requireBlockSize(const TokenChain &chain) const
 {
-    std::uint64_t h = sim::hashMix(prev_hash ^ 0x9d5a3f7c1e284b69ULL);
-    for (TokenId t : chunk)
-        h = sim::hashCombine(h, t);
-    return h;
-}
-
-std::vector<std::uint64_t>
-BlockManager::chainHashes(std::span<const TokenId> tokens) const
-{
-    const int bs = config_.blockSize;
-    const std::int64_t n_full =
-        static_cast<std::int64_t>(tokens.size()) / bs;
-    std::vector<std::uint64_t> hashes;
-    hashes.reserve(static_cast<std::size_t>(n_full));
-    std::uint64_t prev = 0;
-    for (std::int64_t b = 0; b < n_full; ++b) {
-        prev = chunkHash(
-            prev, tokens.subspan(static_cast<std::size_t>(b * bs),
-                                 static_cast<std::size_t>(bs)));
-        hashes.push_back(prev);
-    }
-    return hashes;
+    AGENTSIM_ASSERT(chain.blockSize() == config_.blockSize,
+                    "chain hashed in %d-token blocks, pool uses %d",
+                    chain.blockSize(), config_.blockSize);
 }
 
 std::int64_t
@@ -99,23 +79,22 @@ BlockManager::seqTokens(SeqId seq_id) const
 {
     auto it = seqs_.find(seq_id);
     AGENTSIM_ASSERT(it != seqs_.end(), "seqTokens of unknown sequence");
-    return static_cast<std::int64_t>(it->second.tokens.size());
+    return it->second.chain.size();
 }
 
 std::optional<PromptAlloc>
-BlockManager::allocatePrompt(SeqId seq_id,
-                             std::span<const TokenId> tokens)
+BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
 {
     AGENTSIM_ASSERT(!seqs_.contains(seq_id),
                     "allocatePrompt: seq %llu already allocated",
                     static_cast<unsigned long long>(seq_id));
-    AGENTSIM_ASSERT(!tokens.empty(), "allocatePrompt with empty prompt");
+    AGENTSIM_ASSERT(!prompt.empty(), "allocatePrompt with empty prompt");
+    requireBlockSize(prompt);
 
     const int bs = config_.blockSize;
-    const std::int64_t n_tokens =
-        static_cast<std::int64_t>(tokens.size());
-    const std::int64_t n_full = n_tokens / bs;
-    const std::int64_t n_blocks = blocksNeeded(n_tokens);
+    const std::int64_t n_full = prompt.fullBlocks();
+    const std::int64_t n_blocks = blocksNeeded(prompt.size());
+    const auto hashes = prompt.blockHashes();
 
     // Phase 1: probe for the longest contiguous run of reusable full
     // blocks from position zero — GPU-cached (hit) or spill-tier
@@ -133,19 +112,9 @@ BlockManager::allocatePrompt(SeqId seq_id,
         std::uint64_t hash;
         std::size_t tier; // valid for TierRestore
     };
-    std::vector<std::uint64_t> hashes;
     std::vector<Probe> reuse;
-    {
-        std::uint64_t prev = 0;
-        bool chain_alive = config_.enablePrefixCaching;
-        for (std::int64_t b = 0; b < n_full; ++b) {
-            const std::uint64_t h = chunkHash(
-                prev, tokens.subspan(static_cast<std::size_t>(b * bs),
-                                     static_cast<std::size_t>(bs)));
-            hashes.push_back(h);
-            prev = h;
-            if (!chain_alive)
-                continue;
+    if (config_.enablePrefixCaching) {
+        for (const std::uint64_t h : hashes) {
             if (auto it = cacheTable_.find(h);
                 it != cacheTable_.end()) {
                 reuse.push_back({Reuse::GpuHit, it->second, h, 0});
@@ -154,7 +123,7 @@ BlockManager::allocatePrompt(SeqId seq_id,
             } else if (tiers_[1].contains(h)) {
                 reuse.push_back({Reuse::TierRestore, BlockId{-1}, h, 1});
             } else {
-                chain_alive = false;
+                break;
             }
         }
     }
@@ -201,8 +170,7 @@ BlockManager::allocatePrompt(SeqId seq_id,
     // eviction could pick a pending hit as its victim and alias one
     // physical block into two sequence positions.
     Seq seq;
-    seq.tokens.assign(tokens.begin(), tokens.end());
-    seq.chainHashes = hashes;
+    seq.chain = prompt;
     seq.blocks.assign(static_cast<std::size_t>(n_blocks), BlockId{-1});
 
     for (std::size_t i = 0; i < reuse.size(); ++i) {
@@ -258,8 +226,7 @@ BlockManager::appendToken(SeqId seq_id, TokenId token)
     Seq &seq = it->second;
     const int bs = config_.blockSize;
 
-    const std::int64_t pos = static_cast<std::int64_t>(seq.tokens.size());
-    if (pos % bs == 0) {
+    if (seq.chain.size() % bs == 0) {
         // Crossing into a new block.
         if (availableBlocks() == 0)
             return false;
@@ -268,43 +235,29 @@ BlockManager::appendToken(SeqId seq_id, TokenId token)
         seq.blocks.push_back(id);
     }
 
-    seq.tokens.push_back(token);
-    const std::int64_t new_size =
-        static_cast<std::int64_t>(seq.tokens.size());
-    if (new_size % bs == 0) {
-        const std::uint64_t prev =
-            seq.chainHashes.empty() ? 0 : seq.chainHashes.back();
-        const std::uint64_t h = chunkHash(
-            prev,
-            std::span<const TokenId>(seq.tokens)
-                .subspan(static_cast<std::size_t>(new_size - bs),
-                         static_cast<std::size_t>(bs)));
-        seq.chainHashes.push_back(h);
-        if (config_.enablePrefixCaching)
-            publishBlock(seq.blocks.back(), h);
-    }
+    seq.chain.push_back(token);
+    if (seq.chain.size() % bs == 0 && config_.enablePrefixCaching)
+        publishBlock(seq.blocks.back(), seq.chain.blockHashes().back());
     return true;
 }
 
-ChainExport
+TokenChain
 BlockManager::exportChain(SeqId seq_id) const
 {
     auto it = seqs_.find(seq_id);
     AGENTSIM_ASSERT(it != seqs_.end(),
                     "exportChain of unknown sequence");
-    ChainExport out;
-    out.tokens = it->second.tokens;
-    return out;
+    return it->second.chain;
 }
 
 std::optional<PromptAlloc>
-BlockManager::importChain(SeqId seq_id, std::span<const TokenId> tokens)
+BlockManager::importChain(SeqId seq_id, const TokenChain &chain)
 {
     // An import is a prompt allocation in disguise: the chain hashes
     // are content-derived, so any prefix already resident here (same
     // workflow instructions, shared conversation head) is reused and
     // never crosses the interconnect.
-    return allocatePrompt(seq_id, tokens);
+    return allocatePrompt(seq_id, chain);
 }
 
 void
@@ -335,14 +288,12 @@ BlockManager::reset()
 }
 
 std::int64_t
-BlockManager::preloadPrefix(std::span<const TokenId> tokens)
+BlockManager::preloadPrefix(const TokenChain &prefix)
 {
     AGENTSIM_ASSERT(config_.enablePrefixCaching,
                     "preload requires prefix caching");
-    const int bs = config_.blockSize;
-    const std::int64_t n_full =
-        static_cast<std::int64_t>(tokens.size()) / bs;
-    if (n_full > config_.numBlocks)
+    requireBlockSize(prefix);
+    if (prefix.fullBlocks() > config_.numBlocks)
         return -1; // can never fit, even in an empty pool
 
     // Blocks of *this* prefix: every one already resident or placed
@@ -352,12 +303,7 @@ BlockManager::preloadPrefix(std::span<const TokenId> tokens)
     // blocks this very loop just paid to transfer.
     std::unordered_set<BlockId> prefix_blocks;
     std::int64_t populated = 0;
-    std::uint64_t prev = 0;
-    for (std::int64_t b = 0; b < n_full; ++b) {
-        const std::uint64_t h = chunkHash(
-            prev, tokens.subspan(static_cast<std::size_t>(b * bs),
-                                 static_cast<std::size_t>(bs)));
-        prev = h;
+    for (const std::uint64_t h : prefix.blockHashes()) {
         if (auto it = cacheTable_.find(h); it != cacheTable_.end()) {
             // Already resident. Shield it like a placed block, and
             // under LRU refresh its recency (a preload is an access).
@@ -388,11 +334,12 @@ BlockManager::preloadPrefix(std::span<const TokenId> tokens)
 }
 
 std::int64_t
-BlockManager::parkChain(std::span<const TokenId> tokens)
+BlockManager::parkChain(const TokenChain &chain)
 {
+    requireBlockSize(chain);
     if (!config_.enablePrefixCaching || !spillTiersEnabled())
         return 0;
-    const auto hashes = chainHashes(tokens);
+    const auto hashes = chain.blockHashes();
     std::int64_t parked = 0;
     // Tail first: the restore probe dies at the first missing block,
     // so the chain head must be the *youngest* tier entry — losing the
@@ -418,15 +365,15 @@ BlockManager::parkChain(std::span<const TokenId> tokens)
 }
 
 PrefetchResult
-BlockManager::prefetchChain(std::span<const TokenId> tokens)
+BlockManager::prefetchChain(const TokenChain &chain)
 {
+    requireBlockSize(chain);
     PrefetchResult out;
     if (!config_.enablePrefixCaching)
         return out;
     const int bs = config_.blockSize;
-    const auto hashes = chainHashes(tokens);
     std::unordered_set<BlockId> placed;
-    for (const std::uint64_t h : hashes) {
+    for (const std::uint64_t h : chain.blockHashes()) {
         if (cacheTable_.contains(h))
             continue; // already on the GPU
         std::size_t tier = kNumSpillTiers;

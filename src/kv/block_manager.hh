@@ -33,6 +33,9 @@
  *
  * Token IDs are opaque 64-bit values; the workload layer generates them
  * deterministically so logically-shared prefixes share literal IDs.
+ * Prompts arrive as TokenChains whose block hashes were computed as
+ * the prompt grew, so a prompt allocation probes the cache without
+ * re-hashing any token.
  */
 
 #ifndef AGENTSIM_KV_BLOCK_MANAGER_HH
@@ -42,17 +45,14 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "kv/token_chain.hh"
 #include "sim/rng.hh"
 
 namespace agentsim::kv
 {
-
-/** Opaque synthetic token identifier. */
-using TokenId = std::uint64_t;
 
 /** Sequence identifier assigned by the serving engine. */
 using SeqId = std::uint64_t;
@@ -161,24 +161,6 @@ struct PromptAlloc
     }
 };
 
-/**
- * Snapshot of a sequence's block chain, taken by exportChain() on the
- * source node of a live migration. Token ids are enough to rebuild the
- * chain anywhere: block contents are implied by the tokens, and the
- * chain hashes are recomputed identically on the target.
- *
- * Deliberately carries no source-side block count: the source's chain
- * includes prefix-cached blocks shared with other sequences, so sizing
- * the wire transfer from it over-charges for blocks the target reuses
- * from its own cache. Transfer sizing belongs to the *importing* side:
- * importChain()'s PromptAlloc reports exactly the tokens that missed.
- */
-struct ChainExport
-{
-    /** All tokens of the sequence (prompt plus generated output). */
-    std::vector<TokenId> tokens;
-};
-
 /** Per-spill-tier cumulative counters. */
 struct TierStats
 {
@@ -245,11 +227,12 @@ class BlockManager
      * fresh blocks even after evicting all unreferenced cached blocks.
      *
      * @param seq_id caller-unique sequence id.
-     * @param tokens full prompt token ids.
+     * @param prompt the full prompt; its block size must be the
+     *        pool's.
      * @return allocation summary, or nullopt if out of blocks.
      */
-    std::optional<PromptAlloc>
-    allocatePrompt(SeqId seq_id, std::span<const TokenId> tokens);
+    std::optional<PromptAlloc> allocatePrompt(SeqId seq_id,
+                                              const TokenChain &prompt);
 
     /**
      * Append one generated token to a sequence, taking a fresh block at
@@ -269,7 +252,7 @@ class BlockManager
     void reset();
 
     /**
-     * Inject externally computed KV for @p tokens: every full block
+     * Inject externally computed KV for @p prefix: every full block
      * is allocated and published as if prefilled here (disaggregated
      * serving transfers KV from a prefill node). Existing cached
      * blocks are left in place.
@@ -283,47 +266,56 @@ class BlockManager
      * very prefix, so every block paid for stays resident and the
      * resident run is a contiguous head of the prefix.
      */
-    std::int64_t preloadPrefix(std::span<const TokenId> tokens);
+    std::int64_t preloadPrefix(const TokenChain &prefix);
 
     /**
-     * Snapshot a sequence's chain for live migration. The sequence
-     * stays allocated; the caller releases it once the snapshot is
-     * handed off.
+     * Snapshot a sequence's chain (prompt plus generated output) for
+     * live migration. The sequence stays allocated; the caller
+     * releases it once the snapshot is handed off. The chain is
+     * enough to rebuild the sequence anywhere: its block hashes are
+     * content-derived.
+     *
+     * Deliberately carries no source-side block count: the source's
+     * chain includes prefix-cached blocks shared with other sequences,
+     * so sizing the wire transfer from it over-charges for blocks the
+     * target reuses from its own cache. Transfer sizing belongs to the
+     * *importing* side: importChain()'s PromptAlloc reports exactly
+     * the tokens that missed.
      */
-    ChainExport exportChain(SeqId seq_id) const;
+    TokenChain exportChain(SeqId seq_id) const;
 
     /**
      * Rebuild a migrated chain on this (target) pool: allocate blocks
-     * for @p tokens exactly like a prompt allocation, reusing any
+     * for @p chain exactly like a prompt allocation, reusing any
      * locally cached prefix — reused tokens need no interconnect
      * transfer, so the returned PromptAlloc tells the engine how many
      * tokens must actually cross the wire. @return nullopt if the pool
      * cannot hold the chain (caller falls back to recompute).
      */
     std::optional<PromptAlloc> importChain(SeqId seq_id,
-                                           std::span<const TokenId> tokens);
+                                           const TokenChain &chain);
 
     /**
      * Tool-call-aware parking: demote every currently unreferenced
-     * GPU-cached full block of @p tokens' chain into the DRAM tier
-     * (or NVMe when DRAM is disabled), freeing the HBM blocks. The
+     * GPU-cached full block of @p chain into the DRAM tier (or NVMe
+     * when DRAM is disabled), freeing the HBM blocks. The
      * demotion is deliberate, so it bypasses the probabilistic
      * admission filter. Blocks referenced by live sequences are
      * skipped (they are not idle). No-op when no tier is enabled or
      * prefix caching is off. @return blocks demoted.
      */
-    std::int64_t parkChain(std::span<const TokenId> tokens);
+    std::int64_t parkChain(const TokenChain &chain);
 
     /**
-     * Promote the chain of @p tokens back to the GPU ahead of a
-     * continuation: walks the chain's full blocks, restoring
-     * spill-tier entries onto fresh GPU blocks (published, parked on
-     * the eviction list exactly like preloadPrefix) until the first
-     * block resident nowhere. The caller prices the reported per-tier
+     * Promote @p chain back to the GPU ahead of a continuation:
+     * walks the chain's full blocks, restoring spill-tier entries
+     * onto fresh GPU blocks (published, parked on the eviction list
+     * exactly like preloadPrefix) until the first block resident
+     * nowhere. The caller prices the reported per-tier
      * token counts as a background transfer. Stops early when the
      * pool has no free-or-evictable block left.
      */
-    PrefetchResult prefetchChain(std::span<const TokenId> tokens);
+    PrefetchResult prefetchChain(const TokenChain &chain);
 
     /** True if the sequence is currently allocated. */
     bool hasSeq(SeqId seq_id) const { return seqs_.contains(seq_id); }
@@ -433,9 +425,8 @@ class BlockManager
     struct Seq
     {
         std::vector<BlockId> blocks;
-        std::vector<TokenId> tokens;
-        /** Chain hash per completed block. */
-        std::vector<std::uint64_t> chainHashes;
+        /** Every token stored so far (prompt plus appended). */
+        TokenChain chain;
     };
 
     /** One spill tier: an LRU-ordered hash set (contents implicit). */
@@ -503,13 +494,8 @@ class BlockManager
     /** Bernoulli draw against tier @p index's admission probability. */
     bool tierAdmits(std::size_t index);
 
-    /** Chain hash of block @p index given the previous chain hash. */
-    std::uint64_t chunkHash(std::uint64_t prev_hash,
-                            std::span<const TokenId> chunk) const;
-
-    /** Chain hashes of every full block of @p tokens. */
-    std::vector<std::uint64_t>
-    chainHashes(std::span<const TokenId> tokens) const;
+    /** Panic unless @p chain was hashed at this pool's block size. */
+    void requireBlockSize(const TokenChain &chain) const;
 
     /** Take one block from free list or evict the LRU cached block. */
     BlockId acquireFreshBlock();

@@ -8,7 +8,11 @@ namespace agentsim::llm
 {
 
 PerfModel::PerfModel(ModelSpec model, NodeSpec node)
-    : model_(std::move(model)), node_(std::move(node))
+    : model_(std::move(model)), node_(std::move(node)),
+      denseFlopsPerToken_(model_.denseFlopsPerToken()),
+      attentionFlopsPerPosition_(model_.attentionFlops(1)),
+      kvBytesPerToken_(static_cast<double>(model_.kvBytesPerToken())),
+      weightBytes_(static_cast<double>(model_.weightBytes()))
 {
     AGENTSIM_ASSERT(node_.numGpus > 0, "node with no GPUs");
     const auto need = model_.weightBytes();
@@ -31,22 +35,24 @@ PerfModel::prefillFlops(std::int64_t tokens,
     if (tokens == 0)
         return 0.0;
     const double dense =
-        static_cast<double>(tokens) * model_.denseFlopsPerToken();
+        static_cast<double>(tokens) * denseFlopsPerToken_;
     // Token at offset i attends over (context_before + i) positions;
     // sum over the chunk is an arithmetic series.
     const double pos_sum =
         static_cast<double>(tokens) * static_cast<double>(context_before) +
         0.5 * static_cast<double>(tokens) *
             static_cast<double>(tokens - 1);
-    const double attn = model_.attentionFlops(1) * pos_sum;
+    const double attn = attentionFlopsPerPosition_ * pos_sum;
     return dense + attn;
 }
 
 double
 PerfModel::decodeFlops(std::int64_t context_len) const
 {
-    return model_.denseFlopsPerToken() +
-           model_.attentionFlops(context_len);
+    // attentionFlops(n) is attentionFlops(1) * n in the same
+    // left-to-right order, so this is bit-identical to the spec call.
+    return denseFlopsPerToken_ +
+           attentionFlopsPerPosition_ * static_cast<double>(context_len);
 }
 
 StepCost
@@ -56,11 +62,10 @@ PerfModel::stepCost(const StepWork &work) const
     if (work.empty())
         return cost;
 
-    const double kv_per_token =
-        static_cast<double>(model_.kvBytesPerToken());
+    const double kv_per_token = kvBytesPerToken_;
 
     // Weights stream through the node once per step.
-    double bytes = static_cast<double>(model_.weightBytes());
+    double bytes = weightBytes_;
     double flops = 0.0;
 
     for (const auto &chunk : work.prefills) {

@@ -100,6 +100,14 @@ class PerfModel
   private:
     ModelSpec model_;
     NodeSpec node_;
+    /** ModelSpec arithmetic hoisted out of the per-step path; each is
+     *  the ModelSpec expression evaluated once, so the doubles are
+     *  the same bits the per-call form produced. */
+    double denseFlopsPerToken_;
+    /** attentionFlops(1): FLOPs per attended position per token. */
+    double attentionFlopsPerPosition_;
+    double kvBytesPerToken_;
+    double weightBytes_;
 };
 
 } // namespace agentsim::llm

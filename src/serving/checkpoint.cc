@@ -42,13 +42,11 @@ CheckpointStore::put(std::uint64_t episode, EpisodeCheckpoint ckpt,
     // the fixed journal overhead) hit the wire. A shrinking chain
     // (e.g. a Reflexion trial boundary resetting the trajectory)
     // costs only the journal overhead.
-    std::size_t prev_tokens = 0;
+    std::int64_t prev_tokens = 0;
     if (const auto it = entries_.find(episode); it != entries_.end())
-        prev_tokens = it->second.chainTokens.size();
+        prev_tokens = it->second.chain.size();
     const auto delta_tokens = static_cast<double>(
-        ckpt.chainTokens.size() > prev_tokens
-            ? ckpt.chainTokens.size() - prev_tokens
-            : 0);
+        std::max<std::int64_t>(ckpt.chain.size() - prev_tokens, 0));
     ckpt.snapshotBytes =
         policy_.journalBytes +
         static_cast<std::int64_t>(delta_tokens * bytes_per_token);

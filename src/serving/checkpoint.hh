@@ -95,11 +95,11 @@ struct EpisodeCheckpoint
     /** Opaque workflow state (agent-owned type; see file comment). */
     std::shared_ptr<const void> state;
     /**
-     * Conversation-prefix token chain the next iteration will prefill
-     * with — what the restore path warms (or recomputes) on the
-     * surviving node.
+     * Conversation-prefix chain the next iteration will prefill with
+     * — what the restore path warms (or recomputes) on the surviving
+     * node. A copy of the workflow's running prompt chain.
      */
-    std::vector<kv::TokenId> chainTokens;
+    kv::TokenChain chain;
     /** GPU-seconds invested in the episode up to this snapshot — the
      *  work a resume recovers. */
     double gpuSeconds = 0.0;

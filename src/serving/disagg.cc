@@ -17,6 +17,10 @@ DisaggServer::DisaggServer(sim::Simulation &sim,
     }
     if (config_.interconnectBandwidth <= 0)
         AGENTSIM_FATAL("non-positive interconnect bandwidth");
+    // One prompt chain feeds both nodes, so both must hash it in the
+    // same block size.
+    if (config_.prefillNode.blockSize != config_.decodeNode.blockSize)
+        AGENTSIM_FATAL("prefill and decode nodes need one KV block size");
 }
 
 double
@@ -30,7 +34,7 @@ DisaggServer::generate(GenRequest request)
 {
     const sim::Tick submit = sim_.now();
     const std::int64_t want = request.maxNewTokens;
-    std::vector<kv::TokenId> prompt = std::move(request.prompt);
+    kv::TokenChain prompt = std::move(request.prompt);
 
     // Phase 1: prompt processing + first token on the prefill node.
     GenRequest prefill_req;

@@ -195,8 +195,7 @@ LlmEngine::generate(GenRequest request, std::uint64_t *handle_out)
     if (!online_ || draining_) {
         GenResult r;
         r.nodeFailure = true;
-        r.promptTokens =
-            static_cast<std::int64_t>(request.prompt.size());
+        r.promptTokens = request.prompt.size();
         r.submitTick = sim_.now();
         r.finishTick = sim_.now();
         co_return r;
@@ -204,8 +203,7 @@ LlmEngine::generate(GenRequest request, std::uint64_t *handle_out)
 
     // Requests beyond the model's context window are rejected up
     // front, as a real serving endpoint would do.
-    if (static_cast<std::int64_t>(request.prompt.size()) +
-            request.maxNewTokens >
+    if (request.prompt.size() + request.maxNewTokens >
         config_.model.contextWindow) {
         ++stats_.requestsFailed;
         AGENTSIM_WARN("request exceeds the %lld-token context window",
@@ -213,8 +211,7 @@ LlmEngine::generate(GenRequest request, std::uint64_t *handle_out)
                           config_.model.contextWindow));
         GenResult r;
         r.failed = true;
-        r.promptTokens =
-            static_cast<std::int64_t>(request.prompt.size());
+        r.promptTokens = request.prompt.size();
         r.submitTick = sim_.now();
         r.finishTick = sim_.now();
         co_return r;
@@ -239,8 +236,7 @@ LlmEngine::generate(GenRequest request, std::uint64_t *handle_out)
         }
         GenResult r;
         r.shed = true;
-        r.promptTokens =
-            static_cast<std::int64_t>(request.prompt.size());
+        r.promptTokens = request.prompt.size();
         r.submitTick = sim_.now();
         r.finishTick = sim_.now();
         co_return r;
@@ -254,7 +250,7 @@ LlmEngine::generate(GenRequest request, std::uint64_t *handle_out)
     req->maxNewTokens = request.maxNewTokens;
     req->parkSeconds = request.expectedParkSeconds;
     req->submitTick = sim_.now();
-    req->firstPromptLen = static_cast<std::int64_t>(req->prompt.size());
+    req->firstPromptLen = req->prompt.size();
     if (request.deadlineSeconds > 0) {
         req->deadlineTick =
             sim_.now() + sim::fromSeconds(request.deadlineSeconds);
@@ -317,8 +313,7 @@ LlmEngine::preemptOne(StepPlan &plan)
     victim->heldBlocks = 0;
     // Recompute-style preemption: generated tokens fold into the
     // prompt; on re-admission the prefix cache usually restores them.
-    victim->prompt.insert(victim->prompt.end(), victim->output.begin(),
-                          victim->output.end());
+    victim->prompt.append(victim->output);
     victim->prefillDone = 0;
     victim->decoding = false;
     ++victim->preemptions;
@@ -445,8 +440,8 @@ LlmEngine::maybeParkChain(const ReqPtr &req)
     }
     // The continuation's prompt extends this request's full chain
     // (prompt + output); that is what must survive the tool wait.
-    std::vector<kv::TokenId> chain = req->prompt;
-    chain.insert(chain.end(), req->output.begin(), req->output.end());
+    kv::TokenChain chain = req->prompt;
+    chain.append(req->output);
     const std::int64_t parked = blocks_.parkChain(chain);
     if (parked <= 0)
         return;
@@ -768,8 +763,7 @@ LlmEngine::exportRequest(std::uint64_t id)
 
     MigratedRequest out;
     if (blocks_.hasSeq(req->id)) {
-        kv::ChainExport chain = blocks_.exportChain(req->id);
-        out.chainTokens = std::move(chain.tokens);
+        out.chain = blocks_.exportChain(req->id);
         // KV exists only for the prefilled part of the prompt plus
         // every generated token; trailing prompt blocks are allocated
         // but not yet computed and need no transfer.
@@ -781,7 +775,7 @@ LlmEngine::exportRequest(std::uint64_t id)
     } else {
         // Still queued: nothing computed, the snapshot is just the
         // request state; the target admits it like a fresh arrival.
-        out.chainTokens = req->prompt;
+        out.chain = req->prompt;
         out.computedTokens = 0;
     }
 
@@ -832,7 +826,7 @@ LlmEngine::importRequest(MigratedRequest migrated,
     double transfer_seconds = 0.0;
     bool warm = false;
     if (migrated.computedTokens > 0) {
-        auto alloc = blocks_.importChain(req->id, migrated.chainTokens);
+        auto alloc = blocks_.importChain(req->id, migrated.chain);
         if (alloc.has_value()) {
             warm = true;
             // Locally cached (or tier-resident) prefix blocks never
@@ -877,21 +871,21 @@ LlmEngine::importRequest(MigratedRequest migrated,
     }
 
     if (transfer_seconds <= 0.0) {
-        activateImported(req, std::move(migrated.chainTokens),
+        activateImported(req, std::move(migrated.chain),
                          migrated.computedTokens);
         return;
     }
     sim_.schedule(
         sim::fromSeconds(transfer_seconds),
-        [this, req, tokens = std::move(migrated.chainTokens),
+        [this, req, chain = std::move(migrated.chain),
          computed = migrated.computedTokens]() mutable {
-            activateImported(req, std::move(tokens), computed);
+            activateImported(req, std::move(chain), computed);
         });
 }
 
 void
 LlmEngine::activateImported(const ReqPtr &req,
-                            std::vector<kv::TokenId> chain_tokens,
+                            kv::TokenChain chain,
                             std::int64_t computed_tokens)
 {
     AGENTSIM_ASSERT(!req->finished, "activation of a finished import");
@@ -922,8 +916,8 @@ LlmEngine::activateImported(const ReqPtr &req,
         // tokens fold into the prompt (the chain snapshot is exactly
         // that folded form) and re-prefilling below the old watermark
         // is charged as waste.
-        if (!chain_tokens.empty())
-            req->prompt = std::move(chain_tokens);
+        if (!chain.empty())
+            req->prompt = std::move(chain);
         req->recomputeWatermark =
             std::max(req->recomputeWatermark, computed_tokens);
         req->prefillDone = 0;
@@ -967,9 +961,9 @@ LlmEngine::genToken(Req &req)
 }
 
 std::int64_t
-LlmEngine::preloadPrefix(std::span<const kv::TokenId> tokens)
+LlmEngine::preloadPrefix(const kv::TokenChain &prefix)
 {
-    const std::int64_t populated = blocks_.preloadPrefix(tokens);
+    const std::int64_t populated = blocks_.preloadPrefix(prefix);
     updateGauges();
     return populated;
 }
@@ -1032,8 +1026,7 @@ LlmEngine::buildStep()
             break;
         if (req->decoding)
             continue;
-        const auto prompt_len =
-            static_cast<std::int64_t>(req->prompt.size());
+        const auto prompt_len = req->prompt.size();
         std::int64_t chunk =
             std::min(budget, prompt_len - req->prefillDone);
         if (chunk <= 0)
@@ -1060,8 +1053,7 @@ LlmEngine::buildStep()
                                  config_.maxRunningSeqs)) {
         auto candidate = nextAdmissionCandidate();
         ReqPtr req = *candidate;
-        const auto prompt_len =
-            static_cast<std::int64_t>(req->prompt.size());
+        const auto prompt_len = req->prompt.size();
         const std::int64_t upper_bound =
             blocks_.blocksNeeded(prompt_len) + 1;
         if (upper_bound > blocks_.totalBlocks()) {
@@ -1245,8 +1237,7 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
             }
         }
         req->prefillDone += part.tokens;
-        const auto prompt_len =
-            static_cast<std::int64_t>(req->prompt.size());
+        const auto prompt_len = req->prompt.size();
         if (req->prefillDone == prompt_len) {
             const kv::TokenId tok = genToken(*req);
             if (!blocks_.appendToken(req->id, tok)) {

@@ -243,7 +243,7 @@ struct MigratedRequest
     /** Engine-private request state (lifecycle, ledger, awaiter). */
     std::shared_ptr<void> state;
     /** Full token chain (prompt + generated output) for reallocation. */
-    std::vector<kv::TokenId> chainTokens;
+    kv::TokenChain chain;
     /** Tokens whose KV was actually computed on the source — the part
      *  that must cross the interconnect (minus target cache hits). */
     std::int64_t computedTokens = 0;
@@ -471,7 +471,7 @@ class LlmEngine
      * from a disaggregated prefill node). @return blocks populated,
      * or -1 if the prefix cannot fit.
      */
-    std::int64_t preloadPrefix(std::span<const kv::TokenId> tokens);
+    std::int64_t preloadPrefix(const kv::TokenChain &prefix);
 
     /**
      * Node-wide GPU energy (joules) consumed up to @p now, including
@@ -485,7 +485,9 @@ class LlmEngine
     {
         std::uint64_t id = 0;
         std::uint64_t sessionId = 0;
-        std::vector<kv::TokenId> prompt;
+        /** Prompt chain; a recompute preemption appends the output
+         *  generated so far. */
+        kv::TokenChain prompt;
         std::int64_t maxNewTokens = 0;
         std::vector<kv::TokenId> output;
         /** Prompt tokens with KV in place (cached + prefilled). */
@@ -686,8 +688,7 @@ class LlmEngine
     void requeueRequest(const ReqPtr &req, bool front);
 
     /** Activate an imported request once its KV transfer lands. */
-    void activateImported(const ReqPtr &req,
-                          std::vector<kv::TokenId> chain_tokens,
+    void activateImported(const ReqPtr &req, kv::TokenChain chain,
                           std::int64_t computed_tokens);
 
     /**

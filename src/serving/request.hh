@@ -20,8 +20,11 @@ namespace agentsim::serving
 /** One generation request submitted to the engine. */
 struct GenRequest
 {
-    /** Prompt token ids (deterministic synthetic content). */
-    std::vector<kv::TokenId> prompt;
+    /**
+     * The prompt (deterministic synthetic content), hashed in the
+     * engine's KV block size (EngineConfig::blockSize).
+     */
+    kv::TokenChain prompt;
     /**
      * Exact number of tokens to generate. The workload layer samples
      * realistic output lengths, so the engine does not model EOS.

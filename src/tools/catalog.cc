@@ -91,7 +91,7 @@ SelfTestTool::execute(sim::Rng &rng)
     const std::uint64_t call = calls_++;
     serving::GenRequest req;
     const std::int64_t prompt_len = 180 + rng.uniformInt(0, 60);
-    req.prompt.reserve(static_cast<std::size_t>(prompt_len));
+    req.prompt = kv::TokenChain(engine_.config().blockSize);
     const std::uint64_t stream =
         sim::hashCombine(sim::hashCombine(seed_, 0x5e1f7e57ULL), call);
     for (std::int64_t i = 0; i < prompt_len; ++i)

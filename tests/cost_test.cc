@@ -36,8 +36,10 @@ submit(LlmEngine &engine, std::uint64_t stream, std::int64_t prompt_len,
        std::int64_t out)
 {
     GenRequest req;
-    req.prompt = workload::makeTokens(
-        workload::streamId(3, "cost") + stream, prompt_len);
+    req.prompt = kv::TokenChain(
+        engine.config().blockSize,
+        workload::makeTokens(workload::streamId(3, "cost") + stream,
+                             prompt_len));
     req.maxNewTokens = out;
     co_return co_await engine.generate(std::move(req));
 }
@@ -57,8 +59,10 @@ submitTracked(LlmEngine &engine, std::uint64_t stream,
               std::uint64_t *handle)
 {
     GenRequest req;
-    req.prompt = workload::makeTokens(
-        workload::streamId(3, "cost") + stream, prompt_len);
+    req.prompt = kv::TokenChain(
+        engine.config().blockSize,
+        workload::makeTokens(workload::streamId(3, "cost") + stream,
+                             prompt_len));
     req.maxNewTokens = out;
     co_return co_await engine.generate(std::move(req), handle);
 }

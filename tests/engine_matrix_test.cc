@@ -57,7 +57,8 @@ submit(LlmEngine &engine, std::uint64_t stream, std::int64_t len,
        std::int64_t out)
 {
     GenRequest req;
-    req.prompt = workload::makeTokens(stream, len);
+    req.prompt = kv::TokenChain(engine.config().blockSize,
+                                workload::makeTokens(stream, len));
     req.maxNewTokens = out;
     co_return co_await engine.generate(std::move(req));
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 
 #include "agents/workflows.hh"
 #include "core/cluster.hh"
@@ -40,6 +41,13 @@ tokenRange(TokenId start, std::size_t n)
     return v;
 }
 
+/** @p tokens as a chain in @p mgr's block size. */
+kv::TokenChain
+chainOf(const BlockManager &mgr, std::span<const TokenId> tokens)
+{
+    return kv::TokenChain(mgr.blockSize(), tokens);
+}
+
 // ---------------------------------------------------------------
 // Eviction policy.
 // ---------------------------------------------------------------
@@ -53,15 +61,16 @@ TEST(EvictionPolicy, FifoEvictsFirstPublishedDespiteReuse)
     BlockManager mgr(cfg);
 
     // Publish A (4 blocks), then B (4 blocks); free both.
-    ASSERT_TRUE(mgr.allocatePrompt(1, tokenRange(0, 64)).has_value());
     ASSERT_TRUE(
-        mgr.allocatePrompt(2, tokenRange(1000, 64)).has_value());
+        mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 64))).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(2, chainOf(mgr, tokenRange(1000, 64))).has_value());
     mgr.release(1);
     mgr.release(2);
 
     // Touch A again (re-reference + release): under LRU this would
     // protect A; under FIFO it does not.
-    auto again = mgr.allocatePrompt(3, tokenRange(0, 64));
+    auto again = mgr.allocatePrompt(3, chainOf(mgr, tokenRange(0, 64)));
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(again->cachedTokens, 64);
     mgr.release(3);
@@ -69,8 +78,8 @@ TEST(EvictionPolicy, FifoEvictsFirstPublishedDespiteReuse)
     // Allocate fresh content requiring 4 evictions: FIFO removes A's
     // blocks (published first), so A misses afterwards but B hits.
     ASSERT_TRUE(
-        mgr.allocatePrompt(4, tokenRange(2000, 64)).has_value());
-    auto a_alloc = mgr.allocatePrompt(5, tokenRange(0, 64));
+        mgr.allocatePrompt(4, chainOf(mgr, tokenRange(2000, 64))).has_value());
+    auto a_alloc = mgr.allocatePrompt(5, chainOf(mgr, tokenRange(0, 64)));
     // A was evicted: no hits (0 cached) — pool may be too tight to
     // even allocate; both are "A lost its cache" outcomes.
     if (a_alloc.has_value()) {
@@ -87,21 +96,22 @@ TEST(EvictionPolicy, LruProtectsRecentlyUsed)
     cfg.evictionPolicy = EvictionPolicy::Lru;
     BlockManager mgr(cfg);
 
-    ASSERT_TRUE(mgr.allocatePrompt(1, tokenRange(0, 64)).has_value());
     ASSERT_TRUE(
-        mgr.allocatePrompt(2, tokenRange(1000, 64)).has_value());
+        mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 64))).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(2, chainOf(mgr, tokenRange(1000, 64))).has_value());
     mgr.release(1);
     mgr.release(2);
     // Touch A: now B is the LRU victim.
-    auto again = mgr.allocatePrompt(3, tokenRange(0, 64));
+    auto again = mgr.allocatePrompt(3, chainOf(mgr, tokenRange(0, 64)));
     ASSERT_TRUE(again.has_value());
     mgr.release(3);
 
     ASSERT_TRUE(
-        mgr.allocatePrompt(4, tokenRange(2000, 64)).has_value());
+        mgr.allocatePrompt(4, chainOf(mgr, tokenRange(2000, 64))).has_value());
     mgr.release(4);
     // A survived the eviction wave.
-    auto a_alloc = mgr.allocatePrompt(5, tokenRange(0, 64));
+    auto a_alloc = mgr.allocatePrompt(5, chainOf(mgr, tokenRange(0, 64)));
     ASSERT_TRUE(a_alloc.has_value());
     EXPECT_EQ(a_alloc->cachedTokens, 64);
     mgr.checkInvariants();
@@ -120,16 +130,16 @@ TEST(HostTier, EvictedBlocksRestoreFromHost)
     BlockManager mgr(cfg);
 
     const auto prompt_a = tokenRange(0, 64);
-    ASSERT_TRUE(mgr.allocatePrompt(1, prompt_a).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, prompt_a)).has_value());
     mgr.release(1);
     // Force A's eviction with fresh content.
     ASSERT_TRUE(
-        mgr.allocatePrompt(2, tokenRange(1000, 64)).has_value());
+        mgr.allocatePrompt(2, chainOf(mgr, tokenRange(1000, 64))).has_value());
     mgr.release(2);
     EXPECT_EQ(mgr.hostCachedBlocks(), 4); // A spilled to host
 
     // A comes back as restores, not recompute misses.
-    auto alloc = mgr.allocatePrompt(3, prompt_a);
+    auto alloc = mgr.allocatePrompt(3, chainOf(mgr, prompt_a));
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(alloc->cachedTokens, 0);
     EXPECT_EQ(alloc->restoredTokens, 64);
@@ -145,13 +155,14 @@ TEST(HostTier, DisabledMeansNoRestores)
     cfg.blockSize = 16;
     cfg.hostCacheBlocks = 0;
     BlockManager mgr(cfg);
-    ASSERT_TRUE(mgr.allocatePrompt(1, tokenRange(0, 64)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 64))).has_value());
     mgr.release(1);
     ASSERT_TRUE(
-        mgr.allocatePrompt(2, tokenRange(1000, 64)).has_value());
+        mgr.allocatePrompt(2, chainOf(mgr, tokenRange(1000, 64))).has_value());
     mgr.release(2);
     EXPECT_EQ(mgr.hostCachedBlocks(), 0);
-    auto alloc = mgr.allocatePrompt(3, tokenRange(0, 64));
+    auto alloc = mgr.allocatePrompt(3, chainOf(mgr, tokenRange(0, 64)));
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(alloc->restoredTokens, 0);
 }
@@ -166,7 +177,7 @@ TEST(HostTier, CapacityIsBounded)
     // Cycle many distinct prompts through the tiny GPU pool.
     for (kv::SeqId s = 1; s <= 10; ++s) {
         ASSERT_TRUE(
-            mgr.allocatePrompt(s, tokenRange(s * 10000, 64))
+            mgr.allocatePrompt(s, chainOf(mgr, tokenRange(s * 10000, 64)))
                 .has_value());
         mgr.release(s);
     }
@@ -196,7 +207,8 @@ TEST(HostTier, EngineChargesTransferTime)
         // a, then b (evicting a), then a again.
         for (const auto *p : {&a, &b, &a}) {
             serving::GenRequest req;
-            req.prompt = *p;
+            req.prompt =
+                kv::TokenChain(engine.config().blockSize, *p);
             req.maxNewTokens = 4;
             auto t = engine.generate(std::move(req));
             sim.run();
@@ -230,7 +242,8 @@ TEST(Scheduler, ShortestPromptFirstReordersQueue)
 
     auto submit = [&](std::uint64_t stream, std::int64_t len) {
         serving::GenRequest req;
-        req.prompt = workload::makeTokens(stream, len);
+        req.prompt = kv::TokenChain(engine.config().blockSize,
+                                    workload::makeTokens(stream, len));
         req.maxNewTokens = 8;
         return engine.generate(std::move(req));
     };
@@ -258,7 +271,8 @@ TEST(Scheduler, FcfsPreservesArrivalOrder)
     serving::LlmEngine engine(sim, cfg);
     auto submit = [&](std::uint64_t stream, std::int64_t len) {
         serving::GenRequest req;
-        req.prompt = workload::makeTokens(stream, len);
+        req.prompt = kv::TokenChain(engine.config().blockSize,
+                                    workload::makeTokens(stream, len));
         req.maxNewTokens = 8;
         return engine.generate(std::move(req));
     };
@@ -637,7 +651,8 @@ disaggSubmit(serving::DisaggServer &server,
              std::vector<kv::TokenId> prompt, std::int64_t out)
 {
     serving::GenRequest req;
-    req.prompt = std::move(prompt);
+    req.prompt = kv::TokenChain(
+        server.prefillEngine().config().blockSize, prompt);
     req.maxNewTokens = out;
     co_return co_await server.generate(std::move(req));
 }

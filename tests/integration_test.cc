@@ -338,19 +338,21 @@ TEST(PromptBuilder, BreakdownMatchesContent)
     const auto instr = workload::makeTokens(1, 10);
     const auto user = workload::makeTokens(2, 5);
     const auto hist = workload::makeTokens(3, 7);
-    PromptBuilder b;
+    PromptBuilder b(4);
     b.add(SegmentKind::Instruction, instr)
         .add(SegmentKind::User, user)
         .add(SegmentKind::LlmHistory, hist);
     const auto prompt = b.build();
-    EXPECT_EQ(prompt.tokens.size(), 22u);
+    EXPECT_EQ(prompt.chain.size(), 22);
     EXPECT_EQ(prompt.breakdown.instruction, 10);
     EXPECT_EQ(prompt.breakdown.user, 5);
     EXPECT_EQ(prompt.breakdown.llmHistory, 7);
     EXPECT_EQ(prompt.breakdown.inputTotal(), 22);
-    // Order preserved: instruction tokens first.
-    EXPECT_EQ(prompt.tokens[0], instr[0]);
-    EXPECT_EQ(prompt.tokens[10], user[0]);
+    // Order preserved: instruction, then user, then history.
+    std::vector<kv::TokenId> expected = instr;
+    expected.insert(expected.end(), user.begin(), user.end());
+    expected.insert(expected.end(), hist.begin(), hist.end());
+    EXPECT_EQ(prompt.chain, kv::TokenChain(4, expected));
 }
 
 TEST(TrajectoryMemory, CountsAndClear)

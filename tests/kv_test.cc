@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "kv/block_manager.hh"
@@ -29,6 +30,13 @@ tokenRange(TokenId start, std::size_t n)
     return v;
 }
 
+/** @p tokens as a chain in @p mgr's block size. */
+kv::TokenChain
+chainOf(const BlockManager &mgr, std::span<const TokenId> tokens)
+{
+    return kv::TokenChain(mgr.blockSize(), tokens);
+}
+
 BlockManagerConfig
 cfg(std::int64_t blocks, int block_size = 16, bool prefix = true,
     std::int64_t host_blocks = 0)
@@ -45,7 +53,7 @@ TEST(BlockManager, AllocateAndRelease)
 {
     BlockManager mgr(cfg(100));
     const auto prompt = tokenRange(0, 50); // 4 blocks (3 full + partial)
-    auto alloc = mgr.allocatePrompt(1, prompt);
+    auto alloc = mgr.allocatePrompt(1, chainOf(mgr, prompt));
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(alloc->cachedTokens, 0);
     EXPECT_EQ(alloc->freshBlocks, 4);
@@ -73,8 +81,8 @@ TEST(BlockManager, PrefixHitOnIdenticalPrompt)
 {
     BlockManager mgr(cfg(100));
     const auto prompt = tokenRange(0, 64); // exactly 4 full blocks
-    ASSERT_TRUE(mgr.allocatePrompt(1, prompt).has_value());
-    auto second = mgr.allocatePrompt(2, prompt);
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, prompt)).has_value());
+    auto second = mgr.allocatePrompt(2, chainOf(mgr, prompt));
     ASSERT_TRUE(second.has_value());
     // All four blocks are shared with the live first sequence.
     EXPECT_EQ(second->cachedTokens, 64);
@@ -87,9 +95,9 @@ TEST(BlockManager, PrefixHitAfterRelease)
 {
     BlockManager mgr(cfg(100));
     const auto prompt = tokenRange(0, 64);
-    ASSERT_TRUE(mgr.allocatePrompt(1, prompt).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, prompt)).has_value());
     mgr.release(1);
-    auto second = mgr.allocatePrompt(2, prompt);
+    auto second = mgr.allocatePrompt(2, chainOf(mgr, prompt));
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->cachedTokens, 64);
     EXPECT_EQ(mgr.stats().evictions, 0);
@@ -104,8 +112,8 @@ TEST(BlockManager, PartialPrefixHit)
     auto b = tokenRange(0, 32);
     const auto tail = tokenRange(1000, 32);
     b.insert(b.end(), tail.begin(), tail.end());
-    ASSERT_TRUE(mgr.allocatePrompt(1, a).has_value());
-    auto alloc_b = mgr.allocatePrompt(2, b);
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, a)).has_value());
+    auto alloc_b = mgr.allocatePrompt(2, chainOf(mgr, b));
     ASSERT_TRUE(alloc_b.has_value());
     EXPECT_EQ(alloc_b->cachedTokens, 32);
     EXPECT_EQ(alloc_b->freshBlocks, 2);
@@ -116,9 +124,9 @@ TEST(BlockManager, NoHitsWithCachingDisabled)
 {
     BlockManager mgr(cfg(100, 16, false));
     const auto prompt = tokenRange(0, 64);
-    ASSERT_TRUE(mgr.allocatePrompt(1, prompt).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, prompt)).has_value());
     mgr.release(1);
-    auto second = mgr.allocatePrompt(2, prompt);
+    auto second = mgr.allocatePrompt(2, chainOf(mgr, prompt));
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->cachedTokens, 0);
     EXPECT_EQ(mgr.stats().hitTokens, 0);
@@ -131,9 +139,9 @@ TEST(BlockManager, PartialLastBlockNeverCached)
 {
     BlockManager mgr(cfg(100));
     const auto prompt = tokenRange(0, 40); // 2 full + 1 partial
-    ASSERT_TRUE(mgr.allocatePrompt(1, prompt).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, prompt)).has_value());
     mgr.release(1);
-    auto second = mgr.allocatePrompt(2, prompt);
+    auto second = mgr.allocatePrompt(2, chainOf(mgr, prompt));
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(second->cachedTokens, 32); // only the full blocks
     mgr.checkInvariants();
@@ -142,24 +150,29 @@ TEST(BlockManager, PartialLastBlockNeverCached)
 TEST(BlockManager, AllocationFailsWhenPoolExhausted)
 {
     BlockManager mgr(cfg(4));
-    ASSERT_TRUE(mgr.allocatePrompt(1, tokenRange(0, 64)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 64))).has_value());
     // Different content: no hits possible, needs 4 fresh blocks.
-    EXPECT_FALSE(mgr.allocatePrompt(2, tokenRange(5000, 64)).has_value());
+    EXPECT_FALSE(
+        mgr.allocatePrompt(2, chainOf(mgr, tokenRange(5000, 64))).has_value());
     // Failure must not leak state.
     mgr.checkInvariants();
     EXPECT_EQ(mgr.usedBlocks(), 4);
     mgr.release(1);
-    EXPECT_TRUE(mgr.allocatePrompt(2, tokenRange(5000, 64)).has_value());
+    EXPECT_TRUE(
+        mgr.allocatePrompt(2, chainOf(mgr, tokenRange(5000, 64))).has_value());
     mgr.checkInvariants();
 }
 
 TEST(BlockManager, EvictionRecyclesCachedBlocks)
 {
     BlockManager mgr(cfg(4));
-    ASSERT_TRUE(mgr.allocatePrompt(1, tokenRange(0, 64)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 64))).has_value());
     mgr.release(1); // 4 blocks now evictable
     EXPECT_EQ(mgr.evictableBlocks(), 4);
-    ASSERT_TRUE(mgr.allocatePrompt(2, tokenRange(9000, 64)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(2, chainOf(mgr, tokenRange(9000, 64))).has_value());
     EXPECT_EQ(mgr.stats().evictions, 4);
     mgr.checkInvariants();
 }
@@ -167,14 +180,17 @@ TEST(BlockManager, EvictionRecyclesCachedBlocks)
 TEST(BlockManager, LruEvictsOldestFirst)
 {
     BlockManager mgr(cfg(8));
-    ASSERT_TRUE(mgr.allocatePrompt(1, tokenRange(0, 64)).has_value());
-    ASSERT_TRUE(mgr.allocatePrompt(2, tokenRange(1000, 64)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 64))).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(2, chainOf(mgr, tokenRange(1000, 64))).has_value());
     mgr.release(1); // older
     mgr.release(2); // newer
     // Need 4 fresh blocks: evicts seq 1's blocks (oldest).
-    ASSERT_TRUE(mgr.allocatePrompt(3, tokenRange(2000, 64)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(3, chainOf(mgr, tokenRange(2000, 64))).has_value());
     // Seq 2's prefix must still be cached.
-    auto again = mgr.allocatePrompt(4, tokenRange(1000, 64));
+    auto again = mgr.allocatePrompt(4, chainOf(mgr, tokenRange(1000, 64)));
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(again->cachedTokens, 64);
     mgr.checkInvariants();
@@ -183,7 +199,8 @@ TEST(BlockManager, LruEvictsOldestFirst)
 TEST(BlockManager, AppendTokenCrossesBlockBoundary)
 {
     BlockManager mgr(cfg(10, 16));
-    ASSERT_TRUE(mgr.allocatePrompt(1, tokenRange(0, 16)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 16))).has_value());
     EXPECT_EQ(mgr.usedBlocks(), 1);
     // Token 17 needs a second block.
     EXPECT_TRUE(mgr.appendToken(1, 100));
@@ -195,7 +212,8 @@ TEST(BlockManager, AppendTokenCrossesBlockBoundary)
 TEST(BlockManager, AppendFailsWhenOutOfBlocks)
 {
     BlockManager mgr(cfg(1, 16));
-    ASSERT_TRUE(mgr.allocatePrompt(1, tokenRange(0, 16)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 16))).has_value());
     EXPECT_FALSE(mgr.appendToken(1, 100));
     mgr.checkInvariants();
 }
@@ -203,7 +221,8 @@ TEST(BlockManager, AppendFailsWhenOutOfBlocks)
 TEST(BlockManager, GeneratedBlocksBecomeCached)
 {
     BlockManager mgr(cfg(50, 16));
-    ASSERT_TRUE(mgr.allocatePrompt(1, tokenRange(0, 16)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 16))).has_value());
     // Generate 16 tokens to fill a second block.
     for (TokenId t = 500; t < 516; ++t)
         ASSERT_TRUE(mgr.appendToken(1, t));
@@ -212,7 +231,7 @@ TEST(BlockManager, GeneratedBlocksBecomeCached)
     auto full = tokenRange(0, 16);
     const auto gen = tokenRange(500, 16);
     full.insert(full.end(), gen.begin(), gen.end());
-    auto alloc = mgr.allocatePrompt(2, full);
+    auto alloc = mgr.allocatePrompt(2, chainOf(mgr, full));
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(alloc->cachedTokens, 32);
     mgr.checkInvariants();
@@ -222,8 +241,8 @@ TEST(BlockManager, HitRateStatistic)
 {
     BlockManager mgr(cfg(100));
     const auto prompt = tokenRange(0, 64);
-    ASSERT_TRUE(mgr.allocatePrompt(1, prompt).has_value());
-    ASSERT_TRUE(mgr.allocatePrompt(2, prompt).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, prompt)).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(2, chainOf(mgr, prompt)).has_value());
     // 128 full-block tokens probed, 64 hit.
     EXPECT_EQ(mgr.stats().lookupTokens, 128);
     EXPECT_EQ(mgr.stats().hitTokens, 64);
@@ -237,7 +256,7 @@ TEST(BlockManager, SharedPrefixAcrossParallelSequences)
     BlockManager mgr(cfg(100));
     const auto prompt = tokenRange(0, 64);
     for (kv::SeqId s = 1; s <= 8; ++s)
-        ASSERT_TRUE(mgr.allocatePrompt(s, prompt).has_value());
+        ASSERT_TRUE(mgr.allocatePrompt(s, chainOf(mgr, prompt)).has_value());
     EXPECT_EQ(mgr.usedBlocks(), 4); // not 32
     for (kv::SeqId s = 1; s <= 8; ++s)
         mgr.release(s);
@@ -248,8 +267,8 @@ TEST(BlockManager, DivergingGenerationsKeepPrivateBlocks)
 {
     BlockManager mgr(cfg(100, 16));
     const auto prompt = tokenRange(0, 32);
-    ASSERT_TRUE(mgr.allocatePrompt(1, prompt).has_value());
-    ASSERT_TRUE(mgr.allocatePrompt(2, prompt).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, prompt)).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(2, chainOf(mgr, prompt)).has_value());
     EXPECT_EQ(mgr.usedBlocks(), 2);
     // Each generates different tokens: private third blocks.
     ASSERT_TRUE(mgr.appendToken(1, 111));
@@ -272,14 +291,15 @@ TEST(BlockManager, RestoreMustNotEvictPendingHit)
 
     // Publish h0 + h1, then park both on the eviction list
     // (h0 older than h1).
-    ASSERT_TRUE(mgr.allocatePrompt(1, shared).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, shared)).has_value());
     mgr.release(1);
     EXPECT_EQ(mgr.evictableBlocks(), 2);
     EXPECT_EQ(mgr.freeBlocks(), 0);
 
     // One fresh block of different content evicts h0's block (LRU),
     // spilling h0 to the host tier; h1 stays GPU-cached.
-    ASSERT_TRUE(mgr.allocatePrompt(2, tokenRange(9000, 16)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(2, chainOf(mgr, tokenRange(9000, 16))).has_value());
     EXPECT_EQ(mgr.stats().evictions, 1);
     EXPECT_EQ(mgr.hostCachedBlocks(), 1);
     mgr.release(2);
@@ -289,7 +309,7 @@ TEST(BlockManager, RestoreMustNotEvictPendingHit)
     // probes h0 as a host restore followed by h1 as a GPU hit. The
     // restore's fresh block must NOT come from evicting h1's block.
     EXPECT_EQ(mgr.freeBlocks(), 0);
-    auto alloc = mgr.allocatePrompt(3, shared);
+    auto alloc = mgr.allocatePrompt(3, chainOf(mgr, shared));
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(alloc->restoredTokens, 16);
     EXPECT_EQ(alloc->cachedTokens, 16);
@@ -306,15 +326,16 @@ TEST(BlockManager, RestoreEvictionSkipsAllPendingHits)
 {
     BlockManager mgr(cfg(3, 16, true, 4));
     const auto shared = tokenRange(0, 48); // h0, h1, h2
-    ASSERT_TRUE(mgr.allocatePrompt(1, shared).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, shared)).has_value());
     mgr.release(1);
     // Evict h0's block only.
-    ASSERT_TRUE(mgr.allocatePrompt(2, tokenRange(9000, 16)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(2, chainOf(mgr, tokenRange(9000, 16))).has_value());
     EXPECT_EQ(mgr.stats().evictions, 1);
     mgr.release(2);
     EXPECT_EQ(mgr.freeBlocks(), 0);
 
-    auto alloc = mgr.allocatePrompt(3, shared);
+    auto alloc = mgr.allocatePrompt(3, chainOf(mgr, shared));
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(alloc->restoredTokens, 16);
     EXPECT_EQ(alloc->cachedTokens, 32);
@@ -350,7 +371,7 @@ TEST_P(BlockManagerFuzz, InvariantsHoldUnderRandomWorkload)
                 static_cast<std::size_t>(rng.uniformInt(1, 80));
             const auto prompt = tokenRange(base, len);
             const kv::SeqId id = next_id++;
-            if (mgr.allocatePrompt(id, prompt).has_value())
+            if (mgr.allocatePrompt(id, chainOf(mgr, prompt)).has_value())
                 live.push_back(id);
         } else if (action < 0.8 && !live.empty()) {
             const auto idx = static_cast<std::size_t>(rng.uniformInt(
@@ -404,7 +425,7 @@ TEST_P(BlockManagerHostFuzz, InvariantsHoldWithHostTier)
             const auto len =
                 static_cast<std::size_t>(rng.uniformInt(1, 64));
             const kv::SeqId id = next_id++;
-            if (mgr.allocatePrompt(id, tokenRange(base, len))
+            if (mgr.allocatePrompt(id, chainOf(mgr, tokenRange(base, len)))
                     .has_value()) {
                 live.push_back(id);
             }
@@ -446,13 +467,13 @@ TEST(BlockManagerTiers, ExclusiveRestoreReclaimsTierEntry)
 {
     BlockManager mgr(tierCfg(4, 4)); // Exclusive is the default
     const auto shared = tokenRange(0, 32); // 2 full blocks
-    ASSERT_TRUE(mgr.allocatePrompt(1, shared).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, shared)).has_value());
     mgr.release(1);
-    EXPECT_EQ(mgr.parkChain(shared), 2);
+    EXPECT_EQ(mgr.parkChain(chainOf(mgr, shared)), 2);
     EXPECT_EQ(mgr.hostCachedBlocks(), 2);
     EXPECT_EQ(mgr.freeBlocks(), 4);
 
-    auto alloc = mgr.allocatePrompt(2, shared);
+    auto alloc = mgr.allocatePrompt(2, chainOf(mgr, shared));
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(alloc->restoredTokens, 32);
     EXPECT_EQ(alloc->dramRestoredTokens, 32);
@@ -476,15 +497,15 @@ TEST(BlockManagerTiers, InclusiveRestoreRefreshesRecency)
     const auto b = tokenRange(1000, 16);
     const auto d = tokenRange(2000, 16);
 
-    ASSERT_TRUE(mgr.allocatePrompt(1, a).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, a)).has_value());
     mgr.release(1);
-    EXPECT_EQ(mgr.parkChain(a), 1); // DRAM: {a}
-    ASSERT_TRUE(mgr.allocatePrompt(2, b).has_value());
+    EXPECT_EQ(mgr.parkChain(chainOf(mgr, a)), 1); // DRAM: {a}
+    ASSERT_TRUE(mgr.allocatePrompt(2, chainOf(mgr, b)).has_value());
     mgr.release(2);
-    EXPECT_EQ(mgr.parkChain(b), 1); // DRAM: {a, b}, a older
+    EXPECT_EQ(mgr.parkChain(chainOf(mgr, b)), 1); // DRAM: {a, b}, a older
 
     // Restoring a refreshes its recency (Inclusive keeps the copy).
-    auto ra = mgr.allocatePrompt(3, a);
+    auto ra = mgr.allocatePrompt(3, chainOf(mgr, a));
     ASSERT_TRUE(ra.has_value());
     EXPECT_EQ(ra->dramRestoredTokens, 16);
     EXPECT_EQ(mgr.hostCachedBlocks(), 2);
@@ -492,12 +513,12 @@ TEST(BlockManagerTiers, InclusiveRestoreRefreshesRecency)
 
     // A third parked chain hits DRAM capacity: the victim must be b
     // (now the coldest), not the just-restored a.
-    ASSERT_TRUE(mgr.allocatePrompt(4, d).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(4, chainOf(mgr, d)).has_value());
     mgr.release(4);
-    EXPECT_EQ(mgr.parkChain(d), 1);
+    EXPECT_EQ(mgr.parkChain(chainOf(mgr, d)), 1);
     EXPECT_EQ(mgr.stats().dram.evictedBlocks, 1);
 
-    auto rb = mgr.allocatePrompt(5, b);
+    auto rb = mgr.allocatePrompt(5, chainOf(mgr, b));
     ASSERT_TRUE(rb.has_value());
     EXPECT_EQ(rb->restoredTokens, 0); // b fell out of the hierarchy
     EXPECT_EQ(rb->freshBlocks, 1);
@@ -511,11 +532,11 @@ TEST(BlockManager, PreloadPrefixMinusOneOnlyWhenImpossible)
 {
     BlockManager mgr(cfg(4));
     // 5 full blocks can never fit a 4-block pool.
-    EXPECT_EQ(mgr.preloadPrefix(tokenRange(0, 80)), -1);
+    EXPECT_EQ(mgr.preloadPrefix(chainOf(mgr, tokenRange(0, 80))), -1);
     EXPECT_EQ(mgr.evictableBlocks(), 0);
     // 4 full blocks + a partial tail fit exactly (the partial block is
     // not preloaded).
-    EXPECT_EQ(mgr.preloadPrefix(tokenRange(0, 72)), 4);
+    EXPECT_EQ(mgr.preloadPrefix(chainOf(mgr, tokenRange(0, 72))), 4);
     mgr.checkInvariants();
 }
 
@@ -528,13 +549,14 @@ TEST(BlockManager, PreloadPrefixStopsAtPinnedPool)
 {
     BlockManager mgr(cfg(4));
     // Pin half the pool with a live sequence.
-    ASSERT_TRUE(mgr.allocatePrompt(1, tokenRange(9000, 32)).has_value());
-    EXPECT_EQ(mgr.preloadPrefix(tokenRange(0, 64)), 2);
+    ASSERT_TRUE(
+        mgr.allocatePrompt(1, chainOf(mgr, tokenRange(9000, 32))).has_value());
+    EXPECT_EQ(mgr.preloadPrefix(chainOf(mgr, tokenRange(0, 64))), 2);
     // Nothing was evicted to make room: the loop stopped instead of
     // un-placing its own blocks, so the resident run is the *head*.
     EXPECT_EQ(mgr.stats().evictions, 0);
     EXPECT_EQ(mgr.usedBlocks(), 2);
-    auto head = mgr.allocatePrompt(2, tokenRange(0, 32));
+    auto head = mgr.allocatePrompt(2, chainOf(mgr, tokenRange(0, 32)));
     ASSERT_TRUE(head.has_value());
     EXPECT_EQ(head->cachedTokens, 32);
     EXPECT_EQ(head->freshBlocks, 0);
@@ -546,22 +568,23 @@ TEST(BlockManagerTiers, DramVictimSinksToNvme)
     BlockManager mgr(tierCfg(4, 1, 4));
     const auto a = tokenRange(0, 16);
     const auto b = tokenRange(1000, 16);
-    ASSERT_TRUE(mgr.allocatePrompt(1, a).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, a)).has_value());
     mgr.release(1);
-    EXPECT_EQ(mgr.parkChain(a), 1); // DRAM: {a}
-    ASSERT_TRUE(mgr.allocatePrompt(2, b).has_value());
+    EXPECT_EQ(mgr.parkChain(chainOf(mgr, a)), 1); // DRAM: {a}
+    ASSERT_TRUE(mgr.allocatePrompt(2, chainOf(mgr, b)).has_value());
     mgr.release(2);
-    EXPECT_EQ(mgr.parkChain(b), 1); // a sinks: DRAM {b}, NVMe {a}
+    // a sinks: DRAM {b}, NVMe {a}
+    EXPECT_EQ(mgr.parkChain(chainOf(mgr, b)), 1);
     EXPECT_EQ(mgr.hostCachedBlocks(), 1);
     EXPECT_EQ(mgr.nvmeCachedBlocks(), 1);
     EXPECT_EQ(mgr.stats().dram.evictedBlocks, 1);
     EXPECT_EQ(mgr.stats().nvme.demotedBlocks, 1);
 
-    auto ra = mgr.allocatePrompt(3, a);
+    auto ra = mgr.allocatePrompt(3, chainOf(mgr, a));
     ASSERT_TRUE(ra.has_value());
     EXPECT_EQ(ra->nvmeRestoredTokens, 16);
     EXPECT_EQ(ra->dramRestoredTokens, 0);
-    auto rb = mgr.allocatePrompt(4, b);
+    auto rb = mgr.allocatePrompt(4, chainOf(mgr, b));
     ASSERT_TRUE(rb.has_value());
     EXPECT_EQ(rb->dramRestoredTokens, 16);
     mgr.checkInvariants();
@@ -571,15 +594,16 @@ TEST(BlockManagerTiers, NvmeOnlyTierTakesHbmEvictions)
 {
     BlockManager mgr(tierCfg(2, 0, 8));
     const auto shared = tokenRange(0, 32);
-    ASSERT_TRUE(mgr.allocatePrompt(1, shared).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, shared)).has_value());
     mgr.release(1);
     // Different content evicts both shared blocks straight into NVMe.
-    ASSERT_TRUE(mgr.allocatePrompt(2, tokenRange(9000, 32)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(2, chainOf(mgr, tokenRange(9000, 32))).has_value());
     EXPECT_EQ(mgr.hostCachedBlocks(), 0);
     EXPECT_EQ(mgr.nvmeCachedBlocks(), 2);
     mgr.release(2);
 
-    auto alloc = mgr.allocatePrompt(3, shared);
+    auto alloc = mgr.allocatePrompt(3, chainOf(mgr, shared));
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(alloc->nvmeRestoredTokens, 32);
     EXPECT_EQ(alloc->dramRestoredTokens, 0);
@@ -595,26 +619,26 @@ TEST(BlockManagerTiers, DualResidencyRestoresFromDram)
     BlockManager mgr(c);
     const auto a = tokenRange(0, 16);
     const auto b = tokenRange(1000, 16);
-    ASSERT_TRUE(mgr.allocatePrompt(1, a).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, a)).has_value());
     mgr.release(1);
-    EXPECT_EQ(mgr.parkChain(a), 1); // DRAM {a}
-    ASSERT_TRUE(mgr.allocatePrompt(2, b).has_value());
+    EXPECT_EQ(mgr.parkChain(chainOf(mgr, a)), 1); // DRAM {a}
+    ASSERT_TRUE(mgr.allocatePrompt(2, chainOf(mgr, b)).has_value());
     mgr.release(2);
-    EXPECT_EQ(mgr.parkChain(b), 1); // DRAM {b}, NVMe {a}
+    EXPECT_EQ(mgr.parkChain(chainOf(mgr, b)), 1); // DRAM {b}, NVMe {a}
 
     // Restore a from NVMe; Inclusive keeps the NVMe copy.
-    auto ra = mgr.allocatePrompt(3, a);
+    auto ra = mgr.allocatePrompt(3, chainOf(mgr, a));
     ASSERT_TRUE(ra.has_value());
     EXPECT_EQ(ra->nvmeRestoredTokens, 16);
     EXPECT_EQ(mgr.nvmeCachedBlocks(), 1);
     mgr.release(3);
 
     // Re-parking a puts it back in DRAM: now dual-resident.
-    EXPECT_EQ(mgr.parkChain(a), 1);
+    EXPECT_EQ(mgr.parkChain(chainOf(mgr, a)), 1);
     EXPECT_EQ(mgr.hostCachedBlocks(), 1);
     EXPECT_EQ(mgr.nvmeCachedBlocks(), 2); // b sank, a still there
 
-    auto again = mgr.allocatePrompt(4, a);
+    auto again = mgr.allocatePrompt(4, chainOf(mgr, a));
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(again->dramRestoredTokens, 16);
     EXPECT_EQ(again->nvmeRestoredTokens, 0);
@@ -626,9 +650,11 @@ TEST(BlockManagerTiers, ZeroAdmitProbRejectsEveryVictim)
     BlockManagerConfig c = tierCfg(2, 4);
     c.dramAdmitProb = 0.0;
     BlockManager mgr(c);
-    ASSERT_TRUE(mgr.allocatePrompt(1, tokenRange(0, 32)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 32))).has_value());
     mgr.release(1);
-    ASSERT_TRUE(mgr.allocatePrompt(2, tokenRange(9000, 32)).has_value());
+    ASSERT_TRUE(
+        mgr.allocatePrompt(2, chainOf(mgr, tokenRange(9000, 32))).has_value());
     EXPECT_EQ(mgr.stats().evictions, 2);
     EXPECT_EQ(mgr.hostCachedBlocks(), 0);
     EXPECT_EQ(mgr.stats().dram.rejectedBlocks, 2);
@@ -648,9 +674,9 @@ TEST(BlockManagerTiers, ProbabilisticAdmissionIsSeedDeterministic)
     for (int i = 0; i < 20; ++i) {
         const auto prompt =
             tokenRange(static_cast<TokenId>(i) * 10000, 32);
-        ASSERT_TRUE(a.allocatePrompt(1, prompt).has_value());
+        ASSERT_TRUE(a.allocatePrompt(1, chainOf(a, prompt)).has_value());
         a.release(1);
-        ASSERT_TRUE(b.allocatePrompt(1, prompt).has_value());
+        ASSERT_TRUE(b.allocatePrompt(1, chainOf(b, prompt)).has_value());
         b.release(1);
     }
     EXPECT_EQ(a.hostCachedBlocks(), b.hostCachedBlocks());
@@ -669,21 +695,21 @@ TEST(BlockManagerTiers, ParkChainFreesGpuAndPrefetchRestores)
 {
     BlockManager mgr(tierCfg(4, 8));
     const auto chain = tokenRange(0, 64); // 4 full blocks
-    ASSERT_TRUE(mgr.allocatePrompt(1, chain).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, chain)).has_value());
     mgr.release(1);
-    EXPECT_EQ(mgr.parkChain(chain), 4);
+    EXPECT_EQ(mgr.parkChain(chainOf(mgr, chain)), 4);
     EXPECT_EQ(mgr.freeBlocks(), 4);
     EXPECT_EQ(mgr.hostCachedBlocks(), 4);
     EXPECT_EQ(mgr.stats().dram.demotedBlocks, 4);
 
-    const kv::PrefetchResult pf = mgr.prefetchChain(chain);
+    const kv::PrefetchResult pf = mgr.prefetchChain(chainOf(mgr, chain));
     EXPECT_EQ(pf.blocks, 4);
     EXPECT_EQ(pf.dramTokens, 64);
     EXPECT_EQ(pf.nvmeTokens, 0);
     EXPECT_EQ(mgr.hostCachedBlocks(), 0); // Exclusive reclaim
 
     // The continuation now hits the GPU cache with no restore charge.
-    auto alloc = mgr.allocatePrompt(2, chain);
+    auto alloc = mgr.allocatePrompt(2, chainOf(mgr, chain));
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(alloc->cachedTokens, 64);
     EXPECT_EQ(alloc->restoredTokens, 0);
@@ -695,9 +721,9 @@ TEST(BlockManagerTiers, ParkChainSkipsLiveBlocks)
 {
     BlockManager mgr(tierCfg(4, 8));
     const auto chain = tokenRange(0, 64);
-    ASSERT_TRUE(mgr.allocatePrompt(1, chain).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, chain)).has_value());
     // Still referenced: nothing is idle, nothing parks.
-    EXPECT_EQ(mgr.parkChain(chain), 0);
+    EXPECT_EQ(mgr.parkChain(chainOf(mgr, chain)), 0);
     EXPECT_EQ(mgr.usedBlocks(), 4);
     EXPECT_EQ(mgr.hostCachedBlocks(), 0);
     mgr.checkInvariants();
@@ -710,18 +736,18 @@ TEST(BlockManagerTiers, ParkTailFirstKeepsHeadWhenTierTight)
 {
     BlockManager mgr(tierCfg(4, 1));
     const auto chain = tokenRange(0, 32); // h0, h1
-    ASSERT_TRUE(mgr.allocatePrompt(1, chain).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, chainOf(mgr, chain)).has_value());
     mgr.release(1);
-    EXPECT_EQ(mgr.parkChain(chain), 2);
+    EXPECT_EQ(mgr.parkChain(chainOf(mgr, chain)), 2);
     EXPECT_EQ(mgr.hostCachedBlocks(), 1); // h1 displaced by h0
     EXPECT_EQ(mgr.stats().dram.evictedBlocks, 1);
 
     // Prefetch promotes the head, then stops at the missing block.
-    const kv::PrefetchResult pf = mgr.prefetchChain(chain);
+    const kv::PrefetchResult pf = mgr.prefetchChain(chainOf(mgr, chain));
     EXPECT_EQ(pf.blocks, 1);
     EXPECT_EQ(pf.dramTokens, 16);
 
-    auto alloc = mgr.allocatePrompt(2, chain);
+    auto alloc = mgr.allocatePrompt(2, chainOf(mgr, chain));
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(alloc->cachedTokens, 16); // the head, GPU-hot
     EXPECT_EQ(alloc->freshBlocks, 1);
@@ -751,14 +777,14 @@ TEST_P(BlockManagerTierFuzz, InvariantsHoldWithTieredWorkload)
     c.seed = seed;
     BlockManager mgr(c);
 
-    auto somePrompt = [&rng](bool popular) {
+    auto somePrompt = [&rng, &mgr](bool popular) {
         const TokenId base =
             popular
                 ? static_cast<TokenId>(rng.uniformInt(0, 3) * 100000)
                 : static_cast<TokenId>(rng.uniformInt(1, 1000) * 10000);
         const auto len =
             static_cast<std::size_t>(rng.uniformInt(1, 64));
-        return tokenRange(base, len);
+        return chainOf(mgr, tokenRange(base, len));
     };
 
     std::vector<kv::SeqId> live;

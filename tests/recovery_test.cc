@@ -96,7 +96,7 @@ TEST(CheckpointStore, PutChargesDeltaBytesOnly)
 
     EpisodeCheckpoint first;
     first.iteration = 1;
-    first.chainTokens.assign(100, 7);
+    first.chain = kv::TokenChain(16, std::vector<kv::TokenId>(100, 7));
     first.gpuSeconds = 1.0;
     store.put(0, std::move(first), /*bytes_per_token=*/10.0);
     // 100 tokens x 10 B + 1000 B journal overhead.
@@ -107,7 +107,7 @@ TEST(CheckpointStore, PutChargesDeltaBytesOnly)
     // tokens, not the whole chain again.
     EpisodeCheckpoint second;
     second.iteration = 2;
-    second.chainTokens.assign(150, 7);
+    second.chain = kv::TokenChain(16, std::vector<kv::TokenId>(150, 7));
     second.gpuSeconds = 2.0;
     store.put(0, std::move(second), 10.0);
     EXPECT_EQ(store.stats().checkpointsTaken, 2);
@@ -117,14 +117,14 @@ TEST(CheckpointStore, PutChargesDeltaBytesOnly)
     // journal overhead.
     EpisodeCheckpoint third;
     third.iteration = 3;
-    third.chainTokens.assign(50, 7);
+    third.chain = kv::TokenChain(16, std::vector<kv::TokenId>(50, 7));
     store.put(0, std::move(third), 10.0);
     EXPECT_EQ(store.stats().bytesWritten, 2000 + 1500 + 1000);
 
     const EpisodeCheckpoint *latest = store.find(0);
     ASSERT_NE(latest, nullptr);
     EXPECT_EQ(latest->iteration, 3);
-    EXPECT_EQ(latest->chainTokens.size(), 50u);
+    EXPECT_EQ(latest->chain.size(), 50);
 
     EXPECT_EQ(store.find(99), nullptr);
     store.erase(0);
@@ -290,7 +290,7 @@ submitParked(LlmEngine &engine, std::vector<kv::TokenId> tokens,
              std::int64_t out, double park_seconds)
 {
     serving::GenRequest req;
-    req.prompt = std::move(tokens);
+    req.prompt = kv::TokenChain(engine.config().blockSize, tokens);
     req.maxNewTokens = out;
     req.expectedParkSeconds = park_seconds;
     co_return co_await engine.generate(std::move(req));
@@ -333,7 +333,9 @@ TEST(Recovery, CrashWhileChainParkedLeaksNothing)
     // After restart the store's chain can be re-wired into the cold
     // pool (the resume path's KV restore) and accounting stays sane.
     engine.restart();
-    EXPECT_GT(engine.preloadPrefix(p), 0);
+    EXPECT_GT(engine.preloadPrefix(
+                  kv::TokenChain(engine.config().blockSize, p)),
+              0);
     engine.blockManager().checkInvariants();
 }
 

@@ -51,7 +51,7 @@ submit(LlmEngine &engine, std::vector<kv::TokenId> tokens,
        std::int64_t out)
 {
     GenRequest req;
-    req.prompt = std::move(tokens);
+    req.prompt = kv::TokenChain(engine.config().blockSize, tokens);
     req.maxNewTokens = out;
     co_return co_await engine.generate(std::move(req));
 }
@@ -361,7 +361,7 @@ submitDeadline(LlmEngine &engine, std::vector<kv::TokenId> tokens,
                std::int64_t out, double deadline)
 {
     GenRequest req;
-    req.prompt = std::move(tokens);
+    req.prompt = kv::TokenChain(engine.config().blockSize, tokens);
     req.maxNewTokens = out;
     req.deadlineSeconds = deadline;
     co_return co_await engine.generate(std::move(req));
@@ -372,7 +372,7 @@ submitTracked(LlmEngine &engine, std::vector<kv::TokenId> tokens,
               std::int64_t out, std::uint64_t *handle)
 {
     GenRequest req;
-    req.prompt = std::move(tokens);
+    req.prompt = kv::TokenChain(engine.config().blockSize, tokens);
     req.maxNewTokens = out;
     co_return co_await engine.generate(std::move(req), handle);
 }
@@ -599,7 +599,7 @@ submitParked(LlmEngine &engine, std::vector<kv::TokenId> tokens,
              std::int64_t out, double park_seconds)
 {
     GenRequest req;
-    req.prompt = std::move(tokens);
+    req.prompt = kv::TokenChain(engine.config().blockSize, tokens);
     req.maxNewTokens = out;
     req.expectedParkSeconds = park_seconds;
     co_return co_await engine.generate(std::move(req));
@@ -734,7 +734,7 @@ submitSessionAt(Simulation &sim, LlmEngine &engine, double when,
 {
     co_await sim::delaySec(sim, when);
     GenRequest req;
-    req.prompt = std::move(tokens);
+    req.prompt = kv::TokenChain(engine.config().blockSize, tokens);
     req.maxNewTokens = out;
     req.sessionId = sid;
     co_return co_await engine.generate(std::move(req));

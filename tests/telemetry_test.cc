@@ -472,7 +472,8 @@ TEST(Telemetry, BlockManagerExposesOccupancyGauges)
     std::vector<kv::TokenId> prompt(10, 42);
     for (std::size_t i = 0; i < prompt.size(); ++i)
         prompt[i] = 1000 + i;
-    ASSERT_TRUE(mgr.allocatePrompt(1, prompt).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(1, kv::TokenChain(cfg.blockSize, prompt))
+                    .has_value());
     EXPECT_EQ(mgr.blocksInUse(), 3); // ceil(10 / 4)
     EXPECT_EQ(mgr.blocksInUse() + mgr.blocksFree(), mgr.totalBlocks());
 
