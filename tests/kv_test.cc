@@ -834,4 +834,159 @@ TEST_P(BlockManagerTierFuzz, InvariantsHoldWithTieredWorkload)
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockManagerTierFuzz,
                          ::testing::Values(1, 2, 3, 7, 42, 2026));
 
+/** Order-sensitive FNV-1a fold of 64-bit words. */
+struct Digest
+{
+    std::uint64_t value = 0xcbf29ce484222325ULL;
+
+    void add(std::int64_t v)
+    {
+        value = (value ^ static_cast<std::uint64_t>(v)) *
+                0x100000001b3ULL;
+    }
+
+    void add(const kv::TierStats &t)
+    {
+        add(t.demotedBlocks);
+        add(t.rejectedBlocks);
+        add(t.evictedBlocks);
+        add(t.restoredTokens);
+    }
+};
+
+/**
+ * Seeded op sequence over a tight two-tier pool: every public
+ * mutation, with invariants checked after each op. The digest folds
+ * every observable result, so any change to eviction order, tier
+ * recency, admission draws or counter accounting changes it.
+ */
+std::uint64_t
+opSequenceDigest(kv::EvictionPolicy policy, kv::TierMode mode,
+                 double admit, int ops)
+{
+    BlockManagerConfig c = cfg(32, 8, true, 16);
+    c.nvmeCacheBlocks = 24;
+    c.evictionPolicy = policy;
+    c.dramMode = mode;
+    c.nvmeMode = mode;
+    c.dramAdmitProb = admit;
+    c.nvmeAdmitProb = admit;
+    c.seed = 11;
+    BlockManager mgr(c);
+    sim::Rng rng(2026, "kv-pin", 0);
+    auto somePrompt = [&rng, &mgr] {
+        const bool popular = rng.bernoulli(0.7);
+        const TokenId base =
+            popular
+                ? static_cast<TokenId>(rng.uniformInt(0, 5) * 100000)
+                : static_cast<TokenId>(rng.uniformInt(1, 1000) * 10000);
+        const auto len = static_cast<std::size_t>(rng.uniformInt(1, 72));
+        return chainOf(mgr, tokenRange(base, len));
+    };
+    auto pickLive = [&rng](const std::vector<kv::SeqId> &live) {
+        return static_cast<std::size_t>(rng.uniformInt(
+            0, static_cast<std::int64_t>(live.size()) - 1));
+    };
+
+    Digest d;
+    std::vector<kv::SeqId> live;
+    kv::SeqId next_id = 1;
+    for (int op = 0; op < ops; ++op) {
+        const double action = rng.uniform();
+        if (action < 0.3) {
+            const kv::SeqId id = next_id++;
+            const auto alloc = mgr.allocatePrompt(id, somePrompt());
+            d.add(alloc.has_value());
+            if (alloc) {
+                d.add(alloc->cachedTokens);
+                d.add(alloc->restoredTokens);
+                d.add(alloc->dramRestoredTokens);
+                d.add(alloc->nvmeRestoredTokens);
+                d.add(alloc->freshBlocks);
+                live.push_back(id);
+            }
+        } else if (action < 0.5 && !live.empty()) {
+            d.add(mgr.appendToken(live[pickLive(live)],
+                                  static_cast<TokenId>(rng.next())));
+        } else if (action < 0.6) {
+            d.add(mgr.preloadPrefix(somePrompt()));
+        } else if (action < 0.7) {
+            d.add(mgr.parkChain(somePrompt()));
+        } else if (action < 0.8) {
+            const kv::PrefetchResult pf = mgr.prefetchChain(somePrompt());
+            d.add(pf.blocks);
+            d.add(pf.dramTokens);
+            d.add(pf.nvmeTokens);
+        } else if (action < 0.995) {
+            if (!live.empty()) {
+                const std::size_t idx = pickLive(live);
+                mgr.release(live[idx]);
+                live.erase(live.begin() +
+                           static_cast<std::ptrdiff_t>(idx));
+            }
+        } else {
+            mgr.reset();
+            live.clear();
+        }
+        mgr.checkInvariants();
+        d.add(mgr.freeBlocks());
+        d.add(mgr.evictableBlocks());
+        d.add(mgr.hostCachedBlocks());
+        d.add(mgr.nvmeCachedBlocks());
+    }
+    const kv::CacheStats &s = mgr.stats();
+    d.add(s.lookupTokens);
+    d.add(s.hitTokens);
+    d.add(s.restoredTokens);
+    d.add(s.evictions);
+    d.add(s.allocatedBlocks);
+    d.add(s.dram);
+    d.add(s.nvme);
+    return d.value;
+}
+
+// Pins the block manager's observable behaviour bit for bit across
+// eviction policy x tier mode x admission probability: 8 x 2500 ops.
+// The digests were recorded on the node-based (std::map /
+// std::unordered_map) implementation; any container rewrite must
+// reproduce them exactly.
+TEST(BlockManagerPin, SeededOpSequenceDigest)
+{
+    struct Case
+    {
+        kv::EvictionPolicy policy;
+        kv::TierMode mode;
+        double admit;
+        std::uint64_t digest;
+    };
+    using kv::EvictionPolicy;
+    using kv::TierMode;
+    const Case cases[] = {
+        {EvictionPolicy::Lru, TierMode::Exclusive, 1.0,
+         14575499514367785973ULL},
+        {EvictionPolicy::Lru, TierMode::Exclusive, 0.5,
+         12291876218351380461ULL},
+        {EvictionPolicy::Lru, TierMode::Inclusive, 1.0,
+         11689820645824544868ULL},
+        {EvictionPolicy::Lru, TierMode::Inclusive, 0.5,
+         7623616834192113653ULL},
+        {EvictionPolicy::Fifo, TierMode::Exclusive, 1.0,
+         14590014575477735969ULL},
+        {EvictionPolicy::Fifo, TierMode::Exclusive, 0.5,
+         6540185309445681392ULL},
+        {EvictionPolicy::Fifo, TierMode::Inclusive, 1.0,
+         8600421438795142401ULL},
+        {EvictionPolicy::Fifo, TierMode::Inclusive, 0.5,
+         13847650611373869091ULL},
+    };
+    for (const Case &k : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << "policy=" << static_cast<int>(k.policy)
+                     << " mode=" << static_cast<int>(k.mode)
+                     << " admit=" << k.admit);
+        EXPECT_EQ(opSequenceDigest(k.policy, k.mode, k.admit, 2500),
+                  k.digest);
+    }
+}
+
 } // namespace
