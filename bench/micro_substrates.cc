@@ -1,11 +1,14 @@
 /**
  * @file
  * google-benchmark micro benchmarks for the hot substrate paths: the
- * event queue, coroutine scheduling, the KV block manager (allocation
- * and prefix lookups), the roofline perf model, and RNG streams.
+ * event queue, coroutine scheduling, the KV block manager (allocation,
+ * prefix lookups and eviction/demotion churn), the roofline perf model,
+ * and RNG streams.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/probe.hh"
 #include "kv/block_manager.hh"
@@ -100,6 +103,36 @@ BM_KvPrefixMissThenHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_KvPrefixMissThenHit);
+
+void
+BM_KvEvictionChurn(benchmark::State &state)
+{
+    // A 256-block pool over DRAM + NVMe tiers, fed 8-block prompts that
+    // are all distinct within any window the hierarchy can hold: once
+    // warm, every allocation evicts 8 blocks, demotes them into DRAM
+    // and sinks DRAM victims into NVMe, whose victims fall out.
+    kv::BlockManagerConfig cfg;
+    cfg.numBlocks = 256;
+    cfg.blockSize = 16;
+    cfg.hostCacheBlocks = 512;
+    cfg.nvmeCacheBlocks = 1024;
+    kv::BlockManager mgr(cfg);
+    std::vector<kv::TokenChain> prompts;
+    for (std::uint64_t i = 0; i < 1024; ++i) {
+        prompts.emplace_back(
+            cfg.blockSize,
+            workload::makeTokens(workload::streamId(i, "churn"), 128));
+    }
+    kv::SeqId id = 0;
+    for (auto _ : state) {
+        auto alloc = mgr.allocatePrompt(id, prompts[id % prompts.size()]);
+        benchmark::DoNotOptimize(alloc->freshBlocks);
+        mgr.release(id++);
+    }
+    benchmark::DoNotOptimize(mgr.stats().evictions);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KvEvictionChurn);
 
 void
 BM_PerfModelStep(benchmark::State &state)

@@ -1,7 +1,6 @@
 #include "kv/block_manager.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -25,11 +24,14 @@ BlockManager::BlockManager(const BlockManagerConfig &config)
     if (config_.nvmeAdmitProb < 0.0 || config_.nvmeAdmitProb > 1.0)
         AGENTSIM_FATAL("nvmeAdmitProb outside [0, 1]");
 
-    blocks_.resize(static_cast<std::size_t>(config_.numBlocks));
-    freeList_.reserve(blocks_.size());
+    const auto n = static_cast<std::size_t>(config_.numBlocks);
+    blocks_.resize(n);
+    freeList_.reserve(n);
     // Pop order: ascending ids first (cosmetic determinism).
     for (std::int64_t i = config_.numBlocks - 1; i >= 0; --i)
         freeList_.push_back(static_cast<BlockId>(i));
+    cacheTable_ = FlatIndex(n);
+    evictable_ = IndexedMinHeap(n);
 
     tiers_[0].capacity = config_.hostCacheBlocks;
     tiers_[0].admitProb = config_.dramAdmitProb;
@@ -37,6 +39,8 @@ BlockManager::BlockManager(const BlockManagerConfig &config)
     tiers_[1].capacity = config_.nvmeCacheBlocks;
     tiers_[1].admitProb = config_.nvmeAdmitProb;
     tiers_[1].mode = config_.nvmeMode;
+    for (auto &tier : tiers_)
+        tier.entries = LruSlab(static_cast<std::size_t>(tier.capacity));
 
     // The migration stream exists only when a probabilistic decision
     // can actually occur; deterministic configs never construct (or
@@ -100,28 +104,17 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
     // blocks from position zero — GPU-cached (hit) or spill-tier
     // resident (restore; DRAM probed before NVMe so a dual-resident
     // block restores at the cheaper price). No state is mutated.
-    enum class Reuse
-    {
-        GpuHit,
-        TierRestore,
-    };
-    struct Probe
-    {
-        Reuse kind;
-        BlockId block; // valid for GpuHit
-        std::uint64_t hash;
-        std::size_t tier; // valid for TierRestore
-    };
-    std::vector<Probe> reuse;
+    std::vector<Probe> &reuse = probes_;
+    reuse.clear();
     if (config_.enablePrefixCaching) {
         for (const std::uint64_t h : hashes) {
-            if (auto it = cacheTable_.find(h);
-                it != cacheTable_.end()) {
-                reuse.push_back({Reuse::GpuHit, it->second, h, 0});
+            if (const BlockId id = cacheTable_.find(h);
+                id != FlatIndex::kAbsent) {
+                reuse.push_back({id, h, 0});
             } else if (tiers_[0].contains(h)) {
-                reuse.push_back({Reuse::TierRestore, BlockId{-1}, h, 0});
+                reuse.push_back({BlockId{-1}, h, 0});
             } else if (tiers_[1].contains(h)) {
-                reuse.push_back({Reuse::TierRestore, BlockId{-1}, h, 1});
+                reuse.push_back({BlockId{-1}, h, 1});
             } else {
                 break;
             }
@@ -132,7 +125,7 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
     std::int64_t dram_restores = 0;
     std::int64_t nvme_restores = 0;
     for (const auto &p : reuse) {
-        if (p.kind == Reuse::GpuHit)
+        if (p.block >= 0)
             ++gpu_hits;
         else if (p.tier == 0)
             ++dram_restores;
@@ -153,7 +146,7 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
     // eviction victims. Restores need fresh blocks like misses.
     std::int64_t evictable_hits = 0;
     for (const auto &p : reuse) {
-        if (p.kind == Reuse::GpuHit &&
+        if (p.block >= 0 &&
             blocks_[static_cast<std::size_t>(p.block)].refCount == 0) {
             ++evictable_hits;
         }
@@ -174,13 +167,13 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
     seq.blocks.assign(static_cast<std::size_t>(n_blocks), BlockId{-1});
 
     for (std::size_t i = 0; i < reuse.size(); ++i) {
-        if (reuse[i].kind == Reuse::GpuHit) {
+        if (reuse[i].block >= 0) {
             refCachedBlock(reuse[i].block);
             seq.blocks[i] = reuse[i].block;
         }
     }
     for (std::size_t i = 0; i < reuse.size(); ++i) {
-        if (reuse[i].kind == Reuse::TierRestore) {
+        if (reuse[i].block < 0) {
             // Restore from the spill tier: a fresh GPU block receives
             // the transferred contents and is re-published. The tier
             // entry is consumed per the tier's residency mode.
@@ -210,8 +203,10 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
     result.freshBlocks = fresh_needed;
     seqs_.emplace(seq_id, std::move(seq));
     // The restore+hit interleaving is the risky path; verify the
-    // whole pool after it (cheap relative to the PCIe transfer the
-    // restore itself models).
+    // whole pool after it. Not free on the host: with both tiers full
+    // (~23 k entries) a check costs 0.25-0.36 ms on a 4-core Xeon in
+    // a Release build, about half of agentbench kv_pressure's host
+    // time, where it follows 1 in 9 allocations.
     if (restores > 0 && gpu_hits > 0)
         checkInvariants();
     return result;
@@ -281,10 +276,8 @@ BlockManager::reset()
     cacheTable_.clear();
     evictable_.clear();
     seqs_.clear();
-    for (auto &tier : tiers_) {
+    for (auto &tier : tiers_)
         tier.entries.clear();
-        tier.lru.clear();
-    }
 }
 
 std::int64_t
@@ -296,38 +289,37 @@ BlockManager::preloadPrefix(const TokenChain &prefix)
     if (prefix.fullBlocks() > config_.numBlocks)
         return -1; // can never fit, even in an empty pool
 
-    // Blocks of *this* prefix: every one already resident or placed
-    // below. The eviction guard keeps them off the victim list so a
-    // partial preload is always a contiguous, resident head — without
-    // the guard, acquireFreshBlock() could silently cannibalize the
-    // blocks this very loop just paid to transfer.
-    std::unordered_set<BlockId> prefix_blocks;
+    // Blocks of *this* prefix — every one already resident or placed
+    // below — carry this call's guard stamp. The guard keeps them off
+    // the victim list so a partial preload is always a contiguous,
+    // resident head — without it, acquireFreshBlock() could silently
+    // cannibalize the blocks this very loop just paid to transfer.
+    ++guardEpoch_;
     std::int64_t populated = 0;
     for (const std::uint64_t h : prefix.blockHashes()) {
-        if (auto it = cacheTable_.find(h); it != cacheTable_.end()) {
+        if (const BlockId id = cacheTable_.find(h);
+            id != FlatIndex::kAbsent) {
             // Already resident. Shield it like a placed block, and
             // under LRU refresh its recency (a preload is an access).
-            Block &block = blocks_[static_cast<std::size_t>(it->second)];
+            Block &block = blocks_[static_cast<std::size_t>(id)];
             if (block.refCount == 0 &&
                 config_.evictionPolicy == EvictionPolicy::Lru) {
-                evictable_.erase(block.lruKey);
-                block.lruKey = lruCounter_++;
-                evictable_.emplace(block.lruKey, it->second);
+                evictable_.erase(id);
+                parkEvictable(id);
             }
-            prefix_blocks.insert(it->second);
+            block.guardEpoch = guardEpoch_;
             continue;
         }
         if (availableBlocks() == 0)
             return populated; // pool full: honest partial preload
-        if (freeList_.empty() &&
-            prefix_blocks.contains(evictable_.begin()->second)) {
+        if (nextVictimGuarded()) {
             // The only eviction victim left is part of this prefix:
             // placing one more block would un-place another.
             return populated;
         }
         const BlockId id = acquireFreshBlock();
         publishEvictable(id, h);
-        prefix_blocks.insert(id);
+        blocks_[static_cast<std::size_t>(id)].guardEpoch = guardEpoch_;
         ++populated;
     }
     return populated;
@@ -345,16 +337,15 @@ BlockManager::parkChain(const TokenChain &chain)
     // so the chain head must be the *youngest* tier entry — losing the
     // tail truncates, losing the head forfeits the whole chain.
     for (auto it = hashes.rbegin(); it != hashes.rend(); ++it) {
-        auto entry = cacheTable_.find(*it);
-        if (entry == cacheTable_.end())
+        const BlockId id = cacheTable_.find(*it);
+        if (id == FlatIndex::kAbsent)
             continue;
-        const BlockId id = entry->second;
         Block &b = blocks_[static_cast<std::size_t>(id)];
         if (b.refCount > 0)
             continue; // pinned by a live sequence: not idle
         AGENTSIM_ASSERT(b.lruKey != 0, "idle cached block not on LRU");
-        evictable_.erase(b.lruKey);
-        cacheTable_.erase(entry);
+        evictable_.erase(id);
+        cacheTable_.erase(*it);
         // Deliberate demotion bypasses the probabilistic filter.
         demoteFromGpu(b.hash, /*forced=*/true);
         freeList_.push_back(id);
@@ -372,7 +363,7 @@ BlockManager::prefetchChain(const TokenChain &chain)
     if (!config_.enablePrefixCaching)
         return out;
     const int bs = config_.blockSize;
-    std::unordered_set<BlockId> placed;
+    ++guardEpoch_; // stamps the blocks promoted by this call
     for (const std::uint64_t h : chain.blockHashes()) {
         if (cacheTable_.contains(h))
             continue; // already on the GPU
@@ -385,12 +376,11 @@ BlockManager::prefetchChain(const TokenChain &chain)
             break; // chain dead beyond this point
         if (availableBlocks() == 0)
             break; // pool full: promote what we could
-        if (freeList_.empty() &&
-            placed.contains(evictable_.begin()->second))
+        if (nextVictimGuarded())
             break; // would cannibalize a block promoted just now
         const BlockId id = acquireFreshBlock();
         publishEvictable(id, h);
-        placed.insert(id);
+        blocks_[static_cast<std::size_t>(id)].guardEpoch = guardEpoch_;
         noteTierRestore(tier, h);
         ++out.blocks;
         if (tier == 0) {
@@ -416,12 +406,10 @@ BlockManager::acquireFreshBlock()
         b = Block{};
         return id;
     }
-    AGENTSIM_ASSERT(!evictable_.empty(),
+    AGENTSIM_ASSERT(evictable_.size() > 0,
                     "acquireFreshBlock with no candidates");
     // Evict the lowest-key cached block (LRU or FIFO order).
-    auto victim = evictable_.begin();
-    const BlockId id = victim->second;
-    evictable_.erase(victim);
+    const BlockId id = evictable_.pop();
     Block &b = blocks_[static_cast<std::size_t>(id)];
     if (b.inTable) {
         cacheTable_.erase(b.hash);
@@ -434,13 +422,21 @@ BlockManager::acquireFreshBlock()
     return id;
 }
 
+bool
+BlockManager::nextVictimGuarded() const
+{
+    return freeList_.empty() &&
+           blocks_[static_cast<std::size_t>(evictable_.top())].guardEpoch ==
+               guardEpoch_;
+}
+
 void
 BlockManager::refCachedBlock(BlockId id)
 {
     Block &b = blocks_[static_cast<std::size_t>(id)];
     if (b.refCount == 0) {
         AGENTSIM_ASSERT(b.lruKey != 0, "idle cached block not on LRU");
-        evictable_.erase(b.lruKey);
+        evictable_.erase(id);
         b.lruKey = 0;
     }
     ++b.refCount;
@@ -453,25 +449,29 @@ BlockManager::publishBlock(BlockId id, std::uint64_t hash)
     b.hash = hash;
     // First writer wins; duplicate content in another live block simply
     // stays private to its sequence.
-    auto [it, inserted] = cacheTable_.try_emplace(hash, id);
-    (void)it;
-    b.inTable = inserted;
-    if (inserted)
+    b.inTable = cacheTable_.insert(hash, id);
+    if (b.inTable)
         b.publishKey = lruCounter_++;
 }
 
 void
 BlockManager::publishEvictable(BlockId id, std::uint64_t hash)
 {
-    Block &block = blocks_[static_cast<std::size_t>(id)];
     publishBlock(id, hash);
-    AGENTSIM_ASSERT(block.inTable,
+    AGENTSIM_ASSERT(blocks_[static_cast<std::size_t>(id)].inTable,
                     "publishEvictable of already-cached hash");
     // Immediately evictable: owned by the cache, not a sequence.
-    block.lruKey = config_.evictionPolicy == EvictionPolicy::Lru
-                       ? lruCounter_++
-                       : block.publishKey;
-    evictable_.emplace(block.lruKey, id);
+    parkEvictable(id);
+}
+
+void
+BlockManager::parkEvictable(BlockId id)
+{
+    Block &b = blocks_[static_cast<std::size_t>(id)];
+    b.lruKey = config_.evictionPolicy == EvictionPolicy::Lru
+                   ? lruCounter_++
+                   : b.publishKey;
+    evictable_.push(id, b.lruKey);
 }
 
 void
@@ -484,10 +484,7 @@ BlockManager::unrefBlock(BlockId id)
     if (b.inTable) {
         // Park on the eviction list; the contents stay reusable until
         // evicted. The ordering key realizes the configured policy.
-        b.lruKey = config_.evictionPolicy == EvictionPolicy::Lru
-                       ? lruCounter_++
-                       : b.publishKey;
-        evictable_.emplace(b.lruKey, id);
+        parkEvictable(id);
     } else {
         freeList_.push_back(id);
     }
@@ -533,21 +530,16 @@ BlockManager::spillToTier(std::size_t index, std::uint64_t hash)
 {
     SpillTier &tier = tiers_[index];
     AGENTSIM_ASSERT(tier.enabled(), "spill into disabled tier");
-    if (auto it = tier.entries.find(hash); it != tier.entries.end()) {
-        // Already resident: refresh recency.
-        tier.lru.erase(it->second);
-        it->second = lruCounter_++;
-        tier.lru.emplace(it->second, hash);
+    if (tier.entries.touch(hash, lruCounter_)) {
+        // Already resident: recency refreshed.
+        ++lruCounter_;
         return;
     }
     if (static_cast<std::int64_t>(tier.entries.size()) >=
         tier.capacity) {
         // Capacity victim sinks into the next enabled tier (through
         // its own admission filter) or falls out of the hierarchy.
-        auto oldest = tier.lru.begin();
-        const std::uint64_t victim = oldest->second;
-        tier.entries.erase(victim);
-        tier.lru.erase(oldest);
+        const std::uint64_t victim = tier.entries.popOldest();
         ++tierStats(index).evictedBlocks;
         for (std::size_t next = index + 1; next < kNumSpillTiers;
              ++next) {
@@ -560,31 +552,25 @@ BlockManager::spillToTier(std::size_t index, std::uint64_t hash)
             break;
         }
     }
-    const std::uint64_t key = lruCounter_++;
-    tier.entries.emplace(hash, key);
-    tier.lru.emplace(key, hash);
+    tier.entries.insert(hash, lruCounter_++);
     ++tierStats(index).demotedBlocks;
 }
 
 void
 BlockManager::noteTierRestore(std::size_t index, std::uint64_t hash)
 {
+    // Either call finds nothing when demotions earlier in this commit
+    // pushed the entry out.
     SpillTier &tier = tiers_[index];
-    auto it = tier.entries.find(hash);
-    if (it == tier.entries.end())
-        return; // pushed out by demotions earlier in this commit
     if (tier.mode == TierMode::Exclusive) {
         // Reclaim: the contents now live on the GPU; keeping the tier
         // copy would waste capacity on a duplicate whose recency
         // never updates (the pre-tier design's exact bug).
-        tier.lru.erase(it->second);
-        tier.entries.erase(it);
-    } else {
+        tier.entries.erase(hash);
+    } else if (tier.entries.touch(hash, lruCounter_)) {
         // Inclusive: keep the copy, but mark it as just-used so cold
         // entries are evicted before it.
-        tier.lru.erase(it->second);
-        it->second = lruCounter_++;
-        tier.lru.emplace(it->second, hash);
+        ++lruCounter_;
     }
 }
 
@@ -592,9 +578,12 @@ void
 BlockManager::checkInvariants() const
 {
     std::int64_t referenced = 0;
+    std::int64_t in_table = 0;
     for (const auto &b : blocks_) {
         if (b.refCount > 0)
             ++referenced;
+        if (b.inTable)
+            ++in_table;
     }
     const auto free_count = static_cast<std::int64_t>(freeList_.size());
     const auto evict_count =
@@ -606,31 +595,32 @@ BlockManager::checkInvariants() const
                     static_cast<long long>(free_count),
                     static_cast<long long>(evict_count),
                     static_cast<long long>(config_.numBlocks));
-    for (const auto &[key, id] : evictable_) {
-        const Block &b = blocks_[static_cast<std::size_t>(id)];
-        AGENTSIM_ASSERT(b.refCount == 0 && b.lruKey == key &&
-                            b.inTable,
-                        "corrupt evictable entry");
-    }
-    for (const auto &[hash, id] : cacheTable_) {
-        const Block &b = blocks_[static_cast<std::size_t>(id)];
-        AGENTSIM_ASSERT(b.inTable && b.hash == hash,
-                        "corrupt cache-table entry");
-    }
+    // Tier checks come first: as the last call they become a tail
+    // call, which gprof charges to this function's caller.
     for (std::size_t i = 0; i < kNumSpillTiers; ++i) {
         const SpillTier &tier = tiers_[i];
-        AGENTSIM_ASSERT(tier.entries.size() == tier.lru.size(),
-                        "tier %zu maps out of sync", i);
         AGENTSIM_ASSERT(static_cast<std::int64_t>(tier.entries.size()) <=
                             std::max<std::int64_t>(tier.capacity, 0),
                         "tier %zu over capacity", i);
-        for (const auto &[key, hash] : tier.lru) {
-            auto it = tier.entries.find(hash);
-            AGENTSIM_ASSERT(it != tier.entries.end() &&
-                                it->second == key,
-                            "corrupt tier %zu LRU entry", i);
-        }
+        tier.entries.checkInvariants();
     }
+    evictable_.checkInvariants();
+    evictable_.forEach([this](BlockId id, std::uint64_t key) {
+        const Block &b = blocks_[static_cast<std::size_t>(id)];
+        AGENTSIM_ASSERT(b.refCount == 0 && b.lruKey == key && b.inTable,
+                        "corrupt evictable entry");
+    });
+    AGENTSIM_ASSERT(static_cast<std::int64_t>(cacheTable_.size()) ==
+                        in_table,
+                    "cache table holds %zu entries, %lld blocks in it",
+                    cacheTable_.size(), static_cast<long long>(in_table));
+    cacheTable_.forEach([this](std::uint64_t hash, BlockId id) {
+        const Block &b = blocks_[static_cast<std::size_t>(id)];
+        // find() also proves the entry is reachable from its home slot.
+        AGENTSIM_ASSERT(b.inTable && b.hash == hash &&
+                            cacheTable_.find(hash) == id,
+                        "corrupt cache-table entry");
+    });
 }
 
 } // namespace agentsim::kv

@@ -43,11 +43,11 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "kv/flat_index.hh"
 #include "kv/token_chain.hh"
 #include "sim/rng.hh"
 
@@ -412,14 +412,16 @@ class BlockManager
   private:
     struct Block
     {
-        int refCount = 0;
         std::uint64_t hash = 0;
-        /** True if this block is the cache-table entry for its hash. */
-        bool inTable = false;
         /** Eviction-order key when evictable; 0 otherwise. */
         std::uint64_t lruKey = 0;
         /** Publish-order key (FIFO eviction). */
         std::uint64_t publishKey = 0;
+        /** guardEpoch_ of the preload/prefetch call shielding it. */
+        std::uint64_t guardEpoch = 0;
+        int refCount = 0;
+        /** True if this block is the cache-table entry for its hash. */
+        bool inTable = false;
     };
 
     struct Seq
@@ -435,10 +437,8 @@ class BlockManager
         std::int64_t capacity = 0;
         double admitProb = 1.0;
         TierMode mode = TierMode::Exclusive;
-        /** hash -> LRU key. */
-        std::unordered_map<std::uint64_t, std::uint64_t> entries;
-        /** LRU key -> hash, ordered oldest first. */
-        std::map<std::uint64_t, std::uint64_t> lru;
+        /** Resident hashes, oldest LRU key first. */
+        LruSlab entries;
 
         bool enabled() const { return capacity > 0; }
         bool contains(std::uint64_t hash) const
@@ -447,16 +447,30 @@ class BlockManager
         }
     };
 
+    /** One reusable block of a prompt allocation's probed prefix. */
+    struct Probe
+    {
+        /** The GPU-cached block, or -1 for a spill-tier restore. */
+        BlockId block;
+        std::uint64_t hash;
+        /** Spill tier restored from (restores only). */
+        std::size_t tier;
+    };
+
     BlockManagerConfig config_;
     std::vector<Block> blocks_;
     std::vector<BlockId> freeList_;
     /** hash -> block holding that content. */
-    std::unordered_map<std::uint64_t, BlockId> cacheTable_;
-    /** lruKey -> block, ordered oldest first. */
-    std::map<std::uint64_t, BlockId> evictable_;
+    FlatIndex cacheTable_;
+    /** Unreferenced cached blocks, lowest lruKey on top. */
+    IndexedMinHeap evictable_;
     std::unordered_map<SeqId, Seq> seqs_;
     std::uint64_t lruCounter_ = 1;
     CacheStats stats_;
+    /** allocatePrompt's probe buffer, reused across calls. */
+    std::vector<Probe> probes_;
+    /** Per-call stamp marking the blocks a preload/prefetch placed. */
+    std::uint64_t guardEpoch_ = 0;
 
     /** Spill hierarchy: [0] DRAM, [1] NVMe. */
     std::array<SpillTier, kNumSpillTiers> tiers_;
@@ -499,6 +513,18 @@ class BlockManager
 
     /** Take one block from free list or evict the LRU cached block. */
     BlockId acquireFreshBlock();
+
+    /**
+     * True when the next acquireFreshBlock() would evict a block
+     * stamped with the current guardEpoch_.
+     */
+    bool nextVictimGuarded() const;
+
+    /**
+     * Park an unreferenced cached block on the eviction heap under the
+     * configured policy's key (fresh recency, or publish order).
+     */
+    void parkEvictable(BlockId id);
 
     /** Re-reference a cached block (removing it from the LRU if idle). */
     void refCachedBlock(BlockId id);
