@@ -30,8 +30,8 @@ main(int argc, char **argv)
             auto cfg = defaultProbe(AgentKind::ReAct, bench);
             cfg.agentConfig.speculativeTools = speculative;
             telemetry.apply(cfg);
-            const auto r = core::runProbe(cfg);
-            const double latency = r.e2eSeconds().mean();
+            const auto r = core::runServing(cfg);
+            const double latency = r.e2eSeconds.mean();
             if (!speculative)
                 base_latency = latency;
             t.row({std::string(workload::benchmarkName(bench)),

@@ -28,8 +28,7 @@ namespace benchutil
 using namespace agentsim;
 using agents::AgentConfig;
 using agents::AgentKind;
-using core::ProbeConfig;
-using core::ProbeResult;
+using core::RequestProbe;
 using core::ServeConfig;
 using core::ServeResult;
 using workload::Benchmark;
@@ -156,16 +155,6 @@ class TelemetryCli
         }
     }
 
-    /** Attach (fresh) session telemetry to a probe run. */
-    void
-    apply(ProbeConfig &cfg)
-    {
-        if (!enabled())
-            return;
-        session_.reset();
-        cfg.telemetry = &session_;
-    }
-
     /** Attach (fresh) trace sink + registry to a cluster run. */
     void
     apply(core::ClusterConfig &cfg)
@@ -284,18 +273,22 @@ reportServePoint(core::PerfReport &report, const std::string &prefix,
                wall > 0.0 ? events / wall : 0.0);
 }
 
-/** Default single-request probe configuration. */
-inline ProbeConfig
+/**
+ * Default single-request probe configuration: a closed-loop agent
+ * run that keeps one window record per task.
+ */
+inline ServeConfig
 defaultProbe(AgentKind agent, Benchmark bench, bool prefix_caching = true,
              bool use70b = false, int tasks = kProbeTasks)
 {
-    ProbeConfig cfg;
+    ServeConfig cfg;
+    cfg.closedLoop = true;
     cfg.agent = agent;
     cfg.bench = bench;
     cfg.engineConfig =
         use70b ? core::enginePreset70b() : core::enginePreset8b();
     cfg.engineConfig.enablePrefixCaching = prefix_caching;
-    cfg.numTasks = tasks;
+    cfg.numRequests = tasks;
     cfg.seed = kSeed;
     return cfg;
 }

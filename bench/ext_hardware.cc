@@ -58,16 +58,17 @@ main(int argc, char **argv)
                    "-"});
         }
         for (AgentKind agent : {AgentKind::ReAct, AgentKind::Lats}) {
-            core::ProbeConfig cfg;
+            core::ServeConfig cfg;
+            cfg.closedLoop = true;
             cfg.agent = agent;
             cfg.bench = Benchmark::HotpotQA;
             cfg.engineConfig = preset(h100);
-            cfg.numTasks = 30;
+            cfg.numRequests = 30;
             cfg.seed = kSeed;
             telemetry.apply(cfg);
-            const auto r = core::runProbe(cfg);
+            const auto r = core::runServing(cfg);
             t.row({std::string(agents::agentName(agent)), gpu,
-                   core::fmtSeconds(r.e2eSeconds().mean()),
+                   core::fmtSeconds(r.e2eSeconds.mean()),
                    core::fmtDouble(r.meanEnergyWh(), 2),
                    core::fmtPercent(r.accuracy())});
         }

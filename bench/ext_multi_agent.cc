@@ -31,10 +31,10 @@ main(int argc, char **argv)
               AgentKind::Reflexion}) {
             auto r_cfg = defaultProbe(agent, bench);
             telemetry.apply(r_cfg);
-            const auto r = core::runProbe(r_cfg);
+            const auto r = core::runServing(r_cfg);
             t.row({std::string(agents::agentName(agent)),
                    core::fmtPercent(r.accuracy()),
-                   core::fmtSeconds(r.e2eSeconds().mean()),
+                   core::fmtSeconds(r.e2eSeconds.mean()),
                    core::fmtDouble(r.meanLlmCalls(), 1),
                    core::fmtDouble(r.meanEnergyWh(), 2)});
         }

@@ -28,9 +28,9 @@ main(int argc, char **argv)
 
         {
             const auto r =
-                core::runProbe(defaultProbe(AgentKind::CoT, bench));
+                core::runServing(defaultProbe(AgentKind::CoT, bench));
             t.row({"CoT (1 sample)", core::fmtPercent(r.accuracy()),
-                   core::fmtSeconds(r.e2eSeconds().mean()),
+                   core::fmtSeconds(r.e2eSeconds.mean()),
                    core::fmtDouble(r.meanEnergyWh(), 2),
                    core::fmtDouble(r.meanLlmCalls(), 1)});
         }
@@ -39,10 +39,10 @@ main(int argc, char **argv)
                 defaultProbe(AgentKind::SelfConsistency, bench);
             cfg.agentConfig.scSamples = n;
             telemetry.apply(cfg);
-            const auto r = core::runProbe(cfg);
+            const auto r = core::runServing(cfg);
             t.row({"Self-Consistency n=" + std::to_string(n),
                    core::fmtPercent(r.accuracy()),
-                   core::fmtSeconds(r.e2eSeconds().mean()),
+                   core::fmtSeconds(r.e2eSeconds.mean()),
                    core::fmtDouble(r.meanEnergyWh(), 2),
                    core::fmtDouble(r.meanLlmCalls(), 1)});
         }
@@ -50,10 +50,10 @@ main(int argc, char **argv)
             auto cfg = defaultProbe(AgentKind::BestOfN, bench);
             cfg.agentConfig.scSamples = n;
             telemetry.apply(cfg);
-            const auto r = core::runProbe(cfg);
+            const auto r = core::runServing(cfg);
             t.row({"Best-of-N n=" + std::to_string(n),
                    core::fmtPercent(r.accuracy()),
-                   core::fmtSeconds(r.e2eSeconds().mean()),
+                   core::fmtSeconds(r.e2eSeconds.mean()),
                    core::fmtDouble(r.meanEnergyWh(), 2),
                    core::fmtDouble(r.meanLlmCalls(), 1)});
         }
@@ -61,20 +61,20 @@ main(int argc, char **argv)
             auto cfg = defaultProbe(AgentKind::TreeOfThoughts, bench);
             cfg.agentConfig.latsChildren = breadth;
             telemetry.apply(cfg);
-            const auto r = core::runProbe(cfg);
+            const auto r = core::runServing(cfg);
             t.row({"Tree-of-Thoughts b=" + std::to_string(breadth),
                    core::fmtPercent(r.accuracy()),
-                   core::fmtSeconds(r.e2eSeconds().mean()),
+                   core::fmtSeconds(r.e2eSeconds.mean()),
                    core::fmtDouble(r.meanEnergyWh(), 2),
                    core::fmtDouble(r.meanLlmCalls(), 1)});
         }
         for (AgentKind agent : {AgentKind::ReAct, AgentKind::Lats}) {
             auto r_cfg = defaultProbe(agent, bench);
             telemetry.apply(r_cfg);
-            const auto r = core::runProbe(r_cfg);
+            const auto r = core::runServing(r_cfg);
             t.row({std::string(agents::agentName(agent)),
                    core::fmtPercent(r.accuracy()),
-                   core::fmtSeconds(r.e2eSeconds().mean()),
+                   core::fmtSeconds(r.e2eSeconds.mean()),
                    core::fmtDouble(r.meanEnergyWh(), 2),
                    core::fmtDouble(r.meanLlmCalls(), 1)});
         }

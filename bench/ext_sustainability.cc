@@ -21,7 +21,7 @@ agentWh(AgentKind agent, bool use70b)
 {
     auto cfg = defaultProbe(agent, Benchmark::HotpotQA, true, use70b,
                             25);
-    return core::runProbe(cfg).meanEnergyWh();
+    return core::runServing(cfg).meanEnergyWh();
 }
 
 } // namespace

@@ -78,7 +78,7 @@ main(int argc, char **argv)
         auto cfg = defaultProbe(kind, Benchmark::HotpotQA, true, false,
                                 /*tasks=*/1);
         telemetry.apply(cfg);
-        const auto probe = core::runProbe(cfg);
+        const auto probe = core::runServing(cfg);
         renderTimeline(probe.requests.front().result, kind);
         if (trace_dir != nullptr && trace_dir[0] != '\0') {
             const std::string name =

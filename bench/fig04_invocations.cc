@@ -29,7 +29,7 @@ main(int argc, char **argv)
     for (const auto &[agent, bench] : supportedPairs()) {
         auto r_cfg = defaultProbe(agent, bench);
         telemetry.apply(r_cfg);
-        const auto r = core::runProbe(r_cfg);
+        const auto r = core::runServing(r_cfg);
         t.row({std::string(workload::benchmarkName(bench)),
                std::string(agents::agentName(agent)),
                core::fmtDouble(r.meanLlmCalls(), 1),

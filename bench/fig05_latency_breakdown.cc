@@ -41,7 +41,7 @@ main(int argc, char **argv)
         // cross-check below is part of the figure's contract.
         telemetry::SpanCollector spans;
         cfg.spans = &spans;
-        const auto r = core::runProbe(cfg);
+        const auto r = core::runServing(cfg);
         double llm = 0.0;
         double tool = 0.0;
         double overlap = 0.0;

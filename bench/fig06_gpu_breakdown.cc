@@ -22,7 +22,7 @@ main(int argc, char **argv)
     for (const auto &[agent, bench] : supportedPairs()) {
         auto r_cfg = defaultProbe(agent, bench);
         telemetry.apply(r_cfg);
-        const auto r = core::runProbe(r_cfg);
+        const auto r = core::runServing(r_cfg);
         double prefill = 0.0;
         double decode = 0.0;
         double window = 0.0;

@@ -28,7 +28,7 @@ main(int argc, char **argv)
     auto react_cfg = defaultProbe(AgentKind::ReAct,
                                   Benchmark::HotpotQA, true, false, n);
     telemetry.apply(react_cfg);
-    const auto react = core::runProbe(react_cfg);
+    const auto react = core::runServing(react_cfg);
 
     std::printf("== Fig 7: Latency distribution, ShareGPT vs ReAct "
                 "(HotpotQA) ==\n\n");
@@ -45,7 +45,7 @@ main(int argc, char **argv)
                 chat.e2eSeconds.max());
 
     stats::HdrHistogram react_hist(0.25, 120.0, 0.05);
-    const auto react_e2e = react.e2eSeconds();
+    const auto react_e2e = react.e2eSeconds;
     for (double v : react_e2e.values())
         react_hist.add(v);
     std::printf("ReAct agent (multi-step reasoning + tools), "

@@ -23,7 +23,7 @@ main(int argc, char **argv)
     for (const auto &[agent, bench] : supportedPairs()) {
         auto r_cfg = defaultProbe(agent, bench);
         telemetry.apply(r_cfg);
-        const auto r = core::runProbe(r_cfg);
+        const auto r = core::runServing(r_cfg);
         agents::CallTokens totals;
         std::int64_t calls = 0;
         for (const auto &req : r.requests) {

@@ -22,7 +22,7 @@ main(int argc, char **argv)
           AgentKind::LlmCompiler}) {
         auto cfg = defaultProbe(agent, Benchmark::HotpotQA);
         telemetry.apply(cfg);
-        const auto r = core::runProbe(cfg);
+        const auto r = core::runServing(cfg);
 
         // Average the i-th call's breakdown across requests.
         std::size_t max_calls = 0;

@@ -27,23 +27,15 @@ main(int argc, char **argv)
     for (const auto &[agent, bench] : supportedPairs()) {
         auto off_cfg = defaultProbe(agent, bench, false);
         telemetry.apply(off_cfg);
-        const auto off = core::runProbe(off_cfg);
+        const auto off = core::runServing(off_cfg);
         auto on_cfg = defaultProbe(agent, bench, true);
         telemetry.apply(on_cfg);
-        const auto on = core::runProbe(on_cfg);
+        const auto on = core::runServing(on_cfg);
 
-        auto phase_avgs = [](const core::ProbeResult &r) {
-            double prefill = 0.0;
-            double decode = 0.0;
-            for (const auto &req : r.requests) {
-                prefill += req.gpuPrefillSeconds;
-                decode += req.gpuDecodeSeconds;
-            }
-            const double n = static_cast<double>(r.requests.size());
-            return std::pair<double, double>{prefill / n, decode / n};
-        };
-        const auto [p_off, d_off] = phase_avgs(off);
-        const auto [p_on, d_on] = phase_avgs(on);
+        const double p_off = off.meanOver(&RequestProbe::gpuPrefillSeconds);
+        const double p_on = on.meanOver(&RequestProbe::gpuPrefillSeconds);
+        const double d_off = off.meanOver(&RequestProbe::gpuDecodeSeconds);
+        const double d_on = on.meanOver(&RequestProbe::gpuDecodeSeconds);
         const double reduction = 1.0 - p_on / p_off;
         if (agent != AgentKind::CoT) {
             reduction_total += reduction;

@@ -29,15 +29,14 @@ main(int argc, char **argv)
     for (const auto &[agent, bench] : supportedPairs()) {
         auto off_cfg = defaultProbe(agent, bench, false);
         telemetry.apply(off_cfg);
-        const auto off = core::runProbe(off_cfg);
+        const auto off = core::runServing(off_cfg);
         auto on_cfg = defaultProbe(agent, bench, true);
         telemetry.apply(on_cfg);
-        const auto on = core::runProbe(on_cfg);
-        auto llm_time = [](const core::ProbeResult &r) {
-            double total = 0.0;
-            for (const auto &req : r.requests)
-                total += req.gpuPrefillSeconds + req.gpuDecodeSeconds;
-            return total / static_cast<double>(r.requests.size());
+        const auto on = core::runServing(on_cfg);
+        auto llm_time = [](const core::ServeResult &r) {
+            return r.meanOver([](const RequestProbe &req) {
+                return req.gpuPrefillSeconds + req.gpuDecodeSeconds;
+            });
         };
         const double t_off = llm_time(off);
         const double t_on = llm_time(on);

@@ -32,29 +32,17 @@ main(int argc, char **argv)
     for (const auto &[agent, bench] : supportedPairs()) {
         auto off_cfg = defaultProbe(agent, bench, false);
         telemetry.apply(off_cfg);
-        const auto off = core::runProbe(off_cfg);
+        const auto off = core::runServing(off_cfg);
         auto on_cfg = defaultProbe(agent, bench, true);
         telemetry.apply(on_cfg);
-        const auto on = core::runProbe(on_cfg);
-        auto avg_kv = [](const core::ProbeResult &r) {
-            double total = 0.0;
-            for (const auto &req : r.requests)
-                total += req.kvAvgBytes;
-            return total / static_cast<double>(r.requests.size());
-        };
-        auto peak_kv = [](const core::ProbeResult &r) {
-            double total = 0.0;
-            for (const auto &req : r.requests)
-                total += req.kvMaxBytes;
-            return total / static_cast<double>(r.requests.size());
-        };
-        const double a_off = avg_kv(off);
-        const double a_on = avg_kv(on);
+        const auto on = core::runServing(on_cfg);
+        const double a_off = off.meanOver(&RequestProbe::kvAvgBytes);
+        const double a_on = on.meanOver(&RequestProbe::kvAvgBytes);
         const double reduction = 1.0 - a_on / a_off;
         t.row({std::string(workload::benchmarkName(bench)),
                std::string(agents::agentName(agent)),
                core::fmtEng(a_off, "B"), core::fmtEng(a_on, "B"),
-               core::fmtEng(peak_kv(on), "B"),
+               core::fmtEng(on.meanOver(&RequestProbe::kvMaxBytes), "B"),
                core::fmtPercent(reduction)});
         if (agent == AgentKind::CoT) {
             cot_avg_mb += a_on;

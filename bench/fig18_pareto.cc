@@ -95,8 +95,8 @@ main(int argc, char **argv)
                                     30);
             cfg.agentConfig = variant.config;
             telemetry.apply(cfg);
-            const auto r = core::runProbe(cfg);
-            const double lat = r.e2eSeconds().mean();
+            const auto r = core::runServing(cfg);
+            const double lat = r.e2eSeconds.mean();
             rows.push_back(
                 {variant.label, r.accuracy(), lat, r.meanFlops()});
             points.push_back(

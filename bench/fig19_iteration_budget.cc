@@ -34,8 +34,8 @@ main(int argc, char **argv)
             auto cfg = defaultProbe(AgentKind::ReAct, bench);
             cfg.agentConfig.maxIterations = iters;
             telemetry.apply(cfg);
-            const auto r = core::runProbe(cfg);
-            const auto e2e = r.e2eSeconds();
+            const auto r = core::runServing(cfg);
+            const auto e2e = r.e2eSeconds;
             rows.push_back({iters, r.accuracy(), e2e.mean(),
                             e2e.percentile(95),
                             r.accuracy() / e2e.mean()});

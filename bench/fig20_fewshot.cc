@@ -34,10 +34,10 @@ main(int argc, char **argv)
             auto cfg = defaultProbe(AgentKind::ReAct, bench);
             cfg.agentConfig.fewShotExamples = fs;
             telemetry.apply(cfg);
-            const auto r = core::runProbe(cfg);
-            rows.push_back({fs, r.accuracy(), r.e2eSeconds().mean(),
+            const auto r = core::runServing(cfg);
+            rows.push_back({fs, r.accuracy(), r.e2eSeconds.mean(),
                             r.meanLlmCalls(),
-                            r.accuracy() / r.e2eSeconds().mean()});
+                            r.accuracy() / r.e2eSeconds.mean()});
         }
         std::size_t best_acc = 0;
         std::size_t best_eff = 0;

@@ -64,9 +64,9 @@ main(int argc, char **argv)
             auto cfg = defaultProbe(AgentKind::Reflexion, bench);
             cfg.agentConfig.maxReflections = refl;
             telemetry.apply(cfg);
-            const auto r = core::runProbe(cfg);
+            const auto r = core::runServing(cfg);
             pts.push_back({"refl=" + std::to_string(refl),
-                           r.accuracy(), r.e2eSeconds().mean()});
+                           r.accuracy(), r.e2eSeconds.mean()});
         }
         printSeries("Fig 21(a): Reflexion sequential scaling "
                     "(max reflection steps)",
@@ -80,9 +80,9 @@ main(int argc, char **argv)
             auto cfg = defaultProbe(AgentKind::Lats, bench);
             cfg.agentConfig.maxIterations = rounds;
             telemetry.apply(cfg);
-            const auto r = core::runProbe(cfg);
+            const auto r = core::runServing(cfg);
             pts.push_back({"rounds=" + std::to_string(rounds),
-                           r.accuracy(), r.e2eSeconds().mean()});
+                           r.accuracy(), r.e2eSeconds.mean()});
         }
         printSeries("Fig 21(b): LATS sequential scaling "
                     "(search rounds, width 5)",
@@ -96,9 +96,9 @@ main(int argc, char **argv)
             auto cfg = defaultProbe(AgentKind::Lats, bench);
             cfg.agentConfig.latsChildren = kids;
             telemetry.apply(cfg);
-            const auto r = core::runProbe(cfg);
+            const auto r = core::runServing(cfg);
             pts.push_back({"children=" + std::to_string(kids),
-                           r.accuracy(), r.e2eSeconds().mean()});
+                           r.accuracy(), r.e2eSeconds.mean()});
         }
         printSeries("Fig 21(c): LATS parallel scaling "
                     "(children per expansion)",

@@ -38,20 +38,17 @@ sweepModel(AgentKind agent, bool use70b, TelemetryCli &telemetry)
         else
             cfg.agentConfig.latsChildren = level;
         telemetry.apply(cfg);
-        const auto r = core::runProbe(cfg);
-        double tokens = 0.0;
-        for (const auto &req : r.requests) {
-            tokens += static_cast<double>(
-                req.result.tokens.inputTotal() +
-                req.result.tokens.output);
-        }
-        tokens /= static_cast<double>(r.requests.size());
+        const auto r = core::runServing(cfg);
+        const double tokens = r.meanOver([](const RequestProbe &req) {
+            return static_cast<double>(req.result.tokens.inputTotal() +
+                                       req.result.tokens.output);
+        });
         const std::string label =
             (agent == AgentKind::Reflexion ? "reflections="
                                            : "children=") +
             std::to_string(level);
         t.row({label, core::fmtPercent(r.accuracy()),
-               core::fmtSeconds(r.e2eSeconds().mean()),
+               core::fmtSeconds(r.e2eSeconds.mean()),
                core::fmtEng(tokens, "tok"),
                core::fmtDouble(r.meanEnergyWh(), 2)});
     }

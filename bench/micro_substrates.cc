@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "core/probe.hh"
+#include "core/serving_system.hh"
 #include "kv/block_manager.hh"
 #include "llm/perf_model.hh"
 #include "sim/awaitable.hh"
@@ -164,14 +164,15 @@ BM_SimulatedAgentRequest(benchmark::State &state)
     // the serving stack per iteration (fresh world each time).
     std::uint64_t seed = 1;
     for (auto _ : state) {
-        core::ProbeConfig cfg;
+        core::ServeConfig cfg;
+        cfg.closedLoop = true;
         cfg.agent = agents::AgentKind::ReAct;
         cfg.bench = workload::Benchmark::HotpotQA;
         cfg.engineConfig.model = llm::llama31_8b();
         cfg.engineConfig.node = llm::singleA100();
-        cfg.numTasks = 1;
+        cfg.numRequests = 1;
         cfg.seed = seed++;
-        const auto r = core::runProbe(cfg);
+        const auto r = core::runServing(cfg);
         benchmark::DoNotOptimize(r.requests.front().result.e2eSeconds);
     }
 }

@@ -43,10 +43,10 @@ bestAgentPoint(AgentKind agent, bool use70b)
             cfg.agentConfig.maxReflections = level;
         else
             cfg.agentConfig.latsChildren = level;
-        const auto r = core::runProbe(cfg);
+        const auto r = core::runServing(cfg);
         if (r.accuracy() > best.accuracy) {
             best.accuracy = r.accuracy();
-            best.latency = r.e2eSeconds().mean();
+            best.latency = r.e2eSeconds.mean();
             best.whPerQuery = r.meanEnergyWh();
         }
     }

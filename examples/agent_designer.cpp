@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/probe.hh"
+#include "core/serving_system.hh"
 #include "core/table.hh"
 #include "stats/pareto.hh"
 
@@ -76,16 +76,17 @@ main()
     std::vector<stats::DesignPoint> points;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         auto &cand = candidates[i];
-        core::ProbeConfig cfg;
+        core::ServeConfig cfg;
+        cfg.closedLoop = true;
         cfg.agent = cand.agent;
         cfg.bench = bench;
         cfg.agentConfig = cand.config;
         cfg.engineConfig = core::enginePreset8b();
-        cfg.numTasks = 40;
+        cfg.numRequests = 40;
         cfg.seed = 11;
-        const auto r = core::runProbe(cfg);
+        const auto r = core::runServing(cfg);
         cand.accuracy = r.accuracy();
-        cand.latency = r.e2eSeconds().mean();
+        cand.latency = r.e2eSeconds.mean();
         cand.energyWh = r.meanEnergyWh();
         points.push_back({cand.latency, cand.accuracy, i});
     }

@@ -26,7 +26,7 @@
 #include <cstring>
 #include <string>
 
-#include "core/probe.hh"
+#include "core/serving_system.hh"
 #include "core/table.hh"
 
 namespace
@@ -81,11 +81,12 @@ main(int argc, char **argv)
 {
     using namespace agentsim;
 
-    core::ProbeConfig cfg;
+    core::ServeConfig cfg;
+    cfg.closedLoop = true;
     cfg.agent = agents::AgentKind::ReAct;
     cfg.bench = workload::Benchmark::HotpotQA;
     cfg.engineConfig = core::enginePreset8b();
-    cfg.numTasks = 20;
+    cfg.numRequests = 20;
     cfg.seed = 1;
 
     if (argc > 1)
@@ -93,7 +94,7 @@ main(int argc, char **argv)
     if (argc > 2)
         cfg.bench = parseBenchmark(argv[2]);
     if (argc > 3)
-        cfg.numTasks = std::atoi(argv[3]);
+        cfg.numRequests = std::atoi(argv[3]);
 
     for (int i = 4; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -141,14 +142,14 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const auto r = core::runProbe(cfg);
-    const auto e2e = r.e2eSeconds();
+    const auto r = core::runServing(cfg);
+    const auto e2e = r.e2eSeconds;
 
     core::Table t(std::string(agents::agentName(cfg.agent)) + " on " +
                   std::string(workload::benchmarkName(cfg.bench)) +
                   " (" + cfg.engineConfig.model.name + ")");
     t.header({"Metric", "Value"});
-    t.row({"tasks", core::fmtCount(cfg.numTasks)});
+    t.row({"tasks", core::fmtCount(cfg.numRequests)});
     t.row({"accuracy", core::fmtPercent(r.accuracy())});
     t.row({"latency mean", core::fmtSeconds(e2e.mean())});
     t.row({"latency p95", core::fmtSeconds(e2e.percentile(95))});

@@ -27,14 +27,15 @@ using namespace agentsim;
 double
 agentWhPerQuery(agents::AgentKind agent, bool use70b)
 {
-    core::ProbeConfig cfg;
+    core::ServeConfig cfg;
+    cfg.closedLoop = true;
     cfg.agent = agent;
     cfg.bench = workload::Benchmark::HotpotQA;
     cfg.engineConfig =
         use70b ? core::enginePreset70b() : core::enginePreset8b();
-    cfg.numTasks = 25;
+    cfg.numRequests = 25;
     cfg.seed = 3;
-    return core::runProbe(cfg).meanEnergyWh();
+    return core::runServing(cfg).meanEnergyWh();
 }
 
 double

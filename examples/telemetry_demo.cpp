@@ -147,15 +147,16 @@ costReportDemo()
     for (agents::AgentKind kind :
          {agents::AgentKind::CoT, agents::AgentKind::ReAct,
           agents::AgentKind::Reflexion}) {
-        core::ProbeConfig cfg;
+        core::ServeConfig cfg;
+        cfg.closedLoop = true;
         cfg.agent = kind;
         cfg.bench = workload::Benchmark::HotpotQA;
         cfg.engineConfig = core::enginePreset8b();
-        cfg.numTasks = tasks;
+        cfg.numRequests = tasks;
         cfg.seed = 11;
-        const core::ProbeResult probe = core::runProbe(cfg);
+        const core::ServeResult probe = core::runServing(cfg);
         report.add(std::string(agents::agentName(kind)),
-                   probe.totalCost(), tasks);
+                   probe.totalCost, tasks);
     }
     std::printf("\nEvery engine step's time/energy is split across "
                 "the requests in it, so rows are additive real "

@@ -45,11 +45,14 @@ build/bench/perf_report_diff BENCH_agentsim.json "${report}" \
 echo "==> golden table gate (scripts/check_golden.sh)"
 scripts/check_golden.sh
 
-# Trace-validity gate: a smoke serving run must emit a parseable
-# Chrome trace with balanced span exemplars and a non-empty blame
-# export (DESIGN.md §3g).
-echo "==> trace validity gate (tail_blame --smoke)"
+# Trace-validity gate: a smoke serving run and a closed-loop probe
+# run must each emit a parseable Chrome trace with balanced span
+# exemplars and a non-empty blame export (DESIGN.md §3g).
+echo "==> trace validity gate (tail_blame --smoke, fig03_timelines)"
 build/bench/tail_blame --smoke --trace "${trace}" \
+    --metrics "${prom}" > /dev/null
+python3 scripts/check_trace.py "${trace}" "${prom}"
+build/bench/fig03_timelines --trace "${trace}" \
     --metrics "${prom}" > /dev/null
 python3 scripts/check_trace.py "${trace}" "${prom}"
 

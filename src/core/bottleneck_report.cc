@@ -115,15 +115,19 @@ emitSpanExemplars(const telemetry::SpanCollector &spans,
                         sim::strfmt(" (%.2fs)", ex.latencySeconds)
                             .c_str()));
         // Nestable async events pair like a stack in timestamp order,
-        // so interleave begins and ends sorted by time: ends before
-        // begins at the same tick, inner (later-begun) ends first,
-        // outer (longer) begins first. Properly nested spans and
-        // same-start sibling fan-out then pair exactly; only true
-        // partial crossings (DAG tools) can swap labels.
+        // so interleave begins and ends sorted by time: at the same
+        // tick, ends of earlier-begun spans come first (inner ends
+        // first), then begins (outer, longer ones first), then the
+        // ends of zero-length spans, which must follow their own
+        // begins. Properly nested spans and same-start sibling
+        // fan-out then pair exactly; only true partial crossings
+        // (DAG tools) can swap labels.
         struct Event
         {
             sim::Tick at;
-            bool isEnd;
+            /** 0: end of an earlier-begun span, 1: begin, 2: end of
+             *  a zero-length span. */
+            int phase;
             std::uint32_t span;
         };
         std::vector<Event> events;
@@ -131,19 +135,20 @@ emitSpanExemplars(const telemetry::SpanCollector &spans,
         for (std::uint32_t i = 0;
              i < static_cast<std::uint32_t>(ex.tree.spans.size());
              ++i) {
-            events.push_back({ex.tree.spans[i].start, false, i});
-            events.push_back({ex.tree.spans[i].end, true, i});
+            const telemetry::Span &span = ex.tree.spans[i];
+            events.push_back({span.start, 1, i});
+            events.push_back({span.end, span.start < span.end ? 0 : 2, i});
         }
         std::stable_sort(
             events.begin(), events.end(),
             [&](const Event &a, const Event &b) {
                 if (a.at != b.at)
                     return a.at < b.at;
-                if (a.isEnd != b.isEnd)
-                    return a.isEnd;
+                if (a.phase != b.phase)
+                    return a.phase < b.phase;
                 const telemetry::Span &sa = ex.tree.spans[a.span];
                 const telemetry::Span &sb = ex.tree.spans[b.span];
-                if (a.isEnd)
+                if (a.phase != 1)
                     return sa.start > sb.start;
                 return sa.end > sb.end;
             });
@@ -153,7 +158,7 @@ emitSpanExemplars(const telemetry::SpanCollector &spans,
                 span.label.empty()
                     ? std::string(telemetry::spanKindName(span.kind))
                     : span.label;
-            if (ev.isEnd) {
+            if (ev.phase != 1) {
                 trace.asyncEnd(telemetry::TracePid::kSpans, lane, name,
                                "span", ev.at);
                 continue;

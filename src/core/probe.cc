@@ -1,9 +1,5 @@
 #include "core/probe.hh"
 
-#include "agents/accuracy.hh"
-#include "sim/logging.hh"
-#include "workload/toolset_factory.hh"
-
 namespace agentsim::core
 {
 
@@ -25,229 +21,6 @@ enginePreset70b()
     cfg.node = llm::octoA100();
     cfg.enablePrefixCaching = true;
     return cfg;
-}
-
-namespace
-{
-
-/** Run one agent request to completion (helper coroutine). */
-sim::Task<agents::AgentResult>
-runOne(agents::Agent &agent, agents::AgentContext ctx)
-{
-    co_return co_await agent.run(ctx);
-}
-
-} // namespace
-
-ProbeResult
-runProbe(const ProbeConfig &config)
-{
-    AGENTSIM_ASSERT(config.numTasks > 0, "probe without tasks");
-    if (!agents::agentSupports(config.agent, config.bench)) {
-        AGENTSIM_FATAL("the paper does not evaluate %s on %s",
-                       std::string(agents::agentName(config.agent))
-                           .c_str(),
-                       std::string(workload::benchmarkName(
-                                       config.bench))
-                           .c_str());
-    }
-
-    sim::Simulation sim;
-    serving::LlmEngine engine(sim, config.engineConfig);
-    if (config.telemetry != nullptr) {
-        engine.attachTrace(&config.telemetry->trace);
-        config.telemetry->trace.processName(
-            telemetry::TracePid::kAgents, "agents");
-    }
-    telemetry::SpanCollector *spans =
-        config.spans != nullptr
-            ? config.spans
-            : (config.telemetry != nullptr ? &config.telemetry->spans
-                                           : nullptr);
-    engine.attachSpans(spans);
-    const std::string workflow_label =
-        std::string(workload::benchmarkName(config.bench)) + "/" +
-        std::string(agents::agentName(config.agent));
-    auto tools = workload::makeToolSet(config.bench, sim, engine,
-                                       config.seed);
-    workload::TaskGenerator gen(config.bench, config.seed);
-    auto agent = agents::makeAgent(config.agent);
-
-    agents::AgentConfig agent_cfg = config.agentConfig;
-    agent_cfg.modelQuality =
-        agents::modelQuality(config.engineConfig.model.name);
-
-    ProbeResult out;
-    out.config = config;
-    out.requests.reserve(static_cast<std::size_t>(config.numTasks));
-
-    const double block_bytes =
-        static_cast<double>(engine.blockBytes());
-
-    for (int i = 0; i < config.numTasks; ++i) {
-        agents::AgentContext ctx;
-        ctx.sim = &sim;
-        ctx.engine = &engine;
-        ctx.tools = tools.get();
-        ctx.task = gen.sample(static_cast<std::uint64_t>(i));
-        ctx.config = agent_cfg;
-        ctx.kind = config.agent;
-        ctx.seed = config.seed;
-        if (config.telemetry != nullptr) {
-            ctx.traceSink = &config.telemetry->trace;
-            ctx.traceTid = static_cast<std::uint64_t>(i) + 1;
-            ctx.traceSink->threadName(
-                telemetry::TracePid::kAgents, ctx.traceTid,
-                sim::strfmt("%s task %d",
-                            std::string(agents::agentName(
-                                            config.agent))
-                                .c_str(),
-                            i));
-        }
-
-        telemetry::SpanRef root;
-        if (spans != nullptr) {
-            root = spans->beginRequest(static_cast<std::uint64_t>(i),
-                                       workflow_label, sim.now());
-            ctx.spans = spans;
-            ctx.spanParent = root;
-        }
-
-        const sim::Tick start = sim.now();
-        const double joules0 = engine.energyJoules(start);
-        const auto stats0 = engine.stats();
-        const double kv_integral0 =
-            engine.kvUsageGauge().integral(start);
-        engine.kvUsageGaugeMut().mark();
-        const double flops0 = engine.stats().totalFlops;
-
-        auto task = runOne(*agent, ctx);
-        sim.run();
-        AGENTSIM_ASSERT(task.done(), "probe request did not finish");
-
-        const sim::Tick end = sim.now();
-        RequestProbe probe;
-        probe.result = task.result();
-        probe.energyWh =
-            (engine.energyJoules(end) - joules0) / 3600.0;
-        probe.gpuBusySeconds =
-            engine.stats().busySeconds - stats0.busySeconds;
-        probe.gpuPrefillSeconds =
-            engine.stats().prefillSeconds - stats0.prefillSeconds;
-        probe.gpuDecodeSeconds =
-            engine.stats().decodeSeconds - stats0.decodeSeconds;
-        probe.gpuCoreActiveSeconds =
-            engine.stats().coreActiveSeconds -
-            stats0.coreActiveSeconds;
-        const double ticks = static_cast<double>(end - start);
-        probe.kvAvgBytes =
-            ticks > 0
-                ? (engine.kvUsageGauge().integral(end) - kv_integral0) /
-                      ticks * block_bytes
-                : 0.0;
-        probe.kvMaxBytes =
-            engine.kvUsageGauge().maxSinceMark() * block_bytes;
-        probe.flops = engine.stats().totalFlops - flops0;
-        if (spans != nullptr)
-            probe.blame = spans->finishRequest(root, end);
-        out.requests.push_back(std::move(probe));
-
-        if (config.telemetry != nullptr) {
-            engine.exportMetrics(config.telemetry->registry);
-            config.telemetry->registry.snapshot(end);
-        }
-    }
-    if (config.telemetry != nullptr) {
-        config.telemetry->engineSamples = engine.sampler().samples();
-    }
-    return out;
-}
-
-double
-ProbeResult::accuracy() const
-{
-    if (requests.empty())
-        return 0.0;
-    double solved = 0.0;
-    for (const auto &r : requests)
-        solved += r.result.solved ? 1.0 : 0.0;
-    return solved / static_cast<double>(requests.size());
-}
-
-stats::SampleSet
-ProbeResult::e2eSeconds() const
-{
-    stats::SampleSet s;
-    for (const auto &r : requests)
-        s.add(r.result.e2eSeconds);
-    return s;
-}
-
-double
-ProbeResult::meanLlmCalls() const
-{
-    if (requests.empty())
-        return 0.0;
-    double total = 0.0;
-    for (const auto &r : requests)
-        total += r.result.llmCalls;
-    return total / static_cast<double>(requests.size());
-}
-
-double
-ProbeResult::meanToolCalls() const
-{
-    if (requests.empty())
-        return 0.0;
-    double total = 0.0;
-    for (const auto &r : requests)
-        total += r.result.toolCalls;
-    return total / static_cast<double>(requests.size());
-}
-
-double
-ProbeResult::meanEnergyWh() const
-{
-    if (requests.empty())
-        return 0.0;
-    double total = 0.0;
-    for (const auto &r : requests)
-        total += r.energyWh;
-    return total / static_cast<double>(requests.size());
-}
-
-double
-ProbeResult::meanFlops() const
-{
-    if (requests.empty())
-        return 0.0;
-    double total = 0.0;
-    for (const auto &r : requests)
-        total += r.flops;
-    return total / static_cast<double>(requests.size());
-}
-
-serving::CostLedger
-ProbeResult::totalCost() const
-{
-    serving::CostLedger sum;
-    for (const auto &r : requests)
-        sum += r.result.cost;
-    return sum;
-}
-
-double
-ProbeResult::meanGpuIdleFraction() const
-{
-    if (requests.empty())
-        return 0.0;
-    double total = 0.0;
-    for (const auto &r : requests) {
-        if (r.result.e2eSeconds > 0) {
-            total += 1.0 - r.gpuBusySeconds / r.result.e2eSeconds;
-        }
-    }
-    return total / static_cast<double>(requests.size());
 }
 
 } // namespace agentsim::core

@@ -1,21 +1,17 @@
 /**
  * @file
- * Single-request characterization probes (paper §IV-A/B, §V): run an
- * agent over a set of tasks one request at a time against a warm
- * serving engine, and collect per-request latency, token, GPU-phase,
- * KV-memory and energy measurements.
+ * Single-request characterization (paper §IV-A/B, §V): the engine
+ * presets the experiments run on, and the per-request window record a
+ * closed-loop runServing() keeps for every request it issues one at a
+ * time against a warm engine (core/serving_system.hh).
  */
 
 #ifndef AGENTSIM_CORE_PROBE_HH
 #define AGENTSIM_CORE_PROBE_HH
 
-#include <vector>
-
 #include "agents/workflows.hh"
 #include "serving/engine.hh"
-#include "stats/summary.hh"
-#include "telemetry/session.hh"
-#include "workload/benchmark.hh"
+#include "telemetry/span.hh"
 
 namespace agentsim::core
 {
@@ -26,37 +22,18 @@ serving::EngineConfig enginePreset8b();
 /** Engine preset: Llama-3.1-70B on 8 A100s, TP=8. */
 serving::EngineConfig enginePreset70b();
 
-/** Probe configuration. */
-struct ProbeConfig
-{
-    agents::AgentKind agent{};
-    workload::Benchmark bench{};
-    agents::AgentConfig agentConfig;
-    serving::EngineConfig engineConfig;
-    /** Number of tasks, processed strictly one at a time. */
-    int numTasks = 20;
-    std::uint64_t seed = 1;
-
-    /**
-     * Optional telemetry collection (see ServeConfig::telemetry).
-     * The probe additionally snapshots the registry after every
-     * task, giving a per-request metrics time series.
-     */
-    telemetry::SessionTelemetry *telemetry = nullptr;
-
-    /**
-     * Optional causal span collector. Defaults to the session's
-     * collector when `telemetry` is set; point it elsewhere to keep
-     * span trees out of the session. Every task then yields a
-     * critical-path blame vector in RequestProbe::blame.
-     */
-    telemetry::SpanCollector *spans = nullptr;
-};
-
-/** Per-request window measurements around one agent run. */
+/**
+ * Window measurements around one closed-loop request. The windows of
+ * a closed-loop run tile it: each opens when its request is issued
+ * and closes when the request completes, which is when the next one
+ * is issued.
+ */
 struct RequestProbe
 {
+    /** The agent rollout (default-constructed for chat requests). */
     agents::AgentResult result;
+    /** Window length: the request's end-to-end latency, seconds. */
+    double e2eSeconds = 0.0;
     /** Node GPU energy within the request window (incl. idle), Wh. */
     double energyWh = 0.0;
     /** GPU-busy seconds within the window. */
@@ -73,28 +50,6 @@ struct RequestProbe
     /** Critical-path blame (all zero unless spans were collected). */
     telemetry::BlameVector blame;
 };
-
-/** Probe output: all requests plus common aggregates. */
-struct ProbeResult
-{
-    ProbeConfig config;
-    std::vector<RequestProbe> requests;
-
-    double accuracy() const;
-    stats::SampleSet e2eSeconds() const;
-    double meanLlmCalls() const;
-    double meanToolCalls() const;
-    double meanEnergyWh() const;
-    double meanFlops() const;
-    /** Mean share of the request window the GPU sat idle. */
-    double meanGpuIdleFraction() const;
-
-    /** Attributed cost summed over all rollouts (their LLM calls). */
-    serving::CostLedger totalCost() const;
-};
-
-/** Run the probe. */
-ProbeResult runProbe(const ProbeConfig &config);
 
 } // namespace agentsim::core
 

@@ -28,7 +28,31 @@ struct ServeState
     std::string workflowLabel;
     /** Workload drained; periodic observers exit at next wake. */
     bool stopped = false;
+    /** Closed loop: the open request's window record, which its
+     *  worker fills with its blame and agent result. */
+    RequestProbe *window = nullptr;
 };
+
+/** Open a request's span tree (an invalid ref when spans are off). */
+telemetry::SpanRef
+beginSpans(ServeState &state, std::uint64_t index, sim::Tick start)
+{
+    if (state.spans == nullptr)
+        return {};
+    return state.spans->beginRequest(index, state.workflowLabel, start);
+}
+
+/** Close the request's span tree, keeping its blame in the window. */
+void
+finishSpans(ServeState &state, telemetry::SpanRef root, sim::Tick end)
+{
+    if (state.spans == nullptr)
+        return;
+    const telemetry::BlameVector blame =
+        state.spans->finishRequest(root, end);
+    if (state.window != nullptr)
+        state.window->blame = blame;
+}
 
 void
 noteCompletion(ServeState &state, sim::Tick submit, sim::Tick finish,
@@ -71,18 +95,15 @@ agentWorker(const ServeConfig &config, sim::Simulation &sim,
 
     auto agent = agents::makeAgent(config.agent);
     const sim::Tick submit = sim.now();
-    telemetry::SpanRef root;
-    if (state.spans != nullptr) {
-        root = state.spans->beginRequest(index, state.workflowLabel,
-                                         submit);
-        ctx.spans = state.spans;
-        ctx.spanParent = root;
-    }
+    const telemetry::SpanRef root = beginSpans(state, index, submit);
+    ctx.spans = state.spans;
+    ctx.spanParent = root;
     agents::AgentResult result = co_await agent->run(ctx);
-    if (state.spans != nullptr)
-        state.spans->finishRequest(root, sim.now());
+    finishSpans(state, root, sim.now());
     state.result.totalCost += result.cost;
     noteCompletion(state, submit, sim.now(), result.solved);
+    if (state.window != nullptr)
+        state.window->result = std::move(result);
 }
 
 /** One ShareGPT chatbot request: a single LLM inference. */
@@ -113,15 +134,10 @@ chatWorker(const ServeConfig &config, sim::Simulation &sim,
     req.sessionId = sim::hashCombine(config.seed, index);
 
     const sim::Tick submit = sim.now();
-    telemetry::SpanRef root;
-    if (state.spans != nullptr) {
-        root = state.spans->beginRequest(index, state.workflowLabel,
-                                         submit);
-        req.parentSpan = root;
-    }
+    const telemetry::SpanRef root = beginSpans(state, index, submit);
+    req.parentSpan = root;
     serving::GenResult r = co_await engine.generate(std::move(req));
-    if (state.spans != nullptr)
-        state.spans->finishRequest(root, sim.now());
+    finishSpans(state, root, sim.now());
     state.result.ttftSeconds.add(r.ttftSeconds);
     state.result.totalCost += r.ledger;
     noteCompletion(state, submit, sim.now(), !r.failed);
@@ -147,11 +163,8 @@ sessionWorker(const ServeConfig &config, sim::Simulation &sim,
             system_tokens));
 
     const sim::Tick session_start = sim.now();
-    telemetry::SpanRef root;
-    if (state.spans != nullptr) {
-        root = state.spans->beginRequest(index, state.workflowLabel,
-                                         session_start);
-    }
+    const telemetry::SpanRef root =
+        beginSpans(state, index, session_start);
     for (int t = 0; t < turns; ++t) {
         if (t > 0) {
             co_await sim::delaySec(sim,
@@ -188,9 +201,40 @@ sessionWorker(const ServeConfig &config, sim::Simulation &sim,
         state.result.totalCost += r.ledger;
         history.append(r.tokens);
     }
-    if (state.spans != nullptr)
-        state.spans->finishRequest(root, sim.now());
+    finishSpans(state, root, sim.now());
     noteCompletion(state, session_start, sim.now(), true);
+}
+
+/** Engine counters at the start of a closed-loop request window. */
+struct WindowStart
+{
+    sim::Tick tick = 0;
+    double joules = 0.0;
+    double kvIntegral = 0.0;
+    serving::EngineStats stats;
+};
+
+/** Fill @p w with the engine's deltas since @p s. */
+void
+closeWindow(const serving::LlmEngine &engine, const WindowStart &s,
+            sim::Tick end, RequestProbe &w)
+{
+    const serving::EngineStats &now = engine.stats();
+    const auto &kv = engine.kvUsageGauge();
+    const double block_bytes = static_cast<double>(engine.blockBytes());
+    const double ticks = static_cast<double>(end - s.tick);
+    w.e2eSeconds = sim::toSeconds(end - s.tick);
+    w.energyWh = (engine.energyJoules(end) - s.joules) / 3600.0;
+    w.gpuBusySeconds = now.busySeconds - s.stats.busySeconds;
+    w.gpuPrefillSeconds = now.prefillSeconds - s.stats.prefillSeconds;
+    w.gpuDecodeSeconds = now.decodeSeconds - s.stats.decodeSeconds;
+    w.gpuCoreActiveSeconds =
+        now.coreActiveSeconds - s.stats.coreActiveSeconds;
+    w.kvAvgBytes =
+        ticks > 0 ? (kv.integral(end) - s.kvIntegral) / ticks * block_bytes
+                  : 0.0;
+    w.kvMaxBytes = kv.maxSinceMark() * block_bytes;
+    w.flops = now.totalFlops - s.stats.totalFlops;
 }
 
 /** The open-/closed-loop driver. */
@@ -209,6 +253,14 @@ driver(const ServeConfig &config, sim::Simulation &sim,
                 sim, arrivals.exponential(1.0 / config.qps));
         }
         const auto index = static_cast<std::uint64_t>(i);
+        WindowStart start;
+        if (config.closedLoop) {
+            state.window = &state.result.requests.emplace_back();
+            engine.kvUsageGaugeMut().mark();
+            start = {sim.now(), engine.energyJoules(sim.now()),
+                     engine.kvUsageGauge().integral(sim.now()),
+                     engine.stats()};
+        }
         if (config.chatbot && config.multiTurn) {
             workers.push_back(
                 sessionWorker(config, sim, engine, index, state));
@@ -219,8 +271,11 @@ driver(const ServeConfig &config, sim::Simulation &sim,
             workers.push_back(agentWorker(config, sim, engine, *tools,
                                           agent_cfg, index, state));
         }
-        if (config.closedLoop)
+        if (config.closedLoop) {
             co_await workers.back();
+            closeWindow(engine, start, sim.now(), *state.window);
+            state.window = nullptr;
+        }
     }
     co_await sim::allOf(std::move(workers));
     state.stopped = true;
@@ -269,12 +324,14 @@ ServeResult
 runServing(const ServeConfig &config)
 {
     AGENTSIM_ASSERT(config.numRequests > 0, "serving without requests");
-    AGENTSIM_ASSERT(config.chatbot || config.closedLoop ||
-                        config.qps > 0,
+    AGENTSIM_ASSERT(config.closedLoop || config.qps > 0,
                     "open-loop serving needs positive QPS");
+    const std::string agent_name(agents::agentName(config.agent));
+    const std::string bench_name(workload::benchmarkName(config.bench));
     if (!config.chatbot &&
         !agents::agentSupports(config.agent, config.bench)) {
-        AGENTSIM_FATAL("unsupported agent/benchmark pair in serving");
+        AGENTSIM_FATAL("the paper does not evaluate %s on %s",
+                       agent_name.c_str(), bench_name.c_str());
     }
 
     sim::Simulation sim;
@@ -314,14 +371,10 @@ runServing(const ServeConfig &config)
 
     ServeState state;
     state.spans = spans;
-    if (config.chatbot) {
-        state.workflowLabel =
-            config.multiTurn ? "ShareGPT/session" : "ShareGPT/chat";
-    } else {
-        state.workflowLabel =
-            std::string(workload::benchmarkName(config.bench)) + "/" +
-            std::string(agents::agentName(config.agent));
-    }
+    state.workflowLabel =
+        !config.chatbot    ? bench_name + "/" + agent_name
+        : config.multiTurn ? "ShareGPT/session"
+                           : "ShareGPT/chat";
     auto drive = driver(config, sim, engine, tools.get(), agent_cfg,
                         state);
     std::optional<sim::Task<void>> sampler;
@@ -389,6 +442,27 @@ runServing(const ServeConfig &config)
         t.engineSamples = engine.sampler().samples();
     }
     return out;
+}
+
+double
+ServeResult::meanLlmCalls() const
+{
+    return meanOver([](const RequestProbe &r) { return r.result.llmCalls; });
+}
+
+double
+ServeResult::meanToolCalls() const
+{
+    return meanOver([](const RequestProbe &r) { return r.result.toolCalls; });
+}
+
+double
+ServeResult::meanGpuIdleFraction() const
+{
+    return meanOver([](const RequestProbe &r) {
+        return r.e2eSeconds > 0 ? 1.0 - r.gpuBusySeconds / r.e2eSeconds
+                                : 0.0;
+    });
 }
 
 } // namespace agentsim::core

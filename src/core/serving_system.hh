@@ -3,14 +3,18 @@
  * The agent serving system of paper Fig 13: an open-loop Poisson
  * request driver feeding asynchronous workers which run agent
  * workflows (or single-turn chatbot requests) against one shared
- * continuous-batching LLM engine and a shared tool belt.
+ * continuous-batching LLM engine and a shared tool belt. In closed
+ * loop it is also the single-request probe of §IV-A/B and §V: one
+ * request at a time, each measured in its own window.
  */
 
 #ifndef AGENTSIM_CORE_SERVING_SYSTEM_HH
 #define AGENTSIM_CORE_SERVING_SYSTEM_HH
 
-#include "agents/workflows.hh"
-#include "serving/engine.hh"
+#include <functional>
+#include <vector>
+
+#include "core/probe.hh"
 #include "stats/summary.hh"
 #include "telemetry/session.hh"
 #include "workload/benchmark.hh"
@@ -39,7 +43,9 @@ struct ServeConfig
     double qps = 1.0;
     /**
      * Closed-loop mode: issue each request only after the previous
-     * one completes (the "sequential execution" comparison, §IV-C).
+     * one completes (the "sequential execution" comparison, §IV-C,
+     * and the single-request probe of §IV-A/B). Each request then
+     * gets a window record in ServeResult::requests.
      */
     bool closedLoop = false;
 
@@ -118,10 +124,43 @@ struct ServeResult
      */
     serving::CostLedger totalCost;
 
+    /**
+     * Closed-loop runs only: one window record per request, in issue
+     * order. Open-loop requests overlap, so their windows are not
+     * defined and no records are kept.
+     */
+    std::vector<RequestProbe> requests;
+
     /** Simulator self-timing (host wall clock, see sim::Simulation). */
     double simWallSeconds = 0.0;
     double simEventsProcessed = 0.0;
     double simEventsPerSecond = 0.0;
+
+    /** Share of completed requests that were solved. */
+    double
+    accuracy() const
+    {
+        return completed > 0 ? static_cast<double>(solved) / completed
+                             : 0.0;
+    }
+
+    /** Mean of @p f (a callable or data member) over the records. */
+    template <typename F>
+    double
+    meanOver(F f) const
+    {
+        double total = 0.0;
+        for (const RequestProbe &r : requests)
+            total += std::invoke(f, r);
+        return requests.empty() ? 0.0 : total / requests.size();
+    }
+
+    double meanLlmCalls() const;
+    double meanToolCalls() const;
+    double meanEnergyWh() const { return meanOver(&RequestProbe::energyWh); }
+    double meanFlops() const { return meanOver(&RequestProbe::flops); }
+    /** Mean share of the request window the GPU sat idle. */
+    double meanGpuIdleFraction() const;
 
     double
     throughputQps() const

@@ -14,7 +14,7 @@
  * breakdowns additive and therefore actionable.
  *
  * Rollups: agents::Trace folds LLM-call ledgers into the rollout's
- * AgentResult; core/probe and core/serving_system fold rollouts into
+ * AgentResult; core/serving_system and core/cluster fold rollouts into
  * per-run totals; core/cost_report renders (agent, benchmark) tables
  * and agentsim_cost_* metric families.
  */

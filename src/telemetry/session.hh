@@ -1,9 +1,9 @@
 /**
  * @file
- * SessionTelemetry: the bundle a harness (probe, serving system,
- * bench binary, example) hands to a run to collect everything at
- * once — the metrics registry, the cross-layer trace and a copy of
- * the engine's iteration time series.
+ * SessionTelemetry: the bundle a harness (serving system, bench
+ * binary, example) hands to a run to collect everything at once —
+ * the metrics registry, the cross-layer trace and a copy of the
+ * engine's iteration time series.
  */
 
 #ifndef AGENTSIM_TELEMETRY_SESSION_HH

@@ -1,6 +1,6 @@
 /**
  * @file
- * Integration tests of the experiment harness: single-request probes,
+ * Integration tests of the experiment harness: closed-loop probes,
  * the serving system, table rendering, and the energy projections.
  */
 
@@ -16,25 +16,25 @@ namespace
 
 using namespace agentsim;
 using agents::AgentKind;
-using core::ProbeConfig;
 using core::ServeConfig;
 using workload::Benchmark;
 
-ProbeConfig
+ServeConfig
 probeCfg(AgentKind agent, Benchmark bench, int tasks = 6)
 {
-    ProbeConfig cfg;
+    ServeConfig cfg;
+    cfg.closedLoop = true;
     cfg.agent = agent;
     cfg.bench = bench;
     cfg.engineConfig = core::enginePreset8b();
-    cfg.numTasks = tasks;
+    cfg.numRequests = tasks;
     return cfg;
 }
 
 TEST(Probe, ReactProducesFullMeasurements)
 {
-    const auto r = core::runProbe(probeCfg(AgentKind::ReAct,
-                                           Benchmark::HotpotQA));
+    const auto r = core::runServing(probeCfg(AgentKind::ReAct,
+                                             Benchmark::HotpotQA));
     ASSERT_EQ(r.requests.size(), 6u);
     for (const auto &req : r.requests) {
         EXPECT_GT(req.result.e2eSeconds, 0.0);
@@ -53,8 +53,8 @@ TEST(Probe, ReactProducesFullMeasurements)
 TEST(Probe, CotHasNoIdleFromTools)
 {
     const auto cot =
-        core::runProbe(probeCfg(AgentKind::CoT, Benchmark::HotpotQA));
-    const auto react = core::runProbe(
+        core::runServing(probeCfg(AgentKind::CoT, Benchmark::HotpotQA));
+    const auto react = core::runServing(
         probeCfg(AgentKind::ReAct, Benchmark::HotpotQA));
     // Tool waits idle the GPU: ReAct idles more than CoT (Fig 6).
     EXPECT_LT(cot.meanGpuIdleFraction(),
@@ -63,10 +63,10 @@ TEST(Probe, CotHasNoIdleFromTools)
 
 TEST(Probe, DeterministicAcrossRuns)
 {
-    const auto a = core::runProbe(probeCfg(AgentKind::Reflexion,
-                                           Benchmark::Math, 4));
-    const auto b = core::runProbe(probeCfg(AgentKind::Reflexion,
-                                           Benchmark::Math, 4));
+    const auto a = core::runServing(probeCfg(AgentKind::Reflexion,
+                                             Benchmark::Math, 4));
+    const auto b = core::runServing(probeCfg(AgentKind::Reflexion,
+                                             Benchmark::Math, 4));
     ASSERT_EQ(a.requests.size(), b.requests.size());
     for (std::size_t i = 0; i < a.requests.size(); ++i) {
         EXPECT_DOUBLE_EQ(a.requests[i].result.e2eSeconds,
@@ -81,7 +81,7 @@ TEST(Probe, UnsupportedPairIsFatal)
 {
     EXPECT_DEATH(
         {
-            core::runProbe(
+            core::runServing(
                 probeCfg(AgentKind::CoT, Benchmark::WebShop, 1));
         },
         "does not evaluate");
@@ -92,8 +92,8 @@ TEST(Probe, SeventyBUsesMoreEnergyPerRequest)
     auto small = probeCfg(AgentKind::CoT, Benchmark::HotpotQA, 4);
     auto big = small;
     big.engineConfig = core::enginePreset70b();
-    const auto r8 = core::runProbe(small);
-    const auto r70 = core::runProbe(big);
+    const auto r8 = core::runServing(small);
+    const auto r70 = core::runServing(big);
     EXPECT_GT(r70.meanEnergyWh(), 3.0 * r8.meanEnergyWh());
 }
 
@@ -123,6 +123,77 @@ TEST(Serving, AgentClosedLoopSequential)
     EXPECT_EQ(r.completed, 5);
     // Sequential: makespan is the sum of latencies.
     EXPECT_NEAR(r.makespanSeconds, r.e2eSeconds.sum(), 1e-6);
+}
+
+/** Closed-loop windows tile the run: the per-request sums close. */
+void
+expectWindowsTileRun(const core::ServeResult &r, int requests)
+{
+    ASSERT_EQ(r.requests.size(), static_cast<std::size_t>(requests));
+    double wh = 0.0;
+    double busy = 0.0;
+    double e2e = 0.0;
+    for (const auto &req : r.requests) {
+        wh += req.energyWh;
+        busy += req.gpuBusySeconds;
+        e2e += req.e2eSeconds;
+    }
+    EXPECT_NEAR(wh, r.energyWh, 1e-9 * r.energyWh);
+    EXPECT_NEAR(busy, r.engineStats.busySeconds,
+                1e-9 * r.engineStats.busySeconds);
+    EXPECT_NEAR(e2e, r.e2eSeconds.sum(), 1e-9 * e2e);
+}
+
+TEST(Serving, ClosedLoopAgentWindowsTileTheRun)
+{
+    const auto r = core::runServing(
+        probeCfg(AgentKind::ReAct, Benchmark::HotpotQA, 5));
+    expectWindowsTileRun(r, 5);
+    for (const auto &req : r.requests) {
+        EXPECT_GT(req.result.llmCalls, 0);
+        EXPECT_DOUBLE_EQ(req.e2eSeconds, req.result.e2eSeconds);
+    }
+}
+
+TEST(Serving, ClosedLoopChatWindowsTileTheRun)
+{
+    ServeConfig cfg;
+    cfg.chatbot = true;
+    cfg.engineConfig = core::enginePreset8b();
+    cfg.closedLoop = true;
+    cfg.numRequests = 12;
+    const auto r = core::runServing(cfg);
+    expectWindowsTileRun(r, 12);
+    for (const auto &req : r.requests) {
+        EXPECT_GT(req.gpuBusySeconds, 0.0);
+        EXPECT_GT(req.flops, 0.0);
+        EXPECT_EQ(req.result.llmCalls, 0);
+    }
+}
+
+TEST(Serving, OpenLoopKeepsNoRequestRecords)
+{
+    ServeConfig cfg;
+    cfg.agent = AgentKind::ReAct;
+    cfg.bench = Benchmark::HotpotQA;
+    cfg.engineConfig = core::enginePreset8b();
+    cfg.qps = 2.0;
+    cfg.numRequests = 6;
+    const auto r = core::runServing(cfg);
+    EXPECT_EQ(r.completed, 6);
+    EXPECT_TRUE(r.requests.empty());
+    EXPECT_DOUBLE_EQ(r.meanEnergyWh(), 0.0);
+}
+
+TEST(ServingDeathTest, OpenLoopChatbotNeedsPositiveQps)
+{
+    ServeConfig cfg;
+    cfg.chatbot = true;
+    cfg.engineConfig = core::enginePreset8b();
+    cfg.qps = 0.0;
+    cfg.numRequests = 3;
+    EXPECT_DEATH(core::runServing(cfg),
+                 "open-loop serving needs positive QPS");
 }
 
 TEST(Serving, ConcurrencyBeatsSequentialThroughput)

@@ -292,32 +292,34 @@ TEST(Scheduler, FcfsPreservesArrivalOrder)
 TEST(SpeculativeTools, ReducesLatencyOnSlowTools)
 {
     auto run = [](bool speculative) {
-        core::ProbeConfig cfg;
+        core::ServeConfig cfg;
+        cfg.closedLoop = true;
         cfg.agent = AgentKind::ReAct;
         cfg.bench = Benchmark::HotpotQA; // ~1.2 s tool calls
         cfg.engineConfig = core::enginePreset8b();
         cfg.agentConfig.speculativeTools = speculative;
-        cfg.numTasks = 20;
+        cfg.numRequests = 20;
         cfg.seed = 77;
-        return core::runProbe(cfg);
+        return core::runServing(cfg);
     };
     const auto off = run(false);
     const auto on = run(true);
-    EXPECT_LT(on.e2eSeconds().mean(), off.e2eSeconds().mean());
+    EXPECT_LT(on.e2eSeconds.mean(), off.e2eSeconds.mean());
     // Wrong predictions cost extra tool calls.
     EXPECT_GT(on.meanToolCalls(), off.meanToolCalls());
 }
 
 TEST(SpeculativeTools, OverlapAppearsInTimeline)
 {
-    core::ProbeConfig cfg;
+    core::ServeConfig cfg;
+    cfg.closedLoop = true;
     cfg.agent = AgentKind::ReAct;
     cfg.bench = Benchmark::HotpotQA;
     cfg.engineConfig = core::enginePreset8b();
     cfg.agentConfig.speculativeTools = true;
-    cfg.numTasks = 10;
+    cfg.numRequests = 10;
     cfg.seed = 78;
-    const auto r = core::runProbe(cfg);
+    const auto r = core::runServing(cfg);
     double overlap = 0.0;
     for (const auto &req : r.requests)
         overlap += req.result.latency.overlapSeconds;
@@ -411,36 +413,38 @@ TEST(Cluster, AffinityConcentratesWorkflows)
 
 TEST(SelfConsistency, StructureAndParallelism)
 {
-    core::ProbeConfig cfg;
+    core::ServeConfig cfg;
+    cfg.closedLoop = true;
     cfg.agent = AgentKind::SelfConsistency;
     cfg.bench = Benchmark::HotpotQA;
     cfg.engineConfig = core::enginePreset8b();
     cfg.agentConfig.scSamples = 5;
-    cfg.numTasks = 5;
+    cfg.numRequests = 5;
     cfg.seed = 13;
-    const auto r = core::runProbe(cfg);
+    const auto r = core::runServing(cfg);
     for (const auto &req : r.requests) {
         EXPECT_EQ(req.result.llmCalls, 5);
         EXPECT_EQ(req.result.toolCalls, 0);
     }
     // Parallel samples: e2e is far below 5x a single CoT rationale.
-    core::ProbeConfig cot = cfg;
+    core::ServeConfig cot = cfg;
     cot.agent = AgentKind::CoT;
-    const auto rc = core::runProbe(cot);
-    EXPECT_LT(r.e2eSeconds().mean(),
-              3.0 * rc.e2eSeconds().mean());
+    const auto rc = core::runServing(cot);
+    EXPECT_LT(r.e2eSeconds.mean(),
+              3.0 * rc.e2eSeconds.mean());
 }
 
 TEST(SelfConsistency, SamplesShareThePromptPrefix)
 {
-    core::ProbeConfig cfg;
+    core::ServeConfig cfg;
+    cfg.closedLoop = true;
     cfg.agent = AgentKind::SelfConsistency;
     cfg.bench = Benchmark::Math;
     cfg.engineConfig = core::enginePreset8b();
     cfg.agentConfig.scSamples = 8;
-    cfg.numTasks = 3;
+    cfg.numRequests = 3;
     cfg.seed = 14;
-    const auto r = core::runProbe(cfg);
+    const auto r = core::runServing(cfg);
     // With identical prompts, most of each request's prompt tokens
     // come from the prefix cache.
     double cached = 0.0;
@@ -456,14 +460,15 @@ TEST(SelfConsistency, SamplesShareThePromptPrefix)
 TEST(SelfConsistency, MoreSamplesNeverHurtMuch)
 {
     auto accuracy = [](int n) {
-        core::ProbeConfig cfg;
+        core::ServeConfig cfg;
+        cfg.closedLoop = true;
         cfg.agent = AgentKind::SelfConsistency;
         cfg.bench = Benchmark::Math;
         cfg.engineConfig = core::enginePreset8b();
         cfg.agentConfig.scSamples = n;
-        cfg.numTasks = 60;
+        cfg.numRequests = 60;
         cfg.seed = 15;
-        return core::runProbe(cfg).accuracy();
+        return core::runServing(cfg).accuracy();
     };
     const double few = accuracy(3);
     const double many = accuracy(16);
@@ -484,14 +489,15 @@ TEST(SelfConsistency, SupportsOnlyLanguageOnlyBenchmarks)
 
 TEST(StaticSearch, TreeOfThoughtsStructure)
 {
-    core::ProbeConfig cfg;
+    core::ServeConfig cfg;
+    cfg.closedLoop = true;
     cfg.agent = AgentKind::TreeOfThoughts;
     cfg.bench = Benchmark::Math;
     cfg.engineConfig = core::enginePreset8b();
     cfg.agentConfig.latsChildren = 3;
-    cfg.numTasks = 6;
+    cfg.numRequests = 6;
     cfg.seed = 41;
-    const auto r = core::runProbe(cfg);
+    const auto r = core::runServing(cfg);
     for (const auto &req : r.requests) {
         EXPECT_EQ(req.result.toolCalls, 0); // tool-free search
         // At least one level of (propose + evaluate) plus the answer.
@@ -501,14 +507,15 @@ TEST(StaticSearch, TreeOfThoughtsStructure)
 
 TEST(StaticSearch, BestOfNIssuesSamplesAndVerifiers)
 {
-    core::ProbeConfig cfg;
+    core::ServeConfig cfg;
+    cfg.closedLoop = true;
     cfg.agent = AgentKind::BestOfN;
     cfg.bench = Benchmark::Math;
     cfg.engineConfig = core::enginePreset8b();
     cfg.agentConfig.scSamples = 4;
-    cfg.numTasks = 6;
+    cfg.numRequests = 6;
     cfg.seed = 42;
-    const auto r = core::runProbe(cfg);
+    const auto r = core::runServing(cfg);
     for (const auto &req : r.requests) {
         EXPECT_EQ(req.result.llmCalls, 4 + 4); // samples + verifiers
         EXPECT_EQ(req.result.toolCalls, 0);
@@ -518,13 +525,14 @@ TEST(StaticSearch, BestOfNIssuesSamplesAndVerifiers)
 TEST(StaticSearch, ToolLessMethodsStayBelowLatsOnKnowledgeTasks)
 {
     auto accuracy = [](AgentKind agent) {
-        core::ProbeConfig cfg;
+        core::ServeConfig cfg;
+        cfg.closedLoop = true;
         cfg.agent = agent;
         cfg.bench = Benchmark::HotpotQA;
         cfg.engineConfig = core::enginePreset8b();
-        cfg.numTasks = 50;
+        cfg.numRequests = 50;
         cfg.seed = 43;
-        return core::runProbe(cfg).accuracy();
+        return core::runServing(cfg).accuracy();
     };
     const double lats = accuracy(AgentKind::Lats);
     EXPECT_GT(lats, accuracy(AgentKind::TreeOfThoughts) + 0.2);
@@ -539,19 +547,20 @@ TEST(StaticSearch, ToolLessMethodsStayBelowLatsOnKnowledgeTasks)
 TEST(ActorCritic, StructureLiesBetweenReactAndReflexion)
 {
     auto probe = [](AgentKind agent) {
-        core::ProbeConfig cfg;
+        core::ServeConfig cfg;
+        cfg.closedLoop = true;
         cfg.agent = agent;
         cfg.bench = Benchmark::HotpotQA;
         cfg.engineConfig = core::enginePreset8b();
-        cfg.numTasks = 40;
+        cfg.numRequests = 40;
         cfg.seed = 31;
-        return core::runProbe(cfg);
+        return core::runServing(cfg);
     };
     const auto react = probe(AgentKind::ReAct);
     const auto duo = probe(AgentKind::ActorCritic);
     // The duo adds critic calls on top of actor trials.
     EXPECT_GT(duo.meanLlmCalls(), react.meanLlmCalls());
-    EXPECT_GT(duo.e2eSeconds().mean(), react.e2eSeconds().mean());
+    EXPECT_GT(duo.e2eSeconds.mean(), react.e2eSeconds.mean());
     EXPECT_GE(duo.accuracy(), react.accuracy());
 }
 
@@ -567,15 +576,16 @@ TEST(ActorCritic, SupportedOnAllAgenticBenchmarks)
 
 TEST(ActorCritic, RespectsRoundBudget)
 {
-    core::ProbeConfig cfg;
+    core::ServeConfig cfg;
+    cfg.closedLoop = true;
     cfg.agent = AgentKind::ActorCritic;
     cfg.bench = Benchmark::WebShop;
     cfg.engineConfig = core::enginePreset8b();
     cfg.agentConfig.maxReflections = 1; // at most 2 rounds
     cfg.agentConfig.maxIterations = 3;
-    cfg.numTasks = 10;
+    cfg.numRequests = 10;
     cfg.seed = 32;
-    const auto r = core::runProbe(cfg);
+    const auto r = core::runServing(cfg);
     for (const auto &req : r.requests) {
         EXPECT_LE(req.result.reflectionsUsed, 1);
         // <= 2 actor trials x (3 steps) + 2 critic reviews +

@@ -39,13 +39,14 @@ class EveryPair : public ::testing::TestWithParam<PairCase>
 TEST_P(EveryPair, RunsEndToEnd)
 {
     const auto [agent, bench] = GetParam();
-    core::ProbeConfig cfg;
+    core::ServeConfig cfg;
+    cfg.closedLoop = true;
     cfg.agent = agent;
     cfg.bench = bench;
     cfg.engineConfig = core::enginePreset8b();
-    cfg.numTasks = 3;
+    cfg.numRequests = 3;
     cfg.seed = 42;
-    const auto r = core::runProbe(cfg);
+    const auto r = core::runServing(cfg);
     ASSERT_EQ(r.requests.size(), 3u);
     for (const auto &req : r.requests) {
         const auto &res = req.result;
@@ -236,14 +237,15 @@ TEST(AccuracyModel, OneShotRespectsThreshold)
 double
 accuracyOf(AgentKind agent, Benchmark bench, bool use70b)
 {
-    core::ProbeConfig cfg;
+    core::ServeConfig cfg;
+    cfg.closedLoop = true;
     cfg.agent = agent;
     cfg.bench = bench;
     cfg.engineConfig =
         use70b ? core::enginePreset70b() : core::enginePreset8b();
-    cfg.numTasks = 50;
+    cfg.numRequests = 50;
     cfg.seed = 2026;
-    return core::runProbe(cfg).accuracy();
+    return core::runServing(cfg).accuracy();
 }
 
 TEST(AccuracyOrdering, HotpotQaMatchesPaperShape)

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "core/bottleneck_report.hh"
 #include "core/probe.hh"
 #include "core/serving_system.hh"
 #include "core/trace_export.hh"
@@ -738,15 +739,16 @@ TEST(Spans, BlameConservationOnGappyTree)
 
 TEST(Spans, ProbeBlameConservesEndToEndLatency)
 {
-    core::ProbeConfig cfg;
+    core::ServeConfig cfg;
+    cfg.closedLoop = true;
     cfg.agent = agents::AgentKind::ReAct;
     cfg.bench = workload::Benchmark::HotpotQA;
     cfg.engineConfig = core::enginePreset8b();
-    cfg.numTasks = 3;
+    cfg.numRequests = 3;
     cfg.seed = 11;
     telemetry::SpanCollector spans;
     cfg.spans = &spans;
-    const auto r = core::runProbe(cfg);
+    const auto r = core::runServing(cfg);
     ASSERT_EQ(r.requests.size(), 3u);
     for (const auto &req : r.requests) {
         EXPECT_GT(req.blame.total(), 0.0);
@@ -758,6 +760,42 @@ TEST(Spans, ProbeBlameConservesEndToEndLatency)
     }
     EXPECT_EQ(spans.requestsFinished(), 3);
     EXPECT_EQ(spans.openTrees(), 0u);
+}
+
+TEST(Spans, ExemplarZeroLengthSpanBeginsBeforeItEnds)
+{
+    // A request whose first engine call queues for zero time: the
+    // zero-length queue span shares the root's start tick.
+    SpanCollector spans;
+    const SpanRef root = spans.beginRequest(1, "test/zero", 0);
+    const SpanRef queue =
+        spans.child(root, SpanKind::Queue, "queued", 0);
+    spans.end(queue, 0);
+    const SpanRef dec = spans.child(root, SpanKind::Decode, "decode", 0);
+    spans.end(dec, sim::fromSeconds(1.0));
+    spans.finishRequest(root, sim::fromSeconds(1.0));
+
+    telemetry::TraceSink trace;
+    core::emitSpanExemplars(spans, trace);
+    const std::string json = trace.toJson();
+    // Walk the async events in emission order: no end may precede
+    // its begin, and every begin is closed.
+    int depth = 0;
+    int events = 0;
+    for (std::size_t at = json.find("\"ph\":\""); at != std::string::npos;
+         at = json.find("\"ph\":\"", at + 1)) {
+        const char ph = json[at + 6];
+        if (ph == 'b') {
+            ++depth;
+            ++events;
+        } else if (ph == 'e') {
+            ASSERT_GT(depth, 0) << "end before begin at offset " << at;
+            --depth;
+            ++events;
+        }
+    }
+    EXPECT_EQ(events, 6);
+    EXPECT_EQ(depth, 0);
 }
 
 TEST(Spans, TailRetainerEvictsWeakestUnderCap)
