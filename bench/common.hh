@@ -64,6 +64,10 @@ supportedPairs()
  *                   --csv out.csv --report BENCH_agentsim.json
  *   chaos_slo --flight-record --incident-dir out/incidents
  *
+ * --csv attaches the session's time-series store and writes every
+ * series it sampled, in series,time_s,value rows (the registry's
+ * scalars plus the run's own series, at the store's cadence).
+ *
  * Each instrumented run resets the session, so the emitted telemetry
  * files describe the *last* configuration the binary executed (the
  * most loaded sweep point). The perf report is different: the binary
@@ -119,6 +123,9 @@ class TelemetryCli
                     reportPath_ = argv[++i];
             }
         }
+        // 65,536 points per series cover nine simulated hours at the
+        // default 0.5 s cadence, so --csv holds a whole bench run.
+        session_.timeseries.setConfig({.capacity = 1 << 16});
     }
 
     bool
@@ -148,10 +155,11 @@ class TelemetryCli
             return;
         session_.reset();
         cfg.telemetry = &session_;
+        if (sampleSeries())
+            cfg.timeseries = &session_.timeseries;
         if (flightRecord_) {
             armRecorder();
             cfg.recorder = &session_.recorder;
-            cfg.timeseries = &session_.timeseries;
         }
     }
 
@@ -165,10 +173,11 @@ class TelemetryCli
         if (!trace_.empty() || flightRecord_)
             cfg.traceSink = &session_.trace;
         cfg.metrics = &session_.registry;
+        if (sampleSeries())
+            cfg.timeseries = &session_.timeseries;
         if (flightRecord_) {
             armRecorder();
             cfg.recorder = &session_.recorder;
-            cfg.timeseries = &session_.timeseries;
             // Bundles carry a windowed blame table, so incident runs
             // also need the span collector.
             if (cfg.spans == nullptr)
@@ -194,11 +203,9 @@ class TelemetryCli
                  ok;
         }
         if (!csv_.empty()) {
-            ok = telemetry::writeArtifact(
-                     csv_,
-                     telemetry::EngineSampler::renderCsv(
-                         session_.engineSamples),
-                     "engine iteration CSV") &&
+            ok = telemetry::writeArtifact(csv_,
+                                          session_.timeseries.renderCsv(),
+                                          "time-series CSV") &&
                  ok;
         }
         if (!reportPath_.empty()) {
@@ -216,6 +223,10 @@ class TelemetryCli
     }
 
   private:
+    /** Whether runs sample the time-series store (--csv writes it;
+     *  incident bundles carry windows of it). */
+    bool sampleSeries() const { return !csv_.empty() || flightRecord_; }
+
     /** Point the (freshly reset) recorder at the incident dir. */
     void
     armRecorder()

@@ -120,7 +120,8 @@ main(int argc, char **argv)
         bare.completed == instr.completed &&
         bare.solved == instr.solved && bare.p50() == instr.p50() &&
         bare.p95() == instr.p95() &&
-        bare.engineStats.busySeconds == instr.engineStats.busySeconds;
+        bare.engineStats.busySeconds == instr.engineStats.busySeconds &&
+        bare.energyWh == instr.energyWh;
     if (!identical) {
         std::fprintf(stderr,
                      "error: instrumented run diverged from bare run "
@@ -128,7 +129,7 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("Observer purity: instrumented run bit-identical to "
-                "bare run (completed/solved/p50/p95/GPU busy).\n");
+                "bare run (completed/solved/p50/p95/GPU busy/energy).\n");
 
     if (telemetry.reportRequested()) {
         auto &rep = telemetry.report();

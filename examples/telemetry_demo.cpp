@@ -5,9 +5,11 @@
  *
  *   telemetry_demo.prom — Prometheus text exposition of the engine's
  *                         metric families;
- *   telemetry_demo.csv  — one row per sampled engine iteration
- *                         (batch occupancy, token split, KV usage,
- *                         prefix-hit rate, preemptions);
+ *   telemetry_demo.csv  — every metric sampled at the time-series
+ *                         store's cadence, one series,time_s,value
+ *                         row per point (batch occupancy, token
+ *                         counts, KV usage, prefix-hit rate,
+ *                         preemptions);
  *   telemetry_demo.json — a cross-layer Chrome trace: engine
  *                         iterations, per-request lifecycle spans and
  *                         agent LLM/tool steps on a shared clock.
@@ -83,6 +85,7 @@ servingDemo(const std::string &prefix)
     cfg.numRequests = 16;
     cfg.seed = 7;
     cfg.telemetry = &session;
+    cfg.timeseries = &session.timeseries;
 
     const core::ServeResult result = core::runServing(cfg);
 
@@ -105,10 +108,10 @@ servingDemo(const std::string &prefix)
                 result.simEventsProcessed, result.simWallSeconds,
                 result.simEventsPerSecond);
 
-    std::printf("collected: %zu metric families, %zu engine samples, "
-                "%zu trace events\n",
+    std::printf("collected: %zu metric families, %zu time-series "
+                "points, %zu trace events\n",
                 session.registry.families(),
-                session.engineSamples.size(),
+                session.timeseries.pointsRetained(),
                 session.trace.eventCount());
 
     bool ok = true;
@@ -119,11 +122,8 @@ servingDemo(const std::string &prefix)
                                   session.registry.renderPrometheus(),
                                   "Prometheus metrics") &&
          ok;
-    ok = telemetry::writeArtifact(
-             csv,
-             telemetry::EngineSampler::renderCsv(
-                 session.engineSamples),
-             "engine iteration CSV") &&
+    ok = telemetry::writeArtifact(csv, session.timeseries.renderCsv(),
+                                  "time-series CSV") &&
          ok;
     ok = telemetry::writeArtifact(json, session.trace.toJson(),
                                   "Chrome trace") &&

@@ -4,6 +4,7 @@ Chrome trace and a non-empty blame export.
 
     check_trace.py trace.json [metrics.prom]
     check_trace.py --bundle <incident-bundle-dir | incidents-dir>
+    check_trace.py --timeseries <series.csv>
 
 Positional mode checks, in order:
   1. The trace parses as Chrome trace-event JSON ({"traceEvents": [...]})
@@ -21,8 +22,14 @@ incident-*/ bundle under a directory of them):
      trigger time, and a non-empty windowed blame table.
   2. trace.json parses; every event intersects the manifest window;
      the recorder's own "incident" span lanes balance begins/ends.
-  3. timeseries.csv is non-empty, every sample lies inside the window,
-     and its clock agrees with the trace's (shared sim timebase).
+  3. timeseries.csv passes the --timeseries checks below, every
+     sample lies inside the window, and its clock agrees with the
+     trace's (shared sim timebase).
+
+--timeseries mode validates a time-series CSV (a bench's --csv output
+or a bundle's timeseries.csv): the series,time_s,value header, rows
+of three fields with parseable numbers, times that never decrease
+within a series, and at least one sample.
 
 Exits non-zero with a one-line reason on the first violation.
 """
@@ -109,6 +116,38 @@ def check_metrics(path: str) -> None:
         fail(f"{path}: blame export covers zero requests")
     print(f"check_trace: {path}: {len(blame)} blame samples, "
           f"{requests:.0f} requests blamed")
+
+
+def check_timeseries(path: str) -> list[float]:
+    """Validate a series,time_s,value CSV; return its sample times."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except OSError as e:
+        fail(f"{path}: unreadable: {e}")
+    if not lines or lines[0] != "series,time_s,value":
+        fail(f"{path}: missing series,time_s,value header")
+    times = []
+    last_time: dict[str, float] = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            fail(f"{path}: malformed row {line!r}")
+        try:
+            t = float(parts[1])
+            float(parts[2])
+        except ValueError:
+            fail(f"{path}: unparseable row {line!r}")
+        series = parts[0]
+        if t < last_time.get(series, t):
+            fail(f"{path}: series {series} goes back in time at {t}s")
+        last_time[series] = t
+        times.append(t)
+    if not times:
+        fail(f"{path}: no time-series samples")
+    return times
 
 
 def check_bundle(bundle: str) -> None:
@@ -204,37 +243,16 @@ def check_bundle(bundle: str) -> None:
 
     # 3. Time series: in-window samples on the same clock.
     ts_path = os.path.join(bundle, "timeseries.csv")
-    try:
-        with open(ts_path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        fail(f"{ts_path}: unreadable: {e}")
-    if not lines or lines[0] != "series,time_s,value":
-        fail(f"{ts_path}: missing series,time_s,value header")
-    samples = 0
-    ts_min = None
-    ts_max = None
-    for line in lines[1:]:
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            fail(f"{ts_path}: malformed row {line!r}")
-        try:
-            t = float(parts[1])
-            float(parts[2])
-        except ValueError:
-            fail(f"{ts_path}: unparseable row {line!r}")
+    times = check_timeseries(ts_path)
+    for t in times:
         if t < w_from - CLOCK_EPS_S or t > w_to + CLOCK_EPS_S:
             fail(f"{ts_path}: sample at {t}s outside the window "
                  f"[{w_from:.3f}s, {w_to:.3f}s]")
-        ts_min = t if ts_min is None else min(ts_min, t)
-        ts_max = t if ts_max is None else max(ts_max, t)
-        samples += 1
-    if samples == 0:
-        fail(f"{ts_path}: no time-series samples in the window")
+    samples = len(times)
+    ts_min = min(times)
+    ts_max = max(times)
     # Clock agreement: both artifacts cover overlapping sim time.
-    if trace_min_us is not None and ts_min is not None:
+    if trace_min_us is not None:
         if ts_max * 1e6 < trace_min_us - CLOCK_EPS_S * 1e6 or \
            ts_min * 1e6 > trace_max_us + CLOCK_EPS_S * 1e6:
             fail(f"{bundle}: time-series span [{ts_min}, {ts_max}]s "
@@ -266,6 +284,12 @@ def check_bundles(path: str) -> None:
 def main(argv: list[str]) -> None:
     if len(argv) == 3 and argv[1] == "--bundle":
         check_bundles(argv[2])
+        print("check_trace: OK")
+        return
+    if len(argv) == 3 and argv[1] == "--timeseries":
+        times = check_timeseries(argv[2])
+        print(f"check_trace: {argv[2]}: {len(times)} time-series "
+              f"samples over [{min(times):.3f}s, {max(times):.3f}s]")
         print("check_trace: OK")
         return
     if len(argv) < 2 or len(argv) > 3:

@@ -29,7 +29,8 @@ echo "==> perf report gate (fig14_qps_sweep vs BENCH_agentsim.json)"
 report="$(mktemp)"
 trace="$(mktemp)"
 prom="$(mktemp)"
-trap 'rm -f "${report}" "${trace}" "${prom}"' EXIT
+series="$(mktemp)"
+trap 'rm -f "${report}" "${trace}" "${prom}" "${series}"' EXIT
 build/bench/fig14_qps_sweep --report "${report}" > /dev/null
 # The relative diff never gates host-noisy sim_* metrics, so the
 # simulator's own throughput gets an absolute catastrophe floor
@@ -56,13 +57,22 @@ build/bench/fig03_timelines --trace "${trace}" \
     --metrics "${prom}" > /dev/null
 python3 scripts/check_trace.py "${trace}" "${prom}"
 
+# Time-series gate: --csv on a serving run and on a cluster run must
+# each write a time-series CSV with well-formed rows, times that never
+# go back within a series, and at least one sample.
+echo "==> time-series gate (tail_blame --smoke --csv, chaos_slo --smoke --csv)"
+build/bench/tail_blame --smoke --csv "${series}" > /dev/null
+python3 scripts/check_trace.py --timeseries "${series}"
+build/bench/chaos_slo --smoke --csv "${series}" > /dev/null
+python3 scripts/check_trace.py --timeseries "${series}"
+
 # Incident-capture gate: the chaos smoke run's injected engine stalls
 # must trip the SLO burn alerter and dump at least one incident
 # bundle whose window and blame table pass schema validation
 # (DESIGN.md §3i).
 echo "==> incident capture gate (chaos_slo --smoke --flight-record)"
 incidents="$(mktemp -d)"
-trap 'rm -f "${report}" "${trace}" "${prom}"; rm -rf "${incidents}"' EXIT
+trap 'rm -f "${report}" "${trace}" "${prom}" "${series}"; rm -rf "${incidents}"' EXIT
 build/bench/chaos_slo --smoke --flight-record \
     --incident-dir "${incidents}" > /dev/null
 python3 scripts/check_trace.py --bundle "${incidents}"

@@ -1023,7 +1023,7 @@ timeseriesSampler(const ClusterConfig &config, sim::Simulation &sim,
 {
     telemetry::TimeSeriesStore &ts = *config.timeseries;
     for (;;) {
-        co_await sim::delaySec(sim, config.timeseriesPeriodSeconds);
+        co_await sim::delaySec(sim, ts.config().periodSeconds);
         const sim::Tick now = sim.now();
         double queued = 0.0;
         double running = 0.0;

@@ -219,14 +219,12 @@ struct ClusterConfig
     /**
      * Optional windowed time-series store: a read-only sampling
      * coroutine records per-node queue depth / running count / KV
-     * utilization, cluster burn rates and completion counters at
-     * timeseriesPeriodSeconds cadence (plus every registry scalar
-     * when `metrics` is set). Pure observer — attaching it never
-     * changes sim outcomes. Must outlive runCluster().
+     * utilization, cluster burn rates and completion counters at the
+     * store's periodSeconds cadence (plus every registry scalar when
+     * `metrics` is set). Pure observer — attaching it never changes
+     * sim outcomes. Must outlive runCluster().
      */
     telemetry::TimeSeriesStore *timeseries = nullptr;
-    /** Sampling cadence of the time-series coroutine, seconds. */
-    double timeseriesPeriodSeconds = 0.5;
 };
 
 /** Per-node measurements. */

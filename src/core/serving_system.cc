@@ -28,6 +28,8 @@ struct ServeState
     std::string workflowLabel;
     /** Workload drained; periodic observers exit at next wake. */
     bool stopped = false;
+    /** Tick at which the driver set `stopped`. */
+    sim::Tick stopTick = 0;
     /** Closed loop: the open request's window record, which its
      *  worker fills with its blame and agent result. */
     RequestProbe *window = nullptr;
@@ -279,31 +281,25 @@ driver(const ServeConfig &config, sim::Simulation &sim,
     }
     co_await sim::allOf(std::move(workers));
     state.stopped = true;
+    state.stopTick = sim.now();
 }
 
 /**
  * Read-only time-series sampler for the single-engine path: the
- * serving twin of the cluster's timeseriesSampler. Pure observer —
- * consumes no RNG, mutates nothing; not spawned without a store.
+ * serving twin of the cluster's timeseriesSampler. Engine series
+ * (tokens, KV blocks, hit rate, preemptions, evictions, batch size,
+ * queue depth) come from the engine's own metrics export. Pure
+ * observer — consumes no RNG, mutates no sim state; not spawned
+ * without a store.
  */
 sim::Task<void>
 timeseriesSampler(const ServeConfig &config, sim::Simulation &sim,
-                  serving::LlmEngine &engine, ServeState &state)
+                  const serving::LlmEngine &engine, ServeState &state)
 {
     telemetry::TimeSeriesStore &ts = *config.timeseries;
     for (;;) {
-        co_await sim::delaySec(sim, config.timeseriesPeriodSeconds);
+        co_await sim::delaySec(sim, ts.config().periodSeconds);
         const sim::Tick now = sim.now();
-        ts.record("engine_queue_depth", now,
-                  static_cast<double>(engine.queueDepth()));
-        ts.record("engine_running", now,
-                  static_cast<double>(engine.runningCount()));
-        const auto &blocks = engine.blockManager();
-        if (blocks.totalBlocks() > 0) {
-            ts.record("engine_kv_util", now,
-                      static_cast<double>(blocks.blocksInUse()) /
-                          static_cast<double>(blocks.totalBlocks()));
-        }
         ts.record("requests_completed", now,
                   static_cast<double>(state.result.completed));
         if (config.slo != nullptr) {
@@ -311,8 +307,10 @@ timeseriesSampler(const ServeConfig &config, sim::Simulation &sim,
                       config.slo->windowBurnRate(
                           telemetry::SloMetric::E2e, now));
         }
-        if (config.telemetry != nullptr)
+        if (config.telemetry != nullptr) {
+            engine.exportMetrics(config.telemetry->registry);
             ts.sample(config.telemetry->registry, now);
+        }
         if (state.stopped)
             co_return;
     }
@@ -393,21 +391,24 @@ runServing(const ServeConfig &config)
     out.engineStats = engine.stats();
     out.cacheStats = engine.cacheStats();
     out.cacheHitRate = engine.cacheStats().hitRate();
-    const sim::Tick end = sim.now();
-    const double ticks = static_cast<double>(end);
+    // Bill the run up to the driver's stop, not to sim.now(): the
+    // time-series sampler's last wake can come up to a period later.
+    const sim::Tick stop = state.stopTick;
+    const double ticks = static_cast<double>(stop);
     const double block_bytes = static_cast<double>(engine.blockBytes());
     out.kvAvgBytes =
-        ticks > 0 ? engine.kvUsageGauge().integral(end) / ticks *
+        ticks > 0 ? engine.kvUsageGauge().integral(stop) / ticks *
                         block_bytes
                   : 0.0;
     out.kvMaxBytes = engine.kvUsageGauge().max() * block_bytes;
-    out.energyWh = engine.energyJoules(end) / 3600.0;
+    out.energyWh = engine.energyJoules(stop) / 3600.0;
     out.simWallSeconds = sim.wallSeconds();
     out.simEventsProcessed =
         static_cast<double>(sim.processedEvents());
     out.simEventsPerSecond = sim.eventsPerSecond();
 
     if (config.telemetry != nullptr) {
+        const sim::Tick end = sim.now();
         telemetry::SessionTelemetry &t = *config.telemetry;
         engine.exportMetrics(t.registry);
         telemetry::exportSimMetrics(t.registry, sim);
@@ -438,8 +439,6 @@ runServing(const ServeConfig &config)
             .gauge("agentsim_trace_dropped_events",
                    "Trace events dropped by the sink's capacity cap")
             .set(end, static_cast<double>(t.trace.droppedEvents()));
-        t.registry.snapshot(end);
-        t.engineSamples = engine.sampler().samples();
     }
     return out;
 }

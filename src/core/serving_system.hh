@@ -54,11 +54,10 @@ struct ServeConfig
 
     /**
      * Optional telemetry collection: when set, the run attaches the
-     * session's trace sink to the engine and every agent rollout,
+     * session's trace sink to the engine and every agent rollout and
      * exports end-of-run engine metrics and request-latency
-     * histograms into the registry, and copies the engine's
-     * per-iteration sample series out before the engine is torn down.
-     * The session must outlive the call.
+     * histograms into the registry. The session must outlive the
+     * call.
      */
     telemetry::SessionTelemetry *telemetry = nullptr;
 
@@ -88,11 +87,12 @@ struct ServeConfig
     telemetry::FlightRecorder *recorder = nullptr;
     /**
      * Optional windowed time-series store fed by a read-only sampler
-     * coroutine at timeseriesPeriodSeconds cadence. Pure observer.
-     * Must outlive the call.
+     * coroutine at the store's periodSeconds cadence: completed
+     * requests, the E2E burn rate (with `slo`) and, with `telemetry`,
+     * every registry scalar after a fresh engine metrics export.
+     * Pure observer. Must outlive the call.
      */
     telemetry::TimeSeriesStore *timeseries = nullptr;
-    double timeseriesPeriodSeconds = 0.5;
 };
 
 /** Serving-experiment measurements. */

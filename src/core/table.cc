@@ -7,6 +7,7 @@
 
 #include "sim/logging.hh"
 #include "sim/strfmt.hh"
+#include "telemetry/registry.hh"
 
 namespace agentsim::core
 {
@@ -122,14 +123,7 @@ Table::renderCsv() const
 bool
 Table::writeCsv(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    const std::string text = renderCsv();
-    const std::size_t written =
-        std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    return written == text.size();
+    return telemetry::writeTextFile(path, renderCsv());
 }
 
 std::string

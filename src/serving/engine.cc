@@ -58,8 +58,6 @@ LlmEngine::LlmEngine(sim::Simulation &sim, const EngineConfig &config)
                                      config.kvNvmeAdmitProb,
                                      config.kvNvmeTierMode,
                                      config.seed}),
-      sampler_(telemetry::SamplerConfig{config.samplerStride,
-                                        config.samplerCapacity}),
       loop_(runLoop())
 {
 }
@@ -1305,45 +1303,28 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
 
     updateGauges();
 
-    // Telemetry: one iteration sample (strided ring write) plus, when
-    // a trace sink is attached, the engine-track span and counters.
-    {
-        telemetry::IterationSample s;
-        s.tick = sim_.now();
-        s.step = stats_.steps;
-        s.running = static_cast<std::int32_t>(running_.size());
-        s.waiting = static_cast<std::int32_t>(waiting_.size());
-        s.prefillTokens = cost.prefillTokens;
-        s.decodeTokens = cost.decodeTokens;
-        s.kvBlocksUsed = blocks_.blocksInUse();
-        s.kvBlocksFree = blocks_.blocksFree();
-        s.prefixHitRate = blocks_.stats().hitRate();
-        s.preemptions = stats_.preemptions;
-        s.evictions = blocks_.stats().evictions;
-        s.stepSeconds =
-            cost.seconds + plan.extraSeconds + plan.stallSeconds;
-        sampler_.record(s);
-
-        if (trace_ != nullptr) {
-            trace_->complete(
-                telemetry::TracePid::kEngine, 1, "step", "engine",
-                step_start, sim_.now(),
-                sim::strfmt("\"prefill_tokens\":%lld,"
-                            "\"decode_tokens\":%lld,\"running\":%d,"
-                            "\"waiting\":%d",
-                            static_cast<long long>(cost.prefillTokens),
-                            static_cast<long long>(cost.decodeTokens),
-                            s.running, s.waiting));
-            trace_->counter(
-                telemetry::TracePid::kEngine, "kv_blocks", sim_.now(),
-                sim::strfmt("\"used\":%lld,\"free\":%lld",
-                            static_cast<long long>(s.kvBlocksUsed),
-                            static_cast<long long>(s.kvBlocksFree)));
-            trace_->counter(
-                telemetry::TracePid::kEngine, "batch", sim_.now(),
-                sim::strfmt("\"running\":%d,\"waiting\":%d", s.running,
-                            s.waiting));
-        }
+    // Telemetry: the engine-track span and counters.
+    if (trace_ != nullptr) {
+        const int running = static_cast<int>(running_.size());
+        const int waiting = static_cast<int>(waiting_.size());
+        trace_->complete(
+            telemetry::TracePid::kEngine, 1, "step", "engine",
+            step_start, sim_.now(),
+            sim::strfmt("\"prefill_tokens\":%lld,"
+                        "\"decode_tokens\":%lld,\"running\":%d,"
+                        "\"waiting\":%d",
+                        static_cast<long long>(cost.prefillTokens),
+                        static_cast<long long>(cost.decodeTokens),
+                        running, waiting));
+        trace_->counter(
+            telemetry::TracePid::kEngine, "kv_blocks", sim_.now(),
+            sim::strfmt("\"used\":%lld,\"free\":%lld",
+                        static_cast<long long>(blocks_.blocksInUse()),
+                        static_cast<long long>(blocks_.blocksFree())));
+        trace_->counter(
+            telemetry::TracePid::kEngine, "batch", sim_.now(),
+            sim::strfmt("\"running\":%d,\"waiting\":%d", running,
+                        waiting));
     }
 }
 

@@ -36,7 +36,6 @@
 #include "sim/task.hh"
 #include "stats/gauge.hh"
 #include "telemetry/registry.hh"
-#include "telemetry/sampler.hh"
 #include "telemetry/slo.hh"
 #include "telemetry/span.hh"
 #include "telemetry/trace_sink.hh"
@@ -115,15 +114,6 @@ struct EngineConfig
     std::size_t maxQueueDepth = 0;
     /** Seed for the generated-token streams. */
     std::uint64_t seed = 1;
-
-    /**
-     * Iteration-sampler stride: keep every Nth step in the telemetry
-     * ring (1 = every step, 0 disables). On by default — recording is
-     * one struct copy into a preallocated ring.
-     */
-    int samplerStride = 1;
-    /** Iteration-sampler ring capacity, in samples. */
-    std::size_t samplerCapacity = 1 << 16;
 };
 
 /** Aggregated engine-level statistics. */
@@ -428,9 +418,6 @@ class LlmEngine
     const EngineConfig &config() const { return config_; }
     const llm::PerfModel &perfModel() const { return perf_; }
 
-    /** Per-iteration telemetry series (always collecting by default). */
-    const telemetry::EngineSampler &sampler() const { return sampler_; }
-
     /**
      * Attach a cross-layer trace sink. The engine then emits one span
      * per iteration on the engine track, per-request lifecycle spans
@@ -617,7 +604,6 @@ class LlmEngine
     EngineStats stats_;
     stats::TimeWeightedGauge kvUsed_;
     stats::TimeWeightedGauge batchSize_;
-    telemetry::EngineSampler sampler_;
     telemetry::TraceSink *trace_ = nullptr;
     telemetry::SloTracker *slo_ = nullptr;
     telemetry::SpanCollector *spans_ = nullptr;

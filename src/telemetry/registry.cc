@@ -57,52 +57,6 @@ MetricsRegistry::histogram(const std::string &name,
     return static_cast<HistogramMetric &>(*metrics_.back());
 }
 
-std::vector<std::string>
-MetricsRegistry::csvColumns() const
-{
-    std::vector<std::string> cols;
-    cols.reserve(metrics_.size() + 1);
-    for (const auto &m : metrics_) {
-        if (m->kind() == MetricKind::Histogram) {
-            cols.push_back(m->name() + "_count");
-            cols.push_back(m->name() + "_sum");
-        } else {
-            cols.push_back(m->name());
-        }
-    }
-    return cols;
-}
-
-std::vector<double>
-MetricsRegistry::csvValues() const
-{
-    std::vector<double> vals;
-    vals.reserve(metrics_.size() + 1);
-    for (const auto &m : metrics_) {
-        switch (m->kind()) {
-          case MetricKind::Counter:
-            vals.push_back(static_cast<const Counter &>(*m).value());
-            break;
-          case MetricKind::Gauge:
-            vals.push_back(static_cast<const Gauge &>(*m).value());
-            break;
-          case MetricKind::Histogram: {
-              const auto &h = static_cast<const HistogramMetric &>(*m);
-              vals.push_back(static_cast<double>(h.count()));
-              vals.push_back(h.sum());
-              break;
-          }
-        }
-    }
-    return vals;
-}
-
-void
-MetricsRegistry::snapshot(sim::Tick now)
-{
-    rows_.push_back({now, csvValues()});
-}
-
 void
 MetricsRegistry::forEachScalar(
     const std::function<void(const std::string &, double)> &fn) const
@@ -171,34 +125,11 @@ MetricsRegistry::renderPrometheus() const
     return out;
 }
 
-std::string
-MetricsRegistry::renderCsv() const
-{
-    std::string out = "time_s";
-    for (const auto &col : csvColumns())
-        out += "," + col;
-    out += "\n";
-    const std::size_t width = csvColumns().size();
-    for (const auto &row : rows_) {
-        out += sim::strfmt("%.9f", sim::toSeconds(row.tick));
-        for (std::size_t i = 0; i < width; ++i) {
-            // Rows snapshot before a late registration are padded so
-            // every line has the full column count.
-            const double v =
-                i < row.values.size() ? row.values[i] : 0.0;
-            out += sim::strfmt(",%.17g", v);
-        }
-        out += "\n";
-    }
-    return out;
-}
-
 void
 MetricsRegistry::clear()
 {
     metrics_.clear();
     index_.clear();
-    rows_.clear();
 }
 
 bool
@@ -207,10 +138,10 @@ writeTextFile(const std::string &path, const std::string &text)
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr)
         return false;
-    const std::size_t written =
-        std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    return written == text.size();
+    const bool written =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    const bool closed = std::fclose(f) == 0;
+    return written && closed;
 }
 
 bool

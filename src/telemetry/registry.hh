@@ -1,8 +1,8 @@
 /**
  * @file
  * Metrics registry: named counters, gauges and histograms with
- * snapshot-at-sim-time sampling, Prometheus text exposition and CSV
- * time-series export.
+ * Prometheus text exposition. The time-series store
+ * (telemetry/timeseries.hh) samples every scalar the registry exposes.
  *
  * The registry is the pull side of the telemetry subsystem: subsystems
  * register (or look up) metrics by name and update them; exporters
@@ -156,18 +156,6 @@ class MetricsRegistry
     std::size_t families() const { return metrics_.size(); }
 
     /**
-     * Append one CSV row capturing every scalar metric at sim time
-     * @p now (counters and gauges by value; histograms as _count and
-     * _sum columns). Metrics registered after the first snapshot
-     * start appearing in later exports with empty leading cells kept
-     * consistent by column order, so register before sampling.
-     */
-    void snapshot(sim::Tick now);
-
-    /** Rows recorded by snapshot(). */
-    std::size_t snapshots() const { return rows_.size(); }
-
-    /**
      * Visit every scalar the registry exposes (counters and gauges by
      * value; histograms as <name>_count and <name>_sum), in
      * registration order. This is the hook the time-series store uses
@@ -184,33 +172,21 @@ class MetricsRegistry
      */
     std::string renderPrometheus() const;
 
-    /** CSV of all snapshot() rows: time_s column plus one per scalar. */
-    std::string renderCsv() const;
-
-    /** Drop all metrics and snapshots. */
+    /** Drop all metrics. */
     void clear();
 
   private:
     std::vector<std::unique_ptr<Metric>> metrics_;
     std::unordered_map<std::string, std::size_t> index_;
-    /** Snapshot rows: time plus values in column order. */
-    struct Row
-    {
-        sim::Tick tick;
-        std::vector<double> values;
-    };
-    std::vector<Row> rows_;
 
     Metric *find(const std::string &name, MetricKind kind);
-
-    /** CSV column headers for the current metric set. */
-    std::vector<std::string> csvColumns() const;
-
-    /** CSV cell values for the current metric set. */
-    std::vector<double> csvValues() const;
 };
 
-/** Write @p text to @p path (truncating). @return success. */
+/**
+ * Write @p text to @p path (truncating). @return true only if every
+ * byte was written and the file closed cleanly (a failed flush on
+ * close is a failed write).
+ */
 bool writeTextFile(const std::string &path, const std::string &text);
 
 /**

@@ -2,19 +2,17 @@
  * @file
  * SessionTelemetry: the bundle a harness (serving system, bench
  * binary, example) hands to a run to collect everything at once —
- * the metrics registry, the cross-layer trace and a copy of the
- * engine's iteration time series.
+ * the metrics registry, the cross-layer trace, causal spans, the
+ * sampled time series and the flight recorder.
  */
 
 #ifndef AGENTSIM_TELEMETRY_SESSION_HH
 #define AGENTSIM_TELEMETRY_SESSION_HH
 
 #include <string>
-#include <vector>
 
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/registry.hh"
-#include "telemetry/sampler.hh"
 #include "telemetry/span.hh"
 #include "telemetry/timeseries.hh"
 #include "telemetry/trace_sink.hh"
@@ -24,9 +22,9 @@ namespace agentsim::telemetry
 
 /**
  * Aggregated per-run telemetry. The run attaches the trace sink to
- * its engine and agents, exports end-of-run metrics into the
- * registry, and copies the engine sampler's series out before the
- * engine is destroyed.
+ * its engine and agents and exports end-of-run metrics into the
+ * registry; a run given the store also samples the registry into it
+ * at the store's cadence.
  */
 struct SessionTelemetry
 {
@@ -38,8 +36,6 @@ struct SessionTelemetry
     TimeSeriesStore timeseries;
     /** Retroactive incident capture (off unless a run attaches it). */
     FlightRecorder recorder;
-    /** Engine iteration series, copied out of the engine post-run. */
-    std::vector<IterationSample> engineSamples;
 
     /** Drop all collected state (reused across bench sweep points). */
     void
@@ -50,7 +46,6 @@ struct SessionTelemetry
         spans.clear();
         timeseries.clear();
         recorder.clear();
-        engineSamples.clear();
     }
 
     /** Write the Prometheus exposition. @return success. */
@@ -58,14 +53,6 @@ struct SessionTelemetry
     writeMetrics(const std::string &path) const
     {
         return writeTextFile(path, registry.renderPrometheus());
-    }
-
-    /** Write the engine iteration series as CSV. @return success. */
-    bool
-    writeEngineCsv(const std::string &path) const
-    {
-        return writeTextFile(path,
-                             EngineSampler::renderCsv(engineSamples));
     }
 
     /** Write the Chrome trace JSON. @return success. */

@@ -1,6 +1,7 @@
 #include "telemetry/timeseries.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "sim/logging.hh"
 #include "sim/strfmt.hh"
@@ -55,7 +56,6 @@ TimeSeriesStore::ringFor(const std::string &name)
         return series_[it->second];
     index_.emplace(name, series_.size());
     series_.push_back(Ring{name, {}, 0, false});
-    series_.back().points.reserve(config_.capacity);
     return series_.back();
 }
 
@@ -152,6 +152,12 @@ TimeSeriesStore::renderCsvWindow(sim::Tick from, sim::Tick to) const
         }
     }
     return out;
+}
+
+std::string
+TimeSeriesStore::renderCsv() const
+{
+    return renderCsvWindow(0, std::numeric_limits<sim::Tick>::max());
 }
 
 std::size_t

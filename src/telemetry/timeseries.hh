@@ -54,8 +54,9 @@ class TimeSeriesStore
   public:
     struct Config
     {
-        /** Sampling cadence, virtual seconds (sample() callers honor
-         *  this; record() is cadence-free). */
+        /** Sampling cadence, virtual seconds: the serving and
+         *  cluster sampler coroutines wake this often. record() is
+         *  cadence-free. */
         double periodSeconds = 0.5;
         /** Points retained per series (ring capacity). */
         std::size_t capacity = 512;
@@ -113,6 +114,9 @@ class TimeSeriesStore
      * cleanly side by side.
      */
     std::string renderCsvWindow(sim::Tick from, sim::Tick to) const;
+
+    /** renderCsvWindow over every retained point. */
+    std::string renderCsv() const;
 
     /** Total points currently retained across all rings. */
     std::size_t pointsRetained() const;

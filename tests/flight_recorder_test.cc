@@ -256,12 +256,11 @@ TEST(FlightRecorderTest, RecorderOffRunIsBitIdentical)
     EXPECT_DOUBLE_EQ(r1.makespanSeconds, r2.makespanSeconds);
     EXPECT_DOUBLE_EQ(r1.engineStats.busySeconds,
                      r2.engineStats.busySeconds);
-    // energyWh is deliberately NOT compared: the sampler's final wake
-    // extends the sim end by at most one period (the same idiom the
-    // cluster monitor uses), so idle energy billed to sim teardown
-    // may include up to periodSeconds of extra idle draw. Bounded:
-    EXPECT_NEAR(r1.energyWh, r2.energyWh,
-                r1.energyWh * 0.001 + 1e-6);
+    // The sampler's last wake can fall after the driver stops; the
+    // run is billed to the stop, so energy and KV match exactly.
+    EXPECT_EQ(r1.energyWh, r2.energyWh);
+    EXPECT_EQ(r1.kvAvgBytes, r2.kvAvgBytes);
+    EXPECT_EQ(r1.kvMaxBytes, r2.kvMaxBytes);
     // And the observers did observe.
     EXPECT_GT(session.timeseries.pointsRetained(), 0u);
     EXPECT_GT(session.recorder.traceEventsRetained(), 0u);

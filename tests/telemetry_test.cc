@@ -1,8 +1,8 @@
 /**
  * @file
  * Tier-1 coverage of the telemetry subsystem: registry exposition,
- * engine iteration sampling, cross-layer Chrome trace validity and
- * the jsonEscape control-character fix.
+ * time-series sampling of a serving run, cross-layer Chrome trace
+ * validity and the jsonEscape control-character fix.
  */
 
 #include <gtest/gtest.h>
@@ -10,15 +10,16 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "core/bottleneck_report.hh"
 #include "core/probe.hh"
 #include "core/serving_system.hh"
+#include "core/table.hh"
 #include "core/trace_export.hh"
 #include "sim/logging.hh"
 #include "telemetry/registry.hh"
-#include "telemetry/sampler.hh"
 #include "telemetry/session.hh"
 #include "telemetry/slo.hh"
 #include "telemetry/span.hh"
@@ -230,6 +231,7 @@ reactSession()
         cfg.numRequests = 8;
         cfg.seed = 11;
         cfg.telemetry = &session;
+        cfg.timeseries = &session.timeseries;
         core::runServing(cfg);
         ran = true;
     }
@@ -241,29 +243,46 @@ reactSession()
 TEST(Telemetry, SamplerSeriesMonotoneAndComplete)
 {
     const auto &session = reactSession();
-    const auto &samples = session.engineSamples;
-    ASSERT_GT(samples.size(), 10u);
-    for (std::size_t i = 1; i < samples.size(); ++i) {
-        EXPECT_GE(samples[i].tick, samples[i - 1].tick)
-            << "sample " << i << " goes back in time";
-        EXPECT_GT(samples[i].step, samples[i - 1].step);
+    const telemetry::TimeSeriesStore &ts = session.timeseries;
+    const sim::Tick all = std::numeric_limits<sim::Tick>::max();
+    for (const char *name :
+         {"agentsim_engine_steps_total", "agentsim_prefill_tokens_total",
+          "agentsim_kv_blocks_used", "agentsim_queue_depth"}) {
+        ASSERT_TRUE(ts.has(name)) << name;
+        const auto points = ts.window(name, 0, all);
+        ASSERT_GT(points.size(), 10u) << name;
+        for (std::size_t i = 1; i < points.size(); ++i) {
+            EXPECT_GT(points[i].tick, points[i - 1].tick)
+                << name << " point " << i << " goes back in time";
+        }
+        for (const auto &p : points)
+            EXPECT_GE(p.value, 0.0) << name;
     }
-    for (const auto &s : samples) {
-        EXPECT_GE(s.running, 0);
-        EXPECT_GE(s.waiting, 0);
-        EXPECT_GE(s.kvBlocksUsed, 0);
-        EXPECT_GE(s.kvBlocksFree, 0);
-        EXPECT_GE(s.prefixHitRate, 0.0);
-        EXPECT_LE(s.prefixHitRate, 1.0);
-        EXPECT_GT(s.stepSeconds, 0.0);
-        // Every step does some work.
-        EXPECT_GT(s.prefillTokens + s.decodeTokens, 0);
+    // Counters never fall between samples.
+    for (const char *name :
+         {"agentsim_engine_steps_total", "agentsim_prefill_tokens_total"}) {
+        const auto points = ts.window(name, 0, all);
+        for (std::size_t i = 1; i < points.size(); ++i)
+            EXPECT_GE(points[i].value, points[i - 1].value) << name;
     }
-    // CSV: header plus one row per sample.
-    const std::string csv =
-        telemetry::EngineSampler::renderCsv(samples);
-    EXPECT_EQ(countOf(csv, "\n"),
-              static_cast<int>(samples.size()) + 1);
+    for (const auto &p :
+         ts.window("agentsim_kv_prefix_hit_rate", 0, all)) {
+        EXPECT_GE(p.value, 0.0);
+        EXPECT_LE(p.value, 1.0);
+    }
+    // The last sample precedes the end-of-run export.
+    double exported = 0.0;
+    session.registry.forEachScalar(
+        [&](const std::string &name, double value) {
+            if (name == "agentsim_engine_steps_total")
+                exported = value;
+        });
+    const auto steps = ts.window("agentsim_engine_steps_total", 0, all);
+    EXPECT_GT(steps.back().value, 0.0);
+    EXPECT_LE(steps.back().value, exported);
+    // CSV: header plus one row per retained point.
+    EXPECT_EQ(countOf(ts.renderCsv(), "\n"),
+              static_cast<int>(ts.pointsRetained()) + 1);
 }
 
 TEST(Telemetry, PrometheusOutputParsesLineByLine)
@@ -371,75 +390,48 @@ TEST(Telemetry, AgentTraceExportSurvivesTabsInLabels)
     EXPECT_NE(json.find("\\u0002"), std::string::npos);
 }
 
-TEST(Telemetry, SamplerRingWrapKeepsChronologicalOrder)
-{
-    telemetry::SamplerConfig cfg;
-    cfg.stride = 1;
-    cfg.capacity = 8;
-    telemetry::EngineSampler sampler(cfg);
-    for (int i = 1; i <= 20; ++i) {
-        telemetry::IterationSample s;
-        s.tick = i * 100;
-        s.step = i;
-        sampler.record(s);
-    }
-    const auto samples = sampler.samples();
-    ASSERT_EQ(samples.size(), 8u);
-    EXPECT_EQ(sampler.dropped(), 12u);
-    EXPECT_EQ(samples.front().step, 13);
-    EXPECT_EQ(samples.back().step, 20);
-    for (std::size_t i = 1; i < samples.size(); ++i)
-        EXPECT_GT(samples[i].tick, samples[i - 1].tick);
-}
-
-TEST(Telemetry, SamplerStrideAndDisable)
-{
-    telemetry::SamplerConfig strided;
-    strided.stride = 3;
-    telemetry::EngineSampler sampler(strided);
-    for (int i = 1; i <= 10; ++i) {
-        telemetry::IterationSample s;
-        s.step = i;
-        sampler.record(s);
-    }
-    const auto samples = sampler.samples();
-    ASSERT_EQ(samples.size(), 4u); // steps 1, 4, 7, 10
-    EXPECT_EQ(samples[1].step, 4);
-
-    telemetry::SamplerConfig off;
-    off.stride = 0;
-    telemetry::EngineSampler disabled(off);
-    telemetry::IterationSample s;
-    disabled.record(s);
-    EXPECT_FALSE(disabled.enabled());
-    EXPECT_EQ(disabled.size(), 0u);
-}
-
-TEST(Telemetry, RegistryCsvSnapshots)
+TEST(Telemetry, RegistryScalarsSampleIntoStore)
 {
     telemetry::MetricsRegistry reg;
     auto &c = reg.counter("demo_total", "demo counter");
     auto &g = reg.gauge("demo_gauge", "demo gauge");
     auto &h = reg.histogram("demo_hist", "demo histogram", 0, 10, 5);
 
+    telemetry::TimeSeriesStore ts;
     c.add(1);
     g.set(0, 2.5);
     h.observe(3.0);
-    reg.snapshot(sim::fromSeconds(1.0));
+    ts.sample(reg, sim::fromSeconds(1.0));
     c.add(2);
     h.observe(7.0);
-    reg.snapshot(sim::fromSeconds(2.0));
+    ts.sample(reg, sim::fromSeconds(2.0));
 
-    const std::string csv = reg.renderCsv();
-    EXPECT_EQ(countOf(csv, "\n"), 3); // header + 2 rows
-    EXPECT_NE(csv.find("time_s,demo_total,demo_gauge,demo_hist_count,"
-                       "demo_hist_sum"),
+    // One series per scalar; histograms as _count and _sum.
+    EXPECT_EQ(ts.seriesCount(), 4u);
+    const std::string csv = ts.renderCsv();
+    EXPECT_EQ(countOf(csv, "\n"), 9); // header + 4 series x 2 points
+    EXPECT_NE(csv.find("demo_total,2.000000,3\n"), std::string::npos);
+    EXPECT_NE(csv.find("demo_gauge,2.000000,2.5\n"), std::string::npos);
+    EXPECT_NE(csv.find("demo_hist_count,2.000000,2\n"),
               std::string::npos);
-    EXPECT_NE(csv.find("\n2.000000000,3,2.5,2,10"), std::string::npos);
+    EXPECT_NE(csv.find("demo_hist_sum,2.000000,10\n"), std::string::npos);
 
     // Re-registering with the same name returns the same metric.
     EXPECT_EQ(&reg.counter("demo_total", ""), &c);
     EXPECT_EQ(reg.families(), 3u);
+}
+
+TEST(Telemetry, WriteTextFileReportsFailedFlush)
+{
+    // /dev/full accepts the open and the buffered write, then fails
+    // the flush on close with ENOSPC.
+    EXPECT_FALSE(telemetry::writeTextFile("/dev/full", "hello\n"));
+    EXPECT_FALSE(
+        telemetry::writeArtifact("/dev/full", "hello\n", "test file"));
+    core::Table table("full disk");
+    table.header({"a"});
+    table.row({"1"});
+    EXPECT_FALSE(table.writeCsv("/dev/full"));
 }
 
 TEST(Telemetry, LogLevelParsingAndFilter)
@@ -836,15 +828,15 @@ TEST(Spans, SloViolationOutranksLatencyForRetention)
     EXPECT_TRUE(has_violated);
 }
 
-TEST(Spans, SessionResetClearsSpansAndEngineSamples)
+TEST(Spans, SessionResetClearsSpansAndTimeSeries)
 {
     SessionTelemetry session;
-    session.engineSamples.push_back({});
+    session.timeseries.record("demo", 0, 1.0);
     const SpanRef root = session.spans.beginRequest(1, "test/reset", 0);
     session.spans.finishRequest(root, sim::fromSeconds(1.0));
     ASSERT_FALSE(session.spans.empty());
     session.reset();
-    EXPECT_TRUE(session.engineSamples.empty());
+    EXPECT_EQ(session.timeseries.seriesCount(), 0u);
     EXPECT_TRUE(session.spans.empty());
     EXPECT_EQ(session.spans.requestsFinished(), 0);
     EXPECT_TRUE(session.spans.exemplars().empty());
