@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the windowed time-series store and the flight
- * recorder: ring wraparound, windowed queries, trigger debounce, the
+ * recorder: ring wraparound, windowed queries, the serving and
+ * cluster samplers' cadence, trigger debounce, the
  * disk budget, the deadline-miss spike detector, and the recorder-off
  * bit-identity contract at the serving layer.
  */
@@ -10,8 +11,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <vector>
 
+#include "core/cluster.hh"
 #include "core/probe.hh"
 #include "core/serving_system.hh"
 #include "sim/types.hh"
@@ -101,6 +105,113 @@ TEST(TimeSeries, CsvWindowIsLongFormatAndClipped)
     EXPECT_NE(csv.find("a,9.000000,9"), std::string::npos);
     EXPECT_NE(csv.find("b,5.000000,5"), std::string::npos);
     EXPECT_EQ(csv.find("a,1.000000"), std::string::npos); // clipped
+}
+
+TEST(TimeSeries, RenderCsvCoversEveryRetainedPoint)
+{
+    TimeSeriesStore ts;
+    ts.record("a", 0, 1.0);
+    ts.record("a", fromSeconds(1e6), 2.0);
+    ts.record("b", fromSeconds(3), 3.0);
+    const std::string csv = ts.renderCsv();
+    EXPECT_EQ(csv, ts.renderCsvWindow(
+                       0, std::numeric_limits<sim::Tick>::max()));
+    EXPECT_EQ(csv.rfind("series,time_s,value\n", 0), 0u);
+    EXPECT_NE(csv.find("a,0.000000,1\n"), std::string::npos);
+    EXPECT_NE(csv.find("a,1000000.000000,2\n"), std::string::npos);
+    EXPECT_NE(csv.find("b,3.000000,3\n"), std::string::npos);
+    std::size_t lines = 0;
+    for (const char c : csv)
+        lines += c == '\n' ? 1 : 0;
+    EXPECT_EQ(lines, ts.pointsRetained() + 1);
+}
+
+/** Every point of @p name, oldest first. */
+std::vector<telemetry::TsPoint>
+allPoints(const TimeSeriesStore &ts, const std::string &name)
+{
+    return ts.window(name, 0, std::numeric_limits<sim::Tick>::max());
+}
+
+/** The sampler woke first one @p period in, then every @p period. */
+void
+expectSampledEvery(const std::vector<telemetry::TsPoint> &points,
+                   double period)
+{
+    ASSERT_GT(points.size(), 2u);
+    EXPECT_EQ(points.front().tick, fromSeconds(period));
+    for (std::size_t i = 1; i < points.size(); ++i) {
+        EXPECT_EQ(points[i].tick - points[i - 1].tick,
+                  fromSeconds(period))
+            << "point " << i;
+    }
+}
+
+/** A completion counter never falls, and the sampler's last wake
+ *  follows the drain, so it has seen all @p completed requests. */
+void
+expectCountsUpTo(const std::vector<telemetry::TsPoint> &points,
+                 int completed)
+{
+    ASSERT_FALSE(points.empty());
+    for (std::size_t i = 1; i < points.size(); ++i)
+        EXPECT_GE(points[i].value, points[i - 1].value) << "point " << i;
+    EXPECT_DOUBLE_EQ(points.back().value,
+                     static_cast<double>(completed));
+}
+
+TEST(TimeSeries, ServingSamplerWakesAtStorePeriod)
+{
+    core::ServeConfig cfg;
+    cfg.chatbot = true;
+    cfg.closedLoop = true;
+    cfg.numRequests = 12;
+    cfg.seed = 99;
+    cfg.engineConfig = core::enginePreset8b();
+
+    TimeSeriesStore fine({.periodSeconds = 0.25});
+    cfg.timeseries = &fine;
+    const auto r1 = core::runServing(cfg);
+    const auto fine_points = allPoints(fine, "requests_completed");
+    expectSampledEvery(fine_points, 0.25);
+    expectCountsUpTo(fine_points, r1.completed);
+
+    TimeSeriesStore coarse({.periodSeconds = 1.0});
+    cfg.timeseries = &coarse;
+    const auto r2 = core::runServing(cfg);
+    const auto coarse_points = allPoints(coarse, "requests_completed");
+    expectSampledEvery(coarse_points, 1.0);
+    expectCountsUpTo(coarse_points, r2.completed);
+
+    // Both samplers stop at their first wake after the same drain, so
+    // four times the cadence gives four times the points, less at
+    // most three.
+    EXPECT_GE(fine_points.size() + 3, 4 * coarse_points.size());
+    EXPECT_LE(fine_points.size(), 4 * coarse_points.size());
+}
+
+TEST(TimeSeries, ClusterSamplerWakesAtStorePeriod)
+{
+    core::ClusterConfig cfg;
+    cfg.numNodes = 2;
+    cfg.engineConfig = core::enginePreset8b();
+    core::WorkloadSpec chat;
+    chat.chatbot = true;
+    chat.weight = 1.0;
+    cfg.mix.push_back(chat);
+    cfg.qps = 2.0;
+    cfg.numRequests = 16;
+    cfg.seed = 4;
+
+    TimeSeriesStore ts({.periodSeconds = 0.75});
+    cfg.timeseries = &ts;
+    const auto r = core::runCluster(cfg);
+    ASSERT_EQ(r.completed, 16);
+    const auto completed = allPoints(ts, "cluster_completed");
+    expectSampledEvery(completed, 0.75);
+    expectCountsUpTo(completed, r.completed);
+    // Per-node series ride the same wake.
+    expectSampledEvery(allPoints(ts, "node1_queue_depth"), 0.75);
 }
 
 TEST(FlightRecorderTest, DebouncePerTriggerKind)
