@@ -3,8 +3,9 @@
  * Unit tests for the windowed time-series store and the flight
  * recorder: ring wraparound, windowed queries, the serving and
  * cluster samplers' cadence, trigger debounce, the
- * disk budget, the deadline-miss spike detector, and the recorder-off
- * bit-identity contract at the serving layer.
+ * disk budget, the deadline-miss spike detector, the recorder-off
+ * bit-identity contract at the serving layer, and digest pins of the
+ * trace and incident-bundle bytes of small observed runs.
  */
 
 #include <gtest/gtest.h>
@@ -12,14 +13,17 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/cluster.hh"
 #include "core/probe.hh"
 #include "core/serving_system.hh"
+#include "sim/rng.hh"
 #include "sim/types.hh"
 #include "telemetry/flight_recorder.hh"
+#include "telemetry/slo.hh"
 #include "telemetry/session.hh"
 #include "telemetry/timeseries.hh"
 
@@ -375,6 +379,167 @@ TEST(FlightRecorderTest, RecorderOffRunIsBitIdentical)
     // And the observers did observe.
     EXPECT_GT(session.timeseries.pointsRetained(), 0u);
     EXPECT_GT(session.recorder.traceEventsRetained(), 0u);
+}
+
+TEST(FlightRecorderTest, RecorderOutlivesSinkCapacity)
+{
+    FlightRecorder::Config cfg;
+    cfg.incidentDir = incidentDir("outlives_sink");
+    cfg.windowSeconds = 30.0;
+    FlightRecorder rec(cfg);
+    telemetry::TraceSink trace;
+    trace.setEventCapacity(5);
+    trace.attachRecorder(&rec);
+    for (int i = 0; i < 10; ++i) {
+        trace.instant(telemetry::TracePid::kEngine, 1,
+                      "ev" + std::to_string(i), "test",
+                      fromSeconds(i + 1));
+    }
+    EXPECT_EQ(trace.eventCount(), 5u);
+    EXPECT_EQ(trace.droppedEvents(), 5u);
+    EXPECT_EQ(trace.toJson().find("\"ev5\""), std::string::npos);
+
+    rec.trigger(IncidentTrigger::SloBurn, fromSeconds(10), "saturated");
+    ASSERT_EQ(rec.incidentsDumped(), 1);
+    std::ifstream in(std::filesystem::path(rec.incidentPaths()[0]) /
+                     "trace.json");
+    const std::string bundle((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+    // The recorder kept every event, including the five the sink
+    // dropped once full.
+    for (int i = 0; i < 10; ++i) {
+        EXPECT_NE(bundle.find("\"ev" + std::to_string(i) + "\""),
+                  std::string::npos)
+            << "ev" << i;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Pins: digests of the trace and incident-bundle bytes of small
+// observed runs. Any change to how trace events are stored or
+// rendered must reproduce them exactly.
+// ---------------------------------------------------------------------
+
+std::string
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** FNV-1a over every file of every bundle, in dump order. */
+std::uint64_t
+bundleDigest(const FlightRecorder &rec)
+{
+    std::uint64_t h = sim::fnv1a("");
+    for (const std::string &dir : rec.incidentPaths()) {
+        for (const char *file :
+             {"trace.json", "timeseries.csv", "manifest.json"}) {
+            h = sim::fnv1a(file, h);
+            h = sim::fnv1a(readFile(std::filesystem::path(dir) / file),
+                           h);
+        }
+    }
+    return h;
+}
+
+core::ServeConfig
+pinServeConfig()
+{
+    core::ServeConfig cfg;
+    cfg.engineConfig = core::enginePreset8b();
+    cfg.agent = agents::AgentKind::ReAct;
+    cfg.bench = workload::Benchmark::HotpotQA;
+    cfg.qps = 2.0;
+    cfg.numRequests = 10;
+    cfg.seed = 31;
+    return cfg;
+}
+
+/** Two nodes, crashes with checkpoint-resume, every observer. */
+struct ObservedCluster
+{
+    telemetry::SessionTelemetry session;
+    telemetry::SloTracker slo{[] {
+        telemetry::SloConfig c;
+        c.ttftTargetSeconds = 2.0;
+        c.tbtTargetSeconds = 0.1;
+        c.e2eTargetSeconds = 30.0;
+        c.windowSeconds = 10.0;
+        return c;
+    }()};
+
+    core::ClusterResult
+    run(const std::string &dir)
+    {
+        session.reset();
+        slo.reset();
+        session.recorder.setConfig({.incidentDir = dir,
+                                    .windowSeconds = 20.0,
+                                    .debounceSeconds = 5.0});
+        core::ClusterConfig cfg;
+        cfg.numNodes = 2;
+        cfg.engineConfig = core::enginePreset8b();
+        cfg.policy = core::RoutePolicy::CacheAffinity;
+        core::WorkloadSpec react;
+        react.agent = agents::AgentKind::ReAct;
+        react.bench = workload::Benchmark::HotpotQA;
+        cfg.mix.push_back(react);
+        core::WorkloadSpec chat;
+        chat.chatbot = true;
+        cfg.mix.push_back(chat);
+        cfg.qps = 3.0;
+        cfg.numRequests = 40;
+        cfg.seed = 17;
+        cfg.faults.seed = 5;
+        cfg.faults.nodeMtbfSeconds = 12.0;
+        cfg.faults.nodeRestartMeanSeconds = 3.0;
+        cfg.checkpoint.enabled = true;
+        cfg.retry.maxAttempts = 10;
+        cfg.brownout.enabled = true;
+        cfg.traceSink = &session.trace;
+        cfg.metrics = &session.registry;
+        cfg.spans = &session.spans;
+        cfg.timeseries = &session.timeseries;
+        cfg.recorder = &session.recorder;
+        cfg.slo = &slo;
+        return core::runCluster(cfg);
+    }
+};
+
+TEST(TracePin, ServingTraceDigest)
+{
+    telemetry::SessionTelemetry session;
+    session.recorder.setConfig({.incidentDir = incidentDir("pin_serve")});
+    core::ServeConfig cfg = pinServeConfig();
+    cfg.telemetry = &session;
+    cfg.recorder = &session.recorder;
+    cfg.timeseries = &session.timeseries;
+    const auto r = core::runServing(cfg);
+    ASSERT_EQ(r.completed, 10);
+    EXPECT_EQ(sim::fnv1a(session.trace.toJson()), 17152723154605841313ULL);
+}
+
+TEST(TracePin, ClusterTraceDigest)
+{
+    ObservedCluster c;
+    const auto r = c.run(incidentDir("pin_cluster_trace"));
+    ASSERT_GT(r.faultStats.crashes, 2);
+    EXPECT_EQ(sim::fnv1a(c.session.trace.toJson()),
+              16666363759084194689ULL);
+}
+
+TEST(TracePin, ClusterBundleDigest)
+{
+    // A session that has run once already: the steady state of a
+    // harness that reuses its telemetry across calls.
+    ObservedCluster c;
+    c.run(incidentDir("pin_bundle_warmup"));
+    c.run(incidentDir("pin_bundle"));
+    ASSERT_GT(c.session.recorder.incidentsDumped(), 2);
+    EXPECT_EQ(bundleDigest(c.session.recorder), 5409231339125259936ULL);
 }
 
 } // namespace
