@@ -7,8 +7,9 @@ Chrome trace and a non-empty blame export.
     check_trace.py --timeseries <series.csv>
 
 Positional mode checks, in order:
-  1. The trace parses as Chrome trace-event JSON ({"traceEvents": [...]})
-     and every event carries a name and a known phase.
+  1. The trace parses as Chrome trace-event JSON ({"traceEvents": [...]}),
+     every event carries a name and a known phase, and every pid a
+     data event uses is named by a process_name metadata event.
   2. The span-exemplar track (pid 6) is present and well-formed:
      nestable-async begins/ends balance per span id, no "e" before
      its "b", nothing left open at end of trace.
@@ -21,7 +22,8 @@ incident-*/ bundle under a directory of them):
      known trigger, a well-ordered retroactive window ending at the
      trigger time, and a non-empty windowed blame table.
   2. trace.json parses; every event intersects the manifest window;
-     the recorder's own "incident" span lanes balance begins/ends.
+     every pid a data event uses has a process_name; the recorder's
+     own "incident" span lanes balance begins/ends.
   3. timeseries.csv passes the --timeseries checks below, every
      sample lies inside the window, and its clock agrees with the
      trace's (shared sim timebase).
@@ -48,6 +50,17 @@ CLOCK_EPS_S = 1e-3  # tolerance between trace/timeseries clocks
 def fail(msg: str) -> None:
     print(f"check_trace: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
+
+
+def check_track_names(path: str, events: list) -> None:
+    """Fail unless every data event's pid has a process_name."""
+    named = {ev.get("pid") for ev in events
+             if ev.get("ph") == "M" and ev.get("name") == "process_name"}
+    used = {ev.get("pid") for ev in events if ev.get("ph") != "M"}
+    unnamed = used - named
+    if unnamed:
+        fail(f"{path}: pid(s) {sorted(unnamed, key=str)} carry data "
+             f"events but no process_name")
 
 
 def check_trace(path: str) -> None:
@@ -84,6 +97,7 @@ def check_trace(path: str) -> None:
                      f"{key[1]} that was never begun")
             open_spans[key] = depth - 1
 
+    check_track_names(path, events)
     if span_events == 0:
         fail(f"{path}: no span exemplars on trace pid {SPAN_PID}")
     leaked = {k: d for k, d in open_spans.items() if d != 0}
@@ -237,6 +251,7 @@ def check_bundle(bundle: str) -> None:
     if leaked:
         fail(f"{trace_path}: {len(leaked)} incident lane(s) left "
              f"open: {leaked[:5]}")
+    check_track_names(trace_path, events)
     if incident_begins != spans_in_window:
         fail(f"{trace_path}: {incident_begins} incident lanes but "
              f"manifest declares {spans_in_window} span completions")

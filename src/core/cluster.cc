@@ -1363,6 +1363,15 @@ runCluster(const ClusterConfig &config)
         nodes[static_cast<std::size_t>(i)].provisionedSince = 0;
     }
 
+    // The cluster's own tracks: failover/crash instants on the agent
+    // lanes, breaker/brownout/autoscale transitions on resilience.
+    if (config.traceSink != nullptr) {
+        config.traceSink->processName(telemetry::TracePid::kAgents,
+                                      "agents");
+        config.traceSink->processName(telemetry::TracePid::kResilience,
+                                      "resilience");
+    }
+
     // Health + breakers are always wired (with no failures every
     // breaker stays Closed and routing degenerates to the pure
     // availability-based behaviour); brownout is opt-in.

@@ -79,6 +79,13 @@ FlightRecorder::noteMetadata(const std::string &json)
 }
 
 void
+FlightRecorder::clearMetadata()
+{
+    metadata_.clear();
+    metadataDropped_ = 0;
+}
+
+void
 FlightRecorder::noteSpanCompletion(const SpanCompletion &completion)
 {
     if (spanRing_.size() >= config_.spanCapacity)
@@ -128,8 +135,15 @@ FlightRecorder::renderBundleTrace(sim::Tick from, sim::Tick to) const
         out += ev;
         first = false;
     };
-    for (const std::string &meta : metadata_)
+    bool spans_named = false;
+    for (const std::string &meta : metadata_) {
         append(meta);
+        spans_named = spans_named ||
+                      meta.find(sim::strfmt("\"process_name\",\"ph\":"
+                                            "\"M\",\"pid\":%d,",
+                                            TracePid::kSpans)) !=
+                          std::string::npos;
+    }
     for (const TraceEntry &entry : traceRing_) {
         if (entry.end >= from && entry.start <= to)
             append(entry.json);
@@ -140,6 +154,15 @@ FlightRecorder::renderBundleTrace(sim::Tick from, sim::Tick to) const
     for (const SpanCompletion &sc : spanRing_) {
         if (sc.end < from || sc.start > to)
             continue;
+        // The run names the span track only once it ends, so name
+        // it here for the bundle's own lanes.
+        if (!spans_named) {
+            append(sim::strfmt("{\"name\":\"process_name\",\"ph\":\"M\","
+                               "\"pid\":%d,\"args\":{\"name\":"
+                               "\"incident spans\"}}",
+                               TracePid::kSpans));
+            spans_named = true;
+        }
         const sim::Tick bts = std::clamp(sc.start, from, to);
         const sim::Tick ets = std::clamp(sc.end, from, to);
         std::string args;

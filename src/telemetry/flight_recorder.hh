@@ -125,6 +125,9 @@ class FlightRecorder
     /** Retain a metadata (M) event; always included in bundles. */
     void noteMetadata(const std::string &json);
 
+    /** Drop retained metadata (the sink replays it on attach). */
+    void clearMetadata();
+
     /** Retain a finished request with its critical-path blame. */
     void noteSpanCompletion(const SpanCompletion &completion);
 

@@ -77,6 +77,19 @@ TraceSink::threadName(int pid, std::uint64_t tid,
         recorder_->noteMetadata(events_.back());
 }
 
+void
+TraceSink::attachRecorder(FlightRecorder *recorder)
+{
+    recorder_ = recorder;
+    if (recorder_ == nullptr)
+        return;
+    recorder_->clearMetadata();
+    for (const std::string &ev : events_) {
+        if (ev.find("\"ph\":\"M\"") != std::string::npos)
+            recorder_->noteMetadata(ev);
+    }
+}
+
 bool
 TraceSink::admit()
 {

@@ -131,12 +131,11 @@ class TraceSink
      * ring (nullptr detaches). The recorder keeps receiving events
      * even after this sink's own capacity saturates — its ring is
      * separately bounded, so incident bundles stay fresh on runs long
-     * enough to fill the main trace.
+     * enough to fill the main trace. The recorder's metadata is reset
+     * to every track name emitted so far, so bundles name the tracks
+     * a driver named before attaching it.
      */
-    void attachRecorder(FlightRecorder *recorder)
-    {
-        recorder_ = recorder;
-    }
+    void attachRecorder(FlightRecorder *recorder);
 
     /** Events emitted so far (metadata included). */
     std::size_t eventCount() const { return events_.size(); }

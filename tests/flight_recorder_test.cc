@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -528,7 +529,7 @@ TEST(TracePin, ClusterTraceDigest)
     const auto r = c.run(incidentDir("pin_cluster_trace"));
     ASSERT_GT(r.faultStats.crashes, 2);
     EXPECT_EQ(sim::fnv1a(c.session.trace.toJson()),
-              16666363759084194689ULL);
+              16666795961637627364ULL);
 }
 
 TEST(TracePin, ClusterBundleDigest)
@@ -539,7 +540,59 @@ TEST(TracePin, ClusterBundleDigest)
     c.run(incidentDir("pin_bundle_warmup"));
     c.run(incidentDir("pin_bundle"));
     ASSERT_GT(c.session.recorder.incidentsDumped(), 2);
-    EXPECT_EQ(bundleDigest(c.session.recorder), 5409231339125259936ULL);
+    EXPECT_EQ(bundleDigest(c.session.recorder), 17809509484994470112ULL);
+}
+
+/** Pids of @p trace's data events that no process_name names (the
+ *  sink renders one event per line). */
+std::set<int>
+unnamedPids(const std::string &trace)
+{
+    std::set<int> used;
+    std::set<int> named;
+    std::istringstream lines(trace);
+    for (std::string line; std::getline(lines, line);) {
+        const auto at = line.find("\"pid\":");
+        if (at == std::string::npos)
+            continue;
+        const int pid = std::stoi(line.substr(at + 6));
+        if (line.find("\"name\":\"process_name\",\"ph\":\"M\"") == 1)
+            named.insert(pid);
+        else if (line.find("\"ph\":\"M\"") == std::string::npos)
+            used.insert(pid);
+    }
+    std::set<int> unnamed;
+    for (const int pid : used) {
+        if (named.count(pid) == 0)
+            unnamed.insert(pid);
+    }
+    return unnamed;
+}
+
+TEST(FlightRecorderTest, BundlesNameEveryTrackTheyUse)
+{
+    ObservedCluster c;
+    c.run(incidentDir("named_tracks"));
+    EXPECT_EQ(unnamedPids(c.session.trace.toJson()), std::set<int>{});
+    ASSERT_GT(c.session.recorder.incidentsDumped(), 0);
+    for (const std::string &dir : c.session.recorder.incidentPaths()) {
+        EXPECT_EQ(unnamedPids(readFile(std::filesystem::path(dir) /
+                                       "trace.json")),
+                  std::set<int>{})
+            << dir;
+    }
+}
+
+TEST(FlightRecorderTest, FreshAndReusedSessionsWriteIdenticalBundles)
+{
+    ObservedCluster fresh;
+    fresh.run(incidentDir("fresh_session"));
+    ObservedCluster reused;
+    reused.run(incidentDir("reused_warmup"));
+    reused.run(incidentDir("reused_session"));
+    ASSERT_GT(fresh.session.recorder.incidentsDumped(), 0);
+    EXPECT_EQ(bundleDigest(fresh.session.recorder),
+              bundleDigest(reused.session.recorder));
 }
 
 } // namespace
