@@ -235,14 +235,15 @@ callLlm(AgentContext &ctx, Trace &trace, sim::Rng &rng, Prompt prompt,
     tokens.output = static_cast<std::int64_t>(gen.tokens.size());
     trace.addLlmCall(tokens, gen, start, end, label);
     if (ctx.traceSink != nullptr) {
+        using telemetry::TraceArg;
         ctx.traceSink->complete(
             telemetry::TracePid::kAgents, ctx.traceTid, label, "llm",
             start, end,
-            sim::strfmt("\"prompt_tokens\":%lld,\"output_tokens\":%lld,"
-                        "\"queue_s\":%.6f",
-                        static_cast<long long>(gen.promptTokens),
-                        static_cast<long long>(gen.tokens.size()),
-                        gen.queueSeconds));
+            {TraceArg::integer("prompt_tokens", gen.promptTokens),
+             TraceArg::integer("output_tokens",
+                               static_cast<std::int64_t>(
+                                   gen.tokens.size())),
+             TraceArg::real("queue_s", gen.queueSeconds)});
     }
     co_return gen;
 }

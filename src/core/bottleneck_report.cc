@@ -163,17 +163,16 @@ emitSpanExemplars(const telemetry::SpanCollector &spans,
                                "span", ev.at);
                 continue;
             }
-            std::string args = sim::strfmt(
-                "\"kind\":\"%s\",\"category\":\"%s\","
-                "\"critical_path\":%s",
-                telemetry::spanKindName(span.kind),
-                telemetry::blameCategoryName(
-                    telemetry::blameCategory(span.kind)),
-                on_path.count(ev.span) != 0 ? "true" : "false");
-            if (span.followsFrom != telemetry::kNoSpan) {
-                args += sim::strfmt(",\"follows_from\":%u",
-                                    span.followsFrom);
-            }
+            using telemetry::TraceArg;
+            telemetry::TraceArgs args{
+                TraceArg::text("kind", telemetry::spanKindName(span.kind)),
+                TraceArg::text("category",
+                               telemetry::blameCategoryName(
+                                   telemetry::blameCategory(span.kind))),
+                TraceArg::boolean("critical_path",
+                                  on_path.count(ev.span) != 0)};
+            if (span.followsFrom != telemetry::kNoSpan)
+                args.add(TraceArg::integer("follows_from", span.followsFrom));
             trace.asyncBegin(telemetry::TracePid::kSpans, lane, name,
                              "span", ev.at, args);
         }

@@ -1307,24 +1307,22 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
     if (trace_ != nullptr) {
         const int running = static_cast<int>(running_.size());
         const int waiting = static_cast<int>(waiting_.size());
-        trace_->complete(
-            telemetry::TracePid::kEngine, 1, "step", "engine",
-            step_start, sim_.now(),
-            sim::strfmt("\"prefill_tokens\":%lld,"
-                        "\"decode_tokens\":%lld,\"running\":%d,"
-                        "\"waiting\":%d",
-                        static_cast<long long>(cost.prefillTokens),
-                        static_cast<long long>(cost.decodeTokens),
-                        running, waiting));
-        trace_->counter(
-            telemetry::TracePid::kEngine, "kv_blocks", sim_.now(),
-            sim::strfmt("\"used\":%lld,\"free\":%lld",
-                        static_cast<long long>(blocks_.blocksInUse()),
-                        static_cast<long long>(blocks_.blocksFree())));
-        trace_->counter(
-            telemetry::TracePid::kEngine, "batch", sim_.now(),
-            sim::strfmt("\"running\":%d,\"waiting\":%d", running,
-                        waiting));
+        using telemetry::TraceArg;
+        trace_->complete(telemetry::TracePid::kEngine, 1, "step",
+                         "engine", step_start, sim_.now(),
+                         {TraceArg::integer("prefill_tokens",
+                                            cost.prefillTokens),
+                          TraceArg::integer("decode_tokens",
+                                            cost.decodeTokens),
+                          TraceArg::integer("running", running),
+                          TraceArg::integer("waiting", waiting)});
+        trace_->counter(telemetry::TracePid::kEngine, "kv_blocks",
+                        sim_.now(),
+                        {TraceArg::integer("used", blocks_.blocksInUse()),
+                         TraceArg::integer("free", blocks_.blocksFree())});
+        trace_->counter(telemetry::TracePid::kEngine, "batch", sim_.now(),
+                        {TraceArg::integer("running", running),
+                         TraceArg::integer("waiting", waiting)});
     }
 }
 

@@ -59,30 +59,13 @@ FlightRecorder::setConfig(Config config)
     latency_ = makeLatencyHistogram();
 }
 
-void
-FlightRecorder::noteTraceEvent(sim::Tick start, sim::Tick end,
-                               const std::string &json)
+std::size_t
+FlightRecorder::traceEventsRetained() const
 {
-    if (traceRing_.size() >= config_.traceEventCapacity)
-        traceRing_.pop_front();
-    traceRing_.push_back({start, end, json});
-}
-
-void
-FlightRecorder::noteMetadata(const std::string &json)
-{
-    if (metadata_.size() >= config_.metadataCapacity) {
-        ++metadataDropped_;
-        return;
-    }
-    metadata_.push_back(json);
-}
-
-void
-FlightRecorder::clearMetadata()
-{
-    metadata_.clear();
-    metadataDropped_ = 0;
+    return trace_ == nullptr
+               ? 0
+               : std::min(config_.traceEventCapacity,
+                          trace_->dataRetained());
 }
 
 void
@@ -126,27 +109,38 @@ FlightRecorder::trigger(IncidentTrigger kind, sim::Tick now,
 }
 
 std::string
-FlightRecorder::renderBundleTrace(sim::Tick from, sim::Tick to) const
+FlightRecorder::renderBundleTrace(sim::Tick from, sim::Tick to,
+                                  std::size_t &trace_events) const
 {
     std::string out = "{\"traceEvents\":[";
     bool first = true;
-    auto append = [&](const std::string &ev) {
+    auto begin_event = [&] {
         out += first ? "\n" : ",\n";
-        out += ev;
         first = false;
     };
+    auto append = [&](const std::string &ev) {
+        begin_event();
+        out += ev;
+    };
     bool spans_named = false;
-    for (const std::string &meta : metadata_) {
-        append(meta);
-        spans_named = spans_named ||
-                      meta.find(sim::strfmt("\"process_name\",\"ph\":"
-                                            "\"M\",\"pid\":%d,",
-                                            TracePid::kSpans)) !=
-                          std::string::npos;
-    }
-    for (const TraceEntry &entry : traceRing_) {
-        if (entry.end >= from && entry.start <= to)
-            append(entry.json);
+    trace_events = 0;
+    if (trace_ != nullptr) {
+        trace_->forEachMetadata(
+            config_.metadataCapacity, [&](const TraceRecord &r) {
+                begin_event();
+                trace_->render(r, out);
+                spans_named = spans_named ||
+                              (r.phase == TracePhase::ProcessName &&
+                               r.pid == TracePid::kSpans);
+            });
+        trace_->forEachRecentData(
+            config_.traceEventCapacity, [&](const TraceRecord &r) {
+                if (r.end() < from || r.tick > to)
+                    return;
+                begin_event();
+                trace_->render(r, out);
+                ++trace_events;
+            });
     }
     // Window span completions as nestable-async lanes on the span
     // track, clipped to the window so begin/end always balance and
@@ -295,18 +289,15 @@ FlightRecorder::dumpBundle(IncidentTrigger kind, sim::Tick now,
         0, now - sim::fromSeconds(config_.windowSeconds));
     const sim::Tick to = now;
 
-    std::size_t trace_events = 0;
-    for (const TraceEntry &entry : traceRing_) {
-        if (entry.end >= from && entry.start <= to)
-            ++trace_events;
-    }
     std::vector<const SpanCompletion *> window_spans;
     for (const SpanCompletion &sc : spanRing_) {
         if (sc.end >= from && sc.start <= to)
             window_spans.push_back(&sc);
     }
 
-    const std::string trace_json = renderBundleTrace(from, to);
+    std::size_t trace_events = 0;
+    const std::string trace_json =
+        renderBundleTrace(from, to, trace_events);
     const std::string timeseries_csv =
         timeseries_ != nullptr ? timeseries_->renderCsvWindow(from, to)
                                : std::string("series,time_s,value\n");
@@ -376,10 +367,9 @@ FlightRecorder::exportMetrics(MetricsRegistry &registry) const
 void
 FlightRecorder::clear()
 {
-    traceRing_.clear();
+    if (trace_ != nullptr)
+        trace_->attachRecorder(nullptr);
     spanRing_.clear();
-    metadata_.clear();
-    metadataDropped_ = 0;
     recentMisses_.clear();
     latency_ = makeLatencyHistogram();
     lastDump_.fill(-1);

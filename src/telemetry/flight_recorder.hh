@@ -3,18 +3,20 @@
  * Flight recorder: bounded retroactive capture that turns alerts into
  * self-explaining incident bundles.
  *
- * The recorder continuously tees the last few thousand trace events
- * and span completions into ring buffers — cheap enough to leave on —
- * and does nothing else until an anomaly trigger fires: an SLO
+ * The recorder reads its trace window from the attached TraceSink's
+ * log (the newest few thousand records, kept by the sink anyway),
+ * tees span completions into a ring buffer — cheap enough to leave
+ * on — and does nothing else until an anomaly trigger fires: an SLO
  * burn-rate alert, a brownout level change, a circuit-breaker open,
  * an autoscaler scale-out (or scale flap), or a spike of deadline
  * misses. At that moment it dumps an **incident bundle**: a directory
  * holding
  *
  *   trace.json      — Perfetto trace of the retroactive window
- *                     (recent trace events intersecting the window,
- *                     plus the window's span completions as async
- *                     lanes with blame annotations);
+ *                     (every track name, recent trace events
+ *                     intersecting the window, plus the window's span
+ *                     completions as async lanes with blame
+ *                     annotations);
  *   timeseries.csv  — every sampled metric series restricted to the
  *                     window (from the attached TimeSeriesStore);
  *   manifest.json   — trigger identity, window bounds, the windowed
@@ -47,6 +49,7 @@ namespace agentsim::telemetry
 {
 
 class MetricsRegistry;
+class TraceSink;
 
 /** Anomaly sources that can dump an incident bundle. */
 enum class IncidentTrigger
@@ -83,11 +86,13 @@ class FlightRecorder
         std::string incidentDir = "incidents";
         /** Retroactive window dumped per incident, virtual seconds. */
         double windowSeconds = 30.0;
-        /** Trace-event ring capacity. */
+        /** Trace window: the newest data records of the attached
+         *  sink's log (and of its overflow tail). */
         std::size_t traceEventCapacity = 65536;
         /** Span-completion ring capacity. */
         std::size_t spanCapacity = 4096;
-        /** Metadata (process/thread name) events retained. */
+        /** The sink's first metadata (process/thread name) records
+         *  carried by each bundle. */
         std::size_t metadataCapacity = 4096;
         /** Per-trigger-kind minimum spacing between dumps,
          *  virtual seconds. */
@@ -116,17 +121,8 @@ class FlightRecorder
         timeseries_ = store;
     }
 
-    // ---- continuous tees (called by TraceSink / SpanCollector) ----
-
-    /** Retain a rendered trace event spanning [start, end]. */
-    void noteTraceEvent(sim::Tick start, sim::Tick end,
-                        const std::string &json);
-
-    /** Retain a metadata (M) event; always included in bundles. */
-    void noteMetadata(const std::string &json);
-
-    /** Drop retained metadata (the sink replays it on attach). */
-    void clearMetadata();
+    // ---- continuous tees (called by SpanCollector and the cluster;
+    //      the trace window is read from TraceSink::attachRecorder) ----
 
     /** Retain a finished request with its critical-path blame. */
     void noteSpanCompletion(const SpanCompletion &completion);
@@ -160,7 +156,8 @@ class FlightRecorder
     std::int64_t skippedBudget() const { return skippedBudget_; }
     std::int64_t writeFailures() const { return writeFailures_; }
     std::int64_t bytesWritten() const { return bytesWritten_; }
-    std::size_t traceEventsRetained() const { return traceRing_.size(); }
+    /** Trace records in the window (0 with no sink attached). */
+    std::size_t traceEventsRetained() const;
     std::size_t spansRetained() const { return spanRing_.size(); }
 
     /** HDR latency distribution over every retained completion, with
@@ -170,24 +167,20 @@ class FlightRecorder
     /** Export agentsim_incident_* counters into @p registry. */
     void exportMetrics(MetricsRegistry &registry) const;
 
-    /** Drop all state (reused across bench sweep points). */
+    /** Drop all state and detach from the sink (reused across bench
+     *  sweep points). */
     void clear();
 
   private:
-    struct TraceEntry
-    {
-        sim::Tick start = 0;
-        sim::Tick end = 0;
-        std::string json;
-    };
+    friend class TraceSink;
 
     Config config_;
     const TimeSeriesStore *timeseries_ = nullptr;
+    /** The sink whose log holds the trace window (set by
+     *  TraceSink::attachRecorder). */
+    TraceSink *trace_ = nullptr;
 
-    std::deque<TraceEntry> traceRing_;
     std::deque<SpanCompletion> spanRing_;
-    std::vector<std::string> metadata_;
-    std::int64_t metadataDropped_ = 0;
 
     std::deque<sim::Tick> recentMisses_;
 
@@ -204,7 +197,10 @@ class FlightRecorder
     stats::HdrHistogram makeLatencyHistogram() const;
     void dumpBundle(IncidentTrigger kind, sim::Tick now,
                     const std::string &detail);
-    std::string renderBundleTrace(sim::Tick from, sim::Tick to) const;
+    /** @return the bundle trace; @p trace_events counts its
+     *  windowed sink records. */
+    std::string renderBundleTrace(sim::Tick from, sim::Tick to,
+                                  std::size_t &trace_events) const;
     std::string renderManifest(IncidentTrigger kind, sim::Tick now,
                                const std::string &detail, sim::Tick from,
                                sim::Tick to, std::size_t trace_events,

@@ -15,14 +15,26 @@
  * All timestamps are virtual-time microseconds (the sim tick), which
  * is exactly Chrome's trace-event "ts" unit — load the file in
  * chrome://tracing or Perfetto and the three layers line up.
+ *
+ * Events are kept as fixed-size typed records (interned name, static
+ * category, up to four typed args) and rendered to JSON only on
+ * export: toJson() and the flight recorder's incident bundles share
+ * one renderer.
  */
 
 #ifndef AGENTSIM_TELEMETRY_TRACE_SINK_HH
 #define AGENTSIM_TELEMETRY_TRACE_SINK_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <initializer_list>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -38,7 +50,7 @@ class FlightRecorder;
  * other control character below 0x20 as \uXXXX, so arbitrary tool
  * observations stay valid JSON.
  */
-std::string jsonEscape(const std::string &s);
+std::string jsonEscape(std::string_view s);
 
 /** Well-known track (process) ids of the cross-layer trace. */
 struct TracePid
@@ -57,8 +69,112 @@ struct TracePid
 };
 
 /**
- * Append-only trace-event accumulator. Events are rendered to JSON at
- * emit time; toJson() only joins them. Single-threaded.
+ * One typed event argument. The key must be a string literal (it is
+ * kept by pointer and rendered unescaped); a text value must outlive
+ * the sink, such as a literal or a name table entry.
+ */
+struct TraceArg
+{
+    enum class Kind : std::uint8_t
+    {
+        Integer,
+        Real,
+        Boolean,
+        Text,
+    };
+
+    const char *key = nullptr;
+    Kind kind = Kind::Integer;
+    union
+    {
+        std::int64_t intValue = 0;
+        double realValue;
+        bool boolValue;
+        const char *textValue;
+    };
+
+    static TraceArg
+    integer(const char *key, std::int64_t v)
+    {
+        return {.key = key, .kind = Kind::Integer, .intValue = v};
+    }
+    /** Rendered with six fixed decimals. */
+    static TraceArg
+    real(const char *key, double v)
+    {
+        return {.key = key, .kind = Kind::Real, .realValue = v};
+    }
+    static TraceArg
+    boolean(const char *key, bool v)
+    {
+        return {.key = key, .kind = Kind::Boolean, .boolValue = v};
+    }
+    static TraceArg
+    text(const char *key, const char *v)
+    {
+        return {.key = key, .kind = Kind::Text, .textValue = v};
+    }
+};
+
+/** The args of one event: at most kMax, kept inline. */
+class TraceArgs
+{
+  public:
+    static constexpr std::size_t kMax = 4;
+
+    TraceArgs() = default;
+    TraceArgs(std::initializer_list<TraceArg> args);
+
+    void add(const TraceArg &arg);
+
+    std::size_t size() const { return count_; }
+    const TraceArg *begin() const { return args_.data(); }
+    const TraceArg *end() const { return args_.data() + count_; }
+
+  private:
+    std::array<TraceArg, kMax> args_{};
+    std::uint8_t count_ = 0;
+};
+
+/** Chrome phase codes; both metadata kinds render as "M". */
+enum class TracePhase : char
+{
+    Complete = 'X',
+    Instant = 'i',
+    Counter = 'C',
+    AsyncBegin = 'b',
+    AsyncEnd = 'e',
+    ProcessName = 'P',
+    ThreadName = 'T',
+};
+
+/** One retained trace event, rendered only on export. */
+struct TraceRecord
+{
+    sim::Tick tick = 0;
+    /** Duration of a Complete span (0 otherwise). */
+    sim::Tick dur = 0;
+    /** Lane: the tid, or an async span's id. */
+    std::uint64_t tid = 0;
+    /** Static category (nullptr for counters and metadata). */
+    const char *cat = nullptr;
+    int pid = 0;
+    /** Interned name id; for metadata, the track's name. */
+    std::uint32_t name = 0;
+    TracePhase phase = TracePhase::Instant;
+    TraceArgs args{};
+
+    bool
+    metadata() const
+    {
+        return phase == TracePhase::ProcessName ||
+               phase == TracePhase::ThreadName;
+    }
+    sim::Tick end() const { return tick + dur; }
+};
+
+/**
+ * Append-only trace-event log. Single-threaded.
  *
  * Retention is bounded: once eventCount() reaches the capacity, new
  * data events are dropped (and counted) instead of growing the sink
@@ -68,36 +184,27 @@ struct TracePid
 class TraceSink
 {
   public:
-    /** Default data-event capacity (~a few hundred MB of JSON). */
+    /** Default data-event capacity (~300 MB of records). */
     static constexpr std::size_t kDefaultEventCapacity = 2'000'000;
 
     /** Name a track (emitted once per pid). */
-    void processName(int pid, const std::string &name);
+    void processName(int pid, std::string_view name);
 
     /** Name a lane within a track (emitted once per (pid, tid)). */
-    void threadName(int pid, std::uint64_t tid,
-                    const std::string &name);
+    void threadName(int pid, std::uint64_t tid, std::string_view name);
 
-    /**
-     * Add a complete ("X") span.
-     *
-     * @param args_json optional pre-rendered JSON object *contents*
-     *        (`"key":1,"other":2`), no braces.
-     */
-    void complete(int pid, std::uint64_t tid, const std::string &name,
+    /** Add a complete ("X") span with optional typed @p args. */
+    void complete(int pid, std::uint64_t tid, std::string_view name,
                   const char *cat, sim::Tick start, sim::Tick end,
-                  const std::string &args_json = "");
+                  const TraceArgs &args = {});
 
     /** Add an instant ("i") event. */
-    void instant(int pid, std::uint64_t tid, const std::string &name,
+    void instant(int pid, std::uint64_t tid, std::string_view name,
                  const char *cat, sim::Tick at);
 
-    /**
-     * Add a counter ("C") sample; @p args_json holds the series
-     * values (`"used":12,"free":4`).
-     */
-    void counter(int pid, const std::string &name, sim::Tick at,
-                 const std::string &args_json);
+    /** Add a counter ("C") sample; @p args hold the series values. */
+    void counter(int pid, std::string_view name, sim::Tick at,
+                 const TraceArgs &args);
 
     /**
      * Open a nestable async ("b") span on lane @p id. Async events
@@ -105,17 +212,18 @@ class TraceSink
      * slices — used for the tail-exemplar span-tree track where
      * sibling fan-out genuinely overlaps.
      */
-    void asyncBegin(int pid, std::uint64_t id, const std::string &name,
+    void asyncBegin(int pid, std::uint64_t id, std::string_view name,
                     const char *cat, sim::Tick at,
-                    const std::string &args_json = "");
+                    const TraceArgs &args = {});
 
     /** Close the innermost open async span of (pid, cat, id). */
-    void asyncEnd(int pid, std::uint64_t id, const std::string &name,
+    void asyncEnd(int pid, std::uint64_t id, std::string_view name,
                   const char *cat, sim::Tick at);
 
     /**
-     * Cap retained data events (0 = unlimited). Events beyond the cap
-     * are dropped and counted in droppedEvents().
+     * Cap retained data events (0 = unlimited; the default is
+     * kDefaultEventCapacity). Events beyond the cap are dropped and
+     * counted in droppedEvents().
      */
     void setEventCapacity(std::size_t capacity)
     {
@@ -127,18 +235,59 @@ class TraceSink
     std::uint64_t droppedEvents() const { return dropped_; }
 
     /**
-     * Tee every emitted event into a flight recorder's retroactive
-     * ring (nullptr detaches). The recorder keeps receiving events
-     * even after this sink's own capacity saturates — its ring is
-     * separately bounded, so incident bundles stay fresh on runs long
-     * enough to fill the main trace. The recorder's metadata is reset
-     * to every track name emitted so far, so bundles name the tracks
-     * a driver named before attaching it.
+     * Give a flight recorder a view of this log (nullptr detaches).
+     * The recorder reads its window from the log's newest records,
+     * and keeps seeing events even after this sink's own capacity
+     * saturates: dropped data events then go to an overflow tail,
+     * bounded by the recorder's trace capacity and never rendered by
+     * toJson(), so incident bundles stay fresh on runs long enough to
+     * fill the main trace.
      */
     void attachRecorder(FlightRecorder *recorder);
 
     /** Events emitted so far (metadata included). */
     std::size_t eventCount() const { return events_.size(); }
+
+    /** Data records an attached recorder can see (log + overflow). */
+    std::size_t
+    dataRetained() const
+    {
+        return events_.size() - metadata_.size() + overflow_.size();
+    }
+
+    /** Visit the first @p n metadata records, in log order. */
+    template <typename F>
+    void
+    forEachMetadata(std::size_t n, F &&f) const
+    {
+        for (std::size_t i = 0; i < metadata_.size() && i < n; ++i)
+            f(events_[metadata_[i]]);
+    }
+
+    /** Visit the newest @p n data records, oldest first: the log's
+     *  tail, then the overflow tail. */
+    template <typename F>
+    void
+    forEachRecentData(std::size_t n, F &&f) const
+    {
+        const std::size_t tail = std::min(n, overflow_.size());
+        std::size_t want = n - tail;
+        std::size_t first = events_.size();
+        while (want > 0 && first > 0) {
+            if (!events_[--first].metadata())
+                --want;
+        }
+        for (std::size_t i = first; i < events_.size(); ++i) {
+            if (!events_[i].metadata())
+                f(events_[i]);
+        }
+        for (std::size_t i = overflow_.size() - tail; i < overflow_.size();
+             ++i)
+            f(overflow_[i]);
+    }
+
+    /** Append @p record's JSON object to @p out. */
+    void render(const TraceRecord &record, std::string &out) const;
 
     /** Render the complete trace JSON document. */
     std::string toJson() const;
@@ -149,15 +298,30 @@ class TraceSink
     void clear();
 
   private:
-    std::vector<std::string> events_;
+    std::vector<TraceRecord> events_;
+    /** Positions of the metadata records in events_. */
+    std::vector<std::size_t> metadata_;
+    /** Data events dropped at capacity, kept for the recorder. */
+    std::deque<TraceRecord> overflow_;
+    /** Interned names, JSON-escaped, indexed by TraceRecord::name. */
+    std::vector<std::string> names_;
+    struct NameHash : std::hash<std::string_view>
+    {
+        using is_transparent = void;
+    };
+    std::unordered_map<std::string, std::uint32_t, NameHash,
+                       std::equal_to<>>
+        nameIds_;
     /** (pid, tid) lanes already named; pid alone uses tid = -1. */
     std::set<std::pair<int, std::int64_t>> named_;
     std::size_t capacity_ = kDefaultEventCapacity;
     std::uint64_t dropped_ = 0;
     FlightRecorder *recorder_ = nullptr;
 
-    /** @return whether a data event may be appended (counts drops). */
-    bool admit();
+    std::uint32_t intern(std::string_view name);
+    void addMetadata(TracePhase phase, int pid, std::uint64_t tid,
+                     std::string_view name);
+    void add(const TraceRecord &record);
 };
 
 } // namespace agentsim::telemetry

@@ -291,12 +291,14 @@ TEST(FlightRecorderTest, BundleWindowClipsRingContent)
     cfg.incidentDir = incidentDir("window");
     cfg.windowSeconds = 10.0;
     FlightRecorder rec(cfg);
+    telemetry::TraceSink sink;
+    sink.attachRecorder(&rec);
 
     // One event well before the window, one inside it.
-    rec.noteTraceEvent(fromSeconds(1), fromSeconds(2),
-                       "{\"name\":\"ancient\",\"ph\":\"X\",\"ts\":1}");
-    rec.noteTraceEvent(fromSeconds(55), fromSeconds(56),
-                       "{\"name\":\"recent\",\"ph\":\"X\",\"ts\":2}");
+    sink.complete(telemetry::TracePid::kEngine, 1, "ancient", "test",
+                  fromSeconds(1), fromSeconds(2));
+    sink.complete(telemetry::TracePid::kEngine, 1, "recent", "test",
+                  fromSeconds(55), fromSeconds(56));
     telemetry::SpanCompletion sc;
     sc.requestKey = 7;
     sc.workflow = "w";
@@ -332,7 +334,10 @@ TEST(FlightRecorderTest, ClearDropsStateButKeepsConfig)
     FlightRecorder::Config cfg;
     cfg.incidentDir = incidentDir("clear");
     FlightRecorder rec(cfg);
-    rec.noteTraceEvent(fromSeconds(1), fromSeconds(2), "{}");
+    telemetry::TraceSink trace;
+    trace.attachRecorder(&rec);
+    trace.complete(telemetry::TracePid::kEngine, 1, "step", "test",
+                   fromSeconds(1), fromSeconds(2));
     rec.trigger(IncidentTrigger::SloBurn, fromSeconds(5), "x");
     EXPECT_EQ(rec.incidentsDumped(), 1);
 
