@@ -1413,8 +1413,8 @@ runCluster(const ClusterConfig &config)
         }
     }
 
-    // Flight-recorder wiring: tee trace events and span completions
-    // into the retroactive rings and arm every anomaly trigger. The
+    // Flight-recorder wiring: view the trace log, tee span completions
+    // into the recorder's ring and arm every anomaly trigger. The
     // sink/collector attach calls run even with a null recorder so a
     // session reused across sweep points detaches cleanly when this
     // run records nothing.

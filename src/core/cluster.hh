@@ -209,8 +209,8 @@ struct ClusterConfig
      */
     telemetry::SpanCollector *spans = nullptr;
     /**
-     * Optional flight recorder: trace events and span completions tee
-     * into its retroactive rings, anomaly triggers (SLO burn,
+     * Optional flight recorder: it views `traceSink`'s log, span
+     * completions tee into its ring, anomaly triggers (SLO burn,
      * brownout, breaker open, autoscale, deadline-miss spikes) dump
      * incident bundles, and incident counters are exported into
      * `metrics` when both are set. Must outlive runCluster().

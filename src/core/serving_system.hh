@@ -80,9 +80,10 @@ struct ServeConfig
     telemetry::SpanCollector *spans = nullptr;
 
     /**
-     * Optional flight recorder: trace events and span completions
-     * tee into its retroactive rings and SLO burn alerts (when `slo`
-     * is also set) dump incident bundles. Must outlive the call.
+     * Optional flight recorder: it views the session's trace log,
+     * span completions tee into its ring, and SLO burn alerts (when
+     * `slo` is also set) dump incident bundles. Must outlive the
+     * call.
      */
     telemetry::FlightRecorder *recorder = nullptr;
     /**
