@@ -47,6 +47,12 @@ FlightRecorder::FlightRecorder(Config config)
     lastDump_.fill(-1);
 }
 
+FlightRecorder::~FlightRecorder()
+{
+    if (trace_ != nullptr)
+        trace_->attachRecorder(nullptr);
+}
+
 void
 FlightRecorder::setConfig(Config config)
 {

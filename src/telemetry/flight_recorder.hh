@@ -4,7 +4,8 @@
  * self-explaining incident bundles.
  *
  * The recorder reads its trace window from the attached TraceSink's
- * log (the newest few thousand records, kept by the sink anyway),
+ * log (the newest traceEventCapacity records, which the sink keeps
+ * anyway),
  * tees span completions into a ring buffer — cheap enough to leave
  * on — and does nothing else until an anomaly trigger fires: an SLO
  * burn-rate alert, a brownout level change, a circuit-breaker open,
@@ -109,6 +110,10 @@ class FlightRecorder
 
     FlightRecorder();
     explicit FlightRecorder(Config config);
+    /** Detaches from the sink, which holds a pointer to this. */
+    ~FlightRecorder();
+    FlightRecorder(const FlightRecorder &) = delete;
+    FlightRecorder &operator=(const FlightRecorder &) = delete;
 
     /** Reconfigure; call before the run (resets the latency ring). */
     void setConfig(Config config);
@@ -121,8 +126,7 @@ class FlightRecorder
         timeseries_ = store;
     }
 
-    // ---- continuous tees (called by SpanCollector and the cluster;
-    //      the trace window is read from TraceSink::attachRecorder) ----
+    // ---- continuous tees (called by SpanCollector / the cluster) ----
 
     /** Retain a finished request with its critical-path blame. */
     void noteSpanCompletion(const SpanCompletion &completion);

@@ -187,6 +187,12 @@ class TraceSink
     /** Default data-event capacity (~300 MB of records). */
     static constexpr std::size_t kDefaultEventCapacity = 2'000'000;
 
+    TraceSink() = default;
+    /** Detaches the recorder, which holds a pointer to this sink. */
+    ~TraceSink() { attachRecorder(nullptr); }
+    TraceSink(const TraceSink &) = delete;
+    TraceSink &operator=(const TraceSink &) = delete;
+
     /** Name a track (emitted once per pid). */
     void processName(int pid, std::string_view name);
 

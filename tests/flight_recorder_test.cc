@@ -348,6 +348,37 @@ TEST(FlightRecorderTest, ClearDropsStateButKeepsConfig)
     EXPECT_EQ(rec.config().incidentDir, cfg.incidentDir);
 }
 
+TEST(FlightRecorderTest, SinkAndRecorderDetachWhenDestroyed)
+{
+    FlightRecorder::Config cfg;
+    cfg.incidentDir = incidentDir("detach");
+    FlightRecorder rec(cfg);
+    {
+        telemetry::TraceSink sink;
+        sink.attachRecorder(&rec);
+        sink.instant(telemetry::TracePid::kEngine, 1, "gone", "test",
+                     fromSeconds(1));
+        EXPECT_EQ(rec.traceEventsRetained(), 1u);
+    }
+    EXPECT_EQ(rec.traceEventsRetained(), 0u);
+    rec.trigger(IncidentTrigger::SloBurn, fromSeconds(2), "no sink");
+    EXPECT_EQ(rec.incidentsDumped(), 1);
+
+    // A full sink whose recorder is gone keeps no overflow for it.
+    telemetry::TraceSink sink;
+    sink.setEventCapacity(1);
+    {
+        FlightRecorder gone(cfg);
+        sink.attachRecorder(&gone);
+    }
+    for (int i = 0; i < 3; ++i) {
+        sink.instant(telemetry::TracePid::kEngine, 1, "tick", "test",
+                     fromSeconds(i));
+    }
+    EXPECT_EQ(sink.droppedEvents(), 2u);
+    EXPECT_EQ(sink.dataRetained(), 1u);
+}
+
 TEST(FlightRecorderTest, RecorderOffRunIsBitIdentical)
 {
     // The whole observability stack must be a pure observer: a run
