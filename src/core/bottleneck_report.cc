@@ -172,7 +172,7 @@ emitSpanExemplars(const telemetry::SpanCollector &spans,
                 TraceArg::boolean("critical_path",
                                   on_path.count(ev.span) != 0)};
             if (span.followsFrom != telemetry::kNoSpan)
-                args.add(TraceArg::integer("follows_from", span.followsFrom));
+                args[3] = TraceArg::integer("follows_from", span.followsFrom);
             trace.asyncBegin(telemetry::TracePid::kSpans, lane, name,
                              "span", ev.at, args);
         }

@@ -2,7 +2,6 @@
 
 #include <charconv>
 
-#include "sim/logging.hh"
 #include "sim/strfmt.hh"
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/registry.hh"
@@ -65,11 +64,11 @@ void
 appendArgs(std::string &out, const TraceArgs &args)
 {
     out += ",\"args\":{";
-    bool first = true;
     for (const TraceArg &arg : args) {
-        if (!first)
+        if (arg.key == nullptr)
+            break;
+        if (&arg != args.data())
             out += ',';
-        first = false;
         out += '"';
         out += arg.key;
         out += "\":";
@@ -102,19 +101,6 @@ jsonEscape(std::string_view s)
     out.reserve(s.size());
     appendEscaped(out, s);
     return out;
-}
-
-TraceArgs::TraceArgs(std::initializer_list<TraceArg> args)
-{
-    for (const TraceArg &arg : args)
-        add(arg);
-}
-
-void
-TraceArgs::add(const TraceArg &arg)
-{
-    AGENTSIM_ASSERT(count_ < kMax, "too many trace args");
-    args_[count_++] = arg;
 }
 
 std::uint32_t
@@ -277,7 +263,7 @@ TraceSink::render(const TraceRecord &r, std::string &out) const
     }
     if (r.phase == TracePhase::Instant)
         out += ",\"s\":\"t\"";
-    if (r.args.size() > 0 || r.phase == TracePhase::Counter)
+    if (r.args[0].key != nullptr || r.phase == TracePhase::Counter)
         appendArgs(out, r.args);
     out += '}';
 }

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <initializer_list>
 #include <set>
 #include <string>
 #include <string_view>
@@ -116,25 +115,8 @@ struct TraceArg
     }
 };
 
-/** The args of one event: at most kMax, kept inline. */
-class TraceArgs
-{
-  public:
-    static constexpr std::size_t kMax = 4;
-
-    TraceArgs() = default;
-    TraceArgs(std::initializer_list<TraceArg> args);
-
-    void add(const TraceArg &arg);
-
-    std::size_t size() const { return count_; }
-    const TraceArg *begin() const { return args_.data(); }
-    const TraceArg *end() const { return args_.data() + count_; }
-
-  private:
-    std::array<TraceArg, kMax> args_{};
-    std::uint8_t count_ = 0;
-};
+/** The args of one event, kept inline; unused slots have no key. */
+using TraceArgs = std::array<TraceArg, 4>;
 
 /** Chrome phase codes; both metadata kinds render as "M". */
 enum class TracePhase : char
