@@ -8,12 +8,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/serving_system.hh"
 #include "kv/block_manager.hh"
 #include "llm/perf_model.hh"
 #include "sim/awaitable.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
@@ -60,6 +62,17 @@ BM_CoroutineHops(benchmark::State &state)
 }
 BENCHMARK(BM_CoroutineHops)->Arg(1000);
 
+/** allocatePrompt that must succeed: a failure is a bench bug. */
+kv::PromptAlloc
+mustAllocate(kv::BlockManager &mgr, kv::SeqId id,
+             const kv::TokenChain &prompt)
+{
+    const auto alloc = mgr.allocatePrompt(id, prompt);
+    AGENTSIM_ASSERT(alloc.has_value(), "KV bench pool too small for seq %llu",
+                    static_cast<unsigned long long>(id));
+    return *alloc;
+}
+
 void
 BM_KvAllocateRelease(benchmark::State &state)
 {
@@ -74,8 +87,7 @@ BM_KvAllocateRelease(benchmark::State &state)
     kv::SeqId next = 1;
     for (auto _ : state) {
         const kv::SeqId id = next++;
-        auto alloc = mgr.allocatePrompt(id, prompt);
-        benchmark::DoNotOptimize(alloc->cachedTokens);
+        benchmark::DoNotOptimize(mustAllocate(mgr, id, prompt).cachedTokens);
         mgr.release(id);
     }
     state.SetItemsProcessed(state.iterations() * 1024);
@@ -97,8 +109,7 @@ BM_KvPrefixMissThenHit(benchmark::State &state)
             workload::makeTokens(workload::streamId(salt++ % 64, "bm2"),
                                  512));
         const kv::SeqId id = salt + 1000000;
-        auto alloc = mgr.allocatePrompt(id, prompt);
-        benchmark::DoNotOptimize(alloc->cachedTokens);
+        benchmark::DoNotOptimize(mustAllocate(mgr, id, prompt).cachedTokens);
         mgr.release(id);
     }
 }
@@ -107,32 +118,44 @@ BENCHMARK(BM_KvPrefixMissThenHit);
 void
 BM_KvEvictionChurn(benchmark::State &state)
 {
-    // A 256-block pool over DRAM + NVMe tiers, fed 8-block prompts that
-    // are all distinct within any window the hierarchy can hold: once
-    // warm, every allocation evicts 8 blocks, demotes them into DRAM
-    // and sinks DRAM victims into NVMe, whose victims fall out.
+    // A pool of range(0) blocks over DRAM (2x) and NVMe (4x) tiers, fed
+    // 8-block prompts that are all distinct within any window the
+    // hierarchy can hold (at least 8x the pool's blocks of content
+    // against the 7x it holds): once warm, every allocation evicts 8
+    // blocks, demotes them into DRAM and sinks DRAM victims into NVMe,
+    // whose victims fall out. range(1) picks the eviction order: 0 is
+    // LRU (a list), 1 is FIFO (a heap as deep as the pool).
+    const std::int64_t blocks = state.range(0);
     kv::BlockManagerConfig cfg;
-    cfg.numBlocks = 256;
+    cfg.numBlocks = blocks;
     cfg.blockSize = 16;
-    cfg.hostCacheBlocks = 512;
-    cfg.nvmeCacheBlocks = 1024;
+    cfg.hostCacheBlocks = 2 * blocks;
+    cfg.nvmeCacheBlocks = 4 * blocks;
+    cfg.evictionPolicy = state.range(1) == 0 ? kv::EvictionPolicy::Lru
+                                             : kv::EvictionPolicy::Fifo;
     kv::BlockManager mgr(cfg);
     std::vector<kv::TokenChain> prompts;
-    for (std::uint64_t i = 0; i < 1024; ++i) {
+    const auto n_prompts = static_cast<std::uint64_t>(
+        std::max<std::int64_t>(1024, blocks));
+    for (std::uint64_t i = 0; i < n_prompts; ++i) {
         prompts.emplace_back(
             cfg.blockSize,
             workload::makeTokens(workload::streamId(i, "churn"), 128));
     }
     kv::SeqId id = 0;
     for (auto _ : state) {
-        auto alloc = mgr.allocatePrompt(id, prompts[id % prompts.size()]);
-        benchmark::DoNotOptimize(alloc->freshBlocks);
+        const kv::TokenChain &prompt = prompts[id % prompts.size()];
+        benchmark::DoNotOptimize(mustAllocate(mgr, id, prompt).freshBlocks);
         mgr.release(id++);
     }
     benchmark::DoNotOptimize(mgr.stats().evictions);
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_KvEvictionChurn);
+// 16,384 blocks is the same order as the 8B preset's pool on one
+// A100-40GB (9,507 blocks, a 14-level heap; 16,384 gives 15).
+BENCHMARK(BM_KvEvictionChurn)
+    ->ArgNames({"blocks", "fifo"})
+    ->ArgsProduct({{256, 16384}, {0, 1}});
 
 void
 BM_PerfModelStep(benchmark::State &state)

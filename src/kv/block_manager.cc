@@ -31,7 +31,8 @@ BlockManager::BlockManager(const BlockManagerConfig &config)
     for (std::int64_t i = config_.numBlocks - 1; i >= 0; --i)
         freeList_.push_back(static_cast<BlockId>(i));
     cacheTable_ = FlatIndex(n);
-    evictable_ = IndexedMinHeap(n);
+    if (!lruList())
+        fifoHeap_ = IndexedMinHeap(n);
 
     tiers_[0].capacity = config_.hostCacheBlocks;
     tiers_[0].admitProb = config_.dramAdmitProb;
@@ -78,18 +79,33 @@ BlockManager::usedBlocks() const
     return config_.numBlocks - availableBlocks();
 }
 
-std::int64_t
-BlockManager::seqTokens(SeqId seq_id) const
+std::size_t
+BlockManager::claimSeqSlot(SeqId seq_id)
 {
-    auto it = seqs_.find(seq_id);
-    AGENTSIM_ASSERT(it != seqs_.end(), "seqTokens of unknown sequence");
-    return it->second.chain.size();
+    // Sized by the peak live count (shared blocks let it pass the
+    // pool's block count), so the index stays as small as the batch.
+    if (seqIndex_.size() == seqIndex_.capacity()) {
+        FlatIndex grown(std::max<std::size_t>(2 * seqIndex_.capacity(), 16));
+        seqIndex_.forEach([&grown](std::uint64_t key, std::int32_t slot) {
+            grown.insert(key, slot);
+        });
+        seqIndex_ = std::move(grown);
+    }
+    std::size_t slot = seqs_.size();
+    if (freeSeqSlots_.empty()) {
+        seqs_.emplace_back();
+    } else {
+        slot = static_cast<std::size_t>(freeSeqSlots_.back());
+        freeSeqSlots_.pop_back();
+    }
+    seqIndex_.insert(sim::hashMix(seq_id), static_cast<std::int32_t>(slot));
+    return slot;
 }
 
 std::optional<PromptAlloc>
 BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
 {
-    AGENTSIM_ASSERT(!seqs_.contains(seq_id),
+    AGENTSIM_ASSERT(!hasSeq(seq_id),
                     "allocatePrompt: seq %llu already allocated",
                     static_cast<unsigned long long>(seq_id));
     AGENTSIM_ASSERT(!prompt.empty(), "allocatePrompt with empty prompt");
@@ -162,9 +178,9 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
     // any acquireFreshBlock() call below may run the evictor, or the
     // eviction could pick a pending hit as its victim and alias one
     // physical block into two sequence positions.
-    Seq seq;
+    Seq &seq = seqs_[claimSeqSlot(seq_id)];
     seq.chain = prompt;
-    seq.blocks.assign(static_cast<std::size_t>(n_blocks), BlockId{-1});
+    seq.blocks.assign(static_cast<std::size_t>(n_blocks), kNil);
 
     for (std::size_t i = 0; i < reuse.size(); ++i) {
         if (reuse[i].block >= 0) {
@@ -201,7 +217,6 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
     result.dramRestoredTokens = dram_restores * bs;
     result.nvmeRestoredTokens = nvme_restores * bs;
     result.freshBlocks = fresh_needed;
-    seqs_.emplace(seq_id, std::move(seq));
     // The restore+hit interleaving is the risky path; verify the
     // whole pool after it. Not free on the host: with both tiers full
     // (~23 k entries) a check costs 0.25-0.36 ms on a 4-core Xeon in
@@ -215,10 +230,7 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
 bool
 BlockManager::appendToken(SeqId seq_id, TokenId token)
 {
-    auto it = seqs_.find(seq_id);
-    AGENTSIM_ASSERT(it != seqs_.end(),
-                    "appendToken to unknown sequence");
-    Seq &seq = it->second;
+    Seq &seq = seqs_[seqSlot(seq_id, "appendToken")];
     const int bs = config_.blockSize;
 
     if (seq.chain.size() % bs == 0) {
@@ -239,10 +251,7 @@ BlockManager::appendToken(SeqId seq_id, TokenId token)
 TokenChain
 BlockManager::exportChain(SeqId seq_id) const
 {
-    auto it = seqs_.find(seq_id);
-    AGENTSIM_ASSERT(it != seqs_.end(),
-                    "exportChain of unknown sequence");
-    return it->second.chain;
+    return seqs_[seqSlot(seq_id, "exportChain")].chain;
 }
 
 std::optional<PromptAlloc>
@@ -258,11 +267,13 @@ BlockManager::importChain(SeqId seq_id, const TokenChain &chain)
 void
 BlockManager::release(SeqId seq_id)
 {
-    auto it = seqs_.find(seq_id);
-    AGENTSIM_ASSERT(it != seqs_.end(), "release of unknown sequence");
-    for (BlockId id : it->second.blocks)
+    const std::size_t slot = seqSlot(seq_id, "release");
+    Seq &seq = seqs_[slot];
+    for (BlockId id : seq.blocks)
         unrefBlock(id);
-    seqs_.erase(it);
+    seq.blocks.clear();
+    seqIndex_.erase(sim::hashMix(seq_id));
+    freeSeqSlots_.push_back(static_cast<std::int32_t>(slot));
 }
 
 void
@@ -274,8 +285,12 @@ BlockManager::reset()
     for (std::int64_t i = config_.numBlocks - 1; i >= 0; --i)
         freeList_.push_back(static_cast<BlockId>(i));
     cacheTable_.clear();
-    evictable_.clear();
+    lruHead_ = lruTail_ = kNil;
+    lruSize_ = 0;
+    fifoHeap_.clear();
     seqs_.clear();
+    freeSeqSlots_.clear();
+    seqIndex_.clear();
     for (auto &tier : tiers_)
         tier.entries.clear();
 }
@@ -302,9 +317,8 @@ BlockManager::preloadPrefix(const TokenChain &prefix)
             // Already resident. Shield it like a placed block, and
             // under LRU refresh its recency (a preload is an access).
             Block &block = blocks_[static_cast<std::size_t>(id)];
-            if (block.refCount == 0 &&
-                config_.evictionPolicy == EvictionPolicy::Lru) {
-                evictable_.erase(id);
+            if (block.refCount == 0 && lruList()) {
+                evictableErase(id);
                 parkEvictable(id);
             }
             block.guardEpoch = guardEpoch_;
@@ -343,8 +357,7 @@ BlockManager::parkChain(const TokenChain &chain)
         Block &b = blocks_[static_cast<std::size_t>(id)];
         if (b.refCount > 0)
             continue; // pinned by a live sequence: not idle
-        AGENTSIM_ASSERT(b.lruKey != 0, "idle cached block not on LRU");
-        evictable_.erase(id);
+        evictableErase(id);
         cacheTable_.erase(*it);
         // Deliberate demotion bypasses the probabilistic filter.
         demoteFromGpu(b.hash, /*forced=*/true);
@@ -406,10 +419,9 @@ BlockManager::acquireFreshBlock()
         b = Block{};
         return id;
     }
-    AGENTSIM_ASSERT(evictable_.size() > 0,
-                    "acquireFreshBlock with no candidates");
     // Evict the lowest-key cached block (LRU or FIFO order).
-    const BlockId id = evictable_.pop();
+    const BlockId id = evictableTop();
+    evictableErase(id);
     Block &b = blocks_[static_cast<std::size_t>(id)];
     if (b.inTable) {
         cacheTable_.erase(b.hash);
@@ -426,8 +438,7 @@ bool
 BlockManager::nextVictimGuarded() const
 {
     return freeList_.empty() &&
-           blocks_[static_cast<std::size_t>(evictable_.top())].guardEpoch ==
-               guardEpoch_;
+           block(evictableTop()).guardEpoch == guardEpoch_;
 }
 
 void
@@ -435,8 +446,7 @@ BlockManager::refCachedBlock(BlockId id)
 {
     Block &b = blocks_[static_cast<std::size_t>(id)];
     if (b.refCount == 0) {
-        AGENTSIM_ASSERT(b.lruKey != 0, "idle cached block not on LRU");
-        evictable_.erase(id);
+        evictableErase(id);
         b.lruKey = 0;
     }
     ++b.refCount;
@@ -468,10 +478,51 @@ void
 BlockManager::parkEvictable(BlockId id)
 {
     Block &b = blocks_[static_cast<std::size_t>(id)];
-    b.lruKey = config_.evictionPolicy == EvictionPolicy::Lru
-                   ? lruCounter_++
-                   : b.publishKey;
-    evictable_.push(id, b.lruKey);
+    b.lruKey = lruList() ? lruCounter_++ : b.publishKey;
+    evictablePush(id);
+}
+
+void
+BlockManager::evictablePush(BlockId id)
+{
+    Block &b = block(id);
+    if (!lruList()) {
+        fifoHeap_.push(id, b.lruKey);
+        return;
+    }
+    AGENTSIM_ASSERT(b.lruPrev == kNil && lruHead_ != id,
+                    "LRU list already holds block %d", id);
+    AGENTSIM_ASSERT(lruTail_ == kNil || block(lruTail_).lruKey < b.lruKey,
+                    "LRU park of block %d out of key order", id);
+    b.lruPrev = lruTail_;
+    (lruTail_ == kNil ? lruHead_ : block(lruTail_).lruNext) = id;
+    lruTail_ = id;
+    ++lruSize_;
+}
+
+void
+BlockManager::evictableErase(BlockId id)
+{
+    if (!lruList()) {
+        fifoHeap_.erase(id);
+        return;
+    }
+    Block &b = block(id);
+    AGENTSIM_ASSERT(b.lruPrev != kNil || lruHead_ == id,
+                    "LRU erase of absent block %d", id);
+    (b.lruPrev == kNil ? lruHead_ : block(b.lruPrev).lruNext) = b.lruNext;
+    (b.lruNext == kNil ? lruTail_ : block(b.lruNext).lruPrev) = b.lruPrev;
+    b.lruPrev = b.lruNext = kNil;
+    --lruSize_;
+}
+
+BlockId
+BlockManager::evictableTop() const
+{
+    if (!lruList())
+        return fifoHeap_.top();
+    AGENTSIM_ASSERT(lruHead_ != kNil, "no evictable block");
+    return lruHead_;
 }
 
 void
@@ -579,15 +630,45 @@ BlockManager::checkInvariants() const
 {
     std::int64_t referenced = 0;
     std::int64_t in_table = 0;
-    for (const auto &b : blocks_) {
+    // Parked blocks carry an lruKey. Under LRU each next link points
+    // back under a higher key, and only the head lacks a prev and only
+    // the tail a next: one list through every parked block, in order.
+    std::int64_t parked = 0;
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+        const Block &b = blocks_[i];
+        const auto id = static_cast<BlockId>(i);
         if (b.refCount > 0)
             ++referenced;
         if (b.inTable)
             ++in_table;
+        if (b.lruKey == 0) {
+            AGENTSIM_ASSERT(b.lruPrev == kNil && b.lruNext == kNil,
+                            "unparked block %d still linked", id);
+            continue;
+        }
+        ++parked;
+        AGENTSIM_ASSERT(b.refCount == 0 && b.inTable,
+                        "parked block %d is referenced or unpublished", id);
+        AGENTSIM_ASSERT(!lruList() ||
+                            ((b.lruPrev == kNil) == (id == lruHead_) &&
+                             (b.lruNext == kNil) == (id == lruTail_) &&
+                             (b.lruNext == kNil ||
+                              (block(b.lruNext).lruPrev == id &&
+                               b.lruKey < block(b.lruNext).lruKey))),
+                        "LRU list corrupt at block %d", id);
     }
     const auto free_count = static_cast<std::int64_t>(freeList_.size());
-    const auto evict_count =
-        static_cast<std::int64_t>(evictable_.size());
+    const auto evict_count = evictableBlocks();
+    AGENTSIM_ASSERT(parked == evict_count,
+                    "%lld blocks carry an lruKey, %lld are evictable",
+                    static_cast<long long>(parked),
+                    static_cast<long long>(evict_count));
+    AGENTSIM_ASSERT(!lruList() || (parked > 0
+                                       ? lruHead_ != kNil &&
+                                             block(lruHead_).lruKey != 0
+                                       : lruHead_ == kNil && lruTail_ == kNil),
+                    "LRU list head %d with %lld parked blocks", lruHead_,
+                    static_cast<long long>(parked));
     AGENTSIM_ASSERT(referenced + free_count + evict_count ==
                         config_.numBlocks,
                     "block accounting broken: %lld + %lld + %lld != %lld",
@@ -604,12 +685,21 @@ BlockManager::checkInvariants() const
                         "tier %zu over capacity", i);
         tier.entries.checkInvariants();
     }
-    evictable_.checkInvariants();
-    evictable_.forEach([this](BlockId id, std::uint64_t key) {
-        const Block &b = blocks_[static_cast<std::size_t>(id)];
-        AGENTSIM_ASSERT(b.refCount == 0 && b.lruKey == key && b.inTable,
-                        "corrupt evictable entry");
-    });
+    if (!lruList()) {
+        fifoHeap_.checkInvariants();
+        fifoHeap_.forEach([this](BlockId id, std::uint64_t key) {
+            AGENTSIM_ASSERT(block(id).lruKey == key,
+                            "FIFO heap holds block %d under a stale key", id);
+        });
+    }
+    // A released slab slot has an empty block table.
+    const auto live_slots = static_cast<std::size_t>(std::count_if(
+        seqs_.begin(), seqs_.end(),
+        [](const Seq &s) { return !s.blocks.empty(); }));
+    AGENTSIM_ASSERT(live_slots == seqIndex_.size() &&
+                        live_slots + freeSeqSlots_.size() == seqs_.size(),
+                    "sequence slab: %zu live + %zu free of %zu slots",
+                    live_slots, freeSeqSlots_.size(), seqs_.size());
     AGENTSIM_ASSERT(static_cast<std::int64_t>(cacheTable_.size()) ==
                         in_table,
                     "cache table holds %zu entries, %lld blocks in it",

@@ -44,7 +44,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "kv/flat_index.hh"
@@ -223,8 +222,9 @@ class BlockManager
      *
      * Reuses cached blocks for the longest contiguous prefix of full
      * blocks (when prefix caching is on) and takes fresh blocks for the
-     * rest. Fails without side effects if the pool cannot supply the
-     * fresh blocks even after evicting all unreferenced cached blocks.
+     * rest. Fails if the pool cannot supply the fresh blocks even after
+     * evicting all unreferenced cached blocks. A failure changes no
+     * block or sequence, but its probe still counts in CacheStats.
      *
      * @param seq_id caller-unique sequence id.
      * @param prompt the full prompt; its block size must be the
@@ -318,10 +318,16 @@ class BlockManager
     PrefetchResult prefetchChain(const TokenChain &chain);
 
     /** True if the sequence is currently allocated. */
-    bool hasSeq(SeqId seq_id) const { return seqs_.contains(seq_id); }
+    bool hasSeq(SeqId seq_id) const
+    {
+        return seqIndex_.contains(sim::hashMix(seq_id));
+    }
 
     /** Number of tokens currently stored for a sequence. */
-    std::int64_t seqTokens(SeqId seq_id) const;
+    std::int64_t seqTokens(SeqId seq_id) const
+    {
+        return seqs_[seqSlot(seq_id, "seqTokens")].chain.size();
+    }
 
     /**
      * Blocks a prompt of @p token_count would need *ignoring* cache
@@ -341,7 +347,8 @@ class BlockManager
     /** Unreferenced cached blocks awaiting reuse or eviction. */
     std::int64_t evictableBlocks() const
     {
-        return static_cast<std::int64_t>(evictable_.size());
+        return lruList() ? lruSize_
+                         : static_cast<std::int64_t>(fifoHeap_.size());
     }
 
     /** Blocks currently resident in the DRAM (host) spill tier. */
@@ -410,6 +417,8 @@ class BlockManager
     void checkInvariants() const;
 
   private:
+    static constexpr BlockId kNil = -1;
+
     struct Block
     {
         std::uint64_t hash = 0;
@@ -420,12 +429,17 @@ class BlockManager
         /** guardEpoch_ of the preload/prefetch call shielding it. */
         std::uint64_t guardEpoch = 0;
         int refCount = 0;
+        /** Older and newer neighbours on the LRU victim list. */
+        BlockId lruPrev = kNil;
+        BlockId lruNext = kNil;
         /** True if this block is the cache-table entry for its hash. */
         bool inTable = false;
     };
 
+    /** One slot of the sequence slab. */
     struct Seq
     {
+        /** Block table; empty while the slot is released. */
         std::vector<BlockId> blocks;
         /** Every token stored so far (prompt plus appended). */
         TokenChain chain;
@@ -462,9 +476,17 @@ class BlockManager
     std::vector<BlockId> freeList_;
     /** hash -> block holding that content. */
     FlatIndex cacheTable_;
-    /** Unreferenced cached blocks, lowest lruKey on top. */
-    IndexedMinHeap evictable_;
-    std::unordered_map<SeqId, Seq> seqs_;
+    /** Under LRU, the evictable set: a list over blocks_, oldest first. */
+    BlockId lruHead_ = kNil;
+    BlockId lruTail_ = kNil;
+    std::int64_t lruSize_ = 0;
+    /** Under FIFO, the evictable set: lowest lruKey on top. */
+    IndexedMinHeap fifoHeap_;
+    /** Sequence slab; a released slot keeps its vectors' capacity. */
+    std::vector<Seq> seqs_;
+    std::vector<std::int32_t> freeSeqSlots_;
+    /** hashMix(seq id) -> slot in seqs_ (hashMix is a bijection). */
+    FlatIndex seqIndex_;
     std::uint64_t lruCounter_ = 1;
     CacheStats stats_;
     /** allocatePrompt's probe buffer, reused across calls. */
@@ -511,8 +533,28 @@ class BlockManager
     /** Panic unless @p chain was hashed at this pool's block size. */
     void requireBlockSize(const TokenChain &chain) const;
 
-    /** Take one block from free list or evict the LRU cached block. */
-    BlockId acquireFreshBlock();
+    Block &block(BlockId id) { return blocks_[static_cast<std::size_t>(id)]; }
+    const Block &block(BlockId id) const
+    {
+        return blocks_[static_cast<std::size_t>(id)];
+    }
+
+    /** The slot of live sequence @p seq_id; panics, naming @p op. */
+    std::size_t seqSlot(SeqId seq_id, const char *op) const
+    {
+        const std::int32_t slot = seqIndex_.find(sim::hashMix(seq_id));
+        AGENTSIM_ASSERT(slot != FlatIndex::kAbsent,
+                        "%s of unknown sequence %llu", op,
+                        static_cast<unsigned long long>(seq_id));
+        return static_cast<std::size_t>(slot);
+    }
+
+    /** Index @p seq_id under a free or new slab slot, returned. */
+    std::size_t claimSeqSlot(SeqId seq_id);
+
+    /** Take one block from free list or evict the LRU cached block;
+     *  never inlined or split, so profiles charge evictions here. */
+    [[gnu::noinline]] BlockId acquireFreshBlock();
 
     /**
      * True when the next acquireFreshBlock() would evict a block
@@ -521,10 +563,23 @@ class BlockManager
     bool nextVictimGuarded() const;
 
     /**
-     * Park an unreferenced cached block on the eviction heap under the
+     * Park an unreferenced cached block in the evictable set under the
      * configured policy's key (fresh recency, or publish order).
      */
     void parkEvictable(BlockId id);
+
+    /**
+     * The evictable set, lowest Block::lruKey first. Every LRU park
+     * draws a fresh lruCounter_ key, so a list appended at the tail
+     * stays in key order; FIFO parks out of order and keeps the heap.
+     */
+    bool lruList() const
+    {
+        return config_.evictionPolicy == EvictionPolicy::Lru;
+    }
+    void evictablePush(BlockId id);
+    void evictableErase(BlockId id);
+    BlockId evictableTop() const;
 
     /** Re-reference a cached block (removing it from the LRU if idle). */
     void refCachedBlock(BlockId id);

@@ -1,10 +1,10 @@
 /**
  * @file
  * Allocation-free containers behind the KV block pool, each sized once
- * at construction: FlatIndex (the cache table and each tier's index),
- * IndexedMinHeap (the eviction order) and LruSlab (one spill tier).
- * Their slot layout is never observable: only invariant checks iterate
- * them in storage order.
+ * at construction: FlatIndex (the cache table, each tier's index and
+ * the sequence index), IndexedMinHeap (the FIFO eviction order) and
+ * LruSlab (one spill tier). Their slot layout is never observable: only
+ * invariant checks iterate them in storage order.
  */
 
 #ifndef AGENTSIM_KV_FLAT_INDEX_HH
@@ -40,6 +40,8 @@ class FlatIndex
     }
 
     std::size_t size() const { return size_; }
+    /** Entries the table was sized for. */
+    std::size_t capacity() const { return maxEntries_; }
     std::size_t homeSlot(std::uint64_t key) const { return key & mask_; }
     bool contains(std::uint64_t key) const { return find(key) != kAbsent; }
 

@@ -149,14 +149,27 @@ TEST(BlockManager, PartialLastBlockNeverCached)
 
 TEST(BlockManager, AllocationFailsWhenPoolExhausted)
 {
-    BlockManager mgr(cfg(4));
+    BlockManager mgr(cfg(6));
     ASSERT_TRUE(
         mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 64))).has_value());
+    // Two idle cached blocks: evictable, but too few for the prompt.
+    ASSERT_TRUE(
+        mgr.allocatePrompt(3, chainOf(mgr, tokenRange(9000, 32))).has_value());
+    mgr.release(3);
+    const std::int64_t lookups = mgr.stats().lookupTokens;
+    const std::int64_t free_blocks = mgr.freeBlocks();
+    const std::int64_t evictable = mgr.evictableBlocks();
+    EXPECT_EQ(evictable, 2);
     // Different content: no hits possible, needs 4 fresh blocks.
     EXPECT_FALSE(
         mgr.allocatePrompt(2, chainOf(mgr, tokenRange(5000, 64))).has_value());
-    // Failure must not leak state.
+    // The failure leaves the pool and the sequences untouched (no
+    // slab slot taken); only the probe counts in the cache stats.
     mgr.checkInvariants();
+    EXPECT_EQ(mgr.stats().lookupTokens, lookups + 64);
+    EXPECT_FALSE(mgr.hasSeq(2));
+    EXPECT_EQ(mgr.freeBlocks(), free_blocks);
+    EXPECT_EQ(mgr.evictableBlocks(), evictable);
     EXPECT_EQ(mgr.usedBlocks(), 4);
     mgr.release(1);
     EXPECT_TRUE(
@@ -194,6 +207,101 @@ TEST(BlockManager, LruEvictsOldestFirst)
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(again->cachedTokens, 64);
     mgr.checkInvariants();
+}
+
+// The LRU victim list loses its head to a hit on an idle cached
+// block, its tail to parkChain and a middle block to a preload's
+// recency refresh (which re-parks it at the tail). Evictions must
+// then follow the new order, each probe below showing that the
+// previous victim left the GPU.
+TEST(BlockManager, LruListUnlinksHeadMiddleAndTail)
+{
+    BlockManager mgr(cfg(5, 16, true, 8));
+    const auto chain = [&mgr](TokenId k) {
+        return chainOf(mgr, tokenRange(k * 1000, 16)); // one full block
+    };
+    const auto alloc = [&mgr](kv::SeqId id, const kv::TokenChain &c) {
+        const auto a = mgr.allocatePrompt(id, c);
+        mgr.checkInvariants();
+        return a;
+    };
+    // List, oldest first: A B C D E.
+    for (TokenId k = 0; k < 5; ++k) {
+        ASSERT_TRUE(alloc(k + 1, chain(k)).has_value());
+        mgr.release(k + 1);
+        mgr.checkInvariants();
+    }
+    ASSERT_EQ(mgr.evictableBlocks(), 5);
+
+    const auto hit = alloc(10, chain(0)); // head A: B C D E
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->cachedTokens, 16);
+    EXPECT_EQ(mgr.parkChain(chain(4)), 1); // tail E: B C D
+    mgr.checkInvariants();
+    EXPECT_EQ(mgr.preloadPrefix(chain(2)), 0); // middle C: B D C
+    mgr.checkInvariants();
+    EXPECT_EQ(mgr.evictableBlocks(), 3);
+    EXPECT_EQ(mgr.freeBlocks(), 1);
+
+    ASSERT_TRUE(alloc(20, chain(5)).has_value()); // the free block
+    EXPECT_EQ(mgr.stats().evictions, 0);
+    ASSERT_TRUE(alloc(21, chain(6)).has_value()); // evicts B
+    EXPECT_EQ(mgr.stats().evictions, 1);
+    // Each earlier victim is restored from DRAM, evicting the next.
+    for (const TokenId k : {1, 3, 2}) {
+        SCOPED_TRACE(k);
+        if (k == 2)
+            mgr.release(10); // frees A as the last victim
+        const auto probe = alloc(30 + k, chain(k));
+        ASSERT_TRUE(probe.has_value());
+        EXPECT_EQ(probe->cachedTokens, 0);
+        EXPECT_EQ(probe->restoredTokens, 16);
+    }
+    EXPECT_EQ(mgr.stats().evictions, 4);
+    EXPECT_EQ(mgr.evictableBlocks(), 0);
+    EXPECT_EQ(mgr.hostCachedBlocks(), 2); // E, parked, and A
+}
+
+// A released sequence's slab slot serves the next sequence: nothing
+// of the old one shows through, and reset() frees every slot.
+TEST(BlockManager, ReleasedSequenceSlotIsReused)
+{
+    BlockManager mgr(cfg(16));
+    const auto longer = chainOf(mgr, tokenRange(0, 40));
+    const auto shorter = chainOf(mgr, tokenRange(1000, 20));
+    ASSERT_TRUE(mgr.allocatePrompt(1, longer).has_value());
+    mgr.release(1);
+    ASSERT_TRUE(mgr.allocatePrompt(2, shorter).has_value());
+    mgr.checkInvariants();
+    EXPECT_FALSE(mgr.hasSeq(1));
+    EXPECT_TRUE(mgr.hasSeq(2));
+    EXPECT_EQ(mgr.exportChain(2), shorter);
+    EXPECT_EQ(mgr.seqTokens(2), 20);
+    EXPECT_EQ(mgr.usedBlocks(), 2);
+
+    mgr.reset();
+    EXPECT_FALSE(mgr.hasSeq(2));
+    ASSERT_TRUE(mgr.allocatePrompt(2, longer).has_value());
+    EXPECT_EQ(mgr.exportChain(2), longer);
+    mgr.checkInvariants();
+}
+
+// Sequences sharing their only block can outnumber the pool's blocks;
+// the sequence index grows to hold them.
+TEST(BlockManager, SharedBlocksLetSequencesOutnumberThePool)
+{
+    BlockManager mgr(cfg(2));
+    const auto prompt = chainOf(mgr, tokenRange(0, 16)); // one full block
+    for (kv::SeqId id = 1; id <= 100; ++id)
+        ASSERT_TRUE(mgr.allocatePrompt(id, prompt).has_value()) << id;
+    mgr.checkInvariants();
+    EXPECT_EQ(mgr.usedBlocks(), 1);
+    for (kv::SeqId id = 1; id <= 100; ++id) {
+        EXPECT_EQ(mgr.seqTokens(id), 16);
+        mgr.release(id);
+    }
+    mgr.checkInvariants();
+    EXPECT_EQ(mgr.evictableBlocks(), 1);
 }
 
 TEST(BlockManager, AppendTokenCrossesBlockBoundary)
