@@ -158,6 +158,63 @@ BENCHMARK(BM_KvEvictionChurn)
     ->ArgsProduct({{256, 16384}, {0, 1}});
 
 void
+BM_KvDecodeAppend(benchmark::State &state)
+{
+    // One decode step per iteration: each of 64 sequences reads its
+    // context length and appends a token, as the engine does per
+    // decoder. range(0) = 1 addresses them by SeqHandle, 0 by SeqId
+    // (one hashed lookup per call). Every 512 steps the batch is
+    // released and re-admitted, untimed, so the pool never fills.
+    constexpr int kBatch = 64;
+    constexpr int kSteps = 512;
+    const bool by_handle = state.range(0) == 1;
+    kv::BlockManagerConfig cfg;
+    cfg.numBlocks = 4096;
+    cfg.blockSize = 16;
+    kv::BlockManager mgr(cfg);
+    std::vector<kv::TokenChain> prompts;
+    for (int i = 0; i < kBatch; ++i) {
+        prompts.emplace_back(
+            cfg.blockSize,
+            workload::makeTokens(workload::streamId(i, "decode"), 100));
+    }
+    std::vector<kv::SeqHandle> seqs(kBatch);
+    kv::SeqId next = 1;
+    auto admit = [&] {
+        for (int i = 0; i < kBatch; ++i)
+            seqs[i] = mustAllocate(mgr, next++, prompts[i]).seq;
+    };
+    admit();
+    int step = 0;
+    for (auto _ : state) {
+        if (step == kSteps) {
+            state.PauseTiming();
+            for (const kv::SeqHandle &seq : seqs)
+                mgr.release(seq);
+            admit();
+            step = 0;
+            state.ResumeTiming();
+        }
+        const auto token = static_cast<kv::TokenId>(step++);
+        std::int64_t context = 0;
+        bool ok = true;
+        for (const kv::SeqHandle &seq : seqs) {
+            if (by_handle) {
+                context += mgr.seqTokens(seq);
+                ok &= mgr.appendToken(seq, token);
+            } else {
+                context += mgr.seqTokens(seq.id);
+                ok &= mgr.appendToken(seq.id, token);
+            }
+        }
+        AGENTSIM_ASSERT(ok, "KV bench pool too small");
+        benchmark::DoNotOptimize(context);
+    }
+    state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_KvDecodeAppend)->ArgName("handle")->Arg(1)->Arg(0);
+
+void
 BM_PerfModelStep(benchmark::State &state)
 {
     llm::PerfModel model(llm::llama31_8b(), llm::singleA100());

@@ -87,12 +87,18 @@ if [[ " ${presets[*]} " == *" asan "* ]]; then
     echo "==> chaos recovery gate (chaos_slo + chaos_recovery --smoke, asan)"
     build-asan/bench/chaos_slo --smoke > /dev/null
     build-asan/bench/chaos_recovery --smoke > /dev/null
-    # The KV micro-benchmarks drive allocation, prefix hits and LRU and
-    # FIFO eviction churn; a short asan run of each catches memory
-    # errors on the block pool's hot paths.
-    echo "==> KV micro-benchmark smoke (micro_substrates BM_Kv, asan)"
-    build-asan/bench/micro_substrates --benchmark_filter=BM_Kv \
-        --benchmark_min_time=0.01 > /dev/null
 fi
+
+# The KV micro-benchmarks drive allocation, prefix hits, LRU and FIFO
+# eviction churn and per-token decode appends; a short sanitized run of
+# each catches memory errors and undefined behaviour on the block
+# pool's hot paths.
+for preset in asan ubsan; do
+    if [[ " ${presets[*]} " == *" ${preset} "* ]]; then
+        echo "==> KV micro-benchmark smoke (micro_substrates BM_Kv, ${preset})"
+        "build-${preset}/bench/micro_substrates" --benchmark_filter=BM_Kv \
+            --benchmark_min_time=0.01 > /dev/null
+    fi
+done
 
 echo "verify: OK (${presets[*]})"

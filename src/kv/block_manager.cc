@@ -99,13 +99,27 @@ BlockManager::claimSeqSlot(SeqId seq_id)
         freeSeqSlots_.pop_back();
     }
     seqIndex_.insert(sim::hashMix(seq_id), static_cast<std::int32_t>(slot));
+    seqs_[slot].id = seq_id;
     return slot;
+}
+
+void
+BlockManager::staleSeq(SeqHandle seq, const char *op)
+{
+    AGENTSIM_PANIC("%s of unknown or stale sequence %llu (slot %d)", op,
+                   static_cast<unsigned long long>(seq.id), seq.slot);
+}
+
+SeqHandle
+BlockManager::handle(SeqId seq_id) const
+{
+    return {seqIndex_.find(sim::hashMix(seq_id)), seq_id};
 }
 
 std::optional<PromptAlloc>
 BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
 {
-    AGENTSIM_ASSERT(!hasSeq(seq_id),
+    AGENTSIM_ASSERT(!seqIndex_.contains(sim::hashMix(seq_id)),
                     "allocatePrompt: seq %llu already allocated",
                     static_cast<unsigned long long>(seq_id));
     AGENTSIM_ASSERT(!prompt.empty(), "allocatePrompt with empty prompt");
@@ -178,7 +192,8 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
     // any acquireFreshBlock() call below may run the evictor, or the
     // eviction could pick a pending hit as its victim and alias one
     // physical block into two sequence positions.
-    Seq &seq = seqs_[claimSeqSlot(seq_id)];
+    const std::size_t slot = claimSeqSlot(seq_id);
+    Seq &seq = seqs_[slot];
     seq.chain = prompt;
     seq.blocks.assign(static_cast<std::size_t>(n_blocks), kNil);
 
@@ -212,6 +227,7 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
     }
 
     PromptAlloc result;
+    result.seq = {static_cast<std::int32_t>(slot), seq_id};
     result.cachedTokens = gpu_hits * bs;
     result.restoredTokens = restores * bs;
     result.dramRestoredTokens = dram_restores * bs;
@@ -228,9 +244,9 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
 }
 
 bool
-BlockManager::appendToken(SeqId seq_id, TokenId token)
+BlockManager::appendToken(SeqHandle seq_handle, TokenId token)
 {
-    Seq &seq = seqs_[seqSlot(seq_id, "appendToken")];
+    Seq &seq = seqs_[liveSlot(seq_handle, "appendToken")];
     const int bs = config_.blockSize;
 
     if (seq.chain.size() % bs == 0) {
@@ -248,12 +264,6 @@ BlockManager::appendToken(SeqId seq_id, TokenId token)
     return true;
 }
 
-TokenChain
-BlockManager::exportChain(SeqId seq_id) const
-{
-    return seqs_[seqSlot(seq_id, "exportChain")].chain;
-}
-
 std::optional<PromptAlloc>
 BlockManager::importChain(SeqId seq_id, const TokenChain &chain)
 {
@@ -265,15 +275,14 @@ BlockManager::importChain(SeqId seq_id, const TokenChain &chain)
 }
 
 void
-BlockManager::release(SeqId seq_id)
+BlockManager::release(SeqHandle seq_handle)
 {
-    const std::size_t slot = seqSlot(seq_id, "release");
-    Seq &seq = seqs_[slot];
+    Seq &seq = seqs_[liveSlot(seq_handle, "release")];
     for (BlockId id : seq.blocks)
         unrefBlock(id);
     seq.blocks.clear();
-    seqIndex_.erase(sim::hashMix(seq_id));
-    freeSeqSlots_.push_back(static_cast<std::int32_t>(slot));
+    seqIndex_.erase(sim::hashMix(seq_handle.id));
+    freeSeqSlots_.push_back(seq_handle.slot);
 }
 
 void
@@ -700,6 +709,15 @@ BlockManager::checkInvariants() const
                         live_slots + freeSeqSlots_.size() == seqs_.size(),
                     "sequence slab: %zu live + %zu free of %zu slots",
                     live_slots, freeSeqSlots_.size(), seqs_.size());
+    // Each indexed id names a live slot that it owns, so handle()
+    // and a handle taken at allocation agree.
+    seqIndex_.forEach([this](std::uint64_t key, std::int32_t slot) {
+        const auto i = static_cast<std::size_t>(slot);
+        AGENTSIM_ASSERT(i < seqs_.size() && !seqs_[i].blocks.empty() &&
+                            sim::hashMix(seqs_[i].id) == key,
+                        "sequence index maps to slot %d it does not own",
+                        slot);
+    });
     AGENTSIM_ASSERT(static_cast<std::int64_t>(cacheTable_.size()) ==
                         in_table,
                     "cache table holds %zu entries, %lld blocks in it",

@@ -136,9 +136,27 @@ struct BlockManagerConfig
     std::uint64_t seed = 1;
 };
 
+/**
+ * O(1) reference to a live sequence: its slot in the block manager's
+ * sequence slab plus its id. allocatePrompt()/importChain() hand one
+ * out; the per-token calls take it instead of hashing the id. Every
+ * access checks that the slot is in range, live and still owned by
+ * that id, so a handle kept past release() or reset() — or one whose
+ * slot another sequence has since claimed — panics instead of reading
+ * another sequence.
+ */
+struct SeqHandle
+{
+    /** Slab slot; -1 names no sequence. */
+    std::int32_t slot = -1;
+    SeqId id = 0;
+};
+
 /** Result of a prompt allocation. */
 struct PromptAlloc
 {
+    /** Handle of the sequence just allocated. */
+    SeqHandle seq;
     /** Number of leading prompt tokens whose KV was found cached on
      *  the GPU; prefill for these tokens is skipped. */
     std::int64_t cachedTokens = 0;
@@ -235,14 +253,26 @@ class BlockManager
                                               const TokenChain &prompt);
 
     /**
+     * The handle of sequence @p seq_id: one hashed lookup. An unknown
+     * id yields a handle that hasSeq() rejects and every other access
+     * panics on.
+     */
+    SeqHandle handle(SeqId seq_id) const;
+
+    /**
      * Append one generated token to a sequence, taking a fresh block at
      * block boundaries. @return false if the pool is exhausted (caller
      * should preempt).
      */
-    bool appendToken(SeqId seq_id, TokenId token);
+    bool appendToken(SeqHandle seq, TokenId token);
+    bool appendToken(SeqId seq_id, TokenId token)
+    {
+        return appendToken(handle(seq_id), token);
+    }
 
     /** Release all blocks of a sequence (request finished/preempted). */
-    void release(SeqId seq_id);
+    void release(SeqHandle seq);
+    void release(SeqId seq_id) { release(handle(seq_id)); }
 
     /**
      * Drop every sequence, cached block and spill-tier entry — the KV
@@ -282,7 +312,14 @@ class BlockManager
      * *importing* side: importChain()'s PromptAlloc reports exactly
      * the tokens that missed.
      */
-    TokenChain exportChain(SeqId seq_id) const;
+    TokenChain exportChain(SeqHandle seq) const
+    {
+        return seqs_[liveSlot(seq, "exportChain")].chain;
+    }
+    TokenChain exportChain(SeqId seq_id) const
+    {
+        return exportChain(handle(seq_id));
+    }
 
     /**
      * Rebuild a migrated chain on this (target) pool: allocate blocks
@@ -318,15 +355,24 @@ class BlockManager
     PrefetchResult prefetchChain(const TokenChain &chain);
 
     /** True if the sequence is currently allocated. */
-    bool hasSeq(SeqId seq_id) const
+    bool hasSeq(SeqHandle seq) const
     {
-        return seqIndex_.contains(sim::hashMix(seq_id));
+        // Bounds first: reset() empties the slab under every handle. A
+        // negative slot converts to a huge index and fails the bound.
+        const auto slot = static_cast<std::uint32_t>(seq.slot);
+        return slot < seqs_.size() && !seqs_[slot].blocks.empty() &&
+               seqs_[slot].id == seq.id;
     }
+    bool hasSeq(SeqId seq_id) const { return hasSeq(handle(seq_id)); }
 
     /** Number of tokens currently stored for a sequence. */
+    std::int64_t seqTokens(SeqHandle seq) const
+    {
+        return seqs_[liveSlot(seq, "seqTokens")].chain.size();
+    }
     std::int64_t seqTokens(SeqId seq_id) const
     {
-        return seqs_[seqSlot(seq_id, "seqTokens")].chain.size();
+        return seqTokens(handle(seq_id));
     }
 
     /**
@@ -439,6 +485,8 @@ class BlockManager
     /** One slot of the sequence slab. */
     struct Seq
     {
+        /** Owner of the slot while it is live. */
+        SeqId id = 0;
         /** Block table; empty while the slot is released. */
         std::vector<BlockId> blocks;
         /** Every token stored so far (prompt plus appended). */
@@ -539,15 +587,17 @@ class BlockManager
         return blocks_[static_cast<std::size_t>(id)];
     }
 
-    /** The slot of live sequence @p seq_id; panics, naming @p op. */
-    std::size_t seqSlot(SeqId seq_id, const char *op) const
+    /** The slot of live sequence @p seq; panics, naming @p op, if stale. */
+    std::size_t liveSlot(SeqHandle seq, const char *op) const
     {
-        const std::int32_t slot = seqIndex_.find(sim::hashMix(seq_id));
-        AGENTSIM_ASSERT(slot != FlatIndex::kAbsent,
-                        "%s of unknown sequence %llu", op,
-                        static_cast<unsigned long long>(seq_id));
-        return static_cast<std::size_t>(slot);
+        if (!hasSeq(seq)) [[unlikely]]
+            staleSeq(seq, op);
+        return static_cast<std::size_t>(seq.slot);
     }
+
+    /** The panic of liveSlot(), out of line so the check inlines. */
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    staleSeq(SeqHandle seq, const char *op);
 
     /** Index @p seq_id under a free or new slab slot, returned. */
     std::size_t claimSeqSlot(SeqId seq_id);

@@ -12,7 +12,9 @@ PerfModel::PerfModel(ModelSpec model, NodeSpec node)
       denseFlopsPerToken_(model_.denseFlopsPerToken()),
       attentionFlopsPerPosition_(model_.attentionFlops(1)),
       kvBytesPerToken_(static_cast<double>(model_.kvBytesPerToken())),
-      weightBytes_(static_cast<double>(model_.weightBytes()))
+      weightBytes_(static_cast<double>(model_.weightBytes())),
+      effectiveFlops_(node_.effectiveFlops()),
+      effectiveBandwidth_(node_.effectiveBandwidth())
 {
     AGENTSIM_ASSERT(node_.numGpus > 0, "node with no GPUs");
     const auto need = model_.weightBytes();
@@ -55,6 +57,14 @@ PerfModel::decodeFlops(std::int64_t context_len) const
            attentionFlopsPerPosition_ * static_cast<double>(context_len);
 }
 
+double
+PerfModel::stepSeconds(double flops, double bytes, std::size_t seqs) const
+{
+    return std::max(flops / effectiveFlops_, bytes / effectiveBandwidth_) +
+           node_.stepOverheadSec +
+           node_.perSeqOverheadSec * static_cast<double>(seqs);
+}
+
 StepCost
 PerfModel::stepCost(const StepWork &work) const
 {
@@ -76,24 +86,39 @@ PerfModel::stepCost(const StepWork &work) const
         bytes += kv_per_token * static_cast<double>(chunk.tokens);
         bytes += kv_per_token * static_cast<double>(chunk.contextBefore);
     }
+    // The step's sums so far are the prefill-alone sums; the decodes
+    // extend them and, from the weights up, the decode-alone sums.
+    const double prefill_flops = flops;
+    const double prefill_bytes = bytes;
+    double decode_flops = 0.0;
+    double decode_bytes = weightBytes_;
 
     for (const auto ctx : work.decodeContexts) {
-        flops += decodeFlops(ctx);
-        cost.decodeTokens += 1;
+        const double ctx_flops = decodeFlops(ctx);
         // Decode reads the whole KV history and writes one entry.
-        bytes += kv_per_token * static_cast<double>(ctx + 1);
+        const double ctx_bytes = kv_per_token * static_cast<double>(ctx + 1);
+        flops += ctx_flops;
+        bytes += ctx_bytes;
+        decode_flops += ctx_flops;
+        decode_bytes += ctx_bytes;
+        cost.decodeTokens += 1;
     }
 
     cost.flops = flops;
     cost.bytes = bytes;
-    cost.computeSeconds = flops / node_.effectiveFlops();
-    cost.memorySeconds = bytes / node_.effectiveBandwidth();
-    const double seq_overhead =
-        node_.perSeqOverheadSec *
-        static_cast<double>(work.prefills.size() +
-                            work.decodeContexts.size());
-    cost.seconds = std::max(cost.computeSeconds, cost.memorySeconds) +
-                   node_.stepOverheadSec + seq_overhead;
+    cost.computeSeconds = flops / effectiveFlops_;
+    cost.memorySeconds = bytes / effectiveBandwidth_;
+    cost.seconds = stepSeconds(flops, bytes,
+                               work.prefills.size() +
+                                   work.decodeContexts.size());
+    if (!work.prefills.empty()) {
+        cost.prefillOnlySeconds =
+            stepSeconds(prefill_flops, prefill_bytes, work.prefills.size());
+    }
+    if (!work.decodeContexts.empty()) {
+        cost.decodeOnlySeconds = stepSeconds(decode_flops, decode_bytes,
+                                             work.decodeContexts.size());
+    }
     return cost;
 }
 
@@ -101,9 +126,11 @@ double
 PerfModel::prefillSeconds(std::int64_t tokens,
                           std::int64_t context_before) const
 {
-    StepWork w;
-    w.prefills.push_back({tokens, context_before});
-    return stepCost(w).seconds;
+    // stepCost() of this lone chunk, without building a StepWork.
+    double bytes = weightBytes_;
+    bytes += kvBytesPerToken_ * static_cast<double>(tokens);
+    bytes += kvBytesPerToken_ * static_cast<double>(context_before);
+    return stepSeconds(prefillFlops(tokens, context_before), bytes, 1);
 }
 
 double

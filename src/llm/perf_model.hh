@@ -57,6 +57,15 @@ struct StepCost
     /** Roofline components (before taking the max). */
     double computeSeconds = 0.0;
     double memorySeconds = 0.0;
+    /**
+     * What the step would cost with only its prefill chunks, or only
+     * its decodes (0 for an empty phase). Priced in the same pass as
+     * the step itself, with each phase's sums accumulated in the order a
+     * phase-only StepWork would use, so each equals stepCost() of that
+     * work bit for bit.
+     */
+    double prefillOnlySeconds = 0.0;
+    double decodeOnlySeconds = 0.0;
 
     /** True if the step was limited by FLOPs rather than bandwidth. */
     bool computeBound() const { return computeSeconds >= memorySeconds; }
@@ -98,6 +107,9 @@ class PerfModel
     double decodeSecondsSingle(std::int64_t context_len) const;
 
   private:
+    /** Roofline price of a step over @p seqs sequences. */
+    double stepSeconds(double flops, double bytes, std::size_t seqs) const;
+
     ModelSpec model_;
     NodeSpec node_;
     /** ModelSpec arithmetic hoisted out of the per-step path; each is
@@ -108,6 +120,9 @@ class PerfModel
     double attentionFlopsPerPosition_;
     double kvBytesPerToken_;
     double weightBytes_;
+    /** NodeSpec roofline ceilings, hoisted the same way. */
+    double effectiveFlops_;
+    double effectiveBandwidth_;
 };
 
 } // namespace agentsim::llm

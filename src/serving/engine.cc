@@ -107,8 +107,8 @@ LlmEngine::chargeKv(Req &req)
         stats_.kvBlockSeconds += charge;
     }
     req.kvMarkTick = now;
-    req.heldBlocks = blocks_.hasSeq(req.id)
-                         ? blocks_.blocksNeeded(blocks_.seqTokens(req.id))
+    req.heldBlocks = blocks_.hasSeq(req.seq)
+                         ? blocks_.blocksNeeded(blocks_.seqTokens(req.seq))
                          : 0;
 }
 
@@ -306,8 +306,9 @@ LlmEngine::preemptOne(StepPlan &plan)
     // Settle the occupancy charge and remember how much KV is being
     // thrown away: re-prefilling below this watermark is pure waste.
     chargeKv(*victim);
-    victim->recomputeWatermark = blocks_.seqTokens(victim->id);
-    blocks_.release(victim->id);
+    victim->recomputeWatermark = blocks_.seqTokens(victim->seq);
+    blocks_.release(victim->seq);
+    victim->seq = {};
     victim->heldBlocks = 0;
     // Recompute-style preemption: generated tokens fold into the
     // prompt; on re-admission the prefix cache usually restores them.
@@ -379,7 +380,8 @@ void
 LlmEngine::finishRequest(const ReqPtr &req)
 {
     chargeKv(*req);
-    blocks_.release(req->id);
+    blocks_.release(req->seq);
+    req->seq = {};
     req->heldBlocks = 0;
     std::erase(running_, req);
     req->finished = true;
@@ -499,8 +501,9 @@ LlmEngine::cancelRequest(const ReqPtr &req, CancelCause cause)
 {
     AGENTSIM_ASSERT(!req->finished, "cancel of a finished request");
     chargeKv(*req);
-    if (blocks_.hasSeq(req->id))
-        blocks_.release(req->id);
+    if (blocks_.hasSeq(req->seq))
+        blocks_.release(req->seq);
+    req->seq = {};
     req->heldBlocks = 0;
     chargeQueue(*req);
     std::erase(running_, req);
@@ -760,15 +763,16 @@ LlmEngine::exportRequest(std::uint64_t id)
     chargeQueue(*req);
 
     MigratedRequest out;
-    if (blocks_.hasSeq(req->id)) {
-        out.chain = blocks_.exportChain(req->id);
+    if (blocks_.hasSeq(req->seq)) {
+        out.chain = blocks_.exportChain(req->seq);
         // KV exists only for the prefilled part of the prompt plus
         // every generated token; trailing prompt blocks are allocated
         // but not yet computed and need no transfer.
         out.computedTokens =
             req->prefillDone +
             static_cast<std::int64_t>(req->output.size());
-        blocks_.release(req->id);
+        blocks_.release(req->seq);
+        req->seq = {};
         req->heldBlocks = 0;
     } else {
         // Still queued: nothing computed, the snapshot is just the
@@ -827,6 +831,7 @@ LlmEngine::importRequest(MigratedRequest migrated,
         auto alloc = blocks_.importChain(req->id, migrated.chain);
         if (alloc.has_value()) {
             warm = true;
+            req->seq = alloc->seq;
             // Locally cached (or tier-resident) prefix blocks never
             // cross the interconnect; tier restores pay PCIe (DRAM)
             // or the NVMe read instead. Wire size comes from this
@@ -849,7 +854,7 @@ LlmEngine::importRequest(MigratedRequest migrated,
             // Open the occupancy interval at the reserved chain size.
             req->kvMarkTick = sim_.now();
             req->heldBlocks =
-                blocks_.blocksNeeded(blocks_.seqTokens(req->id));
+                blocks_.blocksNeeded(blocks_.seqTokens(req->seq));
         } else {
             ++stats_.migrationFallbacks;
         }
@@ -901,7 +906,7 @@ LlmEngine::activateImported(const ReqPtr &req,
         return;
     }
 
-    if (blocks_.hasSeq(req->id)) {
+    if (blocks_.hasSeq(req->seq)) {
         // Warm landing: the chain survived; resume decode (or chunked
         // prefill) exactly where the source left off.
         running_.push_back(req);
@@ -990,7 +995,7 @@ LlmEngine::buildStep()
     auto append_need = [&] {
         std::int64_t need = 0;
         for (const auto &req : plan.decoders) {
-            if (blocks_.seqTokens(req->id) % bs == 0)
+            if (blocks_.seqTokens(req->seq) % bs == 0)
                 ++need;
         }
         return need;
@@ -1011,7 +1016,7 @@ LlmEngine::buildStep()
     }
 
     for (const auto &req : plan.decoders)
-        plan.work.decodeContexts.push_back(blocks_.seqTokens(req->id));
+        plan.work.decodeContexts.push_back(blocks_.seqTokens(req->seq));
 
     std::int64_t budget =
         std::max<std::int64_t>(0, config_.maxBatchTokens -
@@ -1066,6 +1071,7 @@ LlmEngine::buildStep()
         auto alloc = blocks_.allocatePrompt(req->id, req->prompt);
         AGENTSIM_ASSERT(alloc.has_value(),
                         "allocation failed despite capacity check");
+        req->seq = alloc->seq;
         noteLeftWaiting(*req);
         waiting_.erase(candidate);
         running_.push_back(req);
@@ -1176,20 +1182,13 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
     // therefore splits proportionally).
     double prefill_share = 0.0;
     double decode_share = 0.0;
-    {
-        llm::StepWork prefill_only;
-        prefill_only.prefills = plan.work.prefills;
-        llm::StepWork decode_only;
-        decode_only.decodeContexts = plan.work.decodeContexts;
-        const double tp = perf_.stepCost(prefill_only).seconds;
-        const double td = perf_.stepCost(decode_only).seconds;
-        const double total = tp + td;
-        if (total > 0) {
-            prefill_share = cost.seconds * (tp / total);
-            decode_share = cost.seconds * (td / total);
-            stats_.prefillSeconds += prefill_share;
-            stats_.decodeSeconds += decode_share;
-        }
+    const double tp = cost.prefillOnlySeconds;
+    const double td = cost.decodeOnlySeconds;
+    if (const double total = tp + td; total > 0) {
+        prefill_share = cost.seconds * (tp / total);
+        decode_share = cost.seconds * (td / total);
+        stats_.prefillSeconds += prefill_share;
+        stats_.decodeSeconds += decode_share;
     }
 
     // Energy: compute-bound steps draw prefill power, memory-bound
@@ -1238,7 +1237,7 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
         const auto prompt_len = req->prompt.size();
         if (req->prefillDone == prompt_len) {
             const kv::TokenId tok = genToken(*req);
-            if (!blocks_.appendToken(req->id, tok)) {
+            if (!blocks_.appendToken(req->seq, tok)) {
                 AGENTSIM_WARN("append failed at prefill completion; "
                               "truncating request %llu",
                               static_cast<unsigned long long>(req->id));
@@ -1273,7 +1272,7 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
             continue; // finished, cancelled or migrated meanwhile
         }
         req->decodeSecondsAcc += cost.seconds;
-        req->flopsAcc += perf_.decodeFlops(blocks_.seqTokens(req->id));
+        req->flopsAcc += perf_.decodeFlops(blocks_.seqTokens(req->seq));
         if (planned_decoders > 0) {
             // Ledger: an equal share of the step's decode time per
             // decoded token (every decoder produced exactly one).
@@ -1287,7 +1286,7 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
                           step_wall);
         }
         const kv::TokenId tok = genToken(*req);
-        const bool ok = blocks_.appendToken(req->id, tok);
+        const bool ok = blocks_.appendToken(req->seq, tok);
         AGENTSIM_ASSERT(ok, "decode append failed despite reservation");
         req->output.push_back(tok);
         if (static_cast<std::int64_t>(req->output.size()) >=

@@ -471,6 +471,14 @@ class LlmEngine
     struct Req
     {
         std::uint64_t id = 0;
+        /**
+         * The KV sequence this request holds on its owner's pool, set
+         * when admission or a warm import allocates it and cleared
+         * wherever it is released (preempt, finish, cancel, export).
+         * A crash's reset() outdates it in place; the pool's own
+         * checks catch that (hasSeq() is false).
+         */
+        kv::SeqHandle seq;
         std::uint64_t sessionId = 0;
         /** Prompt chain; a recompute preemption appends the output
          *  generated so far. */

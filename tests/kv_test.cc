@@ -286,6 +286,49 @@ TEST(BlockManager, ReleasedSequenceSlotIsReused)
     mgr.checkInvariants();
 }
 
+// A handle outlives its sequence only as a panic: every access checks
+// its slot's bounds, liveness and owner, so a released sequence, a slot
+// since claimed by another id and a reset() pool all refuse it.
+TEST(BlockManager, StaleHandleDies)
+{
+    BlockManager mgr(cfg(16));
+    const auto prompt = chainOf(mgr, tokenRange(0, 20));
+    const auto first = mgr.allocatePrompt(1, prompt);
+    ASSERT_TRUE(first.has_value());
+    const kv::SeqHandle h1 = first->seq;
+    EXPECT_TRUE(mgr.hasSeq(h1));
+    EXPECT_EQ(mgr.handle(1).slot, h1.slot);
+    EXPECT_EQ(mgr.seqTokens(h1), 20);
+    EXPECT_TRUE(mgr.appendToken(h1, 7));
+    EXPECT_EQ(mgr.seqTokens(1), 21);
+
+    // Released: the slot is free.
+    mgr.release(h1);
+    EXPECT_FALSE(mgr.hasSeq(h1));
+    EXPECT_DEATH((void)mgr.seqTokens(h1), "stale sequence 1");
+    EXPECT_DEATH((void)mgr.appendToken(h1, 8), "stale sequence 1");
+    EXPECT_DEATH(mgr.release(h1), "stale sequence 1");
+
+    // Reused: sequence 2 claims the same slot.
+    const auto second = mgr.allocatePrompt(2, prompt);
+    ASSERT_TRUE(second.has_value());
+    ASSERT_EQ(second->seq.slot, h1.slot);
+    EXPECT_FALSE(mgr.hasSeq(h1));
+    EXPECT_DEATH((void)mgr.seqTokens(h1), "stale sequence 1");
+    EXPECT_DEATH((void)mgr.exportChain(h1), "stale sequence 1");
+    EXPECT_EQ(mgr.seqTokens(second->seq), 20);
+
+    // Reset: the slab is empty, so the slot is out of range.
+    mgr.reset();
+    EXPECT_FALSE(mgr.hasSeq(second->seq));
+    EXPECT_DEATH((void)mgr.seqTokens(second->seq), "stale sequence 2");
+    EXPECT_DEATH((void)mgr.appendToken(second->seq, 9), "stale sequence 2");
+    // An unknown id takes the same path.
+    EXPECT_FALSE(mgr.hasSeq(3));
+    EXPECT_DEATH((void)mgr.seqTokens(3), "stale sequence 3");
+    mgr.checkInvariants();
+}
+
 // Sequences sharing their only block can outnumber the pool's blocks;
 // the sequence index grows to hold them.
 TEST(BlockManager, SharedBlocksLetSequencesOutnumberThePool)

@@ -10,6 +10,7 @@
 #include "llm/hardware.hh"
 #include "llm/model_spec.hh"
 #include "llm/perf_model.hh"
+#include "sim/rng.hh"
 
 namespace
 {
@@ -191,6 +192,62 @@ TEST_F(PerfModel8b, CachedPrefixReducesPrefillTime)
 TEST_F(PerfModel8b, DecodeFlopsGrowWithContext)
 {
     EXPECT_GT(model.decodeFlops(4000), model.decodeFlops(100));
+}
+
+// stepCost() prices the prefill-alone and decode-alone steps in the
+// pass that prices the whole step; each must be the price of the
+// phase-only StepWork bit for bit, since commitStep splits the step's
+// time (and every ledger) by them.
+TEST(PerfModel, PhaseSplitMatchesPhaseOnlyPricing)
+{
+    const PerfModel models[] = {
+        PerfModel(llm::llama31_8b(), llm::singleA100()),
+        PerfModel(llm::llama31_70b(), llm::octoA100()),
+    };
+    sim::Rng rng(2026, "perf.phase_split");
+    for (int trial = 0; trial < 400; ++trial) {
+        // Cycle empty, prefill-only, decode-only and mixed steps.
+        const int shape = trial % 4;
+        StepWork work;
+        if (shape == 1 || shape == 3) {
+            for (auto n = rng.uniformInt(1, 8); n > 0; --n) {
+                work.prefills.push_back(
+                    {rng.uniformInt(0, 8192), rng.uniformInt(0, 120000)});
+            }
+        }
+        if (shape == 2 || shape == 3) {
+            for (auto n = rng.uniformInt(1, 256); n > 0; --n)
+                work.decodeContexts.push_back(rng.uniformInt(1, 120000));
+        }
+        StepWork prefill_only;
+        prefill_only.prefills = work.prefills;
+        StepWork decode_only;
+        decode_only.decodeContexts = work.decodeContexts;
+        for (const PerfModel &model : models) {
+            SCOPED_TRACE(testing::Message() << "trial " << trial << " on "
+                                            << model.model().name);
+            const auto cost = model.stepCost(work);
+            EXPECT_EQ(cost.prefillOnlySeconds,
+                      model.stepCost(prefill_only).seconds);
+            EXPECT_EQ(cost.decodeOnlySeconds,
+                      model.stepCost(decode_only).seconds);
+        }
+    }
+}
+
+// prefillSeconds() prices its chunk without building a StepWork but
+// must stay the stepCost() of that one-chunk step.
+TEST_F(PerfModel8b, PrefillSecondsMatchesOneChunkStep)
+{
+    sim::Rng rng(4099, "perf.prefill_seconds");
+    for (int trial = 0; trial < 200; ++trial) {
+        const auto tokens = rng.uniformInt(0, 8192);
+        const auto before = rng.uniformInt(0, 60000);
+        StepWork prefill;
+        prefill.prefills.push_back({tokens, before});
+        EXPECT_EQ(model.prefillSeconds(tokens, before),
+                  model.stepCost(prefill).seconds);
+    }
 }
 
 TEST(PerfModel70b, DecodeSlowerThan8bDespite8Gpus)

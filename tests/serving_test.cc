@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -245,6 +246,9 @@ TEST(Engine, PreemptionUnderMemoryPressure)
     EXPECT_EQ(ra.tokens.size(), 260u);
     EXPECT_EQ(rb.tokens.size(), 260u);
     EXPECT_GT(engine.stats().preemptions, 0);
+    // Preemption and finish both released their sequences.
+    EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
+    engine.blockManager().checkInvariants();
 }
 
 TEST(Engine, LoneRequestTruncatesWhenPoolFills)
@@ -811,6 +815,7 @@ TEST(Engine, DrainMigrationResumesWarmOnTarget)
     EXPECT_EQ(source.stats().requestsCancelled, 0);
     EXPECT_DOUBLE_EQ(source.stats().lostPrefillSeconds, 0.0);
     EXPECT_EQ(source.blockManager().usedBlocks(), 0);
+    EXPECT_EQ(target.blockManager().usedBlocks(), 0);
     source.blockManager().checkInvariants();
     target.blockManager().checkInvariants();
 }
@@ -844,6 +849,66 @@ TEST(Engine, MigrationFallsBackColdWhenTargetPoolIsFull)
     EXPECT_EQ(target.blockManager().usedBlocks(), 0);
     source.blockManager().checkInvariants();
     target.blockManager().checkInvariants();
+}
+
+/**
+ * Drain @p source at 1 s and land its leftover on @p target over a
+ * slow wire, then crash @p target 10 ms into the transfer. Unless
+ * @p stay_down, restart it at once and start @p filler there.
+ */
+Task<void>
+crashDuringImport(Simulation &sim, LlmEngine &source, LlmEngine &target,
+                  bool stay_down, std::optional<Task<GenResult>> *filler)
+{
+    co_await sim::delaySec(sim, 1.0);
+    auto outcome = co_await source.drain(0.3, /*export_leftovers=*/true);
+    for (auto &m : outcome.leftovers)
+        target.importRequest(std::move(m), /*interconnect=*/1e8);
+    co_await sim::delaySec(sim, 0.01);
+    target.crash();
+    if (stay_down)
+        co_return;
+    target.restart();
+    filler->emplace(submit(target, prompt(23, 200), 100));
+}
+
+// The one place a request keeps a sequence handle past its sequence:
+// the target crashes while an import's KV is on the wire, and reset()
+// empties the pool under the reserved chain. On activation the handle
+// must read as gone, also once a restarted pool has given its slot to
+// another sequence.
+TEST(Engine, CrashDuringImportTransferOutdatesTheHandle)
+{
+    for (const bool stay_down : {true, false}) {
+        SCOPED_TRACE(stay_down ? "target stays down" : "target restarts");
+        Simulation sim;
+        LlmEngine source(sim, smallConfig());
+        LlmEngine target(sim, smallConfig());
+        auto t = submit(source, prompt(22, 400), 300);
+        std::optional<Task<GenResult>> filler;
+        auto d = crashDuringImport(sim, source, target, stay_down, &filler);
+        sim.run();
+
+        EXPECT_EQ(target.stats().requestsMigratedIn, 1);
+        EXPECT_EQ(target.stats().migrationFallbacks, 0);
+        const GenResult r = t.result();
+        if (stay_down) {
+            EXPECT_TRUE(r.nodeFailure);
+            EXPECT_TRUE(r.retryable());
+            target.restart();
+        } else {
+            // Landed cold behind the filler, which took the slot.
+            ASSERT_TRUE(filler.has_value());
+            EXPECT_TRUE(filler->result().ok());
+            EXPECT_TRUE(r.ok());
+            EXPECT_EQ(r.tokens.size(), 300u);
+            EXPECT_GT(target.stats().wastedSeconds, 0.0);
+        }
+        EXPECT_EQ(source.blockManager().usedBlocks(), 0);
+        EXPECT_EQ(target.blockManager().usedBlocks(), 0);
+        source.blockManager().checkInvariants();
+        target.blockManager().checkInvariants();
+    }
 }
 
 TEST(Engine, AbortedMigrationResumesClientWithNodeFailure)
