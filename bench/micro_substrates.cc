@@ -2,8 +2,8 @@
  * @file
  * google-benchmark micro benchmarks for the hot substrate paths: the
  * event queue, coroutine scheduling, the KV block manager (allocation,
- * prefix lookups and eviction/demotion churn), the roofline perf model,
- * and RNG streams.
+ * prefix lookups, eviction/demotion churn, restore+hit allocations and
+ * decode appends), the roofline perf model, and RNG streams.
  */
 
 #include <benchmark/benchmark.h>
@@ -156,6 +156,64 @@ BM_KvEvictionChurn(benchmark::State &state)
 BENCHMARK(BM_KvEvictionChurn)
     ->ArgNames({"blocks", "fifo"})
     ->ArgsProduct({{256, 16384}, {0, 1}});
+
+void
+BM_KvRestoreHitAllocation(benchmark::State &state)
+{
+    // The allocation that runs the per-allocation invariant check: a
+    // prompt whose 4-block head is cached on the GPU (pinned by a live
+    // anchor sequence) and whose 4-block tail comes back from DRAM.
+    // A pool of range(0) blocks sits over full DRAM (2x) and NVMe (4x)
+    // tiers. Each iteration allocates, releases and parks the tail
+    // back into DRAM, so the tiers stay full.
+    constexpr std::size_t kHalf = 64;
+    const std::int64_t blocks = state.range(0);
+    kv::BlockManagerConfig cfg;
+    cfg.numBlocks = blocks;
+    cfg.blockSize = 16;
+    cfg.hostCacheBlocks = 2 * blocks;
+    cfg.nvmeCacheBlocks = 4 * blocks;
+    kv::BlockManager mgr(cfg);
+    const auto head = workload::makeTokens(workload::streamId(0, "head"),
+                                           kHalf);
+    std::vector<kv::TokenId> tokens = head;
+    const auto tail = workload::makeTokens(workload::streamId(0, "tail"),
+                                           kHalf);
+    tokens.insert(tokens.end(), tail.begin(), tail.end());
+    const kv::TokenChain prompt(cfg.blockSize, tokens);
+    kv::SeqId id = 0;
+    (void)mustAllocate(mgr, id++, kv::TokenChain(cfg.blockSize, head));
+
+    // Fill both tiers: distinct 8-block chains parked into DRAM, whose
+    // victims sink into NVMe.
+    const std::int64_t filler = (6 * blocks + 64) / 8;
+    for (std::int64_t i = 0; i < filler; ++i) {
+        const kv::TokenChain chain(
+            cfg.blockSize,
+            workload::makeTokens(
+                workload::streamId(static_cast<std::uint64_t>(i), "fill"),
+                8 * cfg.blockSize));
+        mgr.release(mustAllocate(mgr, id++, chain).seq);
+        mgr.parkChain(chain);
+    }
+    mgr.release(mustAllocate(mgr, id++, prompt).seq);
+    mgr.parkChain(prompt);
+    AGENTSIM_ASSERT(mgr.hostCachedBlocks() == cfg.hostCacheBlocks &&
+                        mgr.nvmeCachedBlocks() == cfg.nvmeCacheBlocks,
+                    "KV bench tiers not full");
+
+    for (auto _ : state) {
+        const kv::PromptAlloc alloc = mustAllocate(mgr, id++, prompt);
+        AGENTSIM_ASSERT(alloc.cachedTokens == kHalf &&
+                            alloc.restoredTokens == kHalf,
+                        "KV bench prompt is not restore+hit");
+        benchmark::DoNotOptimize(alloc.freshBlocks);
+        mgr.release(alloc.seq);
+        mgr.parkChain(prompt);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_KvRestoreHitAllocation)->ArgName("blocks")->Arg(256)->Arg(16384);
 
 void
 BM_KvDecodeAppend(benchmark::State &state)

@@ -383,6 +383,9 @@ runServing(const ServeConfig &config)
     AGENTSIM_ASSERT(state.result.completed == config.numRequests,
                     "serving lost requests: %d of %d",
                     state.result.completed, config.numRequests);
+    // One whole-pool walk per run, as runCluster does per node: during
+    // the run, allocations check only the blocks they touched.
+    engine.blockManager().checkInvariants();
 
     ServeResult out = std::move(state.result);
     out.makespanSeconds =

@@ -97,10 +97,20 @@ BlockManager::claimSeqSlot(SeqId seq_id)
     } else {
         slot = static_cast<std::size_t>(freeSeqSlots_.back());
         freeSeqSlots_.pop_back();
+        if (!seqs_[slot].blocks.empty()) [[unlikely]]
+            corrupt("free list holds live sequence slot",
+                    static_cast<std::int64_t>(slot));
     }
     seqIndex_.insert(sim::hashMix(seq_id), static_cast<std::int32_t>(slot));
     seqs_[slot].id = seq_id;
+    ++liveSeqs_;
     return slot;
+}
+
+void
+BlockManager::corrupt(const char *what, std::int64_t id)
+{
+    AGENTSIM_PANIC("%s %lld", what, static_cast<long long>(id));
 }
 
 void
@@ -208,8 +218,7 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
             // Restore from the spill tier: a fresh GPU block receives
             // the transferred contents and is re-published. The tier
             // entry is consumed per the tier's residency mode.
-            const BlockId id = acquireFreshBlock();
-            blocks_[static_cast<std::size_t>(id)].refCount = 1;
+            const BlockId id = acquireSeqBlock();
             seq.blocks[i] = id;
             publishBlock(id, reuse[i].hash);
             noteTierRestore(reuse[i].tier, reuse[i].hash);
@@ -217,8 +226,7 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
     }
     for (std::int64_t b = static_cast<std::int64_t>(reuse.size());
          b < n_blocks; ++b) {
-        const BlockId id = acquireFreshBlock();
-        blocks_[static_cast<std::size_t>(id)].refCount = 1;
+        const BlockId id = acquireSeqBlock();
         seq.blocks[static_cast<std::size_t>(b)] = id;
         // Full blocks become immediately publishable: their KV will be
         // computed by the upcoming prefill.
@@ -233,13 +241,13 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
     result.dramRestoredTokens = dram_restores * bs;
     result.nvmeRestoredTokens = nvme_restores * bs;
     result.freshBlocks = fresh_needed;
-    // The restore+hit interleaving is the risky path; verify the
-    // whole pool after it. Not free on the host: with both tiers full
-    // (~23 k entries) a check costs 0.25-0.36 ms on a 4-core Xeon in
-    // a Release build, about half of agentbench kv_pressure's host
-    // time, where it follows 1 in 9 allocations.
+    // The restore+hit interleaving is the risky path: restores run the
+    // evictor while hit blocks are pinned, and a victim aliased into
+    // this block table would show here. Check the pool's counters and
+    // this sequence's blocks; every mutation above asserted the part
+    // of the structure it changed, so nothing else needs a walk.
     if (restores > 0 && gpu_hits > 0)
-        checkInvariants();
+        checkInvariants(result.seq);
     return result;
 }
 
@@ -253,9 +261,7 @@ BlockManager::appendToken(SeqHandle seq_handle, TokenId token)
         // Crossing into a new block.
         if (availableBlocks() == 0)
             return false;
-        const BlockId id = acquireFreshBlock();
-        blocks_[static_cast<std::size_t>(id)].refCount = 1;
-        seq.blocks.push_back(id);
+        seq.blocks.push_back(acquireSeqBlock());
     }
 
     seq.chain.push_back(token);
@@ -281,8 +287,12 @@ BlockManager::release(SeqHandle seq_handle)
     for (BlockId id : seq.blocks)
         unrefBlock(id);
     seq.blocks.clear();
-    seqIndex_.erase(sim::hashMix(seq_handle.id));
+    const std::int32_t indexed = seqIndex_.take(sim::hashMix(seq_handle.id));
+    if (indexed != seq_handle.slot) [[unlikely]]
+        corrupt("sequence index misplaces sequence",
+                static_cast<std::int64_t>(seq_handle.id));
     freeSeqSlots_.push_back(seq_handle.slot);
+    --liveSeqs_;
 }
 
 void
@@ -300,6 +310,8 @@ BlockManager::reset()
     seqs_.clear();
     freeSeqSlots_.clear();
     seqIndex_.clear();
+    referencedBlocks_ = tableBlocks_ = 0;
+    liveSeqs_ = 0;
     for (auto &tier : tiers_)
         tier.entries.clear();
 }
@@ -366,8 +378,11 @@ BlockManager::parkChain(const TokenChain &chain)
         Block &b = blocks_[static_cast<std::size_t>(id)];
         if (b.refCount > 0)
             continue; // pinned by a live sequence: not idle
+        if (b.hash != *it) [[unlikely]]
+            corrupt("cache table maps another hash to block", id);
         evictableErase(id);
         cacheTable_.erase(*it);
+        --tableBlocks_;
         // Deliberate demotion bypasses the probabilistic filter.
         demoteFromGpu(b.hash, /*forced=*/true);
         freeList_.push_back(id);
@@ -428,18 +443,28 @@ BlockManager::acquireFreshBlock()
         b = Block{};
         return id;
     }
-    // Evict the lowest-key cached block (LRU or FIFO order).
+    // Evict the lowest-key cached block (LRU or FIFO order). The
+    // erase proved it published, so its table entry must name it.
     const BlockId id = evictableTop();
     evictableErase(id);
     Block &b = blocks_[static_cast<std::size_t>(id)];
-    if (b.inTable) {
-        cacheTable_.erase(b.hash);
-        // The contents demote into the spill hierarchy instead of
-        // vanishing (subject to probabilistic admission).
-        demoteFromGpu(b.hash, /*forced=*/false);
-    }
+    if (cacheTable_.take(b.hash) != id) [[unlikely]]
+        corrupt("cache table lost victim block", id);
+    --tableBlocks_;
+    // The contents demote into the spill hierarchy instead of
+    // vanishing (subject to probabilistic admission).
+    demoteFromGpu(b.hash, /*forced=*/false);
     ++stats_.evictions;
     b = Block{};
+    return id;
+}
+
+BlockId
+BlockManager::acquireSeqBlock()
+{
+    const BlockId id = acquireFreshBlock();
+    block(id).refCount = 1;
+    ++referencedBlocks_;
     return id;
 }
 
@@ -456,7 +481,7 @@ BlockManager::refCachedBlock(BlockId id)
     Block &b = blocks_[static_cast<std::size_t>(id)];
     if (b.refCount == 0) {
         evictableErase(id);
-        b.lruKey = 0;
+        ++referencedBlocks_;
     }
     ++b.refCount;
 }
@@ -469,8 +494,10 @@ BlockManager::publishBlock(BlockId id, std::uint64_t hash)
     // First writer wins; duplicate content in another live block simply
     // stays private to its sequence.
     b.inTable = cacheTable_.insert(hash, id);
-    if (b.inTable)
+    if (b.inTable) {
         b.publishKey = lruCounter_++;
+        ++tableBlocks_;
+    }
 }
 
 void
@@ -495,14 +522,20 @@ void
 BlockManager::evictablePush(BlockId id)
 {
     Block &b = block(id);
+    if (b.refCount != 0 || !b.inTable || b.lruKey == 0) [[unlikely]]
+        corrupt("park of referenced or unpublished block", id);
     if (!lruList()) {
         fifoHeap_.push(id, b.lruKey);
         return;
     }
-    AGENTSIM_ASSERT(b.lruPrev == kNil && lruHead_ != id,
-                    "LRU list already holds block %d", id);
-    AGENTSIM_ASSERT(lruTail_ == kNil || block(lruTail_).lruKey < b.lruKey,
-                    "LRU park of block %d out of key order", id);
+    if (b.lruPrev != kNil || b.lruNext != kNil || lruHead_ == id) [[unlikely]]
+        corrupt("LRU list already holds block", id);
+    const bool tail_ok = lruTail_ == kNil
+                             ? lruHead_ == kNil
+                             : block(lruTail_).lruNext == kNil &&
+                                   block(lruTail_).lruKey < b.lruKey;
+    if (!tail_ok) [[unlikely]]
+        corrupt("LRU park out of key order: block", id);
     b.lruPrev = lruTail_;
     (lruTail_ == kNil ? lruHead_ : block(lruTail_).lruNext) = id;
     lruTail_ = id;
@@ -512,17 +545,31 @@ BlockManager::evictablePush(BlockId id)
 void
 BlockManager::evictableErase(BlockId id)
 {
-    if (!lruList()) {
-        fifoHeap_.erase(id);
-        return;
-    }
     Block &b = block(id);
-    AGENTSIM_ASSERT(b.lruPrev != kNil || lruHead_ == id,
-                    "LRU erase of absent block %d", id);
-    (b.lruPrev == kNil ? lruHead_ : block(b.lruPrev).lruNext) = b.lruNext;
-    (b.lruNext == kNil ? lruTail_ : block(b.lruNext).lruPrev) = b.lruPrev;
-    b.lruPrev = b.lruNext = kNil;
-    --lruSize_;
+    if (b.refCount != 0 || !b.inTable) [[unlikely]]
+        corrupt("referenced or unpublished parked block", id);
+    if (!lruList()) {
+        if (fifoHeap_.key(id) != b.lruKey) [[unlikely]]
+            corrupt("FIFO heap holds a stale key for block", id);
+        fifoHeap_.erase(id);
+    } else {
+        // Both neighbours point back at the block, in key order.
+        const bool prev_ok = b.lruPrev == kNil
+                                 ? lruHead_ == id
+                                 : block(b.lruPrev).lruNext == id &&
+                                       block(b.lruPrev).lruKey < b.lruKey;
+        const bool next_ok = b.lruNext == kNil
+                                 ? lruTail_ == id
+                                 : block(b.lruNext).lruPrev == id &&
+                                       b.lruKey < block(b.lruNext).lruKey;
+        if (!prev_ok || !next_ok) [[unlikely]]
+            corrupt("LRU list corrupt at block", id);
+        (b.lruPrev == kNil ? lruHead_ : block(b.lruPrev).lruNext) = b.lruNext;
+        (b.lruNext == kNil ? lruTail_ : block(b.lruNext).lruPrev) = b.lruPrev;
+        b.lruPrev = b.lruNext = kNil;
+        --lruSize_;
+    }
+    b.lruKey = 0;
 }
 
 BlockId
@@ -541,6 +588,7 @@ BlockManager::unrefBlock(BlockId id)
     AGENTSIM_ASSERT(b.refCount > 0, "unref of unreferenced block");
     if (--b.refCount > 0)
         return;
+    --referencedBlocks_;
     if (b.inTable) {
         // Park on the eviction list; the contents stay reusable until
         // evicted. The ordering key realizes the configured policy.
@@ -613,6 +661,9 @@ BlockManager::spillToTier(std::size_t index, std::uint64_t hash)
         }
     }
     tier.entries.insert(hash, lruCounter_++);
+    const auto size = static_cast<std::int64_t>(tier.entries.size());
+    if (size > tier.capacity) [[unlikely]]
+        corrupt("spill overfilled tier", static_cast<std::int64_t>(index));
     ++tierStats(index).demotedBlocks;
 }
 
@@ -631,6 +682,56 @@ BlockManager::noteTierRestore(std::size_t index, std::uint64_t hash)
         // Inclusive: keep the copy, but mark it as just-used so cold
         // entries are evicted before it.
         ++lruCounter_;
+    }
+}
+
+void
+BlockManager::checkInvariants(SeqHandle seq) const
+{
+    // Every accounting identity of the full walk, from counters.
+    const std::int64_t free_count = freeBlocks();
+    const std::int64_t evict_count = evictableBlocks();
+    AGENTSIM_ASSERT(referencedBlocks_ + free_count + evict_count ==
+                        config_.numBlocks,
+                    "block accounting broken: %lld + %lld + %lld != %lld",
+                    static_cast<long long>(referencedBlocks_),
+                    static_cast<long long>(free_count),
+                    static_cast<long long>(evict_count),
+                    static_cast<long long>(config_.numBlocks));
+    AGENTSIM_ASSERT(static_cast<std::int64_t>(cacheTable_.size()) ==
+                        tableBlocks_,
+                    "cache table holds %zu entries, %lld blocks in it",
+                    cacheTable_.size(), static_cast<long long>(tableBlocks_));
+    AGENTSIM_ASSERT(liveSeqs_ == seqIndex_.size() &&
+                        liveSeqs_ + freeSeqSlots_.size() == seqs_.size(),
+                    "sequence slab: %zu live + %zu free of %zu slots",
+                    liveSeqs_, freeSeqSlots_.size(), seqs_.size());
+    for (std::size_t i = 0; i < kNumSpillTiers; ++i) {
+        AGENTSIM_ASSERT(static_cast<std::int64_t>(
+                            tiers_[i].entries.size()) <= tiers_[i].capacity,
+                        "tier %zu over capacity", i);
+    }
+
+    // The sequence: owned through the index, every block pinned and
+    // off the evictable set, every published block the table's entry
+    // for its hash.
+    const std::size_t slot = liveSlot(seq, "checkInvariants");
+    AGENTSIM_ASSERT(seqIndex_.find(sim::hashMix(seq.id)) == seq.slot,
+                    "sequence index maps %llu to slot %d, not its slot %d",
+                    static_cast<unsigned long long>(seq.id),
+                    seqIndex_.find(sim::hashMix(seq.id)), seq.slot);
+    for (const BlockId id : seqs_[slot].blocks) {
+        AGENTSIM_ASSERT(id >= 0 && id < config_.numBlocks,
+                        "sequence holds block %d outside the pool", id);
+        const Block &b = block(id);
+        AGENTSIM_ASSERT(b.refCount > 0 && b.lruKey == 0 &&
+                            b.lruPrev == kNil && b.lruNext == kNil &&
+                            (lruList() || !fifoHeap_.contains(id)),
+                        "sequence block %d is unreferenced or parked", id);
+        AGENTSIM_ASSERT(!b.inTable || cacheTable_.find(b.hash) == id,
+                        "sequence block %d is not the table entry for its "
+                        "hash",
+                        id);
     }
 }
 
@@ -666,6 +767,13 @@ BlockManager::checkInvariants() const
                                b.lruKey < block(b.lruNext).lruKey))),
                         "LRU list corrupt at block %d", id);
     }
+    AGENTSIM_ASSERT(referenced == referencedBlocks_ && in_table == tableBlocks_,
+                    "counters: %lld referenced, %lld in table; recount "
+                    "%lld, %lld",
+                    static_cast<long long>(referencedBlocks_),
+                    static_cast<long long>(tableBlocks_),
+                    static_cast<long long>(referenced),
+                    static_cast<long long>(in_table));
     const auto free_count = static_cast<std::int64_t>(freeList_.size());
     const auto evict_count = evictableBlocks();
     AGENTSIM_ASSERT(parked == evict_count,
@@ -705,6 +813,9 @@ BlockManager::checkInvariants() const
     const auto live_slots = static_cast<std::size_t>(std::count_if(
         seqs_.begin(), seqs_.end(),
         [](const Seq &s) { return !s.blocks.empty(); }));
+    AGENTSIM_ASSERT(live_slots == liveSeqs_,
+                    "counter: %zu live sequences; recount %zu", liveSeqs_,
+                    live_slots);
     AGENTSIM_ASSERT(live_slots == seqIndex_.size() &&
                         live_slots + freeSeqSlots_.size() == seqs_.size(),
                     "sequence slab: %zu live + %zu free of %zu slots",

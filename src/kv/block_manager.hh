@@ -459,10 +459,28 @@ class BlockManager
 
     const CacheStats &stats() const { return stats_; }
 
-    /** Verify internal invariants; panics on violation (tests). */
+    /**
+     * Walk the whole pool, the cache table, the evictable set, the
+     * sequence slab and both tiers, recounting every counter; panics
+     * on any violation. O(pool + tiers): tests and the end of each
+     * serving or cluster run.
+     */
     void checkInvariants() const;
 
+    /**
+     * The check after one allocation: the pool's accounting identities
+     * from its counters, then @p seq's block table only. Each block
+     * must be referenced and off the evictable set, and each published
+     * one must be the cache-table entry for its hash; the slot must be
+     * the one the sequence index names. O(blocks of @p seq). The
+     * mutations assert the rest locally (see DESIGN.md).
+     */
+    [[gnu::noinline]] void checkInvariants(SeqHandle seq) const;
+
   private:
+    /** Test-only: tests/kv_test.cc corrupts a pool through it. */
+    friend struct KvTestAccess;
+
     static constexpr BlockId kNil = -1;
 
     struct Block
@@ -535,6 +553,14 @@ class BlockManager
     std::vector<std::int32_t> freeSeqSlots_;
     /** hashMix(seq id) -> slot in seqs_ (hashMix is a bijection). */
     FlatIndex seqIndex_;
+    /**
+     * Counters that change with the pool, so the accounting identities
+     * cost O(1): blocks with a reference, blocks in the cache table,
+     * and live sequence slots. The full walk recounts each.
+     */
+    std::int64_t referencedBlocks_ = 0;
+    std::int64_t tableBlocks_ = 0;
+    std::size_t liveSeqs_ = 0;
     std::uint64_t lruCounter_ = 1;
     CacheStats stats_;
     /** allocatePrompt's probe buffer, reused across calls. */
@@ -599,12 +625,22 @@ class BlockManager
     [[noreturn, gnu::cold, gnu::noinline]] static void
     staleSeq(SeqHandle seq, const char *op);
 
+    /**
+     * The panic of a failed mutation-site check, naming the structure
+     * and @p id; out of line like staleSeq() so the check stays small.
+     */
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    corrupt(const char *what, std::int64_t id);
+
     /** Index @p seq_id under a free or new slab slot, returned. */
     std::size_t claimSeqSlot(SeqId seq_id);
 
     /** Take one block from free list or evict the LRU cached block;
      *  never inlined or split, so profiles charge evictions here. */
     [[gnu::noinline]] BlockId acquireFreshBlock();
+
+    /** A fresh block holding one reference, for a block table. */
+    BlockId acquireSeqBlock();
 
     /**
      * True when the next acquireFreshBlock() would evict a block
@@ -622,6 +658,9 @@ class BlockManager
      * The evictable set, lowest Block::lruKey first. Every LRU park
      * draws a fresh lruCounter_ key, so a list appended at the tail
      * stays in key order; FIFO parks out of order and keeps the heap.
+     * Push and erase panic unless the block is unreferenced and
+     * published, and unless its list neighbours (or its heap entry)
+     * agree with it; erase clears its lruKey.
      */
     bool lruList() const
     {

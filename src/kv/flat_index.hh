@@ -65,12 +65,19 @@ class FlatIndex
         return true;
     }
 
-    /** Remove @p key, shifting its probe run back. @return removed. */
-    bool erase(std::uint64_t key)
+    /** Remove @p key. @return removed. */
+    bool erase(std::uint64_t key) { return take(key) != kAbsent; }
+
+    /**
+     * Remove @p key, shifting its probe run back. @return the value it
+     * held, or kAbsent.
+     */
+    std::int32_t take(std::uint64_t key)
     {
         std::size_t hole = probe(key);
-        if (slots_[hole].value == kAbsent)
-            return false;
+        const std::int32_t value = slots_[hole].value;
+        if (value == kAbsent)
+            return kAbsent;
         // Pull each later run member back into the hole unless that
         // would move it before its home slot.
         for (std::size_t j = (hole + 1) & mask_;
@@ -83,7 +90,7 @@ class FlatIndex
         }
         slots_[hole].value = kAbsent;
         --size_;
-        return true;
+        return value;
     }
 
     void clear()
@@ -155,10 +162,15 @@ class IndexedMinHeap
         siftUp(heap_.size() - 1);
     }
 
+    /** The key @p id is held under; @p id must be held. */
+    std::uint64_t key(std::int32_t id) const
+    {
+        return heap_[checkedPos(id)].key;
+    }
+
     void erase(std::int32_t id)
     {
-        AGENTSIM_ASSERT(contains(id), "heap erase of absent id %d", id);
-        const auto i = static_cast<std::size_t>(pos(id));
+        const std::size_t i = checkedPos(id);
         pos(id) = kNone;
         const Entry last = heap_.back();
         heap_.pop_back();
@@ -229,6 +241,19 @@ class IndexedMinHeap
         return pos_[static_cast<std::size_t>(id)];
     }
 
+    /**
+     * @p id's index into heap_. Panics unless the back-pointer names an
+     * entry of @p id that sits below its parent's key.
+     */
+    std::size_t checkedPos(std::int32_t id) const
+    {
+        const auto i = static_cast<std::size_t>(pos(id));
+        AGENTSIM_ASSERT(i < heap_.size() && heap_[i].id == id &&
+                            (i == 0 || heap_[(i - 1) / 2].key < heap_[i].key),
+                        "heap entry of id %d absent or corrupt", id);
+        return i;
+    }
+
     /** Move heap_[i] toward the root, then record its position. */
     void siftUp(std::size_t i)
     {
@@ -268,6 +293,9 @@ class IndexedMinHeap
  */
 class LruSlab
 {
+    /** Test-only: tests/kv_test.cc corrupts a slab through it. */
+    friend struct KvTestAccess;
+
   public:
     explicit LruSlab(std::size_t capacity = 0)
         : index_(capacity), nodes_(capacity)
@@ -299,7 +327,7 @@ class LruSlab
         const std::int32_t s = index_.find(hash);
         if (s == FlatIndex::kAbsent)
             return false;
-        unlink(s);
+        unlink(s, hash);
         node(s).key = key;
         linkTail(s);
         return true;
@@ -308,11 +336,10 @@ class LruSlab
     /** Remove @p hash. @return present. */
     bool erase(std::uint64_t hash)
     {
-        const std::int32_t s = index_.find(hash);
+        const std::int32_t s = index_.take(hash);
         if (s == FlatIndex::kAbsent)
             return false;
-        unlink(s);
-        index_.erase(hash);
+        unlink(s, hash);
         node(s).next = free_;
         free_ = s;
         return true;
@@ -323,7 +350,8 @@ class LruSlab
     {
         AGENTSIM_ASSERT(head_ != kNil, "popOldest of empty LruSlab");
         const std::uint64_t hash = node(head_).hash;
-        erase(hash);
+        const bool present = erase(hash);
+        AGENTSIM_ASSERT(present, "LruSlab head %d is not indexed", head_);
         return hash;
     }
 
@@ -383,15 +411,34 @@ class LruSlab
         return nodes_[static_cast<std::size_t>(s)];
     }
 
-    void unlink(std::int32_t s)
+    /**
+     * Take node @p s, indexed under @p hash, off the list. Panics unless
+     * the node holds that hash and its neighbours point back at it in
+     * key order.
+     */
+    void unlink(std::int32_t s, std::uint64_t hash)
     {
         const Node &n = node(s);
+        AGENTSIM_ASSERT(
+            n.hash == hash &&
+                (n.prev == kNil ? head_ == s
+                                : node(n.prev).next == s &&
+                                      node(n.prev).key < n.key) &&
+                (n.next == kNil ? tail_ == s
+                                : node(n.next).prev == s &&
+                                      n.key < node(n.next).key),
+            "LruSlab node %d corrupt", s);
         (n.prev == kNil ? head_ : node(n.prev).next) = n.next;
         (n.next == kNil ? tail_ : node(n.next).prev) = n.prev;
     }
 
+    /** Append node @p s, which holds the newest key, at the tail. */
     void linkTail(std::int32_t s)
     {
+        AGENTSIM_ASSERT(tail_ == kNil ? head_ == kNil
+                                      : node(tail_).next == kNil &&
+                                            node(tail_).key < node(s).key,
+                        "LruSlab link of node %d out of key order", s);
         node(s).prev = tail_;
         node(s).next = kNil;
         (tail_ == kNil ? head_ : node(tail_).next) = s;

@@ -14,12 +14,68 @@
 #include "kv/block_manager.hh"
 #include "sim/rng.hh"
 
+namespace agentsim::kv
+{
+
+/**
+ * Reaches into a pool's private state so that a death test can corrupt
+ * one structure and show that the next operation touching it panics.
+ */
+struct KvTestAccess
+{
+    struct Counters
+    {
+        std::int64_t referenced;
+        std::int64_t inTable;
+        std::size_t liveSeqs;
+    };
+
+    static Counters counters(const BlockManager &m)
+    {
+        return {m.referencedBlocks_, m.tableBlocks_, m.liveSeqs_};
+    }
+    static std::vector<BlockId> &freeList(BlockManager &m)
+    {
+        return m.freeList_;
+    }
+    static BlockId lruHead(const BlockManager &m) { return m.lruHead_; }
+    static int &refCount(BlockManager &m, BlockId id)
+    {
+        return m.block(id).refCount;
+    }
+    static std::uint64_t &lruKey(BlockManager &m, BlockId id)
+    {
+        return m.block(id).lruKey;
+    }
+    static BlockId &lruNext(BlockManager &m, BlockId id)
+    {
+        return m.block(id).lruNext;
+    }
+    static std::int64_t &tierCapacity(BlockManager &m, Tier tier)
+    {
+        return m.tiers_[static_cast<std::size_t>(tier)].capacity;
+    }
+    static LruSlab &tier(BlockManager &m, Tier tier)
+    {
+        return m.tiers_[static_cast<std::size_t>(tier)].entries;
+    }
+    static FlatIndex &seqIndex(BlockManager &m) { return m.seqIndex_; }
+    static FlatIndex &index(LruSlab &slab) { return slab.index_; }
+    static std::uint64_t &key(LruSlab &slab, std::uint64_t hash)
+    {
+        return slab.node(slab.index_.find(hash)).key;
+    }
+};
+
+} // namespace agentsim::kv
+
 namespace
 {
 
 using namespace agentsim;
 using kv::BlockManager;
 using kv::BlockManagerConfig;
+using kv::KvTestAccess;
 using kv::TokenId;
 
 std::vector<TokenId>
@@ -547,10 +603,31 @@ TEST_P(BlockManagerFuzz, InvariantsHoldUnderRandomWorkload)
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockManagerFuzz,
                          ::testing::Values(1, 2, 3, 4, 5, 17, 99, 1234));
 
+/** The per-allocation check, run on every live sequence. */
+void
+checkEachLive(const BlockManager &mgr, const std::vector<kv::SeqId> &live)
+{
+    for (const kv::SeqId id : live)
+        mgr.checkInvariants(mgr.handle(id));
+}
+
+/** After reset() every pool counter reads zero and the walk holds. */
+void
+expectResetZeroesCounters(BlockManager &mgr)
+{
+    mgr.reset();
+    const KvTestAccess::Counters c = KvTestAccess::counters(mgr);
+    EXPECT_EQ(c.referenced, 0);
+    EXPECT_EQ(c.inTable, 0);
+    EXPECT_EQ(c.liveSeqs, 0U);
+    mgr.checkInvariants();
+}
+
 // Host-tier fuzz: the same randomized workload over a tight pool with
 // the spill tier on, so restore-plus-hit commits (the aliasing bug
-// class above) occur under an empty free list. Invariants are checked
-// after every allocation.
+// class above) occur under an empty free list. The full walk runs after
+// every allocation, the per-allocation check on every live sequence
+// after every operation.
 class BlockManagerHostFuzz
     : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -592,11 +669,13 @@ TEST_P(BlockManagerHostFuzz, InvariantsHoldWithHostTier)
             mgr.release(live[idx]);
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
         }
+        checkEachLive(mgr, live);
     }
     for (kv::SeqId id : live)
         mgr.release(id);
     mgr.checkInvariants();
     EXPECT_EQ(mgr.usedBlocks(), 0);
+    expectResetZeroesCounters(mgr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockManagerHostFuzz,
@@ -906,9 +985,9 @@ TEST(BlockManagerTiers, ParkTailFirstKeepsHeadWhenTierTight)
 }
 
 // Tiered fuzz (DRAM + NVMe, probabilistic admission, park/prefetch/
-// preload/import interleaved): invariants are checked after every
-// operation. Seed parity flips the residency modes so both disciplines
-// are fuzzed.
+// preload/import interleaved): the full walk and the per-allocation
+// check on every live sequence run after every operation. Seed parity
+// flips the residency modes so both disciplines are fuzzed.
 class BlockManagerTierFuzz
     : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -972,6 +1051,7 @@ TEST_P(BlockManagerTierFuzz, InvariantsHoldWithTieredWorkload)
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
         }
         mgr.checkInvariants();
+        checkEachLive(mgr, live);
     }
     for (kv::SeqId id : live)
         mgr.release(id);
@@ -980,6 +1060,7 @@ TEST_P(BlockManagerTierFuzz, InvariantsHoldWithTieredWorkload)
     // The probabilistic filter exercised both outcomes.
     EXPECT_GT(mgr.stats().dram.demotedBlocks, 0);
     EXPECT_GT(mgr.stats().dram.rejectedBlocks, 0);
+    expectResetZeroesCounters(mgr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockManagerTierFuzz,
@@ -1138,6 +1219,182 @@ TEST(BlockManagerPin, SeededOpSequenceDigest)
         EXPECT_EQ(opSequenceDigest(k.policy, k.mode, k.admit, 2500),
                   k.digest);
     }
+}
+
+// reset() leaves no counter behind: a pool that held sequences, cached
+// and parked blocks and tier entries counts nothing afterwards, and
+// the next sequence is checked against zeroed counters.
+TEST(BlockManager, ResetZeroesEveryCounter)
+{
+    BlockManager mgr(tierCfg(16, 4, 4));
+    // Two sequences share 6 full blocks; each has a private partial.
+    const auto prompt = chainOf(mgr, tokenRange(0, 100));
+    ASSERT_TRUE(mgr.allocatePrompt(1, prompt).has_value());
+    ASSERT_TRUE(mgr.allocatePrompt(2, prompt).has_value());
+    // A third leaves one block parked and one tier entry.
+    const auto parked = chainOf(mgr, tokenRange(500, 40));
+    ASSERT_TRUE(mgr.allocatePrompt(3, parked).has_value());
+    mgr.release(3);
+    EXPECT_EQ(mgr.parkChain(chainOf(mgr, tokenRange(500, 16))), 1);
+    EXPECT_EQ(mgr.evictableBlocks(), 1);
+    EXPECT_EQ(mgr.hostCachedBlocks(), 1);
+    const KvTestAccess::Counters before = KvTestAccess::counters(mgr);
+    EXPECT_EQ(before.referenced, 8);
+    EXPECT_EQ(before.inTable, 7);
+    EXPECT_EQ(before.liveSeqs, 2U);
+
+    expectResetZeroesCounters(mgr);
+    const auto again = mgr.allocatePrompt(1, prompt);
+    ASSERT_TRUE(again.has_value());
+    mgr.checkInvariants(again->seq);
+    mgr.checkInvariants();
+}
+
+// Death tests of the cheap path: each corrupts one block or structure,
+// then drives the next operation that touches it, without a full walk
+// first. The fixture leaves the head of a 4-block prompt parked on the
+// GPU and its tail in DRAM, so allocating the whole prompt hits the
+// head and restores the tail: the call that runs the per-allocation
+// check.
+class RestoreHitFixture
+{
+  public:
+    explicit RestoreHitFixture(
+        kv::EvictionPolicy policy = kv::EvictionPolicy::Lru)
+        : mgr(config(policy)), full(chainOf(mgr, tokenRange(0, 64))),
+          head(chainOf(mgr, tokenRange(0, 32)))
+    {
+        EXPECT_TRUE(mgr.allocatePrompt(1, full).has_value());
+        mgr.release(1);
+        EXPECT_EQ(mgr.parkChain(full), 4);
+        const auto restored = mgr.allocatePrompt(2, head);
+        EXPECT_TRUE(restored.has_value());
+        EXPECT_EQ(restored->restoredTokens, 32);
+        mgr.release(2);
+        mgr.checkInvariants();
+        EXPECT_EQ(mgr.evictableBlocks(), 2);
+        EXPECT_EQ(mgr.hostCachedBlocks(), 2);
+    }
+
+    /** The restore+hit allocation; its check runs on the way out. */
+    void allocateFull()
+    {
+        const auto alloc = mgr.allocatePrompt(3, full);
+        ASSERT_TRUE(alloc.has_value());
+        EXPECT_EQ(alloc->cachedTokens, 32);
+        EXPECT_EQ(alloc->restoredTokens, 32);
+    }
+
+    BlockManager mgr;
+    kv::TokenChain full;
+    kv::TokenChain head;
+
+  private:
+    static BlockManagerConfig config(kv::EvictionPolicy policy)
+    {
+        BlockManagerConfig c = cfg(8, 16, true, 8);
+        c.evictionPolicy = policy;
+        return c;
+    }
+};
+
+TEST(BlockManagerCorruption, IntactFixtureAllocates)
+{
+    RestoreHitFixture f;
+    f.allocateFull();
+    f.mgr.checkInvariants();
+    RestoreHitFixture fifo(kv::EvictionPolicy::Fifo);
+    fifo.allocateFull();
+    fifo.mgr.checkInvariants();
+}
+
+TEST(BlockManagerCorruption, LostFreeListEntryDies)
+{
+    RestoreHitFixture f;
+    KvTestAccess::freeList(f.mgr).pop_back();
+    EXPECT_DEATH(f.allocateFull(), "block accounting broken");
+}
+
+TEST(BlockManagerCorruption, ReferencedParkedBlockDies)
+{
+    RestoreHitFixture f;
+    KvTestAccess::refCount(f.mgr, KvTestAccess::lruHead(f.mgr)) = 1;
+    EXPECT_DEATH(f.allocateFull(), "sequence block [0-9]+ is unreferenced "
+                                   "or parked");
+}
+
+TEST(BlockManagerCorruption, BrokenLruLinkDies)
+{
+    RestoreHitFixture f;
+    KvTestAccess::lruNext(f.mgr, KvTestAccess::lruHead(f.mgr)) = -1;
+    EXPECT_DEATH(f.allocateFull(), "LRU list corrupt at block");
+}
+
+TEST(BlockManagerCorruption, OutOfOrderLruKeyDies)
+{
+    RestoreHitFixture f;
+    const kv::BlockId head = KvTestAccess::lruHead(f.mgr);
+    KvTestAccess::lruKey(f.mgr, head) += 1000;
+    EXPECT_DEATH(f.allocateFull(), "LRU list corrupt at block");
+}
+
+TEST(BlockManagerCorruption, StaleFifoHeapKeyDies)
+{
+    RestoreHitFixture f(kv::EvictionPolicy::Fifo);
+    // A parked head block's key no longer matches its heap entry.
+    kv::BlockId parked = 0;
+    while (KvTestAccess::lruKey(f.mgr, parked) == 0)
+        ++parked;
+    KvTestAccess::lruKey(f.mgr, parked) += 1000;
+    EXPECT_DEATH(f.allocateFull(), "FIFO heap holds a stale key for block");
+}
+
+TEST(BlockManagerCorruption, TierOverCapacityDies)
+{
+    RestoreHitFixture f;
+    // DRAM holds the tail's 2 entries; parking the head adds 2 more.
+    KvTestAccess::tierCapacity(f.mgr, kv::Tier::Dram) = 1;
+    EXPECT_DEATH(f.mgr.parkChain(f.head), "spill overfilled tier 0");
+}
+
+TEST(BlockManagerCorruption, OutOfOrderTierNodeDies)
+{
+    RestoreHitFixture f;
+    // DRAM lists the tail oldest first: block 3, then block 2. Restoring
+    // block 2 unlinks it behind a neighbour that is now newer.
+    const auto hashes = f.full.blockHashes();
+    kv::LruSlab &dram = KvTestAccess::tier(f.mgr, kv::Tier::Dram);
+    KvTestAccess::key(dram, hashes[3]) =
+        KvTestAccess::key(dram, hashes[2]) + 1;
+    EXPECT_DEATH(f.allocateFull(), "LruSlab node [0-9]+ corrupt");
+}
+
+TEST(BlockManagerCorruption, MisIndexedTierNodeDies)
+{
+    RestoreHitFixture f;
+    // Block 2's hash now leads to block 3's node.
+    const auto hashes = f.full.blockHashes();
+    kv::FlatIndex &index =
+        KvTestAccess::index(KvTestAccess::tier(f.mgr, kv::Tier::Dram));
+    const std::int32_t other = index.find(hashes[3]);
+    ASSERT_TRUE(index.erase(hashes[2]));
+    ASSERT_TRUE(index.insert(hashes[2], other));
+    EXPECT_DEATH(f.allocateFull(), "LruSlab node [0-9]+ corrupt");
+}
+
+TEST(BlockManagerCorruption, SlabSlotOwnerMismatchDies)
+{
+    BlockManager mgr(cfg(8));
+    const auto a = mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 20)));
+    const auto b = mgr.allocatePrompt(2, chainOf(mgr, tokenRange(100, 20)));
+    ASSERT_TRUE(a.has_value() && b.has_value());
+    // Sequence 1's index entry names sequence 2's slot.
+    kv::FlatIndex &index = KvTestAccess::seqIndex(mgr);
+    ASSERT_TRUE(index.erase(sim::hashMix(1)));
+    ASSERT_TRUE(index.insert(sim::hashMix(1), b->seq.slot));
+    EXPECT_DEATH(mgr.checkInvariants(a->seq),
+                 "sequence index maps 1 to slot");
+    EXPECT_DEATH(mgr.release(a->seq), "sequence index misplaces sequence 1");
 }
 
 } // namespace
