@@ -2,8 +2,9 @@
  * @file
  * google-benchmark micro benchmarks for the hot substrate paths: the
  * event queue, coroutine scheduling, the KV block manager (allocation,
- * prefix lookups, eviction/demotion churn, restore+hit allocations and
- * decode appends), the roofline perf model, and RNG streams.
+ * prefix lookups, eviction/demotion churn, restore+hit allocations,
+ * decode appends and prompt-chain hashing), the roofline perf model,
+ * and RNG streams.
  */
 
 #include <benchmark/benchmark.h>
@@ -271,6 +272,40 @@ BM_KvDecodeAppend(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_KvDecodeAppend)->ArgName("handle")->Arg(1)->Arg(0);
+
+void
+BM_KvChainAppendMadeTokens(benchmark::State &state)
+{
+    // A prompt segment made as a token vector, then hashed: the form
+    // tests and benches use, and the baseline for the stream form.
+    const std::int64_t len = state.range(0);
+    std::uint64_t salt = 0;
+    for (auto _ : state) {
+        kv::TokenChain chain(16);
+        chain.append(workload::makeTokens(salt++, len));
+        benchmark::DoNotOptimize(chain.blockHashes().data());
+    }
+    state.SetItemsProcessed(state.iterations() * len);
+}
+BENCHMARK(BM_KvChainAppendMadeTokens)
+    ->ArgName("tokens")->Arg(40)->Arg(1024)->Arg(16384);
+
+void
+BM_KvChainAppendStream(benchmark::State &state)
+{
+    // The same segment as a stream run, each token hashed where it is
+    // made: how every synthetic prompt segment is built.
+    const std::int64_t len = state.range(0);
+    std::uint64_t salt = 0;
+    for (auto _ : state) {
+        kv::TokenChain chain(16);
+        chain.appendStream(salt++, 0, len);
+        benchmark::DoNotOptimize(chain.blockHashes().data());
+    }
+    state.SetItemsProcessed(state.iterations() * len);
+}
+BENCHMARK(BM_KvChainAppendStream)
+    ->ArgName("tokens")->Arg(40)->Arg(1024)->Arg(16384);
 
 void
 BM_PerfModelStep(benchmark::State &state)

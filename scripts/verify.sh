@@ -90,9 +90,10 @@ if [[ " ${presets[*]} " == *" asan "* ]]; then
 fi
 
 # The KV micro-benchmarks drive allocation, prefix hits, LRU and FIFO
-# eviction churn, restore+hit allocations against full spill tiers and
-# per-token decode appends; a short sanitized run of each catches
-# memory errors and undefined behaviour on the block pool's hot paths.
+# eviction churn, restore+hit allocations against full spill tiers,
+# per-token decode appends and prompt-chain hashing; a short sanitized
+# run of each catches memory errors and undefined behaviour on the
+# block pool's hot paths.
 for preset in asan ubsan; do
     if [[ " ${presets[*]} " == *" ${preset} "* ]]; then
         echo "==> KV micro-benchmark smoke (micro_substrates BM_Kv, ${preset})"

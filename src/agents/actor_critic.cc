@@ -69,7 +69,8 @@ ActorCriticAgent::run(AgentContext ctx)
         serving::GenResult critique = co_await callLlm(
             ctx, trace, rng, review.build(),
             prof.reflectionOutputMean, "critic.feedback");
-        critiques.addReflection(critique.tokens);
+        critiques.append(Segment::output(SegmentKind::LlmHistory,
+                                         std::move(critique.tokens)));
     }
 
     trace.setIterations(iterations_total);

@@ -96,49 +96,55 @@ AgentContext::makeRng(std::string_view purpose) const
 namespace
 {
 
-/** Fixed instruction tokens for (agent, benchmark). */
-std::vector<kv::TokenId>
-instructionTokens(const AgentContext &ctx)
+/**
+ * The instruction, then @p few_shot examples: the head shared by
+ * every task of (agent, benchmark). The serving-level cross-request
+ * prefix hits of Fig 15 come from here.
+ */
+PromptBuilder
+buildHead(const AgentContext &ctx, int few_shot)
 {
-    // Shared across every task of (agent, benchmark): the serving-level
-    // cross-request prefix hits of Fig 15 come from here.
-    const auto stream = workload::streamId(
-        ctx.seed, sim::strfmt("instr.%s.%s",
-                              std::string(agentName(ctx.kind)).c_str(),
-                              std::string(workload::benchmarkName(
-                                              ctx.task.benchmark))
-                                  .c_str()));
-    return workload::makeTokens(stream, ctx.profile().instructionTokens);
+    const std::string tag = std::string(agentName(ctx.kind)) + "." +
+                            std::string(workload::benchmarkName(
+                                ctx.task.benchmark));
+    PromptBuilder builder(ctx.engine->config().blockSize);
+    builder.addStream(SegmentKind::Instruction,
+                      workload::streamId(ctx.seed, "instr." + tag),
+                      ctx.profile().instructionTokens);
+    builder.addStream(SegmentKind::FewShot,
+                      workload::streamId(ctx.seed, "fewshot." + tag),
+                      few_shot * ctx.profile().fewShotTokensPerExample);
+    return builder;
 }
 
-/** Fixed few-shot tokens (resolved example count). */
-std::vector<kv::TokenId>
-fewShotTokens(const AgentContext &ctx)
+/** The run's head for @p few_shot examples, built on first use. */
+PromptBuilder
+cachedHead(const AgentContext &ctx, int few_shot)
 {
-    const auto stream = workload::streamId(
-        ctx.seed, sim::strfmt("fewshot.%s.%s",
-                              std::string(agentName(ctx.kind)).c_str(),
-                              std::string(workload::benchmarkName(
-                                              ctx.task.benchmark))
-                                  .c_str()));
-    const int examples = ctx.config.resolveFewShot(ctx.profile());
-    return workload::makeTokens(stream,
-                                examples *
-                                    ctx.profile().fewShotTokensPerExample);
+    if (ctx.heads == nullptr)
+        return buildHead(ctx, few_shot);
+    const PromptHeadCache::key_type key{ctx.kind, ctx.task.benchmark,
+                                        few_shot,
+                                        ctx.engine->config().blockSize,
+                                        ctx.seed};
+    auto it = ctx.heads->find(key);
+    if (it == ctx.heads->end())
+        it = ctx.heads->emplace(key, buildHead(ctx, few_shot)).first;
+    return it->second;
 }
 
-/** Per-task user-query tokens. */
-std::vector<kv::TokenId>
-userTokens(const AgentContext &ctx)
+/** The head for @p few_shot examples, then the task's user query. */
+PromptBuilder
+headWithQuery(const AgentContext &ctx, int few_shot)
 {
-    const auto stream = workload::substream(
-        workload::streamId(
-            ctx.seed, sim::strfmt("user.%s",
-                                  std::string(workload::benchmarkName(
-                                                  ctx.task.benchmark))
-                                      .c_str())),
+    PromptBuilder builder = cachedHead(ctx, few_shot);
+    const auto user = workload::substream(
+        workload::streamId(ctx.seed,
+                           "user." + std::string(workload::benchmarkName(
+                                         ctx.task.benchmark))),
         ctx.task.taskId);
-    return workload::makeTokens(stream, ctx.task.userTokens);
+    builder.addStream(SegmentKind::User, user, ctx.task.userTokens);
+    return builder;
 }
 
 } // namespace
@@ -146,42 +152,24 @@ userTokens(const AgentContext &ctx)
 PromptBuilder
 AgentContext::promptPrefix() const
 {
-    PromptBuilder builder(engine->config().blockSize);
-    builder.add(SegmentKind::Instruction, instructionTokens(*this));
-    builder.add(SegmentKind::FewShot, fewShotTokens(*this));
-    builder.add(SegmentKind::User, userTokens(*this));
-    return builder;
+    return headWithQuery(*this, config.resolveFewShot(profile()));
 }
 
 PromptBuilder
 AgentContext::evaluatorPrefix() const
 {
-    PromptBuilder builder(engine->config().blockSize);
-    builder.add(SegmentKind::Instruction, instructionTokens(*this));
-    builder.add(SegmentKind::User, userTokens(*this));
-    return builder;
+    return headWithQuery(*this, 0);
 }
 
-std::vector<kv::TokenId>
-AgentContext::toolObservationTokens(std::int64_t count,
-                                    std::uint64_t index) const
+Segment
+AgentContext::toolObservation(std::int64_t count,
+                              std::uint64_t index) const
 {
     const auto stream = workload::substream(
         workload::substream(workload::streamId(seed, "tool.obs"),
                             task.taskId),
         sim::hashCombine(sim::fnv1a(agentName(kind)), index));
-    return workload::makeTokens(stream, count);
-}
-
-std::vector<kv::TokenId>
-AgentContext::reflectionTokens(std::int64_t count,
-                               std::uint64_t index) const
-{
-    const auto stream = workload::substream(
-        workload::substream(workload::streamId(seed, "reflection"),
-                            task.taskId),
-        sim::hashCombine(sim::fnv1a(agentName(kind)), index));
-    return workload::makeTokens(stream, count);
+    return Segment{SegmentKind::ToolHistory, nullptr, stream, count};
 }
 
 sim::Task<serving::GenResult>

@@ -8,9 +8,11 @@
 #ifndef AGENTSIM_AGENTS_AGENT_HH
 #define AGENTSIM_AGENTS_AGENT_HH
 
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "agents/prompt.hh"
 #include "agents/trace.hh"
@@ -115,6 +117,20 @@ struct AgentConfig
 };
 
 /**
+ * The prompt heads of one run: the instruction and few-shot blocks
+ * shared by every task of an (agent, benchmark), keyed by (agent,
+ * benchmark, resolved few-shot count, KV block size, seed). Each head
+ * is built and hashed on first use and copied into every episode
+ * after. Per-run state: runServing and runCluster each own one and
+ * hand it to their episodes through AgentContext::heads, so no head
+ * outlives its run or crosses into another.
+ */
+using PromptHeadCache =
+    std::map<std::tuple<AgentKind, workload::Benchmark, int, int,
+                        std::uint64_t>,
+             PromptBuilder>;
+
+/**
  * Everything an agent run needs. Cheap to copy; owns its RNG stream
  * and trace.
  */
@@ -168,6 +184,9 @@ struct AgentContext
      */
     const serving::EpisodeCheckpoint *resumeFrom = nullptr;
 
+    /** The run's prompt heads (null: build each head afresh). */
+    PromptHeadCache *heads = nullptr;
+
     const workload::BenchmarkProfile &
     profile() const
     {
@@ -181,8 +200,10 @@ struct AgentContext
      * The fixed head of the workflow's prompts — the instruction
      * shared by every task of (agent, benchmark), the few-shot
      * examples (resolved count), the per-task user query — hashed in
-     * the engine's KV block size. Build it once per episode and copy
-     * it per call.
+     * the engine's KV block size. The instruction and few-shot blocks
+     * come from the run's @ref heads, so they are hashed once per
+     * run; only the user query is hashed per episode. Build it once
+     * per episode and copy it per call.
      */
     PromptBuilder promptPrefix() const;
 
@@ -192,14 +213,10 @@ struct AgentContext
      */
     PromptBuilder evaluatorPrefix() const;
 
-    /** Deterministic observation tokens for tool call @p index. */
-    std::vector<kv::TokenId> toolObservationTokens(
-        std::int64_t count, std::uint64_t index) const;
-
-    /** Deterministic reflection tokens for reflection @p index. */
-    std::vector<kv::TokenId> reflectionTokens(std::int64_t count,
-                                              std::uint64_t index)
-        const;
+    /** The deterministic observation of tool call @p index: a run of
+     *  @p count stream tokens. */
+    Segment toolObservation(std::int64_t count,
+                            std::uint64_t index) const;
 };
 
 /**

@@ -42,9 +42,9 @@ struct Node
      *  inherited by rollout continuations of this branch. */
     double capability = 0.0;
     /** Action text sampled for this node (LLM output tokens). */
-    std::vector<kv::TokenId> llmTokens;
+    Segment action;
     /** Observation returned by this node's tool call. */
-    std::vector<kv::TokenId> obsTokens;
+    Segment observation;
     std::vector<std::unique_ptr<Node>> children;
     /** Cached pathPrompt(), built over a head of @ref promptHead
      *  tokens. */
@@ -66,8 +66,8 @@ pathPrompt(const PromptBuilder &head, Node *node)
         return head;
     if (!node->prompt || node->promptHead != head.size()) {
         PromptBuilder builder = pathPrompt(head, node->parent);
-        builder.add(SegmentKind::LlmHistory, node->llmTokens);
-        builder.add(SegmentKind::ToolHistory, node->obsTokens);
+        builder.add(node->action);
+        builder.add(node->observation);
         node->prompt = std::move(builder);
         node->promptHead = head.size();
     }
@@ -141,8 +141,8 @@ cloneTree(const Node &src, Node *parent)
     dst->valueSum = src.valueSum;
     dst->visits = src.visits;
     dst->capability = src.capability;
-    dst->llmTokens = src.llmTokens;
-    dst->obsTokens = src.obsTokens;
+    dst->action = src.action;
+    dst->observation = src.observation;
     dst->children.reserve(src.children.size());
     for (const auto &child : src.children)
         dst->children.push_back(cloneTree(*child, dst.get()));
@@ -301,12 +301,13 @@ LatsAgent::run(AgentContext ctx)
             auto child = std::make_unique<Node>();
             child->parent = leaf;
             child->depth = leaf->depth + 1;
-            child->llmTokens =
-                actions[static_cast<std::size_t>(c)].tokens;
+            child->action = Segment::output(
+                SegmentKind::LlmHistory,
+                std::move(actions[static_cast<std::size_t>(c)].tokens));
             const auto disc =
                 (static_cast<std::uint64_t>(round) << 16) |
                 static_cast<std::uint64_t>(c);
-            child->obsTokens = ctx.toolObservationTokens(
+            child->observation = ctx.toolObservation(
                 observations[static_cast<std::size_t>(c)]
                     .observationTokens,
                 disc);
@@ -394,8 +395,9 @@ LatsAgent::run(AgentContext ctx)
             node->parent = roll;
             node->depth = roll->depth + 1;
             node->capability = roll->capability;
-            node->llmTokens = step.tokens;
-            node->obsTokens = ctx.toolObservationTokens(
+            node->action = Segment::output(SegmentKind::LlmHistory,
+                                           std::move(step.tokens));
+            node->observation = ctx.toolObservation(
                 obs.observationTokens,
                 (static_cast<std::uint64_t>(round) << 16) | 0x8000u |
                     static_cast<std::uint64_t>(roll_step++));
@@ -431,8 +433,10 @@ LatsAgent::run(AgentContext ctx)
             serving::GenResult reflection = co_await callLlm(
                 ctx, trace, rng, pathPrompt(head, best).build(),
                 prof.reflectionOutputMean, "lats.reflect");
-            head.add(SegmentKind::LlmHistory, reflection.tokens);
-            episodic.addReflection(reflection.tokens);
+            Segment reflected = Segment::output(
+                SegmentKind::LlmHistory, std::move(reflection.tokens));
+            head.add(reflected);
+            episodic.append(std::move(reflected));
             ++reflections;
         }
 

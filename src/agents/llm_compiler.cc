@@ -141,12 +141,10 @@ LlmCompilerAgent::run(AgentContext ctx)
             co_await sim::allOf(std::move(node_tasks));
 
         for (const auto &outcome : outcomes) {
-            prompt.add(
-                SegmentKind::ToolHistory,
-                ctx.toolObservationTokens(
-                    outcome.observationTokens,
-                    (static_cast<std::uint64_t>(round) << 16) |
-                        static_cast<std::uint64_t>(outcome.id)));
+            prompt.add(ctx.toolObservation(
+                outcome.observationTokens,
+                (static_cast<std::uint64_t>(round) << 16) |
+                    static_cast<std::uint64_t>(outcome.id)));
             if (outcome.foundHop && hops < required)
                 ++hops;
         }

@@ -5,12 +5,20 @@
 namespace agentsim::agents
 {
 
-PromptBuilder &
-PromptBuilder::add(SegmentKind kind, std::span<const kv::TokenId> tokens)
+Segment
+Segment::output(SegmentKind kind, std::vector<kv::TokenId> tokens)
 {
-    prompt_.chain.append(tokens);
-    CallTokens &breakdown = prompt_.breakdown;
     const auto n = static_cast<std::int64_t>(tokens.size());
+    return Segment{kind,
+                   std::make_shared<const std::vector<kv::TokenId>>(
+                       std::move(tokens)),
+                   0, n};
+}
+
+void
+PromptBuilder::tally(SegmentKind kind, std::int64_t n)
+{
+    CallTokens &breakdown = prompt_.breakdown;
     switch (kind) {
       case SegmentKind::Instruction:
         breakdown.instruction += n;
@@ -30,66 +38,67 @@ PromptBuilder::add(SegmentKind kind, std::span<const kv::TokenId> tokens)
       case SegmentKind::Output:
         AGENTSIM_PANIC("Output is not an input segment");
     }
+}
+
+PromptBuilder &
+PromptBuilder::add(SegmentKind kind, std::span<const kv::TokenId> tokens)
+{
+    tally(kind, static_cast<std::int64_t>(tokens.size()));
+    prompt_.chain.append(tokens);
     return *this;
 }
 
-void
-TrajectoryMemory::append(SegmentKind kind,
-                         std::vector<kv::TokenId> tokens)
+PromptBuilder &
+PromptBuilder::addStream(SegmentKind kind, std::uint64_t stream,
+                         std::int64_t count)
 {
-    AGENTSIM_ASSERT(kind == SegmentKind::LlmHistory ||
-                        kind == SegmentKind::ToolHistory,
-                    "trajectory holds only history segments");
-    segments_.push_back(Segment{kind, std::move(tokens)});
+    tally(kind, count);
+    prompt_.chain.appendStream(stream, 0, count);
+    return *this;
+}
+
+PromptBuilder &
+PromptBuilder::add(const Segment &segment)
+{
+    if (segment.tokens != nullptr)
+        return add(segment.kind, *segment.tokens);
+    return addStream(segment.kind, segment.stream, segment.count);
+}
+
+void
+Memory::append(Segment segment)
+{
+    AGENTSIM_ASSERT(segment.kind == SegmentKind::LlmHistory ||
+                        segment.kind == SegmentKind::ToolHistory,
+                    "memory holds only history segments");
+    segments_.push_back(std::move(segment));
 }
 
 std::int64_t
-TrajectoryMemory::tokenCount(SegmentKind kind) const
+Memory::tokenCount(SegmentKind kind) const
 {
     std::int64_t total = 0;
     for (const auto &s : segments_) {
         if (s.kind == kind)
-            total += static_cast<std::int64_t>(s.tokens.size());
+            total += s.count;
     }
     return total;
 }
 
 std::int64_t
-TrajectoryMemory::totalTokens() const
+Memory::totalTokens() const
 {
     std::int64_t total = 0;
     for (const auto &s : segments_)
-        total += static_cast<std::int64_t>(s.tokens.size());
+        total += s.count;
     return total;
 }
 
 void
-TrajectoryMemory::appendTo(PromptBuilder &builder) const
+Memory::appendTo(PromptBuilder &builder) const
 {
     for (const auto &s : segments_)
-        builder.add(s.kind, s.tokens);
-}
-
-void
-EpisodicMemory::addReflection(std::vector<kv::TokenId> tokens)
-{
-    reflections_.push_back(std::move(tokens));
-}
-
-std::int64_t
-EpisodicMemory::totalTokens() const
-{
-    std::int64_t total = 0;
-    for (const auto &r : reflections_)
-        total += static_cast<std::int64_t>(r.size());
-    return total;
-}
-
-void
-EpisodicMemory::appendTo(PromptBuilder &builder) const
-{
-    for (const auto &r : reflections_)
-        builder.add(SegmentKind::LlmHistory, r);
+        builder.add(s);
 }
 
 } // namespace agentsim::agents

@@ -12,13 +12,19 @@
  * A prompt is a kv::TokenChain that only grows at its end: workflows
  * keep a running builder per episode (or per tree node) and extend it
  * with each new segment, so every prompt token is hashed once per
- * episode rather than once per LLM call.
+ * episode rather than once per LLM call. The fixed head shared by
+ * every task of an (agent, benchmark) is hashed once per run: a
+ * per-run PromptHeadCache (agent.hh) keeps it, and each episode copies
+ * it. Synthetic segments (instruction, few-shot, user query, tool
+ * observations) are stream runs, hashed where their tokens are made;
+ * memories hold them, and LLM outputs, by reference (Segment).
  */
 
 #ifndef AGENTSIM_AGENTS_PROMPT_HH
 #define AGENTSIM_AGENTS_PROMPT_HH
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -27,6 +33,27 @@
 
 namespace agentsim::agents
 {
+
+/**
+ * One prompt segment, held by reference rather than by copy: an LLM
+ * output (its tokens shared by every copy of the memory holding it)
+ * or a run of a synthetic token stream (hashed in place when added).
+ * Copying a memory or a search tree therefore copies no tokens.
+ */
+struct Segment
+{
+    SegmentKind kind{};
+    /** The LLM output's tokens; null for a stream run. */
+    std::shared_ptr<const std::vector<kv::TokenId>> tokens;
+    /** Stream run: tokens 0 .. count - 1 of this stream. */
+    std::uint64_t stream = 0;
+    /** Token count (of either form). */
+    std::int64_t count = 0;
+
+    /** An LLM output kept as history of @p kind. */
+    static Segment output(SegmentKind kind,
+                          std::vector<kv::TokenId> tokens);
+};
 
 /** A fully assembled prompt: its chain plus the per-kind breakdown. */
 struct Prompt
@@ -53,6 +80,14 @@ class PromptBuilder
     PromptBuilder &add(SegmentKind kind,
                        std::span<const kv::TokenId> tokens);
 
+    /** Append the first @p count tokens of synthetic stream
+     *  @p stream, hashed where they are made. */
+    PromptBuilder &addStream(SegmentKind kind, std::uint64_t stream,
+                             std::int64_t count);
+
+    /** Append a held segment. */
+    PromptBuilder &add(const Segment &segment);
+
     /** Current total token count. */
     std::int64_t size() const { return prompt_.chain.size(); }
 
@@ -63,29 +98,27 @@ class PromptBuilder
     Prompt build() const { return prompt_; }
 
   private:
+    /** Count @p n tokens of @p kind in the breakdown. */
+    void tally(SegmentKind kind, std::int64_t n);
+
     Prompt prompt_;
 };
 
 /**
- * Short-term memory: the interleaved trajectory of LLM outputs and
- * tool observations accumulated over a request's iterations.
+ * An agent memory (paper Fig 2): history segments in order. Short-term
+ * trajectory memory holds a request's LLM outputs and tool
+ * observations; long-term episodic memory holds the verbal
+ * reflections distilled from failed trials (Reflexion, LATS), each
+ * the reflecting call's own output. Copying one copies no tokens.
  */
-class TrajectoryMemory
+class Memory
 {
   public:
-    struct Segment
-    {
-        SegmentKind kind{};
-        std::vector<kv::TokenId> tokens;
-    };
-
     /** Append an LLM output or tool observation. */
-    void append(SegmentKind kind, std::vector<kv::TokenId> tokens);
+    void append(Segment segment);
 
-    /** Reset for a fresh trial (Reflexion). */
+    /** Reset for a fresh trial. */
     void clear() { segments_.clear(); }
-
-    const std::vector<Segment> &segments() const { return segments_; }
 
     /** Token count of a given kind. */
     std::int64_t tokenCount(SegmentKind kind) const;
@@ -100,24 +133,8 @@ class TrajectoryMemory
     std::vector<Segment> segments_;
 };
 
-/**
- * Long-term episodic memory: verbal reflections distilled from failed
- * trials (Reflexion, LATS). Rendered into prompts as LLM history.
- */
-class EpisodicMemory
-{
-  public:
-    void addReflection(std::vector<kv::TokenId> tokens);
-
-    std::size_t reflectionCount() const { return reflections_.size(); }
-    std::int64_t totalTokens() const;
-
-    /** Extend a running prompt with every reflection, in order. */
-    void appendTo(PromptBuilder &builder) const;
-
-  private:
-    std::vector<std::vector<kv::TokenId>> reflections_;
-};
+using TrajectoryMemory = Memory;
+using EpisodicMemory = Memory;
 
 } // namespace agentsim::agents
 

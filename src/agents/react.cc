@@ -61,10 +61,9 @@ runToolLoopTrial(AgentContext &ctx, Trace &trace, sim::Rng &rng,
     // The running prompt: every step re-sends it and appends to it,
     // so only the new segments are hashed.
     PromptBuilder prompt = trialPrompt(prefix, episodic, memory);
-    auto remember = [&](SegmentKind kind,
-                        std::vector<kv::TokenId> tokens) {
-        prompt.add(kind, tokens);
-        memory.append(kind, std::move(tokens));
+    auto remember = [&](Segment segment) {
+        prompt.add(segment);
+        memory.append(std::move(segment));
     };
 
     for (int iter = outcome.iterations;
@@ -93,7 +92,8 @@ runToolLoopTrial(AgentContext &ctx, Trace &trace, sim::Rng &rng,
         serving::GenResult gen = co_await callLlm(
             ctx, trace, rng, prompt.build(), prof.stepOutputMean,
             "react.step", park);
-        remember(SegmentKind::LlmHistory, gen.tokens);
+        remember(Segment::output(SegmentKind::LlmHistory,
+                                 std::move(gen.tokens)));
         ++outcome.iterations;
 
         if (outcome.hopsFound >= required) {
@@ -116,10 +116,9 @@ runToolLoopTrial(AgentContext &ctx, Trace &trace, sim::Rng &rng,
             tools::Tool &tool = ctx.tools->pick(rng);
             obs = co_await callTool(ctx, trace, rng, tool);
         }
-        remember(SegmentKind::ToolHistory,
-                 ctx.toolObservationTokens(
-                     obs.observationTokens,
-                     call_base + static_cast<std::uint64_t>(iter)));
+        remember(ctx.toolObservation(
+            obs.observationTokens,
+            call_base + static_cast<std::uint64_t>(iter)));
 
         const bool found =
             attemptHop(rng, capability, ctx.task.solveThreshold);

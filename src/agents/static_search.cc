@@ -179,7 +179,6 @@ BestOfNAgent::run(AgentContext ctx)
     struct Sampled
     {
         bool correct = false;
-        std::vector<kv::TokenId> tokens;
     };
     std::vector<sim::Task<serving::GenResult>> gens;
     std::vector<sim::Rng> rngs;
@@ -197,7 +196,6 @@ BestOfNAgent::run(AgentContext ctx)
     std::vector<Sampled> sampled;
     for (int s = 0; s < samples; ++s) {
         Sampled entry;
-        entry.tokens = outputs[static_cast<std::size_t>(s)].tokens;
         const double capability = contextCapability(
             rngs[static_cast<std::size_t>(s)], base,
             Calibration::exploreSigmaSample);
@@ -212,7 +210,7 @@ BestOfNAgent::run(AgentContext ctx)
     for (int s = 0; s < samples; ++s) {
         verifications.push_back(scoreState(
             ctx, trace, verifier_prefix,
-            sampled[static_cast<std::size_t>(s)].tokens,
+            outputs[static_cast<std::size_t>(s)].tokens,
             rngs[static_cast<std::size_t>(s)], "bon.verify"));
     }
     co_await sim::allOf(std::move(verifications));

@@ -7,26 +7,6 @@
 namespace agentsim::agents
 {
 
-std::string_view
-segmentKindName(SegmentKind k)
-{
-    switch (k) {
-      case SegmentKind::Instruction:
-        return "Instruction";
-      case SegmentKind::FewShot:
-        return "Few-shot";
-      case SegmentKind::User:
-        return "User";
-      case SegmentKind::LlmHistory:
-        return "LLM history";
-      case SegmentKind::ToolHistory:
-        return "Tool history";
-      case SegmentKind::Output:
-        return "Output";
-    }
-    AGENTSIM_PANIC("unknown segment kind");
-}
-
 CallTokens &
 CallTokens::operator+=(const CallTokens &other)
 {

@@ -29,8 +29,6 @@ enum class SegmentKind
     Output,
 };
 
-std::string_view segmentKindName(SegmentKind k);
-
 /** Token counts of one LLM call, by segment kind. */
 struct CallTokens
 {

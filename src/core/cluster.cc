@@ -114,6 +114,9 @@ struct ClusterState
     bool scaleInInFlight = false;
     /** Keeps in-flight scale-out/scale-in coroutine frames alive. */
     std::vector<sim::Task<void>> scaleOps;
+
+    /** The run's prompt heads, shared by its episodes. */
+    agents::PromptHeadCache heads;
 };
 
 /** Stable identity of a workload component (for affinity hashing). */
@@ -458,6 +461,7 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
             agents::modelQuality(config.engineConfig.model.name);
         ctx.kind = kind;
         ctx.seed = config.seed;
+        ctx.heads = &state.heads;
         ctx.traceSink = config.traceSink;
         ctx.traceTid = index;
         if (config.spans != nullptr) {
@@ -643,16 +647,13 @@ clusterChatWorker(const ClusterConfig &config, sim::Simulation &sim,
     const workload::ShareGptSampler sampler(config.seed);
     const workload::ChatRequest chat = sampler.sample(index);
     constexpr std::int64_t system_tokens = 40;
-    kv::TokenChain prompt(
-        config.engineConfig.blockSize,
-        workload::makeTokens(
-            workload::streamId(config.seed, "chat.system"),
-            system_tokens));
-    prompt.append(workload::makeTokens(
-        workload::substream(workload::streamId(config.seed,
-                                               "chat.convo"),
-                            index),
-        std::max<std::int64_t>(1, chat.promptTokens - system_tokens)));
+    kv::TokenChain prompt(config.engineConfig.blockSize);
+    prompt.appendStream(workload::streamId(config.seed, "chat.system"), 0,
+                        system_tokens);
+    prompt.appendStream(
+        workload::substream(
+            workload::streamId(config.seed, "chat.convo"), index),
+        0, std::max<std::int64_t>(1, chat.promptTokens - system_tokens));
 
     sim::Rng backoff(config.seed, "cluster.retry", index);
     const sim::Tick submit = sim.now();

@@ -33,6 +33,8 @@ struct ServeState
     /** Closed loop: the open request's window record, which its
      *  worker fills with its blame and agent result. */
     RequestProbe *window = nullptr;
+    /** The run's prompt heads, shared by its episodes. */
+    agents::PromptHeadCache heads;
 };
 
 /** Open a request's span tree (an invalid ref when spans are off). */
@@ -84,6 +86,7 @@ agentWorker(const ServeConfig &config, sim::Simulation &sim,
     ctx.config = agent_cfg;
     ctx.kind = config.agent;
     ctx.seed = config.seed;
+    ctx.heads = &state.heads;
     if (config.telemetry != nullptr) {
         ctx.traceSink = &config.telemetry->trace;
         ctx.traceTid = index + 1;
@@ -122,16 +125,13 @@ chatWorker(const ServeConfig &config, sim::Simulation &sim,
     // caching only buys ~1.03x there).
     constexpr std::int64_t system_tokens = 40;
     serving::GenRequest req;
-    req.prompt = kv::TokenChain(
-        engine.config().blockSize,
-        workload::makeTokens(
-            workload::streamId(config.seed, "chat.system"),
-            system_tokens));
-    req.prompt.append(workload::makeTokens(
-        workload::substream(workload::streamId(config.seed,
-                                               "chat.convo"),
-                            index),
-        std::max<std::int64_t>(1, chat.promptTokens - system_tokens)));
+    req.prompt = kv::TokenChain(engine.config().blockSize);
+    req.prompt.appendStream(workload::streamId(config.seed, "chat.system"),
+                            0, system_tokens);
+    req.prompt.appendStream(
+        workload::substream(
+            workload::streamId(config.seed, "chat.convo"), index),
+        0, std::max<std::int64_t>(1, chat.promptTokens - system_tokens));
     req.maxNewTokens = chat.outputTokens;
     req.sessionId = sim::hashCombine(config.seed, index);
 
@@ -158,11 +158,9 @@ sessionWorker(const ServeConfig &config, sim::Simulation &sim,
     // The conversation context: system preamble, then alternating
     // user messages and assistant replies.
     constexpr std::int64_t system_tokens = 40;
-    kv::TokenChain history(
-        engine.config().blockSize,
-        workload::makeTokens(
-            workload::streamId(config.seed, "chat.system"),
-            system_tokens));
+    kv::TokenChain history(engine.config().blockSize);
+    history.appendStream(workload::streamId(config.seed, "chat.system"),
+                         0, system_tokens);
 
     const sim::Tick session_start = sim.now();
     const telemetry::SpanRef root =
@@ -173,13 +171,13 @@ sessionWorker(const ServeConfig &config, sim::Simulation &sim,
                                    sessions.thinkTimeSeconds(rng));
         }
         const workload::ChatTurn turn = sessions.turn(index, t);
-        history.append(workload::makeTokens(
+        history.appendStream(
             workload::substream(
                 workload::substream(workload::streamId(
                                         config.seed, "chat.user"),
                                     index),
                 static_cast<std::uint64_t>(t)),
-            turn.userTokens));
+            0, turn.userTokens);
 
         serving::GenRequest req;
         req.prompt = history;

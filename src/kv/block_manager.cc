@@ -97,27 +97,13 @@ BlockManager::claimSeqSlot(SeqId seq_id)
     } else {
         slot = static_cast<std::size_t>(freeSeqSlots_.back());
         freeSeqSlots_.pop_back();
-        if (!seqs_[slot].blocks.empty()) [[unlikely]]
-            corrupt("free list holds live sequence slot",
-                    static_cast<std::int64_t>(slot));
+        AGENTSIM_ASSERT(seqs_[slot].blocks.empty(),
+                        "free list holds live sequence slot %zu", slot);
     }
     seqIndex_.insert(sim::hashMix(seq_id), static_cast<std::int32_t>(slot));
     seqs_[slot].id = seq_id;
     ++liveSeqs_;
     return slot;
-}
-
-void
-BlockManager::corrupt(const char *what, std::int64_t id)
-{
-    AGENTSIM_PANIC("%s %lld", what, static_cast<long long>(id));
-}
-
-void
-BlockManager::staleSeq(SeqHandle seq, const char *op)
-{
-    AGENTSIM_PANIC("%s of unknown or stale sequence %llu (slot %d)", op,
-                   static_cast<unsigned long long>(seq.id), seq.slot);
 }
 
 SeqHandle
@@ -255,9 +241,7 @@ bool
 BlockManager::appendToken(SeqHandle seq_handle, TokenId token)
 {
     Seq &seq = seqs_[liveSlot(seq_handle, "appendToken")];
-    const int bs = config_.blockSize;
-
-    if (seq.chain.size() % bs == 0) {
+    if (seq.chain.tailSize() == 0) {
         // Crossing into a new block.
         if (availableBlocks() == 0)
             return false;
@@ -265,7 +249,7 @@ BlockManager::appendToken(SeqHandle seq_handle, TokenId token)
     }
 
     seq.chain.push_back(token);
-    if (seq.chain.size() % bs == 0 && config_.enablePrefixCaching)
+    if (seq.chain.tailSize() == 0 && config_.enablePrefixCaching)
         publishBlock(seq.blocks.back(), seq.chain.blockHashes().back());
     return true;
 }
@@ -288,9 +272,9 @@ BlockManager::release(SeqHandle seq_handle)
         unrefBlock(id);
     seq.blocks.clear();
     const std::int32_t indexed = seqIndex_.take(sim::hashMix(seq_handle.id));
-    if (indexed != seq_handle.slot) [[unlikely]]
-        corrupt("sequence index misplaces sequence",
-                static_cast<std::int64_t>(seq_handle.id));
+    AGENTSIM_ASSERT(indexed == seq_handle.slot,
+                    "sequence index misplaces sequence %llu",
+                    static_cast<unsigned long long>(seq_handle.id));
     freeSeqSlots_.push_back(seq_handle.slot);
     --liveSeqs_;
 }
@@ -378,8 +362,8 @@ BlockManager::parkChain(const TokenChain &chain)
         Block &b = blocks_[static_cast<std::size_t>(id)];
         if (b.refCount > 0)
             continue; // pinned by a live sequence: not idle
-        if (b.hash != *it) [[unlikely]]
-            corrupt("cache table maps another hash to block", id);
+        AGENTSIM_ASSERT(b.hash == *it,
+                        "cache table maps another hash to block %d", id);
         evictableErase(id);
         cacheTable_.erase(*it);
         --tableBlocks_;
@@ -448,8 +432,8 @@ BlockManager::acquireFreshBlock()
     const BlockId id = evictableTop();
     evictableErase(id);
     Block &b = blocks_[static_cast<std::size_t>(id)];
-    if (cacheTable_.take(b.hash) != id) [[unlikely]]
-        corrupt("cache table lost victim block", id);
+    const BlockId indexed = cacheTable_.take(b.hash);
+    AGENTSIM_ASSERT(indexed == id, "cache table lost victim block %d", id);
     --tableBlocks_;
     // The contents demote into the spill hierarchy instead of
     // vanishing (subject to probabilistic admission).
@@ -522,20 +506,19 @@ void
 BlockManager::evictablePush(BlockId id)
 {
     Block &b = block(id);
-    if (b.refCount != 0 || !b.inTable || b.lruKey == 0) [[unlikely]]
-        corrupt("park of referenced or unpublished block", id);
+    AGENTSIM_ASSERT(b.refCount == 0 && b.inTable && b.lruKey != 0,
+                    "park of referenced or unpublished block %d", id);
     if (!lruList()) {
         fifoHeap_.push(id, b.lruKey);
         return;
     }
-    if (b.lruPrev != kNil || b.lruNext != kNil || lruHead_ == id) [[unlikely]]
-        corrupt("LRU list already holds block", id);
+    AGENTSIM_ASSERT(b.lruPrev == kNil && b.lruNext == kNil && lruHead_ != id,
+                    "LRU list already holds block %d", id);
     const bool tail_ok = lruTail_ == kNil
                              ? lruHead_ == kNil
                              : block(lruTail_).lruNext == kNil &&
                                    block(lruTail_).lruKey < b.lruKey;
-    if (!tail_ok) [[unlikely]]
-        corrupt("LRU park out of key order: block", id);
+    AGENTSIM_ASSERT(tail_ok, "LRU park out of key order: block %d", id);
     b.lruPrev = lruTail_;
     (lruTail_ == kNil ? lruHead_ : block(lruTail_).lruNext) = id;
     lruTail_ = id;
@@ -546,11 +529,11 @@ void
 BlockManager::evictableErase(BlockId id)
 {
     Block &b = block(id);
-    if (b.refCount != 0 || !b.inTable) [[unlikely]]
-        corrupt("referenced or unpublished parked block", id);
+    AGENTSIM_ASSERT(b.refCount == 0 && b.inTable,
+                    "referenced or unpublished parked block %d", id);
     if (!lruList()) {
-        if (fifoHeap_.key(id) != b.lruKey) [[unlikely]]
-            corrupt("FIFO heap holds a stale key for block", id);
+        AGENTSIM_ASSERT(fifoHeap_.key(id) == b.lruKey,
+                        "FIFO heap holds a stale key for block %d", id);
         fifoHeap_.erase(id);
     } else {
         // Both neighbours point back at the block, in key order.
@@ -562,8 +545,8 @@ BlockManager::evictableErase(BlockId id)
                                  ? lruTail_ == id
                                  : block(b.lruNext).lruPrev == id &&
                                        b.lruKey < block(b.lruNext).lruKey;
-        if (!prev_ok || !next_ok) [[unlikely]]
-            corrupt("LRU list corrupt at block", id);
+        AGENTSIM_ASSERT(prev_ok && next_ok, "LRU list corrupt at block %d",
+                        id);
         (b.lruPrev == kNil ? lruHead_ : block(b.lruPrev).lruNext) = b.lruNext;
         (b.lruNext == kNil ? lruTail_ : block(b.lruNext).lruPrev) = b.lruPrev;
         b.lruPrev = b.lruNext = kNil;
@@ -662,8 +645,8 @@ BlockManager::spillToTier(std::size_t index, std::uint64_t hash)
     }
     tier.entries.insert(hash, lruCounter_++);
     const auto size = static_cast<std::int64_t>(tier.entries.size());
-    if (size > tier.capacity) [[unlikely]]
-        corrupt("spill overfilled tier", static_cast<std::int64_t>(index));
+    AGENTSIM_ASSERT(size <= tier.capacity, "spill overfilled tier %zu",
+                    static_cast<std::size_t>(index));
     ++tierStats(index).demotedBlocks;
 }
 

@@ -616,21 +616,11 @@ class BlockManager
     /** The slot of live sequence @p seq; panics, naming @p op, if stale. */
     std::size_t liveSlot(SeqHandle seq, const char *op) const
     {
-        if (!hasSeq(seq)) [[unlikely]]
-            staleSeq(seq, op);
+        AGENTSIM_ASSERT(hasSeq(seq),
+                        "%s of unknown or stale sequence %llu (slot %d)", op,
+                        static_cast<unsigned long long>(seq.id), seq.slot);
         return static_cast<std::size_t>(seq.slot);
     }
-
-    /** The panic of liveSlot(), out of line so the check inlines. */
-    [[noreturn, gnu::cold, gnu::noinline]] static void
-    staleSeq(SeqHandle seq, const char *op);
-
-    /**
-     * The panic of a failed mutation-site check, naming the structure
-     * and @p id; out of line like staleSeq() so the check stays small.
-     */
-    [[noreturn, gnu::cold, gnu::noinline]] static void
-    corrupt(const char *what, std::int64_t id);
 
     /** Index @p seq_id under a free or new slab slot, returned. */
     std::size_t claimSeqSlot(SeqId seq_id);

@@ -75,6 +75,18 @@ logEnabled(LogLevel level)
 }
 
 void
+assertFailed(const char *file, int line, const char *cond,
+             const char *fmt, ...)
+{
+    std::va_list args;
+    va_start(args, fmt);
+    const std::string detail = vstrfmt(fmt, args);
+    va_end(args);
+    panicImpl(file, line,
+              std::string("assertion failed: ") + cond + " " + detail);
+}
+
+void
 panicImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "panic: %s (%s:%d)\n", msg.c_str(), file, line);

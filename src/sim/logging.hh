@@ -60,6 +60,15 @@ std::optional<LogLevel> parseLogLevel(std::string_view name);
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
+/**
+ * Abort on a failed AGENTSIM_ASSERT with "assertion failed: <cond>
+ * <detail>", the detail formatted from @p fmt. Cold and out of line,
+ * so an assertion costs its call site only the test and a call.
+ */
+[[noreturn, gnu::cold, gnu::noinline, gnu::format(printf, 4, 5)]] void
+assertFailed(const char *file, int line, const char *cond,
+             const char *fmt, ...);
+
 /** Exit(1) with a message: unusable user configuration. */
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
@@ -114,9 +123,8 @@ void debugImpl(const std::string &msg);
 #define AGENTSIM_ASSERT(cond, ...) \
     do { \
         if (!(cond)) { \
-            ::agentsim::sim::panicImpl(__FILE__, __LINE__, \
-                "assertion failed: " #cond " " \
-                + ::agentsim::sim::strfmt(__VA_ARGS__)); \
+            ::agentsim::sim::assertFailed(__FILE__, __LINE__, #cond, \
+                                          __VA_ARGS__); \
         } \
     } while (0)
 

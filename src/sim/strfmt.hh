@@ -14,6 +14,27 @@
 namespace agentsim::sim
 {
 
+/** strfmt() over an argument list, which it consumes. */
+inline std::string
+vstrfmt(const char *fmt, std::va_list args)
+{
+    if (fmt == nullptr || fmt[0] == '\0')
+        return {};
+
+    std::va_list args_copy;
+    va_copy(args_copy, args);
+    const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+
+    std::string out;
+    if (needed > 0) {
+        out.resize(static_cast<size_t>(needed) + 1);
+        std::vsnprintf(out.data(), out.size(), fmt, args_copy);
+        out.resize(static_cast<size_t>(needed));
+    }
+    va_end(args_copy);
+    return out;
+}
+
 /**
  * Format a printf-style message into a std::string.
  *
@@ -26,23 +47,10 @@ __attribute__((format(printf, 1, 2)))
 inline std::string
 strfmt(const char *fmt = "", ...)
 {
-    if (fmt == nullptr || fmt[0] == '\0')
-        return {};
-
     std::va_list args;
     va_start(args, fmt);
-    std::va_list args_copy;
-    va_copy(args_copy, args);
-    const int needed = std::vsnprintf(nullptr, 0, fmt, args);
+    std::string out = vstrfmt(fmt, args);
     va_end(args);
-
-    std::string out;
-    if (needed > 0) {
-        out.resize(static_cast<size_t>(needed) + 1);
-        std::vsnprintf(out.data(), out.size(), fmt, args_copy);
-        out.resize(static_cast<size_t>(needed));
-    }
-    va_end(args_copy);
     return out;
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Deterministic synthetic token streams.
  *
- * Prompts are vectors of 64-bit token ids derived from named streams.
+ * Prompts are runs of 64-bit token ids derived from named streams.
  * Two prompt segments with the same (seed, labels...) produce identical
  * token ids, so logically shared prefixes (the instruction block of an
  * agent, a task's accumulated history) are *literally* shared and the
@@ -16,7 +16,8 @@
 #include <string_view>
 #include <vector>
 
-#include "kv/block_manager.hh"
+#include "kv/token_chain.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 
 namespace agentsim::workload
@@ -36,18 +37,20 @@ substream(std::uint64_t stream, std::uint64_t index)
     return sim::hashCombine(stream, index);
 }
 
-/** The @p index-th token of a stream. */
-inline kv::TokenId
-tokenAt(std::uint64_t stream, std::uint64_t index)
-{
-    return sim::hashMix(stream ^
-                        (index * 0x9e3779b97f4a7c15ULL + 0x2545f491ULL));
-}
+using kv::tokenAt;
 
-/** Materialize @p count tokens of a stream starting at @p offset. */
-std::vector<kv::TokenId> makeTokens(std::uint64_t stream,
-                                    std::int64_t count,
-                                    std::int64_t offset = 0);
+/** Materialize @p count tokens of a stream starting at @p offset
+ *  (prompt paths hash stream runs in place: TokenChain::appendStream). */
+inline std::vector<kv::TokenId>
+makeTokens(std::uint64_t stream, std::int64_t count,
+           std::int64_t offset = 0)
+{
+    AGENTSIM_ASSERT(count >= 0, "negative token count");
+    std::vector<kv::TokenId> out(static_cast<std::size_t>(count));
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = tokenAt(stream, static_cast<std::uint64_t>(offset) + i);
+    return out;
+}
 
 } // namespace agentsim::workload
 

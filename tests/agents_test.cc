@@ -380,4 +380,68 @@ TEST(Workflows, HotpotToolTimeDominatesWebshopDoesNot)
     EXPECT_LT(shop_tool_share, 0.10);
 }
 
+/** @p got equals @p want: the same chain and the same breakdown. */
+void
+expectSamePrompt(const agents::PromptBuilder &got,
+                 const agents::PromptBuilder &want)
+{
+    EXPECT_EQ(got.chain(), want.chain());
+    const agents::CallTokens a = got.build().breakdown;
+    const agents::CallTokens b = want.build().breakdown;
+    EXPECT_EQ(a.instruction, b.instruction);
+    EXPECT_EQ(a.fewShot, b.fewShot);
+    EXPECT_EQ(a.user, b.user);
+    EXPECT_EQ(a.llmHistory, b.llmHistory);
+    EXPECT_EQ(a.toolHistory, b.toolHistory);
+}
+
+TEST(PromptHeads, CachedHeadEqualsFreshBuild)
+{
+    // Every key field of the per-run head cache varies here; a head
+    // served from the cache (built by an earlier episode or not)
+    // must equal one built afresh without a cache.
+    sim::Simulation sim;
+    serving::EngineConfig cfg;
+    cfg.model = llm::llama31_8b();
+    cfg.node = llm::singleA100();
+    serving::LlmEngine bs16(sim, cfg);
+    cfg.blockSize = 17;
+    serving::LlmEngine bs17(sim, cfg);
+
+    agents::PromptHeadCache heads;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (serving::LlmEngine *engine : {&bs16, &bs17}) {
+            for (const AgentKind kind :
+                 {AgentKind::ReAct, AgentKind::Reflexion}) {
+                for (const std::uint64_t seed : {1u, 2u}) {
+                    for (const int few_shot : {-1, 0, 3}) {
+                        for (const std::uint64_t task : {0u, 5u}) {
+                            AgentContext ctx;
+                            ctx.sim = &sim;
+                            ctx.engine = engine;
+                            ctx.kind = kind;
+                            ctx.seed = seed;
+                            ctx.config.fewShotExamples = few_shot;
+                            ctx.task = workload::TaskGenerator(
+                                           Benchmark::HotpotQA, seed)
+                                           .sample(task);
+                            const auto fresh = ctx.promptPrefix();
+                            const auto fresh_eval = ctx.evaluatorPrefix();
+                            ctx.heads = &heads;
+                            expectSamePrompt(ctx.promptPrefix(), fresh);
+                            expectSamePrompt(ctx.evaluatorPrefix(),
+                                             fresh_eval);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // One head per (agent, benchmark, few-shot count, block size,
+    // seed): tasks share it, and a second pass builds none. The
+    // counts are HotpotQA's default, 0 (also the evaluator's) and 3.
+    ASSERT_NE(workload::profile(Benchmark::HotpotQA).defaultFewShot, 3);
+    EXPECT_EQ(heads.size(), 2u * 2u * 2u * 3u);
+}
+
 } // namespace

@@ -10,6 +10,7 @@
 #include "core/serving_system.hh"
 #include "core/table.hh"
 #include "energy/projection.hh"
+#include "sim/strfmt.hh"
 
 namespace
 {
@@ -75,6 +76,37 @@ TEST(Probe, DeterministicAcrossRuns)
                          b.requests[i].energyWh);
     }
     EXPECT_DOUBLE_EQ(a.accuracy(), b.accuracy());
+}
+
+/** Every per-request number of a run, and its KV counters. */
+std::string
+runDigest(const core::ServeResult &r)
+{
+    std::string d = sim::strfmt(
+        "done=%d solved=%d lookup=%lld hit=%lld e=%.17g", r.completed,
+        r.solved, static_cast<long long>(r.cacheStats.lookupTokens),
+        static_cast<long long>(r.cacheStats.hitTokens), r.energyWh);
+    for (const auto &req : r.requests) {
+        d += sim::strfmt(" [%.17g %.17g %.17g]", req.result.e2eSeconds,
+                         req.energyWh, req.flops);
+    }
+    return d;
+}
+
+TEST(PromptHeads, CacheNeverCrossesRuns)
+{
+    // Each run owns its prompt-head cache: a run under another seed
+    // in between leaves the repeat of the first run unchanged.
+    auto cfg = [](std::uint64_t seed) {
+        ServeConfig c = probeCfg(AgentKind::Reflexion, Benchmark::HotpotQA,
+                                 4);
+        c.seed = seed;
+        return c;
+    };
+    const std::string first = runDigest(core::runServing(cfg(1)));
+    const std::string other = runDigest(core::runServing(cfg(2)));
+    EXPECT_NE(first, other);
+    EXPECT_EQ(runDigest(core::runServing(cfg(1))), first);
 }
 
 TEST(Probe, UnsupportedPairIsFatal)

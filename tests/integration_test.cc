@@ -359,11 +359,14 @@ TEST(PromptBuilder, BreakdownMatchesContent)
 
 TEST(TrajectoryMemory, CountsAndClear)
 {
+    using agents::Segment;
     using agents::SegmentKind;
     agents::TrajectoryMemory mem;
-    mem.append(SegmentKind::LlmHistory, workload::makeTokens(1, 4));
-    mem.append(SegmentKind::ToolHistory, workload::makeTokens(2, 6));
-    mem.append(SegmentKind::LlmHistory, workload::makeTokens(3, 2));
+    mem.append(Segment::output(SegmentKind::LlmHistory,
+                               workload::makeTokens(1, 4)));
+    mem.append(Segment{SegmentKind::ToolHistory, nullptr, 2, 6});
+    mem.append(Segment::output(SegmentKind::LlmHistory,
+                               workload::makeTokens(3, 2)));
     EXPECT_EQ(mem.tokenCount(SegmentKind::LlmHistory), 6);
     EXPECT_EQ(mem.tokenCount(SegmentKind::ToolHistory), 6);
     EXPECT_EQ(mem.totalTokens(), 12);

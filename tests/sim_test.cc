@@ -17,6 +17,7 @@
 #include "sim/awaitable.hh"
 #include "sim/event_queue.hh"
 #include "sim/frame_pool.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
@@ -218,6 +219,18 @@ TEST(SimulationDeathTest, SchedulingInThePastPanics)
             s.run();
         },
         "before now");
+}
+
+TEST(AssertDeathTest, FailureNamesFileLineConditionAndDetail)
+{
+    // The failure path is out of line; its message must still carry
+    // the condition's text, the formatted detail and the call site.
+    const int have = 3;
+    EXPECT_DEATH(AGENTSIM_ASSERT(have + 1 == 5, "have %d, want %s", have,
+                                 "four"),
+                 "panic: assertion failed: have \\+ 1 == 5 have 3, "
+                 "want four \\(.*sim_test\\.cc:[0-9]+\\)");
+    AGENTSIM_ASSERT(have == 3, "a holding assertion is silent");
 }
 
 TEST(SimulationDeathTest, RunUntilIntoThePastPanics)
