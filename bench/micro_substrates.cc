@@ -3,8 +3,8 @@
  * google-benchmark micro benchmarks for the hot substrate paths: the
  * event queue, coroutine scheduling, the KV block manager (allocation,
  * prefix lookups, eviction/demotion churn, restore+hit allocations,
- * decode appends and prompt-chain hashing), the roofline perf model,
- * and RNG streams.
+ * decode appends and prompt-chain hashing), one serving-engine step,
+ * the roofline perf model, and RNG streams.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,7 +14,10 @@
 
 #include "core/serving_system.hh"
 #include "kv/block_manager.hh"
+#include "llm/hardware.hh"
+#include "llm/model_spec.hh"
 #include "llm/perf_model.hh"
+#include "serving/engine.hh"
 #include "sim/awaitable.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -306,6 +309,81 @@ BM_KvChainAppendStream(benchmark::State &state)
 }
 BENCHMARK(BM_KvChainAppendStream)
     ->ArgName("tokens")->Arg(40)->Arg(1024)->Arg(16384);
+
+/** A request that keeps decoding until the bench cancels it. */
+sim::Task<serving::GenResult>
+decodeUntilCancelled(serving::LlmEngine &engine, kv::TokenChain prompt,
+                     std::uint64_t *id)
+{
+    serving::GenRequest req;
+    req.prompt = std::move(prompt);
+    req.maxNewTokens = 4096;
+    co_return co_await engine.generate(std::move(req), id);
+}
+
+void
+BM_EngineDecodeStep(benchmark::State &state)
+{
+    // One continuous-batching step per iteration with range(0)
+    // requests decoding: plan, price, commit. Every 256 steps the
+    // batch is cancelled while a step is in flight and resubmitted in
+    // the same tick, untimed, so the new requests take the freed slab
+    // slots while the in-flight plan still names the old ones.
+    constexpr int kSteps = 256;
+    const auto batch = static_cast<std::size_t>(state.range(0));
+    sim::Simulation sim;
+    serving::EngineConfig cfg;
+    cfg.model = llm::llama31_8b();
+    cfg.node = llm::singleA100();
+    serving::LlmEngine engine(sim, cfg);
+    std::vector<std::uint64_t> ids(batch, 0);
+    std::vector<sim::Task<serving::GenResult>> calls;
+    auto run_step = [&] {
+        const std::int64_t before = engine.stats().steps;
+        while (engine.stats().steps == before && sim.step()) {
+        }
+    };
+    std::uint64_t salt = 0;
+    auto resubmit = [&] {
+        for (const std::uint64_t id : ids)
+            engine.cancel(id);
+        calls.clear();
+        for (std::size_t i = 0; i < batch; ++i) {
+            calls.push_back(decodeUntilCancelled(
+                engine,
+                kv::TokenChain(cfg.blockSize,
+                               workload::makeTokens(
+                                   workload::streamId(salt++, "step"), 64)),
+                &ids[i]));
+        }
+        // Step until the whole batch decodes.
+        for (std::int64_t decoded = 0;
+             decoded != static_cast<std::int64_t>(batch);) {
+            const std::int64_t before = engine.stats().decodeTokens;
+            run_step();
+            decoded = engine.stats().decodeTokens - before;
+        }
+    };
+    resubmit();
+    int step = 0;
+    for (auto _ : state) {
+        if (step == kSteps) {
+            state.PauseTiming();
+            resubmit();
+            step = 0;
+            state.ResumeTiming();
+        }
+        run_step();
+        benchmark::DoNotOptimize(engine.stats().decodeTokens);
+        ++step;
+    }
+    for (const std::uint64_t id : ids)
+        engine.cancel(id);
+    sim.run(); // drained: the engine loop parks and can be destroyed
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_EngineDecodeStep)->ArgName("decoders")->Arg(8)->Arg(64);
 
 void
 BM_PerfModelStep(benchmark::State &state)

@@ -91,13 +91,15 @@ fi
 
 # The KV micro-benchmarks drive allocation, prefix hits, LRU and FIFO
 # eviction churn, restore+hit allocations against full spill tiers,
-# per-token decode appends and prompt-chain hashing; a short sanitized
-# run of each catches memory errors and undefined behaviour on the
-# block pool's hot paths.
+# per-token decode appends and prompt-chain hashing; the engine one
+# cancels requests mid-step and reuses their request-slab slots in the
+# same tick. A short sanitized run of each catches memory errors and
+# undefined behaviour on the block pool's and the engine's hot paths.
 for preset in asan ubsan; do
     if [[ " ${presets[*]} " == *" ${preset} "* ]]; then
-        echo "==> KV micro-benchmark smoke (micro_substrates BM_Kv, ${preset})"
-        "build-${preset}/bench/micro_substrates" --benchmark_filter=BM_Kv \
+        echo "==> KV and engine micro-benchmark smoke (micro_substrates BM_Kv|BM_Engine, ${preset})"
+        "build-${preset}/bench/micro_substrates" \
+            --benchmark_filter='BM_Kv|BM_Engine' \
             --benchmark_min_time=0.01 > /dev/null
     fi
 done

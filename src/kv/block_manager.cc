@@ -62,18 +62,6 @@ BlockManager::requireBlockSize(const TokenChain &chain) const
 }
 
 std::int64_t
-BlockManager::blocksNeeded(std::int64_t token_count) const
-{
-    return (token_count + config_.blockSize - 1) / config_.blockSize;
-}
-
-std::int64_t
-BlockManager::availableBlocks() const
-{
-    return freeBlocks() + evictableBlocks();
-}
-
-std::int64_t
 BlockManager::usedBlocks() const
 {
     return config_.numBlocks - availableBlocks();
@@ -699,6 +687,12 @@ BlockManager::checkInvariants(SeqHandle seq) const
     // off the evictable set, every published block the table's entry
     // for its hash.
     const std::size_t slot = liveSlot(seq, "checkInvariants");
+    AGENTSIM_ASSERT(static_cast<std::int64_t>(seqs_[slot].blocks.size()) ==
+                        blocksNeeded(seqs_[slot].chain.size()),
+                    "sequence %llu holds %zu blocks for %lld tokens",
+                    static_cast<unsigned long long>(seq.id),
+                    seqs_[slot].blocks.size(),
+                    static_cast<long long>(seqs_[slot].chain.size()));
     AGENTSIM_ASSERT(seqIndex_.find(sim::hashMix(seq.id)) == seq.slot,
                     "sequence index maps %llu to slot %d, not its slot %d",
                     static_cast<unsigned long long>(seq.id),
@@ -804,13 +798,19 @@ BlockManager::checkInvariants() const
                     "sequence slab: %zu live + %zu free of %zu slots",
                     live_slots, freeSeqSlots_.size(), seqs_.size());
     // Each indexed id names a live slot that it owns, so handle()
-    // and a handle taken at allocation agree.
+    // and a handle taken at allocation agree; its block table covers
+    // its tokens exactly, so liveSeqBlocks() is their block count.
     seqIndex_.forEach([this](std::uint64_t key, std::int32_t slot) {
         const auto i = static_cast<std::size_t>(slot);
         AGENTSIM_ASSERT(i < seqs_.size() && !seqs_[i].blocks.empty() &&
                             sim::hashMix(seqs_[i].id) == key,
                         "sequence index maps to slot %d it does not own",
                         slot);
+        AGENTSIM_ASSERT(static_cast<std::int64_t>(seqs_[i].blocks.size()) ==
+                            blocksNeeded(seqs_[i].chain.size()),
+                        "slot %d holds %zu blocks for %lld tokens", slot,
+                        seqs_[i].blocks.size(),
+                        static_cast<long long>(seqs_[i].chain.size()));
     });
     AGENTSIM_ASSERT(static_cast<std::int64_t>(cacheTable_.size()) ==
                         in_table,

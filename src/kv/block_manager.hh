@@ -376,13 +376,32 @@ class BlockManager
     }
 
     /**
+     * Blocks in @p seq's table — blocksNeeded(seqTokens(seq)), read
+     * without dividing — or 0 once it is released or outdated: one
+     * liveness check, for callers settling what a request holds.
+     */
+    std::int64_t liveSeqBlocks(SeqHandle seq) const
+    {
+        return hasSeq(seq)
+                   ? static_cast<std::int64_t>(
+                         seqs_[static_cast<std::size_t>(seq.slot)].blocks.size())
+                   : 0;
+    }
+
+    /**
      * Blocks a prompt of @p token_count would need *ignoring* cache
      * hits — the admission-control upper bound.
      */
-    std::int64_t blocksNeeded(std::int64_t token_count) const;
+    std::int64_t blocksNeeded(std::int64_t token_count) const
+    {
+        return (token_count + config_.blockSize - 1) / config_.blockSize;
+    }
 
     /** Blocks immediately available: free plus evictable. */
-    std::int64_t availableBlocks() const;
+    std::int64_t availableBlocks() const
+    {
+        return freeBlocks() + evictableBlocks();
+    }
 
     /** Blocks on the free list (never-used or fully recycled). */
     std::int64_t freeBlocks() const

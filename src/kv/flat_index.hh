@@ -3,8 +3,10 @@
  * Allocation-free containers behind the KV block pool, each sized once
  * at construction: FlatIndex (the cache table, each tier's index and
  * the sequence index), IndexedMinHeap (the FIFO eviction order) and
- * LruSlab (one spill tier). Their slot layout is never observable: only
- * invariant checks iterate them in storage order.
+ * LruSlab (one spill tier). The serving engine also keeps its deadlines
+ * in an IndexedMinHeap, whose id range grows with its request slab.
+ * Their slot layout is never observable: only invariant checks iterate
+ * them in storage order.
  */
 
 #ifndef AGENTSIM_KV_FLAT_INDEX_HH
@@ -147,6 +149,13 @@ class IndexedMinHeap
 
     std::size_t size() const { return heap_.size(); }
     bool contains(std::int32_t id) const { return pos(id) != kNone; }
+
+    /** Admit ids below @p n as well (never shrinks). */
+    void reserveIds(std::size_t n)
+    {
+        if (n > pos_.size())
+            pos_.resize(n, kNone);
+    }
 
     /** The id with the smallest key. */
     std::int32_t top() const

@@ -107,9 +107,58 @@ LlmEngine::chargeKv(Req &req)
         stats_.kvBlockSeconds += charge;
     }
     req.kvMarkTick = now;
-    req.heldBlocks = blocks_.hasSeq(req.seq)
-                         ? blocks_.blocksNeeded(blocks_.seqTokens(req.seq))
-                         : 0;
+    req.heldBlocks = blocks_.liveSeqBlocks(req.seq);
+}
+
+LlmEngine::ReqHandle
+LlmEngine::claimReq()
+{
+    std::int32_t slot;
+    if (!freeReqSlots_.empty()) {
+        slot = freeReqSlots_.back();
+        freeReqSlots_.pop_back();
+        reqs_[static_cast<std::size_t>(slot)].req = Req(sim_);
+    } else {
+        slot = static_cast<std::int32_t>(reqs_.size());
+        reqs_.emplace_back(sim_);
+        deadlines_.reserveIds(reqs_.size());
+    }
+    ReqSlot &s = reqs_[static_cast<std::size_t>(slot)];
+    s.req.slot = slot;
+    return {slot, s.gen};
+}
+
+LlmEngine::Req &
+LlmEngine::adoptReq(const std::shared_ptr<void> &state)
+{
+    const ReqHandle h = claimReq();
+    Req &req = reqs_[static_cast<std::size_t>(h.slot)].req;
+    req = std::move(*std::static_pointer_cast<Req>(state));
+    req.slot = h.slot;
+    return req;
+}
+
+std::uint64_t
+LlmEngine::deadlineKey(sim::Tick tick, std::int32_t slot)
+{
+    // 40 bits of microseconds (12.7 simulated days) over 24 of slot.
+    AGENTSIM_ASSERT(tick >= 0 && tick < (sim::Tick{1} << 40) && slot >= 0 &&
+                        slot < (1 << kDeadlineSlotBits),
+                    "deadline tick %lld or slot %d out of key range",
+                    static_cast<long long>(tick), slot);
+    return (static_cast<std::uint64_t>(tick) << kDeadlineSlotBits) |
+           static_cast<std::uint64_t>(slot);
+}
+
+void
+LlmEngine::retireReq(Req &req)
+{
+    AGENTSIM_ASSERT(req.slot >= 0, "retire of a request outside the slab");
+    if (deadlines_.contains(req.slot))
+        deadlines_.erase(req.slot);
+    ++reqs_[static_cast<std::size_t>(req.slot)].gen;
+    freeReqSlots_.push_back(req.slot);
+    req.slot = -1;
 }
 
 void
@@ -240,36 +289,41 @@ LlmEngine::generate(GenRequest request, std::uint64_t *handle_out)
         co_return r;
     }
 
-    auto req = std::make_shared<Req>(sim_);
-    req->owner = this;
-    req->id = nextId_++;
-    req->sessionId = request.sessionId;
-    req->prompt = std::move(request.prompt);
-    req->maxNewTokens = request.maxNewTokens;
-    req->parkSeconds = request.expectedParkSeconds;
-    req->submitTick = sim_.now();
-    req->firstPromptLen = req->prompt.size();
+    const ReqHandle handle = claimReq();
+    Req &req = reqAt(handle);
+    req.owner = this;
+    req.id = nextId_++;
+    req.sessionId = request.sessionId;
+    req.prompt = std::move(request.prompt);
+    req.maxNewTokens = request.maxNewTokens;
+    req.parkSeconds = request.expectedParkSeconds;
+    req.submitTick = sim_.now();
+    req.firstPromptLen = req.prompt.size();
     if (request.deadlineSeconds > 0) {
-        req->deadlineTick =
+        req.deadlineTick =
             sim_.now() + sim::fromSeconds(request.deadlineSeconds);
+        deadlines_.push(handle.slot,
+                        deadlineKey(req.deadlineTick, handle.slot));
     }
     if (handle_out != nullptr)
-        *handle_out = req->id;
+        *handle_out = req.id;
 
-    req->parentSpan = request.parentSpan;
-    req->queuedSince = sim_.now();
-    waiting_.push_back(req);
+    req.parentSpan = request.parentSpan;
+    req.queuedSince = sim_.now();
+    waiting_.push_back(handle);
     if (trace_ != nullptr) {
-        trace_->threadName(telemetry::TracePid::kRequests, req->id,
+        trace_->threadName(telemetry::TracePid::kRequests, req.id,
                            sim::strfmt("req %llu",
                                        static_cast<unsigned long long>(
-                                           req->id)));
+                                           req.id)));
     }
-    tracePhaseBegin(*req, "queued", telemetry::SpanKind::Queue);
+    tracePhaseBegin(req, "queued", telemetry::SpanKind::Queue);
     if (wake_ && !wake_->ready())
         wake_->set(1);
 
-    GenResult result = co_await req->done;
+    // The awaiter holds the completion's shared state, so the slot may
+    // be freed (and the slab moved) while this frame is suspended.
+    GenResult result = co_await req.done;
     co_return result;
 }
 
@@ -296,35 +350,34 @@ LlmEngine::runLoop()
 }
 
 void
-LlmEngine::preemptOne(StepPlan &plan)
+LlmEngine::preemptOne()
 {
     AGENTSIM_ASSERT(!running_.empty(), "preempt with empty batch");
-    ReqPtr victim = running_.back();
+    Req &victim = reqAt(running_.back());
     running_.pop_back();
-    std::erase(plan.decoders, victim);
 
     // Settle the occupancy charge and remember how much KV is being
     // thrown away: re-prefilling below this watermark is pure waste.
-    chargeKv(*victim);
-    victim->recomputeWatermark = blocks_.seqTokens(victim->seq);
-    blocks_.release(victim->seq);
-    victim->seq = {};
-    victim->heldBlocks = 0;
+    chargeKv(victim);
+    victim.recomputeWatermark = blocks_.seqTokens(victim.seq);
+    blocks_.release(victim.seq);
+    victim.seq = {};
+    victim.heldBlocks = 0;
     // Recompute-style preemption: generated tokens fold into the
     // prompt; on re-admission the prefix cache usually restores them.
-    victim->prompt.append(victim->output);
-    victim->prefillDone = 0;
-    victim->decoding = false;
-    ++victim->preemptions;
+    victim.prompt.append(victim.output);
+    victim.prefillDone = 0;
+    victim.decoding = false;
+    ++victim.preemptions;
     ++stats_.preemptions;
-    tracePhaseEnd(*victim);
+    tracePhaseEnd(victim);
     if (trace_ != nullptr) {
-        trace_->instant(telemetry::TracePid::kRequests, victim->id,
+        trace_->instant(telemetry::TracePid::kRequests, victim.id,
                         "preempt", "request", sim_.now());
     }
-    if (spans_ != nullptr && victim->parentSpan.valid()) {
+    if (spans_ != nullptr && victim.parentSpan.valid()) {
         auto marker =
-            spans_->child(victim->parentSpan, telemetry::SpanKind::Preempt,
+            spans_->child(victim.parentSpan, telemetry::SpanKind::Preempt,
                           "preempt", sim_.now());
         spans_->end(marker, sim_.now());
     }
@@ -343,86 +396,90 @@ LlmEngine::noteLeftWaiting(Req &req)
 }
 
 void
-LlmEngine::requeueRequest(const ReqPtr &req, bool front)
+LlmEngine::requeueRequest(Req &req, bool front)
 {
-    tracePhaseBegin(*req, "queued", telemetry::SpanKind::Queue);
-    req->queuedSince = sim_.now();
-    req->requeued = true;
+    tracePhaseBegin(req, "queued", telemetry::SpanKind::Queue);
+    req.queuedSince = sim_.now();
+    req.requeued = true;
     ++requeuedInWaiting_;
     if (front)
-        waiting_.push_front(req);
+        waiting_.push_front(handleOf(req));
     else
-        waiting_.push_back(req);
+        waiting_.push_back(handleOf(req));
 }
 
 void
-LlmEngine::failRequest(const ReqPtr &req)
+LlmEngine::failRequest(Req &req)
 {
     ++stats_.requestsFailed;
     AGENTSIM_WARN("request %llu cannot fit in the KV pool; failing",
-                  static_cast<unsigned long long>(req->id));
-    req->finished = true;
-    req->decoding = false;
-    chargeQueue(*req);
-    tracePhaseEnd(*req);
-    sloFailure(*req);
+                  static_cast<unsigned long long>(req.id));
+    req.finished = true;
+    req.decoding = false;
+    chargeQueue(req);
+    tracePhaseEnd(req);
+    sloFailure(req);
     GenResult r;
     r.failed = true;
-    r.promptTokens = req->firstPromptLen;
-    r.submitTick = req->submitTick;
+    r.promptTokens = req.firstPromptLen;
+    r.submitTick = req.submitTick;
     r.finishTick = sim_.now();
     r.totalSeconds = sim::toSeconds(r.finishTick - r.submitTick);
-    r.ledger = req->ledger;
-    req->done.set(std::move(r));
+    r.ledger = req.ledger;
+    req.done.set(std::move(r));
+    retireReq(req);
 }
 
 void
-LlmEngine::finishRequest(const ReqPtr &req)
+LlmEngine::finishRequest(Req &req)
 {
-    chargeKv(*req);
-    blocks_.release(req->seq);
-    req->seq = {};
-    req->heldBlocks = 0;
-    std::erase(running_, req);
-    req->finished = true;
-    req->decoding = false;
-    tracePhaseEnd(*req);
+    chargeKv(req);
+    blocks_.release(req.seq);
+    req.seq = {};
+    req.heldBlocks = 0;
+    std::erase(running_, handleOf(req));
+    req.finished = true;
+    req.decoding = false;
+    tracePhaseEnd(req);
     ++stats_.requestsCompleted;
-    sessionService_[req->sessionId] +=
-        req->prefillSecondsAcc + req->decodeSecondsAcc;
-    maybeParkChain(req);
+    if (config_.schedulerPolicy == SchedulerPolicy::LeastAttainedService) {
+        sessionService_[req.sessionId] +=
+            req.prefillSecondsAcc + req.decodeSecondsAcc;
+    }
+    maybeParkChain(req); // reads the output; keep ahead of the move
 
     GenResult r;
-    r.tokens = req->output;
-    r.truncated = req->truncated;
-    r.promptTokens = req->firstPromptLen;
-    r.cachedPromptTokens = req->cachedPromptTokens;
+    r.tokens = std::move(req.output);
+    r.truncated = req.truncated;
+    r.promptTokens = req.firstPromptLen;
+    r.cachedPromptTokens = req.cachedPromptTokens;
     r.queueSeconds =
-        sim::toSeconds(req->firstScheduleTick - req->submitTick);
-    r.prefillSeconds = req->prefillSecondsAcc;
-    r.decodeSeconds = req->decodeSecondsAcc;
-    r.transferSeconds = req->transferSecondsAcc;
-    r.flops = req->flopsAcc;
-    r.preemptions = req->preemptions;
-    r.submitTick = req->submitTick;
+        sim::toSeconds(req.firstScheduleTick - req.submitTick);
+    r.prefillSeconds = req.prefillSecondsAcc;
+    r.decodeSeconds = req.decodeSecondsAcc;
+    r.transferSeconds = req.transferSecondsAcc;
+    r.flops = req.flopsAcc;
+    r.preemptions = req.preemptions;
+    r.submitTick = req.submitTick;
     r.finishTick = sim_.now();
     r.totalSeconds = sim::toSeconds(r.finishTick - r.submitTick);
-    if (req->firstTokenTick >= 0) {
+    if (req.firstTokenTick >= 0) {
         r.ttftSeconds =
-            sim::toSeconds(req->firstTokenTick - req->submitTick);
+            sim::toSeconds(req.firstTokenTick - req.submitTick);
     }
-    r.ledger = req->ledger;
+    r.ledger = req.ledger;
     if (slo_ != nullptr) {
         slo_->observe(telemetry::SloMetric::E2e, sim_.now(),
                       r.totalSeconds);
     }
-    req->done.set(std::move(r));
+    req.done.set(std::move(r));
+    retireReq(req);
 }
 
 void
-LlmEngine::maybeParkChain(const ReqPtr &req)
+LlmEngine::maybeParkChain(const Req &req)
 {
-    if (req->parkSeconds <= 0.0 || !config_.enablePrefixCaching ||
+    if (req.parkSeconds <= 0.0 || !config_.enablePrefixCaching ||
         !blocks_.spillTiersEnabled()) {
         return;
     }
@@ -440,8 +497,8 @@ LlmEngine::maybeParkChain(const ReqPtr &req)
     }
     // The continuation's prompt extends this request's full chain
     // (prompt + output); that is what must survive the tool wait.
-    kv::TokenChain chain = req->prompt;
-    chain.append(req->output);
+    kv::TokenChain chain = req.prompt;
+    chain.append(req.output);
     const std::int64_t parked = blocks_.parkChain(chain);
     if (parked <= 0)
         return;
@@ -454,7 +511,7 @@ LlmEngine::maybeParkChain(const ReqPtr &req)
         config_.node.hostOffloadBandwidth;
     stats_.parkDemoteSeconds += demote_seconds;
     if (trace_ != nullptr) {
-        trace_->instant(telemetry::TracePid::kRequests, req->id,
+        trace_->instant(telemetry::TracePid::kRequests, req.id,
                         "kv_park", "request", sim_.now());
     }
 
@@ -468,8 +525,8 @@ LlmEngine::maybeParkChain(const ReqPtr &req)
     const double restore_estimate =
         static_cast<double>(parked) * block_bytes / restore_bw;
     const double delay = std::max(
-        demote_seconds, req->parkSeconds - restore_estimate);
-    const std::uint64_t trace_id = req->id;
+        demote_seconds, req.parkSeconds - restore_estimate);
+    const std::uint64_t trace_id = req.id;
     sim_.schedule(
         sim::fromSeconds(delay),
         [this, trace_id, chain = std::move(chain)]() {
@@ -497,24 +554,25 @@ LlmEngine::maybeParkChain(const ReqPtr &req)
 }
 
 void
-LlmEngine::cancelRequest(const ReqPtr &req, CancelCause cause)
+LlmEngine::cancelRequest(Req &req, CancelCause cause)
 {
-    AGENTSIM_ASSERT(!req->finished, "cancel of a finished request");
-    chargeKv(*req);
-    if (blocks_.hasSeq(req->seq))
-        blocks_.release(req->seq);
-    req->seq = {};
-    req->heldBlocks = 0;
-    chargeQueue(*req);
-    std::erase(running_, req);
-    if (auto it = std::find(waiting_.begin(), waiting_.end(), req);
+    AGENTSIM_ASSERT(!req.finished, "cancel of a finished request");
+    chargeKv(req);
+    if (blocks_.hasSeq(req.seq))
+        blocks_.release(req.seq);
+    req.seq = {};
+    req.heldBlocks = 0;
+    chargeQueue(req);
+    const ReqHandle handle = handleOf(req);
+    std::erase(running_, handle);
+    if (auto it = std::find(waiting_.begin(), waiting_.end(), handle);
         it != waiting_.end()) {
-        noteLeftWaiting(*req);
+        noteLeftWaiting(req);
         waiting_.erase(it);
     }
-    req->finished = true;
-    req->decoding = false;
-    tracePhaseEnd(*req);
+    req.finished = true;
+    req.decoding = false;
+    tracePhaseEnd(req);
 
     const char *label = nullptr;
     GenResult r;
@@ -536,58 +594,58 @@ LlmEngine::cancelRequest(const ReqPtr &req, CancelCause cause)
         label = "node_failure";
         // Prefill work invested in this request dies with the node;
         // the client's retry pays it again from scratch.
-        stats_.lostPrefillSeconds += req->ledger.prefillGpuSeconds;
+        stats_.lostPrefillSeconds += req.ledger.prefillGpuSeconds;
         break;
     }
     if (trace_ != nullptr) {
-        trace_->instant(telemetry::TracePid::kRequests, req->id, label,
+        trace_->instant(telemetry::TracePid::kRequests, req.id, label,
                         "request", sim_.now());
     }
 
     // Partial output and accrued accounting still reach the caller.
-    r.tokens = req->output;
-    r.promptTokens = req->firstPromptLen;
-    r.cachedPromptTokens = req->cachedPromptTokens;
-    if (req->firstScheduleTick >= 0) {
+    r.tokens = std::move(req.output);
+    r.promptTokens = req.firstPromptLen;
+    r.cachedPromptTokens = req.cachedPromptTokens;
+    if (req.firstScheduleTick >= 0) {
         r.queueSeconds =
-            sim::toSeconds(req->firstScheduleTick - req->submitTick);
+            sim::toSeconds(req.firstScheduleTick - req.submitTick);
     }
-    r.prefillSeconds = req->prefillSecondsAcc;
-    r.decodeSeconds = req->decodeSecondsAcc;
-    r.transferSeconds = req->transferSecondsAcc;
-    r.flops = req->flopsAcc;
-    r.preemptions = req->preemptions;
-    r.submitTick = req->submitTick;
+    r.prefillSeconds = req.prefillSecondsAcc;
+    r.decodeSeconds = req.decodeSecondsAcc;
+    r.transferSeconds = req.transferSecondsAcc;
+    r.flops = req.flopsAcc;
+    r.preemptions = req.preemptions;
+    r.submitTick = req.submitTick;
     r.finishTick = sim_.now();
     r.totalSeconds = sim::toSeconds(r.finishTick - r.submitTick);
-    if (req->firstTokenTick >= 0) {
+    if (req.firstTokenTick >= 0) {
         r.ttftSeconds =
-            sim::toSeconds(req->firstTokenTick - req->submitTick);
+            sim::toSeconds(req.firstTokenTick - req.submitTick);
     }
-    r.ledger = req->ledger;
-    sloFailure(*req);
-    req->done.set(std::move(r));
+    r.ledger = req.ledger;
+    sloFailure(req);
+    req.done.set(std::move(r));
+    retireReq(req);
 }
 
 bool
 LlmEngine::cancel(std::uint64_t request_id)
 {
-    auto match = [&](const ReqPtr &req) {
-        return req->id == request_id && !req->finished;
+    auto try_cancel = [&](ReqHandle h) {
+        Req &req = reqAt(h);
+        if (req.id != request_id || req.finished)
+            return false;
+        cancelRequest(req, CancelCause::Client);
+        updateGauges();
+        return true;
     };
-    for (const auto &req : waiting_) {
-        if (match(req)) {
-            cancelRequest(req, CancelCause::Client);
-            updateGauges();
+    for (const ReqHandle h : waiting_) {
+        if (try_cancel(h))
             return true;
-        }
     }
-    for (const auto &req : running_) {
-        if (match(req)) {
-            cancelRequest(req, CancelCause::Client);
-            updateGauges();
+    for (const ReqHandle h : running_) {
+        if (try_cancel(h))
             return true;
-        }
     }
     return false;
 }
@@ -596,21 +654,26 @@ void
 LlmEngine::expireDeadlines()
 {
     const sim::Tick now = sim_.now();
-    std::vector<ReqPtr> expired;
-    auto collect = [&](const ReqPtr &req) {
-        if (!req->finished && req->deadlineTick >= 0 &&
-            now >= req->deadlineTick) {
-            expired.push_back(req);
+    if (deadlines_.size() == 0 || now < earliestDeadline())
+        return;
+    // Something expired: cancel in queue order, not deadline order.
+    std::vector<ReqHandle> expired;
+    auto collect = [&](ReqHandle h) {
+        const Req &req = reqAt(h);
+        if (!req.finished && req.deadlineTick >= 0 &&
+            now >= req.deadlineTick) {
+            expired.push_back(h);
         }
     };
-    for (const auto &req : waiting_)
-        collect(req);
-    for (const auto &req : running_)
-        collect(req);
-    for (const auto &req : expired)
-        cancelRequest(req, CancelCause::Deadline);
-    if (!expired.empty())
-        updateGauges();
+    for (const ReqHandle h : waiting_)
+        collect(h);
+    for (const ReqHandle h : running_)
+        collect(h);
+    for (const ReqHandle h : expired)
+        cancelRequest(reqAt(h), CancelCause::Deadline);
+    AGENTSIM_ASSERT(deadlines_.size() == 0 || now < earliestDeadline(),
+                    "an expired deadline outlived its request's queues");
+    updateGauges();
 }
 
 void
@@ -623,10 +686,10 @@ LlmEngine::crash()
                     "requests, KV cache lost",
                     waiting_.size(), running_.size());
 
-    std::vector<ReqPtr> victims(waiting_.begin(), waiting_.end());
+    std::vector<ReqHandle> victims(waiting_.begin(), waiting_.end());
     victims.insert(victims.end(), running_.begin(), running_.end());
-    for (const auto &req : victims)
-        cancelRequest(req, CancelCause::NodeFailure);
+    for (const ReqHandle h : victims)
+        cancelRequest(reqAt(h), CancelCause::NodeFailure);
     // The node's memory is gone: prefix cache and host tier come back
     // cold after restart().
     blocks_.reset();
@@ -709,11 +772,12 @@ LlmEngine::drain(double deadline_seconds, bool export_leftovers)
 
     // Deadline (or empty): whatever is left either migrates or is
     // cancelled like a crash victim (the client retries elsewhere).
-    std::vector<ReqPtr> leftovers(waiting_.begin(), waiting_.end());
+    std::vector<ReqHandle> leftovers(waiting_.begin(), waiting_.end());
     leftovers.insert(leftovers.end(), running_.begin(), running_.end());
-    for (const auto &req : leftovers) {
+    for (const ReqHandle h : leftovers) {
+        Req &req = reqAt(h);
         if (export_leftovers) {
-            auto migrated = exportRequest(req->id);
+            auto migrated = exportRequest(req.id);
             AGENTSIM_ASSERT(migrated.has_value(),
                             "drain failed to export a live request");
             out.leftovers.push_back(std::move(*migrated));
@@ -741,62 +805,62 @@ LlmEngine::drain(double deadline_seconds, bool export_leftovers)
 std::optional<MigratedRequest>
 LlmEngine::exportRequest(std::uint64_t id)
 {
-    ReqPtr req;
-    for (const auto &r : running_) {
-        if (r->id == id && !r->finished) {
-            req = r;
-            break;
+    auto find_in = [&](const auto &queue) -> Req * {
+        for (const ReqHandle h : queue) {
+            Req &r = reqAt(h);
+            if (r.id == id && !r.finished)
+                return &r;
         }
-    }
-    if (!req) {
-        for (const auto &r : waiting_) {
-            if (r->id == id && !r->finished) {
-                req = r;
-                break;
-            }
-        }
-    }
-    if (!req)
+        return nullptr;
+    };
+    Req *found = find_in(running_);
+    if (found == nullptr)
+        found = find_in(waiting_);
+    if (found == nullptr)
         return std::nullopt;
+    Req &req = *found;
 
-    chargeKv(*req);
-    chargeQueue(*req);
+    chargeKv(req);
+    chargeQueue(req);
 
     MigratedRequest out;
-    if (blocks_.hasSeq(req->seq)) {
-        out.chain = blocks_.exportChain(req->seq);
+    if (blocks_.hasSeq(req.seq)) {
+        out.chain = blocks_.exportChain(req.seq);
         // KV exists only for the prefilled part of the prompt plus
         // every generated token; trailing prompt blocks are allocated
         // but not yet computed and need no transfer.
         out.computedTokens =
-            req->prefillDone +
-            static_cast<std::int64_t>(req->output.size());
-        blocks_.release(req->seq);
-        req->seq = {};
-        req->heldBlocks = 0;
+            req.prefillDone + static_cast<std::int64_t>(req.output.size());
+        blocks_.release(req.seq);
+        req.seq = {};
+        req.heldBlocks = 0;
     } else {
         // Still queued: nothing computed, the snapshot is just the
         // request state; the target admits it like a fresh arrival.
-        out.chain = req->prompt;
+        out.chain = req.prompt;
         out.computedTokens = 0;
     }
 
-    std::erase(running_, req);
-    if (auto it = std::find(waiting_.begin(), waiting_.end(), req);
+    const ReqHandle handle = handleOf(req);
+    std::erase(running_, handle);
+    if (auto it = std::find(waiting_.begin(), waiting_.end(), handle);
         it != waiting_.end()) {
-        noteLeftWaiting(*req);
+        noteLeftWaiting(req);
         waiting_.erase(it);
     }
-    req->exported = true;
-    req->owner = nullptr;
-    tracePhaseEnd(*req);
+    req.exported = true;
+    req.owner = nullptr;
+    tracePhaseEnd(req);
     if (trace_ != nullptr) {
-        trace_->instant(telemetry::TracePid::kRequests, req->id,
+        trace_->instant(telemetry::TracePid::kRequests, req.id,
                         "migrate_out", "request", sim_.now());
     }
     ++stats_.requestsMigratedOut;
     updateGauges();
-    out.state = req;
+    // Leaving the slab outdates the in-flight step's entries for it,
+    // even if a same-tick request reclaims the slot.
+    retireReq(req);
+    out.state = std::make_shared<Req>(std::move(req));
     return out;
 }
 
@@ -807,19 +871,20 @@ LlmEngine::importRequest(MigratedRequest migrated,
     AGENTSIM_ASSERT(migrated.valid(), "import of an empty migration");
     AGENTSIM_ASSERT(interconnect_bandwidth > 0,
                     "import needs a positive interconnect bandwidth");
-    auto req = std::static_pointer_cast<Req>(migrated.state);
-    AGENTSIM_ASSERT(req->exported && !req->finished,
+    const Req &in_flight = *std::static_pointer_cast<Req>(migrated.state);
+    AGENTSIM_ASSERT(in_flight.exported && !in_flight.finished,
                     "import of a request that is not in flight");
     AGENTSIM_ASSERT(accepting(), "import into a non-accepting engine");
 
-    req->owner = this;
-    req->id = nextId_++;
+    Req &req = adoptReq(migrated.state);
+    req.owner = this;
+    req.id = nextId_++;
     ++stats_.requestsMigratedIn;
     if (trace_ != nullptr) {
         trace_->threadName(
-            telemetry::TracePid::kRequests, req->id,
+            telemetry::TracePid::kRequests, req.id,
             sim::strfmt("req %llu", static_cast<unsigned long long>(
-                                        req->id)));
+                                        req.id)));
     }
 
     // Try to land the KV chain now; the blocks are reserved while the
@@ -828,10 +893,10 @@ LlmEngine::importRequest(MigratedRequest migrated,
     double transfer_seconds = 0.0;
     bool warm = false;
     if (migrated.computedTokens > 0) {
-        auto alloc = blocks_.importChain(req->id, migrated.chain);
+        auto alloc = blocks_.importChain(req.id, migrated.chain);
         if (alloc.has_value()) {
             warm = true;
-            req->seq = alloc->seq;
+            req.seq = alloc->seq;
             // Locally cached (or tier-resident) prefix blocks never
             // cross the interconnect; tier restores pay PCIe (DRAM)
             // or the NVMe read instead. Wire size comes from this
@@ -848,25 +913,25 @@ LlmEngine::importRequest(MigratedRequest migrated,
                     kv_bytes / config_.node.hostOffloadBandwidth +
                 static_cast<double>(alloc->nvmeRestoredTokens) *
                     kv_bytes / config_.node.nvmeReadBandwidth;
-            req->transferSecondsAcc += transfer_seconds;
-            req->ledger.transferSeconds += transfer_seconds;
+            req.transferSecondsAcc += transfer_seconds;
+            req.ledger.transferSeconds += transfer_seconds;
             stats_.migrationSeconds += transfer_seconds;
             // Open the occupancy interval at the reserved chain size.
-            req->kvMarkTick = sim_.now();
-            req->heldBlocks =
-                blocks_.blocksNeeded(blocks_.seqTokens(req->seq));
+            req.kvMarkTick = sim_.now();
+            req.heldBlocks =
+                blocks_.blocksNeeded(blocks_.seqTokens(req.seq));
         } else {
             ++stats_.migrationFallbacks;
         }
     }
     if (trace_ != nullptr) {
-        trace_->instant(telemetry::TracePid::kRequests, req->id,
+        trace_->instant(telemetry::TracePid::kRequests, req.id,
                         warm ? "migrate_in" : "migrate_in_cold",
                         "request", sim_.now());
     }
     if (transfer_seconds > 0.0 && spans_ != nullptr &&
-        req->parentSpan.valid()) {
-        auto transfer = spans_->child(req->parentSpan,
+        req.parentSpan.valid()) {
+        auto transfer = spans_->child(req.parentSpan,
                                       telemetry::SpanKind::Migration,
                                       "migrate_kv", sim_.now());
         spans_->end(transfer,
@@ -878,21 +943,22 @@ LlmEngine::importRequest(MigratedRequest migrated,
                          migrated.computedTokens);
         return;
     }
+    // Only the queues' owners free slots, so the handle outlives the
+    // transfer even if the node crashes meanwhile.
     sim_.schedule(
         sim::fromSeconds(transfer_seconds),
-        [this, req, chain = std::move(migrated.chain),
+        [this, handle = handleOf(req), chain = std::move(migrated.chain),
          computed = migrated.computedTokens]() mutable {
-            activateImported(req, std::move(chain), computed);
+            activateImported(reqAt(handle), std::move(chain), computed);
         });
 }
 
 void
-LlmEngine::activateImported(const ReqPtr &req,
-                            kv::TokenChain chain,
+LlmEngine::activateImported(Req &req, kv::TokenChain chain,
                             std::int64_t computed_tokens)
 {
-    AGENTSIM_ASSERT(!req->finished, "activation of a finished import");
-    req->exported = false;
+    AGENTSIM_ASSERT(!req.finished, "activation of a finished import");
+    req.exported = false;
 
     // The node may have crashed (losing the reserved chain) or begun
     // draining again while the transfer was in flight; cancelRequest
@@ -901,30 +967,34 @@ LlmEngine::activateImported(const ReqPtr &req,
         cancelRequest(req, CancelCause::NodeFailure);
         return;
     }
-    if (req->deadlineTick >= 0 && sim_.now() >= req->deadlineTick) {
-        cancelRequest(req, CancelCause::Deadline);
-        return;
+    if (req.deadlineTick >= 0) {
+        if (sim_.now() >= req.deadlineTick) {
+            cancelRequest(req, CancelCause::Deadline);
+            return;
+        }
+        // The deadline tick travels with the request.
+        deadlines_.push(req.slot, deadlineKey(req.deadlineTick, req.slot));
     }
 
-    if (blocks_.hasSeq(req->seq)) {
+    if (blocks_.hasSeq(req.seq)) {
         // Warm landing: the chain survived; resume decode (or chunked
         // prefill) exactly where the source left off.
-        running_.push_back(req);
-        chargeKv(*req);
-        tracePhaseBegin(*req, req->decoding ? "decode" : "prefill",
-                        req->decoding ? telemetry::SpanKind::Decode
-                                      : telemetry::SpanKind::Prefill);
+        running_.push_back(handleOf(req));
+        chargeKv(req);
+        tracePhaseBegin(req, req.decoding ? "decode" : "prefill",
+                        req.decoding ? telemetry::SpanKind::Decode
+                                     : telemetry::SpanKind::Prefill);
     } else {
         // Cold landing: recompute-preemption semantics. Generated
         // tokens fold into the prompt (the chain snapshot is exactly
         // that folded form) and re-prefilling below the old watermark
         // is charged as waste.
         if (!chain.empty())
-            req->prompt = std::move(chain);
-        req->recomputeWatermark =
-            std::max(req->recomputeWatermark, computed_tokens);
-        req->prefillDone = 0;
-        req->decoding = false;
+            req.prompt = std::move(chain);
+        req.recomputeWatermark =
+            std::max(req.recomputeWatermark, computed_tokens);
+        req.prefillDone = 0;
+        req.decoding = false;
         requeueRequest(req, /*front=*/false);
     }
     updateGauges();
@@ -936,12 +1006,14 @@ void
 LlmEngine::abortMigration(MigratedRequest migrated)
 {
     AGENTSIM_ASSERT(migrated.valid(), "abort of an empty migration");
-    auto req = std::static_pointer_cast<Req>(migrated.state);
-    AGENTSIM_ASSERT(req->exported && !req->finished,
+    const Req &in_flight = *std::static_pointer_cast<Req>(migrated.state);
+    AGENTSIM_ASSERT(in_flight.exported && !in_flight.finished,
                     "abort of a request that is not in flight");
     // Not in any queue and holding no blocks: resolve the awaiter
-    // directly with crash semantics so the client retries.
-    req->exported = false;
+    // directly with crash semantics so the client retries. Back in
+    // the slab only for the cancel, which frees the slot again.
+    Req &req = adoptReq(migrated.state);
+    req.exported = false;
     cancelRequest(req, CancelCause::NodeFailure);
 }
 
@@ -958,7 +1030,7 @@ LlmEngine::injectStall(double seconds)
 }
 
 kv::TokenId
-LlmEngine::genToken(Req &req)
+LlmEngine::genToken(const Req &req)
 {
     return outputToken(config_.seed, req.id, req.output.size());
 }
@@ -969,6 +1041,31 @@ LlmEngine::preloadPrefix(const kv::TokenChain &prefix)
     const std::int64_t populated = blocks_.preloadPrefix(prefix);
     updateGauges();
     return populated;
+}
+
+std::int64_t
+LlmEngine::collectRunning(StepPlan &plan)
+{
+    plan.decoders.clear();
+    plan.work.decodeContexts.clear();
+    plan.prefilling.clear();
+    const int bs = config_.blockSize;
+    std::int64_t boundary_crossings = 0;
+    for (const ReqHandle h : running_) {
+        const Req &req = reqAt(h);
+        if (!req.decoding) {
+            plan.prefilling.push_back(h);
+            continue;
+        }
+        const std::int64_t context = blocks_.seqTokens(req.seq);
+        plan.decoders.push_back(h);
+        plan.work.decodeContexts.push_back(context);
+        // A full last block: this token opens a fresh one. (Compared
+        // by multiplying; a per-decoder division shows in profiles.)
+        if (context == blocks_.liveSeqBlocks(req.seq) * bs)
+            ++boundary_crossings;
+    }
+    return boundary_crossings;
 }
 
 LlmEngine::StepPlan &
@@ -985,38 +1082,26 @@ LlmEngine::buildStep()
     }
 
     // 1. Every decoding sequence gets one token this step.
-    for (const auto &req : running_) {
-        if (req->decoding)
-            plan.decoders.push_back(req);
-    }
+    std::int64_t append_need = collectRunning(plan);
 
     // 2. Reserve append capacity for decoders crossing a block
-    //    boundary; preempt the newest request until it fits.
-    auto append_need = [&] {
-        std::int64_t need = 0;
-        for (const auto &req : plan.decoders) {
-            if (blocks_.seqTokens(req->seq) % bs == 0)
-                ++need;
-        }
-        return need;
-    };
-    while (append_need() > blocks_.availableBlocks()) {
+    //    boundary; preempt the newest request until it fits. Each
+    //    preemption (rare) re-collects the smaller batch.
+    while (append_need > blocks_.availableBlocks()) {
         if (running_.size() <= 1) {
             // A lone request has filled the entire pool: truncate it.
-            ReqPtr req = running_.front();
+            Req &req = reqAt(running_.front());
             AGENTSIM_WARN("KV pool exhausted by request %llu; "
                           "truncating output",
-                          static_cast<unsigned long long>(req->id));
-            req->truncated = true;
-            plan.decoders.clear();
+                          static_cast<unsigned long long>(req.id));
+            req.truncated = true;
             finishRequest(req);
+            collectRunning(plan); // the batch is empty now
             break;
         }
-        preemptOne(plan);
+        preemptOne();
+        append_need = collectRunning(plan);
     }
-
-    for (const auto &req : plan.decoders)
-        plan.work.decodeContexts.push_back(blocks_.seqTokens(req->seq));
 
     std::int64_t budget =
         std::max<std::int64_t>(0, config_.maxBatchTokens -
@@ -1024,28 +1109,26 @@ LlmEngine::buildStep()
                                           plan.decoders.size()));
 
     // 3. Continue chunked prefill of already-admitted requests.
-    for (const auto &req : running_) {
+    for (const ReqHandle h : plan.prefilling) {
         if (budget == 0)
             break;
-        if (req->decoding)
-            continue;
-        const auto prompt_len = req->prompt.size();
-        std::int64_t chunk =
-            std::min(budget, prompt_len - req->prefillDone);
+        Req &req = reqAt(h);
+        const auto prompt_len = req.prompt.size();
+        std::int64_t chunk = std::min(budget, prompt_len - req.prefillDone);
         if (chunk <= 0)
             continue;
         // Completing a prompt that ends exactly on a block boundary
         // emits its first output token into a fresh block; defer the
         // final prompt token if no block could be available.
-        const bool completes = req->prefillDone + chunk == prompt_len;
+        const bool completes = req.prefillDone + chunk == prompt_len;
         if (completes && prompt_len % bs == 0 &&
             blocks_.availableBlocks() == 0) {
             --chunk;
         }
         if (chunk <= 0)
             continue;
-        plan.prefills.push_back({req, chunk});
-        plan.work.prefills.push_back({chunk, req->prefillDone});
+        plan.prefills.push_back({h, chunk});
+        plan.work.prefills.push_back({chunk, req.prefillDone});
         budget -= chunk;
     }
 
@@ -1055,12 +1138,13 @@ LlmEngine::buildStep()
            running_.size() < static_cast<std::size_t>(
                                  config_.maxRunningSeqs)) {
         auto candidate = nextAdmissionCandidate();
-        ReqPtr req = *candidate;
-        const auto prompt_len = req->prompt.size();
+        const ReqHandle h = *candidate;
+        Req &req = reqAt(h);
+        const auto prompt_len = req.prompt.size();
         const std::int64_t upper_bound =
             blocks_.blocksNeeded(prompt_len) + 1;
         if (upper_bound > blocks_.totalBlocks()) {
-            noteLeftWaiting(*req);
+            noteLeftWaiting(req);
             waiting_.erase(candidate);
             failRequest(req);
             continue;
@@ -1068,15 +1152,15 @@ LlmEngine::buildStep()
         if (upper_bound > blocks_.availableBlocks())
             break; // the policy's best candidate does not fit
 
-        auto alloc = blocks_.allocatePrompt(req->id, req->prompt);
+        auto alloc = blocks_.allocatePrompt(req.id, req.prompt);
         AGENTSIM_ASSERT(alloc.has_value(),
                         "allocation failed despite capacity check");
-        req->seq = alloc->seq;
-        noteLeftWaiting(*req);
+        req.seq = alloc->seq;
+        noteLeftWaiting(req);
         waiting_.erase(candidate);
-        running_.push_back(req);
-        chargeQueue(*req);
-        chargeKv(*req); // opens the occupancy charging interval
+        running_.push_back(h);
+        chargeQueue(req);
+        chargeKv(req); // opens the occupancy charging interval
 
         // Spill-tier restores skip prefill but pay the transfer back
         // to HBM: PCIe for the DRAM tier, NVMe read for the flash
@@ -1091,52 +1175,50 @@ LlmEngine::buildStep()
                 static_cast<double>(alloc->nvmeRestoredTokens) *
                     kv_bytes / config_.node.nvmeReadBandwidth;
             plan.extraSeconds += restore_seconds;
-            req->transferSecondsAcc += restore_seconds;
-            req->ledger.transferSeconds += restore_seconds;
+            req.transferSecondsAcc += restore_seconds;
+            req.ledger.transferSeconds += restore_seconds;
         }
 
-        req->prefillDone = alloc->reusedTokens();
-        if (req->prefillDone >= prompt_len) {
+        req.prefillDone = alloc->reusedTokens();
+        if (req.prefillDone >= prompt_len) {
             // Fully cached prompt: recompute the last token to obtain
             // logits (vLLM does the same).
-            req->prefillDone = prompt_len - 1;
+            req.prefillDone = prompt_len - 1;
         }
-        if (req->prefillDone > 0) {
+        if (req.prefillDone > 0) {
             // Counterfactual: what the reused tokens would have cost
             // to prefill from scratch.
-            const double saved =
-                perf_.prefillSeconds(req->prefillDone, 0);
-            req->ledger.savedPrefillSeconds += saved;
+            const double saved = perf_.prefillSeconds(req.prefillDone, 0);
+            req.ledger.savedPrefillSeconds += saved;
             stats_.savedPrefillSeconds += saved;
         }
-        if (req->firstScheduleTick < 0) {
-            req->firstScheduleTick = sim_.now();
-            req->cachedPromptTokens = alloc->reusedTokens();
+        if (req.firstScheduleTick < 0) {
+            req.firstScheduleTick = sim_.now();
+            req.cachedPromptTokens = alloc->reusedTokens();
         }
-        tracePhaseEnd(*req); // queued
-        tracePhaseBegin(*req, "prefill", telemetry::SpanKind::Prefill);
+        tracePhaseEnd(req); // queued
+        tracePhaseBegin(req, "prefill", telemetry::SpanKind::Prefill);
         // The restore happens inside the prefill step's wall time;
         // nesting it under the prefill span routes those seconds to
         // Migration blame while the remainder stays Prefill.
         if (restore_seconds > 0.0 && spans_ != nullptr &&
-            req->phaseSpan.valid()) {
-            auto restore = spans_->child(req->phaseSpan,
+            req.phaseSpan.valid()) {
+            auto restore = spans_->child(req.phaseSpan,
                                          telemetry::SpanKind::KvRestore,
                                          "kv_restore", sim_.now());
             spans_->end(restore,
                         sim_.now() + sim::fromSeconds(restore_seconds));
         }
 
-        std::int64_t chunk =
-            std::min(budget, prompt_len - req->prefillDone);
-        const bool completes = req->prefillDone + chunk == prompt_len;
+        std::int64_t chunk = std::min(budget, prompt_len - req.prefillDone);
+        const bool completes = req.prefillDone + chunk == prompt_len;
         if (completes && prompt_len % bs == 0 &&
             blocks_.availableBlocks() == 0) {
             --chunk;
         }
         if (chunk > 0) {
-            plan.prefills.push_back({req, chunk});
-            plan.work.prefills.push_back({chunk, req->prefillDone});
+            plan.prefills.push_back({h, chunk});
+            plan.work.prefills.push_back({chunk, req.prefillDone});
             budget -= chunk;
         }
     }
@@ -1145,11 +1227,11 @@ LlmEngine::buildStep()
         // Pathological: a lone prompt fills the pool leaving no room
         // for its first output token. Finish it truncated rather than
         // spinning forever.
-        ReqPtr req = running_.front();
+        Req &req = reqAt(running_.front());
         AGENTSIM_WARN("request %llu starved of append blocks; "
                       "truncating",
-                      static_cast<unsigned long long>(req->id));
-        req->truncated = true;
+                      static_cast<unsigned long long>(req.id));
+        req.truncated = true;
         finishRequest(req);
     }
 
@@ -1202,14 +1284,26 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
     const double step_wall =
         cost.seconds + plan.extraSeconds + plan.stallSeconds;
 
+    // A plan entry whose request finished, was cancelled or migrated
+    // mid-step is stale (its slot was freed, perhaps reclaimed) or,
+    // defensively, no longer this engine's to touch.
+    auto planned = [this](ReqHandle h) -> Req * {
+        Req *req = liveReq(h);
+        if (req == nullptr || req->finished || req->exported ||
+            req->owner != this) {
+            return nullptr;
+        }
+        return req;
+    };
+
     // Advance prefills; a completed prompt emits its first token.
     for (const auto &part : plan.prefills) {
-        const ReqPtr &req = part.req;
-        if (req->finished || req->exported || req->owner != this)
-            continue; // cancelled/expired/migrated mid-step
-        req->prefillSecondsAcc += cost.seconds;
-        req->flopsAcc += perf_.prefillFlops(part.tokens,
-                                            req->prefillDone);
+        Req *live = planned(part.req);
+        if (live == nullptr)
+            continue;
+        Req &req = *live;
+        req.prefillSecondsAcc += cost.seconds;
+        req.flopsAcc += perf_.prefillFlops(part.tokens, req.prefillDone);
 
         // Ledger: this chunk's token-weighted share of the step's
         // prefill time, with the part re-prefilling preempted work
@@ -1218,87 +1312,93 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
             const double attributed =
                 prefill_share * static_cast<double>(part.tokens) /
                 static_cast<double>(cost.prefillTokens);
-            req->ledger.prefillGpuSeconds += attributed;
-            req->ledger.energyJoules += power * attributed;
+            req.ledger.prefillGpuSeconds += attributed;
+            req.ledger.energyJoules += power * attributed;
             const std::int64_t redone =
                 std::max<std::int64_t>(
-                    0, std::min(req->prefillDone + part.tokens,
-                                req->recomputeWatermark) -
-                           req->prefillDone);
+                    0, std::min(req.prefillDone + part.tokens,
+                                req.recomputeWatermark) -
+                           req.prefillDone);
             if (redone > 0) {
                 const double wasted =
                     attributed * static_cast<double>(redone) /
                     static_cast<double>(part.tokens);
-                req->ledger.wastedGpuSeconds += wasted;
+                req.ledger.wastedGpuSeconds += wasted;
                 stats_.wastedSeconds += wasted;
             }
         }
-        req->prefillDone += part.tokens;
-        const auto prompt_len = req->prompt.size();
-        if (req->prefillDone == prompt_len) {
-            const kv::TokenId tok = genToken(*req);
-            if (!blocks_.appendToken(req->seq, tok)) {
+        req.prefillDone += part.tokens;
+        const auto prompt_len = req.prompt.size();
+        if (req.prefillDone == prompt_len) {
+            const kv::TokenId tok = genToken(req);
+            if (!blocks_.appendToken(req.seq, tok)) {
                 AGENTSIM_WARN("append failed at prefill completion; "
                               "truncating request %llu",
-                              static_cast<unsigned long long>(req->id));
-                req->truncated = true;
+                              static_cast<unsigned long long>(req.id));
+                req.truncated = true;
                 finishRequest(req);
                 continue;
             }
-            req->output.push_back(tok);
-            req->decoding = true;
-            tracePhaseEnd(*req); // prefill
-            tracePhaseBegin(*req, "decode", telemetry::SpanKind::Decode);
-            if (req->firstTokenTick < 0) {
-                req->firstTokenTick = sim_.now();
+            if (req.output.empty())
+                req.output.reserve(static_cast<std::size_t>(
+                    req.maxNewTokens));
+            req.output.push_back(tok);
+            req.decoding = true;
+            tracePhaseEnd(req); // prefill
+            tracePhaseBegin(req, "decode", telemetry::SpanKind::Decode);
+            if (req.firstTokenTick < 0) {
+                req.firstTokenTick = sim_.now();
                 if (slo_ != nullptr) {
                     slo_->observe(
                         telemetry::SloMetric::Ttft, sim_.now(),
-                        sim::toSeconds(sim_.now() - req->submitTick));
+                        sim::toSeconds(sim_.now() - req.submitTick));
                 }
             }
-            if (static_cast<std::int64_t>(req->output.size()) >=
-                req->maxNewTokens) {
+            if (static_cast<std::int64_t>(req.output.size()) >=
+                req.maxNewTokens) {
                 finishRequest(req);
             }
         }
     }
 
-    // Decoders each produced one token.
+    // Decoders each produced one token. A planned decoder's context is
+    // still its sequence length: only its own append changes that.
+    // Ledger: an equal share of the step's decode time per decoded
+    // token (every decoder produced exactly one).
     const std::size_t planned_decoders = plan.work.decodeContexts.size();
-    for (const auto &req : plan.decoders) {
-        if (req->finished || req->exported || req->owner != this ||
-            !req->decoding) {
-            continue; // finished, cancelled or migrated meanwhile
-        }
-        req->decodeSecondsAcc += cost.seconds;
-        req->flopsAcc += perf_.decodeFlops(blocks_.seqTokens(req->seq));
-        if (planned_decoders > 0) {
-            // Ledger: an equal share of the step's decode time per
-            // decoded token (every decoder produced exactly one).
-            const double attributed =
-                decode_share / static_cast<double>(planned_decoders);
-            req->ledger.decodeGpuSeconds += attributed;
-            req->ledger.energyJoules += power * attributed;
-        }
+    const double decode_attributed =
+        planned_decoders > 0
+            ? decode_share / static_cast<double>(planned_decoders)
+            : 0.0;
+    const double decode_energy = power * decode_attributed;
+    for (std::size_t i = 0; i < planned_decoders; ++i) {
+        Req *live = planned(plan.decoders[i]);
+        if (live == nullptr || !live->decoding)
+            continue;
+        Req &req = *live;
+        req.decodeSecondsAcc += cost.seconds;
+        req.flopsAcc += perf_.decodeFlops(plan.work.decodeContexts[i]);
+        req.ledger.decodeGpuSeconds += decode_attributed;
+        req.ledger.energyJoules += decode_energy;
         if (slo_ != nullptr) {
             slo_->observe(telemetry::SloMetric::Tbt, sim_.now(),
                           step_wall);
         }
-        const kv::TokenId tok = genToken(*req);
-        const bool ok = blocks_.appendToken(req->seq, tok);
+        const kv::TokenId tok = genToken(req);
+        const bool ok = blocks_.appendToken(req.seq, tok);
         AGENTSIM_ASSERT(ok, "decode append failed despite reservation");
-        req->output.push_back(tok);
-        if (static_cast<std::int64_t>(req->output.size()) >=
-            req->maxNewTokens) {
+        req.output.push_back(tok);
+        if (static_cast<std::int64_t>(req.output.size()) >=
+            req.maxNewTokens) {
             finishRequest(req);
         }
     }
 
     // Settle KV occupancy for the survivors at their (possibly grown)
-    // block counts; finished requests settled when released.
-    for (const auto &req : running_)
-        chargeKv(*req);
+    // block counts, in admission order; finished requests settled
+    // when released.
+    for (const ReqHandle h : running_)
+        chargeKv(reqAt(h));
 
     updateGauges();
 
@@ -1325,7 +1425,7 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
     }
 }
 
-std::deque<LlmEngine::ReqPtr>::iterator
+std::deque<LlmEngine::ReqHandle>::iterator
 LlmEngine::nextAdmissionCandidate()
 {
     AGENTSIM_ASSERT(!waiting_.empty(), "no admission candidates");
@@ -1333,17 +1433,20 @@ LlmEngine::nextAdmissionCandidate()
       case SchedulerPolicy::Fcfs:
         return waiting_.begin();
       case SchedulerPolicy::ShortestPromptFirst: {
+          auto prompt_len = [&](ReqHandle h) {
+              return reqAt(h).prompt.size();
+          };
           auto best = waiting_.begin();
           for (auto it = waiting_.begin(); it != waiting_.end();
                ++it) {
-              if ((*it)->prompt.size() < (*best)->prompt.size())
+              if (prompt_len(*it) < prompt_len(*best))
                   best = it;
           }
           return best;
       }
       case SchedulerPolicy::LeastAttainedService: {
-          auto service = [&](const ReqPtr &req) {
-              auto it = sessionService_.find(req->sessionId);
+          auto service = [&](ReqHandle h) {
+              auto it = sessionService_.find(reqAt(h).sessionId);
               return it == sessionService_.end() ? 0.0 : it->second;
           };
           auto best = waiting_.begin();

@@ -230,7 +230,11 @@ struct EngineStats
  */
 struct MigratedRequest
 {
-    /** Engine-private request state (lifecycle, ledger, awaiter). */
+    /**
+     * Engine-private request state (lifecycle, ledger, awaiter),
+     * moved out of the source's request slab and into the target's
+     * (or the source's again, by abortMigration()).
+     */
     std::shared_ptr<void> state;
     /** Full token chain (prompt + generated output) for reallocation. */
     kv::TokenChain chain;
@@ -415,6 +419,9 @@ class LlmEngine
     /** Requests currently running. */
     std::size_t runningCount() const { return running_.size(); }
 
+    /** Queued or running requests whose deadline is being watched. */
+    std::size_t pendingDeadlines() const { return deadlines_.size(); }
+
     const EngineConfig &config() const { return config_; }
     const llm::PerfModel &perfModel() const { return perf_; }
 
@@ -495,12 +502,12 @@ class LlmEngine
         bool exported = false;
         /**
          * Engine currently responsible for this request. Changes on
-         * live migration — the source's in-flight step plan still
-         * references the Req after a same-tick re-import has cleared
-         * `exported` and reassigned `id`, so plan consumers must also
-         * check ownership before touching engine-local state.
+         * live migration; plan consumers check it as well as the
+         * plan handle's generation before touching engine-local state.
          */
         LlmEngine *owner = nullptr;
+        /** This request's slot in its engine's slab (-1: in transit). */
+        std::int32_t slot = -1;
         /**
          * Sitting in waiting_ as a re-admission (preemption victim or
          * migration fallback), not a fresh arrival — exempt from the
@@ -554,7 +561,30 @@ class LlmEngine
         Req(sim::Simulation &sim) : done(sim) {}
     };
 
-    using ReqPtr = std::shared_ptr<Req>;
+    /**
+     * O(1) reference to a request in the slab: its slot plus the
+     * slot's generation when the handle was made. Freeing a slot
+     * bumps its generation, so a handle kept past finish, cancel or
+     * export — also once a new request has claimed the slot — reads
+     * as stale instead of naming the wrong request.
+     */
+    struct ReqHandle
+    {
+        std::int32_t slot = -1;
+        std::uint32_t gen = 0;
+
+        bool operator==(const ReqHandle &) const = default;
+    };
+
+    /** One slot of the request slab. */
+    struct ReqSlot
+    {
+        /** Bumped each time the slot is freed. */
+        std::uint32_t gen = 0;
+        Req req;
+
+        explicit ReqSlot(sim::Simulation &sim) : req(sim) {}
+    };
 
     /** Work selected for one engine step. */
     struct StepPlan
@@ -564,14 +594,18 @@ class LlmEngine
         double extraSeconds = 0.0;
         /** Injected stall time folded into this step, seconds. */
         double stallSeconds = 0.0;
-        /** Requests receiving one decode token. */
-        std::vector<ReqPtr> decoders;
+        /** Requests receiving one decode token, aligned with
+         *  work.decodeContexts. */
+        std::vector<ReqHandle> decoders;
         struct PrefillPart
         {
-            ReqPtr req;
+            ReqHandle req;
             std::int64_t tokens;
         };
         std::vector<PrefillPart> prefills;
+        /** Running requests still prefilling, in admission order
+         *  (buildStep scratch). */
+        std::vector<ReqHandle> prefilling;
 
         /** Empty the plan for reuse, keeping vector capacity — the
          *  step loop builds one of these per engine step, so the
@@ -585,6 +619,7 @@ class LlmEngine
             stallSeconds = 0.0;
             decoders.clear();
             prefills.clear();
+            prefilling.clear();
         }
     };
 
@@ -593,8 +628,23 @@ class LlmEngine
     llm::PerfModel perf_;
     kv::BlockManager blocks_;
 
-    std::deque<ReqPtr> waiting_;
-    std::vector<ReqPtr> running_; // admission order
+    /**
+     * Request slab: every request this engine holds, waiting, running
+     * or with an import in flight. A freed slot keeps its place and
+     * is reused last-freed first. Claiming a slot may move the slab,
+     * so Req references do not survive generate() or importRequest().
+     */
+    std::vector<ReqSlot> reqs_;
+    std::vector<std::int32_t> freeReqSlots_;
+    /**
+     * Deadlines of the deadline-bearing requests in waiting_ and
+     * running_, by slot, keyed by deadlineKey(). Only the earliest
+     * tick is read; which of several expired requests goes first is
+     * the ordered scan's business, not the heap layout's.
+     */
+    kv::IndexedMinHeap deadlines_;
+    std::deque<ReqHandle> waiting_;
+    std::vector<ReqHandle> running_; // admission order
     std::optional<sim::Completion<int>> wake_;
     std::uint64_t nextId_ = 1;
     bool online_ = true;
@@ -606,7 +656,8 @@ class LlmEngine
     double pendingStallSeconds_ = 0.0;
     /** Reusable step plan (see StepPlan::reset). */
     StepPlan planScratch_;
-    /** Cumulative attributed GPU seconds per session (LAS policy). */
+    /** Cumulative attributed GPU seconds per session; kept only
+     *  under the LAS policy, its one reader. */
     std::unordered_map<std::uint64_t, double> sessionService_;
 
     EngineStats stats_;
@@ -623,8 +674,15 @@ class LlmEngine
      *  reference; valid until the next buildStep call). */
     StepPlan &buildStep();
 
+    /**
+     * One walk of running_ into @p plan: each decoder with its context
+     * length, and the requests still prefilling. @return how many
+     * decoders cross a block boundary this step (blocks to reserve).
+     */
+    std::int64_t collectRunning(StepPlan &plan);
+
     /** Pick the next admission candidate per the scheduler policy. */
-    std::deque<ReqPtr>::iterator nextAdmissionCandidate();
+    std::deque<ReqHandle>::iterator nextAdmissionCandidate();
     void commitStep(const StepPlan &plan, const llm::StepCost &cost,
                     sim::Tick step_start);
 
@@ -636,13 +694,13 @@ class LlmEngine
     void tracePhaseEnd(Req &req);
 
     /** Preempt the latest-arrived running request (recompute). */
-    void preemptOne(StepPlan &plan);
+    void preemptOne();
 
     /** Fail a request that can never be served. */
-    void failRequest(const ReqPtr &req);
+    void failRequest(Req &req);
 
     /** Complete a request and release its sequence. */
-    void finishRequest(const ReqPtr &req);
+    void finishRequest(Req &req);
 
     /**
      * Tool-call-aware parking, run at request completion: when the
@@ -651,7 +709,7 @@ class LlmEngine
      * prefetch that promotes it back just before the continuation
      * wakes. Both transfers happen off the step critical path.
      */
-    void maybeParkChain(const ReqPtr &req);
+    void maybeParkChain(const Req &req);
 
     /** Why a request is being cancelled. */
     enum class CancelCause
@@ -666,9 +724,13 @@ class LlmEngine
      * from waiting_/running_, and resume its awaiter with the flags
      * for @p cause.
      */
-    void cancelRequest(const ReqPtr &req, CancelCause cause);
+    void cancelRequest(Req &req, CancelCause cause);
 
-    /** Cancel every request whose deadline has passed. */
+    /**
+     * Cancel every request whose deadline has passed: waiting ones in
+     * queue order, then running ones in admission order. O(1) when
+     * the earliest deadline is still ahead.
+     */
     void expireDeadlines();
 
     /**
@@ -679,10 +741,10 @@ class LlmEngine
     void noteLeftWaiting(Req &req);
 
     /** Requeue a request with re-admission accounting and trace. */
-    void requeueRequest(const ReqPtr &req, bool front);
+    void requeueRequest(Req &req, bool front);
 
     /** Activate an imported request once its KV transfer lands. */
-    void activateImported(const ReqPtr &req, kv::TokenChain chain,
+    void activateImported(Req &req, kv::TokenChain chain,
                           std::int64_t computed_tokens);
 
     /**
@@ -700,9 +762,57 @@ class LlmEngine
     void sloFailure(const Req &req);
 
     /** Produce the next synthetic output token for a request. */
-    kv::TokenId genToken(Req &req);
+    kv::TokenId genToken(const Req &req);
 
     void updateGauges();
+
+    /** Low bits of a deadline key holding the slot (deadlineKey()). */
+    static constexpr int kDeadlineSlotBits = 24;
+
+    /** A fresh request in a free (or new) slab slot. */
+    ReqHandle claimReq();
+
+    /** Move a migrated request's state into a fresh slab slot. */
+    Req &adoptReq(const std::shared_ptr<void> &state);
+
+    /**
+     * Free @p req's slot once it leaves this engine (finish, fail,
+     * cancel, export): its deadline entry goes and every outstanding
+     * handle to it turns stale.
+     */
+    void retireReq(Req &req);
+
+    /** Heap key of a deadline: its tick, made unique by the slot. */
+    static std::uint64_t deadlineKey(sim::Tick tick, std::int32_t slot);
+
+    /** Earliest tracked deadline tick; deadlines_ must not be empty. */
+    sim::Tick earliestDeadline() const
+    {
+        return static_cast<sim::Tick>(deadlines_.key(deadlines_.top()) >>
+                                      kDeadlineSlotBits);
+    }
+
+    ReqHandle handleOf(const Req &req) const
+    {
+        const auto slot = static_cast<std::size_t>(req.slot);
+        return {req.slot, reqs_[slot].gen};
+    }
+
+    /** The request @p h names, or nullptr once its slot was freed. */
+    Req *liveReq(ReqHandle h)
+    {
+        ReqSlot &s = reqs_[static_cast<std::size_t>(h.slot)];
+        return s.gen == h.gen ? &s.req : nullptr;
+    }
+
+    /** The request @p h names; panics if the handle is stale. */
+    Req &reqAt(ReqHandle h)
+    {
+        Req *req = liveReq(h);
+        AGENTSIM_ASSERT(req != nullptr, "stale request handle (slot %d)",
+                        h.slot);
+        return *req;
+    }
 
     static std::int64_t derivePoolBlocks(const EngineConfig &config);
 };

@@ -1045,4 +1045,192 @@ TEST(Engine, LasOrderHoldsAcrossPreemptionRequeue)
     engine.blockManager().checkInvariants();
 }
 
+// ---------------------------------------------------------------
+// Semantics the dense engine step keeps: expiry order, stale plan
+// entries, deadlines across migration.
+// ---------------------------------------------------------------
+
+/** submitDeadline that logs @p label once its awaiter resumes. */
+Task<GenResult>
+submitLogged(LlmEngine &engine, std::vector<kv::TokenId> tokens,
+             std::int64_t out, double deadline, int label,
+             std::vector<int> *log)
+{
+    GenResult r =
+        co_await submitDeadline(engine, std::move(tokens), out, deadline);
+    log->push_back(label);
+    co_return r;
+}
+
+TEST(Engine, SameTickDeadlinesCancelWaitingThenRunning)
+{
+    // Four requests share one deadline tick: 1 and 2 run, 3 and 4
+    // wait behind the two-sequence cap. They expire in one check, and
+    // their awaiters resume in waiting-queue order, then in running
+    // (admission) order.
+    auto cfg = smallConfig();
+    cfg.maxRunningSeqs = 2;
+    Simulation sim;
+    LlmEngine engine(sim, cfg);
+    std::vector<int> log;
+    std::vector<Task<GenResult>> tasks;
+    for (int label = 1; label <= 4; ++label) {
+        tasks.push_back(submitLogged(engine, prompt(40 + label, 200), 2000,
+                                     0.3, label, &log));
+    }
+    sim.run();
+
+    EXPECT_EQ(log, (std::vector<int>{3, 4, 1, 2}));
+    for (auto &t : tasks) {
+        const GenResult r = t.result();
+        EXPECT_TRUE(r.timedOut);
+        EXPECT_EQ(r.finishTick, tasks.front().result().finishTick);
+    }
+    EXPECT_GE(tasks.front().result().finishTick, sim::fromSeconds(0.3));
+    EXPECT_EQ(engine.stats().requestsTimedOut, 4);
+    EXPECT_EQ(engine.pendingDeadlines(), 0u);
+    EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
+    engine.blockManager().checkInvariants();
+}
+
+TEST(Engine, CancelDuringStepReusesSlotSafely)
+{
+    // A is cancelled while a step that plans it (prefill at 0.1 s,
+    // decode at 2 s) is in flight, and B is submitted in the same
+    // tick, reusing whatever A released. The stale plan entry must
+    // neither emit nor charge anything: B costs exactly what it costs
+    // when it runs alone, and the engine's KV integral is the sum of
+    // the two ledgers.
+    Simulation solo_sim;
+    LlmEngine solo(solo_sim, smallConfig());
+    auto alone = submit(solo, prompt(51, 300), 40);
+    solo_sim.run();
+    const GenResult want = alone.result();
+
+    for (const double when : {0.1, 2.0}) {
+        SCOPED_TRACE(sim::strfmt("cancel at %.1f s", when));
+        Simulation sim;
+        LlmEngine engine(sim, smallConfig());
+        std::uint64_t handle = 0;
+        auto a = submitTracked(engine, prompt(50, 4000), 2000, &handle);
+        std::optional<Task<GenResult>> b;
+        sim.schedule(sim::fromSeconds(when), [&] {
+            EXPECT_TRUE(engine.cancel(handle));
+            b.emplace(submit(engine, prompt(51, 300), 40));
+        });
+        sim.run();
+
+        const GenResult ra = a.result();
+        EXPECT_TRUE(ra.cancelled);
+        EXPECT_EQ(ra.tokens.empty(), when < 1.0);
+        ASSERT_TRUE(b.has_value());
+        const GenResult rb = b->result();
+        EXPECT_TRUE(rb.ok());
+        EXPECT_EQ(rb.tokens.size(), want.tokens.size());
+        EXPECT_EQ(rb.prefillSeconds, want.prefillSeconds);
+        EXPECT_EQ(rb.decodeSeconds, want.decodeSeconds);
+        EXPECT_EQ(rb.flops, want.flops);
+        EXPECT_EQ(rb.ledger.prefillGpuSeconds, want.ledger.prefillGpuSeconds);
+        EXPECT_EQ(rb.ledger.decodeGpuSeconds, want.ledger.decodeGpuSeconds);
+        EXPECT_EQ(rb.ledger.energyJoules, want.ledger.energyJoules);
+        EXPECT_EQ(rb.ledger.kvBlockSeconds, want.ledger.kvBlockSeconds);
+        EXPECT_DOUBLE_EQ(engine.stats().kvBlockSeconds,
+                         ra.ledger.kvBlockSeconds +
+                             rb.ledger.kvBlockSeconds);
+        EXPECT_EQ(engine.stats().requestsCancelled, 1);
+        EXPECT_EQ(engine.stats().requestsCompleted, 1);
+        EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
+        engine.blockManager().checkInvariants();
+    }
+}
+
+TEST(Engine, CancelTouchesOnlyTheNamedRequest)
+{
+    // Regression: cancel() passed cancelRequest a reference into the
+    // queue it then erased from, so cancelling a request with another
+    // queued behind it resolved that neighbour instead (and left the
+    // named one orphaned). 1 and 2 run, 3 and 4 wait; cancel 1 and 3.
+    auto cfg = smallConfig();
+    cfg.maxRunningSeqs = 2;
+    Simulation sim;
+    LlmEngine engine(sim, cfg);
+    std::vector<std::uint64_t> ids(4, 0);
+    std::vector<Task<GenResult>> tasks;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        tasks.push_back(submitTracked(engine, prompt(70 + i, 200), 50,
+                                      &ids[i]));
+    }
+    sim.schedule(sim::fromSeconds(0.1), [&] {
+        EXPECT_TRUE(engine.cancel(ids[0]));
+        EXPECT_TRUE(engine.cancel(ids[2]));
+    });
+    sim.run();
+
+    EXPECT_TRUE(tasks[0].result().cancelled);
+    EXPECT_TRUE(tasks[2].result().cancelled);
+    for (const std::size_t i : {1u, 3u}) {
+        const GenResult r = tasks[i].result();
+        EXPECT_TRUE(r.ok());
+        EXPECT_EQ(r.tokens.size(), 50u);
+    }
+    EXPECT_EQ(engine.stats().requestsCancelled, 2);
+    EXPECT_EQ(engine.stats().requestsCompleted, 2);
+    EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
+    engine.blockManager().checkInvariants();
+}
+
+TEST(Engine, DeadlineFollowsMigration)
+{
+    // Exported at 1.3 s with a 1.5 s deadline and landed on a peer:
+    // the deadline tick travels with the request, so the target times
+    // it out at the first step boundary past 1.5 s, not 1.5 s after
+    // the import.
+    {
+        Simulation sim;
+        LlmEngine source(sim, smallConfig());
+        LlmEngine target(sim, smallConfig());
+        auto t = submitDeadline(source, prompt(60, 400), 2000, 1.5);
+        int migrated = 0;
+        auto d = drainInto(sim, source, target, 1.0, 0.3, &migrated);
+        sim.run();
+
+        EXPECT_EQ(migrated, 1);
+        const GenResult r = t.result();
+        EXPECT_TRUE(r.timedOut);
+        EXPECT_GE(r.finishTick, sim::fromSeconds(1.5));
+        EXPECT_LT(r.finishTick, sim::fromSeconds(1.6));
+        EXPECT_EQ(source.stats().requestsTimedOut, 0);
+        EXPECT_EQ(target.stats().requestsTimedOut, 1);
+        EXPECT_EQ(source.pendingDeadlines(), 0u);
+        EXPECT_EQ(target.pendingDeadlines(), 0u);
+        EXPECT_EQ(target.blockManager().usedBlocks(), 0);
+        target.blockManager().checkInvariants();
+    }
+    // An aborted migration leaves no deadline behind on the source:
+    // a restarted engine serves a new request past the old deadline.
+    {
+        Simulation sim;
+        LlmEngine engine(sim, smallConfig());
+        auto t = submitDeadline(engine, prompt(61, 400), 2000, 1.5);
+        auto d = drainAt(sim, engine, 1.0, 0.3, /*export=*/true);
+        sim.run();
+        auto outcome = d.result();
+        ASSERT_EQ(outcome.leftovers.size(), 1u);
+        EXPECT_EQ(engine.pendingDeadlines(), 0u); // left with the export
+        engine.abortMigration(std::move(outcome.leftovers.front()));
+        EXPECT_EQ(engine.pendingDeadlines(), 0u);
+        sim.run();
+        EXPECT_TRUE(t.result().nodeFailure);
+        EXPECT_EQ(engine.stats().requestsTimedOut, 0);
+
+        engine.restart();
+        auto next = submit(engine, prompt(62, 300), 400);
+        sim.run();
+        EXPECT_TRUE(next.result().ok());
+        EXPECT_GT(next.result().finishTick, sim::fromSeconds(1.5));
+        EXPECT_EQ(engine.stats().requestsTimedOut, 0);
+        engine.blockManager().checkInvariants();
+    }
+}
+
 } // namespace
