@@ -194,7 +194,7 @@ main(int argc, char **argv)
                          static_cast<long long>(r.scaleOuts),
                          static_cast<long long>(r.scaleIns)),
              core::fmtCount(static_cast<double>(r.admissionRejects)),
-             core::fmtSeconds(r.lostPrefillSeconds)});
+             core::fmtSeconds(r.engineTotals().lostPrefillSeconds)});
 
         if (telemetry.reportRequested()) {
             const std::string prefix = scenario.key;
@@ -216,7 +216,7 @@ main(int argc, char **argv)
             rep.set(prefix + "_admission_rejects",
                     static_cast<double>(r.admissionRejects));
             rep.set(prefix + "_lost_prefill_seconds",
-                    r.lostPrefillSeconds);
+                    r.engineTotals().lostPrefillSeconds);
         }
     }
     table.print();

@@ -158,10 +158,10 @@ main(int argc, char **argv)
              base.completed);
     cost.add("episodes (checkpoint)", ckpt.episodeCost,
              ckpt.completed);
-    cost.addRecoveredGpuSeconds(
-        "crash", ckpt.recovery.recoveredCrashGpuSeconds);
-    cost.addRecoveredGpuSeconds(
-        "shed", ckpt.recovery.recoveredShedGpuSeconds);
+    for (std::size_t c = 0; c < serving::RecoveryCause::Count; ++c) {
+        cost.addRecoveredGpuSeconds(serving::RecoveryCause::names[c],
+                                    ckpt.recovery.recoveredByCause[c]);
+    }
     cost.render("Episode cost attribution").print();
 
     const double lost_base = base.recovery.lostGpuSeconds;

@@ -155,6 +155,7 @@ class TelemetryCli
             return;
         session_.reset();
         cfg.telemetry = &session_;
+        cfg.spans = &session_.spans;
         if (sampleSeries())
             cfg.timeseries = &session_.timeseries;
         if (flightRecord_) {

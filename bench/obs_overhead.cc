@@ -5,19 +5,22 @@
  * sampling) and the full stack cost in host wall time on a fixed
  * serving workload.
  *
- * The same ReAct serving run executes bare, with one observer at a
- * time, and fully instrumented (several repetitions each, best-of to
- * shed scheduler noise), and the binary reports each row's overhead
- * over bare plus
+ * A row is a batch of ReAct serving runs (distinct seeds), run bare,
+ * with one observer at a time, and fully instrumented; its wall time
+ * is the batch's summed in-run time, best of several repetitions to
+ * shed scheduler noise (each repetition runs every row once). The
+ * batch is sized so the bare row takes over a second on a 4-thread
+ * Xeon host, while each run keeps its trace log small. The binary
+ * reports each row's overhead over bare plus
  *
  *   telemetry_overhead_pct = (instrumented - bare) / bare * 100
  *
  * into the perf report (informational — host timing never gates a
- * diff). runServing attaches the session's span collector along with
- * its trace sink, so the trace rows include the spans row's cost. The
+ * diff). Each observer is attached on its own: the trace rows price
+ * the trace sink alone, the spans row the span collector alone. The
  * binary also enforces the observer-purity contract: every observed
  * run must produce byte-for-byte the same request-level results as
- * the bare run, or the binary exits non-zero.
+ * its bare run, or the binary exits non-zero.
  *
  *   obs_overhead [--report out.json] [--smoke]
  */
@@ -34,7 +37,7 @@ namespace
 using namespace benchutil;
 
 ServeConfig
-makeWorkload(int requests)
+makeWorkload(int requests, std::uint64_t seed)
 {
     ServeConfig cfg;
     cfg.agent = AgentKind::ReAct;
@@ -42,7 +45,7 @@ makeWorkload(int requests)
     cfg.engineConfig = core::enginePreset8b();
     cfg.qps = 2.0;
     cfg.numRequests = requests;
-    cfg.seed = kSeed;
+    cfg.seed = seed;
     return cfg;
 }
 
@@ -59,13 +62,14 @@ main(int argc, char **argv)
     TelemetryCli telemetry(argc, argv);
     telemetry.report().setGenerator("obs_overhead");
 
-    const int requests = smoke ? 40 : 120;
+    const int requests = smoke ? 40 : 1000;
+    const int runs = smoke ? 1 : 20;
     const int reps = smoke ? 2 : 3;
 
     // One row per observer on its own, then the full stack (no SLO
     // tracker, so no incident is ever dumped — the rows measure the
     // always-on cost). The full stack runs last, so the session still
-    // holds its state for the summary below.
+    // holds its last run's state for the summary below.
     struct Mode
     {
         const char *label;
@@ -81,32 +85,37 @@ main(int argc, char **argv)
         {"+trace+recorder", "trace_recorder", true, true, false, false},
         {"+spans", "spans", false, false, true, false},
         {"+time series", "timeseries", false, false, false, true},
-        {"all observers", "instrumented", true, true, false, true},
+        {"all observers", "instrumented", true, true, true, true},
     };
 
+    // Each repetition runs every row once, so a drift in host speed
+    // during the invocation reaches every row alike.
     telemetry::SessionTelemetry session;
-    std::vector<double> walls;
-    std::vector<ServeResult> results;
-    for (const Mode &mode : modes) {
-        double best = 0.0;
-        ServeResult result;
-        for (int rep = 0; rep < reps; ++rep) {
-            auto cfg = makeWorkload(requests);
-            session.reset();
-            if (mode.trace)
-                cfg.telemetry = &session;
-            if (mode.recorder)
-                cfg.recorder = &session.recorder;
-            if (mode.spans)
-                cfg.spans = &session.spans;
-            if (mode.timeseries)
-                cfg.timeseries = &session.timeseries;
-            result = core::runServing(cfg);
-            if (rep == 0 || result.simWallSeconds < best)
-                best = result.simWallSeconds;
+    std::vector<double> walls(modes.size(), 0.0);
+    std::vector<std::vector<ServeResult>> results(modes.size());
+    for (int rep = 0; rep < reps; ++rep) {
+        for (std::size_t m = 0; m < modes.size(); ++m) {
+            const Mode &mode = modes[m];
+            double wall = 0.0;
+            results[m].clear();
+            for (int run = 0; run < runs; ++run) {
+                auto cfg = makeWorkload(
+                    requests, kSeed + static_cast<std::uint64_t>(run));
+                session.reset();
+                if (mode.trace)
+                    cfg.telemetry = &session;
+                if (mode.recorder)
+                    cfg.recorder = &session.recorder;
+                if (mode.spans)
+                    cfg.spans = &session.spans;
+                if (mode.timeseries)
+                    cfg.timeseries = &session.timeseries;
+                results[m].push_back(core::runServing(cfg));
+                wall += results[m].back().simWallSeconds;
+            }
+            if (rep == 0 || wall < walls[m])
+                walls[m] = wall;
         }
-        walls.push_back(best);
-        results.push_back(result);
     }
 
     const double bare_wall = walls.front();
@@ -118,51 +127,56 @@ main(int argc, char **argv)
 
     core::Table table("Observability overhead (ReAct/HotpotQA, "
                       "open loop)");
-    table.header({"Mode", "Wall", "Overhead", "Events", "p50", "p95",
-                  "GPU busy"});
+    table.header({"Mode", "Wall", "Overhead", "Events", "GPU busy"});
     for (std::size_t i = 0; i < modes.size(); ++i) {
-        const ServeResult &r = results[i];
+        double events = 0.0;
+        double busy = 0.0;
+        for (const ServeResult &r : results[i]) {
+            events += r.simEventsProcessed;
+            busy += r.engineStats.busySeconds;
+        }
         table.row({modes[i].label, sim::strfmt("%.3f s", walls[i]),
                    i == 0 ? std::string("-")
                           : sim::strfmt("%+.1f%%", overhead(walls[i])),
-                   core::fmtCount(r.simEventsProcessed),
-                   core::fmtSeconds(r.p50()), core::fmtSeconds(r.p95()),
-                   core::fmtSeconds(r.engineStats.busySeconds)});
+                   core::fmtCount(events), core::fmtSeconds(busy)});
     }
     table.print();
 
-    std::printf("\nTelemetry overhead: %.1f%% host wall time "
-                "(best of %d; trace %zu events, %lld spans, "
-                "%zu time-series points, recorder rings %zu/%zu).\n"
-                "runServing attaches the session's span collector with "
-                "its trace sink, so both trace rows include the spans "
-                "row.\n",
-                overhead_pct, reps, session.trace.eventCount(),
+    std::printf("\nTelemetry overhead: %.1f%% host wall time over %d "
+                "runs of %d requests (best of %d; last run: trace %zu "
+                "events, %lld spans, %zu time-series points, recorder "
+                "rings %zu/%zu).\n",
+                overhead_pct, runs, requests, reps,
+                session.trace.eventCount(),
                 static_cast<long long>(session.spans.requestsFinished()),
                 session.timeseries.pointsRetained(),
                 session.recorder.traceEventsRetained(),
                 session.recorder.spansRetained());
 
     // Observer purity: instrumentation must not change the sim.
-    const ServeResult &bare = results.front();
     for (std::size_t i = 1; i < modes.size(); ++i) {
-        const ServeResult &r = results[i];
-        const bool identical =
-            bare.completed == r.completed && bare.solved == r.solved &&
-            bare.p50() == r.p50() && bare.p95() == r.p95() &&
-            bare.engineStats.busySeconds == r.engineStats.busySeconds &&
-            bare.energyWh == r.energyWh;
-        if (!identical) {
-            std::fprintf(stderr,
-                         "error: the %s run diverged from the bare run "
-                         "(telemetry is supposed to be a pure "
-                         "observer)\n",
-                         modes[i].label);
-            return 1;
+        for (int run = 0; run < runs; ++run) {
+            const ServeResult &bare = results.front()[run];
+            const ServeResult &r = results[i][run];
+            const bool identical =
+                bare.completed == r.completed &&
+                bare.solved == r.solved && bare.p50() == r.p50() &&
+                bare.p95() == r.p95() &&
+                bare.engineStats.busySeconds ==
+                    r.engineStats.busySeconds &&
+                bare.energyWh == r.energyWh;
+            if (!identical) {
+                std::fprintf(stderr,
+                             "error: run %d of the %s row diverged "
+                             "from the bare run (telemetry is "
+                             "supposed to be a pure observer)\n",
+                             run, modes[i].label);
+                return 1;
+            }
         }
     }
     std::printf("Observer purity: every observed run bit-identical to "
-                "the bare run (completed/solved/p50/p95/GPU busy/"
+                "its bare run (completed/solved/p50/p95/GPU busy/"
                 "energy).\n");
 
     if (telemetry.reportRequested()) {

@@ -141,6 +141,7 @@ main(int argc, char **argv)
             telemetry::SloTracker slo(sloConfig());
             cfg.slo = &slo;
             const auto r = core::runCluster(cfg);
+            const serving::EngineStats totals = r.engineTotals();
             table.row(
                 {core::fmtCount(qps),
                  std::string(sim::maintenanceModeName(mode)),
@@ -149,9 +150,9 @@ main(int argc, char **argv)
                  core::fmtPercent(r.goodputFraction()),
                  core::fmtSeconds(wastedGpuSeconds(r)),
                  core::fmtCount(
-                     static_cast<double>(r.migratedRequests)),
+                     static_cast<double>(totals.requestsMigratedOut)),
                  core::fmtCount(
-                     static_cast<double>(r.migrationFallbacks)),
+                     static_cast<double>(totals.migrationFallbacks)),
                  core::fmtSeconds(r.p50()), core::fmtSeconds(r.p99()),
                  core::fmtPercent(
                      slo.attainment(telemetry::SloMetric::Ttft)),
@@ -166,7 +167,7 @@ main(int argc, char **argv)
                 rep.set(prefix + "_ttft_attainment",
                         slo.attainment(telemetry::SloMetric::Ttft));
                 rep.set(prefix + "_migrated",
-                        static_cast<double>(r.migratedRequests));
+                        static_cast<double>(totals.requestsMigratedOut));
                 rep.set(prefix + "_breaker_opens",
                         static_cast<double>(r.breakerOpens));
             }

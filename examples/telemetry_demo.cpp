@@ -85,6 +85,7 @@ servingDemo(const std::string &prefix)
     cfg.numRequests = 16;
     cfg.seed = 7;
     cfg.telemetry = &session;
+    cfg.spans = &session.spans;
     cfg.timeseries = &session.timeseries;
 
     const core::ServeResult result = core::runServing(cfg);

@@ -3,7 +3,10 @@
 #
 #  1. Every relative markdown link in the repo's *.md files must
 #     point at a file that exists.
-#  2. If doxygen is installed, the API reference must build with an
+#  2. Every `Struct::field` knob named in docs/OPERATIONS.md, and
+#     every agentsim_* metric family named there or in README.md,
+#     must still exist under src/.
+#  3. If doxygen is installed, the API reference must build with an
 #     empty warning log (docs/Doxyfile routes warnings to a file;
 #     WARN_IF_DOC_ERROR covers malformed doc blocks). Skipped with a
 #     notice when doxygen is absent, so the script stays runnable in
@@ -70,7 +73,34 @@ else
     echo "ok: $checked documented knob names all exist in src/"
 fi
 
-# --- 3. Doxygen warnings ------------------------------------------
+# --- 3. Stale metric families in the runbook and README -----------
+# Every agentsim_ family that docs/OPERATIONS.md or README.md names
+# must occur as a string literal under src/ (family renamed => the
+# runbook is lying). A token ending in `_` or followed by `*` names a
+# prefix and only has to start a string.
+echo "== checking documented metric families against src/ =="
+stale=0
+checked=0
+while IFS= read -r token; do
+    checked=$((checked + 1))
+    case "$token" in
+        *\*) pattern="\"${token%\*}" ;;
+        *_) pattern="\"$token" ;;
+        *) pattern="\"$token\"" ;;
+    esac
+    if ! grep -rqF -- "$pattern" src/; then
+        echo "STALE FAMILY: $token — no matching string in src/"
+        stale=1
+    fi
+done < <(grep -ohE 'agentsim_[a-z0-9_]+\*?' docs/OPERATIONS.md README.md \
+             | sort -u)
+if [ "$stale" -ne 0 ]; then
+    status=1
+else
+    echo "ok: $checked documented metric families all exist in src/"
+fi
+
+# --- 4. Doxygen warnings ------------------------------------------
 if command -v doxygen > /dev/null 2>&1; then
     echo "== building API reference (doxygen) =="
     mkdir -p build/docs

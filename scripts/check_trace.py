@@ -30,12 +30,14 @@ incident-*/ bundle under a directory of them):
 
 --timeseries mode validates a time-series CSV (a bench's --csv output
 or a bundle's timeseries.csv): the series,time_s,value header, rows
-of three fields with parseable numbers, times that never decrease
+of three CSV fields (a labelled series key is quoted) with parseable
+numbers, times that never decrease
 within a series, and at least one sample.
 
 Exits non-zero with a one-line reason on the first violation.
 """
 
+import csv
 import json
 import os
 import sys
@@ -143,10 +145,10 @@ def check_timeseries(path: str) -> list[float]:
         fail(f"{path}: missing series,time_s,value header")
     times = []
     last_time: dict[str, float] = {}
-    for line in lines[1:]:
+    # A labelled series key (name{k="v",...}) is a quoted CSV field.
+    for line, parts in zip(lines[1:], csv.reader(lines[1:])):
         if not line:
             continue
-        parts = line.split(",")
         if len(parts) != 3:
             fail(f"{path}: malformed row {line!r}")
         try:

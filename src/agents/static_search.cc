@@ -26,15 +26,21 @@ namespace agentsim::agents
 namespace
 {
 
-/** A thought node: one internal reasoning step. */
+/**
+ * A thought node: one internal reasoning step. The node keeps its
+ * path's two running prompts (proposer and evaluator), so a child
+ * extends its parent's by its own output alone.
+ */
 struct Thought
 {
     /** Progress toward the solution, in hops. */
     int hops = 0;
     /** Branch capability (latent-threshold model). */
     double capability = 0.0;
-    /** LLM output tokens along the path (for prompt growth). */
-    std::vector<kv::TokenId> pathTokens;
+    /** The proposer prefix plus the LLM outputs along the path. */
+    PromptBuilder think;
+    /** The evaluator prefix plus the same path. */
+    PromptBuilder judge;
 };
 
 /** Shared tool-less base capability for the current task. */
@@ -47,29 +53,23 @@ toollessBase(const AgentContext &ctx)
                           ctx.profile().noToolFactor);
 }
 
-/** One candidate thought expansion: an LLM call on the path. */
+/** One candidate thought expansion: an LLM call on the path. The
+ *  rng is a copy, so the branch's own stream stays unadvanced. */
 sim::Task<serving::GenResult>
-proposeThought(AgentContext &ctx, Trace &trace,
-               const PromptBuilder &prefix, const Thought &parent,
+proposeThought(AgentContext &ctx, Trace &trace, Prompt prompt,
                sim::Rng rng)
 {
-    PromptBuilder builder = prefix;
-    builder.add(SegmentKind::LlmHistory, parent.pathTokens);
-    co_return co_await callLlm(ctx, trace, rng, builder.build(),
+    co_return co_await callLlm(ctx, trace, rng, std::move(prompt),
                                ctx.profile().stepOutputMean,
                                "tot.think");
 }
 
 /** One verifier call over a sampled rationale / thought path. */
 sim::Task<serving::GenResult>
-scoreState(AgentContext &ctx, Trace &trace,
-           const PromptBuilder &verifier_prefix,
-           const std::vector<kv::TokenId> &path, sim::Rng rng,
+scoreState(AgentContext &ctx, Trace &trace, Prompt prompt, sim::Rng rng,
            const char *label)
 {
-    PromptBuilder builder = verifier_prefix;
-    builder.add(SegmentKind::LlmHistory, path);
-    co_return co_await callLlm(ctx, trace, rng, builder.build(),
+    co_return co_await callLlm(ctx, trace, rng, std::move(prompt),
                                ctx.profile().valueOutputMean, label);
 }
 
@@ -85,18 +85,16 @@ TreeOfThoughtsAgent::run(AgentContext ctx)
     const int keep = 2; // frontier width after pruning
     const double base = toollessBase(ctx);
 
-    const PromptBuilder prefix = ctx.promptPrefix();
-    const PromptBuilder verifier_prefix = ctx.evaluatorPrefix();
-
-    std::vector<Thought> frontier{Thought{}};
-    Thought best;
+    std::vector<Thought> frontier{
+        Thought{0, 0.0, ctx.promptPrefix(), ctx.evaluatorPrefix()}};
+    Thought best = frontier.front();
     int rounds = 0;
 
     for (int level = 0; level < depth; ++level) {
         ++rounds;
         // Propose `breadth` thoughts per frontier state, in parallel.
         std::vector<sim::Task<serving::GenResult>> proposals;
-        std::vector<Thought> parents;
+        std::vector<std::size_t> parents;
         std::vector<sim::Rng> rngs;
         for (std::size_t f = 0; f < frontier.size(); ++f) {
             for (int b = 0; b < breadth; ++b) {
@@ -108,8 +106,8 @@ TreeOfThoughtsAgent::run(AgentContext ctx)
                                   sim::hashCombine(ctx.task.taskId,
                                                    disc));
                 proposals.push_back(proposeThought(
-                    ctx, trace, prefix, frontier[f], rngs.back()));
-                parents.push_back(frontier[f]);
+                    ctx, trace, frontier[f].think.build(), rngs.back()));
+                parents.push_back(f);
             }
         }
         std::vector<serving::GenResult> outputs =
@@ -119,10 +117,9 @@ TreeOfThoughtsAgent::run(AgentContext ctx)
         std::vector<Thought> candidates;
         std::vector<sim::Task<serving::GenResult>> scores;
         for (std::size_t i = 0; i < outputs.size(); ++i) {
-            Thought child = parents[i];
-            child.pathTokens.insert(child.pathTokens.end(),
-                                    outputs[i].tokens.begin(),
-                                    outputs[i].tokens.end());
+            Thought child = frontier[parents[i]];
+            child.think.add(SegmentKind::LlmHistory, outputs[i].tokens);
+            child.judge.add(SegmentKind::LlmHistory, outputs[i].tokens);
             // Structured, evaluator-guided exploration searches the
             // reasoning space more deliberately than plain sampling
             // (trial-level sigma), but cannot conjure knowledge.
@@ -132,9 +129,8 @@ TreeOfThoughtsAgent::run(AgentContext ctx)
                            ctx.task.solveThreshold)) {
                 ++child.hops;
             }
-            scores.push_back(scoreState(ctx, trace, verifier_prefix,
-                                        child.pathTokens, rngs[i],
-                                        "tot.evaluate"));
+            scores.push_back(scoreState(ctx, trace, child.judge.build(),
+                                        rngs[i], "tot.evaluate"));
             candidates.push_back(std::move(child));
         }
         co_await sim::allOf(std::move(scores));
@@ -145,8 +141,8 @@ TreeOfThoughtsAgent::run(AgentContext ctx)
                       return a.hops > b.hops;
                   });
         if (static_cast<int>(candidates.size()) > keep)
-            candidates.resize(static_cast<std::size_t>(keep));
-        frontier = candidates;
+            candidates.erase(candidates.begin() + keep, candidates.end());
+        frontier = std::move(candidates);
         if (frontier.front().hops > best.hops)
             best = frontier.front();
         if (best.hops >= ctx.task.requiredHops)
@@ -155,8 +151,8 @@ TreeOfThoughtsAgent::run(AgentContext ctx)
 
     // Final answer from the best path.
     sim::Rng rng = ctx.makeRng("answer");
-    co_await scoreState(ctx, trace, verifier_prefix, best.pathTokens,
-                        rng, "tot.answer");
+    co_await scoreState(ctx, trace, best.judge.build(), rng,
+                        "tot.answer");
     const bool solved =
         sampleAnswer(rng, best.hops, ctx.task.requiredHops);
 
@@ -208,10 +204,12 @@ BestOfNAgent::run(AgentContext ctx)
     // Phase 2: one verifier call per sample, in parallel.
     std::vector<sim::Task<serving::GenResult>> verifications;
     for (int s = 0; s < samples; ++s) {
-        verifications.push_back(scoreState(
-            ctx, trace, verifier_prefix,
-            outputs[static_cast<std::size_t>(s)].tokens,
-            rngs[static_cast<std::size_t>(s)], "bon.verify"));
+        PromptBuilder verify = verifier_prefix;
+        verify.add(SegmentKind::LlmHistory,
+                   outputs[static_cast<std::size_t>(s)].tokens);
+        verifications.push_back(
+            scoreState(ctx, trace, verify.build(),
+                       rngs[static_cast<std::size_t>(s)], "bon.verify"));
     }
     co_await sim::allOf(std::move(verifications));
 

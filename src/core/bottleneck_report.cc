@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "core/cost_report.hh"
 #include "sim/strfmt.hh"
 #include "telemetry/critical_path.hh"
 
@@ -70,23 +69,23 @@ exportBlameMetrics(const telemetry::SpanCollector &spans,
         .set(static_cast<double>(spans.exemplarsEvicted()));
 
     for (const auto &agg : spans.aggregates()) {
-        const std::string label =
-            sim::strfmt("_%s", sanitizeMetricLabel(agg.workflow).c_str());
+        const telemetry::Labels labels{{"workflow", agg.workflow}};
         registry
-            .counter("agentsim_blame_requests" + label,
-                     "Requests in this workflow's blame aggregate")
+            .counter("agentsim_blame_requests",
+                     "Requests in this workflow's blame aggregate",
+                     labels)
             .set(static_cast<double>(agg.requests));
         for (auto cat : kCategories) {
             const std::string name(telemetry::blameCategoryName(cat));
             registry
-                .gauge("agentsim_blame_mean_" + name + "_seconds" +
-                           label,
-                       "Mean critical-path seconds blamed on " + name)
+                .gauge("agentsim_blame_mean_" + name + "_seconds",
+                       "Mean critical-path seconds blamed on " + name,
+                       labels)
                 .set(now, agg.meanBlame(cat));
             registry
-                .gauge("agentsim_blame_p95_" + name + "_seconds" +
-                           label,
-                       "p95 critical-path seconds blamed on " + name)
+                .gauge("agentsim_blame_p95_" + name + "_seconds",
+                       "p95 critical-path seconds blamed on " + name,
+                       labels)
                 .set(now, agg.p95Blame(cat));
         }
     }

@@ -29,10 +29,10 @@ Table renderBlameTable(const telemetry::SpanCollector &spans,
                        const std::string &title = "Blame report");
 
 /**
- * Export aggregates as metrics:
- *   agentsim_blame_mean_<category>_seconds_<label>
- *   agentsim_blame_p95_<category>_seconds_<label>
- *   agentsim_blame_requests_<label>
+ * Export aggregates as metrics, one series per workflow label:
+ *   agentsim_blame_mean_<category>_seconds{workflow}
+ *   agentsim_blame_p95_<category>_seconds{workflow}
+ *   agentsim_blame_requests{workflow}
  * plus collector totals (agentsim_blame_requests_total,
  * agentsim_blame_exemplars_retained / _evicted).
  */

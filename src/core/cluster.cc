@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <optional>
+#include <string>
 
 #include "agents/accuracy.hh"
 #include "core/bottleneck_report.hh"
@@ -59,6 +60,21 @@ routePolicyName(RoutePolicy policy)
 
 namespace
 {
+
+/** The autoscaler's ClusterResult counters (exported when enabled). */
+using CR = ClusterResult;
+constexpr telemetry::StatField<CR> kAutoscaleFields[] = {
+    {"agentsim_autoscale_admission_rejects_total", &CR::admissionRejects,
+     "Attempts reject-fast'd by predictive admission control"},
+    {"agentsim_autoscale_provisioned_node_seconds_total",
+     &CR::provisionedNodeSeconds,
+     "Node-seconds provisioned (busy or idle, warm-up included)"},
+    {"agentsim_autoscale_provisioned_gpu_seconds_total",
+     &CR::provisionedGpuSeconds,
+     "GPU-seconds provisioned (node-seconds x GPUs per node)"},
+    {"agentsim_autoscale_warmup_seconds_total", &CR::warmupSecondsTotal,
+     "Warm-up seconds charged to scaled-out nodes"},
+};
 
 /** One serving node: an engine plus its per-benchmark tool belts. */
 struct Node
@@ -267,7 +283,7 @@ struct Router
 
 void
 noteCompletion(ClusterState &state, sim::Tick submit, sim::Tick finish,
-               std::size_t workload_index)
+               std::size_t workload_index, bool solved)
 {
     if (state.firstSubmit < 0)
         state.firstSubmit = submit;
@@ -276,6 +292,7 @@ noteCompletion(ClusterState &state, sim::Tick submit, sim::Tick finish,
     state.result.e2eSeconds.add(seconds);
     state.result.perWorkloadSeconds[workload_index].add(seconds);
     ++state.result.completed;
+    state.result.solved += solved ? 1 : 0;
 }
 
 void
@@ -315,13 +332,14 @@ routeWithFailover(const ClusterConfig &config, sim::Simulation &sim,
         // breaker-denied, or merely out-loaded by a peer. state() is
         // a pure query — unlike allows() it cannot consume a
         // half-open probe slot.
+        auto &by_cause = state.result.failoversByCause;
         if (!router.accepting(prev_node)) {
-            ++state.result.failoversOffline;
+            ++by_cause[FailoverCause::Offline];
         } else if (router.health.state(static_cast<std::size_t>(
                        prev_node)) == BreakerState::Open) {
-            ++state.result.failoversBreaker;
+            ++by_cause[FailoverCause::Breaker];
         } else {
-            ++state.result.failoversRebalance;
+            ++by_cause[FailoverCause::Rebalance];
         }
         if (config.traceSink != nullptr) {
             config.traceSink->instant(telemetry::TracePid::kAgents,
@@ -332,12 +350,28 @@ routeWithFailover(const ClusterConfig &config, sim::Simulation &sim,
     co_return target;
 }
 
-/** Jittered exponential backoff before retry @p attempt (1-based). */
-double
-retrySleepSeconds(const RetryPolicy &retry, int attempt, sim::Rng &rng)
+/**
+ * Count a retry under @p cause (a RetryCause) and sleep the jittered
+ * exponential backoff before retry @p attempt (1-based), inside a
+ * Backoff span when spans are on.
+ */
+sim::Task<void>
+retryBackoff(const ClusterConfig &config, sim::Simulation &sim,
+             telemetry::SpanRef root, int attempt, sim::Rng &backoff,
+             std::size_t cause, ClusterState &state)
 {
-    return retry.backoffSeconds(attempt) *
-           (1.0 + rng.uniform(0.0, retry.jitter));
+    ++state.result.retries;
+    ++state.result.retriesByCause[cause];
+    telemetry::SpanRef sleep_span;
+    if (config.spans != nullptr) {
+        sleep_span = config.spans->child(
+            root, telemetry::SpanKind::Backoff, "backoff", sim.now());
+    }
+    co_await sim::delaySec(
+        sim, config.retry.backoffSeconds(attempt) *
+                 (1.0 + backoff.uniform(0.0, config.retry.jitter)));
+    if (config.spans != nullptr)
+        config.spans->end(sleep_span, sim.now());
 }
 
 /**
@@ -428,19 +462,8 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
                 co_return;
             }
             prev_attempt = attempt_span;
-            ++state.result.retries;
-            ++state.result.retriesAdmission;
-            telemetry::SpanRef sleep_span;
-            if (config.spans != nullptr) {
-                sleep_span = config.spans->child(
-                    root, telemetry::SpanKind::Backoff, "backoff",
-                    sim.now());
-            }
-            co_await sim::delaySec(
-                sim,
-                retrySleepSeconds(config.retry, attempt, backoff));
-            if (config.spans != nullptr)
-                config.spans->end(sleep_span, sim.now());
+            co_await retryBackoff(config, sim, root, attempt, backoff,
+                                  RetryCause::Admission, state);
             continue;
         }
         ++node.assigned;
@@ -541,7 +564,7 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
         }
 
         auto agent = agents::makeAgent(kind);
-        bool retry_pending = false;
+        std::optional<std::size_t> retry_cause;
         try {
             agents::AgentResult result = co_await agent->run(ctx);
             if (config.spans != nullptr) {
@@ -560,7 +583,8 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
             state.result.episodeCost += result.cost;
             if (state.checkpoints != nullptr)
                 state.checkpoints->erase(index);
-            noteCompletion(state, submit, sim.now(), workload_index);
+            noteCompletion(state, submit, sim.now(), workload_index,
+                           result.solved);
             co_return;
         } catch (const agents::DeadlineExceededError &) {
             // The SLO is already blown; a retry cannot un-miss it.
@@ -604,31 +628,17 @@ clusterAgentWorker(const ClusterConfig &config, sim::Simulation &sim,
             const double newly =
                 std::max(0.0, recoverable - recovered_credit);
             rec.recoveredGpuSeconds += newly;
-            if (e.shed)
-                rec.recoveredShedGpuSeconds += newly;
-            else
-                rec.recoveredCrashGpuSeconds += newly;
+            rec.recoveredByCause[e.shed ? serving::RecoveryCause::Shed
+                                        : serving::RecoveryCause::Crash] +=
+                newly;
             recovered_credit = recoverable;
-            if (e.shed)
-                ++state.result.retriesShed;
-            else
-                ++state.result.retriesCrash;
-            retry_pending = true; // co_await is illegal in a handler
+            // co_await is illegal in a handler
+            retry_cause = e.shed ? RetryCause::Shed : RetryCause::Crash;
         }
-        if (retry_pending) {
+        if (retry_cause) {
             prev_attempt = attempt_span;
-            ++state.result.retries;
-            telemetry::SpanRef sleep_span;
-            if (config.spans != nullptr) {
-                sleep_span = config.spans->child(
-                    root, telemetry::SpanKind::Backoff, "backoff",
-                    sim.now());
-            }
-            co_await sim::delaySec(
-                sim,
-                retrySleepSeconds(config.retry, attempt, backoff));
-            if (config.spans != nullptr)
-                config.spans->end(sleep_span, sim.now());
+            co_await retryBackoff(config, sim, root, attempt, backoff,
+                                  *retry_cause, state);
             // Without a checkpoint the rollout restarts from scratch
             // on the next pick (cold workflow prefix on a different
             // node); with one, the next attempt resumes at the last
@@ -709,7 +719,8 @@ clusterChatWorker(const ClusterConfig &config, sim::Simulation &sim,
                 state.admission->recordCompletion(sim.now());
             router.health.reportSuccess(
                 static_cast<std::size_t>(target), sim.now());
-            noteCompletion(state, submit, sim.now(), workload_index);
+            noteCompletion(state, submit, sim.now(), workload_index,
+                           true);
             co_return;
         }
         if (admitted && (gen.timedOut || gen.failed)) {
@@ -738,23 +749,11 @@ clusterChatWorker(const ClusterConfig &config, sim::Simulation &sim,
             co_return;
         }
         prev_attempt = attempt_span;
-        ++state.result.retries;
-        if (!admitted)
-            ++state.result.retriesAdmission;
-        else if (gen.shed)
-            ++state.result.retriesShed;
-        else
-            ++state.result.retriesCrash;
-        telemetry::SpanRef sleep_span;
-        if (config.spans != nullptr) {
-            sleep_span = config.spans->child(
-                root, telemetry::SpanKind::Backoff, "backoff",
-                sim.now());
-        }
-        co_await sim::delaySec(
-            sim, retrySleepSeconds(config.retry, attempt, backoff));
-        if (config.spans != nullptr)
-            config.spans->end(sleep_span, sim.now());
+        co_await retryBackoff(config, sim, root, attempt, backoff,
+                              !admitted  ? RetryCause::Admission
+                              : gen.shed ? RetryCause::Shed
+                                         : RetryCause::Crash,
+                              state);
     }
 }
 
@@ -1154,6 +1153,16 @@ ClusterResult::aggregateHitRate() const
         total += node.requests;
     }
     return total > 0 ? weighted / total : 0.0;
+}
+
+serving::EngineStats
+ClusterResult::engineTotals() const
+{
+    serving::EngineStats sum;
+    for (const auto &node : nodes)
+        telemetry::accumulateStats(serving::kEngineStatFields, sum,
+                                   node.engineStats);
+    return sum;
 }
 
 void
@@ -1556,119 +1565,44 @@ runCluster(const ClusterConfig &config)
         // Every cancelled/crashed/finished request must have returned
         // its blocks; chaos runs exercise this hard.
         node.engine->blockManager().checkInvariants();
-    }
-    for (const auto &node : nodes) {
         NodeResult nr;
         nr.requests = node.assigned;
-        nr.cacheHitRate = node.engine->cacheStats().hitRate();
+        nr.cacheStats = node.engine->cacheStats();
+        nr.cacheHitRate = nr.cacheStats.hitRate();
         nr.engineStats = node.engine->stats();
-        out.drains += nr.engineStats.drains;
-        out.migratedRequests += nr.engineStats.requestsMigratedOut;
-        out.migrationFallbacks += nr.engineStats.migrationFallbacks;
-        out.migrationSeconds += nr.engineStats.migrationSeconds;
-        out.lostPrefillSeconds += nr.engineStats.lostPrefillSeconds;
         out.nodes.push_back(nr);
     }
+    out.simEventsProcessed = sim.processedEvents();
     if (config.metrics != nullptr) {
-        serving::EngineStats sum;
-        for (const auto &nr : out.nodes) {
-            sum.requestsCancelled += nr.engineStats.requestsCancelled;
-            sum.requestsTimedOut += nr.engineStats.requestsTimedOut;
-            sum.requestsShed += nr.engineStats.requestsShed;
-            sum.crashes += nr.engineStats.crashes;
+        telemetry::exportByLabel(
+            *config.metrics, "agentsim_client_retries_total",
+            "Client retry attempts by cause (crash: node failure or "
+            "offline routing; shed: engine admission shed; admission: "
+            "predictive admission reject-fast)",
+            "cause", RetryCause::names, out.retriesByCause);
+        telemetry::exportByLabel(
+            *config.metrics, "agentsim_client_failovers_total",
+            "Retries rerouted to a different node, by why the previous "
+            "node was avoided (offline, breaker open, or rebalance to "
+            "a less-loaded peer)",
+            "cause", FailoverCause::names, out.failoversByCause);
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+            nodes[i].engine->exportMetrics(*config.metrics,
+                                           {{"node", std::to_string(i)}});
         }
-        auto set = [&](const char *name, const char *help, double v) {
-            config.metrics->counter(name, help).set(v);
-        };
-        set("agentsim_client_retries_total",
-            "Client retry attempts across all requests", out.retries);
-        // Per-cause splits (the registry has no label dimension, so
-        // causes are family suffixes; see sanitizeMetricLabel).
-        set("agentsim_client_retries_crash_total",
-            "Retries caused by node failure or offline routing",
-            out.retriesCrash);
-        set("agentsim_client_retries_shed_total",
-            "Retries caused by engine admission shedding",
-            out.retriesShed);
-        set("agentsim_client_retries_admission_total",
-            "Retries caused by predictive admission reject-fast",
-            out.retriesAdmission);
-        set("agentsim_client_failovers_total",
-            "Retries rerouted to a different node", out.failovers);
-        set("agentsim_client_failovers_offline_total",
-            "Failovers off a crashed or draining node",
-            out.failoversOffline);
-        set("agentsim_client_failovers_breaker_total",
-            "Failovers off a breaker-open node",
-            out.failoversBreaker);
-        set("agentsim_client_failovers_rebalance_total",
-            "Failovers to a less-loaded peer (previous node healthy)",
-            out.failoversRebalance);
-        set("agentsim_cluster_requests_cancelled_total",
-            "Requests cancelled across all nodes",
-            static_cast<double>(sum.requestsCancelled));
-        set("agentsim_cluster_requests_timed_out_total",
-            "Requests that missed their deadline across all nodes",
-            static_cast<double>(sum.requestsTimedOut));
-        set("agentsim_cluster_requests_shed_total",
-            "Requests shed by admission control across all nodes",
-            static_cast<double>(sum.requestsShed));
-        set("agentsim_cluster_node_crashes_total",
-            "Injected node crashes across the cluster",
-            static_cast<double>(sum.crashes));
-        set("agentsim_resilience_drains_total",
-            "Graceful node drains across the cluster",
-            static_cast<double>(out.drains));
-        set("agentsim_resilience_migrations_total",
-            "Requests live-migrated between nodes",
-            static_cast<double>(out.migratedRequests));
-        set("agentsim_resilience_migration_fallbacks_total",
-            "Migrations that landed cold (target lacked free blocks)",
-            static_cast<double>(out.migrationFallbacks));
-        set("agentsim_resilience_migration_seconds_total",
-            "Interconnect+PCIe seconds spent moving KV between nodes",
-            out.migrationSeconds);
-        set("agentsim_resilience_lost_prefill_seconds_total",
-            "Prefill GPU-s thrown away by crash-cancelled requests",
-            out.lostPrefillSeconds);
-        set("agentsim_recovery_lost_gpu_seconds_total",
-            "Episode GPU-seconds recomputed by retries (work since "
-            "the last checkpoint; everything when checkpointing is "
-            "off)",
-            out.recovery.lostGpuSeconds);
-        if (config.checkpoint.enabled) {
-            set("agentsim_recovery_checkpoints_total",
-                "Episode snapshots journaled",
-                static_cast<double>(out.recovery.checkpointsTaken));
-            set("agentsim_recovery_snapshot_bytes_total",
-                "Bytes written into the checkpoint store "
-                "(delta-journaled)",
-                static_cast<double>(out.recovery.bytesWritten));
-            set("agentsim_recovery_snapshot_seconds_total",
-                "Background wire-seconds spent writing snapshots",
-                out.recovery.snapshotSeconds);
-            set("agentsim_recovery_resumes_total",
-                "Retries that resumed from a checkpoint",
-                static_cast<double>(out.recovery.resumes));
-            set("agentsim_recovery_kv_restores_total",
-                "Resumes that warmed prefix KV over the wire",
-                static_cast<double>(out.recovery.kvRestores));
-            set("agentsim_recovery_cold_fallbacks_total",
-                "Resumes that recomputed the prefix cold",
-                static_cast<double>(out.recovery.coldFallbacks));
-            set("agentsim_recovery_restore_seconds_total",
-                "Wire-seconds spent restoring prefix KV on resume",
-                out.recovery.restoreSeconds);
-            set("agentsim_recovery_recovered_gpu_seconds_total",
-                "Episode GPU-seconds checkpoint-resume did not "
-                "recompute",
-                out.recovery.recoveredGpuSeconds);
-            set("agentsim_recovery_recovered_crash_gpu_seconds_total",
-                "Recovered GPU-seconds attributed to node crashes",
-                out.recovery.recoveredCrashGpuSeconds);
-            set("agentsim_recovery_recovered_shed_gpu_seconds_total",
-                "Recovered GPU-seconds attributed to load shedding",
-                out.recovery.recoveredShedGpuSeconds);
+        const bool ckpt = config.checkpoint.enabled;
+        telemetry::exportStats(*config.metrics,
+                               ckpt ? serving::kRecoveryStatFields
+                                    : serving::kRecoveryStatFields.first(1),
+                               out.recovery);
+        if (ckpt) {
+            telemetry::exportByLabel(
+                *config.metrics,
+                "agentsim_recovery_recovered_gpu_seconds_total",
+                "Episode GPU-seconds checkpoint-resume did not recompute, "
+                "by failure cause",
+                "cause", serving::RecoveryCause::names,
+                out.recovery.recoveredByCause);
         }
         health.exportMetrics(*config.metrics, sim.now());
         if (brownout)
@@ -1693,21 +1627,8 @@ runCluster(const ClusterConfig &config)
         }
         if (autoscaler) {
             autoscaler->exportMetrics(*config.metrics, sim.now());
-            set("agentsim_autoscale_admission_rejects_total",
-                "Attempts reject-fast'd by predictive admission "
-                "control",
-                static_cast<double>(out.admissionRejects));
-            set("agentsim_autoscale_provisioned_node_seconds_total",
-                "Node-seconds provisioned (busy or idle, warm-up "
-                "included)",
-                out.provisionedNodeSeconds);
-            set("agentsim_autoscale_provisioned_gpu_seconds_total",
-                "GPU-seconds provisioned (node-seconds x GPUs per "
-                "node)",
-                out.provisionedGpuSeconds);
-            set("agentsim_autoscale_warmup_seconds_total",
-                "Warm-up seconds charged to scaled-out nodes",
-                out.warmupSecondsTotal);
+            telemetry::exportStats(*config.metrics, kAutoscaleFields,
+                                   out);
             config.metrics
                 ->gauge("agentsim_autoscale_active_nodes",
                         "Nodes currently serving traffic")

@@ -20,6 +20,7 @@
 #ifndef AGENTSIM_CORE_CLUSTER_HH
 #define AGENTSIM_CORE_CLUSTER_HH
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -186,9 +187,10 @@ struct ClusterConfig
      */
     telemetry::TraceSink *traceSink = nullptr;
     /**
-     * Optional metrics registry: runCluster exports cluster-wide
-     * totals (retries, failovers, crashes, sheds, cancels) summed
-     * across nodes. Must outlive runCluster().
+     * Optional metrics registry: runCluster exports each node's
+     * engine families under a `node` label, plus the client retry and
+     * failover counters and recovery accounting by `cause`. Must
+     * outlive runCluster().
      */
     telemetry::MetricsRegistry *metrics = nullptr;
     /**
@@ -233,6 +235,35 @@ struct NodeResult
     int requests = 0;
     double cacheHitRate = 0.0;
     serving::EngineStats engineStats;
+    kv::CacheStats cacheStats;
+};
+
+/** Why a client retried: its `cause` label. */
+struct RetryCause
+{
+    enum : std::size_t
+    {
+        Crash,     ///< node failure or offline routing
+        Shed,      ///< engine admission shed
+        Admission, ///< predictive admission reject-fast
+        Count
+    };
+    static constexpr std::array<const char *, Count> names{
+        "crash", "shed", "admission"};
+};
+
+/** Why a retry left its previous node: its `cause` label. */
+struct FailoverCause
+{
+    enum : std::size_t
+    {
+        Offline,   ///< crashed or draining
+        Breaker,   ///< circuit breaker open
+        Rebalance, ///< healthy, but a peer was less loaded
+        Count
+    };
+    static constexpr std::array<const char *, Count> names{
+        "offline", "breaker", "rebalance"};
 };
 
 /** Cluster experiment measurements. */
@@ -247,23 +278,16 @@ struct ClusterResult
     int failed = 0;
     /** Requests abandoned specifically on deadline expiry. */
     int timedOut = 0;
+    /** Agent rollouts judged solved, plus completed chat requests. */
+    int solved = 0;
     /** Client-side retry attempts across all requests. */
     int retries = 0;
-    /** Retries split by failure cause (crash = node failure/offline,
-     *  shed = engine admission shed, admission = predictive
-     *  admission reject-fast). Sums to `retries`. */
-    int retriesCrash = 0;
-    int retriesShed = 0;
-    int retriesAdmission = 0;
+    /** Retries split by RetryCause. Sums to `retries`. */
+    std::array<int, RetryCause::Count> retriesByCause{};
     /** Retries that re-routed to a different node (cold cache). */
     int failovers = 0;
-    /** Failovers split by why the previous node was avoided: it was
-     *  offline (crashed/draining), its breaker was open, or the
-     *  router simply preferred a less-loaded peer. Sums to
-     *  `failovers`. */
-    int failoversOffline = 0;
-    int failoversBreaker = 0;
-    int failoversRebalance = 0;
+    /** Failovers split by FailoverCause. Sums to `failovers`. */
+    std::array<int, FailoverCause::Count> failoversByCause{};
     double makespanSeconds = 0.0;
     std::vector<NodeResult> nodes;
     /** What the injector actually did (crashes, stalls, downtime). */
@@ -286,14 +310,8 @@ struct ClusterResult
     std::int64_t brownoutRestorations = 0;
     std::int64_t brownoutDegradedRollouts = 0;
     int brownoutMaxLevel = 0;
-    /** Graceful drains and live migrations, summed over nodes. */
-    std::int64_t drains = 0;
-    std::int64_t migratedRequests = 0;
-    std::int64_t migrationFallbacks = 0;
-    /** Interconnect+PCIe seconds spent moving KV between nodes. */
-    double migrationSeconds = 0.0;
-    /** Prefill GPU-s thrown away by crash-cancelled requests. */
-    double lostPrefillSeconds = 0.0;
+    /** Events the simulation executive processed over the run. */
+    std::uint64_t simEventsProcessed = 0;
 
     /**
      * Episode checkpoint/recovery accounting. With checkpointing off
@@ -345,6 +363,10 @@ struct ClusterResult
 
     /** Request-weighted mean prefix-cache hit rate across nodes. */
     double aggregateHitRate() const;
+
+    /** Every node's EngineStats summed (drains, migrations, lost
+     *  prefill, ...), through serving::kEngineStatFields. */
+    serving::EngineStats engineTotals() const;
 };
 
 /**

@@ -1,7 +1,6 @@
 #include "core/cost_report.hh"
 
 #include <algorithm>
-#include <cctype>
 
 #include "energy/projection.hh"
 #include "sim/logging.hh"
@@ -135,47 +134,39 @@ void
 CostReport::exportMetrics(telemetry::MetricsRegistry &registry,
                           sim::Tick now) const
 {
-    auto emit = [&](const std::string &suffix,
-                    const serving::CostLedger &l) {
-        auto set = [&](const char *family, const char *help,
+    for (const Row &row : rows_) {
+        const telemetry::Labels labels{{"workflow", row.label}};
+        const serving::CostLedger &l = row.ledger;
+        auto set = [&](const char *name, const char *help,
                        double value) {
-            registry.counter(sim::strfmt("%s%s_total", family,
-                                         suffix.c_str()),
-                             help)
-                .set(value);
+            registry.counter(name, help, labels).set(value);
         };
-        set("agentsim_cost_gpu_seconds", "Attributed GPU seconds",
-            l.gpuSeconds());
-        set("agentsim_cost_prefill_gpu_seconds",
+        set("agentsim_cost_attributed_gpu_seconds_total",
+            "Attributed GPU seconds", l.gpuSeconds());
+        set("agentsim_cost_attributed_prefill_gpu_seconds_total",
             "Attributed prefill GPU seconds", l.prefillGpuSeconds);
-        set("agentsim_cost_decode_gpu_seconds",
+        set("agentsim_cost_attributed_decode_gpu_seconds_total",
             "Attributed decode GPU seconds", l.decodeGpuSeconds);
-        set("agentsim_cost_wasted_gpu_seconds",
+        set("agentsim_cost_attributed_wasted_gpu_seconds_total",
             "GPU seconds re-prefilling preempted work",
             l.wastedGpuSeconds);
-        set("agentsim_cost_saved_prefill_seconds",
+        set("agentsim_cost_attributed_saved_prefill_seconds_total",
             "Prefill seconds avoided by prefix caching",
             l.savedPrefillSeconds);
-        set("agentsim_cost_queue_seconds",
+        set("agentsim_cost_attributed_queue_seconds_total",
             "Seconds spent waiting for admission", l.queueSeconds);
-        set("agentsim_cost_kv_block_seconds",
+        set("agentsim_cost_attributed_kv_block_seconds_total",
             "KV occupancy integral (blocks x seconds)",
             l.kvBlockSeconds);
-        set("agentsim_cost_energy_joules",
+        set("agentsim_cost_attributed_energy_joules_total",
             "Attributed busy energy", l.energyJoules);
-    };
-    emit("", total());
-    for (const Row &row : rows_)
-        emit(sim::strfmt("_%s", sanitizeMetricLabel(row.label).c_str()),
-             row.ledger);
+    }
     for (const auto &[cause, seconds] : recovered_) {
         registry
-            .counter(sim::strfmt(
-                         "agentsim_cost_recovered_gpu_seconds_%s_"
-                         "total",
-                         sanitizeMetricLabel(cause).c_str()),
+            .counter("agentsim_cost_recovered_gpu_seconds_total",
                      "GPU seconds checkpoint-resume saved from "
-                     "recomputation")
+                     "recomputation",
+                     {{"cause", cause}})
             .set(seconds);
     }
     if (provisioned_ > 0.0) {
@@ -197,28 +188,6 @@ CostReport::clear()
     rows_.clear();
     provisioned_ = 0.0;
     recovered_.clear();
-}
-
-std::string
-sanitizeMetricLabel(const std::string &label)
-{
-    std::string out;
-    out.reserve(label.size());
-    bool last_underscore = false;
-    for (char c : label) {
-        const auto uc = static_cast<unsigned char>(c);
-        if (std::isalnum(uc)) {
-            out.push_back(
-                static_cast<char>(std::tolower(uc)));
-            last_underscore = false;
-        } else if (!last_underscore && !out.empty()) {
-            out.push_back('_');
-            last_underscore = true;
-        }
-    }
-    while (!out.empty() && out.back() == '_')
-        out.pop_back();
-    return out.empty() ? "unnamed" : out;
 }
 
 } // namespace agentsim::core

@@ -66,7 +66,7 @@ class CostReport
      * Record GPU-seconds that checkpoint-resume saved from being
      * recomputed, attributed to a failure cause ("crash", "shed",
      * ...). Each cause adds a RECOVERED footer row to render() and an
-     * agentsim_cost_recovered_gpu_seconds_<cause>_total counter;
+     * agentsim_cost_recovered_gpu_seconds_total{cause} series;
      * repeated calls with the same cause accumulate.
      */
     void addRecoveredGpuSeconds(const std::string &cause,
@@ -83,9 +83,9 @@ class CostReport
     Table render(const std::string &title) const;
 
     /**
-     * Export agentsim_cost_* families into @p registry: aggregate
-     * counters plus per-label families with the sanitized label as a
-     * metric-name suffix (the registry has no label dimension).
+     * Export agentsim_cost_attributed_* families into @p registry, one
+     * series per row under its `workflow` label (the sum over rows is
+     * the TOTAL row), and recovered seconds under a `cause` label.
      */
     void exportMetrics(telemetry::MetricsRegistry &registry,
                        sim::Tick now) const;
@@ -107,9 +107,6 @@ class CostReport
 
     Row &rowFor(const std::string &label);
 };
-
-/** Lowercase a label into a metric-name-safe [a-z0-9_] suffix. */
-std::string sanitizeMetricLabel(const std::string &label);
 
 } // namespace agentsim::core
 

@@ -339,18 +339,13 @@ runServing(const ServeConfig &config)
     }
     if (config.slo != nullptr)
         engine.attachSlo(config.slo);
-    telemetry::SpanCollector *spans =
-        config.spans != nullptr
-            ? config.spans
-            : (config.telemetry != nullptr ? &config.telemetry->spans
-                                           : nullptr);
-    engine.attachSpans(spans);
+    engine.attachSpans(config.spans);
     // Flight-recorder tees; attach calls run even with a null
     // recorder so reused sinks detach between sweep points.
     if (config.telemetry != nullptr)
         config.telemetry->trace.attachRecorder(config.recorder);
-    if (spans != nullptr)
-        spans->attachRecorder(config.recorder);
+    if (config.spans != nullptr)
+        config.spans->attachRecorder(config.recorder);
     if (config.slo != nullptr)
         config.slo->attachRecorder(config.recorder);
     if (config.recorder != nullptr)
@@ -366,7 +361,7 @@ runServing(const ServeConfig &config)
         agents::modelQuality(config.engineConfig.model.name);
 
     ServeState state;
-    state.spans = spans;
+    state.spans = config.spans;
     state.workflowLabel =
         !config.chatbot    ? bench_name + "/" + agent_name
         : config.multiTurn ? "ShareGPT/session"
@@ -430,9 +425,9 @@ runServing(const ServeConfig &config)
             for (double v : out.ttftSeconds.values())
                 h.observe(v);
         }
-        if (spans != nullptr && !spans->empty()) {
-            exportBlameMetrics(*spans, t.registry, end);
-            emitSpanExemplars(*spans, t.trace);
+        if (config.spans != nullptr && !config.spans->empty()) {
+            exportBlameMetrics(*config.spans, t.registry, end);
+            emitSpanExemplars(*config.spans, t.trace);
         }
         if (config.recorder != nullptr)
             config.recorder->exportMetrics(t.registry);

@@ -70,9 +70,9 @@ struct ServeConfig
     telemetry::SloTracker *slo = nullptr;
 
     /**
-     * Optional causal span collector. Defaults to the session's
-     * collector when `telemetry` is set. Every request then gets a
-     * span tree (engine phases, agent iterations, tool calls) that
+     * Optional causal span collector (usually the session's own; a
+     * run given only `telemetry` collects no spans). Every request
+     * then gets a span tree (engine phases, agent iterations, tool calls) that
      * collapses to a critical-path blame vector on completion; blame
      * aggregates and tail exemplars are exported with the telemetry
      * (core/bottleneck_report.hh). Must outlive the call.

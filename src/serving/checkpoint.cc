@@ -1,6 +1,7 @@
 #include "serving/checkpoint.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/logging.hh"
 
@@ -73,5 +74,39 @@ CheckpointStore::erase(std::uint64_t episode)
     entries_.erase(episode);
     admitRng_.erase(episode);
 }
+
+namespace
+{
+
+using RS = RecoveryStats;
+constexpr telemetry::StatField<RS> kRecoveryRows[] = {
+    {"agentsim_recovery_lost_gpu_seconds_total", &RS::lostGpuSeconds,
+     "Episode GPU-seconds recomputed by retries (work since the last "
+     "checkpoint; everything when checkpointing is off)"},
+    {"agentsim_recovery_checkpoints_total", &RS::checkpointsTaken,
+     "Episode snapshots journaled"},
+    {"agentsim_recovery_snapshot_bytes_total", &RS::bytesWritten,
+     "Bytes written into the checkpoint store (delta-journaled)"},
+    {"agentsim_recovery_snapshot_seconds_total", &RS::snapshotSeconds,
+     "Background wire-seconds spent writing snapshots"},
+    {"agentsim_recovery_resumes_total", &RS::resumes,
+     "Retries that resumed from a checkpoint"},
+    {"agentsim_recovery_kv_restores_total", &RS::kvRestores,
+     "Resumes that warmed prefix KV over the wire"},
+    {"agentsim_recovery_cold_fallbacks_total", &RS::coldFallbacks,
+     "Resumes that recomputed the prefix cold"},
+    {"agentsim_recovery_restore_seconds_total", &RS::restoreSeconds,
+     "Wire-seconds spent restoring prefix KV on resume"},
+    {nullptr, &RS::recoveredGpuSeconds, nullptr},
+};
+static_assert(sizeof(RS) == (std::size(kRecoveryRows) +
+                             RecoveryCause::Count) *
+                                8,
+              "every RecoveryStats member needs a row");
+
+} // namespace
+
+const telemetry::StatTable<RecoveryStats> kRecoveryStatFields =
+    kRecoveryRows;
 
 } // namespace agentsim::serving

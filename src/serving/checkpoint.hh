@@ -36,6 +36,7 @@
 #ifndef AGENTSIM_SERVING_CHECKPOINT_HH
 #define AGENTSIM_SERVING_CHECKPOINT_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -44,6 +45,7 @@
 #include "kv/block_manager.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
+#include "telemetry/stat_table.hh"
 
 namespace agentsim::serving
 {
@@ -107,6 +109,19 @@ struct EpisodeCheckpoint
     std::int64_t snapshotBytes = 0;
 };
 
+/** Why a resumed episode had to retry: its `cause` label. */
+struct RecoveryCause
+{
+    enum : std::size_t
+    {
+        Crash, ///< node failure or offline routing
+        Shed,  ///< engine admission shed
+        Count
+    };
+    static constexpr std::array<const char *, Count> names{"crash",
+                                                           "shed"};
+};
+
 /** Checkpoint/recovery accounting, store- and cluster-side. */
 struct RecoveryStats
 {
@@ -130,10 +145,17 @@ struct RecoveryStats
     /** GPU-seconds of work lost to retries anyway (invested since the
      *  last snapshot — with checkpointing off, the whole episode). */
     double lostGpuSeconds = 0.0;
-    /** recoveredGpuSeconds split by failure cause. */
-    double recoveredCrashGpuSeconds = 0.0;
-    double recoveredShedGpuSeconds = 0.0;
+    /** recoveredGpuSeconds split by RecoveryCause. */
+    std::array<double, RecoveryCause::Count> recoveredByCause{};
 };
+
+/**
+ * The RecoveryStats field table, lostGpuSeconds first (the one row a
+ * run without checkpointing exports). recoveredByCause is exported
+ * as agentsim_recovery_recovered_gpu_seconds_total{cause}, so the
+ * recoveredGpuSeconds row is not.
+ */
+extern const telemetry::StatTable<RecoveryStats> kRecoveryStatFields;
 
 /**
  * Keyed store of the latest checkpoint per in-flight episode. One

@@ -1,6 +1,7 @@
 #include "serving/engine.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/logging.hh"
 
@@ -1461,168 +1462,149 @@ LlmEngine::nextAdmissionCandidate()
     AGENTSIM_PANIC("unknown scheduler policy");
 }
 
+namespace
+{
+
+using ES = EngineStats;
+constexpr telemetry::StatField<ES> kEngineRows[] = {
+    {"agentsim_requests_submitted_total", &ES::requestsSubmitted,
+     "Generation requests submitted to the engine"},
+    {"agentsim_requests_completed_total", &ES::requestsCompleted,
+     "Generation requests completed"},
+    {"agentsim_requests_failed_total", &ES::requestsFailed,
+     "Requests rejected or failed (context window, KV pool)"},
+    {"agentsim_requests_cancelled_total", &ES::requestsCancelled,
+     "Requests cancelled (client cancel or node crash)"},
+    {"agentsim_requests_timed_out_total", &ES::requestsTimedOut,
+     "Requests cancelled by deadline expiry"},
+    {"agentsim_requests_shed_total", &ES::requestsShed,
+     "Requests rejected by queue-depth load shedding"},
+    {"agentsim_node_crashes_total", &ES::crashes, "Simulated node crashes"},
+    {"agentsim_resilience_drains_total", &ES::drains,
+     "Graceful drains completed by this engine"},
+    {"agentsim_resilience_migrations_out_total", &ES::requestsMigratedOut,
+     "Requests exported by live migration"},
+    {"agentsim_resilience_migrations_in_total", &ES::requestsMigratedIn,
+     "Requests imported by live migration"},
+    {"agentsim_resilience_migration_fallbacks_total", &ES::migrationFallbacks,
+     "Imports that fell back to recompute (pool full)"},
+    {"agentsim_resilience_migration_seconds_total", &ES::migrationSeconds,
+     "Interconnect+PCIe seconds moving migrated KV in"},
+    {"agentsim_resilience_lost_prefill_seconds_total", &ES::lostPrefillSeconds,
+     "Prefill GPU-s discarded by node-failure cancels"},
+    {"agentsim_preemptions_total", &ES::preemptions,
+     "Recompute preemptions under memory pressure"},
+    {"agentsim_engine_steps_total", &ES::steps,
+     "Continuous-batching engine iterations"},
+    {"agentsim_prefill_tokens_total", &ES::prefillTokens,
+     "Prompt tokens prefilled"},
+    {"agentsim_decode_tokens_total", &ES::decodeTokens,
+     "Output tokens decoded"},
+    {"agentsim_gpu_busy_seconds_total", &ES::busySeconds,
+     "Wall-clock seconds the GPU executed steps"},
+    {"agentsim_kv_transfer_seconds_total", &ES::transferSeconds,
+     "Host->GPU PCIe seconds restoring spilled KV"},
+    {"agentsim_engine_stall_seconds_total", &ES::stallSeconds,
+     "Injected engine-stall seconds (fault injection)"},
+    {"agentsim_gpu_core_active_seconds_total", &ES::coreActiveSeconds,
+     "Roofline estimate of SM-active seconds"},
+    {"agentsim_gpu_prefill_seconds_total", &ES::prefillSeconds,
+     "Busy seconds attributed to prefill work"},
+    {"agentsim_gpu_decode_seconds_total", &ES::decodeSeconds,
+     "Busy seconds attributed to decode work"},
+    {"agentsim_model_flops_total", &ES::totalFlops,
+     "FLOPs executed by the engine"},
+    {"agentsim_cost_wasted_gpu_seconds_total", &ES::wastedSeconds,
+     "GPU seconds re-prefilling preempted (discarded) work"},
+    {"agentsim_cost_saved_prefill_seconds_total", &ES::savedPrefillSeconds,
+     "Estimated prefill seconds avoided by prefix caching"},
+    {"agentsim_cost_kv_block_seconds_total", &ES::kvBlockSeconds,
+     "KV occupancy integral (blocks held x seconds held)"},
+    {"agentsim_kv_park_chains_total", &ES::parkedChains,
+     "Chains demoted by tool-call-aware parking"},
+    {"agentsim_kv_park_blocks_total", &ES::parkedBlocks,
+     "Blocks demoted by tool-call-aware parking"},
+    {"agentsim_kv_park_prefetched_blocks_total", &ES::prefetchedBlocks,
+     "Blocks promoted back by the pre-wake prefetch"},
+    {"agentsim_kv_park_demote_seconds_total", &ES::parkDemoteSeconds,
+     "Background PCIe seconds writing parked chains out"},
+    {"agentsim_kv_park_restore_seconds_total", &ES::parkRestoreSeconds,
+     "Background seconds prefetching parked chains back"},
+    // Exported with the idle draw added, as agentsim_gpu_energy_joules.
+    {nullptr, &ES::busyJoules, nullptr},
+};
+// Every member is 8 bytes: a member without a row changes the size.
+static_assert(sizeof(ES) == std::size(kEngineRows) * 8,
+              "every EngineStats member needs a row");
+
+using CS = kv::CacheStats;
+constexpr telemetry::StatField<CS> kCacheRows[] = {
+    {"agentsim_kv_lookup_tokens_total", &CS::lookupTokens,
+     "Prompt tokens looked up in the prefix cache"},
+    {"agentsim_kv_hit_tokens_total", &CS::hitTokens,
+     "Prompt tokens served from the prefix cache"},
+    {"agentsim_kv_restored_tokens_total", &CS::restoredTokens,
+     "Tokens restored from the KV spill tiers"},
+    {"agentsim_kv_evictions_total", &CS::evictions, "Cached blocks evicted"},
+    {nullptr, &CS::allocatedBlocks, nullptr},
+};
+
+using TS = kv::TierStats;
+constexpr telemetry::StatField<TS> kTierRows[] = {
+    {"agentsim_kv_tier_demotions_total", &TS::demotedBlocks,
+     "Blocks admitted into this KV spill tier"},
+    {"agentsim_kv_tier_rejects_total", &TS::rejectedBlocks,
+     "Demotion candidates skipped by probabilistic admission"},
+    {"agentsim_kv_tier_evictions_total", &TS::evictedBlocks,
+     "Blocks pushed out of this tier by its capacity"},
+    {"agentsim_kv_tier_restored_tokens_total", &TS::restoredTokens,
+     "Tokens restored from this tier back to HBM"},
+};
+static_assert(sizeof(TS) == std::size(kTierRows) * 8,
+              "every TierStats member needs a row");
+static_assert(sizeof(CS) == std::size(kCacheRows) * 8 +
+                                2 * sizeof(TS),
+              "every CacheStats member needs a row");
+
+} // namespace
+
+const telemetry::StatTable<EngineStats> kEngineStatFields = kEngineRows;
+const telemetry::StatTable<kv::CacheStats> kCacheStatFields = kCacheRows;
+const telemetry::StatTable<kv::TierStats> kTierStatFields = kTierRows;
+
 void
-LlmEngine::exportMetrics(telemetry::MetricsRegistry &registry) const
+LlmEngine::exportMetrics(telemetry::MetricsRegistry &registry,
+                         const telemetry::Labels &labels) const
 {
     const sim::Tick now = sim_.now();
-    auto set_counter = [&](const char *name, const char *help,
-                           double value) {
-        registry.counter(name, help).set(value);
-    };
-    auto set_gauge = [&](const char *name, const char *help,
-                         double value) {
-        registry.gauge(name, help).set(now, value);
-    };
-
-    set_counter("agentsim_requests_submitted_total",
-                "Generation requests submitted to the engine",
-                static_cast<double>(stats_.requestsSubmitted));
-    set_counter("agentsim_requests_completed_total",
-                "Generation requests completed",
-                static_cast<double>(stats_.requestsCompleted));
-    set_counter("agentsim_requests_failed_total",
-                "Requests rejected or failed (context window, KV pool)",
-                static_cast<double>(stats_.requestsFailed));
-    set_counter("agentsim_requests_cancelled_total",
-                "Requests cancelled (client cancel or node crash)",
-                static_cast<double>(stats_.requestsCancelled));
-    set_counter("agentsim_requests_timed_out_total",
-                "Requests cancelled by deadline expiry",
-                static_cast<double>(stats_.requestsTimedOut));
-    set_counter("agentsim_requests_shed_total",
-                "Requests rejected by queue-depth load shedding",
-                static_cast<double>(stats_.requestsShed));
-    set_counter("agentsim_node_crashes_total",
-                "Simulated node crashes",
-                static_cast<double>(stats_.crashes));
-    set_counter("agentsim_resilience_drains_total",
-                "Graceful drains completed by this engine",
-                static_cast<double>(stats_.drains));
-    set_counter("agentsim_resilience_migrations_out_total",
-                "Requests exported by live migration",
-                static_cast<double>(stats_.requestsMigratedOut));
-    set_counter("agentsim_resilience_migrations_in_total",
-                "Requests imported by live migration",
-                static_cast<double>(stats_.requestsMigratedIn));
-    set_counter("agentsim_resilience_migration_fallbacks_total",
-                "Imports that fell back to recompute (pool full)",
-                static_cast<double>(stats_.migrationFallbacks));
-    set_counter("agentsim_resilience_migration_seconds_total",
-                "Interconnect+PCIe seconds moving migrated KV in",
-                stats_.migrationSeconds);
-    set_counter("agentsim_resilience_lost_prefill_seconds_total",
-                "Prefill GPU-s discarded by node-failure cancels",
-                stats_.lostPrefillSeconds);
-    set_counter("agentsim_preemptions_total",
-                "Recompute preemptions under memory pressure",
-                static_cast<double>(stats_.preemptions));
-    set_counter("agentsim_engine_steps_total",
-                "Continuous-batching engine iterations",
-                static_cast<double>(stats_.steps));
-    set_counter("agentsim_prefill_tokens_total",
-                "Prompt tokens prefilled",
-                static_cast<double>(stats_.prefillTokens));
-    set_counter("agentsim_decode_tokens_total",
-                "Output tokens decoded",
-                static_cast<double>(stats_.decodeTokens));
-    set_counter("agentsim_gpu_busy_seconds_total",
-                "Wall-clock seconds the GPU executed steps",
-                stats_.busySeconds);
-    set_counter("agentsim_kv_transfer_seconds_total",
-                "Host->GPU PCIe seconds restoring spilled KV",
-                stats_.transferSeconds);
-    set_counter("agentsim_engine_stall_seconds_total",
-                "Injected engine-stall seconds (fault injection)",
-                stats_.stallSeconds);
-    set_counter("agentsim_gpu_core_active_seconds_total",
-                "Roofline estimate of SM-active seconds",
-                stats_.coreActiveSeconds);
-    set_counter("agentsim_gpu_prefill_seconds_total",
-                "Busy seconds attributed to prefill work",
-                stats_.prefillSeconds);
-    set_counter("agentsim_gpu_decode_seconds_total",
-                "Busy seconds attributed to decode work",
-                stats_.decodeSeconds);
-    set_counter("agentsim_gpu_energy_joules_total",
-                "Node GPU energy including idle draw",
-                energyJoules(now));
-    set_counter("agentsim_model_flops_total",
-                "FLOPs executed by the engine",
-                stats_.totalFlops);
-    set_counter("agentsim_cost_wasted_gpu_seconds_total",
-                "GPU seconds re-prefilling preempted (discarded) work",
-                stats_.wastedSeconds);
-    set_counter("agentsim_cost_saved_prefill_seconds_total",
-                "Estimated prefill seconds avoided by prefix caching",
-                stats_.savedPrefillSeconds);
-    set_counter("agentsim_cost_kv_block_seconds_total",
-                "KV occupancy integral (blocks held x seconds held)",
-                stats_.kvBlockSeconds);
+    telemetry::exportStats(registry, kEngineStatFields, stats_, labels);
+    registry
+        .counter("agentsim_gpu_energy_joules_total",
+                 "Node GPU energy including idle draw", labels)
+        .set(energyJoules(now));
 
     const kv::CacheStats &cache = blocks_.stats();
-    set_counter("agentsim_kv_lookup_tokens_total",
-                "Prompt tokens looked up in the prefix cache",
-                static_cast<double>(cache.lookupTokens));
-    set_counter("agentsim_kv_hit_tokens_total",
-                "Prompt tokens served from the prefix cache",
-                static_cast<double>(cache.hitTokens));
-    set_counter("agentsim_kv_restored_tokens_total",
-                "Tokens restored from the KV spill tiers",
-                static_cast<double>(cache.restoredTokens));
-    set_counter("agentsim_kv_evictions_total",
-                "Cached blocks evicted",
-                static_cast<double>(cache.evictions));
+    telemetry::exportStats(registry, kCacheStatFields, cache, labels);
+    for (const kv::Tier tier : {kv::Tier::Dram, kv::Tier::Nvme}) {
+        const bool dram = tier == kv::Tier::Dram;
+        telemetry::Labels tier_labels = labels;
+        tier_labels.emplace_back("tier", dram ? "dram" : "nvme");
+        telemetry::exportStats(registry, kTierStatFields,
+                               dram ? cache.dram : cache.nvme, tier_labels);
+        registry
+            .gauge("agentsim_kv_tier_blocks",
+                   "Blocks resident in this tier", tier_labels)
+            .set(now, static_cast<double>(blocks_.tierBlocks(tier)));
+        registry
+            .gauge("agentsim_kv_tier_capacity_blocks",
+                   "Configured tier capacity in blocks", tier_labels)
+            .set(now, static_cast<double>(blocks_.tierCapacity(tier)));
+    }
 
-    auto tier_counters = [&](const char *tier, const kv::TierStats &t,
-                             std::int64_t resident,
-                             std::int64_t capacity) {
-        auto name = [&](const char *suffix) {
-            return sim::strfmt("agentsim_kv_tier_%s_%s", tier, suffix);
-        };
-        registry
-            .counter(name("demotions_total"),
-                     "Blocks admitted into this KV spill tier")
-            .set(static_cast<double>(t.demotedBlocks));
-        registry
-            .counter(name("rejects_total"),
-                     "Demotion candidates skipped by probabilistic "
-                     "admission")
-            .set(static_cast<double>(t.rejectedBlocks));
-        registry
-            .counter(name("evictions_total"),
-                     "Blocks pushed out of this tier by its capacity")
-            .set(static_cast<double>(t.evictedBlocks));
-        registry
-            .counter(name("restored_tokens_total"),
-                     "Tokens restored from this tier back to HBM")
-            .set(static_cast<double>(t.restoredTokens));
-        registry.gauge(name("blocks"), "Blocks resident in this tier")
-            .set(now, static_cast<double>(resident));
-        registry
-            .gauge(name("capacity_blocks"),
-                   "Configured tier capacity in blocks")
-            .set(now, static_cast<double>(capacity));
+    auto set_gauge = [&](const char *name, const char *help,
+                         double value) {
+        registry.gauge(name, help, labels).set(now, value);
     };
-    tier_counters("dram", cache.dram, blocks_.hostCachedBlocks(),
-                  blocks_.tierCapacity(kv::Tier::Dram));
-    tier_counters("nvme", cache.nvme, blocks_.nvmeCachedBlocks(),
-                  blocks_.tierCapacity(kv::Tier::Nvme));
-    set_counter("agentsim_kv_park_chains_total",
-                "Chains demoted by tool-call-aware parking",
-                static_cast<double>(stats_.parkedChains));
-    set_counter("agentsim_kv_park_blocks_total",
-                "Blocks demoted by tool-call-aware parking",
-                static_cast<double>(stats_.parkedBlocks));
-    set_counter("agentsim_kv_park_prefetched_blocks_total",
-                "Blocks promoted back by the pre-wake prefetch",
-                static_cast<double>(stats_.prefetchedBlocks));
-    set_counter("agentsim_kv_park_demote_seconds_total",
-                "Background PCIe seconds writing parked chains out",
-                stats_.parkDemoteSeconds);
-    set_counter("agentsim_kv_park_restore_seconds_total",
-                "Background seconds prefetching parked chains back",
-                stats_.parkRestoreSeconds);
-
     set_gauge("agentsim_kv_blocks_used",
               "KV blocks pinned by live sequences",
               static_cast<double>(blocks_.blocksInUse()));

@@ -38,6 +38,7 @@
 #include "telemetry/registry.hh"
 #include "telemetry/slo.hh"
 #include "telemetry/span.hh"
+#include "telemetry/stat_table.hh"
 #include "telemetry/trace_sink.hh"
 
 namespace agentsim::serving
@@ -220,6 +221,15 @@ struct EngineStats
      */
     double parkRestoreSeconds = 0.0;
 };
+
+/**
+ * Field tables (telemetry/stat_table.hh, rows in engine.cc): one row
+ * per member of EngineStats, of kv::CacheStats bar its tiers, and of
+ * kv::TierStats (exported under a `tier` label).
+ */
+extern const telemetry::StatTable<EngineStats> kEngineStatFields;
+extern const telemetry::StatTable<kv::CacheStats> kCacheStatFields;
+extern const telemetry::StatTable<kv::TierStats> kTierStatFields;
 
 /**
  * A request in flight between two engines during live migration:
@@ -455,10 +465,13 @@ class LlmEngine
     void attachSpans(telemetry::SpanCollector *spans);
 
     /**
-     * Export current engine/cache totals and occupancy gauges into a
-     * metrics registry (Prometheus-style families, agentsim_ prefix).
+     * Export current engine/cache totals (through kEngineStatFields,
+     * kCacheStatFields and kTierStatFields) and occupancy gauges into
+     * a metrics registry, every series under @p labels (a cluster
+     * passes its node label).
      */
-    void exportMetrics(telemetry::MetricsRegistry &registry) const;
+    void exportMetrics(telemetry::MetricsRegistry &registry,
+                       const telemetry::Labels &labels = {}) const;
 
     /**
      * Inject externally computed KV for a prompt prefix (KV arriving

@@ -10,116 +10,157 @@
 namespace agentsim::telemetry
 {
 
-Metric *
-MetricsRegistry::find(const std::string &name, MetricKind kind)
+namespace
+{
+
+/** Label pairs as Prometheus renders them: `k="v",...`, with `\`,
+ *  `"` and newline in a value escaped. */
+std::string
+renderLabels(const Labels &labels)
+{
+    std::string out;
+    for (const auto &[key, value] : labels) {
+        if (!out.empty())
+            out += ',';
+        out += key;
+        out += "=\"";
+        for (const char c : value) {
+            if (c == '\\')
+                out += "\\\\";
+            else if (c == '"')
+                out += "\\\"";
+            else if (c == '\n')
+                out += "\\n";
+            else
+                out += c;
+        }
+        out += '"';
+    }
+    return out;
+}
+
+/** `name{labels}`, or just `name` for an unlabelled series. */
+std::string
+seriesName(const std::string &name, const std::string &labels)
+{
+    return labels.empty() ? name : name + "{" + labels + "}";
+}
+
+} // namespace
+
+template <class M, class... Args>
+M &
+MetricsRegistry::series(MetricKind kind, const std::string &name,
+                        const std::string &help, const Labels &labels,
+                        Args... args)
 {
     auto it = index_.find(name);
-    if (it == index_.end())
-        return nullptr;
-    Metric *m = metrics_[it->second].get();
-    AGENTSIM_ASSERT(m->kind() == kind,
+    if (it == index_.end()) {
+        it = index_.emplace(name, families_.size()).first;
+        families_.push_back(Family{name, help, kind, {}});
+    }
+    Family &family = families_[it->second];
+    AGENTSIM_ASSERT(family.kind == kind,
                     "metric %s re-registered with a different kind",
                     name.c_str());
-    return m;
+    std::string key = renderLabels(labels);
+    for (Series &s : family.series) {
+        if (s.labels == key)
+            return static_cast<M &>(*s.metric);
+    }
+    family.series.push_back(
+        Series{std::move(key), std::make_unique<M>(args...)});
+    return static_cast<M &>(*family.series.back().metric);
 }
 
 Counter &
 MetricsRegistry::counter(const std::string &name,
-                         const std::string &help)
+                         const std::string &help, const Labels &labels)
 {
-    if (Metric *m = find(name, MetricKind::Counter))
-        return static_cast<Counter &>(*m);
-    index_[name] = metrics_.size();
-    metrics_.push_back(std::make_unique<Counter>(name, help));
-    return static_cast<Counter &>(*metrics_.back());
+    return series<Counter>(MetricKind::Counter, name, help, labels);
 }
 
 Gauge &
-MetricsRegistry::gauge(const std::string &name, const std::string &help)
+MetricsRegistry::gauge(const std::string &name, const std::string &help,
+                       const Labels &labels)
 {
-    if (Metric *m = find(name, MetricKind::Gauge))
-        return static_cast<Gauge &>(*m);
-    index_[name] = metrics_.size();
-    metrics_.push_back(std::make_unique<Gauge>(name, help));
-    return static_cast<Gauge &>(*metrics_.back());
+    return series<Gauge>(MetricKind::Gauge, name, help, labels);
 }
 
 HistogramMetric &
 MetricsRegistry::histogram(const std::string &name,
                            const std::string &help, double lo, double hi,
-                           std::size_t bins)
+                           std::size_t bins, const Labels &labels)
 {
-    if (Metric *m = find(name, MetricKind::Histogram))
-        return static_cast<HistogramMetric &>(*m);
-    index_[name] = metrics_.size();
-    metrics_.push_back(
-        std::make_unique<HistogramMetric>(name, help, lo, hi, bins));
-    return static_cast<HistogramMetric &>(*metrics_.back());
+    return series<HistogramMetric>(MetricKind::Histogram, name, help,
+                                   labels, lo, hi, bins);
 }
 
 void
-MetricsRegistry::forEachScalar(
-    const std::function<void(const std::string &, double)> &fn) const
+MetricsRegistry::forEachSample(const Family &f, const Series &s,
+                               const ScalarFn &fn)
 {
-    for (const auto &m : metrics_) {
-        switch (m->kind()) {
-          case MetricKind::Counter:
-            fn(m->name(), static_cast<const Counter &>(*m).value());
-            break;
-          case MetricKind::Gauge:
-            fn(m->name(), static_cast<const Gauge &>(*m).value());
-            break;
-          case MetricKind::Histogram: {
-              const auto &h = static_cast<const HistogramMetric &>(*m);
-              fn(m->name() + "_count",
-                 static_cast<double>(h.count()));
-              fn(m->name() + "_sum", h.sum());
-              break;
-          }
-        }
+    switch (f.kind) {
+      case MetricKind::Counter:
+        fn(seriesName(f.name, s.labels),
+           static_cast<const Counter &>(*s.metric).value());
+        break;
+      case MetricKind::Gauge:
+        fn(seriesName(f.name, s.labels),
+           static_cast<const Gauge &>(*s.metric).value());
+        break;
+      case MetricKind::Histogram: {
+          const auto &h = static_cast<const HistogramMetric &>(*s.metric);
+          fn(seriesName(f.name + "_sum", s.labels), h.sum());
+          fn(seriesName(f.name + "_count", s.labels),
+             static_cast<double>(h.count()));
+          break;
+      }
+    }
+}
+
+void
+MetricsRegistry::forEachScalar(const ScalarFn &fn) const
+{
+    for (const Family &f : families_) {
+        for (const Series &s : f.series)
+            forEachSample(f, s, fn);
     }
 }
 
 std::string
 MetricsRegistry::renderPrometheus() const
 {
+    static constexpr const char *kTypeNames[] = {"counter", "gauge",
+                                                 "histogram"};
     std::string out;
-    for (const auto &m : metrics_) {
-        out += sim::strfmt("# HELP %s %s\n", m->name().c_str(),
-                           m->help().c_str());
-        switch (m->kind()) {
-          case MetricKind::Counter:
-            out += sim::strfmt("# TYPE %s counter\n",
-                               m->name().c_str());
-            out += sim::strfmt(
-                "%s %.17g\n", m->name().c_str(),
-                static_cast<const Counter &>(*m).value());
-            break;
-          case MetricKind::Gauge:
-            out += sim::strfmt("# TYPE %s gauge\n", m->name().c_str());
-            out += sim::strfmt("%s %.17g\n", m->name().c_str(),
-                               static_cast<const Gauge &>(*m).value());
-            break;
-          case MetricKind::Histogram: {
-              const auto &hm = static_cast<const HistogramMetric &>(*m);
-              const stats::Histogram &h = hm.histogram();
-              out += sim::strfmt("# TYPE %s histogram\n",
-                                 m->name().c_str());
-              std::size_t cumulative = h.underflow();
-              for (std::size_t i = 0; i < h.bins(); ++i) {
-                  cumulative += h.binCount(i);
-                  out += sim::strfmt(
-                      "%s_bucket{le=\"%.17g\"} %zu\n",
-                      m->name().c_str(), h.binHigh(i), cumulative);
-              }
-              out += sim::strfmt("%s_bucket{le=\"+Inf\"} %zu\n",
-                                 m->name().c_str(), h.count());
-              out += sim::strfmt("%s_sum %.17g\n", m->name().c_str(),
-                                 hm.sum());
-              out += sim::strfmt("%s_count %zu\n", m->name().c_str(),
-                                 h.count());
-              break;
-          }
+    auto line = [&](const std::string &series, double value) {
+        out += sim::strfmt("%s %.17g\n", series.c_str(), value);
+    };
+    for (const Family &f : families_) {
+        const char *name = f.name.c_str();
+        out += sim::strfmt("# HELP %s %s\n", name, f.help.c_str());
+        out += sim::strfmt("# TYPE %s %s\n", name,
+                           kTypeNames[static_cast<int>(f.kind)]);
+        for (const Series &s : f.series) {
+            if (f.kind == MetricKind::Histogram) {
+                // Cumulative buckets; `le` follows the series labels.
+                const stats::Histogram &h =
+                    static_cast<const HistogramMetric &>(*s.metric)
+                        .histogram();
+                const std::string labels =
+                    s.labels.empty() ? "" : s.labels + ",";
+                std::size_t cumulative = h.underflow();
+                for (std::size_t i = 0; i < h.bins(); ++i) {
+                    cumulative += h.binCount(i);
+                    out += sim::strfmt("%s_bucket{%sle=\"%.17g\"} %zu\n",
+                                       name, labels.c_str(), h.binHigh(i),
+                                       cumulative);
+                }
+                out += sim::strfmt("%s_bucket{%sle=\"+Inf\"} %zu\n", name,
+                                   labels.c_str(), h.count());
+            }
+            forEachSample(f, s, line);
         }
     }
     return out;
@@ -128,7 +169,7 @@ MetricsRegistry::renderPrometheus() const
 void
 MetricsRegistry::clear()
 {
-    metrics_.clear();
+    families_.clear();
     index_.clear();
 }
 

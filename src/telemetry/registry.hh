@@ -1,8 +1,9 @@
 /**
  * @file
- * Metrics registry: named counters, gauges and histograms with
- * Prometheus text exposition. The time-series store
- * (telemetry/timeseries.hh) samples every scalar the registry exposes.
+ * Metrics registry: counter, gauge and histogram families, each with
+ * one series per label set, and their Prometheus text exposition. The
+ * time-series store (telemetry/timeseries.hh) samples every scalar the
+ * registry exposes.
  *
  * The registry is the pull side of the telemetry subsystem: subsystems
  * register (or look up) metrics by name and update them; exporters
@@ -19,6 +20,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -36,35 +38,24 @@ enum class MetricKind
     Histogram,
 };
 
-/** Common metric identity. */
+/**
+ * Label pairs of one series, rendered in the order given: the series
+ * of a family are told apart by these (node, cause, tier, ...).
+ */
+using Labels = std::vector<std::pair<std::string, std::string>>;
+
+/** One series of a family; the family holds its name, help and
+ *  kind. */
 class Metric
 {
   public:
-    Metric(MetricKind kind, std::string name, std::string help)
-        : kind_(kind), name_(std::move(name)), help_(std::move(help))
-    {
-    }
     virtual ~Metric() = default;
-
-    MetricKind kind() const { return kind_; }
-    const std::string &name() const { return name_; }
-    const std::string &help() const { return help_; }
-
-  private:
-    MetricKind kind_;
-    std::string name_;
-    std::string help_;
 };
 
 /** Monotone counter (doubles cover both token and FLOP counts). */
 class Counter : public Metric
 {
   public:
-    Counter(std::string name, std::string help)
-        : Metric(MetricKind::Counter, std::move(name), std::move(help))
-    {
-    }
-
     /** Increment by @p delta (>= 0). */
     void add(double delta = 1.0) { value_ += delta; }
 
@@ -84,11 +75,6 @@ class Counter : public Metric
 class Gauge : public Metric
 {
   public:
-    Gauge(std::string name, std::string help)
-        : Metric(MetricKind::Gauge, std::move(name), std::move(help))
-    {
-    }
-
     /** Record that the gauge becomes @p value at sim time @p now. */
     void set(sim::Tick now, double value)
     {
@@ -108,11 +94,8 @@ class Gauge : public Metric
 class HistogramMetric : public Metric
 {
   public:
-    HistogramMetric(std::string name, std::string help, double lo,
-                    double hi, std::size_t bins)
-        : Metric(MetricKind::Histogram, std::move(name),
-                 std::move(help)),
-          hist_(lo, hi, bins)
+    HistogramMetric(double lo, double hi, std::size_t bins)
+        : hist_(lo, hi, bins)
     {
     }
 
@@ -132,43 +115,52 @@ class HistogramMetric : public Metric
 };
 
 /**
- * The registry. Metrics are created on first use and keep registration
- * order in every export. Single-threaded, like the simulator.
+ * The registry: metric families (name, help, kind), each holding one
+ * series per label set. Families and their series are created on
+ * first use and keep registration order in every export.
+ * Single-threaded, like the simulator.
  */
 class MetricsRegistry
 {
   public:
-    /** Find-or-create a counter. Panics on a kind mismatch. */
-    Counter &counter(const std::string &name, const std::string &help);
+    /**
+     * Find-or-create the counter series @p labels of family @p name.
+     * Panics on a kind mismatch; @p help is kept from the first call.
+     */
+    Counter &counter(const std::string &name, const std::string &help,
+                     const Labels &labels = {});
 
-    /** Find-or-create a gauge. */
-    Gauge &gauge(const std::string &name, const std::string &help);
+    /** Find-or-create a gauge series. */
+    Gauge &gauge(const std::string &name, const std::string &help,
+                 const Labels &labels = {});
 
     /**
-     * Find-or-create a histogram over [lo, hi) with @p bins equal
-     * buckets. Range arguments are ignored if the name exists.
+     * Find-or-create a histogram series over [lo, hi) with @p bins
+     * equal buckets. Range arguments are ignored if the series exists.
      */
     HistogramMetric &histogram(const std::string &name,
                                const std::string &help, double lo,
-                               double hi, std::size_t bins);
+                               double hi, std::size_t bins,
+                               const Labels &labels = {});
 
     /** Number of registered metric families. */
-    std::size_t families() const { return metrics_.size(); }
+    std::size_t families() const { return families_.size(); }
 
     /**
      * Visit every scalar the registry exposes (counters and gauges by
-     * value; histograms as <name>_count and <name>_sum), in
-     * registration order. This is the hook the time-series store uses
-     * to sample the whole registry at a fixed cadence.
+     * value; histograms as <name>_sum and <name>_count), in
+     * registration order. A labelled series is keyed by its
+     * Prometheus series name, `name{k="v",...}`. This is the hook the
+     * time-series store uses to sample the whole registry at a fixed
+     * cadence.
      */
-    void forEachScalar(
-        const std::function<void(const std::string &, double)> &fn)
-        const;
+    using ScalarFn = std::function<void(const std::string &, double)>;
+    void forEachScalar(const ScalarFn &fn) const;
 
     /**
      * Prometheus text exposition of current values: # HELP / # TYPE
-     * per family; histograms as cumulative le-buckets plus _sum and
-     * _count.
+     * once per family, then one line per series (`name{k="v"} value`);
+     * histograms as cumulative le-buckets plus _sum and _count.
      */
     std::string renderPrometheus() const;
 
@@ -176,10 +168,32 @@ class MetricsRegistry
     void clear();
 
   private:
-    std::vector<std::unique_ptr<Metric>> metrics_;
+    struct Series
+    {
+        /** Rendered label pairs, `k="v",...`; empty when unlabelled. */
+        std::string labels;
+        std::unique_ptr<Metric> metric;
+    };
+    struct Family
+    {
+        std::string name;
+        std::string help;
+        MetricKind kind;
+        std::vector<Series> series;
+    };
+    std::vector<Family> families_;
     std::unordered_map<std::string, std::size_t> index_;
 
-    Metric *find(const std::string &name, MetricKind kind);
+    /** Each scalar of one series, keyed by its series name. */
+    static void forEachSample(const Family &f, const Series &s,
+                              const ScalarFn &fn);
+
+    /** The series of @p labels in family @p name, created from
+     *  @p args on first use. */
+    template <class M, class... Args>
+    M &series(MetricKind kind, const std::string &name,
+              const std::string &help, const Labels &labels,
+              Args... args);
 };
 
 /**

@@ -213,31 +213,36 @@ SloTracker::exportMetrics(MetricsRegistry &registry, sim::Tick now) const
         const Tracker &t = trackers_[i];
         if (t.targetSeconds <= 0.0)
             continue;
-        const std::string base =
-            sim::strfmt("agentsim_slo_%s",
-                        std::string(sloMetricName(metric)).c_str());
-        registry.gauge(base + "_p50_seconds", "streaming p50 latency")
+        const Labels labels{
+            {"metric", std::string(sloMetricName(metric))}};
+        registry.gauge("agentsim_slo_p50_seconds", "streaming p50 latency",
+                       labels)
             .set(now, t.p50.value());
-        registry.gauge(base + "_p95_seconds", "streaming p95 latency")
+        registry.gauge("agentsim_slo_p95_seconds", "streaming p95 latency",
+                       labels)
             .set(now, t.p95.value());
-        registry.gauge(base + "_p99_seconds", "streaming p99 latency")
+        registry.gauge("agentsim_slo_p99_seconds", "streaming p99 latency",
+                       labels)
             .set(now, t.p99.value());
         registry
-            .gauge(base + "_attainment",
-                   "lifetime fraction of observations under target")
+            .gauge("agentsim_slo_attainment",
+                   "lifetime fraction of observations under target",
+                   labels)
             .set(now, attainment(metric));
         registry
-            .gauge(base + "_burn_rate",
+            .gauge("agentsim_slo_burn_rate",
                    "current-window burn rate (violation fraction / "
-                   "error budget)")
+                   "error budget)",
+                   labels)
             .set(now, windowBurnRate(metric, now));
         registry
-            .counter(base + "_violations_total",
-                     "observations over target (failures included)")
+            .counter("agentsim_slo_violations_total",
+                     "observations over target (failures included)",
+                     labels)
             .set(static_cast<double>(t.violations));
         registry
-            .counter(base + "_alerts_total",
-                     "burn-rate alerts fired")
+            .counter("agentsim_slo_alerts_total", "burn-rate alerts fired",
+                     labels)
             .set(static_cast<double>(t.alerts));
     }
 }

@@ -122,7 +122,8 @@ class SloTracker
 
     /**
      * Export agentsim_slo_* families (percentile gauges, attainment,
-     * burn rate, violation and alert counters) into @p registry.
+     * burn rate, violation and alert counters) into @p registry, one
+     * series per targeted metric under a `metric` label.
      */
     void exportMetrics(MetricsRegistry &registry, sim::Tick now) const;
 

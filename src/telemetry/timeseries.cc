@@ -141,13 +141,32 @@ TimeSeriesStore::windowDerivative(const std::string &name,
     return (b.value - a.value) / elapsed;
 }
 
+namespace
+{
+
+/** A series key as a CSV field: quoted (RFC 4180) only when it holds
+ *  a comma or a quote, as a labelled `name{k="v",...}` key does. */
+std::string
+csvField(const std::string &key)
+{
+    if (key.find_first_of(",\"") == std::string::npos)
+        return key;
+    std::string out = "\"";
+    for (const char c : key)
+        out += c == '"' ? "\"\"" : std::string(1, c);
+    return out + "\"";
+}
+
+} // namespace
+
 std::string
 TimeSeriesStore::renderCsvWindow(sim::Tick from, sim::Tick to) const
 {
     std::string out = "series,time_s,value\n";
     for (const Ring &ring : series_) {
+        const std::string field = csvField(ring.name);
         for (const TsPoint &p : ring.window(from, to)) {
-            out += sim::strfmt("%s,%.6f,%.17g\n", ring.name.c_str(),
+            out += sim::strfmt("%s,%.6f,%.17g\n", field.c_str(),
                                sim::toSeconds(p.tick), p.value);
         }
     }

@@ -111,7 +111,8 @@ class TimeSeriesStore
     /**
      * CSV of every series restricted to [from, to]: long format
      * (series,time_s,value) so rings with different cadences export
-     * cleanly side by side.
+     * cleanly side by side. A series key holding a comma or a quote
+     * (a labelled registry series) is quoted per RFC 4180.
      */
     std::string renderCsvWindow(sim::Tick from, sim::Tick to) const;
 

@@ -318,25 +318,44 @@ TEST(CostReport, RollsUpByLabelWithAdditiveTotal)
     EXPECT_NE(table.find("TOTAL"), std::string::npos);
 }
 
-TEST(CostReport, ExportsAggregateAndPerLabelFamilies)
+TEST(CostReport, ExportsOneSeriesPerWorkflowLabel)
 {
     core::CostReport report;
     report.add("HotpotQA/ReAct", ledgerOf(1.0, 2.0, 30.0));
+    report.add("chat", ledgerOf(0.5, 1.0, 10.0));
     telemetry::MetricsRegistry registry;
     report.exportMetrics(registry, 0);
     const std::string prom = registry.renderPrometheus();
-    EXPECT_NE(prom.find("agentsim_cost_gpu_seconds_total"),
+    EXPECT_NE(prom.find("agentsim_cost_attributed_gpu_seconds_total{"
+                        "workflow=\"HotpotQA/ReAct\"} 3\n"),
               std::string::npos);
-    EXPECT_NE(
-        prom.find("agentsim_cost_gpu_seconds_hotpotqa_react_total"),
-        std::string::npos);
+    EXPECT_NE(prom.find("agentsim_cost_attributed_gpu_seconds_total{"
+                        "workflow=\"chat\"} 1.5\n"),
+              std::string::npos);
+    // The TOTAL row is the sum over the label, not a series of its own.
+    EXPECT_EQ(prom.find("\nagentsim_cost_attributed_gpu_seconds_total "),
+              std::string::npos);
+    // One HELP line for the family, however many workflows it spans.
+    const std::string help =
+        "# HELP agentsim_cost_attributed_gpu_seconds_total ";
+    ASSERT_NE(prom.find(help), std::string::npos);
+    EXPECT_EQ(prom.find(help, prom.find(help) + 1), std::string::npos);
 }
 
-TEST(CostReport, SanitizeMetricLabel)
+TEST(CostReport, RecoveredSecondsCarryACauseLabel)
 {
-    EXPECT_EQ(core::sanitizeMetricLabel("HotpotQA/ReAct"),
-              "hotpotqa_react");
-    EXPECT_EQ(core::sanitizeMetricLabel("a  b--C"), "a_b_c");
+    core::CostReport report;
+    report.addRecoveredGpuSeconds("crash", 2.0);
+    report.addRecoveredGpuSeconds("shed", 0.5);
+    telemetry::MetricsRegistry registry;
+    report.exportMetrics(registry, 0);
+    const std::string prom = registry.renderPrometheus();
+    EXPECT_NE(prom.find("agentsim_cost_recovered_gpu_seconds_total{cause="
+                        "\"crash\"} 2\n"),
+              std::string::npos);
+    EXPECT_NE(prom.find("agentsim_cost_recovered_gpu_seconds_total{cause="
+                        "\"shed\"} 0.5\n"),
+              std::string::npos);
 }
 
 TEST(CostReport, ProvisionedFooterReportsElasticCapacity)

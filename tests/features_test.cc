@@ -989,12 +989,13 @@ TEST(Resilience, RollingDrainMigrateLosesNoWork)
     // Nothing hangs and nothing is lost across the rolling restarts.
     EXPECT_EQ(r.completed + r.failed, 60);
     EXPECT_GT(r.maintenanceStats.cycles, 0);
-    EXPECT_GT(r.drains, 0);
-    EXPECT_GT(r.migratedRequests, 0);
-    EXPECT_GT(r.migrationSeconds, 0.0);
+    const serving::EngineStats totals = r.engineTotals();
+    EXPECT_GT(totals.drains, 0);
+    EXPECT_GT(totals.requestsMigratedOut, 0);
+    EXPECT_GT(totals.migrationSeconds, 0.0);
     // Live migration keeps invested prefill alive: no request was
     // cancelled by a takedown, so no prefill GPU-s were thrown away.
-    EXPECT_DOUBLE_EQ(r.lostPrefillSeconds, 0.0);
+    EXPECT_DOUBLE_EQ(totals.lostPrefillSeconds, 0.0);
     for (const auto &node : r.nodes)
         EXPECT_EQ(node.engineStats.crashes, 0);
 }
@@ -1010,10 +1011,10 @@ TEST(Resilience, CrashTakedownsLoseInvestedPrefill)
 
     EXPECT_EQ(r.completed + r.failed, 60);
     EXPECT_GT(r.maintenanceStats.cycles, 0);
-    EXPECT_EQ(r.migratedRequests, 0);
+    EXPECT_EQ(r.engineTotals().requestsMigratedOut, 0);
     // The hard restarts destroyed in-flight prefill work that retries
     // then had to repeat — the bill drain+migrate avoids.
-    EXPECT_GT(r.lostPrefillSeconds, 0.0);
+    EXPECT_GT(r.engineTotals().lostPrefillSeconds, 0.0);
     EXPECT_GT(r.retries, 0);
 }
 
@@ -1028,7 +1029,8 @@ TEST(Resilience, DeterministicUnderMaintenance)
     const auto a = core::runCluster(cfg);
     const auto b = core::runCluster(cfg);
     EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.migratedRequests, b.migratedRequests);
+    EXPECT_EQ(a.engineTotals().requestsMigratedOut,
+              b.engineTotals().requestsMigratedOut);
     EXPECT_DOUBLE_EQ(a.makespanSeconds, b.makespanSeconds);
 }
 
@@ -1415,7 +1417,7 @@ TEST(Autoscaler, ElasticClusterScalesOutAndInLosslessly)
     EXPECT_GT(r.peakActiveNodes, 1);
     // Scale-in uses drain + live migration, never the crash path:
     // elasticity costs zero lost prefill and zero crash restarts.
-    EXPECT_DOUBLE_EQ(r.lostPrefillSeconds, 0.0);
+    EXPECT_DOUBLE_EQ(r.engineTotals().lostPrefillSeconds, 0.0);
     for (const auto &node : r.nodes)
         EXPECT_EQ(node.engineStats.crashes, 0);
     // Capacity is billed from the scale-out decision to the end of

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,6 +22,8 @@
 #include "core/cluster.hh"
 #include "core/probe.hh"
 #include "core/serving_system.hh"
+#include "serving/checkpoint.hh"
+#include "serving/engine.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 #include "telemetry/flight_recorder.hh"
@@ -397,6 +400,7 @@ TEST(FlightRecorderTest, RecorderOffRunIsBitIdentical)
         {.incidentDir = incidentDir("identity")});
     core::ServeConfig wired = bare;
     wired.telemetry = &session;
+    wired.spans = &session.spans;
     wired.recorder = &session.recorder;
     wired.timeseries = &session.timeseries;
     const auto r2 = core::runServing(wired);
@@ -508,14 +512,16 @@ struct ObservedCluster
         return c;
     }()};
 
-    core::ClusterResult
-    run(const std::string &dir)
+    /**
+     * The pinned configuration; @p observed attaches every observer
+     * to a freshly reset session. The SLO tracker is attached either
+     * way: the brownout controller reads its burn rate, so it is a
+     * control input here, not an observer.
+     */
+    core::ClusterConfig
+    config(const std::string &dir, bool observed)
     {
-        session.reset();
         slo.reset();
-        session.recorder.setConfig({.incidentDir = dir,
-                                    .windowSeconds = 20.0,
-                                    .debounceSeconds = 5.0});
         core::ClusterConfig cfg;
         cfg.numNodes = 2;
         cfg.engineConfig = core::enginePreset8b();
@@ -536,13 +542,25 @@ struct ObservedCluster
         cfg.checkpoint.enabled = true;
         cfg.retry.maxAttempts = 10;
         cfg.brownout.enabled = true;
+        cfg.slo = &slo;
+        if (!observed)
+            return cfg;
+        session.reset();
+        session.recorder.setConfig({.incidentDir = dir,
+                                    .windowSeconds = 20.0,
+                                    .debounceSeconds = 5.0});
         cfg.traceSink = &session.trace;
         cfg.metrics = &session.registry;
         cfg.spans = &session.spans;
         cfg.timeseries = &session.timeseries;
         cfg.recorder = &session.recorder;
-        cfg.slo = &slo;
-        return core::runCluster(cfg);
+        return cfg;
+    }
+
+    core::ClusterResult
+    run(const std::string &dir)
+    {
+        return core::runCluster(config(dir, true));
     }
 };
 
@@ -552,6 +570,7 @@ TEST(TracePin, ServingTraceDigest)
     session.recorder.setConfig({.incidentDir = incidentDir("pin_serve")});
     core::ServeConfig cfg = pinServeConfig();
     cfg.telemetry = &session;
+    cfg.spans = &session.spans;
     cfg.recorder = &session.recorder;
     cfg.timeseries = &session.timeseries;
     const auto r = core::runServing(cfg);
@@ -629,6 +648,152 @@ TEST(FlightRecorderTest, FreshAndReusedSessionsWriteIdenticalBundles)
     ASSERT_GT(fresh.session.recorder.incidentsDumped(), 0);
     EXPECT_EQ(bundleDigest(fresh.session.recorder),
               bundleDigest(reused.session.recorder));
+}
+
+// ---------------------------------------------------------------------
+// Cluster observers and counters.
+// ---------------------------------------------------------------------
+
+/** Every member of @p a and @p b through @p table, named on failure. */
+template <class S>
+void
+expectSameStats(telemetry::StatTable<S> table, const S &a, const S &b,
+                const std::string &where)
+{
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        EXPECT_EQ(table[i].value(a), table[i].value(b))
+            << where << " row " << i << " ("
+            << (table[i].name != nullptr ? table[i].name : "unexported")
+            << ")";
+    }
+}
+
+TEST(ClusterPurity, ObserversLeaveTheRunBitIdentical)
+{
+    ObservedCluster c;
+    const core::ClusterResult bare =
+        core::runCluster(c.config(incidentDir("purity_bare"), false));
+    const core::ClusterResult observed =
+        c.run(incidentDir("purity_observed"));
+    ASSERT_GT(observed.faultStats.crashes, 2);
+    ASSERT_GT(observed.recovery.resumes, 0);
+    // The observers did observe.
+    ASSERT_GT(c.session.trace.eventCount(), 0u);
+    ASSERT_GT(c.session.timeseries.pointsRetained(), 0u);
+    ASSERT_GT(c.session.spans.requestsFinished(), 0);
+
+    EXPECT_EQ(bare.completed, observed.completed);
+    EXPECT_EQ(bare.failed, observed.failed);
+    EXPECT_EQ(bare.solved, observed.solved);
+    EXPECT_EQ(bare.e2eSeconds.values(), observed.e2eSeconds.values());
+    EXPECT_EQ(bare.makespanSeconds, observed.makespanSeconds);
+    EXPECT_EQ(bare.retriesByCause, observed.retriesByCause);
+    EXPECT_EQ(bare.failoversByCause, observed.failoversByCause);
+    expectSameStats(serving::kRecoveryStatFields, bare.recovery,
+                    observed.recovery, "recovery");
+    EXPECT_EQ(bare.recovery.recoveredByCause,
+              observed.recovery.recoveredByCause);
+    ASSERT_EQ(bare.nodes.size(), observed.nodes.size());
+    for (std::size_t i = 0; i < bare.nodes.size(); ++i) {
+        expectSameStats(serving::kEngineStatFields,
+                        bare.nodes[i].engineStats,
+                        observed.nodes[i].engineStats,
+                        "node " + std::to_string(i));
+    }
+}
+
+/** Sum of every `family{node="..."}` sample in @p prom. */
+double
+sumOverNodes(const std::string &prom, const std::string &family)
+{
+    double sum = 0.0;
+    std::istringstream lines(prom);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind(family + "{node=\"", 0) == 0)
+            sum += std::stod(line.substr(line.rfind(' ') + 1));
+    }
+    return sum;
+}
+
+TEST(ClusterCounters, NodeSumsEqualClusterTotals)
+{
+    ObservedCluster c;
+    const core::ClusterResult r = c.run(incidentDir("node_sums"));
+    const std::string prom = c.session.registry.renderPrometheus();
+
+    EXPECT_GT(r.simEventsProcessed, 0u);
+    EXPECT_GT(r.solved, 0);
+    EXPECT_LE(r.solved, r.completed);
+    kv::CacheStats cache;
+    for (const core::NodeResult &node : r.nodes) {
+        EXPECT_LE(node.cacheStats.hitTokens, node.cacheStats.lookupTokens);
+        EXPECT_EQ(node.cacheHitRate, node.cacheStats.hitRate());
+        telemetry::accumulateStats(serving::kCacheStatFields, cache,
+                                   node.cacheStats);
+    }
+    EXPECT_GT(cache.hitTokens, 0);
+    // The exposition's per-node series add up to the node sums ...
+    for (const auto &f : serving::kCacheStatFields) {
+        if (f.name != nullptr) {
+            EXPECT_EQ(sumOverNodes(prom, f.name), f.value(cache))
+                << f.name;
+        }
+    }
+    // ... and engineTotals() is the same sum over every member.
+    const serving::EngineStats totals = r.engineTotals();
+    for (const auto &f : serving::kEngineStatFields) {
+        double by_hand = 0.0;
+        for (const core::NodeResult &node : r.nodes)
+            by_hand += f.value(node.engineStats);
+        EXPECT_EQ(f.value(totals), by_hand)
+            << (f.name != nullptr ? f.name : "unexported");
+        if (f.name != nullptr) {
+            EXPECT_EQ(sumOverNodes(prom, f.name), by_hand) << f.name;
+        }
+    }
+    // Cause-labelled client counters sum to the unlabelled fields.
+    int retries = 0;
+    for (int n : r.retriesByCause)
+        retries += n;
+    EXPECT_EQ(retries, r.retries);
+    int failovers = 0;
+    for (int n : r.failoversByCause)
+        failovers += n;
+    EXPECT_EQ(failovers, r.failovers);
+}
+
+TEST(ClusterCounters, OneHelpAndTypePerFamily)
+{
+    ObservedCluster c;
+    c.run(incidentDir("help_type"));
+    std::map<std::string, int> help;
+    std::map<std::string, int> type;
+    std::set<std::string> sampled;
+    std::istringstream lines(c.session.registry.renderPrometheus());
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("# HELP ", 0) == 0) {
+            ++help[line.substr(7, line.find(' ', 7) - 7)];
+        } else if (line.rfind("# TYPE ", 0) == 0) {
+            ++type[line.substr(7, line.find(' ', 7) - 7)];
+        } else {
+            sampled.insert(line.substr(0, line.find_first_of("{ ")));
+        }
+    }
+    EXPECT_EQ(help.size(), c.session.registry.families());
+    EXPECT_GT(help.size(), 50u);
+    for (const auto &[name, n] : help) {
+        EXPECT_EQ(n, 1) << name;
+        EXPECT_EQ(type[name], 1) << name;
+    }
+    EXPECT_EQ(type.size(), help.size());
+    // Per-node engine families carry every node.
+    EXPECT_EQ(help.count("agentsim_requests_completed_total"), 1u);
+    for (const std::string &name : sampled) {
+        const bool declared =
+            help.count(name) != 0 ||
+            help.count(name.substr(0, name.rfind('_'))) != 0;
+        EXPECT_TRUE(declared) << name;
+    }
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/cluster.hh"
 #include "core/cost_report.hh"
@@ -222,19 +223,20 @@ TEST(Recovery, ResumeRecoversWorkAndReducesRecompute)
     EXPECT_EQ(on.recovery.kvRestores + on.recovery.coldFallbacks,
               on.recovery.resumes);
     EXPECT_GT(on.recovery.recoveredGpuSeconds, 0.0);
-    EXPECT_DOUBLE_EQ(on.recovery.recoveredCrashGpuSeconds +
-                         on.recovery.recoveredShedGpuSeconds,
-                     on.recovery.recoveredGpuSeconds);
+    EXPECT_DOUBLE_EQ(
+        on.recovery.recoveredByCause[serving::RecoveryCause::Crash] +
+            on.recovery.recoveredByCause[serving::RecoveryCause::Shed],
+        on.recovery.recoveredGpuSeconds);
     EXPECT_LT(on.recovery.lostGpuSeconds, off.recovery.lostGpuSeconds);
 
     // Retry/failover cause splits reconcile with the totals on both
     // runs.
     for (const auto *r : {&off, &on}) {
-        EXPECT_EQ(r->retriesCrash + r->retriesShed +
-                      r->retriesAdmission,
+        EXPECT_EQ(std::accumulate(r->retriesByCause.begin(),
+                                  r->retriesByCause.end(), 0),
                   r->retries);
-        EXPECT_EQ(r->failoversOffline + r->failoversBreaker +
-                      r->failoversRebalance,
+        EXPECT_EQ(std::accumulate(r->failoversByCause.begin(),
+                                  r->failoversByCause.end(), 0),
                   r->failovers);
     }
 }
@@ -246,10 +248,10 @@ TEST(Recovery, CostReportFooterAttributesRecoveredWork)
     const auto r = core::runCluster(cfg);
     core::CostReport report;
     report.add("episodes", r.episodeCost, r.completed);
-    report.addRecoveredGpuSeconds(
-        "crash", r.recovery.recoveredCrashGpuSeconds);
-    report.addRecoveredGpuSeconds(
-        "shed", r.recovery.recoveredShedGpuSeconds);
+    for (std::size_t c = 0; c < serving::RecoveryCause::Count; ++c) {
+        report.addRecoveredGpuSeconds(serving::RecoveryCause::names[c],
+                                      r.recovery.recoveredByCause[c]);
+    }
     report.addRecoveredGpuSeconds("crash", 0.0); // accumulates
     EXPECT_DOUBLE_EQ(report.recoveredGpuSeconds(),
                      r.recovery.recoveredGpuSeconds);

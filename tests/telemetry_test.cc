@@ -11,18 +11,26 @@
 #include <cctype>
 #include <cstdlib>
 #include <limits>
+#include <set>
 #include <string>
+#include <type_traits>
+#include <variant>
+#include <vector>
 
 #include "core/bottleneck_report.hh"
 #include "core/probe.hh"
 #include "core/serving_system.hh"
 #include "core/table.hh"
 #include "core/trace_export.hh"
+#include "serving/checkpoint.hh"
+#include "serving/engine.hh"
 #include "sim/logging.hh"
 #include "telemetry/registry.hh"
 #include "telemetry/session.hh"
 #include "telemetry/slo.hh"
 #include "telemetry/span.hh"
+#include "telemetry/stat_table.hh"
+#include "telemetry/timeseries.hh"
 #include "telemetry/trace_sink.hh"
 
 using namespace agentsim;
@@ -231,6 +239,7 @@ reactSession()
         cfg.numRequests = 8;
         cfg.seed = 11;
         cfg.telemetry = &session;
+        cfg.spans = &session.spans;
         cfg.timeseries = &session.timeseries;
         core::runServing(cfg);
         ran = true;
@@ -421,6 +430,117 @@ TEST(Telemetry, RegistryScalarsSampleIntoStore)
     EXPECT_EQ(reg.families(), 3u);
 }
 
+TEST(Telemetry, LabelledSeriesShareOneFamily)
+{
+    telemetry::MetricsRegistry reg;
+    reg.counter("req_total", "requests", {{"node", "0"}}).set(3);
+    reg.counter("req_total", "ignored help", {{"node", "1"}}).set(4);
+    reg.counter("req_total", "", {{"node", "0"}}).add(1);
+    reg.gauge("depth", "queue depth").set(0, 2);
+    reg.histogram("lat", "latency", 0, 2, 2, {{"node", "0"}}).observe(1.5);
+    EXPECT_EQ(reg.families(), 3u);
+
+    const std::string prom = reg.renderPrometheus();
+    EXPECT_EQ(prom,
+              "# HELP req_total requests\n"
+              "# TYPE req_total counter\n"
+              "req_total{node=\"0\"} 4\n"
+              "req_total{node=\"1\"} 4\n"
+              "# HELP depth queue depth\n"
+              "# TYPE depth gauge\n"
+              "depth 2\n"
+              "# HELP lat latency\n"
+              "# TYPE lat histogram\n"
+              "lat_bucket{node=\"0\",le=\"1\"} 0\n"
+              "lat_bucket{node=\"0\",le=\"2\"} 1\n"
+              "lat_bucket{node=\"0\",le=\"+Inf\"} 1\n"
+              "lat_sum{node=\"0\"} 1.5\n"
+              "lat_count{node=\"0\"} 1\n");
+
+    std::vector<std::string> keys;
+    reg.forEachScalar(
+        [&](const std::string &key, double) { keys.push_back(key); });
+    EXPECT_EQ(keys, (std::vector<std::string>{
+                        "req_total{node=\"0\"}", "req_total{node=\"1\"}",
+                        "depth", "lat_sum{node=\"0\"}",
+                        "lat_count{node=\"0\"}"}));
+}
+
+TEST(Telemetry, LabelValuesAreEscaped)
+{
+    telemetry::MetricsRegistry reg;
+    reg.counter("c_total", "c", {{"a", "x"}, {"b", "y"}}).set(1);
+    reg.counter("c_total", "c", {{"k", "say \"hi\"\\now\nthen"}}).set(2);
+    // An escaped value names its own series, and stays on one line.
+    reg.counter("c_total", "c", {{"k", "a\nb"}}).set(3);
+    reg.counter("c_total", "c", {{"k", "a\\nb"}}).set(4);
+    const std::string prom = reg.renderPrometheus();
+    EXPECT_NE(prom.find("c_total{a=\"x\",b=\"y\"} 1\n"), std::string::npos);
+    EXPECT_NE(prom.find("c_total{k=\"say \\\"hi\\\"\\\\now\\nthen\"} 2\n"),
+              std::string::npos);
+    EXPECT_NE(prom.find("c_total{k=\"a\\nb\"} 3\n"), std::string::npos);
+    EXPECT_NE(prom.find("c_total{k=\"a\\\\nb\"} 4\n"), std::string::npos);
+    EXPECT_EQ(countOf(prom, "\n"), 6);
+}
+
+TEST(Telemetry, CsvQuotesOnlyLabelledKeys)
+{
+    telemetry::MetricsRegistry reg;
+    reg.counter("plain_total", "plain").set(1);
+    reg.counter("tier_total", "tiered", {{"tier", "dram"}, {"node", "0"}})
+        .set(2);
+    telemetry::TimeSeriesStore ts;
+    ts.sample(reg, sim::fromSeconds(1.0));
+    EXPECT_EQ(ts.renderCsv(),
+              "series,time_s,value\n"
+              "plain_total,1.000000,1\n"
+              "\"tier_total{tier=\"\"dram\"\",node=\"\"0\"\"}\","
+              "1.000000,2\n");
+    EXPECT_TRUE(ts.has("tier_total{tier=\"dram\",node=\"0\"}"));
+}
+
+TEST(Telemetry, EngineStatsSumThroughTheFieldTable)
+{
+    // Give every member a distinct value, then sum two copies.
+    serving::EngineStats a;
+    serving::EngineStats b;
+    const auto table = serving::kEngineStatFields;
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        std::visit(
+            [&](auto m) {
+                a.*m = static_cast<std::remove_reference_t<decltype(a.*m)>>(
+                    i + 1);
+                b.*m = static_cast<std::remove_reference_t<decltype(b.*m)>>(
+                    100 * (i + 1));
+            },
+            table[i].member);
+    }
+    serving::EngineStats sum;
+    telemetry::accumulateStats(table, sum, a);
+    telemetry::accumulateStats(table, sum, b);
+    for (std::size_t i = 0; i < table.size(); ++i)
+        EXPECT_EQ(table[i].value(sum), 101.0 * (i + 1)) << i;
+    EXPECT_EQ(sum.requestsSubmitted, 101);
+    EXPECT_EQ(sum.busyJoules, 101.0 * static_cast<double>(table.size()));
+
+    // Each exported name is declared once across the engine tables.
+    std::set<std::string> names;
+    std::size_t exported = 0;
+    auto collect = [&](const auto &rows) {
+        for (const auto &f : rows) {
+            if (f.name == nullptr)
+                continue;
+            names.insert(f.name);
+            ++exported;
+        }
+    };
+    collect(table);
+    collect(serving::kCacheStatFields);
+    collect(serving::kTierStatFields);
+    collect(serving::kRecoveryStatFields);
+    EXPECT_EQ(names.size(), exported);
+}
+
 TEST(Telemetry, WriteTextFileReportsFailedFlush)
 {
     // /dev/full accepts the open and the buffered write, then fails
@@ -596,15 +716,15 @@ TEST(Slo, ExportMetricsEmitsFamiliesOnlyForEnabledMetrics)
     telemetry::MetricsRegistry registry;
     slo.exportMetrics(registry, sim::fromSeconds(1.2));
     const std::string prom = registry.renderPrometheus();
-    EXPECT_NE(prom.find("agentsim_slo_ttft_p95_seconds"),
+    EXPECT_NE(prom.find("agentsim_slo_p95_seconds{metric=\"ttft\"}"),
               std::string::npos);
-    EXPECT_NE(prom.find("agentsim_slo_ttft_attainment"),
+    EXPECT_NE(prom.find("agentsim_slo_attainment{metric=\"ttft\"}"),
               std::string::npos);
-    EXPECT_NE(prom.find("agentsim_slo_ttft_violations_total"),
+    EXPECT_NE(prom.find("agentsim_slo_violations_total{metric=\"ttft\"}"),
               std::string::npos);
     // Disabled metrics export nothing.
-    EXPECT_EQ(prom.find("agentsim_slo_tbt"), std::string::npos);
-    EXPECT_EQ(prom.find("agentsim_slo_e2e"), std::string::npos);
+    EXPECT_EQ(prom.find("metric=\"tbt\""), std::string::npos);
+    EXPECT_EQ(prom.find("metric=\"e2e\""), std::string::npos);
 }
 
 TEST(Slo, ResetPreservesTargets)
