@@ -4,12 +4,15 @@
  * event queue, coroutine scheduling, the KV block manager (allocation,
  * prefix lookups, eviction/demotion churn, restore+hit allocations,
  * decode appends and prompt-chain hashing), one serving-engine step,
- * the roofline perf model, and RNG streams.
+ * the roofline perf model, RNG streams, and flight-recorder incident
+ * bundles.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/serving_system.hh"
@@ -23,6 +26,9 @@
 #include "sim/rng.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
+#include "telemetry/flight_recorder.hh"
+#include "telemetry/timeseries.hh"
+#include "telemetry/trace_sink.hh"
 #include "workload/token_stream.hh"
 
 namespace
@@ -440,6 +446,106 @@ BM_TokenStream(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_TokenStream);
+
+/**
+ * Fill @p sink with about @p records records shaped like an engine's
+ * log: per 5 ms step one "step" span and its kv_blocks and batch
+ * counters, a request lane named every 16 steps. @return the last
+ * step's end.
+ */
+sim::Tick
+fillEngineTrace(telemetry::TraceSink &sink, std::size_t records)
+{
+    using telemetry::TraceArg;
+    using telemetry::TracePid;
+    sink.processName(TracePid::kEngine, "LLM engine");
+    sink.threadName(TracePid::kEngine, 1, "iterations");
+    sink.processName(TracePid::kRequests, "requests");
+    const sim::Tick step = sim::fromSeconds(0.005);
+    sim::Tick t = 0;
+    for (std::int64_t i = 0; sink.eventCount() < records; ++i, t += step) {
+        if (i % 16 == 0) {
+            sink.threadName(TracePid::kRequests,
+                            static_cast<std::uint64_t>(i / 16),
+                            "req " + std::to_string(i / 16));
+        }
+        const std::int64_t running = 8 + i % 24;
+        sink.complete(TracePid::kEngine, 1, "step", "engine", t, t + step,
+                      {TraceArg::integer("prefill_tokens", (i * 37) % 512),
+                       TraceArg::integer("decode_tokens", running),
+                       TraceArg::integer("running", running),
+                       TraceArg::integer("waiting", i % 5)});
+        sink.counter(TracePid::kEngine, "kv_blocks", t + step,
+                     {TraceArg::integer("used", 1000 + i % 700),
+                      TraceArg::integer("free", 3000 - i % 700)});
+        sink.counter(TracePid::kEngine, "batch", t + step,
+                     {TraceArg::integer("running", running),
+                      TraceArg::integer("waiting", i % 5)});
+    }
+    return t;
+}
+
+void
+BM_FlightRecorderDump(benchmark::State &state)
+{
+    // Four incident bundles from a ~300k-record engine log with 256
+    // sampled series and 512 span completions, dumped twice per
+    // iteration under the same names: the second pass rewrites the
+    // first's files, as a harness reusing its incident dir does.
+    constexpr int kBundles = 4;
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "agentsim_bm_dump";
+    telemetry::TraceSink sink;
+    const sim::Tick end = fillEngineTrace(sink, 300'000);
+    telemetry::TimeSeriesStore ts;
+    for (sim::Tick t = 0; t <= end; t += sim::fromSeconds(0.5)) {
+        for (int s = 0; s < 256; ++s) {
+            const std::string name =
+                s % 2 == 0 ? "series_" + std::to_string(s)
+                           : "labelled{node=\"" + std::to_string(s) + "\"}";
+            ts.record(name, t, static_cast<double>(t % 9973) / (s + 1));
+        }
+    }
+    telemetry::FlightRecorder recorder;
+    auto reset = [&] {
+        recorder.clear();
+        recorder.setConfig({.incidentDir = dir.string(),
+                            .debounceSeconds = 0.0,
+                            .diskBudgetBytes = 0});
+        recorder.attachTimeSeries(&ts);
+        sink.attachRecorder(&recorder);
+        for (int i = 0; i < 512; ++i) {
+            telemetry::SpanCompletion sc;
+            sc.requestKey = static_cast<std::uint64_t>(i);
+            sc.workflow = i % 2 == 0 ? "HotpotQA/ReAct" : "chat";
+            sc.latencySeconds = 1.0 + i % 17;
+            sc.start = end - sim::fromSeconds(sc.latencySeconds + i % 60);
+            sc.end = sc.start + sim::fromSeconds(sc.latencySeconds);
+            recorder.noteSpanCompletion(sc);
+        }
+    };
+    std::int64_t bytes = 0;
+    for (auto _ : state) {
+        for (int pass = 0; pass < 2; ++pass) {
+            state.PauseTiming();
+            reset();
+            state.ResumeTiming();
+            for (int b = 0; b < kBundles; ++b) {
+                recorder.trigger(telemetry::IncidentTrigger::SloBurn,
+                                 end - sim::fromSeconds(
+                                           10.0 * (kBundles - 1 - b)),
+                                 "bench");
+            }
+            bytes += recorder.bytesWritten();
+        }
+    }
+    if (recorder.incidentsDumped() != kBundles)
+        state.SkipWithError("a bundle was not written");
+    std::filesystem::remove_all(dir);
+    state.SetItemsProcessed(state.iterations() * 2 * kBundles);
+    state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_FlightRecorderDump)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -69,13 +69,28 @@ python3 scripts/check_trace.py --timeseries "${series}"
 # Incident-capture gate: the chaos smoke run's injected engine stalls
 # must trip the SLO burn alerter and dump at least one incident
 # bundle whose window and blame table pass schema validation
-# (DESIGN.md §3i).
-echo "==> incident capture gate (chaos_slo --smoke --flight-record)"
+# (DESIGN.md §3i). A second run into the same directory rewrites every
+# bundle file in place and must leave an identical tree. The asan
+# build runs the same gate when its preset was built.
 incidents="$(mktemp -d)"
 trap 'rm -f "${report}" "${trace}" "${prom}" "${series}"; rm -rf "${incidents}"' EXIT
-build/bench/chaos_slo --smoke --flight-record \
-    --incident-dir "${incidents}" > /dev/null
-python3 scripts/check_trace.py --bundle "${incidents}"
+incident_gate() {
+    local bin="$1"
+    rm -rf "${incidents:?}"/*
+    "${bin}/chaos_slo" --smoke --flight-record \
+        --incident-dir "${incidents}/run" > /dev/null
+    python3 scripts/check_trace.py --bundle "${incidents}/run"
+    cp -r "${incidents}/run" "${incidents}/first"
+    "${bin}/chaos_slo" --smoke --flight-record \
+        --incident-dir "${incidents}/run" > /dev/null
+    diff -r "${incidents}/first" "${incidents}/run"
+}
+echo "==> incident capture gate (chaos_slo --smoke --flight-record, twice)"
+incident_gate build/bench
+if [[ " ${presets[*]} " == *" asan "* ]]; then
+    echo "==> incident capture gate (asan)"
+    incident_gate build-asan/bench
+fi
 
 # Chaos/recovery gate: both chaos smokes must pass under asan — the
 # crash/resume path (checkpointed state, parked tier blocks,
@@ -93,13 +108,15 @@ fi
 # eviction churn, restore+hit allocations against full spill tiers,
 # per-token decode appends and prompt-chain hashing; the engine one
 # cancels requests mid-step and reuses their request-slab slots in the
-# same tick. A short sanitized run of each catches memory errors and
-# undefined behaviour on the block pool's and the engine's hot paths.
+# same tick; the recorder one rewrites incident bundles in place from
+# a ~300k-record trace log. A short sanitized run of each catches
+# memory errors and undefined behaviour on the block pool's, the
+# engine's and the recorder's hot paths.
 for preset in asan ubsan; do
     if [[ " ${presets[*]} " == *" ${preset} "* ]]; then
-        echo "==> KV and engine micro-benchmark smoke (micro_substrates BM_Kv|BM_Engine, ${preset})"
+        echo "==> KV, engine and recorder micro-benchmark smoke (micro_substrates, ${preset})"
         "build-${preset}/bench/micro_substrates" \
-            --benchmark_filter='BM_Kv|BM_Engine' \
+            --benchmark_filter='BM_Kv|BM_Engine|BM_FlightRecorderDump' \
             --benchmark_min_time=0.01 > /dev/null
     fi
 done

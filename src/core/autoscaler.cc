@@ -239,7 +239,7 @@ AutoscalerController::exportMetrics(telemetry::MetricsRegistry &registry,
     registry
         .gauge("agentsim_autoscale_predicted_qps",
                "EWMA-predicted request arrival rate")
-        .set(now, predictedQps(now));
+        .set(predictedQps(now));
 }
 
 // ---------------------------------------------------------------------

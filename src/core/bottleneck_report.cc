@@ -53,7 +53,7 @@ renderBlameTable(const telemetry::SpanCollector &spans,
 
 void
 exportBlameMetrics(const telemetry::SpanCollector &spans,
-                   telemetry::MetricsRegistry &registry, sim::Tick now)
+                   telemetry::MetricsRegistry &registry)
 {
     registry
         .counter("agentsim_blame_requests_total",
@@ -62,7 +62,7 @@ exportBlameMetrics(const telemetry::SpanCollector &spans,
     registry
         .gauge("agentsim_blame_exemplars_retained",
                "Tail exemplars currently retained (full span trees)")
-        .set(now, static_cast<double>(spans.exemplars().size()));
+        .set(static_cast<double>(spans.exemplars().size()));
     registry
         .counter("agentsim_blame_exemplars_evicted",
                  "Exemplar candidates dropped or displaced by the cap")
@@ -81,12 +81,12 @@ exportBlameMetrics(const telemetry::SpanCollector &spans,
                 .gauge("agentsim_blame_mean_" + name + "_seconds",
                        "Mean critical-path seconds blamed on " + name,
                        labels)
-                .set(now, agg.meanBlame(cat));
+                .set(agg.meanBlame(cat));
             registry
                 .gauge("agentsim_blame_p95_" + name + "_seconds",
                        "p95 critical-path seconds blamed on " + name,
                        labels)
-                .set(now, agg.p95Blame(cat));
+                .set(agg.p95Blame(cat));
         }
     }
 }

@@ -37,8 +37,7 @@ Table renderBlameTable(const telemetry::SpanCollector &spans,
  * agentsim_blame_exemplars_retained / _evicted).
  */
 void exportBlameMetrics(const telemetry::SpanCollector &spans,
-                        telemetry::MetricsRegistry &registry,
-                        sim::Tick now);
+                        telemetry::MetricsRegistry &registry);
 
 /**
  * Emit the retained tail exemplars on the trace's kSpans track as

@@ -127,8 +127,8 @@ BrownoutController::apply(agents::AgentKind &kind,
 }
 
 void
-BrownoutController::exportMetrics(telemetry::MetricsRegistry &registry,
-                                  sim::Tick now) const
+BrownoutController::exportMetrics(
+    telemetry::MetricsRegistry &registry) const
 {
     registry
         .counter("agentsim_resilience_brownout_escalations_total",
@@ -145,7 +145,7 @@ BrownoutController::exportMetrics(telemetry::MetricsRegistry &registry,
     registry
         .gauge("agentsim_resilience_brownout_level",
                "Current brownout degradation level")
-        .set(now, static_cast<double>(level_));
+        .set(static_cast<double>(level_));
 }
 
 } // namespace agentsim::core

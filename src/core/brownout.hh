@@ -103,8 +103,7 @@ class BrownoutController
     bool apply(agents::AgentKind &kind, agents::AgentConfig &config,
                workload::Benchmark bench);
 
-    void exportMetrics(telemetry::MetricsRegistry &registry,
-                       sim::Tick now) const;
+    void exportMetrics(telemetry::MetricsRegistry &registry) const;
 
   private:
     void setLevel(sim::Tick now, int level);

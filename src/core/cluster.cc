@@ -1604,27 +1604,20 @@ runCluster(const ClusterConfig &config)
                 "cause", serving::RecoveryCause::names,
                 out.recovery.recoveredByCause);
         }
-        health.exportMetrics(*config.metrics, sim.now());
+        health.exportMetrics(*config.metrics);
         if (brownout)
-            brownout->exportMetrics(*config.metrics, sim.now());
+            brownout->exportMetrics(*config.metrics);
         if (config.recorder != nullptr)
             config.recorder->exportMetrics(*config.metrics);
         if (config.slo != nullptr)
             config.slo->exportMetrics(*config.metrics, sim.now());
         if (config.spans != nullptr && !config.spans->empty()) {
-            exportBlameMetrics(*config.spans, *config.metrics,
-                               sim.now());
+            exportBlameMetrics(*config.spans, *config.metrics);
             if (config.traceSink != nullptr)
                 emitSpanExemplars(*config.spans, *config.traceSink);
         }
-        if (config.traceSink != nullptr) {
-            config.metrics
-                ->gauge("agentsim_trace_dropped_events",
-                        "Trace events dropped by the sink's memory "
-                        "cap")
-                .set(sim.now(), static_cast<double>(
-                                    config.traceSink->droppedEvents()));
-        }
+        if (config.traceSink != nullptr)
+            config.traceSink->exportMetrics(*config.metrics);
         if (autoscaler) {
             autoscaler->exportMetrics(*config.metrics, sim.now());
             telemetry::exportStats(*config.metrics, kAutoscaleFields,
@@ -1632,7 +1625,7 @@ runCluster(const ClusterConfig &config)
             config.metrics
                 ->gauge("agentsim_autoscale_active_nodes",
                         "Nodes currently serving traffic")
-                .set(sim.now(), state.activeNodes);
+                .set(state.activeNodes);
         }
     }
     out.sloAlerts =

@@ -131,8 +131,7 @@ CostReport::recoveredGpuSeconds() const
 }
 
 void
-CostReport::exportMetrics(telemetry::MetricsRegistry &registry,
-                          sim::Tick now) const
+CostReport::exportMetrics(telemetry::MetricsRegistry &registry) const
 {
     for (const Row &row : rows_) {
         const telemetry::Labels labels{{"workflow", row.label}};
@@ -178,7 +177,7 @@ CostReport::exportMetrics(telemetry::MetricsRegistry &registry,
         registry
             .gauge("agentsim_cost_provisioned_utilization",
                    "Attributed busy GPU seconds over provisioned")
-            .set(now, total().gpuSeconds() / provisioned_);
+            .set(total().gpuSeconds() / provisioned_);
     }
 }
 

@@ -87,8 +87,7 @@ class CostReport
      * series per row under its `workflow` label (the sum over rows is
      * the TOTAL row), and recovered seconds under a `cause` label.
      */
-    void exportMetrics(telemetry::MetricsRegistry &registry,
-                       sim::Tick now) const;
+    void exportMetrics(telemetry::MetricsRegistry &registry) const;
 
     void clear();
 

@@ -227,8 +227,7 @@ HealthRegistry::health(std::size_t node) const
 }
 
 void
-HealthRegistry::exportMetrics(telemetry::MetricsRegistry &registry,
-                              sim::Tick now) const
+HealthRegistry::exportMetrics(telemetry::MetricsRegistry &registry) const
 {
     registry
         .counter("agentsim_resilience_breaker_opens_total",
@@ -250,7 +249,7 @@ HealthRegistry::exportMetrics(telemetry::MetricsRegistry &registry,
     registry
         .gauge("agentsim_resilience_breakers_not_closed",
                "Nodes whose breaker is currently Open or HalfOpen")
-        .set(now, open_now);
+        .set(open_now);
 }
 
 } // namespace agentsim::core

@@ -144,8 +144,7 @@ class HealthRegistry
     std::int64_t failOpenPicks() const { return failOpenPicks_; }
     void noteFailOpenPick() { ++failOpenPicks_; }
 
-    void exportMetrics(telemetry::MetricsRegistry &registry,
-                       sim::Tick now) const;
+    void exportMetrics(telemetry::MetricsRegistry &registry) const;
 
   private:
     struct Entry

@@ -426,15 +426,12 @@ runServing(const ServeConfig &config)
                 h.observe(v);
         }
         if (config.spans != nullptr && !config.spans->empty()) {
-            exportBlameMetrics(*config.spans, t.registry, end);
+            exportBlameMetrics(*config.spans, t.registry);
             emitSpanExemplars(*config.spans, t.trace);
         }
         if (config.recorder != nullptr)
             config.recorder->exportMetrics(t.registry);
-        t.registry
-            .gauge("agentsim_trace_dropped_events",
-                   "Trace events dropped by the sink's capacity cap")
-            .set(end, static_cast<double>(t.trace.droppedEvents()));
+        t.trace.exportMetrics(t.registry);
     }
     return out;
 }

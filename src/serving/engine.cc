@@ -322,10 +322,13 @@ LlmEngine::generate(GenRequest request, std::uint64_t *handle_out)
     if (wake_ && !wake_->ready())
         wake_->set(1);
 
-    // The awaiter holds the completion's shared state, so the slot may
-    // be freed (and the slab moved) while this frame is suspended.
-    GenResult result = co_await req.done;
-    co_return result;
+    // The local copy holds the completion's shared state, so the slot
+    // may be freed (and the slab moved) while this frame is suspended.
+    // This frame is the completion's only consumer, so it moves the
+    // result (its token vector included) out instead of copying it.
+    sim::Completion<GenResult> done = req.done;
+    co_await done;
+    co_return done.take();
 }
 
 sim::Task<void>
@@ -1594,16 +1597,16 @@ LlmEngine::exportMetrics(telemetry::MetricsRegistry &registry,
         registry
             .gauge("agentsim_kv_tier_blocks",
                    "Blocks resident in this tier", tier_labels)
-            .set(now, static_cast<double>(blocks_.tierBlocks(tier)));
+            .set(static_cast<double>(blocks_.tierBlocks(tier)));
         registry
             .gauge("agentsim_kv_tier_capacity_blocks",
                    "Configured tier capacity in blocks", tier_labels)
-            .set(now, static_cast<double>(blocks_.tierCapacity(tier)));
+            .set(static_cast<double>(blocks_.tierCapacity(tier)));
     }
 
     auto set_gauge = [&](const char *name, const char *help,
                          double value) {
-        registry.gauge(name, help, labels).set(now, value);
+        registry.gauge(name, help, labels).set(value);
     };
     set_gauge("agentsim_kv_blocks_used",
               "KV blocks pinned by live sequences",

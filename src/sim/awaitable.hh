@@ -62,7 +62,9 @@ delaySec(Simulation &sim, double seconds)
  * One-shot completion event carrying a value of type T.
  *
  * A producer (e.g. the LLM engine) calls set() exactly once; any number
- * of coroutines may co_await the completion, before or after set().
+ * of coroutines may co_await the completion, before or after set(),
+ * and each resumes with a const reference to the value. A single
+ * consumer may take() the value instead of copying it.
  * Copies share state (shared_ptr), so a Completion can be handed to the
  * producer while the consumer awaits its own copy.
  */
@@ -71,7 +73,7 @@ class Completion
 {
   public:
     explicit Completion(Simulation &sim)
-        : state_(std::make_shared<State>(State{&sim, {}, {}}))
+        : state_(std::make_shared<State>(State{&sim, {}, {}, false}))
     {
     }
 
@@ -98,7 +100,23 @@ class Completion
     {
         AGENTSIM_ASSERT(state_->value.has_value(),
                         "Completion::peek before set");
+        AGENTSIM_ASSERT(!state_->taken, "Completion::peek after take");
         return *state_->value;
+    }
+
+    /**
+     * Move the value out after completion. Only for a completion with
+     * a single consumer: once taken, the value is gone, so no other
+     * waiter may read it (peek() and a later take() panic).
+     */
+    T
+    take()
+    {
+        AGENTSIM_ASSERT(state_->value.has_value(),
+                        "Completion::take before set");
+        AGENTSIM_ASSERT(!state_->taken, "Completion taken twice");
+        state_->taken = true;
+        return std::move(*state_->value);
     }
 
     auto
@@ -123,6 +141,7 @@ class Completion
             const T &
             await_resume() const
             {
+                AGENTSIM_ASSERT(!st->taken, "Completion awaited after take");
                 return *st->value;
             }
         };
@@ -135,6 +154,7 @@ class Completion
         Simulation *sim;
         std::optional<T> value;
         std::vector<std::coroutine_handle<>> waiters;
+        bool taken = false;
     };
 
     std::shared_ptr<State> state_;

@@ -7,6 +7,7 @@
 #ifndef AGENTSIM_SIM_STRFMT_HH
 #define AGENTSIM_SIM_STRFMT_HH
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <string>
@@ -52,6 +53,21 @@ strfmt(const char *fmt = "", ...)
     std::string out = vstrfmt(fmt, args);
     va_end(args);
     return out;
+}
+
+/**
+ * Append @p v to @p out with std::to_chars; @p fmt as to_chars takes
+ * it: a base for an integer, or a std::chars_format and a precision
+ * for a double. The standard defines those overloads as printf's
+ * digits: (fixed, 6) writes "%.6f", (general, 17) writes "%.17g".
+ */
+template <typename T, typename... Fmt>
+void
+appendChars(std::string &out, T v, Fmt... fmt)
+{
+    // A double in fixed notation can take 309 digits before the point.
+    char buf[352];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v, fmt...).ptr);
 }
 
 } // namespace agentsim::sim

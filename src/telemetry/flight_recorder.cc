@@ -12,6 +12,53 @@
 namespace agentsim::telemetry
 {
 
+namespace
+{
+
+using sim::appendChars;
+
+/** printf's "%.6f". */
+void
+appendFixed6(std::string &out, double v)
+{
+    appendChars(out, v, std::chars_format::fixed, 6);
+}
+
+/** `"<category>": <seconds>, ...` over the blame categories. */
+void
+appendBlame(std::string &out, const BlameVector &blame)
+{
+    for (std::size_t i = 0; i < kBlameCategories; ++i) {
+        if (i != 0)
+            out += ", ";
+        out += '"';
+        out += blameCategoryName(static_cast<BlameCategory>(i));
+        out += "\": ";
+        appendFixed6(out, blame.seconds[i]);
+    }
+}
+
+/** The shared head of a span lane's begin and end events. */
+void
+appendLaneEvent(std::string &out, const SpanCompletion &sc, char phase,
+                sim::Tick ts)
+{
+    out += "{\"name\":\"";
+    appendJsonEscaped(out, sc.workflow);
+    out += "\",\"cat\":\"incident\",\"ph\":\"";
+    out += phase;
+    out += "\",\"id\":\"0x";
+    appendChars(out, sc.requestKey, 16);
+    out += "\",\"ts\":";
+    appendChars(out, ts);
+    out += ",\"pid\":";
+    appendChars(out, TracePid::kSpans);
+    out += ",\"tid\":";
+    appendChars(out, sc.requestKey);
+}
+
+} // namespace
+
 const char *
 incidentTriggerName(IncidentTrigger t)
 {
@@ -63,6 +110,7 @@ FlightRecorder::setConfig(Config config)
                     "recorder rings need capacity");
     config_ = std::move(config);
     latency_ = makeLatencyHistogram();
+    forgetMetadata();
 }
 
 std::size_t
@@ -114,93 +162,93 @@ FlightRecorder::trigger(IncidentTrigger kind, sim::Tick now,
     dumpBundle(kind, now, detail);
 }
 
-std::string
-FlightRecorder::renderBundleTrace(sim::Tick from, sim::Tick to,
-                                  std::size_t &trace_events) const
+void
+FlightRecorder::forgetMetadata()
 {
-    std::string out = "{\"traceEvents\":[";
-    bool first = true;
+    metadataJson_.clear();
+    metadataRendered_ = 0;
+    spansNamed_ = false;
+}
+
+std::size_t
+FlightRecorder::appendBundleTrace(
+    sim::Tick from, sim::Tick to,
+    const std::vector<const SpanCompletion *> &window_spans)
+{
+    std::string &out = buffer_;
+    out += "{\"traceEvents\":[";
+    if (trace_ != nullptr) {
+        trace_->forEachMetadata(
+            metadataRendered_, config_.metadataCapacity,
+            [&](const TraceRecord &r) {
+                metadataJson_ += ",\n";
+                trace_->render(r, metadataJson_);
+                spansNamed_ = spansNamed_ ||
+                              (r.phase == TracePhase::ProcessName &&
+                               r.pid == TracePid::kSpans);
+                ++metadataRendered_;
+            });
+    }
+    bool first = metadataJson_.empty();
+    if (!first) {
+        out += '\n';
+        out.append(metadataJson_, 2);
+    }
     auto begin_event = [&] {
         out += first ? "\n" : ",\n";
         first = false;
     };
-    auto append = [&](const std::string &ev) {
-        begin_event();
-        out += ev;
-    };
-    bool spans_named = false;
-    trace_events = 0;
+    std::size_t trace_events = 0;
     if (trace_ != nullptr) {
-        trace_->forEachMetadata(
-            config_.metadataCapacity, [&](const TraceRecord &r) {
-                begin_event();
-                trace_->render(r, out);
-                spans_named = spans_named ||
-                              (r.phase == TracePhase::ProcessName &&
-                               r.pid == TracePid::kSpans);
-            });
-        trace_->forEachRecentData(
-            config_.traceEventCapacity, [&](const TraceRecord &r) {
-                if (r.end() < from || r.tick > to)
-                    return;
-                begin_event();
-                trace_->render(r, out);
-                ++trace_events;
-            });
+        trace_->forEachDataInWindow(config_.traceEventCapacity, from, to,
+                                    [&](const TraceRecord &r) {
+                                        begin_event();
+                                        trace_->render(r, out);
+                                        ++trace_events;
+                                    });
     }
     // Window span completions as nestable-async lanes on the span
     // track, clipped to the window so begin/end always balance and
     // stay inside the bundle's time bounds.
-    for (const SpanCompletion &sc : spanRing_) {
-        if (sc.end < from || sc.start > to)
-            continue;
+    bool spans_named = spansNamed_;
+    for (const SpanCompletion *span : window_spans) {
+        const SpanCompletion &sc = *span;
         // The run names the span track only once it ends, so name
         // it here for the bundle's own lanes.
         if (!spans_named) {
-            append(sim::strfmt("{\"name\":\"process_name\",\"ph\":\"M\","
-                               "\"pid\":%d,\"args\":{\"name\":"
-                               "\"incident spans\"}}",
-                               TracePid::kSpans));
+            begin_event();
+            out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+            appendChars(out, TracePid::kSpans);
+            out += ",\"args\":{\"name\":\"incident spans\"}}";
             spans_named = true;
         }
-        const sim::Tick bts = std::clamp(sc.start, from, to);
-        const sim::Tick ets = std::clamp(sc.end, from, to);
-        std::string args;
+        begin_event();
+        appendLaneEvent(out, sc, 'b', std::clamp(sc.start, from, to));
+        out += ",\"args\":{";
         for (std::size_t i = 0; i < kBlameCategories; ++i) {
-            args += sim::strfmt(
-                "\"%s_s\":%.6f,",
-                blameCategoryName(static_cast<BlameCategory>(i)),
-                sc.blame.seconds[i]);
+            out += '"';
+            out += blameCategoryName(static_cast<BlameCategory>(i));
+            out += "_s\":";
+            appendFixed6(out, sc.blame.seconds[i]);
+            out += ',';
         }
-        args += sim::strfmt("\"latency_s\":%.6f,\"slo_violated\":%s",
-                            sc.latencySeconds,
-                            sc.sloViolated ? "true" : "false");
-        append(sim::strfmt(
-            "{\"name\":\"%s\",\"cat\":\"incident\",\"ph\":\"b\","
-            "\"id\":\"0x%llx\",\"ts\":%lld,\"pid\":%d,\"tid\":%llu,"
-            "\"args\":{%s}}",
-            jsonEscape(sc.workflow).c_str(),
-            static_cast<unsigned long long>(sc.requestKey),
-            static_cast<long long>(bts), TracePid::kSpans,
-            static_cast<unsigned long long>(sc.requestKey),
-            args.c_str()));
-        append(sim::strfmt(
-            "{\"name\":\"%s\",\"cat\":\"incident\",\"ph\":\"e\","
-            "\"id\":\"0x%llx\",\"ts\":%lld,\"pid\":%d,\"tid\":%llu}",
-            jsonEscape(sc.workflow).c_str(),
-            static_cast<unsigned long long>(sc.requestKey),
-            static_cast<long long>(ets), TracePid::kSpans,
-            static_cast<unsigned long long>(sc.requestKey)));
+        out += "\"latency_s\":";
+        appendFixed6(out, sc.latencySeconds);
+        out += ",\"slo_violated\":";
+        out += sc.sloViolated ? "true}}" : "false}}";
+        begin_event();
+        appendLaneEvent(out, sc, 'e', std::clamp(sc.end, from, to));
+        out += '}';
     }
     out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-    return out;
+    return trace_events;
 }
 
-std::string
-FlightRecorder::renderManifest(
+void
+FlightRecorder::appendManifest(
     IncidentTrigger kind, sim::Tick now, const std::string &detail,
     sim::Tick from, sim::Tick to, std::size_t trace_events,
-    const std::vector<const SpanCompletion *> &window_spans) const
+    const std::vector<const SpanCompletion *> &window_spans)
 {
     BlameVector blame;
     for (const SpanCompletion *sc : window_spans)
@@ -214,77 +262,65 @@ FlightRecorder::renderManifest(
     if (slowest.size() > 5)
         slowest.resize(5);
 
-    std::string out = "{\n";
-    out += "  \"schema\": \"agentsim-incident-v1\",\n";
-    out += sim::strfmt("  \"trigger\": \"%s\",\n",
-                       incidentTriggerName(kind));
-    out += sim::strfmt("  \"detail\": \"%s\",\n",
-                       jsonEscape(detail).c_str());
-    out += sim::strfmt("  \"trigger_time_s\": %.6f,\n",
-                       sim::toSeconds(now));
-    out += sim::strfmt("  \"window_from_s\": %.6f,\n",
-                       sim::toSeconds(from));
-    out += sim::strfmt("  \"window_to_s\": %.6f,\n",
-                       sim::toSeconds(to));
-    out += sim::strfmt("  \"trace_events\": %zu,\n", trace_events);
-    out += sim::strfmt("  \"span_completions\": %zu,\n",
-                       window_spans.size());
-
-    out += "  \"blame_seconds\": {";
-    for (std::size_t i = 0; i < kBlameCategories; ++i) {
-        out += sim::strfmt(
-            "%s\"%s\": %.6f", i == 0 ? "" : ", ",
-            blameCategoryName(static_cast<BlameCategory>(i)),
-            blame.seconds[i]);
-    }
-    out += "},\n";
-    out += sim::strfmt("  \"blame_total_seconds\": %.6f,\n",
-                       blame.total());
-
-    out += "  \"top_requests\": [";
+    std::string &out = buffer_;
+    out += "{\n  \"schema\": \"agentsim-incident-v1\",\n  \"trigger\": \"";
+    out += incidentTriggerName(kind);
+    out += "\",\n  \"detail\": \"";
+    appendJsonEscaped(out, detail);
+    out += "\",\n  \"trigger_time_s\": ";
+    appendFixed6(out, sim::toSeconds(now));
+    out += ",\n  \"window_from_s\": ";
+    appendFixed6(out, sim::toSeconds(from));
+    out += ",\n  \"window_to_s\": ";
+    appendFixed6(out, sim::toSeconds(to));
+    out += ",\n  \"trace_events\": ";
+    appendChars(out, trace_events);
+    out += ",\n  \"span_completions\": ";
+    appendChars(out, window_spans.size());
+    out += ",\n  \"blame_seconds\": {";
+    appendBlame(out, blame);
+    out += "},\n  \"blame_total_seconds\": ";
+    appendFixed6(out, blame.total());
+    out += ",\n  \"top_requests\": [";
     for (std::size_t i = 0; i < slowest.size(); ++i) {
         const SpanCompletion &sc = *slowest[i];
-        out += i == 0 ? "\n" : ",\n";
-        std::string b;
-        for (std::size_t c = 0; c < kBlameCategories; ++c) {
-            b += sim::strfmt(
-                "%s\"%s\": %.6f", c == 0 ? "" : ", ",
-                blameCategoryName(static_cast<BlameCategory>(c)),
-                sc.blame.seconds[c]);
-        }
-        out += sim::strfmt(
-            "    {\"request\": %llu, \"workflow\": \"%s\", "
-            "\"latency_s\": %.6f, \"slo_violated\": %s, "
-            "\"blame\": {%s}}",
-            static_cast<unsigned long long>(sc.requestKey),
-            jsonEscape(sc.workflow).c_str(), sc.latencySeconds,
-            sc.sloViolated ? "true" : "false", b.c_str());
+        out += i == 0 ? "\n    {\"request\": " : ",\n    {\"request\": ";
+        appendChars(out, sc.requestKey);
+        out += ", \"workflow\": \"";
+        appendJsonEscaped(out, sc.workflow);
+        out += "\", \"latency_s\": ";
+        appendFixed6(out, sc.latencySeconds);
+        out += ", \"slo_violated\": ";
+        out += sc.sloViolated ? "true" : "false";
+        out += ", \"blame\": {";
+        appendBlame(out, sc.blame);
+        out += "}}";
     }
-    out += "\n  ],\n";
-
-    const std::size_t ts_points =
-        timeseries_ != nullptr ? timeseries_->pointsRetained() : 0;
-    out += sim::strfmt(
-        "  \"timeseries\": {\"series\": %zu, \"points_retained\": %zu},\n",
-        timeseries_ != nullptr ? timeseries_->seriesCount() : 0,
-        ts_points);
-
-    out += sim::strfmt(
-        "  \"latency\": {\"count\": %zu, \"p50_s\": %.6f, "
-        "\"p99_s\": %.6f, \"max_s\": %.6f, \"exemplars\": [",
-        latency_.count(), latency_.quantile(0.50),
-        latency_.quantile(0.99), latency_.max());
+    out += "\n  ],\n  \"timeseries\": {\"series\": ";
+    appendChars(out, timeseries_ != nullptr ? timeseries_->seriesCount()
+                                            : std::size_t{0});
+    out += ", \"points_retained\": ";
+    appendChars(out, timeseries_ != nullptr
+                         ? timeseries_->pointsRetained()
+                         : std::size_t{0});
+    out += "},\n  \"latency\": {\"count\": ";
+    appendChars(out, latency_.count());
+    out += ", \"p50_s\": ";
+    appendFixed6(out, latency_.quantile(0.50));
+    out += ", \"p99_s\": ";
+    appendFixed6(out, latency_.quantile(0.99));
+    out += ", \"max_s\": ";
+    appendFixed6(out, latency_.max());
+    out += ", \"exemplars\": [";
     const auto exemplars = latency_.tailExemplars();
     for (std::size_t i = 0; i < exemplars.size(); ++i) {
-        out += sim::strfmt(
-            "%s{\"request\": %llu, \"latency_s\": %.6f}",
-            i == 0 ? "" : ", ",
-            static_cast<unsigned long long>(exemplars[i].id),
-            exemplars[i].value);
+        out += i == 0 ? "{\"request\": " : ", {\"request\": ";
+        appendChars(out, exemplars[i].id);
+        out += ", \"latency_s\": ";
+        appendFixed6(out, exemplars[i].value);
+        out += '}';
     }
-    out += "]}\n";
-    out += "}\n";
-    return out;
+    out += "]}\n}\n";
 }
 
 void
@@ -301,26 +337,34 @@ FlightRecorder::dumpBundle(IncidentTrigger kind, sim::Tick now,
             window_spans.push_back(&sc);
     }
 
-    std::size_t trace_events = 0;
-    const std::string trace_json =
-        renderBundleTrace(from, to, trace_events);
-    const std::string timeseries_csv =
-        timeseries_ != nullptr ? timeseries_->renderCsvWindow(from, to)
-                               : std::string("series,time_s,value\n");
-    const std::string manifest = renderManifest(
-        kind, now, detail, from, to, trace_events, window_spans);
+    // The three files, rendered back to back into one buffer.
+    buffer_.clear();
+    const std::size_t trace_events =
+        appendBundleTrace(from, to, window_spans);
+    const std::size_t trace_end = buffer_.size();
+    if (timeseries_ != nullptr)
+        timeseries_->appendCsvWindow(buffer_, from, to);
+    else
+        buffer_ += "series,time_s,value\n";
+    const std::size_t csv_end = buffer_.size();
+    appendManifest(kind, now, detail, from, to, trace_events,
+                   window_spans);
+    const std::string_view files = buffer_;
 
-    const auto total = static_cast<std::int64_t>(
-        trace_json.size() + timeseries_csv.size() + manifest.size());
+    const auto total = static_cast<std::int64_t>(files.size());
     if (config_.diskBudgetBytes > 0 &&
         bytesWritten_ + total > config_.diskBudgetBytes) {
         ++skippedBudget_;
         return;
     }
 
-    const std::string dir = sim::strfmt(
-        "%s/incident-%03zu-%s", config_.incidentDir.c_str(),
-        incidents_.size() + 1, incidentTriggerName(kind));
+    const std::size_t seq = incidents_.size() + 1;
+    std::string dir = config_.incidentDir + "/incident-";
+    if (seq < 100)
+        dir += seq < 10 ? "00" : "0";
+    appendChars(dir, seq);
+    dir += '-';
+    dir += incidentTriggerName(kind);
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec) {
@@ -332,13 +376,14 @@ FlightRecorder::dumpBundle(IncidentTrigger kind, sim::Tick now,
     }
 
     bool ok = true;
-    ok = writeArtifact(dir + "/trace.json", trace_json,
+    ok = writeArtifact(dir + "/trace.json", files.substr(0, trace_end),
                        "incident trace") &&
          ok;
-    ok = writeArtifact(dir + "/timeseries.csv", timeseries_csv,
+    ok = writeArtifact(dir + "/timeseries.csv",
+                       files.substr(trace_end, csv_end - trace_end),
                        "incident time series") &&
          ok;
-    ok = writeArtifact(dir + "/manifest.json", manifest,
+    ok = writeArtifact(dir + "/manifest.json", files.substr(csv_end),
                        "incident manifest") &&
          ok;
     if (!ok) {

@@ -198,18 +198,33 @@ class FlightRecorder
     std::int64_t writeFailures_ = 0;
     std::int64_t bytesWritten_ = 0;
 
+    /** Every dump renders its three files into this one buffer,
+     *  kept across dumps so its capacity is reused. */
+    std::string buffer_;
+    /** The JSON of the sink's first metadataCapacity metadata
+     *  records, each led by ",\n". Those records only ever grow, so
+     *  a dump renders only the ones added since the last. */
+    std::string metadataJson_;
+    std::size_t metadataRendered_ = 0;
+    /** Whether metadataJson_ names the span track. */
+    bool spansNamed_ = false;
+
     stats::HdrHistogram makeLatencyHistogram() const;
+    /** Drop the rendered metadata (the sink changed or was
+     *  cleared). */
+    void forgetMetadata();
     void dumpBundle(IncidentTrigger kind, sim::Tick now,
                     const std::string &detail);
-    /** @return the bundle trace; @p trace_events counts its
-     *  windowed sink records. */
-    std::string renderBundleTrace(sim::Tick from, sim::Tick to,
-                                  std::size_t &trace_events) const;
-    std::string renderManifest(IncidentTrigger kind, sim::Tick now,
-                               const std::string &detail, sim::Tick from,
-                               sim::Tick to, std::size_t trace_events,
-                               const std::vector<const SpanCompletion *>
-                                   &window_spans) const;
+    /** Append the bundle trace to buffer_, with a lane per span of
+     *  @p window_spans. @return the windowed sink records it holds. */
+    std::size_t appendBundleTrace(
+        sim::Tick from, sim::Tick to,
+        const std::vector<const SpanCompletion *> &window_spans);
+    void appendManifest(IncidentTrigger kind, sim::Tick now,
+                        const std::string &detail, sim::Tick from,
+                        sim::Tick to, std::size_t trace_events,
+                        const std::vector<const SpanCompletion *>
+                            &window_spans);
 };
 
 } // namespace agentsim::telemetry

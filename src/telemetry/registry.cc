@@ -4,6 +4,10 @@
 #include <cstdio>
 #include <cstring>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "sim/logging.hh"
 #include "sim/strfmt.hh"
 
@@ -174,19 +178,32 @@ MetricsRegistry::clear()
 }
 
 bool
-writeTextFile(const std::string &path, const std::string &text)
+writeTextFile(const std::string &path, std::string_view text)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC,
+                          0666);
+    if (fd < 0)
         return false;
-    const bool written =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    const bool closed = std::fclose(f) == 0;
-    return written && closed;
+    bool ok = true;
+    for (std::size_t done = 0; ok && done < text.size();) {
+        const ssize_t n =
+            ::write(fd, text.data() + done, text.size() - done);
+        if (n > 0)
+            done += static_cast<std::size_t>(n);
+        else
+            ok = n < 0 && errno == EINTR;
+    }
+    // Cut a longer old file to the new length; a device or pipe has
+    // no length to set.
+    struct stat st;
+    if (ok && ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode))
+        ok = ::ftruncate(fd, static_cast<off_t>(text.size())) == 0;
+    const bool closed = ::close(fd) == 0;
+    return ok && closed;
 }
 
 bool
-writeArtifact(const std::string &path, const std::string &text,
+writeArtifact(const std::string &path, std::string_view text,
               const std::string &what)
 {
     errno = 0;

@@ -7,9 +7,7 @@
  *
  * The registry is the pull side of the telemetry subsystem: subsystems
  * register (or look up) metrics by name and update them; exporters
- * render the whole registry at once. Gauges reuse the time-weighted
- * machinery from stats/ so a gauge reports not just its last value but
- * its virtual-time average and peak.
+ * render the whole registry at once.
  */
 
 #ifndef AGENTSIM_TELEMETRY_REGISTRY_HH
@@ -19,12 +17,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "sim/types.hh"
-#include "stats/gauge.hh"
 #include "stats/histogram.hh"
 
 namespace agentsim::telemetry
@@ -71,23 +68,17 @@ class Counter : public Metric
     double value_ = 0.0;
 };
 
-/** Point-in-time gauge with a time-weighted history. */
+/** Point-in-time gauge: its current value only (the time-series
+ *  store samples its history). */
 class Gauge : public Metric
 {
   public:
-    /** Record that the gauge becomes @p value at sim time @p now. */
-    void set(sim::Tick now, double value)
-    {
-        series_.set(now, value);
-    }
+    void set(double value) { value_ = value; }
 
-    double value() const { return series_.current(); }
-
-    /** Time-weighted history (average / max queries). */
-    const stats::TimeWeightedGauge &series() const { return series_; }
+    double value() const { return value_; }
 
   private:
-    stats::TimeWeightedGauge series_;
+    double value_ = 0.0;
 };
 
 /** Fixed-bucket histogram (Prometheus cumulative-bucket exposition). */
@@ -197,11 +188,13 @@ class MetricsRegistry
 };
 
 /**
- * Write @p text to @p path (truncating). @return true only if every
- * byte was written and the file closed cleanly (a failed flush on
- * close is a failed write).
+ * Write @p text to @p path. An existing regular file is rewritten in
+ * place: opened without truncation, overwritten, then cut to the new
+ * length, which costs less than freeing and reallocating its blocks.
+ * @return true only if every byte was written, the length set and the
+ * file closed cleanly.
  */
-bool writeTextFile(const std::string &path, const std::string &text);
+bool writeTextFile(const std::string &path, std::string_view text);
 
 /**
  * Write a telemetry/report artifact with uniform outcome reporting:
@@ -210,7 +203,7 @@ bool writeTextFile(const std::string &path, const std::string &text);
  * writing artifacts route through this so an unwritable path is
  * always loud — and they exit non-zero when it returns false.
  */
-bool writeArtifact(const std::string &path, const std::string &text,
+bool writeArtifact(const std::string &path, std::string_view text,
                    const std::string &what);
 
 } // namespace agentsim::telemetry

@@ -21,40 +21,39 @@ namespace agentsim::telemetry
 inline void
 exportSimMetrics(MetricsRegistry &registry, const sim::Simulation &sim)
 {
-    const sim::Tick now = sim.now();
     registry
         .gauge("agentsim_sim_events_processed",
                "Events processed by the simulation executive")
-        .set(now, static_cast<double>(sim.processedEvents()));
+        .set(static_cast<double>(sim.processedEvents()));
     registry
         .gauge("agentsim_sim_wall_seconds",
                "Host wall-clock seconds inside run()/runUntil()")
-        .set(now, sim.wallSeconds());
+        .set(sim.wallSeconds());
     registry
         .gauge("agentsim_sim_events_per_second",
                "Simulator throughput: events per host wall-clock second")
-        .set(now, sim.eventsPerSecond());
+        .set(sim.eventsPerSecond());
     registry
         .gauge("agentsim_sim_virtual_seconds",
                "Virtual time reached by the simulation clock")
-        .set(now, sim.nowSec());
+        .set(sim.nowSec());
     registry
         .gauge("agentsim_sim_queue_buckets_allocated",
                "Event-queue tick buckets allocated (pool misses)")
-        .set(now, static_cast<double>(sim.queueBucketsAllocated()));
+        .set(static_cast<double>(sim.queueBucketsAllocated()));
     registry
         .gauge("agentsim_sim_queue_buckets_recycled",
                "Event-queue tick buckets served from the free list")
-        .set(now, static_cast<double>(sim.queueBucketsRecycled()));
+        .set(static_cast<double>(sim.queueBucketsRecycled()));
     const sim::FramePoolStats frames = sim::framePoolStats();
     registry
         .gauge("agentsim_sim_frame_pool_allocations",
                "Coroutine frame allocations routed through the pool")
-        .set(now, static_cast<double>(frames.allocations));
+        .set(static_cast<double>(frames.allocations));
     registry
         .gauge("agentsim_sim_frame_pool_hits",
                "Coroutine frames served from a thread-local bin")
-        .set(now, static_cast<double>(frames.poolHits));
+        .set(static_cast<double>(frames.poolHits));
 }
 
 } // namespace agentsim::telemetry

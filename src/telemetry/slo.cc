@@ -217,24 +217,24 @@ SloTracker::exportMetrics(MetricsRegistry &registry, sim::Tick now) const
             {"metric", std::string(sloMetricName(metric))}};
         registry.gauge("agentsim_slo_p50_seconds", "streaming p50 latency",
                        labels)
-            .set(now, t.p50.value());
+            .set(t.p50.value());
         registry.gauge("agentsim_slo_p95_seconds", "streaming p95 latency",
                        labels)
-            .set(now, t.p95.value());
+            .set(t.p95.value());
         registry.gauge("agentsim_slo_p99_seconds", "streaming p99 latency",
                        labels)
-            .set(now, t.p99.value());
+            .set(t.p99.value());
         registry
             .gauge("agentsim_slo_attainment",
                    "lifetime fraction of observations under target",
                    labels)
-            .set(now, attainment(metric));
+            .set(attainment(metric));
         registry
             .gauge("agentsim_slo_burn_rate",
                    "current-window burn rate (violation fraction / "
                    "error budget)",
                    labels)
-            .set(now, windowBurnRate(metric, now));
+            .set(windowBurnRate(metric, now));
         registry
             .counter("agentsim_slo_violations_total",
                      "observations over target (failures included)",

@@ -32,22 +32,6 @@ TimeSeriesStore::Ring::push(const TsPoint &p, std::size_t capacity)
     full = true;
 }
 
-std::vector<TsPoint>
-TimeSeriesStore::Ring::window(sim::Tick from, sim::Tick to) const
-{
-    std::vector<TsPoint> out;
-    const std::size_t n = points.size();
-    // Oldest-first iteration order: once the ring has wrapped, the
-    // oldest point sits at head (the next overwrite target).
-    const std::size_t start = full ? head : 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const TsPoint &p = points[(start + i) % n];
-        if (p.tick >= from && p.tick <= to)
-            out.push_back(p);
-    }
-    return out;
-}
-
 TimeSeriesStore::Ring &
 TimeSeriesStore::ringFor(const std::string &name)
 {
@@ -85,9 +69,11 @@ std::vector<TsPoint>
 TimeSeriesStore::window(const std::string &name, sim::Tick from,
                         sim::Tick to) const
 {
-    const Ring *ring = findRing(name);
-    return ring != nullptr ? ring->window(from, to)
-                           : std::vector<TsPoint>{};
+    std::vector<TsPoint> out;
+    if (const Ring *ring = findRing(name); ring != nullptr)
+        ring->forEachInWindow(
+            from, to, [&](const TsPoint &p) { out.push_back(p); });
+    return out;
 }
 
 TsWindowStats
@@ -162,15 +148,30 @@ csvField(const std::string &key)
 std::string
 TimeSeriesStore::renderCsvWindow(sim::Tick from, sim::Tick to) const
 {
-    std::string out = "series,time_s,value\n";
+    std::string out;
+    appendCsvWindow(out, from, to);
+    return out;
+}
+
+void
+TimeSeriesStore::appendCsvWindow(std::string &out, sim::Tick from,
+                                 sim::Tick to) const
+{
+    out += "series,time_s,value\n";
     for (const Ring &ring : series_) {
         const std::string field = csvField(ring.name);
-        for (const TsPoint &p : ring.window(from, to)) {
-            out += sim::strfmt("%s,%.6f,%.17g\n", field.c_str(),
-                               sim::toSeconds(p.tick), p.value);
-        }
+        ring.forEachInWindow(from, to, [&](const TsPoint &p) {
+            // printf's "%.6f" and "%.17g".
+            out += field;
+            out += ',';
+            sim::appendChars(out, sim::toSeconds(p.tick),
+                             std::chars_format::fixed, 6);
+            out += ',';
+            sim::appendChars(out, p.value, std::chars_format::general,
+                             17);
+            out += '\n';
+        });
     }
-    return out;
 }
 
 std::string

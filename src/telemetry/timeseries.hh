@@ -116,6 +116,10 @@ class TimeSeriesStore
      */
     std::string renderCsvWindow(sim::Tick from, sim::Tick to) const;
 
+    /** Append renderCsvWindow(@p from, @p to) to @p out. */
+    void appendCsvWindow(std::string &out, sim::Tick from,
+                         sim::Tick to) const;
+
     /** renderCsvWindow over every retained point. */
     std::string renderCsv() const;
 
@@ -135,8 +139,24 @@ class TimeSeriesStore
         bool full = false;
 
         void push(const TsPoint &p, std::size_t capacity);
-        /** Points in [from, to], oldest first. */
-        std::vector<TsPoint> window(sim::Tick from, sim::Tick to) const;
+
+        /** Visit the points in [from, to], oldest first. */
+        template <typename F>
+        void
+        forEachInWindow(sim::Tick from, sim::Tick to, F &&f) const
+        {
+            // Once the ring has wrapped, the oldest point sits at head
+            // (the next overwrite target).
+            const std::size_t start = full ? head : 0;
+            auto visit = [&](std::size_t lo, std::size_t hi) {
+                for (std::size_t i = lo; i < hi; ++i) {
+                    if (points[i].tick >= from && points[i].tick <= to)
+                        f(points[i]);
+                }
+            };
+            visit(start, points.size());
+            visit(0, start);
+        }
     };
 
     Config config_;

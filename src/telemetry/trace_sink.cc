@@ -1,6 +1,7 @@
 #include "telemetry/trace_sink.hh"
 
 #include <charconv>
+#include <cstring>
 
 #include "sim/strfmt.hh"
 #include "telemetry/flight_recorder.hh"
@@ -12,9 +13,81 @@ namespace agentsim::telemetry
 namespace
 {
 
-void
-appendEscaped(std::string &out, std::string_view s)
+using sim::appendChars;
+
+/**
+ * A stack buffer with the append surface of std::string that the
+ * renderer uses. A write that does not fit fails the buffer; the
+ * caller then renders the record again straight into its string.
+ */
+class StackBuffer
 {
+  public:
+    StackBuffer &
+    operator+=(char c)
+    {
+        if (p_ == end_)
+            fail();
+        else
+            *p_++ = c;
+        return *this;
+    }
+
+    StackBuffer &
+    operator+=(std::string_view s)
+    {
+        if (s.size() > static_cast<std::size_t>(end_ - p_)) {
+            fail();
+        } else {
+            std::memcpy(p_, s.data(), s.size());
+            p_ += s.size();
+        }
+        return *this;
+    }
+
+    template <typename T, typename... Fmt>
+    void
+    chars(T v, Fmt... fmt)
+    {
+        const auto [ptr, ec] = std::to_chars(p_, end_, v, fmt...);
+        if (ec != std::errc{})
+            fail();
+        else
+            p_ = ptr;
+    }
+
+    bool ok() const { return ok_; }
+    std::string_view view() const
+    {
+        return {buf_, static_cast<std::size_t>(p_ - buf_)};
+    }
+
+  private:
+    char buf_[1024];
+    char *p_ = buf_;
+    char *end_ = buf_ + sizeof(buf_);
+    bool ok_ = true;
+
+    void
+    fail()
+    {
+        ok_ = false;
+        end_ = p_;
+    }
+};
+
+template <typename T, typename... Fmt>
+void
+appendChars(StackBuffer &out, T v, Fmt... fmt)
+{
+    out.chars(v, fmt...);
+}
+
+template <typename Out>
+void
+appendEscaped(Out &out, std::string_view s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
     for (char c : s) {
         switch (c) {
           case '"':
@@ -38,30 +111,23 @@ appendEscaped(std::string &out, std::string_view s)
           case '\t':
             out += "\\t";
             break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                out += sim::strfmt("\\u%04x",
-                                   static_cast<unsigned>(
-                                       static_cast<unsigned char>(c)));
-            } else {
-                out += c;
-            }
+          default: {
+              const auto u = static_cast<unsigned char>(c);
+              if (u < 0x20) {
+                  const char esc[] = {'\\', 'u', '0', '0', kHex[u >> 4],
+                                      kHex[u & 0xf]};
+                  out += std::string_view(esc, sizeof(esc));
+              } else {
+                  out += c;
+              }
+          }
         }
     }
 }
 
-/** std::to_chars into @p out; @p fmt as to_chars takes it (a base,
- *  or chars_format::fixed and 6 for printf's "%.6f" digits). */
-template <typename T, typename... Fmt>
+template <typename Out>
 void
-appendChars(std::string &out, T v, Fmt... fmt)
-{
-    char buf[352];
-    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v, fmt...).ptr);
-}
-
-void
-appendArgs(std::string &out, const TraceArgs &args)
+appendArgs(Out &out, const TraceArgs &args)
 {
     out += ",\"args\":{";
     for (const TraceArg &arg : args) {
@@ -92,7 +158,69 @@ appendArgs(std::string &out, const TraceArgs &args)
     out += '}';
 }
 
+/** Append @p r's JSON object, its name already escaped, to @p out. */
+template <typename Out>
+void
+renderRecord(const TraceRecord &r, std::string_view name, Out &out)
+{
+    if (r.metadata()) {
+        const bool thread = r.phase == TracePhase::ThreadName;
+        out += thread ? "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":"
+                      : "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+        appendChars(out, r.pid);
+        if (thread) {
+            out += ",\"tid\":";
+            appendChars(out, r.tid);
+        }
+        out += ",\"args\":{\"name\":\"";
+        out += name;
+        out += "\"}}";
+        return;
+    }
+    const bool async = r.phase == TracePhase::AsyncBegin ||
+                       r.phase == TracePhase::AsyncEnd;
+    out += "{\"name\":\"";
+    out += name;
+    out += '"';
+    if (r.cat != nullptr) {
+        out += ",\"cat\":\"";
+        out += r.cat;
+        out += '"';
+    }
+    out += ",\"ph\":\"";
+    out += static_cast<char>(r.phase);
+    out += '"';
+    if (async) {
+        out += ",\"id\":\"0x";
+        appendChars(out, r.tid, 16);
+        out += '"';
+    }
+    out += ",\"ts\":";
+    appendChars(out, r.tick);
+    if (r.phase == TracePhase::Complete) {
+        out += ",\"dur\":";
+        appendChars(out, r.dur);
+    }
+    out += ",\"pid\":";
+    appendChars(out, r.pid);
+    if (r.phase != TracePhase::Counter) {
+        out += ",\"tid\":";
+        appendChars(out, r.tid);
+    }
+    if (r.phase == TracePhase::Instant)
+        out += ",\"s\":\"t\"";
+    if (r.args[0].key != nullptr || r.phase == TracePhase::Counter)
+        appendArgs(out, r.args);
+    out += '}';
+}
+
 } // namespace
+
+void
+appendJsonEscaped(std::string &out, std::string_view s)
+{
+    appendEscaped(out, s);
+}
 
 std::string
 jsonEscape(std::string_view s)
@@ -120,8 +248,7 @@ TraceSink::addMetadata(TracePhase phase, int pid, std::uint64_t tid,
                        std::string_view name)
 {
     metadata_.push_back(events_.size());
-    events_.push_back(
-        {.tid = tid, .pid = pid, .name = intern(name), .phase = phase});
+    push({.tid = tid, .pid = pid, .name = intern(name), .phase = phase});
 }
 
 void
@@ -143,8 +270,10 @@ TraceSink::attachRecorder(FlightRecorder *recorder)
 {
     if (recorder_ != recorder) {
         overflow_.clear();
-        if (recorder_ != nullptr)
+        if (recorder_ != nullptr) {
             recorder_->trace_ = nullptr;
+            recorder_->forgetMetadata();
+        }
         if (recorder != nullptr && recorder->trace_ != nullptr)
             recorder->trace_->attachRecorder(nullptr);
     }
@@ -154,10 +283,20 @@ TraceSink::attachRecorder(FlightRecorder *recorder)
 }
 
 void
+TraceSink::push(const TraceRecord &record)
+{
+    if (events_.size() % kIndexBlock == 0)
+        blockMaxEnd_.push_back(record.end());
+    else
+        blockMaxEnd_.back() = std::max(blockMaxEnd_.back(), record.end());
+    events_.push_back(record);
+}
+
+void
 TraceSink::add(const TraceRecord &record)
 {
     if (capacity_ == 0 || events_.size() < capacity_) {
-        events_.push_back(record);
+        push(record);
         return;
     }
     ++dropped_;
@@ -216,56 +355,14 @@ TraceSink::asyncEnd(int pid, std::uint64_t id, std::string_view name,
 void
 TraceSink::render(const TraceRecord &r, std::string &out) const
 {
-    const std::string &name = names_[r.name];
-    if (r.metadata()) {
-        const bool thread = r.phase == TracePhase::ThreadName;
-        out += thread ? "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":"
-                      : "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-        appendChars(out, r.pid);
-        if (thread) {
-            out += ",\"tid\":";
-            appendChars(out, r.tid);
-        }
-        out += ",\"args\":{\"name\":\"";
-        out += name;
-        out += "\"}}";
-        return;
-    }
-    const bool async = r.phase == TracePhase::AsyncBegin ||
-                       r.phase == TracePhase::AsyncEnd;
-    out += "{\"name\":\"";
-    out += name;
-    out += '"';
-    if (r.cat != nullptr) {
-        out += ",\"cat\":\"";
-        out += r.cat;
-        out += '"';
-    }
-    out += ",\"ph\":\"";
-    out += static_cast<char>(r.phase);
-    out += '"';
-    if (async) {
-        out += ",\"id\":\"0x";
-        appendChars(out, r.tid, 16);
-        out += '"';
-    }
-    out += ",\"ts\":";
-    appendChars(out, r.tick);
-    if (r.phase == TracePhase::Complete) {
-        out += ",\"dur\":";
-        appendChars(out, r.dur);
-    }
-    out += ",\"pid\":";
-    appendChars(out, r.pid);
-    if (r.phase != TracePhase::Counter) {
-        out += ",\"tid\":";
-        appendChars(out, r.tid);
-    }
-    if (r.phase == TracePhase::Instant)
-        out += ",\"s\":\"t\"";
-    if (r.args[0].key != nullptr || r.phase == TracePhase::Counter)
-        appendArgs(out, r.args);
-    out += '}';
+    // One append per record; a record too long for the stack buffer
+    // (a long name or text argument) renders straight into @p out.
+    StackBuffer buf;
+    renderRecord(r, names_[r.name], buf);
+    if (buf.ok())
+        out += buf.view();
+    else
+        renderRecord(r, names_[r.name], out);
 }
 
 std::string
@@ -288,15 +385,27 @@ TraceSink::writeJson(const std::string &path) const
 }
 
 void
+TraceSink::exportMetrics(MetricsRegistry &registry) const
+{
+    registry
+        .gauge("agentsim_trace_dropped_events",
+               "Trace events dropped by the sink's capacity cap")
+        .set(static_cast<double>(dropped_));
+}
+
+void
 TraceSink::clear()
 {
     events_.clear();
+    blockMaxEnd_.clear();
     metadata_.clear();
     overflow_.clear();
     names_.clear();
     nameIds_.clear();
     named_.clear();
     dropped_ = 0;
+    if (recorder_ != nullptr)
+        recorder_->forgetMetadata();
 }
 
 } // namespace agentsim::telemetry

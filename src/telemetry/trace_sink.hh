@@ -42,6 +42,7 @@ namespace agentsim::telemetry
 {
 
 class FlightRecorder;
+class MetricsRegistry;
 
 /**
  * Escape a string for inclusion in a JSON string literal. Handles the
@@ -50,6 +51,9 @@ class FlightRecorder;
  * observations stay valid JSON.
  */
 std::string jsonEscape(std::string_view s);
+
+/** Append jsonEscape(@p s) to @p out. */
+void appendJsonEscaped(std::string &out, std::string_view s);
 
 /** Well-known track (process) ids of the cross-layer trace. */
 struct TracePid
@@ -222,6 +226,9 @@ class TraceSink
     /** Data events dropped because the capacity was reached. */
     std::uint64_t droppedEvents() const { return dropped_; }
 
+    /** Export the agentsim_trace_dropped_events gauge. */
+    void exportMetrics(MetricsRegistry &registry) const;
+
     /**
      * Give a flight recorder a view of this log (nullptr detaches).
      * The recorder reads its window from the log's newest records,
@@ -243,35 +250,69 @@ class TraceSink
         return events_.size() - metadata_.size() + overflow_.size();
     }
 
-    /** Visit the first @p n metadata records, in log order. */
+    /** Visit metadata records @p first up to (not including)
+     *  @p last, in log order. */
     template <typename F>
     void
-    forEachMetadata(std::size_t n, F &&f) const
+    forEachMetadata(std::size_t first, std::size_t last, F &&f) const
     {
-        for (std::size_t i = 0; i < metadata_.size() && i < n; ++i)
+        for (std::size_t i = first; i < metadata_.size() && i < last; ++i)
             f(events_[metadata_[i]]);
     }
 
-    /** Visit the newest @p n data records, oldest first: the log's
-     *  tail, then the overflow tail. */
+    /** Records per block of the window index. */
+    static constexpr std::size_t kIndexBlock = 1024;
+
+    /**
+     * Visit those of the newest @p n data records (the log's tail,
+     * then the overflow tail) that intersect [@p from, @p to], oldest
+     * first. The first of the newest @p n is found by binary search
+     * over the metadata positions, and every block of kIndexBlock log
+     * records whose largest end() is before @p from is skipped whole.
+     */
     template <typename F>
     void
-    forEachRecentData(std::size_t n, F &&f) const
+    forEachDataInWindow(std::size_t n, sim::Tick from, sim::Tick to,
+                        F &&f) const
     {
+        auto in_window = [&](const TraceRecord &r) {
+            return r.end() >= from && r.tick <= to;
+        };
         const std::size_t tail = std::min(n, overflow_.size());
-        std::size_t want = n - tail;
-        std::size_t first = events_.size();
-        while (want > 0 && first > 0) {
-            if (!events_[--first].metadata())
-                --want;
+        const std::size_t data = events_.size() - metadata_.size();
+        const std::size_t want = std::min(n - tail, data);
+        // The first wanted record is data record k (0-based). Metadata
+        // record i has metadata_[i] - i data records before it, so it
+        // lies before data record k exactly when that count is at
+        // most k; data record k sits at k plus the number of those.
+        const std::size_t k = data - want;
+        std::size_t lo = 0;
+        std::size_t hi = metadata_.size();
+        while (lo < hi) {
+            const std::size_t mid = lo + (hi - lo) / 2;
+            if (metadata_[mid] - mid <= k)
+                lo = mid + 1;
+            else
+                hi = mid;
         }
-        for (std::size_t i = first; i < events_.size(); ++i) {
-            if (!events_[i].metadata())
-                f(events_[i]);
+        for (std::size_t i = k + lo; i < events_.size();) {
+            const std::size_t block = i / kIndexBlock;
+            const std::size_t stop =
+                std::min(events_.size(), (block + 1) * kIndexBlock);
+            if (blockMaxEnd_[block] >= from) {
+                for (; i < stop; ++i) {
+                    const TraceRecord &r = events_[i];
+                    if (!r.metadata() && in_window(r))
+                        f(r);
+                }
+            }
+            i = stop;
         }
         for (std::size_t i = overflow_.size() - tail; i < overflow_.size();
-             ++i)
-            f(overflow_[i]);
+             ++i) {
+            if (in_window(overflow_[i]))
+                f(overflow_[i]);
+        }
     }
 
     /** Append @p record's JSON object to @p out. */
@@ -287,6 +328,9 @@ class TraceSink
 
   private:
     std::vector<TraceRecord> events_;
+    /** Window index: the largest end() of each kIndexBlock records
+     *  of events_. */
+    std::vector<sim::Tick> blockMaxEnd_;
     /** Positions of the metadata records in events_. */
     std::vector<std::size_t> metadata_;
     /** Data events dropped at capacity, kept for the recorder. */
@@ -309,6 +353,8 @@ class TraceSink
     std::uint32_t intern(std::string_view name);
     void addMetadata(TracePhase phase, int pid, std::uint64_t tid,
                      std::string_view name);
+    /** Append to events_ and the window index. */
+    void push(const TraceRecord &record);
     void add(const TraceRecord &record);
 };
 

@@ -324,7 +324,7 @@ TEST(CostReport, ExportsOneSeriesPerWorkflowLabel)
     report.add("HotpotQA/ReAct", ledgerOf(1.0, 2.0, 30.0));
     report.add("chat", ledgerOf(0.5, 1.0, 10.0));
     telemetry::MetricsRegistry registry;
-    report.exportMetrics(registry, 0);
+    report.exportMetrics(registry);
     const std::string prom = registry.renderPrometheus();
     EXPECT_NE(prom.find("agentsim_cost_attributed_gpu_seconds_total{"
                         "workflow=\"HotpotQA/ReAct\"} 3\n"),
@@ -348,7 +348,7 @@ TEST(CostReport, RecoveredSecondsCarryACauseLabel)
     report.addRecoveredGpuSeconds("crash", 2.0);
     report.addRecoveredGpuSeconds("shed", 0.5);
     telemetry::MetricsRegistry registry;
-    report.exportMetrics(registry, 0);
+    report.exportMetrics(registry);
     const std::string prom = registry.renderPrometheus();
     EXPECT_NE(prom.find("agentsim_cost_recovered_gpu_seconds_total{cause="
                         "\"crash\"} 2\n"),
@@ -373,7 +373,7 @@ TEST(CostReport, ProvisionedFooterReportsElasticCapacity)
     EXPECT_NE(table.find("PROVISIONED"), std::string::npos);
 
     telemetry::MetricsRegistry registry;
-    report.exportMetrics(registry, 0);
+    report.exportMetrics(registry);
     const std::string prom = registry.renderPrometheus();
     EXPECT_NE(prom.find("agentsim_cost_provisioned_gpu_seconds_total"),
               std::string::npos);

@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -48,6 +51,15 @@ incidentDir(const std::string &name)
         std::filesystem::path(::testing::TempDir()) / "agentsim" / name;
     std::filesystem::remove_all(dir);
     return dir.string();
+}
+
+std::string
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
 }
 
 TEST(TimeSeries, RingWrapKeepsNewestPointsInOrder)
@@ -456,19 +468,316 @@ TEST(FlightRecorderTest, RecorderOutlivesSinkCapacity)
 }
 
 // ---------------------------------------------------------------------
+// The trace log's window visitor, against a brute-force filter over
+// the newest n data records.
+// ---------------------------------------------------------------------
+
+/** A sink filled at random, with the data records a recorder sees
+ *  kept aside in log-then-overflow order (each record's tid is its
+ *  own id). */
+struct ShadowedSink
+{
+    struct Rec
+    {
+        std::uint64_t id;
+        sim::Tick tick;
+        sim::Tick end;
+        /** Position in the sink's log (metadata included). */
+        std::size_t pos;
+    };
+
+    telemetry::TraceSink sink;
+    FlightRecorder recorder;
+    std::vector<Rec> log;
+    std::deque<Rec> overflow;
+    std::mt19937_64 rng;
+    std::uint64_t next = 0;
+
+    ShadowedSink(std::uint64_t seed, std::size_t capacity,
+                 std::size_t overflow_capacity)
+        : recorder({.incidentDir = incidentDir("shadowed"),
+                    .traceEventCapacity = overflow_capacity}),
+          rng(seed)
+    {
+        sink.setEventCapacity(capacity);
+        sink.attachRecorder(&recorder);
+    }
+
+    std::uint64_t roll(std::uint64_t n) { return rng() % n; }
+
+    /** One metadata record (a new lane, or now and then a new
+     *  track). */
+    void
+    addMetadata()
+    {
+        const std::uint64_t id = next++;
+        if (roll(4) == 0)
+            sink.processName(static_cast<int>(100 + id), "track");
+        else
+            sink.threadName(telemetry::TracePid::kRequests, id, "lane");
+    }
+
+    /** One data record: mostly short and in time order, now and then
+     *  an instant or a span long enough to reach far ahead. */
+    void
+    addData()
+    {
+        const std::uint64_t id = next++;
+        const auto tick = static_cast<sim::Tick>(id * 10 + roll(50));
+        const auto dur = static_cast<sim::Tick>(
+            roll(20) == 0 ? roll(20000) : roll(5) == 0 ? 0 : roll(100));
+        const std::size_t pos = sink.eventCount();
+        const bool logged = sink.eventCapacity() == 0 ||
+                            pos < sink.eventCapacity();
+        sink.complete(telemetry::TracePid::kEngine, id, "d", "test", tick,
+                      tick + dur);
+        const Rec rec{id, tick, tick + dur, pos};
+        if (logged)
+            return log.push_back(rec);
+        overflow.push_back(rec);
+        if (overflow.size() > recorder.config().traceEventCapacity)
+            overflow.pop_front();
+    }
+
+    std::size_t visible() const { return log.size() + overflow.size(); }
+
+    sim::Tick
+    lastEnd() const
+    {
+        sim::Tick end = 0;
+        for (const Rec &r : log)
+            end = std::max(end, r.end);
+        for (const Rec &r : overflow)
+            end = std::max(end, r.end);
+        return end;
+    }
+
+    std::vector<std::uint64_t>
+    expected(std::size_t n, sim::Tick from, sim::Tick to) const
+    {
+        std::vector<Rec> all(log.begin(), log.end());
+        all.insert(all.end(), overflow.begin(), overflow.end());
+        std::vector<std::uint64_t> ids;
+        for (std::size_t i = all.size() - std::min(n, all.size());
+             i < all.size(); ++i) {
+            if (all[i].end >= from && all[i].tick <= to)
+                ids.push_back(all[i].id);
+        }
+        return ids;
+    }
+
+    std::vector<std::uint64_t>
+    visited(std::size_t n, sim::Tick from, sim::Tick to) const
+    {
+        std::vector<std::uint64_t> ids;
+        sink.forEachDataInWindow(n, from, to,
+                                 [&](const telemetry::TraceRecord &r) {
+                                     EXPECT_FALSE(r.metadata());
+                                     ids.push_back(r.tid);
+                                 });
+        return ids;
+    }
+
+    /** Compare the visitor with the brute force over fixed and random
+     *  windows and counts. */
+    void
+    check(const std::string &what)
+    {
+        const sim::Tick last = lastEnd();
+        const std::size_t data = visible();
+        std::vector<std::pair<sim::Tick, sim::Tick>> windows = {
+            {0, last},                    // the whole log
+            {0, -1},                      // before every record
+            {last, last},                 // only the last end
+            {last + 1, last + 1000},      // after every record
+            {0, std::numeric_limits<sim::Tick>::max()},
+        };
+        // Windows whose ends sit on either side of block edges, and
+        // windows starting exactly at a block's largest end.
+        constexpr std::size_t kBlock = telemetry::TraceSink::kIndexBlock;
+        std::map<std::size_t, sim::Tick> block_max;
+        for (std::size_t at = 0; at < log.size(); ++at) {
+            sim::Tick &m = block_max[log[at].pos / kBlock];
+            m = std::max(m, log[at].end);
+            if (at > 0 && log[at].pos / kBlock != log[at - 1].pos / kBlock) {
+                for (const std::size_t edge : {at - 1, at}) {
+                    windows.push_back({log[edge].tick, log[edge].tick + 500});
+                    windows.push_back({log[edge].end, last});
+                }
+            }
+        }
+        for (const auto &[block, end] : block_max)
+            windows.push_back({end, end + 100});
+        for (int i = 0; i < 200; ++i) {
+            const auto a = static_cast<sim::Tick>(
+                roll(static_cast<std::uint64_t>(last) + 2));
+            const auto b = static_cast<sim::Tick>(
+                roll(static_cast<std::uint64_t>(last) + 2));
+            windows.push_back({std::min(a, b), std::max(a, b)});
+        }
+        std::vector<std::size_t> counts = {
+            0, 1, data / 2, data, data + 1,
+            std::numeric_limits<std::size_t>::max()};
+        if (data > 0)
+            counts.push_back(data - 1);
+        for (const auto &[from, to] : windows) {
+            counts.push_back(roll(data + 10));
+            for (const std::size_t n : counts) {
+                ASSERT_EQ(visited(n, from, to), expected(n, from, to))
+                    << what << ": n " << n << " window [" << from << ", "
+                    << to << "]";
+            }
+            counts.pop_back();
+        }
+    }
+};
+
+TEST(TraceWindow, MatchesBruteForceWithMetadataAnywhere)
+{
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        ShadowedSink s(seed, 0, 65536);
+        for (int i = 0; i < 6000; ++i) {
+            if (s.roll(10) < 2)
+                s.addMetadata();
+            else
+                s.addData();
+        }
+        s.check("seed " + std::to_string(seed));
+    }
+}
+
+TEST(TraceWindow, MatchesBruteForceAcrossMetadataRuns)
+{
+    // Metadata first, a run of it longer than a block in the middle,
+    // and trailing metadata after the newest data record.
+    ShadowedSink s(7, 0, 65536);
+    for (int i = 0; i < 30; ++i)
+        s.addMetadata();
+    for (int i = 0; i < 2500; ++i)
+        s.addData();
+    for (int i = 0; i < 1500; ++i)
+        s.addMetadata();
+    for (int i = 0; i < 2500; ++i)
+        s.addData();
+    for (int i = 0; i < 40; ++i)
+        s.addMetadata();
+    s.check("metadata runs");
+}
+
+TEST(TraceWindow, MatchesBruteForceOnACappedSinkWithOverflow)
+{
+    ShadowedSink s(11, 3000, 700);
+    for (int i = 0; i < 7000; ++i) {
+        if (s.roll(10) == 0)
+            s.addMetadata();
+        else
+            s.addData();
+    }
+    ASSERT_GT(s.sink.droppedEvents(), 700u);
+    ASSERT_EQ(s.overflow.size(), 700u);
+    s.check("capped");
+}
+
+TEST(TraceWindow, EmptyAndMetadataOnlySinksVisitNothing)
+{
+    ShadowedSink s(13, 0, 65536);
+    s.check("empty");
+    for (int i = 0; i < 2000; ++i)
+        s.addMetadata();
+    s.check("metadata only");
+}
+
+TEST(FlightRecorderTest, BundleHoldsTheNewestRecordsOfALongLog)
+{
+    // 100k one-millisecond steps; every 1000th record instead spans
+    // 200 s, so long spans from the whole log reach the window, but
+    // only those among the newest traceEventCapacity (65,536) records
+    // may appear in the bundle.
+    FlightRecorder rec({.incidentDir = incidentDir("long_log"),
+                        .windowSeconds = 30.0});
+    ASSERT_EQ(rec.config().traceEventCapacity, 65536u);
+    telemetry::TraceSink sink;
+    sink.attachRecorder(&rec);
+    sink.processName(telemetry::TracePid::kEngine, "LLM engine");
+    constexpr std::uint64_t kRecords = 100000;
+    const sim::Tick from = fromSeconds(70.0);
+    const sim::Tick to = fromSeconds(100.0);
+    std::vector<std::uint64_t> expected;
+    for (std::uint64_t i = 0; i < kRecords; ++i) {
+        if (i % 4096 == 0)
+            sink.threadName(telemetry::TracePid::kEngine, i, "lane");
+        const sim::Tick start = fromSeconds(0.001 * static_cast<double>(i));
+        const sim::Tick end =
+            start + fromSeconds(i % 1000 == 0 ? 200.0 : 0.001);
+        sink.complete(telemetry::TracePid::kEngine, i, "step", "engine",
+                      start, end);
+        if (i >= kRecords - 65536 && end >= from && start <= to)
+            expected.push_back(i);
+    }
+    ASSERT_GT(sink.eventCount(), 65536u);
+    rec.trigger(IncidentTrigger::SloBurn, to, "long log");
+    ASSERT_EQ(rec.incidentsDumped(), 1);
+
+    const std::filesystem::path dir = rec.incidentPaths()[0];
+    std::vector<std::uint64_t> steps;
+    std::size_t lanes = 0;
+    std::istringstream lines(readFile(dir / "trace.json"));
+    for (std::string line; std::getline(lines, line);) {
+        const auto at = line.find("\"tid\":");
+        if (line.find("\"ph\":\"X\"") != std::string::npos)
+            steps.push_back(std::stoull(line.substr(at + 6)));
+        else if (line.find("thread_name") != std::string::npos)
+            ++lanes;
+    }
+    EXPECT_EQ(steps, expected);
+    EXPECT_EQ(lanes, (kRecords + 4095) / 4096);
+    // Long spans from outside the newest 65,536 records stay out.
+    EXPECT_EQ(std::count(steps.begin(), steps.end(), 34000u), 0);
+    EXPECT_EQ(std::count(steps.begin(), steps.end(), 35000u), 1);
+    EXPECT_NE(readFile(dir / "manifest.json")
+                  .find("\"trace_events\": " +
+                        std::to_string(expected.size()) + ",\n"),
+              std::string::npos);
+}
+
+TEST(FlightRecorderTest, BundlesCarryMetadataNamedBetweenDumps)
+{
+    FlightRecorder rec({.incidentDir = incidentDir("metadata_growth"),
+                        .metadataCapacity = 3,
+                        .debounceSeconds = 0.0});
+    telemetry::TraceSink sink;
+    sink.attachRecorder(&rec);
+    auto bundle_trace = [&](std::size_t i) {
+        return readFile(std::filesystem::path(rec.incidentPaths()[i]) /
+                        "trace.json");
+    };
+    sink.threadName(telemetry::TracePid::kEngine, 1, "lane one");
+    rec.trigger(IncidentTrigger::SloBurn, fromSeconds(1), "first");
+    sink.threadName(telemetry::TracePid::kEngine, 2, "lane two");
+    sink.threadName(telemetry::TracePid::kEngine, 3, "lane three");
+    sink.threadName(telemetry::TracePid::kEngine, 4, "lane four");
+    rec.trigger(IncidentTrigger::SloBurn, fromSeconds(2), "second");
+    // A cleared sink starts its names over.
+    sink.clear();
+    sink.threadName(telemetry::TracePid::kEngine, 5, "lane five");
+    rec.trigger(IncidentTrigger::SloBurn, fromSeconds(3), "third");
+    ASSERT_EQ(rec.incidentsDumped(), 3);
+
+    EXPECT_NE(bundle_trace(0).find("lane one"), std::string::npos);
+    EXPECT_EQ(bundle_trace(0).find("lane two"), std::string::npos);
+    for (const char *name : {"lane one", "lane two", "lane three"})
+        EXPECT_NE(bundle_trace(1).find(name), std::string::npos) << name;
+    EXPECT_EQ(bundle_trace(1).find("lane four"), std::string::npos);
+    EXPECT_EQ(bundle_trace(2).find("lane one"), std::string::npos);
+    EXPECT_NE(bundle_trace(2).find("lane five"), std::string::npos);
+    EXPECT_EQ(bundle_trace(2).rfind("{\"traceEvents\":[\n{", 0), 0u);
+}
+
+// ---------------------------------------------------------------------
 // Pins: digests of the trace and incident-bundle bytes of small
 // observed runs. Any change to how trace events are stored or
 // rendered must reproduce them exactly.
 // ---------------------------------------------------------------------
-
-std::string
-readFile(const std::filesystem::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
 
 /** FNV-1a over every file of every bundle, in dump order. */
 std::uint64_t

@@ -410,6 +410,42 @@ TEST(Completion, AwaitAfterSetIsImmediate)
     EXPECT_EQ(w.result(), 5);
 }
 
+Task<std::vector<int>>
+takingWaiter(sim::Completion<std::vector<int>> c)
+{
+    co_await c;
+    co_return c.take();
+}
+
+TEST(Completion, TakeMovesTheValueToItsSingleConsumer)
+{
+    Simulation s;
+    sim::Completion<std::vector<int>> c(s);
+    auto w = takingWaiter(c);
+    std::vector<int> value(250, 7);
+    const int *storage = value.data();
+    c.set(std::move(value));
+    s.run();
+    ASSERT_TRUE(w.done());
+    const std::vector<int> got = w.result();
+    // Moved, not copied: the consumer holds the producer's buffer.
+    EXPECT_EQ(got.data(), storage);
+    EXPECT_EQ(got, std::vector<int>(250, 7));
+    EXPECT_TRUE(c.ready());
+}
+
+TEST(Completion, NoSecondConsumerAfterTake)
+{
+    Simulation s;
+    sim::Completion<std::vector<int>> c(s);
+    c.set({1, 2, 3});
+    EXPECT_EQ(c.take(), (std::vector<int>{1, 2, 3}));
+    // The value is gone: a second consumer must not read it.
+    EXPECT_DEATH(c.take(), "taken twice");
+    EXPECT_DEATH(c.peek(), "peek after take");
+    EXPECT_DEATH(takingWaiter(c), "awaited after take");
+}
+
 Task<void>
 semUser(Simulation &s, sim::Semaphore &sem, Tick hold,
         std::vector<Tick> *entries)

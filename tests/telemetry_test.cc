@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
@@ -382,6 +385,34 @@ TEST(Telemetry, JsonEscapeHandlesControlCharacters)
     EXPECT_TRUE(v.valid());
 }
 
+TEST(Telemetry, RecordsPastTheStackBufferRenderWhole)
+{
+    // Records longer than the renderer's stack buffer take the direct
+    // path and render the same bytes.
+    static const std::string control(700, '\x01');
+    const std::string long_name(3000, 'n');
+    telemetry::TraceSink sink;
+    sink.instant(1, 2, long_name, "c", 5);
+    sink.complete(1, 3, "short", "c", 1, 3,
+                  {telemetry::TraceArg::text("note", control.c_str()),
+                   telemetry::TraceArg::integer("k", 7)});
+    std::string escaped;
+    for (std::size_t i = 0; i < control.size(); ++i)
+        escaped += "\\u0001";
+    const std::string json = sink.toJson();
+    EXPECT_NE(json.find("{\"name\":\"" + long_name +
+                        "\",\"cat\":\"c\",\"ph\":\"i\",\"ts\":5,\"pid\":1,"
+                        "\"tid\":2,\"s\":\"t\"}"),
+              std::string::npos);
+    EXPECT_NE(json.find("{\"name\":\"short\",\"cat\":\"c\",\"ph\":\"X\","
+                        "\"ts\":1,\"dur\":2,\"pid\":1,\"tid\":3,"
+                        "\"args\":{\"note\":\"" +
+                        escaped + "\",\"k\":7}}"),
+              std::string::npos);
+    JsonValidator v(json);
+    EXPECT_TRUE(v.valid());
+}
+
 TEST(Telemetry, AgentTraceExportSurvivesTabsInLabels)
 {
     agents::AgentResult result;
@@ -408,7 +439,7 @@ TEST(Telemetry, RegistryScalarsSampleIntoStore)
 
     telemetry::TimeSeriesStore ts;
     c.add(1);
-    g.set(0, 2.5);
+    g.set(2.5);
     h.observe(3.0);
     ts.sample(reg, sim::fromSeconds(1.0));
     c.add(2);
@@ -436,7 +467,7 @@ TEST(Telemetry, LabelledSeriesShareOneFamily)
     reg.counter("req_total", "requests", {{"node", "0"}}).set(3);
     reg.counter("req_total", "ignored help", {{"node", "1"}}).set(4);
     reg.counter("req_total", "", {{"node", "0"}}).add(1);
-    reg.gauge("depth", "queue depth").set(0, 2);
+    reg.gauge("depth", "queue depth").set(2);
     reg.histogram("lat", "latency", 0, 2, 2, {{"node", "0"}}).observe(1.5);
     EXPECT_EQ(reg.families(), 3u);
 
@@ -541,10 +572,36 @@ TEST(Telemetry, EngineStatsSumThroughTheFieldTable)
     EXPECT_EQ(names.size(), exported);
 }
 
+TEST(Telemetry, WriteTextFileRewritesInPlace)
+{
+    const auto dir =
+        std::filesystem::path(::testing::TempDir()) / "agentsim" /
+        "write_text_file";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "artifact.txt").string();
+    auto read_back = [&] {
+        std::ifstream in(path, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    // A new file, a longer rewrite, a shorter one (no stale tail) and
+    // one of the same length each read back exactly the new bytes.
+    for (const std::string text :
+         {"first\n", "a longer second version\n", "short\n", "SHORT\n"}) {
+        ASSERT_TRUE(telemetry::writeTextFile(path, text)) << text;
+        EXPECT_EQ(read_back(), text);
+    }
+    ASSERT_TRUE(telemetry::writeTextFile(path, ""));
+    EXPECT_EQ(read_back(), "");
+    EXPECT_FALSE(telemetry::writeTextFile(
+        (dir / "missing" / "artifact.txt").string(), "x\n"));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Telemetry, WriteTextFileReportsFailedFlush)
 {
-    // /dev/full accepts the open and the buffered write, then fails
-    // the flush on close with ENOSPC.
+    // /dev/full accepts the open, then fails the write with ENOSPC.
     EXPECT_FALSE(telemetry::writeTextFile("/dev/full", "hello\n"));
     EXPECT_FALSE(
         telemetry::writeArtifact("/dev/full", "hello\n", "test file"));
