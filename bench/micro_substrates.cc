@@ -229,8 +229,9 @@ void
 BM_KvDecodeAppend(benchmark::State &state)
 {
     // One decode step per iteration: each of 64 sequences reads its
-    // context length and appends a token, as the engine does per
-    // decoder. range(0) = 1 addresses them by SeqHandle, 0 by SeqId
+    // context length and appends the next token of its output stream,
+    // as the engine does per decoder (a counter bump until the block
+    // seals). range(0) = 1 addresses them by SeqHandle, 0 by SeqId
     // (one hashed lookup per call). Every 512 steps the batch is
     // released and re-admitted, untimed, so the pool never fills.
     constexpr int kBatch = 64;
@@ -246,6 +247,9 @@ BM_KvDecodeAppend(benchmark::State &state)
             cfg.blockSize,
             workload::makeTokens(workload::streamId(i, "decode"), 100));
     }
+    std::vector<std::uint64_t> outputs;
+    for (int i = 0; i < kBatch; ++i)
+        outputs.push_back(workload::streamId(i, "decode.out"));
     std::vector<kv::SeqHandle> seqs(kBatch);
     kv::SeqId next = 1;
     auto admit = [&] {
@@ -263,16 +267,17 @@ BM_KvDecodeAppend(benchmark::State &state)
             step = 0;
             state.ResumeTiming();
         }
-        const auto token = static_cast<kv::TokenId>(step++);
+        const int index = step++;
         std::int64_t context = 0;
         bool ok = true;
-        for (const kv::SeqHandle &seq : seqs) {
+        for (int i = 0; i < kBatch; ++i) {
+            const kv::SeqHandle &seq = seqs[i];
             if (by_handle) {
                 context += mgr.seqTokens(seq);
-                ok &= mgr.appendToken(seq, token);
+                ok &= mgr.appendToken(seq, outputs[i], index);
             } else {
                 context += mgr.seqTokens(seq.id);
-                ok &= mgr.appendToken(seq.id, token);
+                ok &= mgr.appendToken(seq.id, outputs[i], index);
             }
         }
         AGENTSIM_ASSERT(ok, "KV bench pool too small");
@@ -302,13 +307,13 @@ BENCHMARK(BM_KvChainAppendMadeTokens)
 void
 BM_KvChainAppendStream(benchmark::State &state)
 {
-    // The same segment as a stream run, each token hashed where it is
-    // made: how every synthetic prompt segment is built.
+    // The same segment as a stream run, folded in closed form, O(1)
+    // per block: how every prompt segment and output is appended.
     const std::int64_t len = state.range(0);
     std::uint64_t salt = 0;
     for (auto _ : state) {
         kv::TokenChain chain(16);
-        chain.appendStream(salt++, 0, len);
+        chain.append(kv::TokenRun{salt++, 0, len});
         benchmark::DoNotOptimize(chain.blockHashes().data());
     }
     state.SetItemsProcessed(state.iterations() * len);
@@ -335,8 +340,13 @@ BM_EngineDecodeStep(benchmark::State &state)
     // batch is cancelled while a step is in flight and resubmitted in
     // the same tick, untimed, so the new requests take the freed slab
     // slots while the in-flight plan still names the old ones.
+    // range(1) = 0 submits 64 made tokens, so each output run opens a
+    // fresh block; 1 submits a 72-token stream run, so each output run
+    // first shares a block with the prompt's run, as an agent's
+    // output follows its prompt.
     constexpr int kSteps = 256;
     const auto batch = static_cast<std::size_t>(state.range(0));
+    const bool run_prompt = state.range(1) == 1;
     sim::Simulation sim;
     serving::EngineConfig cfg;
     cfg.model = llm::llama31_8b();
@@ -355,12 +365,14 @@ BM_EngineDecodeStep(benchmark::State &state)
             engine.cancel(id);
         calls.clear();
         for (std::size_t i = 0; i < batch; ++i) {
-            calls.push_back(decodeUntilCancelled(
-                engine,
-                kv::TokenChain(cfg.blockSize,
-                               workload::makeTokens(
-                                   workload::streamId(salt++, "step"), 64)),
-                &ids[i]));
+            const std::uint64_t stream = workload::streamId(salt++, "step");
+            kv::TokenChain prompt(cfg.blockSize);
+            if (run_prompt)
+                prompt.appendStream(stream, 0, 72);
+            else
+                prompt.append(workload::makeTokens(stream, 64));
+            calls.push_back(
+                decodeUntilCancelled(engine, std::move(prompt), &ids[i]));
         }
         // Step until the whole batch decodes.
         for (std::int64_t decoded = 0;
@@ -389,7 +401,11 @@ BM_EngineDecodeStep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(batch));
 }
-BENCHMARK(BM_EngineDecodeStep)->ArgName("decoders")->Arg(8)->Arg(64);
+BENCHMARK(BM_EngineDecodeStep)
+    ->ArgNames({"decoders", "run_prompt"})
+    ->Args({8, 0})
+    ->Args({64, 0})
+    ->Args({64, 1});
 
 void
 BM_PerfModelStep(benchmark::State &state)

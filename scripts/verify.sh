@@ -106,17 +106,19 @@ fi
 
 # The KV micro-benchmarks drive allocation, prefix hits, LRU and FIFO
 # eviction churn, restore+hit allocations against full spill tiers,
-# per-token decode appends and prompt-chain hashing; the engine one
-# cancels requests mid-step and reuses their request-slab slots in the
-# same tick; the recorder one rewrites incident bundles in place from
-# a ~300k-record trace log. A short sanitized run of each catches
-# memory errors and undefined behaviour on the block pool's, the
+# per-token decode appends of output runs and prompt-chain hashing of
+# made tokens and of stream runs in closed form; the token-stream one
+# steps makeTokens' GF(p) arithmetic; the engine one cancels requests
+# mid-step and reuses their request-slab slots in the same tick; the
+# recorder one rewrites incident bundles in place from a ~300k-record
+# trace log. A short sanitized run of each catches memory errors and
+# undefined behaviour on the block pool's, the token chain's, the
 # engine's and the recorder's hot paths.
 for preset in asan ubsan; do
     if [[ " ${presets[*]} " == *" ${preset} "* ]]; then
         echo "==> KV, engine and recorder micro-benchmark smoke (micro_substrates, ${preset})"
         "build-${preset}/bench/micro_substrates" \
-            --benchmark_filter='BM_Kv|BM_Engine|BM_FlightRecorderDump' \
+            --benchmark_filter='BM_Kv|BM_Engine|BM_FlightRecorderDump|BM_TokenStream' \
             --benchmark_min_time=0.01 > /dev/null
     fi
 done

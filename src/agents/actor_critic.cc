@@ -65,12 +65,12 @@ ActorCriticAgent::run(AgentContext ctx)
 
         // Rejected: the critic writes actionable feedback the actor
         // carries into the next round, extending its review prompt.
-        review.add(SegmentKind::LlmHistory, verdict.tokens);
+        review.add(SegmentKind::LlmHistory, verdict.output);
         serving::GenResult critique = co_await callLlm(
             ctx, trace, rng, review.build(),
             prof.reflectionOutputMean, "critic.feedback");
-        critiques.append(Segment::output(SegmentKind::LlmHistory,
-                                         std::move(critique.tokens)));
+        critiques.append(
+            Segment{SegmentKind::LlmHistory, critique.output});
     }
 
     trace.setIterations(iterations_total);

@@ -108,12 +108,12 @@ buildHead(const AgentContext &ctx, int few_shot)
                             std::string(workload::benchmarkName(
                                 ctx.task.benchmark));
     PromptBuilder builder(ctx.engine->config().blockSize);
-    builder.addStream(SegmentKind::Instruction,
-                      workload::streamId(ctx.seed, "instr." + tag),
-                      ctx.profile().instructionTokens);
-    builder.addStream(SegmentKind::FewShot,
-                      workload::streamId(ctx.seed, "fewshot." + tag),
-                      few_shot * ctx.profile().fewShotTokensPerExample);
+    builder.add(SegmentKind::Instruction,
+                {workload::streamId(ctx.seed, "instr." + tag), 0,
+                 ctx.profile().instructionTokens});
+    builder.add(SegmentKind::FewShot,
+                {workload::streamId(ctx.seed, "fewshot." + tag), 0,
+                 few_shot * ctx.profile().fewShotTokensPerExample});
     return builder;
 }
 
@@ -143,7 +143,7 @@ headWithQuery(const AgentContext &ctx, int few_shot)
                            "user." + std::string(workload::benchmarkName(
                                          ctx.task.benchmark))),
         ctx.task.taskId);
-    builder.addStream(SegmentKind::User, user, ctx.task.userTokens);
+    builder.add(SegmentKind::User, {user, 0, ctx.task.userTokens});
     return builder;
 }
 
@@ -169,7 +169,7 @@ AgentContext::toolObservation(std::int64_t count,
         workload::substream(workload::streamId(seed, "tool.obs"),
                             task.taskId),
         sim::hashCombine(sim::fnv1a(agentName(kind)), index));
-    return Segment{SegmentKind::ToolHistory, nullptr, stream, count};
+    return Segment{SegmentKind::ToolHistory, {stream, 0, count}};
 }
 
 sim::Task<serving::GenResult>
@@ -220,7 +220,7 @@ callLlm(AgentContext &ctx, Trace &trace, sim::Rng &rng, Prompt prompt,
     }
 
     CallTokens tokens = prompt.breakdown;
-    tokens.output = static_cast<std::int64_t>(gen.tokens.size());
+    tokens.output = gen.output.count;
     trace.addLlmCall(tokens, gen, start, end, label);
     if (ctx.traceSink != nullptr) {
         using telemetry::TraceArg;
@@ -228,9 +228,7 @@ callLlm(AgentContext &ctx, Trace &trace, sim::Rng &rng, Prompt prompt,
             telemetry::TracePid::kAgents, ctx.traceTid, label, "llm",
             start, end,
             {TraceArg::integer("prompt_tokens", gen.promptTokens),
-             TraceArg::integer("output_tokens",
-                               static_cast<std::int64_t>(
-                                   gen.tokens.size())),
+             TraceArg::integer("output_tokens", gen.output.count),
              TraceArg::real("queue_s", gen.queueSeconds)});
     }
     co_return gen;

@@ -301,9 +301,9 @@ LatsAgent::run(AgentContext ctx)
             auto child = std::make_unique<Node>();
             child->parent = leaf;
             child->depth = leaf->depth + 1;
-            child->action = Segment::output(
-                SegmentKind::LlmHistory,
-                std::move(actions[static_cast<std::size_t>(c)].tokens));
+            child->action =
+                Segment{SegmentKind::LlmHistory,
+                        actions[static_cast<std::size_t>(c)].output};
             const auto disc =
                 (static_cast<std::uint64_t>(round) << 16) |
                 static_cast<std::uint64_t>(c);
@@ -395,8 +395,7 @@ LatsAgent::run(AgentContext ctx)
             node->parent = roll;
             node->depth = roll->depth + 1;
             node->capability = roll->capability;
-            node->action = Segment::output(SegmentKind::LlmHistory,
-                                           std::move(step.tokens));
+            node->action = Segment{SegmentKind::LlmHistory, step.output};
             node->observation = ctx.toolObservation(
                 obs.observationTokens,
                 (static_cast<std::uint64_t>(round) << 16) | 0x8000u |
@@ -433,10 +432,10 @@ LatsAgent::run(AgentContext ctx)
             serving::GenResult reflection = co_await callLlm(
                 ctx, trace, rng, pathPrompt(head, best).build(),
                 prof.reflectionOutputMean, "lats.reflect");
-            Segment reflected = Segment::output(
-                SegmentKind::LlmHistory, std::move(reflection.tokens));
+            const Segment reflected{SegmentKind::LlmHistory,
+                                    reflection.output};
             head.add(reflected);
-            episodic.append(std::move(reflected));
+            episodic.append(reflected);
             ++reflections;
         }
 

@@ -123,7 +123,7 @@ LlmCompilerAgent::run(AgentContext ctx)
             serving::GenResult fragment = co_await callLlm(
                 ctx, trace, rng, prompt.build(), fragment_mean,
                 "compiler.plan", park);
-            prompt.add(SegmentKind::LlmHistory, fragment.tokens);
+            prompt.add(SegmentKind::LlmHistory, fragment.output);
 
             const auto obs_index =
                 (static_cast<std::uint64_t>(round) << 16) |
@@ -153,7 +153,7 @@ LlmCompilerAgent::run(AgentContext ctx)
         serving::GenResult join = co_await callLlm(
             ctx, trace, rng, prompt.build(), prof.finalOutputMean,
             "compiler.join");
-        prompt.add(SegmentKind::LlmHistory, join.tokens);
+        prompt.add(SegmentKind::LlmHistory, join.output);
 
         if (hops >= required) {
             solved = sampleAnswer(rng, hops, required);

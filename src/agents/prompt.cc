@@ -5,16 +5,6 @@
 namespace agentsim::agents
 {
 
-Segment
-Segment::output(SegmentKind kind, std::vector<kv::TokenId> tokens)
-{
-    const auto n = static_cast<std::int64_t>(tokens.size());
-    return Segment{kind,
-                   std::make_shared<const std::vector<kv::TokenId>>(
-                       std::move(tokens)),
-                   0, n};
-}
-
 void
 PromptBuilder::tally(SegmentKind kind, std::int64_t n)
 {
@@ -41,28 +31,11 @@ PromptBuilder::tally(SegmentKind kind, std::int64_t n)
 }
 
 PromptBuilder &
-PromptBuilder::add(SegmentKind kind, std::span<const kv::TokenId> tokens)
+PromptBuilder::add(SegmentKind kind, const kv::TokenRun &run)
 {
-    tally(kind, static_cast<std::int64_t>(tokens.size()));
-    prompt_.chain.append(tokens);
+    tally(kind, run.count);
+    prompt_.chain.append(run);
     return *this;
-}
-
-PromptBuilder &
-PromptBuilder::addStream(SegmentKind kind, std::uint64_t stream,
-                         std::int64_t count)
-{
-    tally(kind, count);
-    prompt_.chain.appendStream(stream, 0, count);
-    return *this;
-}
-
-PromptBuilder &
-PromptBuilder::add(const Segment &segment)
-{
-    if (segment.tokens != nullptr)
-        return add(segment.kind, *segment.tokens);
-    return addStream(segment.kind, segment.stream, segment.count);
 }
 
 void
@@ -80,7 +53,7 @@ Memory::tokenCount(SegmentKind kind) const
     std::int64_t total = 0;
     for (const auto &s : segments_) {
         if (s.kind == kind)
-            total += s.count;
+            total += s.run.count;
     }
     return total;
 }
@@ -90,7 +63,7 @@ Memory::totalTokens() const
 {
     std::int64_t total = 0;
     for (const auto &s : segments_)
-        total += s.count;
+        total += s.run.count;
     return total;
 }
 

@@ -15,17 +15,16 @@
  * episode rather than once per LLM call. The fixed head shared by
  * every task of an (agent, benchmark) is hashed once per run: a
  * per-run PromptHeadCache (agent.hh) keeps it, and each episode copies
- * it. Synthetic segments (instruction, few-shot, user query, tool
- * observations) are stream runs, hashed where their tokens are made;
- * memories hold them, and LLM outputs, by reference (Segment).
+ * it. Every segment — instruction, few-shot, user query, tool
+ * observation and LLM output alike — is a stream run (kv::TokenRun),
+ * appended in closed form; memories hold the runs (Segment), so they
+ * hold no tokens.
  */
 
 #ifndef AGENTSIM_AGENTS_PROMPT_HH
 #define AGENTSIM_AGENTS_PROMPT_HH
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "agents/trace.hh"
@@ -35,24 +34,14 @@ namespace agentsim::agents
 {
 
 /**
- * One prompt segment, held by reference rather than by copy: an LLM
- * output (its tokens shared by every copy of the memory holding it)
- * or a run of a synthetic token stream (hashed in place when added).
- * Copying a memory or a search tree therefore copies no tokens.
+ * One prompt segment: an LLM output (GenResult::output) or a run of a
+ * synthetic token stream, held as the run, never as tokens. Copying a
+ * memory or a search tree therefore copies no tokens.
  */
 struct Segment
 {
     SegmentKind kind{};
-    /** The LLM output's tokens; null for a stream run. */
-    std::shared_ptr<const std::vector<kv::TokenId>> tokens;
-    /** Stream run: tokens 0 .. count - 1 of this stream. */
-    std::uint64_t stream = 0;
-    /** Token count (of either form). */
-    std::int64_t count = 0;
-
-    /** An LLM output kept as history of @p kind. */
-    static Segment output(SegmentKind kind,
-                          std::vector<kv::TokenId> tokens);
+    kv::TokenRun run;
 };
 
 /** A fully assembled prompt: its chain plus the per-kind breakdown. */
@@ -76,17 +65,14 @@ class PromptBuilder
     {
     }
 
-    /** Append a segment of @p kind (hashes only its tokens). */
-    PromptBuilder &add(SegmentKind kind,
-                       std::span<const kv::TokenId> tokens);
-
-    /** Append the first @p count tokens of synthetic stream
-     *  @p stream, hashed where they are made. */
-    PromptBuilder &addStream(SegmentKind kind, std::uint64_t stream,
-                             std::int64_t count);
+    /** Append a run of @p kind, in closed form. */
+    PromptBuilder &add(SegmentKind kind, const kv::TokenRun &run);
 
     /** Append a held segment. */
-    PromptBuilder &add(const Segment &segment);
+    PromptBuilder &add(const Segment &segment)
+    {
+        return add(segment.kind, segment.run);
+    }
 
     /** Current total token count. */
     std::int64_t size() const { return prompt_.chain.size(); }

@@ -92,8 +92,7 @@ runToolLoopTrial(AgentContext &ctx, Trace &trace, sim::Rng &rng,
         serving::GenResult gen = co_await callLlm(
             ctx, trace, rng, prompt.build(), prof.stepOutputMean,
             "react.step", park);
-        remember(Segment::output(SegmentKind::LlmHistory,
-                                 std::move(gen.tokens)));
+        remember(Segment{SegmentKind::LlmHistory, gen.output});
         ++outcome.iterations;
 
         if (outcome.hopsFound >= required) {

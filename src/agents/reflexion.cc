@@ -158,8 +158,8 @@ ReflexionAgent::run(AgentContext ctx)
         serving::GenResult reflection = co_await callLlm(
             ctx, trace, rng, review, prof.reflectionOutputMean,
             "reflexion.reflect");
-        episodic.append(Segment::output(SegmentKind::LlmHistory,
-                                        std::move(reflection.tokens)));
+        episodic.append(
+            Segment{SegmentKind::LlmHistory, reflection.output});
         ++reflections_used;
 
         // Trial-boundary snapshot: without it, a crash during the

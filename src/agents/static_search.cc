@@ -118,8 +118,8 @@ TreeOfThoughtsAgent::run(AgentContext ctx)
         std::vector<sim::Task<serving::GenResult>> scores;
         for (std::size_t i = 0; i < outputs.size(); ++i) {
             Thought child = frontier[parents[i]];
-            child.think.add(SegmentKind::LlmHistory, outputs[i].tokens);
-            child.judge.add(SegmentKind::LlmHistory, outputs[i].tokens);
+            child.think.add(SegmentKind::LlmHistory, outputs[i].output);
+            child.judge.add(SegmentKind::LlmHistory, outputs[i].output);
             // Structured, evaluator-guided exploration searches the
             // reasoning space more deliberately than plain sampling
             // (trial-level sigma), but cannot conjure knowledge.
@@ -206,7 +206,7 @@ BestOfNAgent::run(AgentContext ctx)
     for (int s = 0; s < samples; ++s) {
         PromptBuilder verify = verifier_prefix;
         verify.add(SegmentKind::LlmHistory,
-                   outputs[static_cast<std::size_t>(s)].tokens);
+                   outputs[static_cast<std::size_t>(s)].output);
         verifications.push_back(
             scoreState(ctx, trace, verify.build(),
                        rngs[static_cast<std::size_t>(s)], "bon.verify"));

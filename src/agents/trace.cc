@@ -107,14 +107,13 @@ Trace::addLlmCall(const CallTokens &tokens,
     perCall_.push_back(tokens);
     timeline_.push_back(Span{Span::Kind::Llm, start, end, label});
     flops_ += gen.flops;
-    outputTokens_ += static_cast<std::int64_t>(gen.tokens.size());
+    outputTokens_ += gen.output.count;
     promptTokens_ += gen.promptTokens;
     cachedTokens_ += gen.cachedPromptTokens;
     queueSeconds_ += gen.queueSeconds;
     cost_ += gen.ledger;
     perCallCost_.push_back(gen.ledger);
-    noteContextTokens(gen.promptTokens +
-                      static_cast<std::int64_t>(gen.tokens.size()));
+    noteContextTokens(gen.promptTokens + gen.output.count);
 }
 
 void

@@ -199,7 +199,7 @@ sessionWorker(const ServeConfig &config, sim::Simulation &sim,
             sim::toSeconds(sim.now() - turn_start));
         state.result.ttftSeconds.add(r.ttftSeconds);
         state.result.totalCost += r.ledger;
-        history.append(r.tokens);
+        history.append(r.output);
     }
     finishSpans(state, root, sim.now());
     noteCompletion(state, session_start, sim.now(), true);

@@ -226,7 +226,8 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
 }
 
 bool
-BlockManager::appendToken(SeqHandle seq_handle, TokenId token)
+BlockManager::appendToken(SeqHandle seq_handle, std::uint64_t stream,
+                          std::int64_t index)
 {
     Seq &seq = seqs_[liveSlot(seq_handle, "appendToken")];
     if (seq.chain.tailSize() == 0) {
@@ -236,7 +237,7 @@ BlockManager::appendToken(SeqHandle seq_handle, TokenId token)
         seq.blocks.push_back(acquireSeqBlock());
     }
 
-    seq.chain.push_back(token);
+    seq.chain.appendStream(stream, index, 1);
     if (seq.chain.tailSize() == 0 && config_.enablePrefixCaching)
         publishBlock(seq.blocks.back(), seq.chain.blockHashes().back());
     return true;

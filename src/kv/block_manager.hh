@@ -260,14 +260,18 @@ class BlockManager
     SeqHandle handle(SeqId seq_id) const;
 
     /**
-     * Append one generated token to a sequence, taking a fresh block at
-     * block boundaries. @return false if the pool is exhausted (caller
+     * Append one generated token, token @p index of stream @p stream,
+     * to a sequence, taking a fresh block at block boundaries. A token
+     * that continues the sequence's last run is a counter bump until
+     * its block seals. @return false if the pool is exhausted (caller
      * should preempt).
      */
-    bool appendToken(SeqHandle seq, TokenId token);
-    bool appendToken(SeqId seq_id, TokenId token)
+    bool appendToken(SeqHandle seq, std::uint64_t stream,
+                     std::int64_t index);
+    bool appendToken(SeqId seq_id, std::uint64_t stream,
+                     std::int64_t index)
     {
-        return appendToken(handle(seq_id), token);
+        return appendToken(handle(seq_id), stream, index);
     }
 
     /** Release all blocks of a sequence (request finished/preempted). */

@@ -1,5 +1,7 @@
 #include "serving/disagg.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace agentsim::serving
@@ -34,14 +36,14 @@ DisaggServer::generate(GenRequest request)
 {
     const sim::Tick submit = sim_.now();
     const std::int64_t want = request.maxNewTokens;
-    kv::TokenChain prompt = std::move(request.prompt);
 
     // Phase 1: prompt processing + first token on the prefill node.
-    GenRequest prefill_req;
-    prefill_req.prompt = prompt;
+    // Both phases carry the caller's session, deadline, park hint and
+    // span.
+    GenRequest prefill_req = request;
     prefill_req.maxNewTokens = 1;
     GenResult head = co_await prefill_->generate(std::move(prefill_req));
-    if (head.failed || head.tokens.empty() || want == 1) {
+    if (head.failed || head.output.count == 0 || want == 1) {
         head.totalSeconds = sim::toSeconds(sim_.now() - submit);
         head.submitTick = submit;
         co_return head;
@@ -53,8 +55,10 @@ DisaggServer::generate(GenRequest request)
     // never cross the wire, and a partial preload — the pool filled,
     // or one more block would have evicted this prefix's own head —
     // only pays for the blocks that stayed resident.
-    prompt.push_back(head.tokens.front());
-    const std::int64_t populated = decode_->preloadPrefix(prompt);
+    GenRequest decode_req = std::move(request);
+    decode_req.prompt.append(head.output);
+    const std::int64_t populated =
+        decode_->preloadPrefix(decode_req.prompt);
     if (populated > 0) {
         const double wire_bytes =
             static_cast<double>(populated) *
@@ -65,28 +69,37 @@ DisaggServer::generate(GenRequest request)
             sim_, wire_bytes / config_.interconnectBandwidth);
     }
 
-    // Phase 3: remaining tokens on the decode node; the preloaded
-    // prefix turns its "prefill" into a cache hit.
-    GenRequest decode_req;
-    decode_req.prompt = prompt;
+    // Phase 3: remaining tokens on the decode node, continuing the
+    // prefill node's output stream; the preloaded prefix turns its
+    // "prefill" into a cache hit. The deadline runs from the caller's
+    // submission, so the decode phase gets what is left of it (at
+    // least one tick, which expires it at once).
     decode_req.maxNewTokens = want - 1;
+    decode_req.continues = head.output;
+    if (decode_req.deadlineSeconds > 0) {
+        decode_req.deadlineSeconds =
+            std::max(decode_req.deadlineSeconds -
+                         sim::toSeconds(sim_.now() - submit),
+                     sim::toSeconds(1));
+    }
     GenResult tail = co_await decode_->generate(std::move(decode_req));
 
-    // Merge the two phase records into one request view.
-    GenResult out;
-    out.tokens = std::move(head.tokens);
-    out.tokens.insert(out.tokens.end(), tail.tokens.begin(),
-                      tail.tokens.end());
-    out.failed = tail.failed;
-    out.truncated = tail.truncated;
+    // Merge the two phase records into one request view: the head
+    // finished, so the outcome flags are the tail's.
+    GenResult out = std::move(tail);
+    out.output = {head.output.stream, head.output.offset,
+                  head.output.count + out.output.count};
+    out.truncated = head.truncated || out.truncated;
     out.promptTokens = head.promptTokens;
     out.cachedPromptTokens = head.cachedPromptTokens;
-    out.queueSeconds = head.queueSeconds + tail.queueSeconds;
-    out.prefillSeconds = head.prefillSeconds + tail.prefillSeconds;
-    out.decodeSeconds = head.decodeSeconds + tail.decodeSeconds;
+    out.queueSeconds += head.queueSeconds;
+    out.prefillSeconds += head.prefillSeconds;
+    out.decodeSeconds += head.decodeSeconds;
+    out.transferSeconds += head.transferSeconds;
     out.ttftSeconds = head.ttftSeconds;
-    out.flops = head.flops + tail.flops;
-    out.preemptions = head.preemptions + tail.preemptions;
+    out.flops += head.flops;
+    out.preemptions += head.preemptions;
+    out.ledger += head.ledger;
     out.submitTick = submit;
     out.finishTick = sim_.now();
     out.totalSeconds = sim::toSeconds(out.finishTick - submit);

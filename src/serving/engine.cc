@@ -8,19 +8,6 @@
 namespace agentsim::serving
 {
 
-namespace
-{
-
-/** Deterministic synthetic output token for (seed, request, index). */
-kv::TokenId
-outputToken(std::uint64_t seed, std::uint64_t req_id, std::uint64_t idx)
-{
-    return sim::hashCombine(sim::hashCombine(seed, req_id ^ 0xa5a5a5a5u),
-                            idx);
-}
-
-} // namespace
-
 std::int64_t
 LlmEngine::derivePoolBlocks(const EngineConfig &config)
 {
@@ -300,6 +287,14 @@ LlmEngine::generate(GenRequest request, std::uint64_t *handle_out)
     req.parkSeconds = request.expectedParkSeconds;
     req.submitTick = sim_.now();
     req.firstPromptLen = req.prompt.size();
+    // The output stream is fixed here and travels with the request
+    // through preemption and migration.
+    req.output = request.continues
+                     ? kv::TokenRun{request.continues->stream,
+                                    request.continues->end(), 0}
+                     : kv::TokenRun{sim::hashCombine(config_.seed,
+                                                     req.id ^ 0xa5a5a5a5u),
+                                    0, 0};
     if (request.deadlineSeconds > 0) {
         req.deadlineTick =
             sim_.now() + sim::fromSeconds(request.deadlineSeconds);
@@ -325,7 +320,7 @@ LlmEngine::generate(GenRequest request, std::uint64_t *handle_out)
     // The local copy holds the completion's shared state, so the slot
     // may be freed (and the slab moved) while this frame is suspended.
     // This frame is the completion's only consumer, so it moves the
-    // result (its token vector included) out instead of copying it.
+    // result out instead of copying it.
     sim::Completion<GenResult> done = req.done;
     co_await done;
     co_return done.take();
@@ -450,10 +445,10 @@ LlmEngine::finishRequest(Req &req)
         sessionService_[req.sessionId] +=
             req.prefillSecondsAcc + req.decodeSecondsAcc;
     }
-    maybeParkChain(req); // reads the output; keep ahead of the move
+    maybeParkChain(req);
 
     GenResult r;
-    r.tokens = std::move(req.output);
+    r.output = req.output;
     r.truncated = req.truncated;
     r.promptTokens = req.firstPromptLen;
     r.cachedPromptTokens = req.cachedPromptTokens;
@@ -607,7 +602,7 @@ LlmEngine::cancelRequest(Req &req, CancelCause cause)
     }
 
     // Partial output and accrued accounting still reach the caller.
-    r.tokens = std::move(req.output);
+    r.output = req.output;
     r.promptTokens = req.firstPromptLen;
     r.cachedPromptTokens = req.cachedPromptTokens;
     if (req.firstScheduleTick >= 0) {
@@ -833,8 +828,7 @@ LlmEngine::exportRequest(std::uint64_t id)
         // KV exists only for the prefilled part of the prompt plus
         // every generated token; trailing prompt blocks are allocated
         // but not yet computed and need no transfer.
-        out.computedTokens =
-            req.prefillDone + static_cast<std::int64_t>(req.output.size());
+        out.computedTokens = req.prefillDone + req.output.count;
         blocks_.release(req.seq);
         req.seq = {};
         req.heldBlocks = 0;
@@ -1031,12 +1025,6 @@ LlmEngine::injectStall(double seconds)
                         sim::strfmt("stall %.2fs", seconds), "engine",
                         sim_.now());
     }
-}
-
-kv::TokenId
-LlmEngine::genToken(const Req &req)
-{
-    return outputToken(config_.seed, req.id, req.output.size());
 }
 
 std::int64_t
@@ -1334,8 +1322,8 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
         req.prefillDone += part.tokens;
         const auto prompt_len = req.prompt.size();
         if (req.prefillDone == prompt_len) {
-            const kv::TokenId tok = genToken(req);
-            if (!blocks_.appendToken(req.seq, tok)) {
+            if (!blocks_.appendToken(req.seq, req.output.stream,
+                                     req.output.end())) {
                 AGENTSIM_WARN("append failed at prefill completion; "
                               "truncating request %llu",
                               static_cast<unsigned long long>(req.id));
@@ -1343,10 +1331,7 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
                 finishRequest(req);
                 continue;
             }
-            if (req.output.empty())
-                req.output.reserve(static_cast<std::size_t>(
-                    req.maxNewTokens));
-            req.output.push_back(tok);
+            ++req.output.count;
             req.decoding = true;
             tracePhaseEnd(req); // prefill
             tracePhaseBegin(req, "decode", telemetry::SpanKind::Decode);
@@ -1358,10 +1343,8 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
                         sim::toSeconds(sim_.now() - req.submitTick));
                 }
             }
-            if (static_cast<std::int64_t>(req.output.size()) >=
-                req.maxNewTokens) {
+            if (req.output.count >= req.maxNewTokens)
                 finishRequest(req);
-            }
         }
     }
 
@@ -1388,14 +1371,11 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
             slo_->observe(telemetry::SloMetric::Tbt, sim_.now(),
                           step_wall);
         }
-        const kv::TokenId tok = genToken(req);
-        const bool ok = blocks_.appendToken(req.seq, tok);
+        const bool ok = blocks_.appendToken(req.seq, req.output.stream,
+                                            req.output.end());
         AGENTSIM_ASSERT(ok, "decode append failed despite reservation");
-        req.output.push_back(tok);
-        if (static_cast<std::int64_t>(req.output.size()) >=
-            req.maxNewTokens) {
+        if (++req.output.count >= req.maxNewTokens)
             finishRequest(req);
-        }
     }
 
     // Settle KV occupancy for the survivors at their (possibly grown)

@@ -504,7 +504,9 @@ class LlmEngine
          *  generated so far. */
         kv::TokenChain prompt;
         std::int64_t maxNewTokens = 0;
-        std::vector<kv::TokenId> output;
+        /** Generated so far: a run of the output stream fixed at
+         *  submission, its count the tokens generated. */
+        kv::TokenRun output;
         /** Prompt tokens with KV in place (cached + prefilled). */
         std::int64_t prefillDone = 0;
         bool decoding = false;
@@ -773,9 +775,6 @@ class LlmEngine
 
     /** Report a request lost before completion to the SLO tracker. */
     void sloFailure(const Req &req);
-
-    /** Produce the next synthetic output token for a request. */
-    kv::TokenId genToken(const Req &req);
 
     void updateGauges();
 

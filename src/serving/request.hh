@@ -7,7 +7,7 @@
 #define AGENTSIM_SERVING_REQUEST_HH
 
 #include <cstdint>
-#include <vector>
+#include <optional>
 
 #include "kv/block_manager.hh"
 #include "serving/cost.hh"
@@ -63,13 +63,23 @@ struct GenRequest
      * it. Invalid (default) = no span emission.
      */
     telemetry::SpanRef parentSpan;
+
+    /**
+     * Continue an earlier output instead of starting a fresh one: the
+     * tokens generated here are the same stream's, from
+     * continues->end() on (a disaggregated decode phase continues its
+     * prefill phase's first token). Unset (default): a stream of this
+     * request's own, fixed at submission.
+     */
+    std::optional<kv::TokenRun> continues;
 };
 
 /** Completed generation with full accounting. */
 struct GenResult
 {
-    /** Generated token ids, in order. */
-    std::vector<kv::TokenId> tokens;
+    /** The generated tokens: a run of the request's output stream
+     *  (partial when the request did not finish). */
+    kv::TokenRun output;
 
     /** Request could never fit in the KV pool. */
     bool failed = false;

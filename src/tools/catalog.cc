@@ -94,9 +94,7 @@ SelfTestTool::execute(sim::Rng &rng)
     req.prompt = kv::TokenChain(engine_.config().blockSize);
     const std::uint64_t stream =
         sim::hashCombine(sim::hashCombine(seed_, 0x5e1f7e57ULL), call);
-    for (std::int64_t i = 0; i < prompt_len; ++i)
-        req.prompt.push_back(
-            sim::hashCombine(stream, static_cast<std::uint64_t>(i)));
+    req.prompt.appendStream(stream, 0, prompt_len);
     req.maxNewTokens = 80 + rng.uniformInt(0, 60);
     const serving::GenResult gen =
         co_await engine_.generate(std::move(req));

@@ -39,16 +39,35 @@ substream(std::uint64_t stream, std::uint64_t index)
 
 using kv::tokenAt;
 
-/** Materialize @p count tokens of a stream starting at @p offset
- *  (prompt paths hash stream runs in place: TokenChain::appendStream). */
+/** Materialize @p count tokens of a stream starting at @p offset, one
+ *  multiply per token (prompt paths never materialize a run: they
+ *  append it to a TokenChain in closed form). */
 inline std::vector<kv::TokenId>
 makeTokens(std::uint64_t stream, std::int64_t count,
            std::int64_t offset = 0)
 {
     AGENTSIM_ASSERT(count >= 0, "negative token count");
+    namespace gf = kv::gf;
     std::vector<kv::TokenId> out(static_cast<std::size_t>(count));
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] = tokenAt(stream, static_cast<std::uint64_t>(offset) + i);
+    const std::uint64_t shift = gf::streamShift(stream);
+    // Four interleaved lanes, each stepping by g^4, so consecutive
+    // multiplies do not wait on each other.
+    constexpr std::size_t kLanes = 4;
+    std::uint64_t x[kLanes];
+    x[0] = gf::mul(gf::streamScale(stream),
+                   gf::powG(static_cast<std::uint64_t>(offset)));
+    for (std::size_t k = 1; k < kLanes; ++k)
+        x[k] = gf::mul(x[k - 1], gf::kG);
+    const std::uint64_t step = gf::powG(kLanes);
+    std::size_t i = 0;
+    for (; i + kLanes <= out.size(); i += kLanes) {
+        for (std::size_t k = 0; k < kLanes; ++k) {
+            out[i + k] = gf::add(x[k], shift);
+            x[k] = gf::mul(x[k], step);
+        }
+    }
+    for (std::size_t k = 0; k < kLanes && i + k < out.size(); ++k)
+        out[i + k] = gf::add(x[k], shift);
     return out;
 }
 

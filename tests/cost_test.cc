@@ -182,7 +182,7 @@ TEST(CostLedger, LiveMigrationConservesGpuWork)
 
     const GenResult r = t.result();
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r.tokens.size(), 200u);
+    EXPECT_EQ(r.output.count, 200);
     ASSERT_GT(baseline, 0.0);
     EXPECT_NEAR(r.ledger.gpuSeconds(), baseline, 0.02 * baseline);
     EXPECT_GT(r.ledger.transferSeconds, 0.0);

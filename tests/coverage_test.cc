@@ -251,7 +251,7 @@ TEST(EngineLimits, MaxRunningSeqsBoundsTheBatch)
                       200, 40));
     sim.run();
     for (auto &t : tasks)
-        EXPECT_EQ(t.result().tokens.size(), 40u);
+        EXPECT_EQ(t.result().output.count, 40);
     EXPECT_LE(engine.batchGauge().max(), 4.0);
 }
 

@@ -80,7 +80,7 @@ TEST_P(EngineMatrix, ConcurrentRequestsAllTerminate)
         ASSERT_TRUE(t.done());
         const GenResult r = t.result();
         EXPECT_TRUE(r.failed || r.truncated ||
-                    static_cast<int>(r.tokens.size()) >= 20);
+                    r.output.count >= 20);
         ++terminated;
     }
     EXPECT_EQ(terminated, 12);
@@ -111,7 +111,7 @@ TEST_P(EngineMatrix, GeneratedTokensIndependentOfConfig)
     LlmEngine ref(ref_sim, ref_cfg);
     auto rt = submit(ref, 7, 100, 16);
     ref_sim.run();
-    EXPECT_EQ(r.tokens, rt.result().tokens);
+    EXPECT_EQ(r.output, rt.result().output);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -679,7 +679,7 @@ TEST(Disagg, SplitsPhasesAcrossNodes)
     sim.run();
     const auto r = t.result();
     EXPECT_FALSE(r.failed);
-    EXPECT_EQ(r.tokens.size(), 40u);
+    EXPECT_EQ(r.output.count, 40);
     // The prefill node did the prompt work; the decode node's prefill
     // was a cache hit on the transferred KV.
     EXPECT_GT(server.prefillEngine().stats().prefillTokens, 1100);
@@ -691,11 +691,12 @@ TEST(Disagg, SplitsPhasesAcrossNodes)
 
 TEST(Disagg, OutputMatchesAggregatedEngine)
 {
-    // Disaggregation must not change generated content... but note
-    // tokens are a function of (engine seed, request id, index), and
-    // the two architectures assign different request ids. Instead
-    // check the structural guarantees: deterministic across runs and
-    // correct lengths.
+    // Output tokens are a run of one stream, fixed when the prefill
+    // node admits the request (from its engine seed and request id);
+    // the decode node continues that stream from index 1, so the
+    // merged output is one run. An aggregated engine assigns its own
+    // ids, so its stream differs. Instead check the structural
+    // guarantees: deterministic across runs and correct lengths.
     auto run = [] {
         sim::Simulation sim;
         serving::DisaggConfig cfg;
@@ -709,8 +710,75 @@ TEST(Disagg, OutputMatchesAggregatedEngine)
     };
     const auto a = run();
     const auto b = run();
-    EXPECT_EQ(a.tokens, b.tokens);
+    EXPECT_EQ(a.output, b.output);
+    EXPECT_EQ(a.output.offset, 0);
+    EXPECT_EQ(a.output.count, 24);
     EXPECT_DOUBLE_EQ(a.totalSeconds, b.totalSeconds);
+}
+
+TEST(Disagg, ForwardsRequestFieldsToBothPhases)
+{
+    // The park hint reaches both nodes: each parks its chain on
+    // completion (spill tiers on, pressure gate off).
+    sim::Simulation sim;
+    serving::DisaggConfig cfg;
+    cfg.prefillNode = core::enginePreset8b();
+    cfg.decodeNode = core::enginePreset8b();
+    for (auto *node : {&cfg.prefillNode, &cfg.decodeNode}) {
+        node->hostCacheBlocks = 256;
+        node->parkUtilizationThreshold = 0.0;
+    }
+    serving::DisaggServer server(sim, cfg);
+    serving::GenRequest req;
+    req.prompt = kv::TokenChain(cfg.prefillNode.blockSize,
+                                workload::makeTokens(8, 600));
+    req.maxNewTokens = 20;
+    req.sessionId = 42;
+    req.expectedParkSeconds = 1.2;
+    auto t = server.generate(std::move(req));
+    sim.run();
+    ASSERT_TRUE(t.result().ok());
+    EXPECT_EQ(server.prefillEngine().stats().parkedChains, 1);
+    EXPECT_EQ(server.decodeEngine().stats().parkedChains, 1);
+}
+
+TEST(Disagg, MergedResultKeepsLedgerAndTailOutcome)
+{
+    // The ledger sums both phases, and a decode phase cut short by the
+    // caller's deadline (which runs from submission) is not ok().
+    auto run = [](double deadline) {
+        sim::Simulation sim;
+        serving::DisaggConfig cfg;
+        cfg.prefillNode = core::enginePreset8b();
+        cfg.decodeNode = core::enginePreset8b();
+        serving::DisaggServer server(sim, cfg);
+        serving::GenRequest req;
+        req.prompt = kv::TokenChain(cfg.prefillNode.blockSize,
+                                    workload::makeTokens(9, 1200));
+        req.maxNewTokens = 400;
+        req.deadlineSeconds = deadline;
+        auto t = server.generate(std::move(req));
+        sim.run();
+        EXPECT_EQ(server.decodeEngine().stats().requestsTimedOut,
+                  deadline > 0 ? 1 : 0);
+        return t.result();
+    };
+    const serving::GenResult full = run(0.0);
+    ASSERT_TRUE(full.ok());
+    EXPECT_EQ(full.output.count, 400);
+    EXPECT_GT(full.ledger.prefillGpuSeconds, 0.0);
+    EXPECT_GT(full.ledger.decodeGpuSeconds, 0.0);
+    EXPECT_GT(full.ledger.energyJoules, 0.0);
+
+    // Prefill and the transfer fit in 1 s; 400 decode steps do not.
+    const serving::GenResult cut = run(1.0);
+    EXPECT_TRUE(cut.timedOut);
+    EXPECT_FALSE(cut.ok());
+    EXPECT_GT(cut.output.count, 1);
+    EXPECT_LT(cut.output.count, 400);
+    EXPECT_GT(cut.ledger.prefillGpuSeconds, 0.0);
+    EXPECT_GT(cut.ledger.decodeGpuSeconds, 0.0);
+    EXPECT_LT(cut.totalSeconds, 1.1);
 }
 
 TEST(Disagg, SingleTokenRequestSkipsDecodeNode)
@@ -722,7 +790,7 @@ TEST(Disagg, SingleTokenRequestSkipsDecodeNode)
     serving::DisaggServer server(sim, cfg);
     auto t = disaggSubmit(server, workload::makeTokens(5, 300), 1);
     sim.run();
-    EXPECT_EQ(t.result().tokens.size(), 1u);
+    EXPECT_EQ(t.result().output.count, 1);
     EXPECT_EQ(server.decodeEngine().stats().requestsSubmitted, 0);
 }
 

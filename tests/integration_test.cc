@@ -341,9 +341,9 @@ TEST(PromptBuilder, BreakdownMatchesContent)
     const auto user = workload::makeTokens(2, 5);
     const auto hist = workload::makeTokens(3, 7);
     PromptBuilder b(4);
-    b.add(SegmentKind::Instruction, instr)
-        .add(SegmentKind::User, user)
-        .add(SegmentKind::LlmHistory, hist);
+    b.add(SegmentKind::Instruction, {1, 0, 10})
+        .add(SegmentKind::User, {2, 0, 5})
+        .add(SegmentKind::LlmHistory, {3, 0, 7});
     const auto prompt = b.build();
     EXPECT_EQ(prompt.chain.size(), 22);
     EXPECT_EQ(prompt.breakdown.instruction, 10);
@@ -362,11 +362,9 @@ TEST(TrajectoryMemory, CountsAndClear)
     using agents::Segment;
     using agents::SegmentKind;
     agents::TrajectoryMemory mem;
-    mem.append(Segment::output(SegmentKind::LlmHistory,
-                               workload::makeTokens(1, 4)));
-    mem.append(Segment{SegmentKind::ToolHistory, nullptr, 2, 6});
-    mem.append(Segment::output(SegmentKind::LlmHistory,
-                               workload::makeTokens(3, 2)));
+    mem.append(Segment{SegmentKind::LlmHistory, {1, 0, 4}});
+    mem.append(Segment{SegmentKind::ToolHistory, {2, 0, 6}});
+    mem.append(Segment{SegmentKind::LlmHistory, {3, 7, 2}});
     EXPECT_EQ(mem.tokenCount(SegmentKind::LlmHistory), 6);
     EXPECT_EQ(mem.tokenCount(SegmentKind::ToolHistory), 6);
     EXPECT_EQ(mem.totalTokens(), 12);

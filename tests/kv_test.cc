@@ -13,6 +13,7 @@
 
 #include "kv/block_manager.hh"
 #include "sim/rng.hh"
+#include "workload/token_stream.hh"
 
 namespace agentsim::kv
 {
@@ -355,14 +356,14 @@ TEST(BlockManager, StaleHandleDies)
     EXPECT_TRUE(mgr.hasSeq(h1));
     EXPECT_EQ(mgr.handle(1).slot, h1.slot);
     EXPECT_EQ(mgr.seqTokens(h1), 20);
-    EXPECT_TRUE(mgr.appendToken(h1, 7));
+    EXPECT_TRUE(mgr.appendToken(h1, 7, 0));
     EXPECT_EQ(mgr.seqTokens(1), 21);
 
     // Released: the slot is free.
     mgr.release(h1);
     EXPECT_FALSE(mgr.hasSeq(h1));
     EXPECT_DEATH((void)mgr.seqTokens(h1), "stale sequence 1");
-    EXPECT_DEATH((void)mgr.appendToken(h1, 8), "stale sequence 1");
+    EXPECT_DEATH((void)mgr.appendToken(h1, 8, 0), "stale sequence 1");
     EXPECT_DEATH(mgr.release(h1), "stale sequence 1");
 
     // Reused: sequence 2 claims the same slot.
@@ -378,7 +379,8 @@ TEST(BlockManager, StaleHandleDies)
     mgr.reset();
     EXPECT_FALSE(mgr.hasSeq(second->seq));
     EXPECT_DEATH((void)mgr.seqTokens(second->seq), "stale sequence 2");
-    EXPECT_DEATH((void)mgr.appendToken(second->seq, 9), "stale sequence 2");
+    EXPECT_DEATH((void)mgr.appendToken(second->seq, 9, 0),
+                 "stale sequence 2");
     // An unknown id takes the same path.
     EXPECT_FALSE(mgr.hasSeq(3));
     EXPECT_DEATH((void)mgr.seqTokens(3), "stale sequence 3");
@@ -410,7 +412,7 @@ TEST(BlockManager, AppendTokenCrossesBlockBoundary)
         mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 16))).has_value());
     EXPECT_EQ(mgr.usedBlocks(), 1);
     // Token 17 needs a second block.
-    EXPECT_TRUE(mgr.appendToken(1, 100));
+    EXPECT_TRUE(mgr.appendToken(1, 100, 0));
     EXPECT_EQ(mgr.usedBlocks(), 2);
     EXPECT_EQ(mgr.seqTokens(1), 17);
     mgr.checkInvariants();
@@ -421,7 +423,7 @@ TEST(BlockManager, AppendFailsWhenOutOfBlocks)
     BlockManager mgr(cfg(1, 16));
     ASSERT_TRUE(
         mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 16))).has_value());
-    EXPECT_FALSE(mgr.appendToken(1, 100));
+    EXPECT_FALSE(mgr.appendToken(1, 100, 0));
     mgr.checkInvariants();
 }
 
@@ -430,18 +432,54 @@ TEST(BlockManager, GeneratedBlocksBecomeCached)
     BlockManager mgr(cfg(50, 16));
     ASSERT_TRUE(
         mgr.allocatePrompt(1, chainOf(mgr, tokenRange(0, 16))).has_value());
-    // Generate 16 tokens to fill a second block.
-    for (TokenId t = 500; t < 516; ++t)
-        ASSERT_TRUE(mgr.appendToken(1, t));
+    // Generate 16 tokens of an output stream to fill a second block.
+    const std::uint64_t output = workload::streamId(1, "kv.out");
+    for (std::int64_t i = 0; i < 16; ++i)
+        ASSERT_TRUE(mgr.appendToken(1, output, i));
     mgr.release(1);
     // A new prompt equal to prompt+generation should fully hit.
     auto full = tokenRange(0, 16);
-    const auto gen = tokenRange(500, 16);
+    const auto gen = workload::makeTokens(output, 16);
     full.insert(full.end(), gen.begin(), gen.end());
     auto alloc = mgr.allocatePrompt(2, chainOf(mgr, full));
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(alloc->cachedTokens, 32);
     mgr.checkInvariants();
+}
+
+// Decode publishes each block it fills under the chain hash of prompt
+// + output, so the next prompt, which appends the output as a run,
+// hits every full block: for prompts ending mid-block and on a block
+// boundary, and in any block size.
+TEST(BlockManager, DecodePublishesWhatTheOutputRunHits)
+{
+    for (const int bs : {1, 16, 17}) {
+        for (const std::int64_t prompt_len :
+             {std::int64_t{bs}, std::int64_t{3 * bs + 5}, std::int64_t{40}}) {
+            SCOPED_TRACE(testing::Message()
+                         << "bs " << bs << " prompt " << prompt_len);
+            BlockManager mgr(cfg(4096, bs));
+            kv::TokenChain prompt(bs);
+            prompt.appendStream(workload::streamId(2, "kv.prompt"), 0,
+                                prompt_len);
+            ASSERT_TRUE(mgr.allocatePrompt(1, prompt).has_value());
+            const kv::TokenRun output{workload::streamId(2, "kv.out"), 0,
+                                      45};
+            for (std::int64_t i = 0; i < output.count; ++i)
+                ASSERT_TRUE(mgr.appendToken(1, output.stream, i));
+            kv::TokenChain next = prompt;
+            next.append(output);
+            EXPECT_EQ(mgr.exportChain(1), next);
+            mgr.release(1);
+
+            next.appendStream(workload::streamId(2, "kv.obs"), 0, 30);
+            const auto alloc = mgr.allocatePrompt(2, next);
+            ASSERT_TRUE(alloc.has_value());
+            EXPECT_EQ(alloc->cachedTokens,
+                      (prompt_len + output.count) / bs * bs);
+            mgr.checkInvariants();
+        }
+    }
 }
 
 TEST(BlockManager, HitRateStatistic)
@@ -478,8 +516,8 @@ TEST(BlockManager, DivergingGenerationsKeepPrivateBlocks)
     ASSERT_TRUE(mgr.allocatePrompt(2, chainOf(mgr, prompt)).has_value());
     EXPECT_EQ(mgr.usedBlocks(), 2);
     // Each generates different tokens: private third blocks.
-    ASSERT_TRUE(mgr.appendToken(1, 111));
-    ASSERT_TRUE(mgr.appendToken(2, 222));
+    ASSERT_TRUE(mgr.appendToken(1, 111, 0));
+    ASSERT_TRUE(mgr.appendToken(2, 222, 0));
     EXPECT_EQ(mgr.usedBlocks(), 4);
     mgr.checkInvariants();
 }
@@ -583,8 +621,8 @@ TEST_P(BlockManagerFuzz, InvariantsHoldUnderRandomWorkload)
         } else if (action < 0.8 && !live.empty()) {
             const auto idx = static_cast<std::size_t>(rng.uniformInt(
                 0, static_cast<std::int64_t>(live.size()) - 1));
-            const TokenId t = static_cast<TokenId>(rng.next());
-            mgr.appendToken(live[idx], t); // may fail; that's fine
+            // Token 0 of a fresh stream; may fail, that's fine.
+            mgr.appendToken(live[idx], rng.next(), 0);
         } else if (!live.empty()) {
             const auto idx = static_cast<std::size_t>(rng.uniformInt(
                 0, static_cast<std::int64_t>(live.size()) - 1));
@@ -661,8 +699,7 @@ TEST_P(BlockManagerHostFuzz, InvariantsHoldWithHostTier)
         } else if (action < 0.75 && !live.empty()) {
             const auto idx = static_cast<std::size_t>(rng.uniformInt(
                 0, static_cast<std::int64_t>(live.size()) - 1));
-            mgr.appendToken(live[idx],
-                            static_cast<TokenId>(rng.next()));
+            mgr.appendToken(live[idx], rng.next(), 0);
         } else if (!live.empty()) {
             const auto idx = static_cast<std::size_t>(rng.uniformInt(
                 0, static_cast<std::int64_t>(live.size()) - 1));
@@ -1036,8 +1073,7 @@ TEST_P(BlockManagerTierFuzz, InvariantsHoldWithTieredWorkload)
         } else if (action < 0.6 && !live.empty()) {
             const auto idx = static_cast<std::size_t>(rng.uniformInt(
                 0, static_cast<std::int64_t>(live.size()) - 1));
-            mgr.appendToken(live[idx],
-                            static_cast<TokenId>(rng.next()));
+            mgr.appendToken(live[idx], rng.next(), 0);
         } else if (action < 0.7) {
             mgr.preloadPrefix(somePrompt(rng.bernoulli(0.5)));
         } else if (action < 0.8) {
@@ -1138,8 +1174,7 @@ opSequenceDigest(kv::EvictionPolicy policy, kv::TierMode mode,
                 live.push_back(id);
             }
         } else if (action < 0.5 && !live.empty()) {
-            d.add(mgr.appendToken(live[pickLive(live)],
-                                  static_cast<TokenId>(rng.next())));
+            d.add(mgr.appendToken(live[pickLive(live)], rng.next(), 0));
         } else if (action < 0.6) {
             d.add(mgr.preloadPrefix(somePrompt()));
         } else if (action < 0.7) {

@@ -48,13 +48,20 @@ prompt(std::uint64_t stream, std::int64_t n)
 }
 
 Task<GenResult>
+submitChain(LlmEngine &engine, kv::TokenChain prompt, std::int64_t out)
+{
+    GenRequest req;
+    req.prompt = std::move(prompt);
+    req.maxNewTokens = out;
+    co_return co_await engine.generate(std::move(req));
+}
+
+Task<GenResult>
 submit(LlmEngine &engine, std::vector<kv::TokenId> tokens,
        std::int64_t out)
 {
-    GenRequest req;
-    req.prompt = kv::TokenChain(engine.config().blockSize, tokens);
-    req.maxNewTokens = out;
-    co_return co_await engine.generate(std::move(req));
+    return submitChain(
+        engine, kv::TokenChain(engine.config().blockSize, tokens), out);
 }
 
 TEST(Engine, SingleRequestCompletes)
@@ -67,7 +74,7 @@ TEST(Engine, SingleRequestCompletes)
     const GenResult r = t.result();
     EXPECT_FALSE(r.failed);
     EXPECT_FALSE(r.truncated);
-    EXPECT_EQ(r.tokens.size(), 50u);
+    EXPECT_EQ(r.output.count, 50);
     EXPECT_EQ(r.promptTokens, 300);
     EXPECT_GT(r.prefillSeconds, 0.0);
     EXPECT_GT(r.decodeSeconds, 0.0);
@@ -78,7 +85,7 @@ TEST(Engine, SingleRequestCompletes)
 
 TEST(Engine, OutputTokensAreDeterministic)
 {
-    std::vector<kv::TokenId> first;
+    kv::TokenRun first;
     for (int run = 0; run < 2; ++run) {
         Simulation sim;
         LlmEngine engine(sim, smallConfig());
@@ -86,9 +93,9 @@ TEST(Engine, OutputTokensAreDeterministic)
         sim.run();
         auto r = t.result();
         if (run == 0)
-            first = r.tokens;
+            first = r.output;
         else
-            EXPECT_EQ(first, r.tokens);
+            EXPECT_EQ(first, r.output);
     }
 }
 
@@ -112,9 +119,10 @@ staggeredDigest()
     sim.run();
     std::string d;
     for (const auto &r : results)
-        d += sim::strfmt("[%lld %zu %.9f %.9f]",
+        d += sim::strfmt("[%lld %lld %.9f %.9f]",
                          static_cast<long long>(r.promptTokens),
-                         r.tokens.size(), r.ttftSeconds,
+                         static_cast<long long>(r.output.count),
+                         r.ttftSeconds,
                          r.totalSeconds);
     d += sim::strfmt(" ev=%llu t=%.9f",
                      static_cast<unsigned long long>(
@@ -224,7 +232,7 @@ TEST(Engine, ContextWindowRejection)
     EXPECT_FALSE(ok.result().failed);
     const GenResult r = too_long.result();
     EXPECT_TRUE(r.failed);
-    EXPECT_TRUE(r.tokens.empty());
+    EXPECT_EQ(r.output.count, 0);
     EXPECT_EQ(engine.stats().requestsFailed, 1);
 }
 
@@ -243,8 +251,8 @@ TEST(Engine, PreemptionUnderMemoryPressure)
     const GenResult rb = b.result();
     EXPECT_FALSE(ra.failed);
     EXPECT_FALSE(rb.failed);
-    EXPECT_EQ(ra.tokens.size(), 260u);
-    EXPECT_EQ(rb.tokens.size(), 260u);
+    EXPECT_EQ(ra.output.count, 260);
+    EXPECT_EQ(rb.output.count, 260);
     EXPECT_GT(engine.stats().preemptions, 0);
     // Preemption and finish both released their sequences.
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
@@ -261,7 +269,7 @@ TEST(Engine, LoneRequestTruncatesWhenPoolFills)
     sim.run();
     const GenResult r = t.result();
     EXPECT_TRUE(r.truncated);
-    EXPECT_LT(r.tokens.size(), 500u);
+    EXPECT_LT(r.output.count, 500);
     EXPECT_FALSE(r.failed);
 }
 
@@ -328,7 +336,7 @@ TEST(Engine, ManyConcurrentRequestsAllComplete)
     sim.run();
     for (auto &t : tasks) {
         ASSERT_TRUE(t.done());
-        EXPECT_EQ(t.result().tokens.size(), 30u);
+        EXPECT_EQ(t.result().output.count, 30);
     }
     EXPECT_EQ(engine.stats().requestsCompleted, 32);
     EXPECT_GT(engine.batchGauge().max(), 1.0);
@@ -392,8 +400,8 @@ TEST(Engine, DeadlineExpiresWhileDecoding)
     EXPECT_FALSE(r.ok());
     EXPECT_FALSE(r.retryable()); // the SLO is already missed
     // Partial decode output is returned with the timeout.
-    EXPECT_GT(r.tokens.size(), 0u);
-    EXPECT_LT(r.tokens.size(), 2000u);
+    EXPECT_GT(r.output.count, 0);
+    EXPECT_LT(r.output.count, 2000);
     EXPECT_EQ(engine.stats().requestsTimedOut, 1);
     EXPECT_EQ(engine.stats().requestsCompleted, 0);
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
@@ -412,7 +420,7 @@ TEST(Engine, DeadlineExpiresWhileQueued)
     EXPECT_FALSE(a.result().timedOut);
     const GenResult rb = b.result();
     EXPECT_TRUE(rb.timedOut);
-    EXPECT_EQ(rb.tokens.size(), 0u); // never scheduled
+    EXPECT_EQ(rb.output.count, 0); // never scheduled
     EXPECT_DOUBLE_EQ(rb.queueSeconds, 0.0);
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
     engine.blockManager().checkInvariants();
@@ -435,7 +443,7 @@ TEST(Engine, CancelWhileQueued)
     const GenResult rb = b.result();
     EXPECT_TRUE(rb.cancelled);
     EXPECT_FALSE(rb.nodeFailure);
-    EXPECT_EQ(rb.tokens.size(), 0u);
+    EXPECT_EQ(rb.output.count, 0);
     EXPECT_EQ(engine.stats().requestsCancelled, 1);
     // The id is gone: a second cancel is a no-op.
     EXPECT_FALSE(engine.cancel(handle));
@@ -458,7 +466,7 @@ TEST(Engine, CancelWhileDecodingMidStep)
     sim.run();
     const GenResult r = t.result();
     EXPECT_TRUE(r.cancelled);
-    EXPECT_GT(r.tokens.size(), 0u); // partial decode returned
+    EXPECT_GT(r.output.count, 0); // partial decode returned
     EXPECT_GT(r.decodeSeconds, 0.0);
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
     EXPECT_DOUBLE_EQ(engine.kvUsageGauge().current(), 0.0);
@@ -481,7 +489,7 @@ TEST(Engine, ShedUnderOverload)
         if (r.shed) {
             ++shed;
             EXPECT_TRUE(r.retryable());
-            EXPECT_EQ(r.tokens.size(), 0u);
+            EXPECT_EQ(r.output.count, 0);
         } else {
             ++completed;
             EXPECT_TRUE(r.ok());
@@ -642,10 +650,9 @@ TEST(Engine, ToolParkingDemotesAndPrefetchesChain)
 
     // The continuation (prompt + previous output) hits the GPU cache;
     // no restore transfer is charged on its critical path.
-    auto continuation = p;
-    continuation.insert(continuation.end(), parked.tokens.begin(),
-                        parked.tokens.end());
-    auto t2 = submit(engine, continuation, 8);
+    kv::TokenChain continuation(cfg.blockSize, p);
+    continuation.append(parked.output);
+    auto t2 = submitChain(engine, std::move(continuation), 8);
     sim.run();
     const GenResult cont = t2.result();
     ASSERT_TRUE(cont.ok());
@@ -691,7 +698,7 @@ TEST(Engine, ParkingIsInertWithoutSpillTiers)
     auto t2 = submit(plain, prompt(32, 256), 16);
     sim2.run();
     const GenResult bare = t2.result();
-    EXPECT_EQ(hinted.tokens, bare.tokens);
+    EXPECT_EQ(hinted.output, bare.output);
     EXPECT_DOUBLE_EQ(hinted.totalSeconds, bare.totalSeconds);
 }
 
@@ -802,7 +809,7 @@ TEST(Engine, DrainMigrationResumesWarmOnTarget)
     EXPECT_EQ(migrated, 1);
     const GenResult r = t.result();
     EXPECT_TRUE(r.ok());
-    EXPECT_EQ(r.tokens.size(), 300u);
+    EXPECT_EQ(r.output.count, 300);
     EXPECT_EQ(source.stats().requestsMigratedOut, 1);
     EXPECT_EQ(target.stats().requestsMigratedIn, 1);
     EXPECT_EQ(target.stats().migrationFallbacks, 0);
@@ -843,7 +850,7 @@ TEST(Engine, MigrationFallsBackColdWhenTargetPoolIsFull)
     // into the prompt and the re-prefill was charged as waste.
     const GenResult r = t.result();
     EXPECT_TRUE(r.ok());
-    EXPECT_EQ(r.tokens.size(), 300u);
+    EXPECT_EQ(r.output.count, 300);
     EXPECT_GT(target.stats().wastedSeconds, 0.0);
     EXPECT_EQ(source.blockManager().usedBlocks(), 0);
     EXPECT_EQ(target.blockManager().usedBlocks(), 0);
@@ -901,7 +908,7 @@ TEST(Engine, CrashDuringImportTransferOutdatesTheHandle)
             ASSERT_TRUE(filler.has_value());
             EXPECT_TRUE(filler->result().ok());
             EXPECT_TRUE(r.ok());
-            EXPECT_EQ(r.tokens.size(), 300u);
+            EXPECT_EQ(r.output.count, 300);
             EXPECT_GT(target.stats().wastedSeconds, 0.0);
         }
         EXPECT_EQ(source.blockManager().usedBlocks(), 0);
@@ -976,7 +983,7 @@ TEST(Engine, DeadlineExpiringMidStepEmitsNothing)
     sim.run();
     const GenResult r = t.result();
     EXPECT_TRUE(r.timedOut);
-    EXPECT_EQ(r.tokens.size(), 0u);
+    EXPECT_EQ(r.output.count, 0);
     EXPECT_EQ(engine.stats().requestsTimedOut, 1);
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
     engine.blockManager().checkInvariants();
@@ -1122,11 +1129,11 @@ TEST(Engine, CancelDuringStepReusesSlotSafely)
 
         const GenResult ra = a.result();
         EXPECT_TRUE(ra.cancelled);
-        EXPECT_EQ(ra.tokens.empty(), when < 1.0);
+        EXPECT_EQ(ra.output.count == 0, when < 1.0);
         ASSERT_TRUE(b.has_value());
         const GenResult rb = b->result();
         EXPECT_TRUE(rb.ok());
-        EXPECT_EQ(rb.tokens.size(), want.tokens.size());
+        EXPECT_EQ(rb.output.count, want.output.count);
         EXPECT_EQ(rb.prefillSeconds, want.prefillSeconds);
         EXPECT_EQ(rb.decodeSeconds, want.decodeSeconds);
         EXPECT_EQ(rb.flops, want.flops);
@@ -1171,7 +1178,7 @@ TEST(Engine, CancelTouchesOnlyTheNamedRequest)
     for (const std::size_t i : {1u, 3u}) {
         const GenResult r = tasks[i].result();
         EXPECT_TRUE(r.ok());
-        EXPECT_EQ(r.tokens.size(), 50u);
+        EXPECT_EQ(r.output.count, 50);
     }
     EXPECT_EQ(engine.stats().requestsCancelled, 2);
     EXPECT_EQ(engine.stats().requestsCompleted, 2);

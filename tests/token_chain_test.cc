@@ -2,13 +2,15 @@
  * @file
  * Tests for kv::TokenChain, the append-only prompt representation:
  * its block hashes depend only on token content (never on how the
- * chain was assembled), copies fork independently, and the block
- * manager, migration and checkpoint paths that consume chains see
- * exactly what a token-by-token hash of the same prompt would give.
+ * chain was assembled, literal tokens or stream runs in closed form),
+ * copies fork independently, and the block manager, engine, migration
+ * and checkpoint paths that consume chains see exactly what a
+ * token-by-token hash of the same prompt would give.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <span>
 #include <vector>
@@ -16,8 +18,12 @@
 #include "agents/workflows.hh"
 #include "kv/block_manager.hh"
 #include "kv/token_chain.hh"
+#include "llm/hardware.hh"
+#include "llm/model_spec.hh"
 #include "serving/checkpoint.hh"
+#include "serving/engine.hh"
 #include "sim/rng.hh"
+#include "sim/simulation.hh"
 #include "workload/token_stream.hh"
 
 namespace
@@ -29,9 +35,46 @@ using kv::BlockManagerConfig;
 using kv::TokenChain;
 using kv::TokenId;
 
+/** The field's modulus, 2^61 - 1. */
+constexpr std::uint64_t kPrime = (std::uint64_t{1} << 61) - 1;
+
+/** a * b mod p by 128-bit remainder (not the chain's reduction). */
+std::uint64_t
+mulMod(std::uint64_t a, std::uint64_t b)
+{
+    return static_cast<std::uint64_t>(static_cast<unsigned __int128>(a) *
+                                      b % kPrime);
+}
+
+/** x^e mod p, one multiply per step of e (no tables). */
+std::uint64_t
+powMod(std::uint64_t x, std::uint64_t e)
+{
+    std::uint64_t out = 1;
+    for (; e != 0; e >>= 1, x = mulMod(x, x)) {
+        if ((e & 1) != 0)
+            out = mulMod(out, x);
+    }
+    return out;
+}
+
+/** Stream token @p i by definition: a_s g^i + b_s mod p. */
+TokenId
+referenceToken(std::uint64_t stream, std::uint64_t i)
+{
+    std::uint64_t a = sim::hashMix(stream ^ 0x5bd1e9955bd1e995ULL) % kPrime;
+    if (a == 0)
+        a = 1;
+    const std::uint64_t b =
+        sim::hashMix(stream ^ 0xc2b2ae3d27d4eb4fULL) % kPrime;
+    return (mulMod(a, powMod(kv::gf::kG, i)) + b) % kPrime;
+}
+
 /**
- * Reference block hashes: the original token-by-token definition,
- * spelled out independently of TokenChain.
+ * Reference block hashes: the definition token by token, spelled out
+ * from scratch and independently of TokenChain's closed form. A
+ * block's polynomial is the Horner fold of its tokens (mod p) in base
+ * r; its chain hash combines it with the previous block's seed.
  */
 std::vector<std::uint64_t>
 referenceHashes(std::span<const TokenId> tokens, int block_size)
@@ -40,13 +83,23 @@ referenceHashes(std::span<const TokenId> tokens, int block_size)
     std::uint64_t prev = 0;
     const auto bs = static_cast<std::size_t>(block_size);
     for (std::size_t b = 0; b + bs <= tokens.size(); b += bs) {
-        std::uint64_t h = sim::hashMix(prev ^ 0x9d5a3f7c1e284b69ULL);
+        std::uint64_t poly = 0;
         for (std::size_t i = b; i < b + bs; ++i)
-            h = sim::hashCombine(h, tokens[i]);
+            poly = (mulMod(poly, kv::gf::kR) + tokens[i] % kPrime) % kPrime;
+        const std::uint64_t h = sim::hashCombine(
+            sim::hashMix(prev ^ 0x9d5a3f7c1e284b69ULL), poly);
         out.push_back(h);
         prev = h;
     }
     return out;
+}
+
+/** Append @p tokens one literal token at a time. */
+void
+appendEach(TokenChain &chain, std::span<const TokenId> tokens)
+{
+    for (const TokenId &t : tokens)
+        chain.append(std::span(&t, 1));
 }
 
 std::vector<TokenId>
@@ -104,8 +157,7 @@ TEST_P(ChainSplits, RandomAppendSplitsMatchScratchHash)
             EXPECT_EQ(chain, TokenChain(bs, tokens));
         }
         TokenChain one_by_one(bs);
-        for (const TokenId t : tokens)
-            one_by_one.push_back(t);
+        appendEach(one_by_one, tokens);
         expectMatches(one_by_one, tokens, bs);
         EXPECT_EQ(one_by_one, TokenChain(bs, tokens));
     }
@@ -160,6 +212,87 @@ TEST_P(StreamRuns, AppendStreamEqualsAppendOfMadeTokens)
 
 INSTANTIATE_TEST_SUITE_P(BlockSizes, StreamRuns,
                          ::testing::Values(1, 16, 17));
+
+TEST_P(StreamRuns, SeededRunsEqualLiteralFold)
+{
+    // A run at any offset (also past 2^32), of any length, after any
+    // tail — literal tokens or a run of another stream — and split
+    // anywhere, hashes like the literal fold of the same tokens.
+    const int bs = GetParam();
+    sim::Rng rng(2026, "chain.runs", static_cast<std::uint64_t>(bs));
+    for (int trial = 0; trial < 300; ++trial) {
+        const std::uint64_t stream = rng.next();
+        const auto offset = static_cast<std::int64_t>(
+            rng.bernoulli(0.5) ? rng.uniformInt(0, 100)
+                               : rng.uniformInt(0, std::int64_t{1} << 40));
+        const std::int64_t len = rng.uniformInt(0, 5 * bs + 3);
+        const std::int64_t prior = rng.uniformInt(0, 2 * bs);
+        const std::uint64_t prior_stream = rng.next();
+        const bool prior_is_run = rng.bernoulli(0.5);
+
+        TokenChain chain(bs);
+        std::vector<TokenId> literal =
+            workload::makeTokens(prior_stream, prior);
+        if (prior_is_run)
+            chain.append(kv::TokenRun{prior_stream, 0, prior});
+        else
+            chain.append(literal);
+        const std::int64_t split = rng.uniformInt(0, len);
+        chain.appendStream(stream, offset, split);
+        chain.append(kv::TokenRun{stream, offset + split, len - split});
+
+        const auto run = workload::makeTokens(stream, len, offset);
+        literal.insert(literal.end(), run.begin(), run.end());
+        SCOPED_TRACE(testing::Message() << "trial " << trial << " offset "
+                                        << offset << " len " << len
+                                        << " prior " << prior);
+        EXPECT_EQ(chain, TokenChain(bs, literal));
+        expectMatches(chain, literal, bs);
+    }
+}
+
+TEST(TokenChain, StreamTokensMatchTheirDefinition)
+{
+    // makeTokens and tokenAt give a_s g^i + b_s, also at offsets past
+    // 2^32 and where the made run crosses its four-lane stepping.
+    const std::uint64_t stream = workload::streamId(5, "def");
+    for (const std::int64_t offset :
+         {std::int64_t{0}, std::int64_t{7}, std::int64_t{255},
+          std::int64_t{256}, (std::int64_t{1} << 32) + 3,
+          std::int64_t{0x0123456789abLL}}) {
+        const auto made = workload::makeTokens(stream, 11, offset);
+        for (std::size_t i = 0; i < made.size(); ++i) {
+            const auto index = static_cast<std::uint64_t>(offset) + i;
+            EXPECT_EQ(made[i], referenceToken(stream, index));
+            EXPECT_EQ(kv::tokenAt(stream, index), made[i]);
+        }
+    }
+}
+
+TEST(TokenChain, DistinctBlocksAfterSamePrefix)
+{
+    // 10^5 single-block runs — 1000 streams at 100 offsets each, so
+    // every stream is also compared with its shifted self — after one
+    // shared prefix all hash differently.
+    constexpr int kBs = 16;
+    TokenChain prefix(kBs);
+    prefix.appendStream(workload::streamId(6, "prefix"), 0, 2 * kBs);
+    std::vector<std::uint64_t> hashes;
+    hashes.reserve(100000);
+    for (std::uint64_t s = 0; s < 1000; ++s) {
+        const std::uint64_t stream = workload::substream(7, s);
+        for (std::int64_t offset = 0; offset < 100; ++offset) {
+            TokenChain chain = prefix;
+            chain.appendStream(stream, offset, kBs);
+            ASSERT_EQ(chain.fullBlocks(), 3);
+            hashes.push_back(chain.blockHashes().back());
+        }
+    }
+    std::sort(hashes.begin(), hashes.end());
+    EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()),
+              hashes.end());
+}
+
 
 TEST(TokenChain, EmptyAndPlaceholder)
 {
@@ -235,8 +368,7 @@ TEST(TokenChain, AllocatePromptMatchesReferenceHash)
                 by_segment.append(piece);
             }
             TokenChain by_token(bs);
-            for (const TokenId t : prompt)
-                by_token.push_back(t);
+            appendEach(by_token, prompt);
 
             // Reference: the longest run of leading blocks whose
             // reference hash some earlier prompt already published.
@@ -289,12 +421,14 @@ TEST(TokenChain, MigrationRoundTrip)
     BlockManager target(poolConfig(bs));
     const auto prompt = tokenRange(0, 70);
     ASSERT_TRUE(source.allocatePrompt(1, TokenChain(bs, prompt)));
-    // Decode 30 tokens: the exported chain is prompt + output.
+    // Decode 30 tokens of an output stream: the exported chain is
+    // prompt + output.
+    const std::uint64_t output = workload::streamId(1, "chain.out");
+    for (std::int64_t i = 0; i < 30; ++i)
+        ASSERT_TRUE(source.appendToken(1, output, i));
     std::vector<TokenId> full = prompt;
-    for (TokenId t = 5000; t < 5030; ++t) {
-        ASSERT_TRUE(source.appendToken(1, t));
+    for (const TokenId t : workload::makeTokens(output, 30))
         full.push_back(t);
-    }
     const TokenChain exported = source.exportChain(1);
     EXPECT_EQ(exported, TokenChain(bs, full));
     source.release(1);
@@ -326,12 +460,14 @@ TEST(TokenChain, CheckpointDeltaBytesFollowChainGrowth)
     policy.journalBytes = 100;
     serving::CheckpointStore store(policy, 1);
     agents::PromptBuilder running(16);
-    running.add(agents::SegmentKind::Instruction, tokenRange(0, 50));
+    running.add(agents::SegmentKind::Instruction,
+                {workload::streamId(1, "ckpt.instr"), 0, 50});
     std::int64_t expect = 0;
     std::int64_t prev = 0;
     for (int step = 0; step < 4; ++step) {
         running.add(agents::SegmentKind::LlmHistory,
-                    tokenRange(1000 * (step + 1), 13 + step));
+                    {workload::streamId(1, "ckpt.out"), 100 * step,
+                     13 + step});
         serving::EpisodeCheckpoint ckpt;
         ckpt.chain = running.chain();
         store.put(3, std::move(ckpt), 2.0);
@@ -346,25 +482,30 @@ TEST(TokenChain, TrialPromptEqualsScratchBuild)
 {
     // The running trial prompt (prefix, reflections, trajectory)
     // hashes exactly like the concatenated tokens hashed afresh.
+    using agents::Segment;
+    using agents::SegmentKind;
     agents::PromptBuilder prefix(16);
-    const auto instr = tokenRange(0, 45);
-    prefix.add(agents::SegmentKind::Instruction, instr);
+    const std::uint64_t instr = workload::streamId(4, "instr");
+    prefix.add(SegmentKind::Instruction, {instr, 0, 45});
+    // LLM outputs are runs of their output streams; a continued
+    // output starts past its stream's first token.
+    const std::uint64_t reflection = workload::streamId(4, "reflection");
+    const std::uint64_t action = workload::streamId(4, "action");
     agents::EpisodicMemory episodic;
-    episodic.append(agents::Segment::output(agents::SegmentKind::LlmHistory,
-                                            tokenRange(100, 9)));
+    episodic.append(Segment{SegmentKind::LlmHistory, {reflection, 0, 9}});
     agents::TrajectoryMemory memory;
-    memory.append(agents::Segment::output(agents::SegmentKind::LlmHistory,
-                                          tokenRange(200, 31)));
-    // A tool observation is held as a stream run.
+    memory.append(Segment{SegmentKind::LlmHistory, {action, 3, 31}});
+    // A tool observation is a run as well.
     const std::uint64_t obs = workload::streamId(4, "obs");
-    memory.append(
-        agents::Segment{agents::SegmentKind::ToolHistory, nullptr, obs, 17});
+    memory.append(Segment{SegmentKind::ToolHistory, {obs, 0, 17}});
 
     const auto prompt =
         agents::trialPrompt(prefix, episodic, memory).build();
-    std::vector<TokenId> all = instr;
+    std::vector<TokenId> all;
     for (const auto &part :
-         {tokenRange(100, 9), tokenRange(200, 31),
+         {workload::makeTokens(instr, 45),
+          workload::makeTokens(reflection, 9),
+          workload::makeTokens(action, 31, 3),
           workload::makeTokens(obs, 17)})
         all.insert(all.end(), part.begin(), part.end());
     EXPECT_EQ(prompt.chain, TokenChain(16, all));
@@ -373,6 +514,114 @@ TEST(TokenChain, TrialPromptEqualsScratchBuild)
     EXPECT_EQ(prompt.breakdown.toolHistory, 17);
     // The prefix itself is untouched (trialPrompt copies it).
     EXPECT_EQ(prefix.size(), 45);
+}
+
+serving::EngineConfig
+engineConfig()
+{
+    serving::EngineConfig cfg;
+    cfg.model = llm::llama31_8b();
+    cfg.node = llm::singleA100();
+    return cfg;
+}
+
+sim::Task<serving::GenResult>
+submitChain(serving::LlmEngine &engine, TokenChain prompt,
+            std::int64_t out)
+{
+    serving::GenRequest req;
+    req.prompt = std::move(prompt);
+    req.maxNewTokens = out;
+    co_return co_await engine.generate(std::move(req));
+}
+
+TEST(TokenChain, PreemptedOutputStaysOneStream)
+{
+    // A preempted request keeps its output stream: its result is one
+    // run, identical to the same request's on a roomy engine, and the
+    // blocks it published are what prompt + that run hits.
+    auto run = [](std::int64_t pool_blocks, serving::GenResult *second,
+                  std::int64_t *hit) {
+        auto cfg = engineConfig();
+        if (pool_blocks > 0)
+            cfg.kvPoolBytes = pool_blocks * 16 * cfg.model.kvBytesPerToken();
+        sim::Simulation sim;
+        serving::LlmEngine engine(sim, cfg);
+        const TokenChain a(16, workload::makeTokens(11, 320));
+        const TokenChain b(16, workload::makeTokens(12, 320));
+        auto ta = submitChain(engine, a, 260);
+        auto tb = submitChain(engine, b, 260);
+        sim.run();
+        *second = tb.result();
+        // The follow-up re-sends b's prompt and output.
+        TokenChain next = b;
+        next.append(second->output);
+        auto tn = submitChain(engine, next, 1);
+        sim.run();
+        *hit = tn.result().cachedPromptTokens;
+        EXPECT_TRUE(ta.result().ok());
+    };
+    serving::GenResult pressed;
+    serving::GenResult roomy;
+    std::int64_t pressed_hit = 0;
+    std::int64_t roomy_hit = 0;
+    run(48, &pressed, &pressed_hit);
+    run(0, &roomy, &roomy_hit);
+    ASSERT_TRUE(pressed.ok());
+    EXPECT_EQ(pressed.preemptions, 1);
+    EXPECT_EQ(roomy.preemptions, 0);
+    EXPECT_EQ(pressed.output, roomy.output);
+    EXPECT_EQ(pressed.output.offset, 0);
+    EXPECT_EQ(pressed.output.count, 260);
+    EXPECT_EQ(pressed_hit, (320 + 260) / 16 * 16);
+    EXPECT_EQ(roomy_hit, pressed_hit);
+}
+
+/** Drain @p source at 1 s with a 0.3 s deadline and land every
+ *  leftover on @p target. */
+sim::Task<void>
+drainInto(sim::Simulation &sim, serving::LlmEngine &source,
+          serving::LlmEngine &target, int *migrated)
+{
+    co_await sim::delaySec(sim, 1.0);
+    auto outcome = co_await source.drain(0.3, /*export_leftovers=*/true);
+    for (auto &m : outcome.leftovers) {
+        ++*migrated;
+        target.importRequest(std::move(m), /*interconnect=*/200e9);
+    }
+}
+
+TEST(TokenChain, MigratedOutputStaysOneStream)
+{
+    // A request exported mid-decode keeps its output stream on the
+    // target, which publishes prompt + output as the run hits them.
+    sim::Simulation sim;
+    serving::LlmEngine source(sim, engineConfig());
+    serving::LlmEngine target(sim, engineConfig());
+    const TokenChain prompt(16, workload::makeTokens(21, 400));
+    auto t = submitChain(source, prompt, 300);
+    int migrated = 0;
+    auto drain = drainInto(sim, source, target, &migrated);
+    sim.run();
+    ASSERT_EQ(migrated, 1);
+    const serving::GenResult r = t.result();
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.output.offset, 0);
+    EXPECT_EQ(r.output.count, 300);
+
+    // The same request unmigrated: the same first id on a same-seed
+    // engine, so the same output stream.
+    sim::Simulation solo_sim;
+    serving::LlmEngine solo(solo_sim, engineConfig());
+    auto ts = submitChain(solo, prompt, 300);
+    solo_sim.run();
+    EXPECT_EQ(ts.result().output, r.output);
+
+    TokenChain next = prompt;
+    next.append(r.output);
+    auto tn = submitChain(target, next, 1);
+    sim.run();
+    EXPECT_EQ(tn.result().cachedPromptTokens, (400 + 300) / 16 * 16);
 }
 
 } // namespace
