@@ -4,7 +4,8 @@
  * event queue, coroutine scheduling, the KV block manager (allocation,
  * prefix lookups, eviction/demotion churn, restore+hit allocations,
  * decode appends and prompt-chain hashing), one serving-engine step,
- * the roofline perf model, RNG streams, and flight-recorder incident
+ * the roofline perf model, RNG streams, an engine step's SLO
+ * observations and trace records, and flight-recorder incident
  * bundles.
  */
 
@@ -25,8 +26,10 @@
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/simulation.hh"
+#include "sim/strfmt.hh"
 #include "sim/task.hh"
 #include "telemetry/flight_recorder.hh"
+#include "telemetry/slo.hh"
 #include "telemetry/timeseries.hh"
 #include "telemetry/trace_sink.hh"
 #include "workload/token_stream.hh"
@@ -462,6 +465,111 @@ BM_TokenStream(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_TokenStream);
+
+void
+BM_SloObserveStep(benchmark::State &state)
+{
+    // One engine step's TBT observations per iteration: range(0)
+    // decoders that all waited the same 20 ms step, every third step
+    // 300 ms, over the default 250 ms target, so every window alerts.
+    // range(1) = 1 records them as one weighted observation, as the
+    // engine does; 0 records them one by one. Alert warnings are
+    // silenced.
+    const std::int64_t decoders = state.range(0);
+    const bool weighted = state.range(1) == 1;
+    const sim::LogLevel saved = sim::logLevel();
+    sim::setLogLevel(sim::LogLevel::Error);
+    telemetry::SloTracker slo(telemetry::SloConfig{});
+    const sim::Tick step = sim::fromSeconds(0.02);
+    sim::Tick now = 0;
+    std::int64_t i = 0;
+    for (auto _ : state) {
+        const double wall = ++i % 3 == 0 ? 0.3 : 0.02;
+        if (weighted) {
+            slo.observe(telemetry::SloMetric::Tbt, now, wall, decoders);
+        } else {
+            for (std::int64_t d = 0; d < decoders; ++d)
+                slo.observe(telemetry::SloMetric::Tbt, now, wall);
+        }
+        now += step;
+    }
+    sim::setLogLevel(saved);
+    benchmark::DoNotOptimize(slo.alertsFired());
+    state.SetItemsProcessed(state.iterations() * decoders);
+}
+BENCHMARK(BM_SloObserveStep)
+    ->ArgNames({"decoders", "weighted"})
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({64, 0})
+    ->Args({64, 1});
+
+void
+BM_TraceEngineStep(benchmark::State &state)
+{
+    // The records one engine step adds to the trace: the step span,
+    // its kv_blocks and batch counters, a request's decode phase, and
+    // a request lane named on every step (new every 16th step).
+    // range(0) = 1 names the hot records by TraceName id and the lane
+    // only when new, as the engine does; 0 passes every name as a
+    // string and formats every lane name. The sink is cleared, untimed,
+    // once it holds 262,144 records.
+    using telemetry::TraceArg;
+    using telemetry::TraceArgs;
+    using telemetry::TraceName;
+    using telemetry::TracePid;
+    const bool by_id = state.range(0) == 1;
+    telemetry::TraceSink sink;
+    const sim::Tick step = sim::fromSeconds(0.005);
+    sim::Tick t = 0;
+    std::int64_t i = 0;
+    for (auto _ : state) {
+        if (sink.eventCount() >= 4 * 65'536) {
+            state.PauseTiming();
+            sink.clear();
+            state.ResumeTiming();
+        }
+        const auto lane = static_cast<std::uint64_t>(i / 16);
+        const std::int64_t running = 8 + i % 24;
+        const TraceArgs step_args{
+            TraceArg::integer("prefill_tokens", (i * 37) % 512),
+            TraceArg::integer("decode_tokens", running),
+            TraceArg::integer("running", running),
+            TraceArg::integer("waiting", i % 5)};
+        const TraceArgs kv_args{TraceArg::integer("used", 1000 + i % 700),
+                                TraceArg::integer("free", 3000 - i % 700)};
+        const TraceArgs batch_args{TraceArg::integer("running", running),
+                                   TraceArg::integer("waiting", i % 5)};
+        auto lane_name = [lane] {
+            return sim::strfmt("req %llu",
+                               static_cast<unsigned long long>(lane));
+        };
+        if (by_id) {
+            sink.threadName(TracePid::kRequests, lane, lane_name);
+            sink.complete(TracePid::kRequests, lane, TraceName::Decode,
+                          "request", t, t + step);
+            sink.complete(TracePid::kEngine, 1, TraceName::Step, "engine",
+                          t, t + step, step_args);
+            sink.counter(TracePid::kEngine, TraceName::KvBlocks, t + step,
+                         kv_args);
+            sink.counter(TracePid::kEngine, TraceName::Batch, t + step,
+                         batch_args);
+        } else {
+            sink.threadName(TracePid::kRequests, lane, lane_name());
+            sink.complete(TracePid::kRequests, lane, "decode", "request", t,
+                          t + step);
+            sink.complete(TracePid::kEngine, 1, "step", "engine", t,
+                          t + step, step_args);
+            sink.counter(TracePid::kEngine, "kv_blocks", t + step, kv_args);
+            sink.counter(TracePid::kEngine, "batch", t + step, batch_args);
+        }
+        t += step;
+        ++i;
+    }
+    benchmark::DoNotOptimize(sink.eventCount());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TraceEngineStep)->ArgName("by_id")->Arg(0)->Arg(1);
 
 /**
  * Fill @p sink with about @p records records shaped like an engine's

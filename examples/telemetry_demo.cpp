@@ -195,7 +195,7 @@ sloAlertDemo(const std::string &prefix)
     std::printf("\nSLO monitor after %d stall injections: "
                 "TBT p95 %.3f s (target %.2f s), attainment %.1f%%, "
                 "%lld violations, %lld burn-rate alert(s) fired\n",
-                8, slo.percentile(telemetry::SloMetric::Tbt, 95.0),
+                8, slo.percentile(telemetry::SloMetric::Tbt, 0.95),
                 slo_cfg.tbtTargetSeconds,
                 100.0 * slo.attainment(telemetry::SloMetric::Tbt),
                 static_cast<long long>(

@@ -110,15 +110,18 @@ fi
 # made tokens and of stream runs in closed form; the token-stream one
 # steps makeTokens' GF(p) arithmetic; the engine one cancels requests
 # mid-step and reuses their request-slab slots in the same tick; the
-# recorder one rewrites incident bundles in place from a ~300k-record
-# trace log. A short sanitized run of each catches memory errors and
-# undefined behaviour on the block pool's, the token chain's, the
-# engine's and the recorder's hot paths.
+# SLO one takes a step's decoders as one weighted observation whose
+# alert is placed by binary search; the trace one adds a step's records
+# by name id and names lanes once; the recorder one rewrites incident
+# bundles in place from a ~300k-record trace log. A short sanitized run
+# of each catches memory errors and undefined behaviour on the block
+# pool's, the token chain's, the engine's, the SLO tracker's, the trace
+# sink's and the recorder's hot paths.
 for preset in asan ubsan; do
     if [[ " ${presets[*]} " == *" ${preset} "* ]]; then
-        echo "==> KV, engine and recorder micro-benchmark smoke (micro_substrates, ${preset})"
+        echo "==> KV, engine, telemetry and recorder micro-benchmark smoke (micro_substrates, ${preset})"
         "build-${preset}/bench/micro_substrates" \
-            --benchmark_filter='BM_Kv|BM_Engine|BM_FlightRecorderDump|BM_TokenStream' \
+            --benchmark_filter='BM_Kv|BM_Engine|BM_FlightRecorderDump|BM_TokenStream|BM_Slo|BM_Trace' \
             --benchmark_min_time=0.01 > /dev/null
     fi
 done

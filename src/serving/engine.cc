@@ -170,31 +170,43 @@ LlmEngine::sloFailure(const Req &req)
 }
 
 void
-LlmEngine::tracePhaseBegin(Req &req, const char *phase,
+LlmEngine::tracePhaseBegin(Req &req, telemetry::TraceName phase,
                            telemetry::SpanKind kind)
 {
     req.tracePhase = phase;
     req.tracePhaseStart = sim_.now();
     req.phaseSpan = {};
-    if (spans_ != nullptr && req.parentSpan.valid())
-        req.phaseSpan =
-            spans_->child(req.parentSpan, kind, phase, sim_.now());
+    if (spans_ != nullptr && req.parentSpan.valid()) {
+        req.phaseSpan = spans_->child(req.parentSpan, kind,
+                                      telemetry::traceNameText(phase),
+                                      sim_.now());
+    }
+}
+
+void
+LlmEngine::nameRequestLane(std::uint64_t id)
+{
+    if (trace_ == nullptr)
+        return;
+    trace_->threadName(telemetry::TracePid::kRequests, id, [id] {
+        return sim::strfmt("req %llu", static_cast<unsigned long long>(id));
+    });
 }
 
 void
 LlmEngine::tracePhaseEnd(Req &req)
 {
-    if (req.tracePhase == nullptr)
+    if (!req.tracePhase)
         return;
     if (trace_ != nullptr) {
         trace_->complete(telemetry::TracePid::kRequests, req.id,
-                         req.tracePhase, "request",
+                         *req.tracePhase, "request",
                          req.tracePhaseStart, sim_.now());
     }
     if (spans_ != nullptr && req.phaseSpan.valid())
         spans_->end(req.phaseSpan, sim_.now());
     req.phaseSpan = {};
-    req.tracePhase = nullptr;
+    req.tracePhase.reset();
 }
 
 std::int64_t
@@ -307,13 +319,9 @@ LlmEngine::generate(GenRequest request, std::uint64_t *handle_out)
     req.parentSpan = request.parentSpan;
     req.queuedSince = sim_.now();
     waiting_.push_back(handle);
-    if (trace_ != nullptr) {
-        trace_->threadName(telemetry::TracePid::kRequests, req.id,
-                           sim::strfmt("req %llu",
-                                       static_cast<unsigned long long>(
-                                           req.id)));
-    }
-    tracePhaseBegin(req, "queued", telemetry::SpanKind::Queue);
+    nameRequestLane(req.id);
+    tracePhaseBegin(req, telemetry::TraceName::Queued,
+                    telemetry::SpanKind::Queue);
     if (wake_ && !wake_->ready())
         wake_->set(1);
 
@@ -397,7 +405,8 @@ LlmEngine::noteLeftWaiting(Req &req)
 void
 LlmEngine::requeueRequest(Req &req, bool front)
 {
-    tracePhaseBegin(req, "queued", telemetry::SpanKind::Queue);
+    tracePhaseBegin(req, telemetry::TraceName::Queued,
+                    telemetry::SpanKind::Queue);
     req.queuedSince = sim_.now();
     req.requeued = true;
     ++requeuedInWaiting_;
@@ -878,12 +887,7 @@ LlmEngine::importRequest(MigratedRequest migrated,
     req.owner = this;
     req.id = nextId_++;
     ++stats_.requestsMigratedIn;
-    if (trace_ != nullptr) {
-        trace_->threadName(
-            telemetry::TracePid::kRequests, req.id,
-            sim::strfmt("req %llu", static_cast<unsigned long long>(
-                                        req.id)));
-    }
+    nameRequestLane(req.id);
 
     // Try to land the KV chain now; the blocks are reserved while the
     // transfer is in flight (the realistic order — the target commits
@@ -979,7 +983,9 @@ LlmEngine::activateImported(Req &req, kv::TokenChain chain,
         // prefill) exactly where the source left off.
         running_.push_back(handleOf(req));
         chargeKv(req);
-        tracePhaseBegin(req, req.decoding ? "decode" : "prefill",
+        tracePhaseBegin(req,
+                        req.decoding ? telemetry::TraceName::Decode
+                                     : telemetry::TraceName::Prefill,
                         req.decoding ? telemetry::SpanKind::Decode
                                      : telemetry::SpanKind::Prefill);
     } else {
@@ -1189,7 +1195,8 @@ LlmEngine::buildStep()
             req.cachedPromptTokens = alloc->reusedTokens();
         }
         tracePhaseEnd(req); // queued
-        tracePhaseBegin(req, "prefill", telemetry::SpanKind::Prefill);
+        tracePhaseBegin(req, telemetry::TraceName::Prefill,
+                        telemetry::SpanKind::Prefill);
         // The restore happens inside the prefill step's wall time;
         // nesting it under the prefill span routes those seconds to
         // Migration blame while the remainder stays Prefill.
@@ -1334,7 +1341,8 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
             ++req.output.count;
             req.decoding = true;
             tracePhaseEnd(req); // prefill
-            tracePhaseBegin(req, "decode", telemetry::SpanKind::Decode);
+            tracePhaseBegin(req, telemetry::TraceName::Decode,
+                            telemetry::SpanKind::Decode);
             if (req.firstTokenTick < 0) {
                 req.firstTokenTick = sim_.now();
                 if (slo_ != nullptr) {
@@ -1358,6 +1366,19 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
             ? decode_share / static_cast<double>(planned_decoders)
             : 0.0;
     const double decode_energy = power * decode_attributed;
+    // Every decoder of the step waited the same step_wall for its
+    // token, so the SLO tracker takes them as one weighted TBT
+    // observation. A finishing decoder can fire an E2E alert, so the
+    // decoders before it are observed first: a TBT alert keeps its
+    // place among the step's trace records and incident triggers.
+    std::int64_t tbt_pending = 0;
+    auto observe_tbt = [&] {
+        if (slo_ != nullptr && tbt_pending > 0) {
+            slo_->observe(telemetry::SloMetric::Tbt, sim_.now(),
+                          step_wall, tbt_pending);
+        }
+        tbt_pending = 0;
+    };
     for (std::size_t i = 0; i < planned_decoders; ++i) {
         Req *live = planned(plan.decoders[i]);
         if (live == nullptr || !live->decoding)
@@ -1367,16 +1388,16 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
         req.flopsAcc += perf_.decodeFlops(plan.work.decodeContexts[i]);
         req.ledger.decodeGpuSeconds += decode_attributed;
         req.ledger.energyJoules += decode_energy;
-        if (slo_ != nullptr) {
-            slo_->observe(telemetry::SloMetric::Tbt, sim_.now(),
-                          step_wall);
-        }
+        ++tbt_pending;
         const bool ok = blocks_.appendToken(req.seq, req.output.stream,
                                             req.output.end());
         AGENTSIM_ASSERT(ok, "decode append failed despite reservation");
-        if (++req.output.count >= req.maxNewTokens)
+        if (++req.output.count >= req.maxNewTokens) {
+            observe_tbt();
             finishRequest(req);
+        }
     }
+    observe_tbt();
 
     // Settle KV occupancy for the survivors at their (possibly grown)
     // block counts, in admission order; finished requests settled
@@ -1391,19 +1412,21 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
         const int running = static_cast<int>(running_.size());
         const int waiting = static_cast<int>(waiting_.size());
         using telemetry::TraceArg;
-        trace_->complete(telemetry::TracePid::kEngine, 1, "step",
-                         "engine", step_start, sim_.now(),
+        trace_->complete(telemetry::TracePid::kEngine, 1,
+                         telemetry::TraceName::Step, "engine", step_start,
+                         sim_.now(),
                          {TraceArg::integer("prefill_tokens",
                                             cost.prefillTokens),
                           TraceArg::integer("decode_tokens",
                                             cost.decodeTokens),
                           TraceArg::integer("running", running),
                           TraceArg::integer("waiting", waiting)});
-        trace_->counter(telemetry::TracePid::kEngine, "kv_blocks",
-                        sim_.now(),
+        trace_->counter(telemetry::TracePid::kEngine,
+                        telemetry::TraceName::KvBlocks, sim_.now(),
                         {TraceArg::integer("used", blocks_.blocksInUse()),
                          TraceArg::integer("free", blocks_.blocksFree())});
-        trace_->counter(telemetry::TracePid::kEngine, "batch", sim_.now(),
+        trace_->counter(telemetry::TracePid::kEngine,
+                        telemetry::TraceName::Batch, sim_.now(),
                         {TraceArg::integer("running", running),
                          TraceArg::integer("waiting", waiting)});
     }

@@ -562,8 +562,8 @@ class LlmEngine
         /** Entry tick of the current queueing episode (-1: none). */
         sim::Tick queuedSince = -1;
 
-        /** Current lifecycle phase on the trace (nullptr = none). */
-        const char *tracePhase = nullptr;
+        /** Current lifecycle phase on the trace (empty = none). */
+        std::optional<telemetry::TraceName> tracePhase;
         sim::Tick tracePhaseStart = 0;
 
         /** Caller's span to attach engine phase spans under. */
@@ -702,8 +702,11 @@ class LlmEngine
                     sim::Tick step_start);
 
     /** Open a request-lifecycle phase span (trace + span tree). */
-    void tracePhaseBegin(Req &req, const char *phase,
+    void tracePhaseBegin(Req &req, telemetry::TraceName phase,
                          telemetry::SpanKind kind);
+
+    /** Name request @p id's lane on the trace, once. */
+    void nameRequestLane(std::uint64_t id);
 
     /** Close the request's open phase span, if any. */
     void tracePhaseEnd(Req &req);

@@ -58,14 +58,16 @@ HdrHistogram::bucketIndex(double x) const
 }
 
 void
-HdrHistogram::add(double x, std::uint64_t id)
+HdrHistogram::addWeighted(double x, std::size_t weight, std::uint64_t id)
 {
+    if (weight == 0)
+        return;
     // Values beyond the configured ceiling saturate into the top
     // bucket (and are tallied) rather than being dropped: quantiles
     // then under-report the extreme tail at a known place instead of
     // silently excluding it. min/max/sum/mean stay exact.
     if (x > maxValue_)
-        ++overflow_;
+        overflow_ += weight;
     if (total_ == 0) {
         min_ = x;
         max_ = x;
@@ -73,10 +75,13 @@ HdrHistogram::add(double x, std::uint64_t id)
         min_ = std::min(min_, x);
         max_ = std::max(max_, x);
     }
-    ++counts_[bucketIndex(std::min(x, maxValue_))];
-    ++total_;
-    sum_ += x;
-    offerExemplar(x, id);
+    counts_[bucketIndex(std::min(x, maxValue_))] += weight;
+    total_ += weight;
+    sum_ += x * static_cast<double>(weight);
+    // Once maxExemplars_ copies of x were offered, every retained
+    // exemplar is at least x and a further copy is a no-op.
+    for (std::size_t i = 0; i < std::min(weight, maxExemplars_); ++i)
+        offerExemplar(x, id);
 }
 
 void

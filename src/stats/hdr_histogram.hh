@@ -53,7 +53,15 @@ class HdrHistogram
                  std::size_t max_exemplars = 0);
 
     /** Record one observation (id links back to a request/span). */
-    void add(double x, std::uint64_t id = 0);
+    void add(double x, std::uint64_t id = 0) { addWeighted(x, 1, id); }
+
+    /**
+     * Record @p weight observations of @p x at once: bins, count,
+     * min, max, overflow, quantiles and exemplars end as after
+     * @p weight calls of add(x, id); sum() adds x * weight, which can
+     * differ from repeated addition in the last bits.
+     */
+    void addWeighted(double x, std::size_t weight, std::uint64_t id = 0);
 
     std::size_t count() const { return total_; }
     std::size_t overflow() const { return overflow_; }

@@ -1,5 +1,7 @@
 #include "telemetry/slo.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "sim/strfmt.hh"
 #include "telemetry/flight_recorder.hh"
@@ -72,52 +74,102 @@ SloTracker::rotateWindow(Tracker &t, sim::Tick now)
 
 void
 SloTracker::record(SloMetric metric, sim::Tick now, double seconds,
-                   bool violated, bool has_latency)
+                   std::int64_t count, bool violated, bool has_latency)
 {
+    AGENTSIM_ASSERT(count >= 0, "negative SLO observation count %lld",
+                    static_cast<long long>(count));
     Tracker &t = tracker(metric);
-    if (t.targetSeconds <= 0.0)
+    if (t.targetSeconds <= 0.0 || count == 0)
         return;
     rotateWindow(t, now);
 
     if (has_latency) {
-        t.p50.add(seconds);
-        t.p95.add(seconds);
-        t.p99.add(seconds);
+        t.latency.addWeighted(seconds, static_cast<std::size_t>(count));
         violated = violated || seconds > t.targetSeconds;
     }
-    ++t.total;
-    ++t.windowTotal;
-    if (violated) {
-        ++t.violations;
-        ++t.windowViolations;
+    auto account = [&](std::int64_t n) {
+        t.total += n;
+        t.windowTotal += n;
+        if (violated) {
+            t.violations += n;
+            t.windowViolations += n;
+        }
+    };
+    const std::int64_t fire = alertIndex(t, count, violated);
+    if (fire == 0) {
+        account(count);
+        return;
     }
-    maybeAlert(metric, t, now);
+    account(fire);
+    fireAlert(metric, t, now);
+    account(count - fire);
 }
 
 void
-SloTracker::observe(SloMetric metric, sim::Tick now, double seconds)
+SloTracker::observe(SloMetric metric, sim::Tick now, double seconds,
+                    std::int64_t count)
 {
-    record(metric, now, seconds, false, true);
+    record(metric, now, seconds, count, false, true);
 }
 
 void
 SloTracker::observeFailure(SloMetric metric, sim::Tick now)
 {
-    record(metric, now, 0.0, true, false);
+    record(metric, now, 0.0, 1, true, false);
+}
+
+double
+SloTracker::burnRate(std::int64_t violations, std::int64_t total) const
+{
+    const double budget = 1.0 - config_.attainmentTarget;
+    return static_cast<double>(violations) / static_cast<double>(total) /
+           budget;
+}
+
+std::int64_t
+SloTracker::alertIndex(const Tracker &t, std::int64_t count,
+                       bool violated) const
+{
+    // After the j-th observation the window holds windowTotal + j
+    // observations, with windowViolations + j violations if the batch
+    // violates and windowViolations if not. The window may alert from
+    // the j where it reaches minWindowSamples.
+    if (t.windowAlerted)
+        return 0;
+    const std::int64_t first = std::max<std::int64_t>(
+        1, config_.minWindowSamples - t.windowTotal);
+    if (first > count)
+        return 0;
+    auto alerts = [&](std::int64_t j) {
+        return burnRate(t.windowViolations + (violated ? j : 0),
+                        t.windowTotal + j) >=
+               config_.burnRateAlertThreshold;
+    };
+    // A clean batch only dilutes the violation fraction, so it alerts
+    // at `first` or not at all.
+    if (!violated)
+        return alerts(first) ? first : 0;
+    // A violating batch raises (v + j) / (w + j) with j (v <= w), and
+    // correctly rounded division and comparison keep that order, so
+    // the predicate is monotone: binary-search its first true j.
+    if (!alerts(count))
+        return 0;
+    std::int64_t lo = first;
+    std::int64_t hi = count;
+    while (lo < hi) {
+        const std::int64_t mid = lo + (hi - lo) / 2;
+        if (alerts(mid))
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
 }
 
 void
-SloTracker::maybeAlert(SloMetric metric, Tracker &t, sim::Tick now)
+SloTracker::fireAlert(SloMetric metric, Tracker &t, sim::Tick now)
 {
-    if (t.windowAlerted || t.windowTotal < config_.minWindowSamples)
-        return;
-    const double budget = 1.0 - config_.attainmentTarget;
-    const double frac = static_cast<double>(t.windowViolations) /
-                        static_cast<double>(t.windowTotal);
-    const double burn = frac / budget;
-    if (burn < config_.burnRateAlertThreshold)
-        return;
-
+    const double burn = burnRate(t.windowViolations, t.windowTotal);
     t.windowAlerted = true;
     ++t.alerts;
     const std::string name(sloMetricName(metric));
@@ -149,12 +201,9 @@ SloTracker::maybeAlert(SloMetric metric, Tracker &t, sim::Tick now)
 double
 SloTracker::percentile(SloMetric metric, double q) const
 {
-    const Tracker &t = tracker(metric);
-    if (q <= 0.5)
-        return t.p50.value();
-    if (q <= 0.95)
-        return t.p95.value();
-    return t.p99.value();
+    AGENTSIM_ASSERT(q > 0.0 && q < 1.0,
+                    "SLO percentile takes a fraction in (0, 1), got %g", q);
+    return tracker(metric).latency.quantile(q);
 }
 
 double
@@ -173,9 +222,7 @@ SloTracker::windowBurnRate(SloMetric metric, sim::Tick now) const
     const Tracker &t = tracker(metric);
     if (now >= t.windowStart + windowTicks_ || t.windowTotal == 0)
         return 0.0;
-    const double budget = 1.0 - config_.attainmentTarget;
-    return static_cast<double>(t.windowViolations) /
-           static_cast<double>(t.windowTotal) / budget;
+    return burnRate(t.windowViolations, t.windowTotal);
 }
 
 std::int64_t
@@ -217,13 +264,13 @@ SloTracker::exportMetrics(MetricsRegistry &registry, sim::Tick now) const
             {"metric", std::string(sloMetricName(metric))}};
         registry.gauge("agentsim_slo_p50_seconds", "streaming p50 latency",
                        labels)
-            .set(t.p50.value());
+            .set(t.latency.quantile(0.50));
         registry.gauge("agentsim_slo_p95_seconds", "streaming p95 latency",
                        labels)
-            .set(t.p95.value());
+            .set(t.latency.quantile(0.95));
         registry.gauge("agentsim_slo_p99_seconds", "streaming p99 latency",
                        labels)
-            .set(t.p99.value());
+            .set(t.latency.quantile(0.99));
         registry
             .gauge("agentsim_slo_attainment",
                    "lifetime fraction of observations under target",

@@ -16,8 +16,15 @@
  * injection (bench/chaos_slo) visibly trips alerts in both the log and
  * the Chrome trace.
  *
- * Percentiles come from constant-memory P² estimators (stats/quantile)
- * so the tracker never grows with the run.
+ * Percentiles come from one log-linear histogram per metric
+ * (stats/hdr_histogram, 1e-4 to 1e5 s within 1%), so the tracker never
+ * grows with the run and answers any quantile.
+ *
+ * An engine step gives every decoder the same TBT, so the engine
+ * records a step's decoders as one weighted observation. The
+ * weighted form is exact: counts, windows and burn rates match that
+ * many single observations, and so does an alert, which carries the
+ * window counts at the observation that tripped it.
  */
 
 #ifndef AGENTSIM_TELEMETRY_SLO_HH
@@ -28,7 +35,7 @@
 #include <string>
 
 #include "sim/types.hh"
-#include "stats/quantile.hh"
+#include "stats/hdr_histogram.hh"
 #include "telemetry/registry.hh"
 #include "telemetry/trace_sink.hh"
 
@@ -89,8 +96,13 @@ class SloTracker
         recorder_ = recorder;
     }
 
-    /** Record a latency observation for @p metric at time @p now. */
-    void observe(SloMetric metric, sim::Tick now, double seconds);
+    /**
+     * Record @p count observations of latency @p seconds for
+     * @p metric at time @p now, as if observed one by one (count 0
+     * records nothing).
+     */
+    void observe(SloMetric metric, sim::Tick now, double seconds,
+                 std::int64_t count = 1);
 
     /**
      * Record an unconditional violation (request cancelled, shed or
@@ -99,7 +111,8 @@ class SloTracker
      */
     void observeFailure(SloMetric metric, sim::Tick now);
 
-    /** Streaming percentile estimate (q in {0.5, 0.95, 0.99}). */
+    /** Latency quantile @p q, a fraction in (0, 1), within 1%
+     *  (0 before the first observation). */
     double percentile(SloMetric metric, double q) const;
 
     /** Lifetime attainment: fraction of observations under target. */
@@ -136,9 +149,7 @@ class SloTracker
     struct Tracker
     {
         double targetSeconds = 0.0;
-        stats::P2Quantile p50{0.50};
-        stats::P2Quantile p95{0.95};
-        stats::P2Quantile p99{0.99};
+        stats::HdrHistogram latency{1e-4, 1e5, 0.01};
         std::int64_t total = 0;
         std::int64_t violations = 0;
         /** Current window: [windowStart, windowStart + window). */
@@ -161,12 +172,24 @@ class SloTracker
     /** Roll the metric's window forward to contain @p now. */
     void rotateWindow(Tracker &t, sim::Tick now);
 
-    /** Account one observation; @p violated forces a violation. */
+    /** Account @p count observations; @p violated forces a
+     *  violation. */
     void record(SloMetric metric, sim::Tick now, double seconds,
-                bool violated, bool has_latency);
+                std::int64_t count, bool violated, bool has_latency);
 
-    /** Evaluate the burn rate and fire an alert if warranted. */
-    void maybeAlert(SloMetric metric, Tracker &t, sim::Tick now);
+    /** Burn rate of @p violations out of @p total observations. */
+    double burnRate(std::int64_t violations, std::int64_t total) const;
+
+    /**
+     * The observation (1-based) of a batch of @p count, all
+     * @p violated or all not, after which the window alerts; 0 if
+     * none does.
+     */
+    std::int64_t alertIndex(const Tracker &t, std::int64_t count,
+                            bool violated) const;
+
+    /** Fire the window's alert at its current counts. */
+    void fireAlert(SloMetric metric, Tracker &t, sim::Tick now);
 };
 
 } // namespace agentsim::telemetry

@@ -1,5 +1,6 @@
 #include "telemetry/trace_sink.hh"
 
+#include <array>
 #include <charconv>
 #include <cstring>
 
@@ -14,6 +15,10 @@ namespace
 {
 
 using sim::appendChars;
+
+/** TraceName texts, in enumerator order. */
+constexpr std::array<const char *, 6> kWellKnownNames = {
+    "step", "kv_blocks", "batch", "queued", "prefill", "decode"};
 
 /**
  * A stack buffer with the append surface of std::string that the
@@ -231,6 +236,20 @@ jsonEscape(std::string_view s)
     return out;
 }
 
+const char *
+traceNameText(TraceName name)
+{
+    return kWellKnownNames[static_cast<std::size_t>(name)];
+}
+
+void
+TraceSink::internWellKnown()
+{
+    // Called on an empty name table, so each name's id is its index.
+    for (const char *name : kWellKnownNames)
+        intern(name);
+}
+
 std::uint32_t
 TraceSink::intern(std::string_view name)
 {
@@ -319,6 +338,16 @@ TraceSink::complete(int pid, std::uint64_t tid, std::string_view name,
 }
 
 void
+TraceSink::complete(int pid, std::uint64_t tid, TraceName name,
+                    const char *cat, sim::Tick start, sim::Tick end,
+                    const TraceArgs &args)
+{
+    add({.tick = start, .dur = end - start, .tid = tid, .cat = cat,
+         .pid = pid, .name = static_cast<std::uint32_t>(name),
+         .phase = TracePhase::Complete, .args = args});
+}
+
+void
 TraceSink::instant(int pid, std::uint64_t tid, std::string_view name,
                    const char *cat, sim::Tick at)
 {
@@ -331,6 +360,14 @@ TraceSink::counter(int pid, std::string_view name, sim::Tick at,
                    const TraceArgs &args)
 {
     add({.tick = at, .pid = pid, .name = intern(name),
+         .phase = TracePhase::Counter, .args = args});
+}
+
+void
+TraceSink::counter(int pid, TraceName name, sim::Tick at,
+                   const TraceArgs &args)
+{
+    add({.tick = at, .pid = pid, .name = static_cast<std::uint32_t>(name),
          .phase = TracePhase::Counter, .args = args});
 }
 
@@ -402,6 +439,7 @@ TraceSink::clear()
     overflow_.clear();
     names_.clear();
     nameIds_.clear();
+    internWellKnown();
     named_.clear();
     dropped_ = 0;
     if (recorder_ != nullptr)

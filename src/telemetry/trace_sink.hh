@@ -30,10 +30,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <set>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -70,6 +72,25 @@ struct TracePid
      *  lanes (one id per request) with blame annotations. */
     static constexpr int kSpans = 6;
 };
+
+/**
+ * Names the engine emits on every step and every request phase. A
+ * sink interns them before anything else, at construction and on
+ * clear(), so their ids never go stale and the hot sites skip the
+ * hash lookup of intern().
+ */
+enum class TraceName : std::uint32_t
+{
+    Step,
+    KvBlocks,
+    Batch,
+    Queued,
+    Prefill,
+    Decode,
+};
+
+/** The text of a well-known name ("step", "kv_blocks", ...). */
+const char *traceNameText(TraceName name);
 
 /**
  * One typed event argument. The key must be a string literal (it is
@@ -173,7 +194,7 @@ class TraceSink
     /** Default data-event capacity (~300 MB of records). */
     static constexpr std::size_t kDefaultEventCapacity = 2'000'000;
 
-    TraceSink() = default;
+    TraceSink() { internWellKnown(); }
     /** Detaches the recorder, which holds a pointer to this sink. */
     ~TraceSink() { attachRecorder(nullptr); }
     TraceSink(const TraceSink &) = delete;
@@ -185,8 +206,22 @@ class TraceSink
     /** Name a lane within a track (emitted once per (pid, tid)). */
     void threadName(int pid, std::uint64_t tid, std::string_view name);
 
+    /** As above, calling @p make_name only for a lane not yet named,
+     *  so a formatted name costs nothing on a repeat. */
+    template <typename F>
+        requires std::is_invocable_r_v<std::string, F &>
+    void
+    threadName(int pid, std::uint64_t tid, F &&make_name)
+    {
+        if (named_.insert({pid, static_cast<std::int64_t>(tid)}).second)
+            addMetadata(TracePhase::ThreadName, pid, tid, make_name());
+    }
+
     /** Add a complete ("X") span with optional typed @p args. */
     void complete(int pid, std::uint64_t tid, std::string_view name,
+                  const char *cat, sim::Tick start, sim::Tick end,
+                  const TraceArgs &args = {});
+    void complete(int pid, std::uint64_t tid, TraceName name,
                   const char *cat, sim::Tick start, sim::Tick end,
                   const TraceArgs &args = {});
 
@@ -196,6 +231,8 @@ class TraceSink
 
     /** Add a counter ("C") sample; @p args hold the series values. */
     void counter(int pid, std::string_view name, sim::Tick at,
+                 const TraceArgs &args);
+    void counter(int pid, TraceName name, sim::Tick at,
                  const TraceArgs &args);
 
     /**
@@ -344,13 +381,27 @@ class TraceSink
     std::unordered_map<std::string, std::uint32_t, NameHash,
                        std::equal_to<>>
         nameIds_;
+    using Lane = std::pair<int, std::int64_t>;
+    struct LaneHash
+    {
+        std::size_t
+        operator()(const Lane &lane) const noexcept
+        {
+            return std::hash<std::uint64_t>{}(
+                static_cast<std::uint64_t>(lane.second) *
+                    0x9e3779b97f4a7c15ULL ^
+                static_cast<std::uint64_t>(lane.first));
+        }
+    };
     /** (pid, tid) lanes already named; pid alone uses tid = -1. */
-    std::set<std::pair<int, std::int64_t>> named_;
+    std::unordered_set<Lane, LaneHash> named_;
     std::size_t capacity_ = kDefaultEventCapacity;
     std::uint64_t dropped_ = 0;
     FlightRecorder *recorder_ = nullptr;
 
     std::uint32_t intern(std::string_view name);
+    /** Intern every TraceName at its own id. */
+    void internWellKnown();
     void addMetadata(TracePhase phase, int pid, std::uint64_t tid,
                      std::string_view name);
     /** Append to events_ and the window index. */

@@ -907,6 +907,41 @@ TEST(TracePin, ClusterBundleDigest)
     EXPECT_EQ(bundleDigest(c.session.recorder), 17809509484994470112ULL);
 }
 
+/** The agentsim_slo_p*_seconds sample lines of @p prom, in order. */
+std::vector<std::string>
+sloPercentileLines(const std::string &prom)
+{
+    std::vector<std::string> out;
+    std::istringstream lines(prom);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("agentsim_slo_p", 0) == 0)
+            out.push_back(line);
+    }
+    return out;
+}
+
+TEST(TracePin, ClusterSloPercentiles)
+{
+    // Bucket midpoints of each metric's HDR histogram, within 1% of
+    // the exact order statistics of the run's observations (ttft p95
+    // 0.074200 s, tbt p99 0.028394 s, e2e p99 7.614594 s).
+    ObservedCluster c;
+    c.run(incidentDir("pin_cluster_slo"));
+    EXPECT_EQ(
+        sloPercentileLines(c.session.registry.renderPrometheus()),
+        (std::vector<std::string>{
+            R"(agentsim_slo_p50_seconds{metric="ttft"} 0.032511999999999999)",
+            R"(agentsim_slo_p50_seconds{metric="tbt"} 0.019328000000000001)",
+            R"(agentsim_slo_p50_seconds{metric="e2e"} 1.6875520000000002)",
+            R"(agentsim_slo_p95_seconds{metric="ttft"} 0.07424)",
+            R"(agentsim_slo_p95_seconds{metric="tbt"} 0.020864000000000001)",
+            R"(agentsim_slo_p95_seconds{metric="e2e"} 5.5377920000000005)",
+            R"(agentsim_slo_p99_seconds{metric="ttft"} 0.10956800000000001)",
+            R"(agentsim_slo_p99_seconds{metric="tbt"} 0.028416000000000004)",
+            R"(agentsim_slo_p99_seconds{metric="e2e"} 7.6677119999999999)",
+        }));
+}
+
 /** Pids of @p trace's data events that no process_name names (the
  *  sink renders one event per line). */
 std::set<int>

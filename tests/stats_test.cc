@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "stats/gauge.hh"
 #include "stats/hdr_histogram.hh"
@@ -14,6 +15,7 @@
 #include "stats/pareto.hh"
 #include "stats/quantile.hh"
 #include "stats/summary.hh"
+#include "sim/rng.hh"
 
 namespace
 {
@@ -378,6 +380,46 @@ TEST(HdrHistogram, TailExemplarsKeepLargestAndEvictWeakest)
     EXPECT_EQ(tail[1].id, 9u);
     EXPECT_DOUBLE_EQ(tail[2].value, 8.0);
     EXPECT_EQ(tail[2].id, 8u);
+}
+
+TEST(HdrHistogram, WeightedAddEqualsRepeatedAdds)
+{
+    // Weights 0, 1 and many; values below the floor, inside the range
+    // and past the ceiling; ids for the exemplar heap.
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        sim::Rng rng(seed, "hdr-weighted");
+        stats::HdrHistogram weighted(1e-3, 100.0, 0.01, 4);
+        stats::HdrHistogram single(1e-3, 100.0, 0.01, 4);
+        for (int batch = 0; batch < 200; ++batch) {
+            const double x = std::exp(rng.uniform(-9.0, 6.0));
+            // The first add has weight 0: it must not set min/max.
+            const auto w = static_cast<std::size_t>(
+                batch == 0          ? 0
+                : rng.bernoulli(0.2) ? rng.uniformInt(0, 1)
+                                     : rng.uniformInt(2, 40));
+            const auto id = static_cast<std::uint64_t>(batch);
+            weighted.addWeighted(x, w, id);
+            for (std::size_t i = 0; i < w; ++i)
+                single.add(x, id);
+        }
+        ASSERT_EQ(weighted.buckets(), single.buckets());
+        for (std::size_t i = 0; i < single.buckets(); ++i)
+            ASSERT_EQ(weighted.binCount(i), single.binCount(i)) << i;
+        EXPECT_EQ(weighted.count(), single.count());
+        EXPECT_EQ(weighted.overflow(), single.overflow());
+        EXPECT_EQ(weighted.min(), single.min());
+        EXPECT_EQ(weighted.max(), single.max());
+        EXPECT_NEAR(weighted.sum(), single.sum(), 1e-9 * single.sum());
+        for (const double q : {0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999})
+            EXPECT_EQ(weighted.quantile(q), single.quantile(q)) << q;
+        const auto we = weighted.tailExemplars();
+        const auto se = single.tailExemplars();
+        ASSERT_EQ(we.size(), se.size());
+        for (std::size_t i = 0; i < se.size(); ++i) {
+            EXPECT_EQ(we[i].value, se[i].value);
+            EXPECT_EQ(we[i].id, se[i].id);
+        }
+    }
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
@@ -28,6 +29,8 @@
 #include "serving/checkpoint.hh"
 #include "serving/engine.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
+#include "telemetry/flight_recorder.hh"
 #include "telemetry/registry.hh"
 #include "telemetry/session.hh"
 #include "telemetry/slo.hh"
@@ -796,6 +799,361 @@ TEST(Slo, ResetPreservesTargets)
     // Still tracking TTFT after reset (target survived).
     slo.observe(SloMetric::Ttft, 0, 0.5);
     EXPECT_EQ(slo.observations(SloMetric::Ttft), 1);
+}
+
+TEST(Telemetry, WellKnownTraceNamesSurviveClear)
+{
+    telemetry::TraceSink sink;
+    sink.instant(telemetry::TracePid::kEngine, 1, "cold", "engine", 0);
+    for (int round = 0; round < 2; ++round) {
+        sink.complete(telemetry::TracePid::kEngine, 1,
+                      telemetry::TraceName::Step, "engine", 0, 5);
+        sink.counter(telemetry::TracePid::kEngine,
+                     telemetry::TraceName::KvBlocks, 5,
+                     {telemetry::TraceArg::integer("used", 3)});
+        // A string for a well-known name is the same name.
+        sink.complete(telemetry::TracePid::kRequests, 7, "decode",
+                      "request", 0, 5);
+        const std::string json = sink.toJson();
+        EXPECT_NE(json.find("{\"name\":\"step\",\"cat\":\"engine\""),
+                  std::string::npos);
+        EXPECT_NE(json.find("{\"name\":\"kv_blocks\",\"ph\":\"C\""),
+                  std::string::npos);
+        EXPECT_NE(json.find("{\"name\":\"decode\",\"cat\":\"request\""),
+                  std::string::npos);
+        sink.clear();
+    }
+}
+
+TEST(Telemetry, ThreadNameBuildsANameOnlyForANewLane)
+{
+    telemetry::TraceSink sink;
+    int built = 0;
+    auto name = [&built] {
+        ++built;
+        return std::string("req 7");
+    };
+    sink.threadName(telemetry::TracePid::kRequests, 7, name);
+    sink.threadName(telemetry::TracePid::kRequests, 7, name);
+    sink.threadName(telemetry::TracePid::kRequests, 7, "req 7 again");
+    EXPECT_EQ(built, 1);
+    EXPECT_EQ(sink.eventCount(), 1u);
+    // The same tid on another track is another lane.
+    sink.threadName(telemetry::TracePid::kAgents, 7, name);
+    EXPECT_EQ(built, 2);
+    sink.clear();
+    sink.threadName(telemetry::TracePid::kRequests, 7, name);
+    EXPECT_EQ(built, 3);
+}
+
+TEST(Slo, PercentileAnswersAnyFraction)
+{
+    SloTracker slo(tightTtft());
+    EXPECT_EQ(slo.percentile(SloMetric::Ttft, 0.5), 0.0);
+    for (int i = 1; i <= 1000; ++i)
+        slo.observe(SloMetric::Ttft, 0, 0.001 * i);
+    // Within the histogram's 1% of the exact order statistics.
+    for (const double q : {0.1, 0.5, 0.75, 0.95, 0.99})
+        EXPECT_NEAR(slo.percentile(SloMetric::Ttft, q), q, 0.011 * q) << q;
+}
+
+TEST(Slo, PercentileRejectsPercentScale)
+{
+    SloTracker slo(tightTtft());
+    slo.observe(SloMetric::Ttft, 0, 0.5);
+    EXPECT_DEATH(slo.percentile(SloMetric::Ttft, 95.0), "fraction");
+    EXPECT_DEATH(slo.percentile(SloMetric::Ttft, 0.0), "fraction");
+    EXPECT_DEATH(slo.percentile(SloMetric::Ttft, 1.0), "fraction");
+}
+
+namespace
+{
+
+/** The "detail" of each incident manifest @p recorder wrote. */
+std::vector<std::string>
+incidentDetails(const telemetry::FlightRecorder &recorder)
+{
+    std::vector<std::string> out;
+    for (const std::string &dir : recorder.incidentPaths()) {
+        std::ifstream in(dir + "/manifest.json");
+        const std::string text((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        const std::string key = "\"detail\": \"";
+        const std::size_t at = text.find(key);
+        const std::size_t from = at + key.size();
+        out.push_back(at == std::string::npos
+                          ? "<no detail>"
+                          : text.substr(from, text.find('"', from) - from));
+    }
+    return out;
+}
+
+/** A tracker with its own trace sink and an undebounced recorder. */
+struct ObservedSlo
+{
+    telemetry::TraceSink trace;
+    telemetry::FlightRecorder recorder;
+    SloTracker slo;
+
+    ObservedSlo(const SloConfig &cfg, const std::string &dir)
+        : recorder({.incidentDir = dir, .debounceSeconds = 0.0}), slo(cfg)
+    {
+        slo.attachTrace(&trace);
+        slo.attachRecorder(&recorder);
+    }
+};
+
+std::string
+sloTestDir(const std::string &name)
+{
+    const auto dir =
+        std::filesystem::path(::testing::TempDir()) / "agentsim" / name;
+    std::filesystem::remove_all(dir);
+    return dir.string();
+}
+
+} // namespace
+
+TEST(Slo, WeightedObserveEqualsSingleObserves)
+{
+    const sim::LogLevel saved = sim::logLevel();
+    sim::setLogLevel(sim::LogLevel::Error); // one warning per alert
+    const SloMetric metrics[] = {SloMetric::Ttft, SloMetric::Tbt,
+                                 SloMetric::E2e};
+    std::int64_t alerts = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        sim::Rng rng(seed, "slo-weighted");
+        SloConfig cfg;
+        cfg.ttftTargetSeconds = 1.0;
+        cfg.tbtTargetSeconds = 0.1;
+        cfg.e2eTargetSeconds = rng.bernoulli(0.2) ? 0.0 : 20.0;
+        cfg.attainmentTarget = rng.uniform(0.5, 0.99);
+        cfg.windowSeconds = rng.uniform(1.0, 8.0);
+        cfg.burnRateAlertThreshold = rng.uniform(0.3, 6.0);
+        cfg.minWindowSamples = rng.uniformInt(0, 40);
+        const std::string base = "slo_weighted_" + std::to_string(seed);
+        ObservedSlo weighted(cfg, sloTestDir(base + "_w"));
+        ObservedSlo single(cfg, sloTestDir(base + "_s"));
+
+        // The test's own window count per metric, to aim batches
+        // across minWindowSamples.
+        const sim::Tick window = sim::fromSeconds(cfg.windowSeconds);
+        std::array<sim::Tick, 3> last_window{-1, -1, -1};
+        std::array<std::int64_t, 3> in_window{};
+        sim::Tick now = 0;
+        for (int batch = 0; batch < 120; ++batch) {
+            now += sim::fromSeconds(rng.exponential(0.4));
+            const auto mi = static_cast<std::size_t>(
+                rng.bernoulli(0.6) ? 1 : rng.uniformInt(0, 2));
+            const SloMetric m = metrics[mi];
+            if (now / window != last_window[mi]) {
+                last_window[mi] = now / window;
+                in_window[mi] = 0;
+            }
+            if (rng.bernoulli(0.1)) {
+                weighted.slo.observeFailure(m, now);
+                single.slo.observeFailure(m, now);
+                ++in_window[mi];
+                continue;
+            }
+            const double target = mi == 0   ? cfg.ttftTargetSeconds
+                                  : mi == 1 ? cfg.tbtTargetSeconds
+                                            : cfg.e2eTargetSeconds;
+            const double seconds =
+                rng.bernoulli(0.1)   ? target // at target: not a violation
+                : rng.bernoulli(0.5) ? target * rng.uniform(1.01, 9.0)
+                                     : target * rng.uniform(0.01, 0.99);
+            std::int64_t n = 0;
+            switch (rng.uniformInt(0, 6)) {
+              case 0:
+                n = rng.uniformInt(0, 1);
+                break;
+              case 1:
+              case 2: // straddle (or just reach) minWindowSamples
+                n = std::max<std::int64_t>(
+                    0, cfg.minWindowSamples - in_window[mi] +
+                           rng.uniformInt(-2, 3));
+                break;
+              case 3: // fill the window part way to minWindowSamples
+                n = rng.uniformInt(
+                    0, std::max<std::int64_t>(
+                           0, cfg.minWindowSamples - in_window[mi] - 1));
+                break;
+              case 4:
+                n = rng.uniformInt(2, 5);
+                break;
+              default:
+                n = rng.uniformInt(2, 60);
+                break;
+            }
+            weighted.slo.observe(m, now, seconds, n);
+            for (std::int64_t i = 0; i < n; ++i)
+                single.slo.observe(m, now, seconds);
+            in_window[mi] += n;
+
+            ASSERT_EQ(weighted.slo.observations(m),
+                      single.slo.observations(m));
+            ASSERT_EQ(weighted.slo.violations(m), single.slo.violations(m));
+            ASSERT_EQ(weighted.slo.attainment(m), single.slo.attainment(m));
+            ASSERT_EQ(weighted.slo.windowBurnRate(m, now),
+                      single.slo.windowBurnRate(m, now));
+            ASSERT_EQ(weighted.slo.alertsFired(m),
+                      single.slo.alertsFired(m))
+                << "seed " << seed << " batch " << batch;
+        }
+        EXPECT_EQ(weighted.slo.alertsFired(), single.slo.alertsFired());
+        alerts += single.slo.alertsFired();
+        // Same alert instants (names, ticks, order), same triggers.
+        EXPECT_EQ(weighted.trace.toJson(), single.trace.toJson());
+        EXPECT_EQ(incidentDetails(weighted.recorder),
+                  incidentDetails(single.recorder));
+        for (const SloMetric m : metrics) {
+            for (const double q : {0.5, 0.95, 0.99}) {
+                EXPECT_EQ(weighted.slo.percentile(m, q),
+                          single.slo.percentile(m, q));
+            }
+        }
+        std::filesystem::remove_all(sloTestDir(base + "_w"));
+        std::filesystem::remove_all(sloTestDir(base + "_s"));
+    }
+    sim::setLogLevel(saved);
+    EXPECT_GT(alerts, 100); // the sequences do alert
+}
+
+TEST(Slo, CleanBatchAlertsWhereTheWindowFills)
+{
+    // 8 violations wait for the 10-sample floor; a clean batch then
+    // fills the window at 8/10 (burn 16x) and alerts there.
+    ObservedSlo o(tightTtft(), sloTestDir("slo_clean_fill"));
+    o.slo.observe(SloMetric::Ttft, 0, 5.0, 8);
+    EXPECT_EQ(o.slo.alertsFired(), 0);
+    o.slo.observe(SloMetric::Ttft, 0, 0.5, 5);
+    EXPECT_EQ(o.slo.alertsFired(), 1);
+    EXPECT_EQ(incidentDetails(o.recorder),
+              std::vector<std::string>{
+                  "ttft burn 16.0x budget (8/10 over 1.000s)"});
+    std::filesystem::remove_all(sloTestDir("slo_clean_fill"));
+}
+
+TEST(Slo, AlertCarriesTheCountsOfTheTrippingObservation)
+{
+    // 4 clean observations, then a violating batch of 30: with a 50%
+    // budget and a 1.5x threshold the window alerts at the 12th
+    // violation (11/15 burns 1.47x, 12/16 burns 1.5x).
+    SloConfig cfg = tightTtft();
+    cfg.attainmentTarget = 0.5;
+    cfg.burnRateAlertThreshold = 1.5;
+    cfg.minWindowSamples = 1;
+    ObservedSlo o(cfg, sloTestDir("slo_alert_counts"));
+    o.slo.observe(SloMetric::Ttft, 0, 0.5, 4);
+    o.slo.observe(SloMetric::Ttft, 0, 5.0, 30);
+    EXPECT_EQ(o.slo.alertsFired(), 1);
+    EXPECT_EQ(o.slo.observations(SloMetric::Ttft), 34);
+    EXPECT_EQ(o.slo.violations(SloMetric::Ttft), 30);
+    EXPECT_EQ(incidentDetails(o.recorder),
+              std::vector<std::string>{
+                  "ttft burn 1.5x budget (12/16 over 1.000s)"});
+    EXPECT_NE(o.trace.toJson().find("slo_alert_ttft burn=1.5x"),
+              std::string::npos);
+    std::filesystem::remove_all(sloTestDir("slo_alert_counts"));
+}
+
+namespace
+{
+
+sim::Task<serving::GenResult>
+generateFromStream(serving::LlmEngine &engine, std::uint64_t stream,
+                   std::int64_t out)
+{
+    serving::GenRequest req;
+    req.prompt = kv::TokenChain(engine.config().blockSize);
+    req.prompt.appendStream(stream, 0, 16);
+    req.maxNewTokens = out;
+    co_return co_await engine.generate(std::move(req));
+}
+
+/** Result of one engine step in which decoder A finishes over its E2E
+ *  target and the step's TBT observations cross the burn threshold. */
+struct StepAlerts
+{
+    std::string trace;
+    std::vector<std::string> details;
+};
+
+/**
+ * Requests A (2 output tokens) and B (40) prefill together, so the
+ * second step decodes A then B and A finishes in it. The tracker's
+ * windows are pre-filled so that E2E alerts at A's finish and TBT at
+ * the step's @p tbt_tripper-th decoder (1 = A, 2 = B).
+ */
+StepAlerts
+runStepWithBothAlerts(int tbt_tripper, const std::string &dir)
+{
+    constexpr std::int64_t kMinSamples = 6;
+    SloConfig cfg;
+    cfg.ttftTargetSeconds = 0.0; // disabled
+    cfg.tbtTargetSeconds = 1e-6; // every decode step violates
+    cfg.e2eTargetSeconds = 1e-6; // every finish violates
+    cfg.windowSeconds = 100.0;
+    cfg.minWindowSamples = kMinSamples;
+    SloTracker slo(cfg);
+    slo.observe(SloMetric::E2e, 0, 1.0, kMinSamples - 1);
+    slo.observe(SloMetric::Tbt, 0, 1.0, kMinSamples - tbt_tripper);
+
+    sim::Simulation sim;
+    serving::LlmEngine engine(sim, core::enginePreset8b());
+    telemetry::TraceSink trace;
+    telemetry::FlightRecorder recorder(
+        {.incidentDir = dir, .debounceSeconds = 0.0});
+    engine.attachTrace(&trace);
+    engine.attachSlo(&slo);
+    slo.attachRecorder(&recorder);
+
+    auto a = generateFromStream(engine, 1, 2);
+    auto b = generateFromStream(engine, 2, 40);
+    sim.run();
+    EXPECT_TRUE(a.done() && b.done());
+    EXPECT_EQ(slo.alertsFired(SloMetric::E2e), 1);
+    EXPECT_EQ(slo.alertsFired(SloMetric::Tbt), 1);
+    return {trace.toJson(), incidentDetails(recorder)};
+}
+
+} // namespace
+
+TEST(Slo, StepAlertsKeepPerDecoderOrder)
+{
+    const sim::LogLevel saved = sim::logLevel();
+    sim::setLogLevel(sim::LogLevel::Error);
+    // TBT trips at A's decode, before A finishes: TBT first.
+    const StepAlerts tbt_first =
+        runStepWithBothAlerts(1, sloTestDir("slo_order_tbt_first"));
+    // TBT trips at B's decode, after A's finish fired E2E.
+    const StepAlerts e2e_first =
+        runStepWithBothAlerts(2, sloTestDir("slo_order_e2e_first"));
+    sim::setLogLevel(saved);
+
+    auto order = [](const std::string &json) {
+        const std::size_t tbt = json.find("\"slo_alert_tbt");
+        const std::size_t e2e = json.find("\"slo_alert_e2e");
+        EXPECT_NE(tbt, std::string::npos);
+        EXPECT_NE(e2e, std::string::npos);
+        return tbt < e2e ? "tbt,e2e" : "e2e,tbt";
+    };
+    EXPECT_STREQ(order(tbt_first.trace), "tbt,e2e");
+    EXPECT_STREQ(order(e2e_first.trace), "e2e,tbt");
+
+    ASSERT_EQ(tbt_first.details.size(), 2u);
+    EXPECT_EQ(tbt_first.details[0].rfind("tbt burn", 0), 0u);
+    EXPECT_EQ(tbt_first.details[1].rfind("e2e burn", 0), 0u);
+    ASSERT_EQ(e2e_first.details.size(), 2u);
+    EXPECT_EQ(e2e_first.details[0].rfind("e2e burn", 0), 0u);
+    EXPECT_EQ(e2e_first.details[1].rfind("tbt burn", 0), 0u);
+    // Both windows alert exactly at minWindowSamples.
+    for (const auto &d : {tbt_first.details, e2e_first.details})
+        for (const std::string &detail : d)
+            EXPECT_NE(detail.find("(6/6 over"), std::string::npos) << detail;
+    std::filesystem::remove_all(sloTestDir("slo_order_tbt_first"));
+    std::filesystem::remove_all(sloTestDir("slo_order_e2e_first"));
 }
 
 // ---- Causal span trees + critical-path blame ------------------------
