@@ -571,6 +571,71 @@ BM_TraceEngineStep(benchmark::State &state)
 }
 BENCHMARK(BM_TraceEngineStep)->ArgName("by_id")->Arg(0)->Arg(1);
 
+void
+BM_TraceSinkAppend(benchmark::State &state)
+{
+    // Appends to a log that keeps its chunks: the sink is filled once
+    // before timing and cleared, untimed, each time it holds 65,536
+    // records, so every append lands in memory the log already owns.
+    // The records cycle through four shapes: a step span with four
+    // integer args, a two-arg counter, an argless instant, and an
+    // async begin with text, bool and real args.
+    using telemetry::TraceArg;
+    using telemetry::TraceName;
+    using telemetry::TracePid;
+    constexpr std::size_t kRecords = 65'536;
+    telemetry::TraceSink sink;
+    const TraceName span_name = sink.intern("tool_call");
+    std::int64_t i = 0;
+    auto append = [&] {
+        const sim::Tick t = i * 100;
+        switch (i % 4) {
+          case 0:
+            sink.complete(TracePid::kEngine, 1, TraceName::Step, "engine", t,
+                          t + 100,
+                          {TraceArg::integer("prefill_tokens", i % 512),
+                           TraceArg::integer("decode_tokens", i % 31),
+                           TraceArg::integer("running", i % 24),
+                           TraceArg::integer("waiting", i % 5)});
+            break;
+          case 1:
+            sink.counter(TracePid::kEngine, TraceName::KvBlocks, t,
+                         {TraceArg::integer("used", i % 700),
+                          TraceArg::integer("free", 3000 - i % 700)});
+            break;
+          case 2:
+            sink.instant(TracePid::kRequests, static_cast<std::uint64_t>(i),
+                         "preempt", "request", t);
+            break;
+          default:
+            sink.asyncBegin(TracePid::kSpans, static_cast<std::uint64_t>(i),
+                            span_name, "span", t,
+                            {TraceArg::text("kind", "tool_call"),
+                             TraceArg::boolean("critical_path", i % 8 == 3),
+                             TraceArg::real("share", 0.25)});
+            break;
+        }
+        ++i;
+    };
+    while (sink.eventCount() < kRecords)
+        append();
+    sink.clear();
+    for (auto _ : state) {
+        if (sink.eventCount() == kRecords) {
+            state.PauseTiming();
+            sink.clear();
+            state.ResumeTiming();
+        }
+        append();
+        benchmark::ClobberMemory();
+    }
+    benchmark::DoNotOptimize(sink.eventCount());
+    state.SetItemsProcessed(state.iterations());
+    // The log stores whole chunks of records and nothing else.
+    state.counters["bytes_per_event"] = sizeof(telemetry::TraceRecord);
+}
+BENCHMARK(BM_TraceSinkAppend);
+
 /**
  * Fill @p sink with about @p records records shaped like an engine's
  * log: per 5 ms step one "step" span and its kv_blocks and batch

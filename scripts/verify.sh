@@ -111,12 +111,13 @@ fi
 # steps makeTokens' GF(p) arithmetic; the engine one cancels requests
 # mid-step and reuses their request-slab slots in the same tick; the
 # SLO one takes a step's decoders as one weighted observation whose
-# alert is placed by binary search; the trace one adds a step's records
-# by name id and names lanes once; the recorder one rewrites incident
-# bundles in place from a ~300k-record trace log. A short sanitized run
-# of each catches memory errors and undefined behaviour on the block
-# pool's, the token chain's, the engine's, the SLO tracker's, the trace
-# sink's and the recorder's hot paths.
+# alert is placed by binary search; the trace ones add a step's records
+# by name id and name lanes once, and append 64-byte records of every
+# arg kind to a log that keeps its chunks; the recorder one rewrites
+# incident bundles in place from a ~300k-record trace log. A short
+# sanitized run of each catches memory errors and undefined behaviour
+# on the block pool's, the token chain's, the engine's, the SLO
+# tracker's, the trace sink's and the recorder's hot paths.
 for preset in asan ubsan; do
     if [[ " ${presets[*]} " == *" ${preset} "* ]]; then
         echo "==> KV, engine, telemetry and recorder micro-benchmark smoke (micro_substrates, ${preset})"

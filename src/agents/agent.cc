@@ -251,8 +251,8 @@ callTool(AgentContext &ctx, Trace &trace, sim::Rng &rng,
     trace.addToolCall(tool.name(), start, ctx.sim->now());
     if (ctx.traceSink != nullptr) {
         ctx.traceSink->complete(telemetry::TracePid::kAgents,
-                                ctx.traceTid, std::string(tool.name()),
-                                "tool", start, ctx.sim->now());
+                                ctx.traceTid, tool.name(), "tool", start,
+                                ctx.sim->now());
         if (result.failed) {
             ctx.traceSink->instant(telemetry::TracePid::kAgents,
                                    ctx.traceTid, "tool_fault", "tool",

@@ -1,7 +1,8 @@
 #include "core/bottleneck_report.hh"
 
 #include <algorithm>
-#include <set>
+#include <string_view>
+#include <unordered_map>
 
 #include "sim/strfmt.hh"
 #include "telemetry/critical_path.hh"
@@ -98,13 +99,27 @@ emitSpanExemplars(const telemetry::SpanCollector &spans,
     if (spans.exemplars().empty())
         return;
     trace.processName(telemetry::TracePid::kSpans, "tail exemplars");
+    // A span is named by its label, or by its kind when unlabelled.
+    // Each distinct name is interned once per call; names[i] is span
+    // i's id in the current exemplar.
+    std::unordered_map<std::string_view, telemetry::TraceName> ids;
+    std::vector<telemetry::TraceName> names;
     std::uint64_t lane = 0;
     for (const auto &ex : spans.exemplars()) {
         ++lane;
-        const telemetry::CriticalPath path =
-            telemetry::criticalPath(ex.tree);
-        std::set<std::uint32_t> on_path(path.spans.begin(),
-                                        path.spans.end());
+        telemetry::CriticalPath path = telemetry::criticalPath(ex.tree);
+        std::vector<std::uint32_t> &on_path = path.spans;
+        std::sort(on_path.begin(), on_path.end());
+        names.clear();
+        for (const telemetry::Span &span : ex.tree.spans) {
+            const std::string_view text =
+                span.label.empty() ? telemetry::spanKindName(span.kind)
+                                   : std::string_view(span.label);
+            auto [it, added] = ids.try_emplace(text);
+            if (added)
+                it->second = trace.intern(text);
+            names.push_back(it->second);
+        }
         trace.threadName(
             telemetry::TracePid::kSpans, lane,
             sim::strfmt("%s req %llu%s%s", ex.tree.workflow.c_str(),
@@ -153,10 +168,7 @@ emitSpanExemplars(const telemetry::SpanCollector &spans,
             });
         for (const Event &ev : events) {
             const telemetry::Span &span = ex.tree.spans[ev.span];
-            const std::string name =
-                span.label.empty()
-                    ? std::string(telemetry::spanKindName(span.kind))
-                    : span.label;
+            const telemetry::TraceName name = names[ev.span];
             if (ev.phase != 1) {
                 trace.asyncEnd(telemetry::TracePid::kSpans, lane, name,
                                "span", ev.at);
@@ -169,7 +181,9 @@ emitSpanExemplars(const telemetry::SpanCollector &spans,
                                telemetry::blameCategoryName(
                                    telemetry::blameCategory(span.kind))),
                 TraceArg::boolean("critical_path",
-                                  on_path.count(ev.span) != 0)};
+                                  std::binary_search(on_path.begin(),
+                                                     on_path.end(),
+                                                     ev.span))};
             if (span.followsFrom != telemetry::kNoSpan)
                 args[3] = TraceArg::integer("follows_from", span.followsFrom);
             trace.asyncBegin(telemetry::TracePid::kSpans, lane, name,

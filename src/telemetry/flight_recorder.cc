@@ -185,7 +185,7 @@ FlightRecorder::appendBundleTrace(
                 trace_->render(r, metadataJson_);
                 spansNamed_ = spansNamed_ ||
                               (r.phase == TracePhase::ProcessName &&
-                               r.pid == TracePid::kSpans);
+                               trace_->pid(r) == TracePid::kSpans);
                 ++metadataRendered_;
             });
     }

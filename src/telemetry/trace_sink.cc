@@ -1,9 +1,11 @@
 #include "telemetry/trace_sink.hh"
 
 #include <array>
+#include <bit>
 #include <charconv>
 #include <cstring>
 
+#include "sim/logging.hh"
 #include "sim/strfmt.hh"
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/registry.hh"
@@ -17,8 +19,43 @@ namespace
 using sim::appendChars;
 
 /** TraceName texts, in enumerator order. */
-constexpr std::array<const char *, 6> kWellKnownNames = {
+constexpr std::array<const char *, kWellKnownTraceNames> kWellKnownNames = {
     "step", "kv_blocks", "batch", "queued", "prefill", "decode"};
+
+/** The shape of each well-known name's records: the step span, the
+ *  kv_blocks and batch counters, and the request phase spans. All
+ *  their args are integers, the default kind. Shapes compare keys by
+ *  pointer, so these match the engine's sites only where the linker
+ *  merges equal literals (not in sanitizer builds); otherwise the
+ *  engine's first record interns its own shape, which renders the
+ *  same bytes. */
+const std::array<TraceShape, kWellKnownTraceNames> kWellKnownShapes = {{
+    {.cat = "engine",
+     .keys = {"prefill_tokens", "decode_tokens", "running", "waiting"},
+     .pid = TracePid::kEngine},
+    {.keys = {"used", "free"}, .pid = TracePid::kEngine},
+    {.keys = {"running", "waiting"}, .pid = TracePid::kEngine},
+    {.cat = "request", .pid = TracePid::kRequests},
+    {.cat = "request", .pid = TracePid::kRequests},
+    {.cat = "request", .pid = TracePid::kRequests},
+}};
+
+/** The raw bits of @p arg's value. */
+std::uint64_t
+argBits(const TraceArg &arg)
+{
+    switch (arg.kind) {
+      case TraceArg::Kind::Integer:
+        return static_cast<std::uint64_t>(arg.intValue);
+      case TraceArg::Kind::Real:
+        return std::bit_cast<std::uint64_t>(arg.realValue);
+      case TraceArg::Kind::Boolean:
+        return arg.boolValue ? 1 : 0;
+      case TraceArg::Kind::Text:
+        return reinterpret_cast<std::uintptr_t>(arg.textValue);
+    }
+    return 0;
+}
 
 /**
  * A stack buffer with the append surface of std::string that the
@@ -132,30 +169,32 @@ appendEscaped(Out &out, std::string_view s)
 
 template <typename Out>
 void
-appendArgs(Out &out, const TraceArgs &args)
+appendArgs(Out &out, const TraceShape &shape, const TraceRecord &r)
 {
     out += ",\"args\":{";
-    for (const TraceArg &arg : args) {
-        if (arg.key == nullptr)
+    for (std::size_t i = 0; i < shape.keys.size(); ++i) {
+        if (shape.keys[i] == nullptr)
             break;
-        if (&arg != args.data())
+        if (i != 0)
             out += ',';
         out += '"';
-        out += arg.key;
+        out += shape.keys[i];
         out += "\":";
-        switch (arg.kind) {
+        const std::uint64_t bits = r.args[i];
+        switch (shape.kinds[i]) {
           case TraceArg::Kind::Integer:
-            appendChars(out, arg.intValue);
+            appendChars(out, static_cast<std::int64_t>(bits));
             break;
           case TraceArg::Kind::Real:
-            appendChars(out, arg.realValue, std::chars_format::fixed, 6);
+            appendChars(out, std::bit_cast<double>(bits),
+                        std::chars_format::fixed, 6);
             break;
           case TraceArg::Kind::Boolean:
-            out += arg.boolValue ? "true" : "false";
+            out += bits != 0 ? "true" : "false";
             break;
           case TraceArg::Kind::Text:
             out += '"';
-            appendEscaped(out, arg.textValue);
+            appendEscaped(out, reinterpret_cast<const char *>(bits));
             out += '"';
             break;
         }
@@ -166,13 +205,14 @@ appendArgs(Out &out, const TraceArgs &args)
 /** Append @p r's JSON object, its name already escaped, to @p out. */
 template <typename Out>
 void
-renderRecord(const TraceRecord &r, std::string_view name, Out &out)
+renderRecord(const TraceRecord &r, std::string_view name,
+             const TraceShape &shape, Out &out)
 {
     if (r.metadata()) {
         const bool thread = r.phase == TracePhase::ThreadName;
         out += thread ? "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":"
                       : "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-        appendChars(out, r.pid);
+        appendChars(out, shape.pid);
         if (thread) {
             out += ",\"tid\":";
             appendChars(out, r.tid);
@@ -187,9 +227,9 @@ renderRecord(const TraceRecord &r, std::string_view name, Out &out)
     out += "{\"name\":\"";
     out += name;
     out += '"';
-    if (r.cat != nullptr) {
+    if (shape.cat != nullptr) {
         out += ",\"cat\":\"";
-        out += r.cat;
+        out += shape.cat;
         out += '"';
     }
     out += ",\"ph\":\"";
@@ -207,15 +247,15 @@ renderRecord(const TraceRecord &r, std::string_view name, Out &out)
         appendChars(out, r.dur);
     }
     out += ",\"pid\":";
-    appendChars(out, r.pid);
+    appendChars(out, shape.pid);
     if (r.phase != TracePhase::Counter) {
         out += ",\"tid\":";
         appendChars(out, r.tid);
     }
     if (r.phase == TracePhase::Instant)
         out += ",\"s\":\"t\"";
-    if (r.args[0].key != nullptr || r.phase == TracePhase::Counter)
-        appendArgs(out, r.args);
+    if (shape.keys[0] != nullptr || r.phase == TracePhase::Counter)
+        appendArgs(out, shape, r);
     out += '}';
 }
 
@@ -242,32 +282,98 @@ traceNameText(TraceName name)
     return kWellKnownNames[static_cast<std::size_t>(name)];
 }
 
+std::size_t
+TraceSink::ShapeHash::operator()(const TraceShape &shape) const noexcept
+{
+    // Independent products, so the multiplies overlap.
+    auto bits = [](const char *p) {
+        return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p));
+    };
+    std::uint32_t kinds;
+    std::memcpy(&kinds, shape.kinds.data(), sizeof(kinds));
+    return bits(shape.cat) * 0x9e3779b97f4a7c15ULL ^
+           bits(shape.keys[0]) * 0xc2b2ae3d27d4eb4fULL ^
+           bits(shape.keys[1]) * 0x165667b19e3779f9ULL ^
+           bits(shape.keys[2]) * 0x27d4eb2f165667c5ULL ^
+           bits(shape.keys[3]) * 0x94d049bb133111ebULL ^
+           (static_cast<std::uint64_t>(kinds) << 32 |
+            static_cast<std::uint32_t>(shape.pid)) *
+               0xff51afd7ed558ccdULL;
+}
+
 void
 TraceSink::internWellKnown()
 {
-    // Called on an empty name table, so each name's id is its index.
+    // Called on empty tables, so each name's id is its index.
     for (const char *name : kWellKnownNames)
         intern(name);
+    for (std::uint32_t i = 0; i < kWellKnownTraceNames; ++i)
+        internShape(kWellKnownShapes[i], TraceName{i});
 }
 
-std::uint32_t
+TraceName
 TraceSink::intern(std::string_view name)
 {
     const auto it = nameIds_.find(name);
     if (it != nameIds_.end())
-        return it->second;
+        return TraceName{it->second};
     const auto id = static_cast<std::uint32_t>(names_.size());
     names_.push_back(jsonEscape(name));
     nameIds_.emplace(std::string(name), id);
-    return id;
+    return TraceName{id};
+}
+
+std::uint16_t
+TraceSink::internShape(const TraceShape &shape, TraceName name)
+{
+    // A well-known name's hot site finds its shape without hashing;
+    // any other record's slot is the hash's top six bits.
+    const auto n = static_cast<std::size_t>(name);
+    ShapeSlot &slot =
+        shapeCache_[n < kWellKnownTraceNames
+                        ? n
+                        : kWellKnownTraceNames + (ShapeHash{}(shape) >> 58)];
+    if (slot.id != kNoShape && slot.shape == shape)
+        return slot.id;
+    auto it = shapeIds_.find(shape);
+    if (it == shapeIds_.end()) {
+        AGENTSIM_ASSERT(shapes_.size() < kNoShape,
+                        "more than 65535 trace event shapes");
+        it = shapeIds_
+                 .emplace(shape, static_cast<std::uint16_t>(shapes_.size()))
+                 .first;
+        shapes_.push_back(shape);
+    }
+    slot = {shape, it->second};
+    return it->second;
+}
+
+TraceRecord
+TraceSink::make(TracePhase phase, int pid, const char *cat,
+                TraceName name, std::uint64_t tid, sim::Tick tick,
+                const TraceArgs &args)
+{
+    TraceRecord r{.tick = tick,
+                  .tid = tid,
+                  .name = static_cast<std::uint32_t>(name),
+                  .phase = phase};
+    TraceShape shape{.cat = cat, .pid = pid};
+    for (std::size_t i = 0; i < args.size() && args[i].key != nullptr;
+         ++i) {
+        shape.keys[i] = args[i].key;
+        shape.kinds[i] = args[i].kind;
+        r.args[i] = argBits(args[i]);
+    }
+    r.shape = internShape(shape, name);
+    return r;
 }
 
 void
 TraceSink::addMetadata(TracePhase phase, int pid, std::uint64_t tid,
                        std::string_view name)
 {
-    metadata_.push_back(events_.size());
-    push({.tid = tid, .pid = pid, .name = intern(name), .phase = phase});
+    metadata_.push_back(size_);
+    push(make(phase, pid, nullptr, intern(name), tid, 0));
 }
 
 void
@@ -304,17 +410,23 @@ TraceSink::attachRecorder(FlightRecorder *recorder)
 void
 TraceSink::push(const TraceRecord &record)
 {
-    if (events_.size() % kIndexBlock == 0)
-        blockMaxEnd_.push_back(record.end());
-    else
-        blockMaxEnd_.back() = std::max(blockMaxEnd_.back(), record.end());
-    events_.push_back(record);
+    const std::size_t block = size_ / kIndexBlock;
+    const std::size_t slot = size_ % kIndexBlock;
+    if (block == chunks_.size()) {
+        chunks_.push_back(
+            {.records = std::make_unique<TraceRecord[]>(kIndexBlock)});
+    }
+    Chunk &chunk = chunks_[block];
+    chunk.maxEnd =
+        slot == 0 ? record.end() : std::max(chunk.maxEnd, record.end());
+    chunk.records[slot] = record;
+    ++size_;
 }
 
 void
 TraceSink::add(const TraceRecord &record)
 {
-    if (capacity_ == 0 || events_.size() < capacity_) {
+    if (capacity_ == 0 || size_ < capacity_) {
         push(record);
         return;
     }
@@ -328,65 +440,43 @@ TraceSink::add(const TraceRecord &record)
 }
 
 void
-TraceSink::complete(int pid, std::uint64_t tid, std::string_view name,
-                    const char *cat, sim::Tick start, sim::Tick end,
-                    const TraceArgs &args)
-{
-    add({.tick = start, .dur = end - start, .tid = tid, .cat = cat,
-         .pid = pid, .name = intern(name),
-         .phase = TracePhase::Complete, .args = args});
-}
-
-void
 TraceSink::complete(int pid, std::uint64_t tid, TraceName name,
                     const char *cat, sim::Tick start, sim::Tick end,
                     const TraceArgs &args)
 {
-    add({.tick = start, .dur = end - start, .tid = tid, .cat = cat,
-         .pid = pid, .name = static_cast<std::uint32_t>(name),
-         .phase = TracePhase::Complete, .args = args});
+    TraceRecord r = make(TracePhase::Complete, pid, cat, name, tid, start,
+                         args);
+    r.dur = end - start;
+    add(r);
 }
 
 void
 TraceSink::instant(int pid, std::uint64_t tid, std::string_view name,
                    const char *cat, sim::Tick at)
 {
-    add({.tick = at, .tid = tid, .cat = cat, .pid = pid,
-         .name = intern(name), .phase = TracePhase::Instant});
-}
-
-void
-TraceSink::counter(int pid, std::string_view name, sim::Tick at,
-                   const TraceArgs &args)
-{
-    add({.tick = at, .pid = pid, .name = intern(name),
-         .phase = TracePhase::Counter, .args = args});
+    add(make(TracePhase::Instant, pid, cat, intern(name), tid, at));
 }
 
 void
 TraceSink::counter(int pid, TraceName name, sim::Tick at,
                    const TraceArgs &args)
 {
-    add({.tick = at, .pid = pid, .name = static_cast<std::uint32_t>(name),
-         .phase = TracePhase::Counter, .args = args});
+    add(make(TracePhase::Counter, pid, nullptr, name, 0, at, args));
 }
 
 void
-TraceSink::asyncBegin(int pid, std::uint64_t id, std::string_view name,
+TraceSink::asyncBegin(int pid, std::uint64_t id, TraceName name,
                       const char *cat, sim::Tick at,
                       const TraceArgs &args)
 {
-    add({.tick = at, .tid = id, .cat = cat, .pid = pid,
-         .name = intern(name), .phase = TracePhase::AsyncBegin,
-         .args = args});
+    add(make(TracePhase::AsyncBegin, pid, cat, name, id, at, args));
 }
 
 void
-TraceSink::asyncEnd(int pid, std::uint64_t id, std::string_view name,
+TraceSink::asyncEnd(int pid, std::uint64_t id, TraceName name,
                     const char *cat, sim::Tick at)
 {
-    add({.tick = at, .tid = id, .cat = cat, .pid = pid,
-         .name = intern(name), .phase = TracePhase::AsyncEnd});
+    add(make(TracePhase::AsyncEnd, pid, cat, name, id, at));
 }
 
 void
@@ -394,22 +484,24 @@ TraceSink::render(const TraceRecord &r, std::string &out) const
 {
     // One append per record; a record too long for the stack buffer
     // (a long name or text argument) renders straight into @p out.
+    const std::string &name = names_[r.name];
+    const TraceShape &shape = shapes_[r.shape];
     StackBuffer buf;
-    renderRecord(r, names_[r.name], buf);
+    renderRecord(r, name, shape, buf);
     if (buf.ok())
         out += buf.view();
     else
-        renderRecord(r, names_[r.name], out);
+        renderRecord(r, name, shape, out);
 }
 
 std::string
 TraceSink::toJson() const
 {
     std::string out = "{\"traceEvents\":[";
-    out.reserve(events_.size() * 160);
-    for (std::size_t i = 0; i < events_.size(); ++i) {
+    out.reserve(size_ * 160);
+    for (std::size_t i = 0; i < size_; ++i) {
         out += i == 0 ? "\n" : ",\n";
-        render(events_[i], out);
+        render(at(i), out);
     }
     out += "\n],\"displayTimeUnit\":\"ms\"}\n";
     return out;
@@ -433,12 +525,14 @@ TraceSink::exportMetrics(MetricsRegistry &registry) const
 void
 TraceSink::clear()
 {
-    events_.clear();
-    blockMaxEnd_.clear();
+    size_ = 0;
     metadata_.clear();
     overflow_.clear();
     names_.clear();
     nameIds_.clear();
+    shapes_.clear();
+    shapeIds_.clear();
+    shapeCache_.fill({});
     internWellKnown();
     named_.clear();
     dropped_ = 0;

@@ -16,10 +16,14 @@
  * is exactly Chrome's trace-event "ts" unit — load the file in
  * chrome://tracing or Perfetto and the three layers line up.
  *
- * Events are kept as fixed-size typed records (interned name, static
- * category, up to four typed args) and rendered to JSON only on
- * export: toJson() and the flight recorder's incident bundles share
- * one renderer.
+ * Events are kept as 64-byte records: tick, duration, lane, the raw
+ * bits of up to four arg values, an interned name id, the phase and
+ * an interned shape id. A shape is the event's static part: category,
+ * track, arg keys and arg kinds. The log is a list of fixed chunks
+ * that never move, so it grows without copying and keeps its chunks
+ * across clear(). Records are rendered to JSON only on export:
+ * toJson() and the flight recorder's incident bundles share one
+ * renderer.
  */
 
 #ifndef AGENTSIM_TELEMETRY_TRACE_SINK_HH
@@ -28,8 +32,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -74,10 +80,12 @@ struct TracePid
 };
 
 /**
- * Names the engine emits on every step and every request phase. A
- * sink interns them before anything else, at construction and on
- * clear(), so their ids never go stale and the hot sites skip the
- * hash lookup of intern().
+ * An interned event name. The enumerators are the names the engine
+ * emits on every step and every request phase: a sink interns them
+ * before anything else, at construction and on clear(), so their ids
+ * never go stale and the hot sites skip the hash lookup of intern().
+ * Any other id comes from TraceSink::intern() and holds until the
+ * sink's next clear().
  */
 enum class TraceName : std::uint32_t
 {
@@ -88,6 +96,9 @@ enum class TraceName : std::uint32_t
     Prefill,
     Decode,
 };
+
+/** The number of well-known TraceName enumerators. */
+inline constexpr std::size_t kWellKnownTraceNames = 6;
 
 /** The text of a well-known name ("step", "kv_blocks", ...). */
 const char *traceNameText(TraceName name);
@@ -155,7 +166,11 @@ enum class TracePhase : char
     ThreadName = 'T',
 };
 
-/** One retained trace event, rendered only on export. */
+/**
+ * One retained trace event, rendered only on export. What is the
+ * same for every event of a call site (category, track, arg keys and
+ * kinds) lives in the sink's shape table; the record keeps the rest.
+ */
 struct TraceRecord
 {
     sim::Tick tick = 0;
@@ -163,13 +178,14 @@ struct TraceRecord
     sim::Tick dur = 0;
     /** Lane: the tid, or an async span's id. */
     std::uint64_t tid = 0;
-    /** Static category (nullptr for counters and metadata). */
-    const char *cat = nullptr;
-    int pid = 0;
+    /** Raw bits of the arg values, in the shape's key order: an
+     *  int64, a double, 0 or 1, or a text pointer. */
+    std::array<std::uint64_t, 4> args{};
     /** Interned name id; for metadata, the track's name. */
     std::uint32_t name = 0;
+    /** Interned shape id. */
+    std::uint16_t shape = 0;
     TracePhase phase = TracePhase::Instant;
-    TraceArgs args{};
 
     bool
     metadata() const
@@ -179,6 +195,32 @@ struct TraceRecord
     }
     sim::Tick end() const { return tick + dur; }
 };
+
+static_assert(sizeof(TraceRecord) == 64);
+
+/**
+ * What every event of one call site shares, interned once per sink:
+ * category (null for counters and metadata), track, and the keys and
+ * kinds of the args. Keys and categories are string literals, so
+ * shapes are compared and hashed by pointer.
+ */
+struct TraceShape
+{
+    const char *cat = nullptr;
+    /** Arg keys; unused slots are null. */
+    std::array<const char *, 4> keys{};
+    int pid = 0;
+    std::array<TraceArg::Kind, 4> kinds{};
+
+    /** Bytewise: the fields leave no padding. */
+    bool
+    operator==(const TraceShape &o) const
+    {
+        return std::memcmp(this, &o, sizeof(TraceShape)) == 0;
+    }
+};
+
+static_assert(std::has_unique_object_representations_v<TraceShape>);
 
 /**
  * Append-only trace-event log. Single-threaded.
@@ -191,7 +233,7 @@ struct TraceRecord
 class TraceSink
 {
   public:
-    /** Default data-event capacity (~300 MB of records). */
+    /** Default data-event capacity (~128 MB of records). */
     static constexpr std::size_t kDefaultEventCapacity = 2'000'000;
 
     TraceSink() { internWellKnown(); }
@@ -199,6 +241,12 @@ class TraceSink
     ~TraceSink() { attachRecorder(nullptr); }
     TraceSink(const TraceSink &) = delete;
     TraceSink &operator=(const TraceSink &) = delete;
+
+    /**
+     * The id of @p name, interning it on first use. A site that emits
+     * one name many times interns it once and passes the id.
+     */
+    TraceName intern(std::string_view name);
 
     /** Name a track (emitted once per pid). */
     void processName(int pid, std::string_view name);
@@ -218,9 +266,13 @@ class TraceSink
     }
 
     /** Add a complete ("X") span with optional typed @p args. */
-    void complete(int pid, std::uint64_t tid, std::string_view name,
-                  const char *cat, sim::Tick start, sim::Tick end,
-                  const TraceArgs &args = {});
+    void
+    complete(int pid, std::uint64_t tid, std::string_view name,
+             const char *cat, sim::Tick start, sim::Tick end,
+             const TraceArgs &args = {})
+    {
+        complete(pid, tid, intern(name), cat, start, end, args);
+    }
     void complete(int pid, std::uint64_t tid, TraceName name,
                   const char *cat, sim::Tick start, sim::Tick end,
                   const TraceArgs &args = {});
@@ -230,8 +282,12 @@ class TraceSink
                  const char *cat, sim::Tick at);
 
     /** Add a counter ("C") sample; @p args hold the series values. */
-    void counter(int pid, std::string_view name, sim::Tick at,
-                 const TraceArgs &args);
+    void
+    counter(int pid, std::string_view name, sim::Tick at,
+            const TraceArgs &args)
+    {
+        counter(pid, intern(name), at, args);
+    }
     void counter(int pid, TraceName name, sim::Tick at,
                  const TraceArgs &args);
 
@@ -241,12 +297,24 @@ class TraceSink
      * slices — used for the tail-exemplar span-tree track where
      * sibling fan-out genuinely overlaps.
      */
-    void asyncBegin(int pid, std::uint64_t id, std::string_view name,
+    void
+    asyncBegin(int pid, std::uint64_t id, std::string_view name,
+               const char *cat, sim::Tick at, const TraceArgs &args = {})
+    {
+        asyncBegin(pid, id, intern(name), cat, at, args);
+    }
+    void asyncBegin(int pid, std::uint64_t id, TraceName name,
                     const char *cat, sim::Tick at,
                     const TraceArgs &args = {});
 
     /** Close the innermost open async span of (pid, cat, id). */
-    void asyncEnd(int pid, std::uint64_t id, std::string_view name,
+    void
+    asyncEnd(int pid, std::uint64_t id, std::string_view name,
+             const char *cat, sim::Tick at)
+    {
+        asyncEnd(pid, id, intern(name), cat, at);
+    }
+    void asyncEnd(int pid, std::uint64_t id, TraceName name,
                   const char *cat, sim::Tick at);
 
     /**
@@ -278,13 +346,19 @@ class TraceSink
     void attachRecorder(FlightRecorder *recorder);
 
     /** Events emitted so far (metadata included). */
-    std::size_t eventCount() const { return events_.size(); }
+    std::size_t eventCount() const { return size_; }
 
     /** Data records an attached recorder can see (log + overflow). */
     std::size_t
     dataRetained() const
     {
-        return events_.size() - metadata_.size() + overflow_.size();
+        return size_ - metadata_.size() + overflow_.size();
+    }
+
+    /** The track (Chrome pid) of @p record. */
+    int pid(const TraceRecord &record) const
+    {
+        return shapes_[record.shape].pid;
     }
 
     /** Visit metadata records @p first up to (not including)
@@ -294,18 +368,18 @@ class TraceSink
     forEachMetadata(std::size_t first, std::size_t last, F &&f) const
     {
         for (std::size_t i = first; i < metadata_.size() && i < last; ++i)
-            f(events_[metadata_[i]]);
+            f(at(metadata_[i]));
     }
 
-    /** Records per block of the window index. */
+    /** Records per log chunk, and per block of the window index. */
     static constexpr std::size_t kIndexBlock = 1024;
 
     /**
      * Visit those of the newest @p n data records (the log's tail,
      * then the overflow tail) that intersect [@p from, @p to], oldest
      * first. The first of the newest @p n is found by binary search
-     * over the metadata positions, and every block of kIndexBlock log
-     * records whose largest end() is before @p from is skipped whole.
+     * over the metadata positions, and every chunk whose largest
+     * end() is before @p from is skipped whole.
      */
     template <typename F>
     void
@@ -316,7 +390,7 @@ class TraceSink
             return r.end() >= from && r.tick <= to;
         };
         const std::size_t tail = std::min(n, overflow_.size());
-        const std::size_t data = events_.size() - metadata_.size();
+        const std::size_t data = size_ - metadata_.size();
         const std::size_t want = std::min(n - tail, data);
         // The first wanted record is data record k (0-based). Metadata
         // record i has metadata_[i] - i data records before it, so it
@@ -332,13 +406,13 @@ class TraceSink
             else
                 hi = mid;
         }
-        for (std::size_t i = k + lo; i < events_.size();) {
-            const std::size_t block = i / kIndexBlock;
-            const std::size_t stop =
-                std::min(events_.size(), (block + 1) * kIndexBlock);
-            if (blockMaxEnd_[block] >= from) {
+        for (std::size_t i = k + lo; i < size_;) {
+            const Chunk &chunk = chunks_[i / kIndexBlock];
+            const std::size_t base = i - i % kIndexBlock;
+            const std::size_t stop = std::min(size_, base + kIndexBlock);
+            if (chunk.maxEnd >= from) {
                 for (; i < stop; ++i) {
-                    const TraceRecord &r = events_[i];
+                    const TraceRecord &r = chunk.records[i - base];
                     if (!r.metadata() && in_window(r))
                         f(r);
                 }
@@ -361,14 +435,27 @@ class TraceSink
     /** Write the trace JSON to @p path. @return success. */
     bool writeJson(const std::string &path) const;
 
+    /** Empty the log, keeping its chunks for the next records, and
+     *  return the name and shape tables to their constructed state. */
     void clear();
 
   private:
-    std::vector<TraceRecord> events_;
-    /** Window index: the largest end() of each kIndexBlock records
-     *  of events_. */
-    std::vector<sim::Tick> blockMaxEnd_;
-    /** Positions of the metadata records in events_. */
+    /** kIndexBlock records and the largest end() among those used. */
+    struct Chunk
+    {
+        std::unique_ptr<TraceRecord[]> records;
+        sim::Tick maxEnd = 0;
+    };
+    struct ShapeHash
+    {
+        std::size_t operator()(const TraceShape &shape) const noexcept;
+    };
+
+    /** The log; chunks past size_ are spares kept from before a
+     *  clear(). */
+    std::vector<Chunk> chunks_;
+    std::size_t size_ = 0;
+    /** Positions of the metadata records in the log. */
     std::vector<std::size_t> metadata_;
     /** Data events dropped at capacity, kept for the recorder. */
     std::deque<TraceRecord> overflow_;
@@ -381,6 +468,20 @@ class TraceSink
     std::unordered_map<std::string, std::uint32_t, NameHash,
                        std::equal_to<>>
         nameIds_;
+    /** Interned shapes, indexed by TraceRecord::shape. */
+    std::vector<TraceShape> shapes_;
+    std::unordered_map<TraceShape, std::uint16_t, ShapeHash> shapeIds_;
+    static constexpr std::uint16_t kNoShape = 0xffff;
+    struct ShapeSlot
+    {
+        TraceShape shape;
+        std::uint16_t id = kNoShape;
+    };
+    /** Shapes checked before shapeIds_: slot i of the first
+     *  kWellKnownTraceNames holds the shape well-known name i last
+     *  carried, and 64 more are direct-mapped by hash. A slot hits
+     *  only if its shape compares equal. */
+    std::array<ShapeSlot, kWellKnownTraceNames + 64> shapeCache_{};
     using Lane = std::pair<int, std::int64_t>;
     struct LaneHash
     {
@@ -399,12 +500,23 @@ class TraceSink
     std::uint64_t dropped_ = 0;
     FlightRecorder *recorder_ = nullptr;
 
-    std::uint32_t intern(std::string_view name);
-    /** Intern every TraceName at its own id. */
+    const TraceRecord &
+    at(std::size_t i) const
+    {
+        return chunks_[i / kIndexBlock].records[i % kIndexBlock];
+    }
+    /** Intern every TraceName at its own id, then the shape of each
+     *  one's records. */
     void internWellKnown();
+    /** The id of @p shape, carried by a record named @p name. */
+    std::uint16_t internShape(const TraceShape &shape, TraceName name);
+    /** A record of @p phase on (@p pid, @p cat) with @p args. */
+    TraceRecord make(TracePhase phase, int pid, const char *cat,
+                     TraceName name, std::uint64_t tid, sim::Tick tick,
+                     const TraceArgs &args = {});
     void addMetadata(TracePhase phase, int pid, std::uint64_t tid,
                      std::string_view name);
-    /** Append to events_ and the window index. */
+    /** Append to the log and its window index. */
     void push(const TraceRecord &record);
     void add(const TraceRecord &record);
 };

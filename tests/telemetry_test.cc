@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -823,6 +824,159 @@ TEST(Telemetry, WellKnownTraceNamesSurviveClear)
                   std::string::npos);
         sink.clear();
     }
+}
+
+/** Every record the sink holds, in log order (no metadata). */
+std::vector<const telemetry::TraceRecord *>
+dataRecords(const telemetry::TraceSink &sink)
+{
+    std::vector<const telemetry::TraceRecord *> records;
+    sink.forEachDataInWindow(sink.eventCount(), 0,
+                             std::numeric_limits<sim::Tick>::max(),
+                             [&](const telemetry::TraceRecord &r) {
+                                 records.push_back(&r);
+                             });
+    return records;
+}
+
+TEST(Telemetry, CompactRecordKeepsEveryArgKind)
+{
+    using telemetry::TraceArg;
+    using telemetry::TracePid;
+    static_assert(sizeof(telemetry::TraceRecord) == 64);
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    char huge[400];
+    std::snprintf(huge, sizeof(huge), "%.6f", 1e300);
+
+    telemetry::TraceSink sink;
+    sink.processName(TracePid::kEngine, "engine");
+    sink.threadName(TracePid::kEngine, 9, "lane");
+    sink.complete(TracePid::kEngine, 9, "none", "c", 1, 3);
+    sink.complete(TracePid::kEngine, 9, "ints", "c", 1, 3,
+                  {TraceArg::integer("min", kMin)});
+    sink.complete(TracePid::kEngine, 9, "reals", "c", 1, 3,
+                  {TraceArg::real("neg0", -0.0), TraceArg::real("big", 1e300)});
+    sink.asyncBegin(TracePid::kSpans, 0xab, "mixed", "s", 4,
+                    {TraceArg::integer("max", kMax),
+                     TraceArg::boolean("yes", true),
+                     TraceArg::boolean("no", false)});
+    sink.asyncEnd(TracePid::kSpans, 0xab, "mixed", "s", 5);
+    sink.counter(TracePid::kEngine, "four", 6,
+                 {TraceArg::integer("a", -1), TraceArg::real("b", 0.5),
+                  TraceArg::boolean("c", true),
+                  TraceArg::text("d", "q\"b\\s\n\x01")});
+    sink.counter(TracePid::kEngine, "empty", 7, {});
+    sink.instant(TracePid::kSlo, 2, "alert", "slo", 8);
+    // The same key with another kind is another shape.
+    sink.counter(TracePid::kEngine, "kind", 9, {TraceArg::integer("v", 1)});
+    sink.counter(TracePid::kEngine, "kind", 9, {TraceArg::real("v", 1.0)});
+
+    const std::string expected =
+        std::string("{\"traceEvents\":[\n") +
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+        "\"args\":{\"name\":\"engine\"}},\n"
+        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":9,"
+        "\"args\":{\"name\":\"lane\"}},\n"
+        "{\"name\":\"none\",\"cat\":\"c\",\"ph\":\"X\",\"ts\":1,\"dur\":2,"
+        "\"pid\":1,\"tid\":9},\n"
+        "{\"name\":\"ints\",\"cat\":\"c\",\"ph\":\"X\",\"ts\":1,\"dur\":2,"
+        "\"pid\":1,\"tid\":9,\"args\":{\"min\":-9223372036854775808}},\n"
+        "{\"name\":\"reals\",\"cat\":\"c\",\"ph\":\"X\",\"ts\":1,\"dur\":2,"
+        "\"pid\":1,\"tid\":9,\"args\":{\"neg0\":-0.000000,\"big\":" +
+        huge +
+        "}},\n"
+        "{\"name\":\"mixed\",\"cat\":\"s\",\"ph\":\"b\",\"id\":\"0xab\","
+        "\"ts\":4,\"pid\":6,\"tid\":171,\"args\":{"
+        "\"max\":9223372036854775807,\"yes\":true,\"no\":false}},\n"
+        "{\"name\":\"mixed\",\"cat\":\"s\",\"ph\":\"e\",\"id\":\"0xab\","
+        "\"ts\":5,\"pid\":6,\"tid\":171},\n"
+        "{\"name\":\"four\",\"ph\":\"C\",\"ts\":6,\"pid\":1,\"args\":{"
+        "\"a\":-1,\"b\":0.500000,\"c\":true,"
+        "\"d\":\"q\\\"b\\\\s\\n\\u0001\"}},\n"
+        "{\"name\":\"empty\",\"ph\":\"C\",\"ts\":7,\"pid\":1,\"args\":{}},\n"
+        "{\"name\":\"alert\",\"cat\":\"slo\",\"ph\":\"i\",\"ts\":8,"
+        "\"pid\":4,\"tid\":2,\"s\":\"t\"},\n"
+        "{\"name\":\"kind\",\"ph\":\"C\",\"ts\":9,\"pid\":1,"
+        "\"args\":{\"v\":1}},\n"
+        "{\"name\":\"kind\",\"ph\":\"C\",\"ts\":9,\"pid\":1,"
+        "\"args\":{\"v\":1.000000}}"
+        "\n],\"displayTimeUnit\":\"ms\"}\n";
+    EXPECT_EQ(sink.toJson(), expected);
+
+    const auto records = dataRecords(sink);
+    ASSERT_EQ(records.size(), 10u);
+    EXPECT_NE(records[8]->shape, records[9]->shape);
+    EXPECT_EQ(sink.pid(*records[3]), TracePid::kSpans);
+}
+
+TEST(Telemetry, ShapeIdsSurviveClear)
+{
+    using telemetry::TraceArg;
+    using telemetry::TracePid;
+    auto emit = [](telemetry::TraceSink &sink, bool reversed) {
+        auto cold = [&] {
+            sink.counter(TracePid::kSlo, "burn", 1,
+                         {TraceArg::real("x", 2.0)});
+        };
+        if (!reversed)
+            cold();
+        sink.complete(TracePid::kEngine, 1, telemetry::TraceName::Step,
+                      "engine", 0, 5,
+                      {TraceArg::integer("prefill_tokens", 1),
+                       TraceArg::integer("decode_tokens", 2),
+                       TraceArg::integer("running", 3),
+                       TraceArg::integer("waiting", 4)});
+        sink.instant(TracePid::kRequests, 7, "preempt", "request", 3);
+        if (reversed)
+            cold();
+    };
+    // A cleared sink is a new sink: the same events give the same
+    // shape ids and the same bytes, whatever came before the clear().
+    telemetry::TraceSink fresh;
+    emit(fresh, true);
+    telemetry::TraceSink reused;
+    reused.asyncBegin(TracePid::kSpans, 1, "other", "span", 0,
+                      {TraceArg::boolean("b", true)});
+    emit(reused, false);
+    reused.clear();
+    emit(reused, true);
+    EXPECT_EQ(reused.toJson(), fresh.toJson());
+    const auto a = dataRecords(fresh);
+    const auto b = dataRecords(reused);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(a[i]->shape, b[i]->shape) << "record " << i;
+}
+
+TEST(Telemetry, TraceRecordsStayInPlace)
+{
+    constexpr std::size_t kRecords = 5 * telemetry::TraceSink::kIndexBlock + 7;
+    telemetry::TraceSink sink;
+    auto fill = [&] {
+        for (std::size_t i = 0; i < kRecords; ++i) {
+            sink.instant(telemetry::TracePid::kEngine, i, "tick", "test",
+                         static_cast<sim::Tick>(i));
+        }
+    };
+    sink.instant(telemetry::TracePid::kEngine, 0, "first", "test", 0);
+    const telemetry::TraceRecord *first = dataRecords(sink).front();
+    fill();
+    const auto grown = dataRecords(sink);
+    ASSERT_EQ(grown.size(), kRecords + 1);
+    EXPECT_EQ(grown.front(), first);
+    EXPECT_EQ(grown.front()->name, first->name);
+
+    // clear() keeps the chunks: a refill lands in the same memory.
+    const std::set<const telemetry::TraceRecord *> before(grown.begin(),
+                                                          grown.end());
+    sink.clear();
+    sink.instant(telemetry::TracePid::kEngine, 0, "first", "test", 0);
+    fill();
+    const auto refilled = dataRecords(sink);
+    ASSERT_EQ(refilled.size(), kRecords + 1);
+    for (const telemetry::TraceRecord *r : refilled)
+        ASSERT_EQ(before.count(r), 1u) << "a record outside the old chunks";
 }
 
 TEST(Telemetry, ThreadNameBuildsANameOnlyForANewLane)
