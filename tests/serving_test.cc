@@ -7,15 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "llm/hardware.hh"
 #include "llm/model_spec.hh"
 #include "serving/engine.hh"
 #include "sim/awaitable.hh"
+#include "sim/rng.hh"
 #include "sim/strfmt.hh"
 #include "workload/token_stream.hh"
 
@@ -1238,6 +1241,201 @@ TEST(Engine, DeadlineFollowsMigration)
         EXPECT_EQ(engine.stats().requestsTimedOut, 0);
         engine.blockManager().checkInvariants();
     }
+}
+
+// ---------------------------------------------------------------
+// Ledger pin: the order in which a step accumulates its doubles.
+// ---------------------------------------------------------------
+
+/** One request of a seeded pin load. */
+struct PinRequest
+{
+    double at = 0.0;
+    kv::TokenChain prompt;
+    std::int64_t out = 1;
+    double deadline = 0.0;
+    double park = 0.0;
+    /** Seconds after submission to cancel it (< 0: never). */
+    double cancelAfter = -1.0;
+};
+
+/** Shape of a seeded pin load: Poisson arrivals of prompts that share
+ *  one of three heads, and the fractions carrying each option. */
+struct PinLoad
+{
+    int requests = 24;
+    double qps = 12.0;
+    double deadlineFrac = 0.0;
+    double cancelFrac = 0.0;
+    double parkFrac = 0.0;
+};
+
+std::vector<PinRequest>
+pinRequests(std::uint64_t seed, int block_size, const PinLoad &load)
+{
+    sim::Rng rng(seed);
+    const std::uint64_t base = workload::streamId(seed, "pin");
+    std::vector<PinRequest> out;
+    double at = 0.0;
+    for (int i = 0; i < load.requests; ++i) {
+        at += rng.exponential(1.0 / load.qps);
+        PinRequest r;
+        r.at = at;
+        r.prompt = kv::TokenChain(block_size);
+        r.prompt.appendStream(base + static_cast<std::uint64_t>(
+                                         rng.uniformInt(0, 2)),
+                              0, rng.uniformInt(0, 320));
+        r.prompt.appendStream(base + 100 + static_cast<std::uint64_t>(i),
+                              0, rng.uniformInt(8, 400));
+        r.out = rng.uniformInt(1, 160);
+        if (rng.bernoulli(load.deadlineFrac))
+            r.deadline = rng.uniform(0.02, 1.5);
+        if (rng.bernoulli(load.cancelFrac))
+            r.cancelAfter = rng.uniform(0.01, 1.0);
+        if (rng.bernoulli(load.parkFrac))
+            r.park = rng.uniform(0.2, 1.5);
+        out.push_back(std::move(r));
+    }
+    return out;
+}
+
+Task<GenResult>
+pinSubmit(Simulation &sim, LlmEngine &engine, PinRequest spec)
+{
+    co_await sim::delaySec(sim, spec.at);
+    GenRequest req;
+    req.prompt = std::move(spec.prompt);
+    req.maxNewTokens = spec.out;
+    req.deadlineSeconds = spec.deadline;
+    req.expectedParkSeconds = spec.park;
+    std::uint64_t id = 0;
+    auto call = engine.generate(std::move(req), &id);
+    if (spec.cancelAfter >= 0.0 && id != 0) {
+        sim.schedule(sim::fromSeconds(spec.cancelAfter),
+                     [&engine, id] { engine.cancel(id); });
+    }
+    co_return co_await call;
+}
+
+/** FNV-1a over 64-bit words: doubles by their bit patterns. */
+struct BitsDigest
+{
+    std::uint64_t value = 0xcbf29ce484222325ULL;
+
+    void add(std::uint64_t v) { value = (value ^ v) * 0x100000001b3ULL; }
+    void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+    void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+
+    void
+    add(const GenResult &r)
+    {
+        add(r.output.count);
+        add(r.finishTick);
+        for (const double v :
+             {r.queueSeconds, r.prefillSeconds, r.decodeSeconds,
+              r.transferSeconds, r.totalSeconds, r.ttftSeconds, r.flops,
+              r.ledger.queueSeconds, r.ledger.prefillGpuSeconds,
+              r.ledger.decodeGpuSeconds, r.ledger.wastedGpuSeconds,
+              r.ledger.savedPrefillSeconds, r.ledger.kvBlockSeconds,
+              r.ledger.transferSeconds, r.ledger.energyJoules}) {
+            add(v);
+        }
+    }
+
+    void
+    add(const serving::EngineStats &s)
+    {
+        for (const auto &f : serving::kEngineStatFields)
+            std::visit([&](auto m) { add(s.*m); }, f.member);
+    }
+};
+
+/**
+ * Run a seeded pin load on one engine, or, with @p migrate, on a
+ * source that drains into a loaded target at 1 s, and digest every
+ * result and every engine statistic.
+ */
+std::uint64_t
+ledgerDigest(const EngineConfig &cfg, const PinLoad &load,
+             std::uint64_t seed, bool migrate,
+             serving::EngineStats *source_stats,
+             serving::EngineStats *target_stats = nullptr)
+{
+    Simulation sim;
+    LlmEngine engine(sim, cfg);
+    std::optional<LlmEngine> target;
+    std::vector<Task<GenResult>> tasks;
+    for (auto &r : pinRequests(seed, cfg.blockSize, load))
+        tasks.push_back(pinSubmit(sim, engine, std::move(r)));
+    std::optional<Task<void>> drain;
+    int migrated = 0;
+    if (migrate) {
+        target.emplace(sim, cfg);
+        for (auto &r : pinRequests(seed + 1, cfg.blockSize, load))
+            tasks.push_back(pinSubmit(sim, *target, std::move(r)));
+        drain.emplace(drainInto(sim, engine, *target, 1.0, 0.05,
+                                &migrated));
+    }
+    sim.run();
+
+    BitsDigest d;
+    for (auto &t : tasks)
+        d.add(t.result());
+    d.add(engine.stats());
+    *source_stats = engine.stats();
+    if (target) {
+        d.add(target->stats());
+        *target_stats = target->stats();
+        target->blockManager().checkInvariants();
+    }
+    engine.blockManager().checkInvariants();
+    return d.value;
+}
+
+// Pins every double a request's ledger and the engine's statistics
+// accumulate, bit for bit, across the step's branches: chunked
+// prefill, preemption, deadlines and cancels landing mid-step, spill
+// tiers with parking, and warm migration imports. A step that sums in
+// another order changes a last bit and the digest.
+TEST(EnginePin, StepLedgerBits)
+{
+    const std::uint64_t seed = 2026;
+    serving::EngineStats s;
+    serving::EngineStats t;
+
+    auto cfg = smallConfig();
+    cfg.maxBatchTokens = 128;
+    EXPECT_EQ(ledgerDigest(cfg, {}, seed, false, &s),
+              17632535827425574249ULL);
+
+    cfg = smallConfig();
+    cfg.kvPoolBytes = 96 * 16 * cfg.model.kvBytesPerToken();
+    EXPECT_EQ(ledgerDigest(cfg, {}, seed, false, &s),
+              7507587144442908074ULL);
+    EXPECT_GT(s.preemptions, 0);
+
+    cfg = smallConfig();
+    EXPECT_EQ(ledgerDigest(cfg, {.deadlineFrac = 0.3, .cancelFrac = 0.3},
+                           seed, false, &s),
+              12411659679024348329ULL);
+    EXPECT_GT(s.requestsTimedOut, 0);
+    EXPECT_GT(s.requestsCancelled, 0);
+
+    cfg = smallConfig();
+    cfg.kvPoolBytes = 96 * 16 * cfg.model.kvBytesPerToken();
+    cfg.hostCacheBlocks = 48;
+    cfg.nvmeCacheBlocks = 64;
+    cfg.kvDramAdmitProb = 0.7;
+    EXPECT_EQ(ledgerDigest(cfg, {.parkFrac = 0.5}, seed, false, &s),
+              782493618660227885ULL);
+    EXPECT_GT(s.parkedChains, 0);
+    EXPECT_GT(s.transferSeconds, 0.0);
+
+    cfg = smallConfig();
+    EXPECT_EQ(ledgerDigest(cfg, {.qps = 24.0}, seed, true, &s, &t),
+              8648906271021759632ULL);
+    EXPECT_GT(t.requestsMigratedIn, 0);
+    EXPECT_EQ(t.migrationFallbacks, 0);
 }
 
 } // namespace
