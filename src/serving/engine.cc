@@ -1106,6 +1106,22 @@ LlmEngine::buildStep()
                                       static_cast<std::int64_t>(
                                           plan.decoders.size()));
 
+    // Completing a prompt that ends exactly on a block boundary emits
+    // its first output token into a fresh block at commit. The blocks
+    // reserved for this step's appends (the boundary-crossing decoders
+    // and the completions planned so far) are not free for it: defer
+    // its final prompt token when no block beyond them is available.
+    std::int64_t reserved = append_need;
+    auto fit_completion = [&](const Req &req, std::int64_t &chunk) {
+        const auto prompt_len = req.prompt.size();
+        if (req.prefillDone + chunk != prompt_len || prompt_len % bs != 0)
+            return;
+        if (blocks_.availableBlocks() <= reserved)
+            --chunk;
+        else
+            ++reserved;
+    };
+
     // 3. Continue chunked prefill of already-admitted requests.
     for (const ReqHandle h : plan.prefilling) {
         if (budget == 0)
@@ -1115,14 +1131,7 @@ LlmEngine::buildStep()
         std::int64_t chunk = std::min(budget, prompt_len - req.prefillDone);
         if (chunk <= 0)
             continue;
-        // Completing a prompt that ends exactly on a block boundary
-        // emits its first output token into a fresh block; defer the
-        // final prompt token if no block could be available.
-        const bool completes = req.prefillDone + chunk == prompt_len;
-        if (completes && prompt_len % bs == 0 &&
-            blocks_.availableBlocks() == 0) {
-            --chunk;
-        }
+        fit_completion(req, chunk);
         if (chunk <= 0)
             continue;
         plan.prefills.push_back({h, chunk});
@@ -1147,8 +1156,12 @@ LlmEngine::buildStep()
             failRequest(req);
             continue;
         }
-        if (upper_bound > blocks_.availableBlocks())
+        // The prompt takes at most upper_bound - 1 blocks from the
+        // available ones, which must leave the reserved ones.
+        if (upper_bound > blocks_.availableBlocks() ||
+            upper_bound - 1 + reserved > blocks_.availableBlocks()) {
             break; // the policy's best candidate does not fit
+        }
 
         auto alloc = blocks_.allocatePrompt(req.id, req.prompt);
         AGENTSIM_ASSERT(alloc.has_value(),
@@ -1210,11 +1223,7 @@ LlmEngine::buildStep()
         }
 
         std::int64_t chunk = std::min(budget, prompt_len - req.prefillDone);
-        const bool completes = req.prefillDone + chunk == prompt_len;
-        if (completes && prompt_len % bs == 0 &&
-            blocks_.availableBlocks() == 0) {
-            --chunk;
-        }
+        fit_completion(req, chunk);
         if (chunk > 0) {
             plan.prefills.push_back({h, chunk});
             plan.work.prefills.push_back({chunk, req.prefillDone});

@@ -1438,4 +1438,22 @@ TEST(EnginePin, StepLedgerBits)
     EXPECT_EQ(t.migrationFallbacks, 0);
 }
 
+// Regression: a prompt completing on a block boundary took the fresh
+// block that a boundary-crossing decoder of the same step had been
+// promised, and that decoder's append panicked ("decode append failed
+// despite reservation"). 40 requests on a 96- or 128-block pool hit it.
+TEST(Engine, BoundaryCompletionLeavesDecodersTheirBlocks)
+{
+    for (const std::int64_t blocks : {96, 128}) {
+        SCOPED_TRACE(sim::strfmt("%lld blocks", static_cast<long long>(
+                                                    blocks)));
+        auto cfg = smallConfig();
+        cfg.kvPoolBytes = blocks * 16 * cfg.model.kvBytesPerToken();
+        serving::EngineStats s;
+        ledgerDigest(cfg, {.requests = 40}, 2026, false, &s);
+        EXPECT_GT(s.preemptions, 0);
+        EXPECT_EQ(s.requestsCompleted, 40);
+    }
+}
+
 } // namespace
