@@ -1456,4 +1456,81 @@ TEST(Engine, BoundaryCompletionLeavesDecodersTheirBlocks)
     }
 }
 
+// A warm import that lands while the target's step is in flight joins
+// the batch after that step was planned: the step gives it no token,
+// and it decodes from the next step on. A prompt that completes its
+// prefill in a step gets its one first token there, and no decode
+// token on top. Both hold if a step hands tokens to its planned
+// decoders, not to whatever decodes when it commits.
+TEST(Engine, WarmImportMidStepWaitsForTheNextStep)
+{
+    Simulation sim;
+    LlmEngine source(sim, smallConfig());
+    LlmEngine target(sim, smallConfig());
+    auto a = submit(source, prompt(80, 200), 2000);
+    auto b = submit(target, prompt(81, 300), 400);
+    // Lands mid-step on target: completes its prefill in one step.
+    auto c = submitAt(sim, target, 0.3, prompt(82, 100), 2);
+
+    std::int64_t exported_tokens = 0;
+    std::int64_t steps_at_activation = -1;
+    std::int64_t steps_at_cancel = -1;
+    sim.schedule(sim::fromSeconds(0.5), [&] {
+        auto m = source.exportRequest(1);
+        ASSERT_TRUE(m.has_value());
+        exported_tokens = m->chain.size() - 200;
+        ASSERT_GT(exported_tokens, 0);
+        // About 1 ms on the wire: the activation lands inside one of
+        // target's ~10 ms decode steps, after the step was planned.
+        const double bandwidth =
+            static_cast<double>(m->computedTokens) *
+            static_cast<double>(smallConfig().model.kvBytesPerToken()) /
+            1e-3;
+        target.importRequest(std::move(*m), bandwidth);
+        // Scheduled after the activation at the same tick: runs next.
+        sim.schedule(sim::fromSeconds(1e-3), [&] {
+            steps_at_activation = target.stats().steps;
+            EXPECT_EQ(target.runningCount(), 2u);
+        });
+    });
+    sim.schedule(sim::fromSeconds(1.0), [&] {
+        steps_at_cancel = target.stats().steps;
+        // target's ids: b is 1, c is 2, the import is 3.
+        EXPECT_TRUE(target.cancel(3));
+    });
+    sim.run();
+
+    const GenResult ra = a.result();
+    ASSERT_TRUE(ra.cancelled);
+    ASSERT_GT(steps_at_activation, 0);
+    // One token per step committed after the activation's, and none
+    // from the step in flight when it landed or when it was cancelled.
+    EXPECT_EQ(ra.output.count,
+              exported_tokens + steps_at_cancel - steps_at_activation - 1);
+
+    const GenResult rb = b.result();
+    const GenResult rc = c.result();
+    ASSERT_TRUE(rb.ok());
+    ASSERT_TRUE(rc.ok());
+    EXPECT_EQ(rc.output.count, 2);
+    // First token at the prefill step's end, the second a step later.
+    EXPECT_GT(rc.totalSeconds, rc.ttftSeconds);
+    EXPECT_GT(rc.decodeSeconds, 0.0);
+    // Every token target emitted is a first token (b, c) or a planned
+    // decode; the import's decode planned in the step its cancel landed
+    // in is priced but not emitted.
+    EXPECT_EQ(target.stats().decodeTokens,
+              rb.output.count - 1 + rc.output.count - 1 + ra.output.count -
+                  exported_tokens + 1);
+    // Occupancy is conserved across the move: the two engines' KV
+    // integrals are the requests' ledgers.
+    EXPECT_DOUBLE_EQ(source.stats().kvBlockSeconds +
+                         target.stats().kvBlockSeconds,
+                     ra.ledger.kvBlockSeconds + rb.ledger.kvBlockSeconds +
+                         rc.ledger.kvBlockSeconds);
+    EXPECT_EQ(target.blockManager().usedBlocks(), 0);
+    source.blockManager().checkInvariants();
+    target.blockManager().checkInvariants();
+}
+
 } // namespace
