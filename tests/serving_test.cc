@@ -1299,7 +1299,17 @@ pinRequests(std::uint64_t seed, int block_size, const PinLoad &load)
     return out;
 }
 
-Task<GenResult>
+/** What a pin request saw: its result, and its engine's statistics
+ *  once its completion resumed it (the end of the step it finished
+ *  in), so the engine's sums are pinned step by step, not only at the
+ *  end of the run, where a last-bit difference can round away. */
+struct PinOutcome
+{
+    GenResult result;
+    serving::EngineStats stats;
+};
+
+Task<PinOutcome>
 pinSubmit(Simulation &sim, LlmEngine &engine, PinRequest spec)
 {
     co_await sim::delaySec(sim, spec.at);
@@ -1314,7 +1324,10 @@ pinSubmit(Simulation &sim, LlmEngine &engine, PinRequest spec)
         sim.schedule(sim::fromSeconds(spec.cancelAfter),
                      [&engine, id] { engine.cancel(id); });
     }
-    co_return co_await call;
+    PinOutcome out;
+    out.result = co_await call;
+    out.stats = engine.stats();
+    co_return out;
 }
 
 /** FNV-1a over 64-bit words: doubles by their bit patterns. */
@@ -1364,7 +1377,7 @@ ledgerDigest(const EngineConfig &cfg, const PinLoad &load,
     Simulation sim;
     LlmEngine engine(sim, cfg);
     std::optional<LlmEngine> target;
-    std::vector<Task<GenResult>> tasks;
+    std::vector<Task<PinOutcome>> tasks;
     for (auto &r : pinRequests(seed, cfg.blockSize, load))
         tasks.push_back(pinSubmit(sim, engine, std::move(r)));
     std::optional<Task<void>> drain;
@@ -1379,8 +1392,10 @@ ledgerDigest(const EngineConfig &cfg, const PinLoad &load,
     sim.run();
 
     BitsDigest d;
-    for (auto &t : tasks)
-        d.add(t.result());
+    for (auto &t : tasks) {
+        d.add(t.result().result);
+        d.add(t.result().stats);
+    }
     d.add(engine.stats());
     *source_stats = engine.stats();
     if (target) {
@@ -1393,7 +1408,8 @@ ledgerDigest(const EngineConfig &cfg, const PinLoad &load,
 }
 
 // Pins every double a request's ledger and the engine's statistics
-// accumulate, bit for bit, across the step's branches: chunked
+// accumulate, bit for bit, at each completion and at the end of the
+// run, across the step's branches: chunked
 // prefill, preemption, deadlines and cancels landing mid-step, spill
 // tiers with parking, and warm migration imports. A step that sums in
 // another order changes a last bit and the digest.
@@ -1406,18 +1422,18 @@ TEST(EnginePin, StepLedgerBits)
     auto cfg = smallConfig();
     cfg.maxBatchTokens = 128;
     EXPECT_EQ(ledgerDigest(cfg, {}, seed, false, &s),
-              17632535827425574249ULL);
+              14631486469203798467ULL);
 
     cfg = smallConfig();
     cfg.kvPoolBytes = 96 * 16 * cfg.model.kvBytesPerToken();
     EXPECT_EQ(ledgerDigest(cfg, {}, seed, false, &s),
-              7507587144442908074ULL);
+              366628894726777795ULL);
     EXPECT_GT(s.preemptions, 0);
 
     cfg = smallConfig();
     EXPECT_EQ(ledgerDigest(cfg, {.deadlineFrac = 0.3, .cancelFrac = 0.3},
                            seed, false, &s),
-              12411659679024348329ULL);
+              10223235684040358903ULL);
     EXPECT_GT(s.requestsTimedOut, 0);
     EXPECT_GT(s.requestsCancelled, 0);
 
@@ -1427,13 +1443,13 @@ TEST(EnginePin, StepLedgerBits)
     cfg.nvmeCacheBlocks = 64;
     cfg.kvDramAdmitProb = 0.7;
     EXPECT_EQ(ledgerDigest(cfg, {.parkFrac = 0.5}, seed, false, &s),
-              782493618660227885ULL);
+              2944302966459378551ULL);
     EXPECT_GT(s.parkedChains, 0);
     EXPECT_GT(s.transferSeconds, 0.0);
 
     cfg = smallConfig();
     EXPECT_EQ(ledgerDigest(cfg, {.qps = 24.0}, seed, true, &s, &t),
-              8648906271021759632ULL);
+              10031956482219200711ULL);
     EXPECT_GT(t.requestsMigratedIn, 0);
     EXPECT_EQ(t.migrationFallbacks, 0);
 }
