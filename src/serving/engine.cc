@@ -360,8 +360,13 @@ void
 LlmEngine::preemptOne()
 {
     AGENTSIM_ASSERT(!running_.empty(), "preempt with empty batch");
-    Req &victim = reqAt(running_.back());
-    running_.pop_back();
+    preempt(reqAt(running_.back()));
+}
+
+void
+LlmEngine::preempt(Req &victim)
+{
+    std::erase(running_, handleOf(victim));
 
     // Settle the occupancy charge and remember how much KV is being
     // thrown away: re-prefilling below this watermark is pure waste.
@@ -1106,22 +1111,6 @@ LlmEngine::buildStep()
                                       static_cast<std::int64_t>(
                                           plan.decoders.size()));
 
-    // Completing a prompt that ends exactly on a block boundary emits
-    // its first output token into a fresh block at commit. The blocks
-    // reserved for this step's appends (the boundary-crossing decoders
-    // and the completions planned so far) are not free for it: defer
-    // its final prompt token when no block beyond them is available.
-    std::int64_t reserved = append_need;
-    auto fit_completion = [&](const Req &req, std::int64_t &chunk) {
-        const auto prompt_len = req.prompt.size();
-        if (req.prefillDone + chunk != prompt_len || prompt_len % bs != 0)
-            return;
-        if (blocks_.availableBlocks() <= reserved)
-            --chunk;
-        else
-            ++reserved;
-    };
-
     // 3. Continue chunked prefill of already-admitted requests.
     for (const ReqHandle h : plan.prefilling) {
         if (budget == 0)
@@ -1131,7 +1120,14 @@ LlmEngine::buildStep()
         std::int64_t chunk = std::min(budget, prompt_len - req.prefillDone);
         if (chunk <= 0)
             continue;
-        fit_completion(req, chunk);
+        // Completing a prompt that ends exactly on a block boundary
+        // emits its first output token into a fresh block; defer the
+        // final prompt token if no block could be available.
+        const bool completes = req.prefillDone + chunk == prompt_len;
+        if (completes && prompt_len % bs == 0 &&
+            blocks_.availableBlocks() == 0) {
+            --chunk;
+        }
         if (chunk <= 0)
             continue;
         plan.prefills.push_back({h, chunk});
@@ -1156,12 +1152,8 @@ LlmEngine::buildStep()
             failRequest(req);
             continue;
         }
-        // The prompt takes at most upper_bound - 1 blocks from the
-        // available ones, which must leave the reserved ones.
-        if (upper_bound > blocks_.availableBlocks() ||
-            upper_bound - 1 + reserved > blocks_.availableBlocks()) {
+        if (upper_bound > blocks_.availableBlocks())
             break; // the policy's best candidate does not fit
-        }
 
         auto alloc = blocks_.allocatePrompt(req.id, req.prompt);
         AGENTSIM_ASSERT(alloc.has_value(),
@@ -1223,7 +1215,11 @@ LlmEngine::buildStep()
         }
 
         std::int64_t chunk = std::min(budget, prompt_len - req.prefillDone);
-        fit_completion(req, chunk);
+        const bool completes = req.prefillDone + chunk == prompt_len;
+        if (completes && prompt_len % bs == 0 &&
+            blocks_.availableBlocks() == 0) {
+            --chunk;
+        }
         if (chunk > 0) {
             plan.prefills.push_back({h, chunk});
             plan.work.prefills.push_back({chunk, req.prefillDone});
@@ -1393,14 +1389,22 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
         if (live == nullptr || !live->decoding)
             continue;
         Req &req = *live;
+        if (!blocks_.appendToken(req.seq, req.output.stream,
+                                 req.output.end())) {
+            // buildStep reserved this decoder a block, but a prompt
+            // completing on a block boundary in the same step may have
+            // taken it. The token is lost: preempt the decoder, which
+            // recomputes it on re-admission.
+            AGENTSIM_WARN("decode append failed; preempting request %llu",
+                          static_cast<unsigned long long>(req.id));
+            preempt(req);
+            continue;
+        }
         req.decodeSecondsAcc += cost.seconds;
         req.flopsAcc += perf_.decodeFlops(plan.work.decodeContexts[i]);
         req.ledger.decodeGpuSeconds += decode_attributed;
         req.ledger.energyJoules += decode_energy;
         ++tbt_pending;
-        const bool ok = blocks_.appendToken(req.seq, req.output.stream,
-                                            req.output.end());
-        AGENTSIM_ASSERT(ok, "decode append failed despite reservation");
         if (++req.output.count >= req.maxNewTokens) {
             observe_tbt();
             finishRequest(req);

@@ -714,6 +714,10 @@ class LlmEngine
     /** Preempt the latest-arrived running request (recompute). */
     void preemptOne();
 
+    /** Preempt running request @p victim (recompute): release its
+     *  blocks, fold its output into its prompt, requeue it first. */
+    void preempt(Req &victim);
+
     /** Fail a request that can never be served. */
     void failRequest(Req &req);
 

@@ -1454,10 +1454,11 @@ TEST(EnginePin, StepLedgerBits)
     EXPECT_EQ(t.migrationFallbacks, 0);
 }
 
-// Regression: a prompt completing on a block boundary took the fresh
-// block that a boundary-crossing decoder of the same step had been
+// Regression: a prompt completing on a block boundary takes the fresh
+// block that a boundary-crossing decoder of the same step was
 // promised, and that decoder's append panicked ("decode append failed
-// despite reservation"). 40 requests on a 96- or 128-block pool hit it.
+// despite reservation"). 40 requests on a 96- or 128-block pool hit
+// it. The decoder is preempted instead: every request still completes.
 TEST(Engine, BoundaryCompletionLeavesDecodersTheirBlocks)
 {
     for (const std::int64_t blocks : {96, 128}) {
