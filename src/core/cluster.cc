@@ -1564,7 +1564,7 @@ runCluster(const ClusterConfig &config)
     for (const auto &node : nodes) {
         // Every cancelled/crashed/finished request must have returned
         // its blocks; chaos runs exercise this hard.
-        node.engine->blockManager().checkInvariants();
+        node.engine->checkInvariants();
         NodeResult nr;
         nr.requests = node.assigned;
         nr.cacheStats = node.engine->cacheStats();

@@ -378,7 +378,7 @@ runServing(const ServeConfig &config)
                     state.result.completed, config.numRequests);
     // One whole-pool walk per run, as runCluster does per node: during
     // the run, allocations check only the blocks they touched.
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 
     ServeResult out = std::move(state.result);
     out.makespanSeconds =

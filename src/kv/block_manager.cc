@@ -226,10 +226,9 @@ BlockManager::allocatePrompt(SeqId seq_id, const TokenChain &prompt)
 }
 
 bool
-BlockManager::appendToken(SeqHandle seq_handle, std::uint64_t stream,
-                          std::int64_t index)
+BlockManager::appendAtBoundary(Seq &seq, std::uint64_t stream,
+                               std::int64_t index)
 {
-    Seq &seq = seqs_[liveSlot(seq_handle, "appendToken")];
     if (seq.chain.tailSize() == 0) {
         // Crossing into a new block.
         if (availableBlocks() == 0)

@@ -267,7 +267,19 @@ class BlockManager
      * should preempt).
      */
     bool appendToken(SeqHandle seq, std::uint64_t stream,
-                     std::int64_t index);
+                     std::int64_t index)
+    {
+        Seq &s = seqs_[liveSlot(seq, "appendToken")];
+        // Inside the partial block and short of sealing it, a token
+        // takes no block and publishes none; one continuing the open
+        // run is the chain's counter bump.
+        const int tail = s.chain.tailSize();
+        if (tail != 0 && tail + 1 < config_.blockSize) {
+            s.chain.appendStream(stream, index, 1);
+            return true;
+        }
+        return appendAtBoundary(s, stream, index);
+    }
     bool appendToken(SeqId seq_id, std::uint64_t stream,
                      std::int64_t index)
     {
@@ -644,6 +656,10 @@ class BlockManager
                         static_cast<unsigned long long>(seq.id), seq.slot);
         return static_cast<std::size_t>(seq.slot);
     }
+
+    /** appendToken() of a token that opens or seals a block. */
+    bool appendAtBoundary(Seq &seq, std::uint64_t stream,
+                          std::int64_t index);
 
     /** Index @p seq_id under a free or new slab slot, returned. */
     std::size_t claimSeqSlot(SeqId seq_id);

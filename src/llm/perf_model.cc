@@ -66,8 +66,13 @@ PerfModel::stepSeconds(double flops, double bytes, std::size_t seqs) const
 }
 
 StepCost
-PerfModel::stepCost(const StepWork &work) const
+PerfModel::stepCost(const StepWork &work,
+                    std::span<double> flops_out) const
 {
+    AGENTSIM_ASSERT(flops_out.empty() ||
+                        flops_out.size() == work.decodeContexts.size(),
+                    "%zu decode FLOPs slots for %zu decodes",
+                    flops_out.size(), work.decodeContexts.size());
     StepCost cost;
     if (work.empty())
         return cost;
@@ -93,8 +98,11 @@ PerfModel::stepCost(const StepWork &work) const
     double decode_flops = 0.0;
     double decode_bytes = weightBytes_;
 
-    for (const auto ctx : work.decodeContexts) {
+    for (std::size_t i = 0; i < work.decodeContexts.size(); ++i) {
+        const std::int64_t ctx = work.decodeContexts[i];
         const double ctx_flops = decodeFlops(ctx);
+        if (!flops_out.empty())
+            flops_out[i] = ctx_flops;
         // Decode reads the whole KV history and writes one entry.
         const double ctx_bytes = kv_per_token * static_cast<double>(ctx + 1);
         flops += ctx_flops;

@@ -15,6 +15,7 @@
 #define AGENTSIM_LLM_PERF_MODEL_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "llm/hardware.hh"
@@ -83,8 +84,13 @@ class PerfModel
     const ModelSpec &model() const { return model_; }
     const NodeSpec &node() const { return node_; }
 
-    /** Price one engine step. */
-    StepCost stepCost(const StepWork &work) const;
+    /**
+     * Price one engine step. A non-empty @p flops_out, one entry per
+     * work.decodeContexts, receives each decode's decodeFlops() as the
+     * step sums it.
+     */
+    StepCost stepCost(const StepWork &work,
+                      std::span<double> flops_out = {}) const;
 
     /** FLOPs to prefill @p tokens new tokens after @p context_before. */
     double prefillFlops(std::int64_t tokens,

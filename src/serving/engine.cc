@@ -84,18 +84,66 @@ LlmEngine::attachSpans(telemetry::SpanCollector *spans)
     spans_ = spans;
 }
 
+double
+LlmEngine::settleKv(Req &req, std::int64_t blocks)
+{
+    const sim::Tick now = sim_.now();
+    double charge = 0.0;
+    if (req.heldBlocks > 0 && now > req.kvMarkTick) {
+        charge = static_cast<double>(req.heldBlocks) *
+                 sim::toSeconds(now - req.kvMarkTick);
+        req.ledger.kvBlockSeconds += charge;
+    }
+    req.kvMarkTick = now;
+    req.heldBlocks = blocks;
+    return charge;
+}
+
 void
 LlmEngine::chargeKv(Req &req)
 {
-    const sim::Tick now = sim_.now();
-    if (req.heldBlocks > 0 && now > req.kvMarkTick) {
-        const double charge = static_cast<double>(req.heldBlocks) *
-                              sim::toSeconds(now - req.kvMarkTick);
-        req.ledger.kvBlockSeconds += charge;
-        stats_.kvBlockSeconds += charge;
+    // Adding a zero charge leaves the (non-negative) sum's bits alone.
+    stats_.kvBlockSeconds += settleKv(req, blocks_.liveSeqBlocks(req.seq));
+}
+
+void
+LlmEngine::joinBatch(const Req &req)
+{
+    running_.push_back({handleOf(req), req.seq, blocks_.seqTokens(req.seq),
+                        blocks_.liveSeqBlocks(req.seq), -1, req.decoding});
+}
+
+void
+LlmEngine::leaveBatch(ReqHandle h)
+{
+    std::erase_if(running_, [h](const Running &r) { return r.req == h; });
+}
+
+LlmEngine::Running &
+LlmEngine::batchEntry(ReqHandle h)
+{
+    const auto it = std::find_if(running_.begin(), running_.end(),
+                                 [h](const Running &r) { return r.req == h; });
+    AGENTSIM_ASSERT(it != running_.end(), "request (slot %d) not running",
+                    h.slot);
+    return *it;
+}
+
+void
+LlmEngine::checkInvariants() const
+{
+    blocks_.checkInvariants();
+    for (const Running &r : running_) {
+        AGENTSIM_ASSERT(r.tokens == blocks_.seqTokens(r.seq) &&
+                            r.blocks == blocks_.liveSeqBlocks(r.seq),
+                        "running request (slot %d) counts %lld tokens in "
+                        "%lld blocks; its sequence holds %lld in %lld",
+                        r.req.slot, static_cast<long long>(r.tokens),
+                        static_cast<long long>(r.blocks),
+                        static_cast<long long>(blocks_.seqTokens(r.seq)),
+                        static_cast<long long>(
+                            blocks_.liveSeqBlocks(r.seq)));
     }
-    req.kvMarkTick = now;
-    req.heldBlocks = blocks_.liveSeqBlocks(req.seq);
 }
 
 LlmEngine::ReqHandle
@@ -347,7 +395,9 @@ LlmEngine::runLoop()
         StepPlan &plan = buildStep();
         if (plan.work.empty())
             continue; // everything failed at admission; re-check
-        const llm::StepCost cost = perf_.stepCost(plan.work);
+        plan.decodeFlops.resize(plan.work.decodeContexts.size());
+        const llm::StepCost cost =
+            perf_.stepCost(plan.work, plan.decodeFlops);
         const sim::Tick step_start = sim_.now();
         co_await sim::delay(
             sim_, sim::fromSeconds(cost.seconds + plan.extraSeconds +
@@ -360,13 +410,13 @@ void
 LlmEngine::preemptOne()
 {
     AGENTSIM_ASSERT(!running_.empty(), "preempt with empty batch");
-    preempt(reqAt(running_.back()));
+    preempt(reqAt(running_.back().req));
 }
 
 void
 LlmEngine::preempt(Req &victim)
 {
-    std::erase(running_, handleOf(victim));
+    leaveBatch(handleOf(victim));
 
     // Settle the occupancy charge and remember how much KV is being
     // thrown away: re-prefilling below this watermark is pure waste.
@@ -450,7 +500,7 @@ LlmEngine::finishRequest(Req &req)
     blocks_.release(req.seq);
     req.seq = {};
     req.heldBlocks = 0;
-    std::erase(running_, handleOf(req));
+    leaveBatch(handleOf(req));
     req.finished = true;
     req.decoding = false;
     tracePhaseEnd(req);
@@ -577,7 +627,7 @@ LlmEngine::cancelRequest(Req &req, CancelCause cause)
     req.heldBlocks = 0;
     chargeQueue(req);
     const ReqHandle handle = handleOf(req);
-    std::erase(running_, handle);
+    leaveBatch(handle);
     if (auto it = std::find(waiting_.begin(), waiting_.end(), handle);
         it != waiting_.end()) {
         noteLeftWaiting(req);
@@ -656,8 +706,8 @@ LlmEngine::cancel(std::uint64_t request_id)
         if (try_cancel(h))
             return true;
     }
-    for (const ReqHandle h : running_) {
-        if (try_cancel(h))
+    for (const Running &r : running_) {
+        if (try_cancel(r.req))
             return true;
     }
     return false;
@@ -680,8 +730,8 @@ LlmEngine::expireDeadlines()
     };
     for (const ReqHandle h : waiting_)
         collect(h);
-    for (const ReqHandle h : running_)
-        collect(h);
+    for (const Running &r : running_)
+        collect(r.req);
     for (const ReqHandle h : expired)
         cancelRequest(reqAt(h), CancelCause::Deadline);
     AGENTSIM_ASSERT(deadlines_.size() == 0 || now < earliestDeadline(),
@@ -700,7 +750,8 @@ LlmEngine::crash()
                     waiting_.size(), running_.size());
 
     std::vector<ReqHandle> victims(waiting_.begin(), waiting_.end());
-    victims.insert(victims.end(), running_.begin(), running_.end());
+    for (const Running &r : running_)
+        victims.push_back(r.req);
     for (const ReqHandle h : victims)
         cancelRequest(reqAt(h), CancelCause::NodeFailure);
     // The node's memory is gone: prefix cache and host tier come back
@@ -786,7 +837,8 @@ LlmEngine::drain(double deadline_seconds, bool export_leftovers)
     // Deadline (or empty): whatever is left either migrates or is
     // cancelled like a crash victim (the client retries elsewhere).
     std::vector<ReqHandle> leftovers(waiting_.begin(), waiting_.end());
-    leftovers.insert(leftovers.end(), running_.begin(), running_.end());
+    for (const Running &r : running_)
+        leftovers.push_back(r.req);
     for (const ReqHandle h : leftovers) {
         Req &req = reqAt(h);
         if (export_leftovers) {
@@ -818,17 +870,19 @@ LlmEngine::drain(double deadline_seconds, bool export_leftovers)
 std::optional<MigratedRequest>
 LlmEngine::exportRequest(std::uint64_t id)
 {
-    auto find_in = [&](const auto &queue) -> Req * {
-        for (const ReqHandle h : queue) {
-            Req &r = reqAt(h);
-            if (r.id == id && !r.finished)
-                return &r;
-        }
-        return nullptr;
+    auto named = [&](ReqHandle h) -> Req * {
+        Req &r = reqAt(h);
+        return r.id == id && !r.finished ? &r : nullptr;
     };
-    Req *found = find_in(running_);
-    if (found == nullptr)
-        found = find_in(waiting_);
+    Req *found = nullptr;
+    for (auto it = running_.begin(); found == nullptr && it != running_.end();
+         ++it) {
+        found = named(it->req);
+    }
+    for (auto it = waiting_.begin(); found == nullptr && it != waiting_.end();
+         ++it) {
+        found = named(*it);
+    }
     if (found == nullptr)
         return std::nullopt;
     Req &req = *found;
@@ -854,7 +908,7 @@ LlmEngine::exportRequest(std::uint64_t id)
     }
 
     const ReqHandle handle = handleOf(req);
-    std::erase(running_, handle);
+    leaveBatch(handle);
     if (auto it = std::find(waiting_.begin(), waiting_.end(), handle);
         it != waiting_.end()) {
         noteLeftWaiting(req);
@@ -985,8 +1039,9 @@ LlmEngine::activateImported(Req &req, kv::TokenChain chain,
 
     if (blocks_.hasSeq(req.seq)) {
         // Warm landing: the chain survived; resume decode (or chunked
-        // prefill) exactly where the source left off.
-        running_.push_back(handleOf(req));
+        // prefill) exactly where the source left off — from the next
+        // step on, as a step in flight gives it nothing.
+        joinBatch(req);
         chargeKv(req);
         tracePhaseBegin(req,
                         req.decoding ? telemetry::TraceName::Decode
@@ -1049,23 +1104,22 @@ LlmEngine::preloadPrefix(const kv::TokenChain &prefix)
 std::int64_t
 LlmEngine::collectRunning(StepPlan &plan)
 {
-    plan.decoders.clear();
     plan.work.decodeContexts.clear();
     plan.prefilling.clear();
     const int bs = config_.blockSize;
     std::int64_t boundary_crossings = 0;
-    for (const ReqHandle h : running_) {
-        const Req &req = reqAt(h);
-        if (!req.decoding) {
-            plan.prefilling.push_back(h);
+    for (Running &r : running_) {
+        if (!r.decoding) {
+            r.decodeIndex = -1;
+            plan.prefilling.push_back(r.req);
             continue;
         }
-        const std::int64_t context = blocks_.seqTokens(req.seq);
-        plan.decoders.push_back(h);
-        plan.work.decodeContexts.push_back(context);
+        r.decodeIndex =
+            static_cast<std::int32_t>(plan.work.decodeContexts.size());
+        plan.work.decodeContexts.push_back(r.tokens);
         // A full last block: this token opens a fresh one. (Compared
         // by multiplying; a per-decoder division shows in profiles.)
-        if (context == blocks_.liveSeqBlocks(req.seq) * bs)
+        if (r.tokens == r.blocks * bs)
             ++boundary_crossings;
     }
     return boundary_crossings;
@@ -1093,7 +1147,7 @@ LlmEngine::buildStep()
     while (append_need > blocks_.availableBlocks()) {
         if (running_.size() <= 1) {
             // A lone request has filled the entire pool: truncate it.
-            Req &req = reqAt(running_.front());
+            Req &req = reqAt(running_.front().req);
             AGENTSIM_WARN("KV pool exhausted by request %llu; "
                           "truncating output",
                           static_cast<unsigned long long>(req.id));
@@ -1106,10 +1160,9 @@ LlmEngine::buildStep()
         append_need = collectRunning(plan);
     }
 
-    std::int64_t budget =
-        std::max<std::int64_t>(0, config_.maxBatchTokens -
-                                      static_cast<std::int64_t>(
-                                          plan.decoders.size()));
+    std::int64_t budget = std::max<std::int64_t>(
+        0, config_.maxBatchTokens - static_cast<std::int64_t>(
+                                        plan.work.decodeContexts.size()));
 
     // 3. Continue chunked prefill of already-admitted requests.
     for (const ReqHandle h : plan.prefilling) {
@@ -1161,7 +1214,7 @@ LlmEngine::buildStep()
         req.seq = alloc->seq;
         noteLeftWaiting(req);
         waiting_.erase(candidate);
-        running_.push_back(h);
+        joinBatch(req);
         chargeQueue(req);
         chargeKv(req); // opens the occupancy charging interval
 
@@ -1231,7 +1284,7 @@ LlmEngine::buildStep()
         // Pathological: a lone prompt fills the pool leaving no room
         // for its first output token. Finish it truncated rather than
         // spinning forever.
-        Req &req = reqAt(running_.front());
+        Req &req = reqAt(running_.front().req);
         AGENTSIM_WARN("request %llu starved of append blocks; "
                       "truncating",
                       static_cast<unsigned long long>(req.id));
@@ -1343,6 +1396,11 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
                 finishRequest(req);
                 continue;
             }
+            // It decodes from the next step on: its decodeIndex stays
+            // -1, so this step's commit walk gives it no second token.
+            Running &r = batchEntry(part.req);
+            noteAppend(r);
+            r.decoding = true;
             ++req.output.count;
             req.decoding = true;
             tracePhaseEnd(req); // prefill
@@ -1361,10 +1419,15 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
         }
     }
 
-    // Decoders each produced one token. A planned decoder's context is
-    // still its sequence length: only its own append changes that.
-    // Ledger: an equal share of the step's decode time per decoded
-    // token (every decoder produced exactly one).
+    // The commit walk, over the batch in admission order. Each planned
+    // decoder (decodeIndex >= 0; a request that joined the batch since
+    // the step was planned has none) produced one token: it takes an
+    // equal share of the step's decode time, the FLOPs its decode was
+    // priced at, and its append. Its context was its sequence length:
+    // only its own append changes that. Every request still in the
+    // batch then settles its KV occupancy at its new block count.
+    // stats_.kvBlockSeconds sums the finishers' charges as they finish
+    // and the survivors' after the walk, in admission order.
     const std::size_t planned_decoders = plan.work.decodeContexts.size();
     const double decode_attributed =
         planned_decoders > 0
@@ -1384,39 +1447,42 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
         }
         tbt_pending = 0;
     };
-    for (std::size_t i = 0; i < planned_decoders; ++i) {
-        Req *live = planned(plan.decoders[i]);
-        if (live == nullptr || !live->decoding)
-            continue;
-        Req &req = *live;
-        if (!blocks_.appendToken(req.seq, req.output.stream,
-                                 req.output.end())) {
-            // buildStep reserved this decoder a block, but a prompt
-            // completing on a block boundary in the same step may have
-            // taken it. The token is lost: preempt the decoder, which
-            // recomputes it on re-admission.
-            AGENTSIM_WARN("decode append failed; preempting request %llu",
-                          static_cast<unsigned long long>(req.id));
-            preempt(req);
-            continue;
+    kvCharges_.clear();
+    for (std::size_t i = 0; i < running_.size();) {
+        Running &r = running_[i];
+        Req &req = reqAt(r.req);
+        if (r.decodeIndex >= 0) {
+            if (!blocks_.appendToken(r.seq, req.output.stream,
+                                     req.output.end())) {
+                // buildStep reserved this decoder a block, but a prompt
+                // completing on a block boundary in the same step may
+                // have taken it. The token is lost: preempt the
+                // decoder, which recomputes it on re-admission.
+                AGENTSIM_WARN("decode append failed; preempting request "
+                              "%llu",
+                              static_cast<unsigned long long>(req.id));
+                preempt(req); // takes running_[i] out
+                continue;
+            }
+            noteAppend(r);
+            req.decodeSecondsAcc += cost.seconds;
+            req.flopsAcc +=
+                plan.decodeFlops[static_cast<std::size_t>(r.decodeIndex)];
+            req.ledger.decodeGpuSeconds += decode_attributed;
+            req.ledger.energyJoules += decode_energy;
+            ++tbt_pending;
+            if (++req.output.count >= req.maxNewTokens) {
+                observe_tbt();
+                finishRequest(req); // takes running_[i] out
+                continue;
+            }
         }
-        req.decodeSecondsAcc += cost.seconds;
-        req.flopsAcc += perf_.decodeFlops(plan.work.decodeContexts[i]);
-        req.ledger.decodeGpuSeconds += decode_attributed;
-        req.ledger.energyJoules += decode_energy;
-        ++tbt_pending;
-        if (++req.output.count >= req.maxNewTokens) {
-            observe_tbt();
-            finishRequest(req);
-        }
+        kvCharges_.push_back(settleKv(req, r.blocks));
+        ++i;
     }
     observe_tbt();
-
-    // Settle KV occupancy for the survivors at their (possibly grown)
-    // block counts, in admission order; finished requests settled
-    // when released.
-    for (const ReqHandle h : running_)
-        chargeKv(reqAt(h));
+    for (const double charge : kvCharges_)
+        stats_.kvBlockSeconds += charge;
 
     updateGauges();
 

@@ -399,6 +399,15 @@ class LlmEngine
     /** Read-only view of the block pool (tests, invariant checks). */
     const kv::BlockManager &blockManager() const { return blocks_; }
 
+    /**
+     * The pool's full walk (kv::BlockManager::checkInvariants()), then
+     * the running batch against the pool: each running request's token
+     * and block counts must be its sequence's. Panics on a violation.
+     * O(pool + batch): tests and the end of each serving or cluster
+     * run.
+     */
+    void checkInvariants() const;
+
     /** KV pool statistics (hit rate, evictions). */
     const kv::CacheStats &cacheStats() const { return blocks_.stats(); }
 
@@ -601,6 +610,29 @@ class LlmEngine
         explicit ReqSlot(sim::Simulation &sim) : req(sim) {}
     };
 
+    /**
+     * One request of the running batch, packed for the step walks:
+     * everything planning a step reads, so that walk touches neither
+     * the request slab nor the pool. tokens and blocks are the pool's
+     * seqTokens() and liveSeqBlocks() of seq, kept so by every append
+     * the engine makes (checkInvariants() compares them).
+     */
+    struct Running
+    {
+        ReqHandle req;
+        kv::SeqHandle seq;
+        std::int64_t tokens = 0;
+        std::int64_t blocks = 0;
+        /**
+         * This request's entry in the planned step's decodeContexts,
+         * or -1 when the step gives it no decode token: it was
+         * prefilling when the step was planned, or joined the batch
+         * after that.
+         */
+        std::int32_t decodeIndex = -1;
+        bool decoding = false;
+    };
+
     /** Work selected for one engine step. */
     struct StepPlan
     {
@@ -609,9 +641,9 @@ class LlmEngine
         double extraSeconds = 0.0;
         /** Injected stall time folded into this step, seconds. */
         double stallSeconds = 0.0;
-        /** Requests receiving one decode token, aligned with
-         *  work.decodeContexts. */
-        std::vector<ReqHandle> decoders;
+        /** Each decode's FLOPs, aligned with work.decodeContexts
+         *  (filled where the step is priced). */
+        std::vector<double> decodeFlops;
         struct PrefillPart
         {
             ReqHandle req;
@@ -632,7 +664,7 @@ class LlmEngine
             work.decodeContexts.clear();
             extraSeconds = 0.0;
             stallSeconds = 0.0;
-            decoders.clear();
+            decodeFlops.clear();
             prefills.clear();
             prefilling.clear();
         }
@@ -659,7 +691,8 @@ class LlmEngine
      */
     kv::IndexedMinHeap deadlines_;
     std::deque<ReqHandle> waiting_;
-    std::vector<ReqHandle> running_; // admission order
+    /** The running batch, in admission order. */
+    std::vector<Running> running_;
     std::optional<sim::Completion<int>> wake_;
     std::uint64_t nextId_ = 1;
     bool online_ = true;
@@ -671,6 +704,8 @@ class LlmEngine
     double pendingStallSeconds_ = 0.0;
     /** Reusable step plan (see StepPlan::reset). */
     StepPlan planScratch_;
+    /** commitStep's survivor KV charges, in admission order. */
+    std::vector<double> kvCharges_;
     /** Cumulative attributed GPU seconds per session; kept only
      *  under the LAS policy, its one reader. */
     std::unordered_map<std::uint64_t, double> sessionService_;
@@ -690,9 +725,10 @@ class LlmEngine
     StepPlan &buildStep();
 
     /**
-     * One walk of running_ into @p plan: each decoder with its context
-     * length, and the requests still prefilling. @return how many
-     * decoders cross a block boundary this step (blocks to reserve).
+     * The plan walk: one pass over running_'s records into @p plan,
+     * each decoder's context length (and its decodeIndex), and the
+     * requests still prefilling. @return how many decoders cross a
+     * block boundary this step (blocks to reserve).
      */
     std::int64_t collectRunning(StepPlan &plan);
 
@@ -776,6 +812,29 @@ class LlmEngine
      * release) so the elapsed time is charged at the old rate.
      */
     void chargeKv(Req &req);
+
+    /**
+     * chargeKv() with the new block count given and the charge
+     * returned (0 when none) instead of added to stats_.
+     */
+    double settleKv(Req &req, std::int64_t blocks);
+
+    /** Add @p req, holding its sequence, to the end of the batch. */
+    void joinBatch(const Req &req);
+
+    /** Take the request @p h out of the batch, if it is there. */
+    void leaveBatch(ReqHandle h);
+
+    /** The batch record of running request @p h (linear search). */
+    Running &batchEntry(ReqHandle h);
+
+    /** Count one token appended to @p r's sequence. */
+    void noteAppend(Running &r) const
+    {
+        if (r.tokens == r.blocks * config_.blockSize)
+            ++r.blocks;
+        ++r.tokens;
+    }
 
     /** Settle the current queueing episode into the ledger. */
     void chargeQueue(Req &req);

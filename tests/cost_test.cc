@@ -196,8 +196,8 @@ TEST(CostLedger, LiveMigrationConservesGpuWork)
     EXPECT_NEAR(r.ledger.gpuSeconds(),
                 source.stats().busySeconds + target.stats().busySeconds,
                 0.02 * baseline);
-    source.blockManager().checkInvariants();
-    target.blockManager().checkInvariants();
+    source.checkInvariants();
+    target.checkInvariants();
 }
 
 TEST(CostLedger, WarmTargetMigrationChargesOnlyMissingBlocks)

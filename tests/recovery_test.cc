@@ -330,7 +330,7 @@ TEST(Recovery, CrashWhileChainParkedLeaksNothing)
     EXPECT_EQ(engine.blockManager().blocksInUse(), 0);
     EXPECT_EQ(engine.blockManager().hostCachedBlocks(), 0);
     EXPECT_EQ(engine.blockManager().nvmeCachedBlocks(), 0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 
     // After restart the store's chain can be re-wired into the cold
     // pool (the resume path's KV restore) and accounting stays sane.
@@ -338,7 +338,7 @@ TEST(Recovery, CrashWhileChainParkedLeaksNothing)
     EXPECT_GT(engine.preloadPrefix(
                   kv::TokenChain(engine.config().blockSize, p)),
               0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Recovery, ClusterChaosWithParkingAndCheckpointing)

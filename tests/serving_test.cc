@@ -259,7 +259,7 @@ TEST(Engine, PreemptionUnderMemoryPressure)
     EXPECT_GT(engine.stats().preemptions, 0);
     // Preemption and finish both released their sequences.
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Engine, LoneRequestTruncatesWhenPoolFills)
@@ -408,7 +408,7 @@ TEST(Engine, DeadlineExpiresWhileDecoding)
     EXPECT_EQ(engine.stats().requestsTimedOut, 1);
     EXPECT_EQ(engine.stats().requestsCompleted, 0);
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Engine, DeadlineExpiresWhileQueued)
@@ -426,7 +426,7 @@ TEST(Engine, DeadlineExpiresWhileQueued)
     EXPECT_EQ(rb.output.count, 0); // never scheduled
     EXPECT_DOUBLE_EQ(rb.queueSeconds, 0.0);
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Engine, CancelWhileQueued)
@@ -451,7 +451,7 @@ TEST(Engine, CancelWhileQueued)
     // The id is gone: a second cancel is a no-op.
     EXPECT_FALSE(engine.cancel(handle));
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Engine, CancelWhileDecodingMidStep)
@@ -473,7 +473,7 @@ TEST(Engine, CancelWhileDecodingMidStep)
     EXPECT_GT(r.decodeSeconds, 0.0);
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
     EXPECT_DOUBLE_EQ(engine.kvUsageGauge().current(), 0.0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Engine, ShedUnderOverload)
@@ -530,7 +530,7 @@ TEST(Engine, CrashCancelsEverythingAndColdRestarts)
     EXPECT_FALSE(engine.online());
     EXPECT_EQ(engine.stats().crashes, 1);
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 
     // While down, the engine refuses work without queueing it.
     auto refused = submit(engine, prompt(7, 512), 4);
@@ -575,7 +575,7 @@ TEST(Engine, HostRestoreTimeIsAccounted)
     EXPECT_GT(engine.cacheStats().restoredTokens, 0);
     EXPECT_NEAR(engine.stats().transferSeconds, rc.transferSeconds,
                 1e-12);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Engine, NvmeRestoreCostsMoreThanDramRestore)
@@ -661,7 +661,7 @@ TEST(Engine, ToolParkingDemotesAndPrefetchesChain)
     ASSERT_TRUE(cont.ok());
     EXPECT_GT(cont.cachedPromptTokens, 500);
     EXPECT_DOUBLE_EQ(cont.transferSeconds, 0.0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Engine, ParkingSkippedWhenPoolUncontended)
@@ -680,7 +680,7 @@ TEST(Engine, ParkingSkippedWhenPoolUncontended)
     EXPECT_EQ(engine.stats().parkedChains, 0);
     EXPECT_EQ(engine.stats().parkedBlocks, 0);
     EXPECT_EQ(engine.blockManager().hostCachedBlocks(), 0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Engine, ParkingIsInertWithoutSpillTiers)
@@ -794,7 +794,7 @@ TEST(Engine, DrainCompletesRunningAndRejectsNew)
     engine.restart();
     EXPECT_TRUE(engine.accepting());
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Engine, DrainMigrationResumesWarmOnTarget)
@@ -826,8 +826,8 @@ TEST(Engine, DrainMigrationResumesWarmOnTarget)
     EXPECT_DOUBLE_EQ(source.stats().lostPrefillSeconds, 0.0);
     EXPECT_EQ(source.blockManager().usedBlocks(), 0);
     EXPECT_EQ(target.blockManager().usedBlocks(), 0);
-    source.blockManager().checkInvariants();
-    target.blockManager().checkInvariants();
+    source.checkInvariants();
+    target.checkInvariants();
 }
 
 TEST(Engine, MigrationFallsBackColdWhenTargetPoolIsFull)
@@ -857,8 +857,8 @@ TEST(Engine, MigrationFallsBackColdWhenTargetPoolIsFull)
     EXPECT_GT(target.stats().wastedSeconds, 0.0);
     EXPECT_EQ(source.blockManager().usedBlocks(), 0);
     EXPECT_EQ(target.blockManager().usedBlocks(), 0);
-    source.blockManager().checkInvariants();
-    target.blockManager().checkInvariants();
+    source.checkInvariants();
+    target.checkInvariants();
 }
 
 /**
@@ -916,8 +916,8 @@ TEST(Engine, CrashDuringImportTransferOutdatesTheHandle)
         }
         EXPECT_EQ(source.blockManager().usedBlocks(), 0);
         EXPECT_EQ(target.blockManager().usedBlocks(), 0);
-        source.blockManager().checkInvariants();
-        target.blockManager().checkInvariants();
+        source.checkInvariants();
+        target.checkInvariants();
     }
 }
 
@@ -938,7 +938,7 @@ TEST(Engine, AbortedMigrationResumesClientWithNodeFailure)
     const GenResult r = t.result();
     EXPECT_TRUE(r.nodeFailure);
     EXPECT_TRUE(r.retryable());
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 // ---------------------------------------------------------------
@@ -969,7 +969,7 @@ TEST(Engine, RequeuedVictimsDoNotConsumeQueueDepth)
     EXPECT_TRUE(a.result().ok());
     EXPECT_TRUE(b.result().ok());
     EXPECT_TRUE(probe.result().ok());
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Engine, DeadlineExpiringMidStepEmitsNothing)
@@ -989,7 +989,7 @@ TEST(Engine, DeadlineExpiringMidStepEmitsNothing)
     EXPECT_EQ(r.output.count, 0);
     EXPECT_EQ(engine.stats().requestsTimedOut, 1);
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 // ---------------------------------------------------------------
@@ -1019,7 +1019,7 @@ TEST(Engine, SpfOrderHoldsAcrossPreemptionRequeue)
     // The probe jumped the requeued 300+-token victims; under FCFS it
     // would sit behind them for seconds.
     EXPECT_LT(rc.queueSeconds, 0.5);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Engine, LasOrderHoldsAcrossPreemptionRequeue)
@@ -1052,7 +1052,7 @@ TEST(Engine, LasOrderHoldsAcrossPreemptionRequeue)
     const GenResult rc = c.result();
     EXPECT_TRUE(rc.ok());
     EXPECT_LT(rc.queueSeconds, 0.5);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 // ---------------------------------------------------------------
@@ -1100,7 +1100,7 @@ TEST(Engine, SameTickDeadlinesCancelWaitingThenRunning)
     EXPECT_EQ(engine.stats().requestsTimedOut, 4);
     EXPECT_EQ(engine.pendingDeadlines(), 0u);
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Engine, CancelDuringStepReusesSlotSafely)
@@ -1150,7 +1150,7 @@ TEST(Engine, CancelDuringStepReusesSlotSafely)
         EXPECT_EQ(engine.stats().requestsCancelled, 1);
         EXPECT_EQ(engine.stats().requestsCompleted, 1);
         EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
-        engine.blockManager().checkInvariants();
+        engine.checkInvariants();
     }
 }
 
@@ -1186,7 +1186,7 @@ TEST(Engine, CancelTouchesOnlyTheNamedRequest)
     EXPECT_EQ(engine.stats().requestsCancelled, 2);
     EXPECT_EQ(engine.stats().requestsCompleted, 2);
     EXPECT_EQ(engine.blockManager().usedBlocks(), 0);
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
 }
 
 TEST(Engine, DeadlineFollowsMigration)
@@ -1214,7 +1214,7 @@ TEST(Engine, DeadlineFollowsMigration)
         EXPECT_EQ(source.pendingDeadlines(), 0u);
         EXPECT_EQ(target.pendingDeadlines(), 0u);
         EXPECT_EQ(target.blockManager().usedBlocks(), 0);
-        target.blockManager().checkInvariants();
+        target.checkInvariants();
     }
     // An aborted migration leaves no deadline behind on the source:
     // a restarted engine serves a new request past the old deadline.
@@ -1239,7 +1239,7 @@ TEST(Engine, DeadlineFollowsMigration)
         EXPECT_TRUE(next.result().ok());
         EXPECT_GT(next.result().finishTick, sim::fromSeconds(1.5));
         EXPECT_EQ(engine.stats().requestsTimedOut, 0);
-        engine.blockManager().checkInvariants();
+        engine.checkInvariants();
     }
 }
 
@@ -1401,9 +1401,9 @@ ledgerDigest(const EngineConfig &cfg, const PinLoad &load,
     if (target) {
         d.add(target->stats());
         *target_stats = target->stats();
-        target->blockManager().checkInvariants();
+        target->checkInvariants();
     }
-    engine.blockManager().checkInvariants();
+    engine.checkInvariants();
     return d.value;
 }
 
@@ -1508,10 +1508,12 @@ TEST(Engine, WarmImportMidStepWaitsForTheNextStep)
         sim.schedule(sim::fromSeconds(1e-3), [&] {
             steps_at_activation = target.stats().steps;
             EXPECT_EQ(target.runningCount(), 2u);
+            target.checkInvariants();
         });
     });
     sim.schedule(sim::fromSeconds(1.0), [&] {
         steps_at_cancel = target.stats().steps;
+        target.checkInvariants();
         // target's ids: b is 1, c is 2, the import is 3.
         EXPECT_TRUE(target.cancel(3));
     });
@@ -1546,8 +1548,8 @@ TEST(Engine, WarmImportMidStepWaitsForTheNextStep)
                      ra.ledger.kvBlockSeconds + rb.ledger.kvBlockSeconds +
                          rc.ledger.kvBlockSeconds);
     EXPECT_EQ(target.blockManager().usedBlocks(), 0);
-    source.blockManager().checkInvariants();
-    target.blockManager().checkInvariants();
+    source.checkInvariants();
+    target.checkInvariants();
 }
 
 } // namespace
