@@ -335,6 +335,21 @@ decodeUntilCancelled(serving::LlmEngine &engine, kv::TokenChain prompt,
     co_return co_await engine.generate(std::move(req), id);
 }
 
+/** A client that submits a fresh 72-token prompt for 16 tokens each
+ *  time its last request finishes, until @p stop is set. */
+sim::Task<void>
+churnClient(serving::LlmEngine &engine, std::uint64_t stream,
+            const bool *stop, std::uint64_t *id)
+{
+    for (std::uint64_t k = 0; !*stop; ++k) {
+        serving::GenRequest req;
+        req.prompt = kv::TokenChain(engine.config().blockSize);
+        req.prompt.appendStream(sim::hashCombine(stream, k), 0, 72);
+        req.maxNewTokens = 16;
+        co_await engine.generate(std::move(req), id);
+    }
+}
+
 void
 BM_EngineDecodeStep(benchmark::State &state)
 {
@@ -347,9 +362,16 @@ BM_EngineDecodeStep(benchmark::State &state)
     // fresh block; 1 submits a 72-token stream run, so each output run
     // first shares a block with the prompt's run, as an agent's
     // output follows its prompt.
+    // range(2) = 1 is the churn arm: range(0) clients each resubmit a
+    // 72-token prompt for 16 tokens as soon as the last one finishes,
+    // so inside the timed steps requests finish and leave the batch
+    // while new prompts prefill and take their first token.
+    // ns_per_decoder is the step time per decoded token, in
+    // nanoseconds (the console appends a rate counter's "s").
     constexpr int kSteps = 256;
     const auto batch = static_cast<std::size_t>(state.range(0));
     const bool run_prompt = state.range(1) == 1;
+    const bool churn = state.range(2) == 1;
     sim::Simulation sim;
     serving::EngineConfig cfg;
     cfg.model = llm::llama31_8b();
@@ -385,30 +407,48 @@ BM_EngineDecodeStep(benchmark::State &state)
             decoded = engine.stats().decodeTokens - before;
         }
     };
-    resubmit();
+    bool stop = false;
+    std::vector<sim::Task<void>> clients;
+    if (churn) {
+        for (std::size_t i = 0; i < batch; ++i) {
+            clients.push_back(churnClient(
+                engine, workload::streamId(i, "churn"), &stop, &ids[i]));
+        }
+        // Untimed, until the clients' finishes and arrivals interleave.
+        for (int i = 0; i < kSteps; ++i)
+            run_step();
+    } else {
+        resubmit();
+    }
     int step = 0;
+    std::int64_t decoded = 0;
     for (auto _ : state) {
-        if (step == kSteps) {
+        if (!churn && step == kSteps) {
             state.PauseTiming();
             resubmit();
             step = 0;
             state.ResumeTiming();
         }
+        const std::int64_t before = engine.stats().decodeTokens;
         run_step();
-        benchmark::DoNotOptimize(engine.stats().decodeTokens);
+        decoded += engine.stats().decodeTokens - before;
         ++step;
     }
+    stop = true;
     for (const std::uint64_t id : ids)
         engine.cancel(id);
     sim.run(); // drained: the engine loop parks and can be destroyed
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(batch));
+    state.SetItemsProcessed(decoded);
+    state.counters["ns_per_decoder"] = benchmark::Counter(
+        static_cast<double>(decoded) * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_EngineDecodeStep)
-    ->ArgNames({"decoders", "run_prompt"})
-    ->Args({8, 0})
-    ->Args({64, 0})
-    ->Args({64, 1});
+    ->ArgNames({"decoders", "run_prompt", "churn"})
+    ->Args({8, 0, 0})
+    ->Args({64, 0, 0})
+    ->Args({64, 1, 0})
+    ->Args({64, 1, 1});
 
 void
 BM_PerfModelStep(benchmark::State &state)

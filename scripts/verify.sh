@@ -109,12 +109,14 @@ fi
 # per-token decode appends of output runs and prompt-chain hashing of
 # made tokens and of stream runs in closed form; the token-stream one
 # steps makeTokens' GF(p) arithmetic; the engine one cancels requests
-# mid-step and reuses their request-slab slots in the same tick; the
-# SLO one takes a step's decoders as one weighted observation whose
-# alert is placed by binary search; the trace ones add a step's records
-# by name id and name lanes once, and append 64-byte records of every
-# arg kind to a log that keeps its chunks; the recorder one rewrites
-# incident bundles in place from a ~300k-record trace log. A short
+# mid-step and reuses their request-slab slots in the same tick, and
+# its churn arm finishes requests and completes new prompts' prefill
+# inside the timed steps; the SLO one takes a step's decoders as one
+# weighted observation whose alert is placed by binary search; the
+# trace ones add a step's records by name id and name lanes once, and
+# append 64-byte records of every arg kind to a log that keeps its
+# chunks; the recorder one rewrites incident bundles in place from a
+# ~300k-record trace log. A short
 # sanitized run of each catches memory errors and undefined behaviour
 # on the block pool's, the token chain's, the engine's, the SLO
 # tracker's, the trace sink's and the recorder's hot paths.
