@@ -119,16 +119,6 @@ LlmEngine::leaveBatch(ReqHandle h)
     std::erase_if(running_, [h](const Running &r) { return r.req == h; });
 }
 
-LlmEngine::Running &
-LlmEngine::batchEntry(ReqHandle h)
-{
-    const auto it = std::find_if(running_.begin(), running_.end(),
-                                 [h](const Running &r) { return r.req == h; });
-    AGENTSIM_ASSERT(it != running_.end(), "request (slot %d) not running",
-                    h.slot);
-    return *it;
-}
-
 void
 LlmEngine::checkInvariants() const
 {
@@ -404,13 +394,6 @@ LlmEngine::runLoop()
                                    plan.stallSeconds));
         commitStep(plan, cost, step_start);
     }
-}
-
-void
-LlmEngine::preemptOne()
-{
-    AGENTSIM_ASSERT(!running_.empty(), "preempt with empty batch");
-    preempt(reqAt(running_.back().req));
 }
 
 void
@@ -694,23 +677,30 @@ LlmEngine::cancelRequest(Req &req, CancelCause cause)
 bool
 LlmEngine::cancel(std::uint64_t request_id)
 {
-    auto try_cancel = [&](ReqHandle h) {
-        Req &req = reqAt(h);
-        if (req.id != request_id || req.finished)
-            return false;
-        cancelRequest(req, CancelCause::Client);
-        updateGauges();
-        return true;
+    Req *req = findQueued(request_id);
+    if (req == nullptr)
+        return false;
+    cancelRequest(*req, CancelCause::Client);
+    updateGauges();
+    return true;
+}
+
+LlmEngine::Req *
+LlmEngine::findQueued(std::uint64_t id)
+{
+    auto named = [&](ReqHandle h) -> Req * {
+        Req &r = reqAt(h);
+        return r.id == id && !r.finished ? &r : nullptr;
     };
     for (const ReqHandle h : waiting_) {
-        if (try_cancel(h))
-            return true;
+        if (Req *r = named(h))
+            return r;
     }
-    for (const Running &r : running_) {
-        if (try_cancel(r.req))
-            return true;
+    for (const Running &b : running_) {
+        if (Req *r = named(b.req))
+            return r;
     }
-    return false;
+    return nullptr;
 }
 
 void
@@ -870,19 +860,7 @@ LlmEngine::drain(double deadline_seconds, bool export_leftovers)
 std::optional<MigratedRequest>
 LlmEngine::exportRequest(std::uint64_t id)
 {
-    auto named = [&](ReqHandle h) -> Req * {
-        Req &r = reqAt(h);
-        return r.id == id && !r.finished ? &r : nullptr;
-    };
-    Req *found = nullptr;
-    for (auto it = running_.begin(); found == nullptr && it != running_.end();
-         ++it) {
-        found = named(it->req);
-    }
-    for (auto it = waiting_.begin(); found == nullptr && it != waiting_.end();
-         ++it) {
-        found = named(*it);
-    }
+    Req *found = findQueued(id);
     if (found == nullptr)
         return std::nullopt;
     Req &req = *found;
@@ -1156,7 +1134,8 @@ LlmEngine::buildStep()
             collectRunning(plan); // the batch is empty now
             break;
         }
-        preemptOne();
+        // Preempt the latest-arrived running request.
+        preempt(reqAt(running_.back().req));
         append_need = collectRunning(plan);
     }
 
@@ -1398,9 +1377,12 @@ LlmEngine::commitStep(const StepPlan &plan, const llm::StepCost &cost,
             }
             // It decodes from the next step on: its decodeIndex stays
             // -1, so this step's commit walk gives it no second token.
-            Running &r = batchEntry(part.req);
-            noteAppend(r);
-            r.decoding = true;
+            const auto r = std::find_if(
+                running_.begin(), running_.end(),
+                [&](const Running &x) { return x.req == part.req; });
+            AGENTSIM_ASSERT(r != running_.end(), "prefill not running");
+            noteAppend(*r);
+            r->decoding = true;
             ++req.output.count;
             req.decoding = true;
             tracePhaseEnd(req); // prefill

@@ -732,6 +732,10 @@ class LlmEngine
      */
     std::int64_t collectRunning(StepPlan &plan);
 
+    /** The waiting or running request @p id (ids are unique on an
+     *  engine), or nullptr. */
+    Req *findQueued(std::uint64_t id);
+
     /** Pick the next admission candidate per the scheduler policy. */
     std::deque<ReqHandle>::iterator nextAdmissionCandidate();
     void commitStep(const StepPlan &plan, const llm::StepCost &cost,
@@ -746,9 +750,6 @@ class LlmEngine
 
     /** Close the request's open phase span, if any. */
     void tracePhaseEnd(Req &req);
-
-    /** Preempt the latest-arrived running request (recompute). */
-    void preemptOne();
 
     /** Preempt running request @p victim (recompute): release its
      *  blocks, fold its output into its prompt, requeue it first. */
@@ -824,9 +825,6 @@ class LlmEngine
 
     /** Take the request @p h out of the batch, if it is there. */
     void leaveBatch(ReqHandle h);
-
-    /** The batch record of running request @p h (linear search). */
-    Running &batchEntry(ReqHandle h);
 
     /** Count one token appended to @p r's sequence. */
     void noteAppend(Running &r) const
