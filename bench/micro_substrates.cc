@@ -432,6 +432,7 @@ BM_EngineDecodeStep(benchmark::State &state)
         const std::int64_t before = engine.stats().decodeTokens;
         run_step();
         decoded += engine.stats().decodeTokens - before;
+        benchmark::DoNotOptimize(decoded);
         ++step;
     }
     stop = true;
